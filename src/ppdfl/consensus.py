@@ -14,7 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import DimensionMismatch, PrimeModulus
-from .topology import verify_consensus_conditions
+from .topology import second_largest_eigenvalue, stochasticity_errors
+
+# Eigensolver error slack on lambda, EIG_SLACK * N * UNIT_ROUNDOFF; see
+# min_iterations.
+UNIT_ROUNDOFF = 2.0**-53
+EIG_SLACK = 8
 
 
 class NoFiniteK(ValueError):
@@ -89,37 +94,63 @@ def consensus_final(initial: np.ndarray, a: np.ndarray, iterations: int) -> np.n
 
 
 def averaging_error_norm(a: np.ndarray, k: int) -> float:
-    """Spectral norm of N A^k - 11^T, the gap to exact averaging after k steps."""
+    """Spectral norm of N A^k - 11^T, the gap to exact averaging after k steps.
+
+    A direct float evaluation, kept as a diagnostic: its rounding noise
+    floor (about 1e-11 at N=1000) can exceed the termination threshold, so
+    K is never chosen or checked with it.
+    """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     m = n * np.linalg.matrix_power(a, k) - np.ones((n, n))
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
-def min_iterations(a: np.ndarray, modulus: PrimeModulus | int) -> int:
-    """Smallest K whose averaging error, scaled by 2 p sqrt(N), drops below 1.
+def termination_inputs(lambda2: float, n: int, p: int) -> tuple[float, float]:
+    """(inflated radius, threshold) that K is chosen against; see min_iterations."""
+    lam_hat = abs(lambda2) + EIG_SLACK * n * UNIT_ROUNDOFF
+    return lam_hat, 1.0 / (2.0 * p * math.sqrt(n))
 
-    At that point |N s_i(K) - sum_j s_j(0)| < 0.5 for any initial states in
-    [0, p), so rounding N s(K) recovers the exact integer sum. The closed
-    form N lambda2^K < 1 / (2 p sqrt(N)) seeds the search and the returned
-    K is confirmed minimal against directly evaluated matrix-power norms.
+
+def min_iterations(
+    a: np.ndarray, modulus: PrimeModulus | int, lambda2: float | None = None
+) -> int:
+    """Smallest K >= 1 with N lam_hat^K < 1 / (2 p sqrt(N)), in closed form.
+
+    For symmetric doubly stochastic A, ||N A^k - 11^T|| = N lambda^k exactly,
+    where lambda is the second-largest eigenvalue magnitude of A (Xiao and
+    Boyd, "Fast linear iterations for distributed averaging", 2004). Below
+    the threshold, |N s_i(K) - sum_j s_j(0)| < 0.5 for any initial states
+    in [0, p), so rounding N s(K) recovers the exact integer sum.
+
+    lambda comes from one symmetric eigensolve: ``lambda2`` when the caller
+    already holds it for this A, else second_largest_eigenvalue(a). The
+    solver's eigenvalues are exact for a matrix within p(N) u ||A|| of A
+    (LAPACK Users' Guide, section 4.7), so by Weyl's inequality lambda is
+    off by at most that much; ||A|| = 1 here. K is chosen for
+    lam_hat = lambda + c N u with c = EIG_SLACK = 8 and u = 2^-53, i.e.
+    taking p(N) = 8N (8.9e-13 at N=1000). lam_hat >= 1 raises NoFiniteK.
+
+    The K float averaging steps add rounding error of their own that this
+    bound does not budget for; the round driver measures the rounding
+    margin at run time and raises if it reaches 0.5.
     """
     p = modulus.p if isinstance(modulus, PrimeModulus) else int(modulus)
-    report = verify_consensus_conditions(a)
-    if report.row_sum_err >= 1e-9 or report.col_sum_err >= 1e-9:
+    a = np.asarray(a, dtype=float)
+    row_err, col_err = stochasticity_errors(a)
+    if row_err >= 1e-9 or col_err >= 1e-9:
         raise ValueError("matrix is not doubly stochastic")
-    lam = report.contraction_radius
-    if lam >= 1.0:
-        raise NoFiniteK(f"contraction radius {lam} >= 1")
+    if lambda2 is None:
+        lambda2 = second_largest_eigenvalue(a)
     n = a.shape[0]
-    threshold = 1.0 / (2.0 * p * math.sqrt(n))
-    if lam == 0.0:
-        k = 1
-    else:
-        k = max(1, math.ceil(math.log(threshold / n) / math.log(lam)))
-    while averaging_error_norm(a, k) >= threshold:
+    lam_hat, threshold = termination_inputs(lambda2, n, p)
+    if lam_hat >= 1.0:
+        raise NoFiniteK(f"inflated contraction radius {lam_hat} >= 1")
+    # The logarithms seed K; the loops settle it against the rule itself.
+    k = max(1, math.ceil(math.log(threshold / n) / math.log(lam_hat)))
+    while n * lam_hat**k >= threshold:
         k += 1
-    while k > 1 and averaging_error_norm(a, k - 1) < threshold:
+    while k > 1 and n * lam_hat ** (k - 1) < threshold:
         k -= 1
     return k
 

@@ -34,8 +34,8 @@ import numpy as np
 from .consensus import (
     consensus_final,
     min_iterations,
-    averaging_error_norm,
     run_consensus,
+    termination_inputs,
 )
 from .field import PrimeModulus
 from .fixedpoint import Precision, check_p_bound, decode_residues, scaled_trunc
@@ -490,13 +490,13 @@ def build_initial_state(
     return state
 
 
-def _resolve_iterations(cfg: ProtocolConfig, a: np.ndarray) -> int:
+def _resolve_iterations(cfg: ProtocolConfig, a: np.ndarray, lambda2: float) -> int:
+    k_min = min_iterations(a, cfg.prime, lambda2=lambda2)
     if cfg.k_policy == "auto":
-        return min_iterations(a, cfg.prime)
+        return k_min
     k = int(cfg.k_policy)
-    n = a.shape[0]
-    threshold = 1.0 / (2.0 * cfg.prime * np.sqrt(n))
-    if averaging_error_norm(a, k) >= threshold:
+    # N lam_hat^k falls with k, so k meets the bound exactly when k >= k_min.
+    if k < k_min:
         raise BoundViolation(
             f"fixed iteration count K={k} does not meet the termination bound "
             f"for this round's topology; rounding could miss the exact sum"
@@ -541,8 +541,8 @@ def execute_round(
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     a = mh_weights(g)
-    lam2 = second_largest_eigenvalue(a)
-    k_used = _resolve_iterations(cfg, a)
+    lam2 = second_largest_eigenvalue(a)  # the round's one eigensolve
+    k_used = _resolve_iterations(cfg, a, lam2)
     timings["weights"] = time.perf_counter() - t0
 
     # Share phase: per coordinate, a fresh polynomial of degree |N_i| over
@@ -695,8 +695,9 @@ def run_training(
     """Run T rounds; each round's output seeds the next round's training.
 
     The summary reports, per round, the iteration count, the contraction
-    factor, the rounding margin, and the deviation from the directly
-    computed quantized aggregate (always 0 when the bounds hold).
+    factor, the inputs K was chosen from (inflated factor and threshold),
+    the rounding margin, and the deviation from the directly computed
+    quantized aggregate (always 0 when the bounds hold).
     """
     if trainer is None:
         trainer = synthetic_trainer(cfg.theta_max)
@@ -735,11 +736,14 @@ def run_training(
         oracle, _ = quantized_aggregate(local, cfg.weights, cfg.precision)
         deviation = float(np.max(np.abs(record.decoded - oracle[None, :])))
         transcript.rounds.append(record)
+        lam_hat, k_threshold = termination_inputs(record.lambda2, n, cfg.prime)
         per_round.append(
             {
                 "round": t,
                 "k_used": record.k_used,
                 "lambda2": record.lambda2,
+                "lambda_hat": lam_hat,
+                "k_threshold": k_threshold,
                 "max_deviation": deviation,
                 "rounding_margin": record.rounding_margin,
                 "timings": record.timings,

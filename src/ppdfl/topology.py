@@ -19,11 +19,6 @@ import numpy as np
 
 from .seeding import derive_seed
 
-# Above this size, spectral radii fall back to power iteration.
-_DENSE_EIG_LIMIT = 2000
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 100_000
-
 
 class DisconnectedGraph(ValueError):
     """The operation requires a connected graph."""
@@ -117,30 +112,14 @@ def mh_weights(g: RoundTopology) -> np.ndarray:
 
 
 def _check_square_symmetric(a: np.ndarray) -> np.ndarray:
+    # Exact compare: a bool temporary rather than allclose's float ones,
+    # and eigvalsh reads only one triangle, so symmetry must be exact.
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric("expected a square matrix")
-    if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
+    if not np.array_equal(a, a.T):
         raise NotSymmetric("matrix is not symmetric")
     return a
-
-
-def _power_iteration_radius(b: np.ndarray, seed: int = 7) -> float:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(b.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = b @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_lam = float(abs(v @ (b @ v)))
-        if abs(new_lam - lam) <= _POWER_TOL * max(1.0, new_lam):
-            return new_lam
-        lam = new_lam
-    return lam
 
 
 def contraction_radius(a: np.ndarray) -> float:
@@ -148,9 +127,7 @@ def contraction_radius(a: np.ndarray) -> float:
     a = _check_square_symmetric(a)
     n = a.shape[0]
     b = a - np.full((n, n), 1.0 / n)
-    if n <= _DENSE_EIG_LIMIT:
-        return float(np.max(np.abs(np.linalg.eigvalsh(b))))
-    return _power_iteration_radius(b)
+    return float(np.max(np.abs(np.linalg.eigvalsh(b))))
 
 
 @dataclass(frozen=True)
@@ -175,13 +152,23 @@ def verify_consensus_conditions(a: np.ndarray) -> ConsensusReport:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric("expected a square matrix")
+    return ConsensusReport(*stochasticity_errors(a), contraction_radius(a))
+
+
+def stochasticity_errors(a: np.ndarray) -> tuple[float, float]:
+    """Largest deviation of a row sum and of a column sum from 1."""
     row_err = float(np.max(np.abs(a.sum(axis=1) - 1.0)))
     col_err = float(np.max(np.abs(a.sum(axis=0) - 1.0)))
-    return ConsensusReport(row_err, col_err, contraction_radius(a))
+    return row_err, col_err
 
 
 def second_largest_eigenvalue(a: np.ndarray) -> float:
-    """Eigenvalue with the second-largest magnitude (signed value)."""
+    """Eigenvalue with the second-largest magnitude (signed value).
+
+    For a symmetric doubly stochastic A its magnitude is the contraction
+    radius of A - (1/N) 11^T: that matrix has A's spectrum with the
+    eigenvalue 1 of the all-ones vector replaced by 0.
+    """
     a = _check_square_symmetric(a)
     if a.shape[0] < 2:
         raise ValueError("need at least a 2x2 matrix")

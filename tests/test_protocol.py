@@ -1,4 +1,6 @@
 import json
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -226,6 +228,44 @@ def test_fixed_k_policy_checked_per_round():
     assert rec.k_used == 3
 
 
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_large_sparse_round_exact_within_time_bound():
+    # At N=1000 and p=2^31-1 the threshold 1/(2 p sqrt(N)) ~ 7e-12 lies below
+    # the rounding noise of float matrix-power norms, so a K search that
+    # probes them never ends, and a fixed K checked by them never passes.
+    n, dim, p = 1000, 16, 2147483647
+    g = generate_topology("random_connected", n, seed=11, avg_degree=4.0)
+    sched = TopologySchedule.from_graphs([g])
+    models = np.random.default_rng(11).uniform(-25.0, 25.0, (n, dim))
+    oracle, _ = quantized_aggregate(models, (1.0 / n,) * n, Precision(2))
+
+    def run(k_policy):
+        cfg = make_cfg(n, dim, 2, 50.0, schedule=sched, prime=p, k_policy=k_policy)
+        with time_limit(30):
+            return execute_round(models, g, cfg, record_trajectory=False)
+
+    rec = run("auto")
+    assert np.max(np.abs(rec.decoded - oracle[None, :])) == 0.0
+    with pytest.raises(BoundViolation):
+        run(rec.k_used - 1)
+    fixed = run(rec.k_used)
+    assert fixed.k_used == rec.k_used
+    assert np.max(np.abs(fixed.decoded - oracle[None, :])) == 0.0
+
+
 def test_share_phase_determinism():
     cfg = make_cfg(5, 2, 2, 4.0)
     g = cfg.schedule.round_graph(1)
@@ -270,8 +310,14 @@ def test_run_training_chains_rounds_and_matches_oracle():
     assert result.summary["max_deviation"] == 0.0
     assert len(result.transcript.rounds) == 6
     # agreement and chaining: next round's inputs are this round's output
-    for rec in result.transcript.rounds:
+    for rec, row in zip(result.transcript.rounds, result.summary["rounds"]):
         assert np.all(rec.decoded == rec.decoded[0])
+        # K is the smallest count the recorded K inputs admit
+        k, lam_hat, threshold = row["k_used"], row["lambda_hat"], row["k_threshold"]
+        n = cfg.n_learners
+        assert lam_hat > abs(row["lambda2"])
+        assert n * lam_hat**k < threshold
+        assert k == 1 or n * lam_hat ** (k - 1) >= threshold
     for t in range(1, 6):
         prev = result.decoded_per_round[t - 1]
         inputs = result.transcript.rounds[t].local_models

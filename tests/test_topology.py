@@ -209,14 +209,3 @@ def test_edge_list_file_roundtrip(tmp_path):
     save_edge_list(g, str(path))
     loaded = load_edge_list(str(path), n_nodes=9)
     assert loaded.edges == g.edges
-
-
-def test_power_iteration_agrees_with_eigensolve():
-    from ppdfl.topology import _power_iteration_radius
-
-    rng = np.random.default_rng(17)
-    m = rng.uniform(-1, 1, (60, 60))
-    sym = (m + m.T) / 2
-    b = sym - np.full((60, 60), 1 / 60)
-    exact = np.max(np.abs(np.linalg.eigvalsh(b)))
-    assert abs(_power_iteration_radius(b) - exact) < 1e-8
