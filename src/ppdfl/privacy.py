@@ -356,9 +356,9 @@ def _build_view(
     deltas: dict[int, dict[int, int]] = {}
     for i in benign:
         holders = ShareholderSet((i, *g.neighbors(i)))
-        deltas[i] = {
-            j: e.value for j, e in interpolation_weights(holders, modulus).items()
-        }
+        deltas[i] = dict(
+            zip(holders.ids, interpolation_weights(holders, modulus).tolist())
+        )
 
     rows: list[list[int]] = []
     rhs: list[int] = []

@@ -40,7 +40,12 @@ from .consensus import (
 from .field import PrimeModulus
 from .fixedpoint import Precision, check_p_bound, decode_residues, scaled_trunc
 from .seeding import derive_generator, derive_rng
-from .sharing import ShareholderSet, _generate_share_values, interpolation_weights
+from .sharing import (
+    ShareholderSet,
+    _draw_coefficients,
+    _generate_share_values,
+    interpolation_weights,
+)
 from .topology import (
     DisconnectedGraph,
     RoundTopology,
@@ -241,19 +246,6 @@ class ShareBundle:
 
 
 @dataclass
-class LearnerState:
-    """Per-learner view of one round, filled in phase by phase."""
-
-    learner_id: int
-    initial_model: np.ndarray
-    local_model: np.ndarray
-    encoded_secret: list[int] = field(default_factory=list)
-    received: list[ShareBundle] = field(default_factory=list)
-    masked_state: list[int] = field(default_factory=list)
-    decoded_model: np.ndarray | None = None
-
-
-@dataclass
 class RoundRecord:
     """Everything one aggregation round produced, messages included."""
 
@@ -261,7 +253,6 @@ class RoundRecord:
     topology: RoundTopology
     k_used: int
     lambda2: float
-    weight_matrix: np.ndarray
     bundles: list[ShareBundle]
     initial_states: np.ndarray  # (N, n) int64 masked states
     encoded_secrets: np.ndarray  # (N, n) int64, for auditing only
@@ -416,7 +407,6 @@ class Transcript:
                     topology=g,
                     k_used=slot["k_used"],
                     lambda2=slot["lambda2"],
-                    weight_matrix=mh_weights(g),
                     bundles=slot["bundles"],
                     initial_states=s0,
                     encoded_secrets=secrets,
@@ -480,14 +470,9 @@ def build_initial_state(
     unexpected = set(by_sender) - expected
     if unexpected:
         raise ValueError(f"unexpected bundles from {sorted(unexpected)}")
-    p = modulus.p
-    dim = len(next(iter(by_sender.values())).values)
-    state = [0] * dim
-    for sender in sorted(by_sender):
-        vals = by_sender[sender].values
-        for l in range(dim):
-            state[l] = (state[l] + vals[l]) % p
-    return state
+    # Residues are below p < 2**31, so int64 holds the sum of fewer than 2**32 bundles.
+    values = np.array([b.values for b in by_sender.values()], dtype=np.int64)
+    return (values.sum(axis=0) % modulus.p).tolist()
 
 
 def _resolve_iterations(cfg: ProtocolConfig, a: np.ndarray, lambda2: float) -> int:
@@ -549,23 +534,15 @@ def execute_round(
     # the closed neighborhood, weighted so the holder-set sum equals the
     # encoded secret.
     t0 = time.perf_counter()
-    learners = [
-        LearnerState(i, initial_model=arr[i - 1].copy(), local_model=arr[i - 1])
-        for i in range(1, n_learners + 1)
-    ]
     bundles: list[ShareBundle] = []
     inbox: dict[int, list[ShareBundle]] = {i: [] for i in range(1, n_learners + 1)}
     encoded = np.zeros((n_learners, cfg.model_dim), dtype=np.int64)
     half = (p - 1) // 2
-    for state in learners:
-        i = state.learner_id
+    for i in range(1, n_learners + 1):
         nbrs = g.neighbors(i)
         holders = ShareholderSet((i, *nbrs))
         tau = len(nbrs)
-        deltas = {
-            j: e.value for j, e in interpolation_weights(holders, modulus).items()
-        }
-        secret_ints = []
+        deltas = interpolation_weights(holders, modulus)
         for l in range(cfg.model_dim):
             s = scaled_trunc(cfg.weights[i - 1] * arr[i - 1, l], prec)
             if abs(s) > half:
@@ -573,17 +550,17 @@ def execute_round(
                     f"encoded coordinate {l} of learner {i} leaves the signed "
                     f"range of modulus {p}"
                 )
-            secret_ints.append(s % p)
-        state.encoded_secret = secret_ints
-        encoded[i - 1] = secret_ints
-        outgoing: dict[int, list[int]] = {j: [] for j in holders.ids}
-        for l in range(cfg.model_dim):
-            rng = derive_rng(cfg.seed, "shares", round_index, i, l)
-            raw = _generate_share_values(secret_ints[l], tau, holders.ids, p, rng)
-            for j in holders.ids:
-                outgoing[j].append(raw[j] * deltas[j] % p)
-        for j in holders.ids:
-            b = ShareBundle(i, j, round_index, tuple(outgoing[j]))
+            encoded[i - 1, l] = s % p
+        coeffs = [
+            _draw_coefficients(
+                derive_rng(cfg.seed, "shares", round_index, i, l), tau, p
+            )
+            for l in range(cfg.model_dim)
+        ]
+        raw = _generate_share_values(encoded[i - 1], coeffs, holders.ids, p)
+        weighted = (raw * deltas % p).T.tolist()  # one row per holder
+        for j, values in zip(holders.ids, weighted):
+            b = ShareBundle(i, j, round_index, tuple(values))
             bundles.append(b)
             inbox[j].append(b)
     timings["shares"] = time.perf_counter() - t0
@@ -591,12 +568,9 @@ def execute_round(
     # Masking phase.
     t0 = time.perf_counter()
     s0 = np.zeros((n_learners, cfg.model_dim), dtype=np.int64)
-    for state in learners:
-        i = state.learner_id
+    for i in range(1, n_learners + 1):
         expected = (i, *g.neighbors(i))
-        state.received = inbox[i]
-        state.masked_state = build_initial_state(inbox[i], i, expected, modulus)
-        s0[i - 1] = state.masked_state
+        s0[i - 1] = build_initial_state(inbox[i], i, expected, modulus)
     timings["masking"] = time.perf_counter() - t0
 
     # Averaging phase.
@@ -617,8 +591,6 @@ def execute_round(
     margin = float(np.max(np.abs(n_learners * final - column_sums)))
     rounded = np.floor(n_learners * final + 0.5).astype(np.int64) % p
     decoded = decode_residues(rounded, prec, p)
-    for state in learners:
-        state.decoded_model = decoded[state.learner_id - 1]
     timings["readback"] = time.perf_counter() - t0
 
     if margin >= 0.5:
@@ -634,7 +606,6 @@ def execute_round(
         topology=g,
         k_used=k_used,
         lambda2=lam2,
-        weight_matrix=a,
         bundles=bundles,
         initial_states=s0,
         encoded_secrets=encoded,

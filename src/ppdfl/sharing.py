@@ -18,6 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .field import FieldElement, PrimeModulus, _inverse_int
 
 
@@ -85,13 +87,45 @@ def _check_ids_in_field(ids: Iterable[int], p: int) -> None:
         raise ValueError(f"holder id {top} is not a valid point mod {p}")
 
 
-def _delta_int(ids: tuple[int, ...], member: int, p: int) -> int:
-    d = 1
-    for j in ids:
-        if j != member:
-            d = d * j % p
-            d = d * _inverse_int((j - member) % p, p) % p
-    return d
+def _prefix_products(a: np.ndarray, p: int) -> np.ndarray:
+    """Inclusive running products mod p of a 1-D array, by a Hillis-Steele
+    scan in log2(len(a)) vectorized doubling steps."""
+    out = a.copy()
+    shift = 1
+    while shift < len(out):
+        out[shift:] = out[shift:] * out[:-shift] % p
+        shift *= 2
+    return out
+
+
+def _products_of_others(a: np.ndarray, p: int) -> np.ndarray:
+    """Entry j is the product mod p of every entry of a except a[j]: the
+    exclusive prefix product times the exclusive suffix product."""
+    one = np.ones(1, dtype=np.int64)
+    before = _prefix_products(np.concatenate([one, a[:-1]]), p)
+    after = _prefix_products(np.concatenate([one, a[:0:-1]]), p)[::-1]
+    return before * after % p
+
+
+def _row_products(a: np.ndarray, p: int) -> np.ndarray:
+    """Product mod p of each row of a 2-D array, multiplying column pairs
+    in log2(width) halving steps."""
+    while a.shape[1] > 1:
+        if a.shape[1] % 2:
+            a = np.concatenate([a, np.ones((len(a), 1), dtype=np.int64)], axis=1)
+        a = a[:, 0::2] * a[:, 1::2] % p
+    return a[:, 0]
+
+
+def _batch_inverse(a: np.ndarray, p: int) -> np.ndarray:
+    """Inverses mod p of nonzero residues with a single inversion.
+
+    Montgomery's trick: 1/a_j = (product of the other entries) / (product
+    of all entries), so only the full product is ever inverted.
+    """
+    others = _products_of_others(a, p)
+    total = int(others[0]) * int(a[0]) % p
+    return others * _inverse_int(total, p) % p
 
 
 def lagrange_delta(
@@ -100,35 +134,57 @@ def lagrange_delta(
     """Interpolation-at-zero weight for one holder; 1 for a singleton set."""
     if member not in holders:
         raise NotMember(f"id {member} not in holder set {holders.ids}")
-    _check_ids_in_field(holders.ids, modulus.p)
-    return FieldElement(_delta_int(holders.ids, member, modulus.p), modulus)
+    weights = interpolation_weights(holders, modulus)
+    return FieldElement(int(weights[holders.ids.index(member)]), modulus)
 
 
 def interpolation_weights(
     holders: ShareholderSet, modulus: PrimeModulus
-) -> dict[int, FieldElement]:
-    """All interpolation weights of a holder set, keyed by holder id."""
-    _check_ids_in_field(holders.ids, modulus.p)
+) -> np.ndarray:
+    """All interpolation weights of a holder set, as int64 residues aligned
+    with holders.ids.
+
+    delta_j = num_j / den_j with num_j = prod_{k != j} x_k and den_j =
+    prod_{k != j} (x_k - x_j), both taken as int64 products; the
+    denominators are inverted together with one modular inversion. The
+    modulus is below 2**31 (PrimeModulus) and ids are below the modulus,
+    so every product of two residues stays below 2**62.
+    """
     p = modulus.p
-    return {
-        j: FieldElement(_delta_int(holders.ids, j, p), modulus) for j in holders.ids
-    }
+    _check_ids_in_field(holders.ids, p)
+    x = np.array(holders.ids, dtype=np.int64)
+    # diff[j, k] = x_k - x_j, nonzero off the diagonal since ids are
+    # distinct residues; the diagonal is set to 1 to drop it from the product.
+    diff = (x[None, :] - x[:, None]) % p
+    np.fill_diagonal(diff, 1)
+    den = _row_products(diff, p)
+    return _products_of_others(x, p) * _batch_inverse(den, p) % p
 
 
-def _poly_eval(constant: int, coeffs: list[int], x: int, p: int) -> int:
-    # Horner on c_tau x^tau + ... + c_1 x + constant
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return (acc * x + constant) % p
+def _draw_coefficients(rng: random.Random, tau: int, p: int) -> list[int]:
+    """tau uniform residues c_1..c_tau, in the order the share stream fixes."""
+    return [rng.randrange(p) for _ in range(tau)]
 
 
 def _generate_share_values(
-    secret: int, tau: int, ids: tuple[int, ...], p: int, rng: random.Random
-) -> dict[int, int]:
-    """Core of share generation on plain residues; see generate_shares."""
-    coeffs = [rng.randrange(p) for _ in range(tau)]
-    return {j: _poly_eval(secret % p, coeffs, j, p) for j in ids}
+    secrets: np.ndarray, coeffs: np.ndarray, ids: tuple[int, ...], p: int
+) -> np.ndarray:
+    """Evaluate n polynomials at every holder id; returns (n, |ids|) int64.
+
+    Row l is H_l(x) = secrets[l] + sum_m coeffs[l, m-1] x^m at each id,
+    by Horner's rule across all rows and ids at once. Residues and ids
+    are below p < 2**31, so acc * x < 2**62 and int64 never overflows.
+    """
+    x = np.array(ids, dtype=np.int64)
+    acc = np.zeros((len(secrets), len(x)), dtype=np.int64)
+    for c in np.asarray(coeffs, dtype=np.int64).T[::-1, :, None]:
+        acc *= x
+        acc += c
+        acc %= p
+    acc *= x
+    acc += np.asarray(secrets, dtype=np.int64)[:, None] % p
+    acc %= p
+    return acc
 
 
 def generate_shares(
@@ -156,9 +212,11 @@ def generate_shares(
         )
     p = secret.modulus.p
     _check_ids_in_field(holders.ids, p)
-    values = _generate_share_values(secret.value, tau, holders.ids, p, rng)
+    coeffs = _draw_coefficients(rng, tau, p)
+    (values,) = _generate_share_values([secret.value], [coeffs], holders.ids, p)
     return {
-        j: RawShare(j, FieldElement(v, secret.modulus)) for j, v in values.items()
+        j: RawShare(j, FieldElement(v, secret.modulus))
+        for j, v in zip(holders.ids, values.tolist())
     }
 
 
@@ -171,9 +229,9 @@ def weight_shares(
             f"share keys {sorted(raw)} do not match holder set {holders.ids}"
         )
     modulus = next(iter(raw.values())).value.modulus
-    weights = interpolation_weights(holders, modulus)
+    weights = interpolation_weights(holders, modulus).tolist()
     return {
-        j: WeightedShare(j, raw[j].value * weights[j]) for j in holders.ids
+        j: WeightedShare(j, raw[j].value * w) for j, w in zip(holders.ids, weights)
     }
 
 
@@ -198,9 +256,7 @@ def reconstruct(
         raise TooFewShares(
             f"{len(ids)} shares cannot determine a degree-{tau} polynomial"
         )
-    p = modulus.p
-    _check_ids_in_field(ids, p)
-    total = 0
-    for s in share_list:
-        total = (total + s.value.value * _delta_int(ids, s.holder_id, p)) % p
-    return FieldElement(total, modulus)
+    weights = interpolation_weights(ShareholderSet(ids), modulus).tolist()
+    by_id = {s.holder_id: s.value.value for s in share_list}
+    total = sum(by_id[j] * w for j, w in zip(ids, weights))
+    return FieldElement(total % modulus.p, modulus)

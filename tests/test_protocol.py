@@ -1,10 +1,13 @@
+import hashlib
 import json
+import pathlib
 import signal
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from ppdfl import sharing
 from ppdfl.field import PrimeModulus, next_prime
 from ppdfl.fixedpoint import Precision, scaled_trunc
 from ppdfl.protocol import (
@@ -274,6 +277,46 @@ def test_share_phase_determinism():
     rec2 = execute_round(models, g, cfg)
     assert rec1.bundles == rec2.bundles
     assert np.array_equal(rec1.decoded, rec2.decoded)
+
+
+# sha256 over "sender,receiver:v1,v2,...\n" lines of every share bundle of
+# configs/demo.json rounds 1-2, in send order, as version 0.1.0 produces
+# them. Seeded runs must stay byte-identical within a version; a change to
+# the share stream has to bump __version__ and this pin together.
+DEMO_BUNDLES_SHA256 = "35da833675ba55d333410082b0d91d391988a209ed1aba5ff63d0630bcfd9d56"
+
+
+def test_demo_share_stream_is_pinned():
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+    cfg = ProtocolConfig.from_json_file(str(config))
+    cfg.rounds = 2
+    digest = hashlib.sha256()
+    for rec in run_training(cfg).transcript.rounds:
+        for b in rec.bundles:
+            line = f"{b.sender},{b.receiver}:{','.join(map(str, b.values))}\n"
+            digest.update(line.encode())
+    assert digest.hexdigest() == DEMO_BUNDLES_SHA256
+
+
+def test_share_phase_inverts_once_per_holder_set(monkeypatch):
+    # The interpolation weights of a holder set take one modular inversion
+    # in all, not one per factor (sum of |C| (|C| - 1) over holder sets).
+    calls = []
+    inverse = sharing._inverse_int
+
+    def counting(a, p):
+        calls.append(a)
+        return inverse(a, p)
+
+    monkeypatch.setattr(sharing, "_inverse_int", counting)
+    cfg = make_cfg(12, 2, 2, 4.0)
+    g = generate_topology("random_connected", 12, seed=3, avg_degree=8.0)
+    models = np.random.default_rng(4).uniform(-4, 4, (12, 2))
+    execute_round(models, g, cfg)
+    assert len(calls) <= cfg.n_learners
+    # One inversion per factor would exceed the bound many times over here.
+    per_factor = sum((g.degree(i) + 1) * g.degree(i) for i in range(1, 13))
+    assert per_factor > 8 * cfg.n_learners
 
 
 def test_replay_round_reproduces_output():

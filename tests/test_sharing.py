@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ppdfl.field import PrimeModulus
 from ppdfl.sharing import (
+    _generate_share_values,
     BadDegree,
     KeySetMismatch,
     NotMember,
@@ -68,7 +70,51 @@ def test_delta_interpolates_constant_one():
     for _ in range(20):
         ids = tuple(sorted(rng.sample(range(1, 11), rng.randrange(1, 6))))
         weights = interpolation_weights(ShareholderSet(ids), P11)
-        assert sum(w.value for w in weights.values()) % 11 == 1
+        assert int(weights.sum()) % 11 == 1
+
+
+def reference_weights(ids, p):
+    """Lagrange weights at zero straight from the definition, one
+    inversion per factor."""
+    out = []
+    for j in ids:
+        w = 1
+        for k in ids:
+            if k != j:
+                w = w * k * pow(k - j, -1, p) % p
+        out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("p", [11, 2**31 - 1])
+def test_interpolation_weights_match_definition(p):
+    rng = random.Random(p)
+    top = min(p - 1, 1000)
+    sizes = [1, 1, 2, 3, 5, 8, 10, min(top, 97)]
+    sizes += [rng.randrange(1, 11) for _ in range(30)]
+    for size in sizes:
+        ids = tuple(sorted(rng.sample(range(1, top + 1), size)))
+        weights = interpolation_weights(ShareholderSet(ids), PrimeModulus(p))
+        assert weights.dtype == np.int64
+        assert weights.tolist() == reference_weights(ids, p)
+
+
+@pytest.mark.parametrize("p", [11, 2**31 - 1])
+def test_share_values_match_direct_evaluation(p):
+    rng = random.Random(p + 1)
+    top = min(p - 1, 1000)
+    for _ in range(20):
+        ids = tuple(sorted(rng.sample(range(1, top + 1), rng.randrange(1, 10))))
+        n, tau = rng.randrange(1, 5), rng.randrange(0, 12)
+        secrets = [rng.randrange(p) for _ in range(n)]
+        coeffs = [[rng.randrange(p) for _ in range(tau)] for _ in range(n)]
+        got = _generate_share_values(secrets, coeffs, ids, p)
+        assert got.shape == (n, len(ids))
+        expected = [
+            [(s + sum(c * x ** (m + 1) for m, c in enumerate(cs))) % p for x in ids]
+            for s, cs in zip(secrets, coeffs)
+        ]
+        assert got.tolist() == expected
 
 
 def test_generate_shares_hand_polynomial():
