@@ -3,16 +3,14 @@ decentralized model aggregation over time-varying communication graphs."""
 
 __version__ = "0.1.0"
 
-from .field import FieldElement, GfpMatrix, PrimeModulus
-from .fixedpoint import Precision, check_p_bound, decode_signed, encode_fixed
+from .field import PrimeModulus
+from .fixedpoint import Precision, check_p_bound, decode_residues, encode_fixed
 from .protocol import ProtocolConfig, execute_round, run_training
 from .privacy import AdversarySet, adversary_infer, perfect_secrecy
 from .topology import RoundTopology, TopologySchedule, generate_topology, mh_weights
 
 __all__ = [
     "AdversarySet",
-    "FieldElement",
-    "GfpMatrix",
     "Precision",
     "PrimeModulus",
     "ProtocolConfig",
@@ -20,7 +18,7 @@ __all__ = [
     "TopologySchedule",
     "adversary_infer",
     "check_p_bound",
-    "decode_signed",
+    "decode_residues",
     "encode_fixed",
     "execute_round",
     "generate_topology",

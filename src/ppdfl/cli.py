@@ -225,7 +225,7 @@ def _cmd_bounds(args) -> int:
 
     cfg = _load_config(args.config)
     ok, admissible = check_p_bound(
-        cfg.modulus, cfg.n_learners, Precision(cfg.sigma), cfg.theta_max
+        cfg.prime, cfg.n_learners, Precision(cfg.sigma), cfg.theta_max
     )
     print(f"modulus={cfg.prime} verdict={'pass' if ok else 'FAIL'} "
           f"max_admissible_theta={admissible!r} theta_max={cfg.theta_max}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import DimensionMismatch, PrimeModulus
+from .field import DimensionMismatch
 from .topology import second_largest_eigenvalue, stochasticity_errors
 
 # Eigensolver error slack on lambda, EIG_SLACK * N * UNIT_ROUNDOFF; see
@@ -113,7 +113,7 @@ def termination_inputs(lambda2: float, n: int, p: int) -> tuple[float, float]:
 
 
 def min_iterations(
-    a: np.ndarray, modulus: PrimeModulus | int, lambda2: float | None = None
+    a: np.ndarray, p: int, lambda2: float | None = None
 ) -> int:
     """Smallest K >= 1 with N lam_hat^K < 1 / (2 p sqrt(N)), in closed form.
 
@@ -135,7 +135,6 @@ def min_iterations(
     bound does not budget for; the round driver measures the rounding
     margin at run time and raises if it reaches 0.5.
     """
-    p = modulus.p if isinstance(modulus, PrimeModulus) else int(modulus)
     a = np.asarray(a, dtype=float)
     row_err, col_err = stochasticity_errors(a)
     if row_err >= 1e-9 or col_err >= 1e-9:

@@ -1,21 +1,16 @@
 """Exact arithmetic over GF(p) for a public prime modulus p.
 
-Values are plain Python integers reduced into [0, p), so every result is
-exact. The modulus itself is capped below 2**31 so downstream layers can
-mirror residues in 64-bit integers and double-precision floats without
-losing exactness.
+Residues are plain Python integers, or int64 arrays, reduced into [0, p),
+so every result is exact. PrimeModulus validates p and caps it below
+2**31, so a product of two residues stays below 2**62 in int64 and a
+residue is exact as a double.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 MAX_MODULUS_BITS = 31
-
-
-class ZeroInverse(ArithmeticError):
-    """Inversion of the zero residue was requested."""
 
 
 class DimensionMismatch(ValueError):
@@ -68,135 +63,18 @@ class PrimeModulus:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def reduce(self, value: int) -> int:
-        """Euclidean remainder, always in [0, p) including for negatives."""
-        return value % self.p
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-
-@dataclass(frozen=True, slots=True)
-class FieldElement:
-    """A residue in [0, p); arithmetic reduces automatically."""
-
-    value: int
-    modulus: PrimeModulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", int(self.value) % self.modulus.p)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli in field operation")
-            return other.value
-        if isinstance(other, int):
-            return other % self.modulus.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value + v, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value - v, self.modulus)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(v - self.value, self.modulus)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.value * v, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * mod_inverse(FieldElement(v, self.modulus))
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.modulus)
-
-    def __pow__(self, exponent: int):
-        return FieldElement(pow(self.value, exponent, self.modulus.p), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value} mod {self.modulus.p})"
-
 
 def _inverse_int(a: int, p: int) -> int:
     """Extended Euclid; a must be nonzero mod prime p."""
     r0, r1 = p, a % p
+    if not r1:
+        raise ZeroDivisionError(f"0 has no inverse mod {p}")
     s0, s1 = 0, 1
     while r1:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
     return s0 % p
-
-
-def mod_inverse(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse: result * a == 1 (mod p)."""
-    if a.value == 0:
-        raise ZeroInverse(f"0 has no inverse mod {a.modulus.p}")
-    return FieldElement(_inverse_int(a.value, a.modulus.p), a.modulus)
-
-
-class GfpMatrix:
-    """Dense matrix of residues sharing one modulus."""
-
-    def __init__(self, rows: Sequence[Sequence], modulus: PrimeModulus):
-        if not rows or not rows[0]:
-            raise DimensionMismatch("matrix must be nonempty")
-        p = modulus.p
-        data = []
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise DimensionMismatch("ragged rows")
-            data.append([_entry_value(x, modulus) % p for x in row])
-        self.data = data
-        self.modulus = modulus
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    @property
-    def cols(self) -> int:
-        return len(self.data[0])
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.data[i][j], self.modulus)
-
-    def __repr__(self) -> str:
-        return f"GfpMatrix({self.rows}x{self.cols} mod {self.modulus.p})"
-
-
-def _entry_value(x, modulus: PrimeModulus) -> int:
-    if isinstance(x, FieldElement):
-        if x.modulus != modulus:
-            raise ValueError("mixed moduli in matrix")
-        return x.value
-    return int(x)
 
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -225,16 +103,6 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-def gfp_row_reduce(matrix: GfpMatrix) -> tuple[GfpMatrix, int, tuple[int, ...]]:
-    """Reduced row echelon form over GF(p).
-
-    Returns (reduced matrix, rank, pivot columns); the row space is
-    preserved exactly.
-    """
-    reduced, pivots = _rref(matrix.data, matrix.modulus.p)
-    return GfpMatrix(reduced, matrix.modulus), len(pivots), tuple(pivots)
-
-
 def _reduce_vector(
     vec: list[int], rows: list[list[int]], pivots: list[int], p: int
 ) -> list[int]:
@@ -245,16 +113,3 @@ def _reduce_vector(
         if f:
             v = [(x - f * y) % p for x, y in zip(v, row)]
     return v
-
-
-def in_row_space(matrix: GfpMatrix, vector: Sequence) -> bool:
-    """True iff vector is a GF(p)-linear combination of the matrix rows."""
-    if len(vector) != matrix.cols:
-        raise DimensionMismatch(
-            f"vector length {len(vector)} != matrix width {matrix.cols}"
-        )
-    p = matrix.modulus.p
-    vec = [_entry_value(x, matrix.modulus) % p for x in vector]
-    reduced, pivots = _rref(matrix.data, p)
-    residual = _reduce_vector(vec, reduced[: len(pivots)], pivots, p)
-    return not any(residual)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldElement, PrimeModulus
-
 # Scaled values within this distance of an integer are snapped to it, so
 # sigma-digit decimals encode exactly despite binary float representation
 # (e.g. 1.23 * 100 == 122.99999999999999).
@@ -49,15 +47,15 @@ def scaled_trunc(x: float, prec: Precision) -> int:
     return math.trunc(scaled)
 
 
-def encode_fixed(x: float, prec: Precision, modulus: PrimeModulus) -> FieldElement:
+def encode_fixed(x: float, prec: Precision, p: int) -> int:
     """Encode a signed real as a residue; rejects magnitudes past (p-1)/2."""
     scaled = scaled_trunc(x, prec)
-    if abs(scaled) > (modulus.p - 1) // 2:
+    if abs(scaled) > (p - 1) // 2:
         raise OutOfRange(
             f"|{x}| at {prec.sigma} digits does not fit the signed range of "
-            f"modulus {modulus.p}"
+            f"modulus {p}"
         )
-    return FieldElement(scaled, modulus)
+    return scaled % p
 
 
 def signed_residue(z: int, p: int) -> int:
@@ -65,20 +63,16 @@ def signed_residue(z: int, p: int) -> int:
     return z if z <= (p - 1) // 2 else z - p
 
 
-def decode_signed(z: FieldElement, prec: Precision) -> float:
-    """Inverse of encode_fixed on the decodable range."""
-    return signed_residue(z.value, z.modulus.p) / prec.scale
-
-
 def decode_residues(z: np.ndarray, prec: Precision, p: int) -> np.ndarray:
-    """Vectorized decode for integer residue arrays."""
+    """Inverse of encode_fixed on the decodable range, for a residue or an
+    array of residues."""
     z = np.asarray(z, dtype=np.int64)
     signed = np.where(z > (p - 1) // 2, z - p, z)
     return signed / prec.scale
 
 
 def check_p_bound(
-    modulus: PrimeModulus | int,
+    p: int,
     n_parties: int,
     prec: Precision,
     theta_max: float,
@@ -91,7 +85,6 @@ def check_p_bound(
     """
     if theta_max < 0:
         raise ValueError("theta_max must be non-negative")
-    p = modulus.p if isinstance(modulus, PrimeModulus) else int(modulus)
     max_admissible = (p - 1) / (2 * prec.scale * n_parties)
     ok = p > n_parties and theta_max < max_admissible
     return ok, max_admissible

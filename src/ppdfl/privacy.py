@@ -27,6 +27,7 @@ coalition's seats, computed exactly over the rationals.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -34,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 from .field import PrimeModulus, _reduce_vector, _rref
 from .fixedpoint import signed_residue
 from .sharing import ShareholderSet, interpolation_weights
-from .topology import RoundTopology, TopologySchedule
+from .topology import RoundTopology, TopologySchedule, mh_denominators
 
 # Exhaustive subset enumeration is only sensible for small graphs.
 _ENUM_LIMIT = 16
@@ -269,14 +270,7 @@ def _observed_restriction(
     n = g.n_nodes
     if n > _OBSERVED_MODE_LIMIT:
         raise ValueError(f"observed mode limited to {_OBSERVED_MODE_LIMIT} nodes")
-    deg = [g.degree(i) for i in range(1, n + 1)]
-    a = [[Fraction(0)] * n for _ in range(n)]
-    for i, j in g.edges:
-        w = Fraction(1, max(deg[i - 1], deg[j - 1]) + 1)
-        a[i - 1][j - 1] = w
-        a[j - 1][i - 1] = w
-    for i in range(n):
-        a[i][i] = 1 - sum(a[i])
+    a = _exact_weights(g)
     seats = set(adversaries.ids)
     for s in adversaries.ids:
         seats.update(j for j in g.neighbors(s) if j in adversaries.benign)
@@ -294,16 +288,19 @@ def _observed_restriction(
         restricted = [row[i] for i in benign_idx]
         if not any(restricted):
             continue
-        lcm = 1
-        for f in restricted:
-            lcm = lcm * f.denominator // _gcd(lcm, f.denominator)
+        lcm = math.lcm(*(f.denominator for f in restricted))
         out.append([int(f * lcm) % p for f in restricted])
     return out
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
+def _exact_weights(g: RoundTopology) -> list[list[Fraction]]:
+    """The Metropolis-Hastings weight matrix in exact rationals."""
+    n = g.n_nodes
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, d in mh_denominators(g):
+        a[i - 1][j - 1] = a[j - 1][i - 1] = Fraction(1, d)
+    for i in range(n):
+        a[i][i] = 1 - sum(a[i])
     return a
 
 

@@ -127,11 +127,11 @@ class ProtocolConfig:
         if self.theta_max <= 0:
             raise ConfigError("theta_max must be positive")
         try:
-            modulus = PrimeModulus(self.prime)
+            PrimeModulus(self.prime)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         ok, admissible = check_p_bound(
-            modulus, self.n_learners, Precision(self.sigma), self.theta_max
+            self.prime, self.n_learners, Precision(self.sigma), self.theta_max
         )
         if not ok:
             raise BoundViolation(
@@ -257,7 +257,6 @@ class RoundRecord:
     initial_states: np.ndarray  # (N, n) int64 masked states
     encoded_secrets: np.ndarray  # (N, n) int64, for auditing only
     local_models: np.ndarray  # (N, n) float
-    final_states: np.ndarray  # (N, n) float
     rounded: np.ndarray  # (N, n) int64 residues after readback
     decoded: np.ndarray  # (N, n) float, identical rows
     rounding_margin: float
@@ -344,7 +343,9 @@ class Transcript:
 
     @classmethod
     def from_jsonl(cls, path: str) -> "Transcript":
-        meta: dict = {}
+        """Read a transcript back; raises ValueError naming any record the
+        rounds cannot be rebuilt without."""
+        meta: dict | None = None
         per_round: dict[int, dict] = {}
         with open(path) as fh:
             for line in fh:
@@ -381,12 +382,19 @@ class Transcript:
                 elif phase == "audit":
                     slot["secrets"][msg["from"]] = msg["payload"]["secret"]
                     slot["models"][msg["from"]] = msg["payload"]["model"]
+        if meta is None:
+            raise ValueError("transcript lacks its meta record")
+        missing = [key for key in ("prime", "sigma") if key not in meta]
+        if missing:
+            raise ValueError(f"transcript meta record lacks {missing}")
         rounds = []
         for t in sorted(per_round):
             slot = per_round[t]
             g = slot["topology"]
             if g is None:
                 raise ValueError(f"transcript round {t} lacks a topology record")
+            if not slot["state0"]:
+                raise ValueError(f"transcript round {t} lacks state0 records")
             n = g.n_nodes
             dim = len(next(iter(slot["state0"].values())))
             s0 = np.zeros((n, dim), dtype=np.int64)
@@ -411,7 +419,6 @@ class Transcript:
                     initial_states=s0,
                     encoded_secrets=secrets,
                     local_models=models,
-                    final_states=decoded * 0.0,
                     rounded=rounded,
                     decoded=decoded,
                     rounding_margin=float("nan"),
@@ -610,7 +617,6 @@ def execute_round(
         initial_states=s0,
         encoded_secrets=encoded,
         local_models=arr.copy(),
-        final_states=final,
         rounded=rounded,
         decoded=decoded,
         rounding_margin=margin,

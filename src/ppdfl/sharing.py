@@ -10,33 +10,18 @@ each share by its interpolation weight
 
 turns reconstruction over the full holder set into a plain modular sum,
 which is what lets sums of shares travel through an averaging layer.
+Secrets, coefficients, weights and shares are int64 residue arrays.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from .field import FieldElement, PrimeModulus, _inverse_int
-
-
-class NotMember(ValueError):
-    """The named id is not part of the holder set."""
-
-
-class BadDegree(ValueError):
-    """Polynomial degree incompatible with the holder set size."""
-
-
-class KeySetMismatch(ValueError):
-    """Share map keys do not match the holder set."""
-
-
-class TooFewShares(ValueError):
-    """Fewer shares supplied than the declared degree requires."""
+from .field import PrimeModulus, _inverse_int
 
 
 @dataclass(frozen=True)
@@ -54,31 +39,6 @@ class ShareholderSet:
         if len(set(ids)) != len(ids):
             raise ValueError("holder ids must be distinct")
         object.__setattr__(self, "ids", ids)
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.ids
-
-    def __iter__(self):
-        return iter(self.ids)
-
-
-@dataclass(frozen=True)
-class RawShare:
-    """One polynomial evaluation H(holder_id)."""
-
-    holder_id: int
-    value: FieldElement
-
-
-@dataclass(frozen=True)
-class WeightedShare:
-    """A raw share pre-multiplied by its interpolation weight."""
-
-    holder_id: int
-    value: FieldElement
 
 
 def _check_ids_in_field(ids: Iterable[int], p: int) -> None:
@@ -128,16 +88,6 @@ def _batch_inverse(a: np.ndarray, p: int) -> np.ndarray:
     return others * _inverse_int(total, p) % p
 
 
-def lagrange_delta(
-    holders: ShareholderSet, member: int, modulus: PrimeModulus
-) -> FieldElement:
-    """Interpolation-at-zero weight for one holder; 1 for a singleton set."""
-    if member not in holders:
-        raise NotMember(f"id {member} not in holder set {holders.ids}")
-    weights = interpolation_weights(holders, modulus)
-    return FieldElement(int(weights[holders.ids.index(member)]), modulus)
-
-
 def interpolation_weights(
     holders: ShareholderSet, modulus: PrimeModulus
 ) -> np.ndarray:
@@ -162,7 +112,13 @@ def interpolation_weights(
 
 
 def _draw_coefficients(rng: random.Random, tau: int, p: int) -> list[int]:
-    """tau uniform residues c_1..c_tau, in the order the share stream fixes."""
+    """tau uniform residues c_1..c_tau, in the order the share stream fixes.
+
+    Uniform coefficients are what make any tau shares carry zero
+    information about the secret; restricting the top coefficient away
+    from zero would skew the share distribution by an s-dependent
+    exclusion.
+    """
     return [rng.randrange(p) for _ in range(tau)]
 
 
@@ -185,78 +141,3 @@ def _generate_share_values(
     acc += np.asarray(secrets, dtype=np.int64)[:, None] % p
     acc %= p
     return acc
-
-
-def generate_shares(
-    secret: FieldElement,
-    tau: int,
-    holders: ShareholderSet,
-    rng: random.Random,
-) -> dict[int, RawShare]:
-    """Split secret with a fresh random polynomial of degree at most tau.
-
-    All tau coefficients are drawn uniformly from [0, p). Uniform
-    coefficients are what make any tau shares carry zero information
-    about the secret; restricting the top coefficient away from zero
-    would skew the share distribution by an s-dependent exclusion.
-    Deterministic given the rng state.
-    """
-    if tau < 0:
-        raise BadDegree("degree must be non-negative")
-    if len(holders) == 1:
-        if tau != 0:
-            raise BadDegree("a single holder admits only degree 0")
-    elif not 1 <= tau < len(holders):
-        raise BadDegree(
-            f"degree {tau} invalid for {len(holders)} holders; need 1 <= tau < |C|"
-        )
-    p = secret.modulus.p
-    _check_ids_in_field(holders.ids, p)
-    coeffs = _draw_coefficients(rng, tau, p)
-    (values,) = _generate_share_values([secret.value], [coeffs], holders.ids, p)
-    return {
-        j: RawShare(j, FieldElement(v, secret.modulus))
-        for j, v in zip(holders.ids, values.tolist())
-    }
-
-
-def weight_shares(
-    raw: Mapping[int, RawShare], holders: ShareholderSet
-) -> dict[int, WeightedShare]:
-    """Multiply each raw share by its interpolation weight."""
-    if set(raw.keys()) != set(holders.ids):
-        raise KeySetMismatch(
-            f"share keys {sorted(raw)} do not match holder set {holders.ids}"
-        )
-    modulus = next(iter(raw.values())).value.modulus
-    weights = interpolation_weights(holders, modulus).tolist()
-    return {
-        j: WeightedShare(j, raw[j].value * w) for j, w in zip(holders.ids, weights)
-    }
-
-
-def reconstruct(
-    shares: Mapping[int, RawShare] | Iterable[RawShare],
-    tau: int,
-    modulus: PrimeModulus,
-) -> FieldElement:
-    """Recover the secret from raw shares of a degree-tau polynomial.
-
-    Interpolation weights are taken over the ids actually supplied, so any
-    subset of at least tau+1 holders works.
-    """
-    if isinstance(shares, Mapping):
-        share_list = list(shares.values())
-    else:
-        share_list = list(shares)
-    ids = tuple(sorted(s.holder_id for s in share_list))
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate holder ids in reconstruction set")
-    if len(ids) < tau + 1:
-        raise TooFewShares(
-            f"{len(ids)} shares cannot determine a degree-{tau} polynomial"
-        )
-    weights = interpolation_weights(ShareholderSet(ids), modulus).tolist()
-    by_id = {s.holder_id: s.value.value for s in share_list}
-    total = sum(by_id[j] * w for j, w in zip(ids, weights))
-    return FieldElement(total % modulus.p, modulus)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -91,6 +92,17 @@ def is_connected(g: RoundTopology) -> bool:
     return len(seen) == g.n_nodes
 
 
+def mh_denominators(g: RoundTopology) -> Iterator[tuple[int, int, int]]:
+    """Each edge (i, j) with its integer weight denominator max(deg_i, deg_j) + 1.
+
+    The one statement of the Metropolis-Hastings rule: the float weights
+    and the analyzer's exact rational weights are both built from it.
+    """
+    deg = [0] + [g.degree(i) for i in range(1, g.n_nodes + 1)]
+    for i, j in g.edges:
+        yield i, j, max(deg[i], deg[j]) + 1
+
+
 def mh_weights(g: RoundTopology) -> np.ndarray:
     """Symmetric doubly stochastic weight matrix for a connected graph.
 
@@ -101,9 +113,8 @@ def mh_weights(g: RoundTopology) -> np.ndarray:
         raise DisconnectedGraph("averaging weights need a connected graph")
     n = g.n_nodes
     a = np.zeros((n, n))
-    deg = [g.degree(i) for i in range(1, n + 1)]
-    for i, j in g.edges:
-        w = 1.0 / (max(deg[i - 1], deg[j - 1]) + 1)
+    for i, j, d in mh_denominators(g):
+        w = 1.0 / d
         a[i - 1, j - 1] = w
         a[j - 1, i - 1] = w
     for i in range(n):

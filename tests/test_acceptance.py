@@ -20,7 +20,12 @@ from ppdfl.privacy import (
     verify_inference,
 )
 from ppdfl.protocol import ProtocolConfig, Transcript, execute_round, run_training
-from ppdfl.sharing import ShareholderSet, generate_shares, reconstruct
+from ppdfl.sharing import (
+    ShareholderSet,
+    _draw_coefficients,
+    _generate_share_values,
+    interpolation_weights,
+)
 from ppdfl.topology import (
     RoundTopology,
     TopologySchedule,
@@ -150,12 +155,15 @@ def test_criterion_4_share_secrecy_and_reconstruction():
                     for k in set(base) | set(other)
                 )
                 ok = ok and tv == 0
-        # every (tau+1)-subset reconstructs
+        # every (tau+1)-subset reconstructs as sum_j w_j H(j) over its weights
         rng = random.Random(tau)
         for secret in range(p):
-            shares = generate_shares(pm.element(secret), tau, holders, rng)
+            coeffs = _draw_coefficients(rng, tau, p)
+            (values,) = _generate_share_values([secret], [coeffs], holders.ids, p)
+            shares = dict(zip(holders.ids, values.tolist()))
             for subset in itertools.combinations(holders.ids, tau + 1):
-                got = reconstruct({j: shares[j] for j in subset}, tau, pm).value
+                w = interpolation_weights(ShareholderSet(subset), pm).tolist()
+                got = sum(wj * shares[j] for wj, j in zip(w, subset)) % p
                 ok = ok and got == secret
     _report("4 share secrecy by enumeration", ok, "(p=11, tau in {1,2}, TV = 0)")
 
@@ -326,8 +334,7 @@ def test_criterion_8_scaling_shape():
 
 
 def test_criterion_9_reference_parameter_sanity():
-    pm = PrimeModulus(1020431)
-    ok_flag, admissible = check_p_bound(pm, 100, Precision(2), 51.02)
+    ok_flag, admissible = check_p_bound(1020431, 100, Precision(2), 51.02)
     ok = ok_flag and abs(admissible - 51.0215) < 1e-9
     # the reference configuration itself is accepted end to end
     cfg = ProtocolConfig(

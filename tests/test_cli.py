@@ -184,3 +184,48 @@ def test_thread_cap_env(monkeypatch, capsys):
     assert main(["spectral", "--topology", "complete", "--n", "10",
                  "--kmax", "1"]) == 0
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+def _transcript_lines(tmp_path):
+    cfg = write_config(tmp_path, rounds=1, schedule={"kind": "star"})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    return (out / "transcript.jsonl").read_text().splitlines()
+
+
+def test_privacy_transcript_without_meta_exits_config(tmp_path, capsys):
+    lines = _transcript_lines(tmp_path)
+    no_meta = tmp_path / "no_meta.jsonl"
+    no_meta.write_text("\n".join(lines[1:]) + "\n")
+    assert main(["privacy", "--transcript", str(no_meta), "--adversary", "1"]) == 2
+    assert "meta" in capsys.readouterr().err
+    meta = json.loads(lines[0])
+    del meta["meta"]["sigma"]
+    no_sigma = tmp_path / "no_sigma.jsonl"
+    no_sigma.write_text("\n".join([json.dumps(meta), *lines[1:]]) + "\n")
+    assert main(["privacy", "--transcript", str(no_sigma), "--adversary", "1"]) == 2
+    assert "sigma" in capsys.readouterr().err
+
+
+def test_privacy_transcript_without_state0_exits_config(tmp_path, capsys):
+    lines = _transcript_lines(tmp_path)
+    kept = [ln for ln in lines if json.loads(ln).get("phase") != "state0"]
+    path = tmp_path / "no_state0.jsonl"
+    path.write_text("\n".join(kept) + "\n")
+    assert main(["privacy", "--transcript", str(path), "--adversary", "1"]) == 2
+    assert "state0" in capsys.readouterr().err
+
+
+def test_readme_library_example_runs():
+    import pathlib
+
+    import ppdfl
+
+    for name in ppdfl.__all__:
+        assert hasattr(ppdfl, name), name
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    section = text[text.index("## Library"):]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("```", start)]
+    exec(compile(code, "README.md", "exec"), {})

@@ -2,18 +2,17 @@ import random
 
 import pytest
 
-from ppdfl.field import PrimeModulus
 from ppdfl.fixedpoint import (
     OutOfRange,
     Precision,
     check_p_bound,
-    decode_signed,
+    decode_residues,
     encode_fixed,
     scaled_trunc,
     signed_residue,
 )
 
-PM = PrimeModulus(1020431)
+P = 1020431
 S2 = Precision(2)
 
 
@@ -25,16 +24,16 @@ def test_precision_validation():
 
 
 def test_encode_truncates_extra_digits():
-    assert encode_fixed(1.239, S2, PM).value == 123
+    assert encode_fixed(1.239, S2, P) == 123
 
 
 def test_encode_negative_wraps():
-    assert encode_fixed(-0.5, S2, PM).value == 1020431 - 50 == 1020381
+    assert encode_fixed(-0.5, S2, P) == 1020431 - 50 == 1020381
 
 
 def test_encode_zero():
-    assert encode_fixed(0.0, S2, PM).value == 0
-    assert encode_fixed(0.0, Precision(0), PrimeModulus(11)).value == 0
+    assert encode_fixed(0.0, S2, P) == 0
+    assert encode_fixed(0.0, Precision(0), 11) == 0
 
 
 def test_encode_guard_digit():
@@ -47,14 +46,17 @@ def test_encode_guard_digit():
 
 def test_encode_out_of_range():
     with pytest.raises(OutOfRange):
-        encode_fixed(5200.0, S2, PM)  # 520000 > (p-1)/2 = 510215
+        encode_fixed(5200.0, S2, P)  # 520000 > (p-1)/2 = 510215
 
 
 def test_decode_examples():
-    assert decode_signed(PM.element(123), S2) == 1.23
-    assert decode_signed(PM.element(1020381), S2) == -0.50
+    assert decode_residues(123, S2, P) == 1.23
+    assert decode_residues(1020381, S2, P) == -0.50
     # boundary (p-1)/2 stays non-negative
-    assert decode_signed(PM.element(510215), S2) == 5102.15
+    assert decode_residues(510215, S2, P) == 5102.15
+    assert decode_residues([123, 1020381, 510215], S2, P).tolist() == [
+        1.23, -0.50, 5102.15
+    ]
 
 
 def test_roundtrip_exact_at_sigma_digits():
@@ -62,20 +64,20 @@ def test_roundtrip_exact_at_sigma_digits():
     for _ in range(200):
         sigma = rng.randrange(0, 5)
         prec = Precision(sigma)
-        bound = (PM.p - 1) // (2 * prec.scale)
+        bound = (P - 1) // (2 * prec.scale)
         scaled = rng.randrange(-bound, bound + 1)
         x = scaled / prec.scale  # exactly sigma fraction digits
-        assert decode_signed(encode_fixed(x, prec, PM), prec) == x
+        assert decode_residues(encode_fixed(x, prec, P), prec, P) == x
 
 
 def test_sign_mapping():
     rng = random.Random(22)
     for _ in range(100):
-        scaled = rng.randrange(1, (PM.p - 1) // 2)
-        neg = encode_fixed(-scaled / 100, S2, PM)
-        assert neg.value > (PM.p - 1) // 2
-        assert decode_signed(neg, S2) == -scaled / 100
-        assert signed_residue(neg.value, PM.p) == -scaled
+        scaled = rng.randrange(1, (P - 1) // 2)
+        neg = encode_fixed(-scaled / 100, S2, P)
+        assert neg > (P - 1) // 2
+        assert decode_residues(neg, S2, P) == -scaled / 100
+        assert signed_residue(neg, P) == -scaled
 
 
 def test_modular_sum_homomorphism_brute_force():
@@ -86,15 +88,15 @@ def test_modular_sum_homomorphism_brute_force():
         xs = [rng.uniform(-50, 50) for _ in range(rng.randrange(1, 8))]
         truncated = [scaled_trunc(x, S2) for x in xs]
         total = sum(truncated)
-        assert abs(total) <= (PM.p - 1) // 2
-        acc = PM.element(0)
+        assert abs(total) <= (P - 1) // 2
+        acc = 0
         for x in xs:
-            acc = acc + encode_fixed(x, S2, PM)
-        assert decode_signed(acc, S2) == total / 100
+            acc = (acc + encode_fixed(x, S2, P)) % P
+        assert decode_residues(acc, S2, P) == total / 100
 
 
 def test_p_bound_reference_point():
-    ok, admissible = check_p_bound(PM, 100, S2, 51.02)
+    ok, admissible = check_p_bound(P, 100, S2, 51.02)
     assert ok
     assert abs(admissible - 51.0215) < 1e-9
 
@@ -105,6 +107,6 @@ def test_p_bound_rejects_small_modulus():
 
 
 def test_p_bound_theta_threshold():
-    ok_lo, _ = check_p_bound(PM, 100, S2, 51.02)
-    ok_hi, _ = check_p_bound(PM, 100, S2, 51.03)
+    ok_lo, _ = check_p_bound(P, 100, S2, 51.02)
+    ok_hi, _ = check_p_bound(P, 100, S2, 51.03)
     assert ok_lo and not ok_hi

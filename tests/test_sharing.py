@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -6,31 +7,39 @@ import pytest
 
 from ppdfl.field import PrimeModulus
 from ppdfl.sharing import (
-    _generate_share_values,
-    BadDegree,
-    KeySetMismatch,
-    NotMember,
-    RawShare,
     ShareholderSet,
-    TooFewShares,
-    generate_shares,
+    _draw_coefficients,
+    _generate_share_values,
     interpolation_weights,
-    lagrange_delta,
-    reconstruct,
-    weight_shares,
 )
 
 P11 = PrimeModulus(11)
 
 
 class StubRng:
-    """Feeds fixed coefficient draws to share generation."""
+    """Feeds fixed coefficient draws to _draw_coefficients."""
 
     def __init__(self, values):
         self.values = list(values)
 
     def randrange(self, *_):
         return self.values.pop(0)
+
+
+def weights(ids, p=11):
+    return interpolation_weights(ShareholderSet(ids), PrimeModulus(p)).tolist()
+
+
+def share_values(secret, tau, ids, rng, p=11):
+    """H(j) at every id for one secret, with tau drawn coefficients."""
+    coeffs = _draw_coefficients(rng, tau, p)
+    return _generate_share_values([secret], [coeffs], tuple(ids), p)[0].tolist()
+
+
+def interpolate_at_zero(shares, p=11):
+    """sum_j w_j H(j) over the holders in shares, with their own weights."""
+    ids = sorted(shares)
+    return sum(w * shares[j] for j, w in zip(ids, weights(ids, p))) % p
 
 
 def test_holder_set_validation():
@@ -44,24 +53,17 @@ def test_holder_set_validation():
 
 
 def test_delta_singleton_is_empty_product():
-    assert lagrange_delta(ShareholderSet((7,)), 7, P11).value == 1
+    assert weights((7,)) == [1]
 
 
 def test_delta_hand_derived_pairs():
-    c = ShareholderSet((1, 2))
-    assert lagrange_delta(c, 1, P11).value == 2  # 2 * inv(2-1)
-    assert lagrange_delta(c, 2, P11).value == 10  # 1 * inv(-1) = inv(10)
+    # 2 * inv(2-1) and 1 * inv(-1) = inv(10)
+    assert weights((1, 2)) == [2, 10]
 
 
 def test_delta_hand_derived_triple():
-    c = ShareholderSet((1, 2, 3))
     # (2/1)*(3/2) = 2 * 3 * inv(2) = 36 = 3 mod 11
-    assert lagrange_delta(c, 1, P11).value == 3
-
-
-def test_delta_not_member():
-    with pytest.raises(NotMember):
-        lagrange_delta(ShareholderSet((1, 2)), 3, P11)
+    assert weights((1, 2, 3)) == [3, 8, 1]
 
 
 def test_delta_interpolates_constant_one():
@@ -69,8 +71,8 @@ def test_delta_interpolates_constant_one():
     rng = random.Random(2)
     for _ in range(20):
         ids = tuple(sorted(rng.sample(range(1, 11), rng.randrange(1, 6))))
-        weights = interpolation_weights(ShareholderSet(ids), P11)
-        assert int(weights.sum()) % 11 == 1
+        w = interpolation_weights(ShareholderSet(ids), P11)
+        assert int(w.sum()) % 11 == 1
 
 
 def reference_weights(ids, p):
@@ -117,95 +119,98 @@ def test_share_values_match_direct_evaluation(p):
         assert got.tolist() == expected
 
 
-def test_generate_shares_hand_polynomial():
+def test_share_values_hand_polynomial():
     # H(x) = 5 + 3x over GF(11) at points 1, 2, 3
-    shares = generate_shares(P11.element(5), 1, ShareholderSet((1, 2, 3)), StubRng([3]))
-    assert {j: s.value.value for j, s in shares.items()} == {1: 8, 2: 0, 3: 3}
+    assert share_values(5, 1, (1, 2, 3), StubRng([3])) == [8, 0, 3]
 
 
-def test_generate_shares_constant_term_is_secret():
+def test_share_values_constant_term_is_secret():
     rng = random.Random(4)
     for _ in range(25):
-        p = PrimeModulus(rng.choice([11, 101, 1020431]))
-        secret = p.element(rng.randrange(p.p))
+        p = rng.choice([11, 101, 1020431])
+        secret = rng.randrange(p)
         ids = tuple(sorted(rng.sample(range(1, 10), rng.randrange(2, 6))))
         tau = rng.randrange(1, len(ids))
-        shares = generate_shares(secret, tau, ShareholderSet(ids), rng)
-        # reconstruct from all shares: the polynomial's value at zero
-        assert reconstruct(shares, tau, p).value == secret.value
+        values = share_values(secret, tau, ids, rng, p)
+        # interpolate from all shares: the polynomial's value at zero
+        assert interpolate_at_zero(dict(zip(ids, values)), p) == secret
 
 
-def test_generate_shares_degree_validation():
-    holders = ShareholderSet((1, 2, 3))
-    with pytest.raises(BadDegree):
-        generate_shares(P11.element(1), 3, holders, random.Random(0))
-    with pytest.raises(BadDegree):
-        generate_shares(P11.element(1), 0, holders, random.Random(0))
-    with pytest.raises(BadDegree):
-        generate_shares(P11.element(1), -1, holders, random.Random(0))
-    # degenerate single holder admits only degree 0
-    single = ShareholderSet((1,))
-    shares = generate_shares(P11.element(6), 0, single, random.Random(0))
-    assert shares[1].value.value == 6
+def test_share_values_single_holder_is_the_secret():
+    # a lone holder gets a degree-0 polynomial: no draws, share == secret
+    assert _draw_coefficients(random.Random(0), 0, 11) == []
+    assert share_values(6, 0, (1,), random.Random(0)) == [6]
+    assert interpolate_at_zero({1: 6}) == 6
 
 
-def test_generate_shares_deterministic_per_seed():
-    holders = ShareholderSet((1, 2, 5))
-    a = generate_shares(P11.element(7), 2, holders, random.Random(99))
-    b = generate_shares(P11.element(7), 2, holders, random.Random(99))
-    c = generate_shares(P11.element(7), 2, holders, random.Random(100))
-    assert {j: s.value.value for j, s in a.items()} == {
-        j: s.value.value for j, s in b.items()
-    }
-    assert {j: s.value.value for j, s in a.items()} != {
-        j: s.value.value for j, s in c.items()
-    }
+def test_draw_coefficients_deterministic_per_seed():
+    ids = (1, 2, 5)
+    a = _draw_coefficients(random.Random(99), 2, 11)
+    b = _draw_coefficients(random.Random(99), 2, 11)
+    c = _draw_coefficients(random.Random(100), 2, 11)
+    assert a == b
+    assert a != c
+    assert share_values(7, 2, ids, random.Random(99)) == share_values(
+        7, 2, ids, random.Random(99)
+    )
+    assert share_values(7, 2, ids, random.Random(99)) != share_values(
+        7, 2, ids, random.Random(100)
+    )
 
 
-def test_weight_shares_zero_stays_zero():
-    holders = ShareholderSet((1, 2))
-    raw = {j: RawShare(j, P11.element(0)) for j in holders}
-    weighted = weight_shares(raw, holders)
-    assert all(w.value.value == 0 for w in weighted.values())
+def weighted(raw, ids, p=11):
+    """Each raw share times its holder's interpolation weight, as
+    execute_round weights them."""
+    w = interpolation_weights(ShareholderSet(ids), PrimeModulus(p))
+    return (np.asarray(raw, dtype=np.int64) * w % p).tolist()
 
 
-def test_weight_shares_hand_values():
-    holders = ShareholderSet((1, 2))
-    raw = {1: RawShare(1, P11.element(8)), 2: RawShare(2, P11.element(0))}
-    weighted = weight_shares(raw, holders)
-    assert weighted[1].value.value == 16 % 11 == 5
-    assert weighted[2].value.value == 0
+def test_weighted_shares_zero_stays_zero():
+    assert weighted([0, 0], (1, 2)) == [0, 0]
 
 
-def test_weight_shares_key_mismatch():
-    holders = ShareholderSet((1, 2))
-    with pytest.raises(KeySetMismatch):
-        weight_shares({1: RawShare(1, P11.element(8))}, holders)
+def test_weighted_shares_hand_values():
+    assert weighted([8, 0], (1, 2)) == [16 % 11, 0] == [5, 0]
 
 
 def test_weighted_share_sum_equals_secret_for_full_degree():
     rng = random.Random(8)
     for _ in range(25):
         ids = tuple(sorted(rng.sample(range(1, 11), rng.randrange(2, 6))))
-        holders = ShareholderSet(ids)
-        secret = P11.element(rng.randrange(11))
-        raw = generate_shares(secret, len(ids) - 1, holders, rng)
-        weighted = weight_shares(raw, holders)
-        assert sum(w.value.value for w in weighted.values()) % 11 == secret.value
+        secret = rng.randrange(11)
+        raw = share_values(secret, len(ids) - 1, ids, rng)
+        assert sum(weighted(raw, ids)) % 11 == secret
 
 
 def test_reconstruct_hand_values():
-    shares = {1: RawShare(1, P11.element(8)), 2: RawShare(2, P11.element(0)),
-              3: RawShare(3, P11.element(3))}
-    assert reconstruct({1: shares[1], 2: shares[2]}, 1, P11).value == 5
+    shares = {1: 8, 2: 0, 3: 3}  # H(x) = 5 + 3x over GF(11)
+    # C' = {1,2}: deltas 2 and 10, so 8*2 + 0*10 = 16 = 5 mod 11
+    assert weights((1, 2)) == [2, 10]
+    assert interpolate_at_zero({1: 8, 2: 0}) == 5
     # C' = {2,3}: deltas 3 and 9, so 0*3 + 3*9 = 27 = 5 mod 11
-    assert reconstruct({2: shares[2], 3: shares[3]}, 1, P11).value == 5
-    assert reconstruct(shares, 1, P11).value == 5
+    assert weights((2, 3)) == [3, 9]
+    assert interpolate_at_zero({2: 0, 3: 3}) == 5
+    assert interpolate_at_zero(shares) == 5
 
 
 def test_reconstruct_too_few():
-    with pytest.raises(TooFewShares):
-        reconstruct({1: RawShare(1, P11.element(8))}, 1, P11)
+    # tau shares of a degree-tau polynomial interpolate to
+    # s - c_tau (-1)^tau prod_j x_j, which misses s unless c_tau == 0
+    rng = random.Random(17)
+    for _ in range(30):
+        ids = tuple(sorted(rng.sample(range(1, 11), rng.randrange(2, 6))))
+        tau = rng.randrange(1, len(ids))
+        secret = rng.randrange(11)
+        coeffs = _draw_coefficients(rng, tau, 11)
+        if rng.random() < 0.3:
+            coeffs[-1] = 0
+        (values,) = _generate_share_values([secret], [coeffs], ids, 11).tolist()
+        shares = dict(zip(ids, values))
+        for subset in itertools.combinations(ids, tau):
+            got = interpolate_at_zero({j: shares[j] for j in subset})
+            offset = coeffs[-1] * (-1) ** tau * math.prod(subset)
+            assert got == (secret - offset) % 11
+            assert (got == secret) == (coeffs[-1] == 0)
 
 
 def test_reconstruction_exhaustive_over_subsets():
@@ -213,14 +218,12 @@ def test_reconstruction_exhaustive_over_subsets():
     rng = random.Random(13)
     for _ in range(15):
         ids = tuple(sorted(rng.sample(range(1, 11), rng.randrange(3, 7))))
-        holders = ShareholderSet(ids)
         tau = rng.randrange(1, len(ids))
-        secret = P11.element(rng.randrange(11))
-        shares = generate_shares(secret, tau, holders, rng)
+        secret = rng.randrange(11)
+        shares = dict(zip(ids, share_values(secret, tau, ids, rng)))
         for size in range(tau + 1, len(ids) + 1):
             for subset in itertools.combinations(ids, size):
-                picked = {j: shares[j] for j in subset}
-                assert reconstruct(picked, tau, P11).value == secret.value
+                assert interpolate_at_zero({j: shares[j] for j in subset}) == secret
 
 
 def enumerate_share_distribution(secret, tau, holders, points):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from ppdfl.privacy import _exact_weights
 from ppdfl.topology import (
     BadParameters,
     DisconnectedGraph,
@@ -78,6 +79,29 @@ def test_mh_doubly_stochastic_on_random_graphs():
         for i, j in g.edges:
             assert a[i - 1, j - 1] > 0
         assert np.count_nonzero(off) == 2 * len(g.edges)
+
+
+def test_exact_and_float_mh_weights_agree():
+    # the analyzer's rational matrix and the round's float matrix come
+    # from one rule: every off-diagonal entry rounds to the float one
+    rng = random.Random(37)
+    graphs = [path_graph(2), generate_topology("star", 12)]
+    for trial in range(40):
+        n = rng.randrange(3, 13)
+        avg = rng.uniform(2, n - 1)
+        graphs.append(
+            generate_topology("random_connected", n, seed=trial, avg_degree=avg)
+        )
+    for g in graphs:
+        n = g.n_nodes
+        exact = _exact_weights(g)
+        a = mh_weights(g)
+        for i in range(n):
+            assert sum(exact[i]) == 1
+            for j in range(n):
+                assert exact[i][j] == exact[j][i]
+                if i != j:
+                    assert float(exact[i][j]) == a[i, j]
 
 
 def test_verify_conditions_pass_on_mh():
