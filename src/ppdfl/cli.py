@@ -6,9 +6,12 @@ leakage detected, 5 internal invariant failure.
 
 import argparse
 import csv
+import functools
+import gc
 import hashlib
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -17,6 +20,10 @@ EXIT_CONFIG = 2
 EXIT_BOUNDS = 3
 EXIT_LEAKAGE = 4
 EXIT_INTERNAL = 5
+
+# A shared machine scatters single rounds by about 15% either way; only a
+# mean over some ten round-robin passes holds a sweep's linear shape.
+_MIN_PASSES = 10
 
 
 def _apply_thread_cap() -> None:
@@ -76,7 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated sweep values")
     bench.add_argument("--n-nodes", type=int, default=24)
     bench.add_argument("--avg-degree", type=float, default=8.0)
-    bench.add_argument("--reps", type=int, default=3)
+    bench.add_argument("--reps", type=int, default=3,
+                       help="round-robin passes averaged per point; "
+                            f"at least {_MIN_PASSES} are run")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default=None, help="CSV output path")
     return parser
@@ -313,6 +322,27 @@ def _linear_fit(xs, ys):
     return float(slope), r2
 
 
+def _mean_times(runs, reps):
+    """Mean wall time of each run over round-robin passes, garbage collector off.
+
+    One pass times every run once, so a slow or fast spell of the machine
+    lands on all points of a sweep alike. At least `_MIN_PASSES` passes run.
+    """
+    samples = [[] for _ in runs]
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(max(reps, _MIN_PASSES)):
+            for run, times in zip(runs, samples):
+                start = time.perf_counter()
+                run()
+                times.append(time.perf_counter() - start)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return [statistics.fmean(times) for times in samples]
+
+
 def bench_share_sweep(n_values, n_nodes=24, avg_degree=8.0, reps=3, seed=0):
     """Wall time of one full round as model dimension grows."""
     from .field import next_prime
@@ -323,7 +353,7 @@ def bench_share_sweep(n_values, n_nodes=24, avg_degree=8.0, reps=3, seed=0):
     g = generate_topology("random_connected", n_nodes, seed=seed,
                           avg_degree=avg_degree)
     theta_max = 1.0
-    points = []
+    runs, xs = [], []
     for dim in n_values:
         cfg = ProtocolConfig(
             n_learners=n_nodes,
@@ -339,14 +369,11 @@ def bench_share_sweep(n_values, n_nodes=24, avg_degree=8.0, reps=3, seed=0):
         )
         gen = derive_generator(seed, "bench", dim)
         models = gen.uniform(-theta_max, theta_max, (n_nodes, dim))
-        best = float("inf")
-        for _ in range(reps):
-            start = time.perf_counter()
-            execute_round(models, g, cfg, record_trajectory=False)
-            best = min(best, time.perf_counter() - start)
-        shares_per_learner = (2 * len(g.edges) / n_nodes + 1) * dim
-        points.append((shares_per_learner, best / n_nodes))
-    return points
+        runs.append(functools.partial(execute_round, models, g, cfg,
+                                      record_trajectory=False))
+        xs.append((2 * len(g.edges) / n_nodes + 1) * dim)
+    times = _mean_times(runs, reps)
+    return [(x, t / n_nodes) for x, t in zip(xs, times)]
 
 
 def bench_iteration_sweep(k_values, n_nodes=40, avg_degree=8.0, dim=8,
@@ -361,15 +388,9 @@ def bench_iteration_sweep(k_values, n_nodes=40, avg_degree=8.0, dim=8,
     a = mh_weights(g)
     gen = derive_generator(seed, "bench-k")
     states = gen.uniform(0.0, 1.0, (n_nodes, dim))
-    points = []
-    for k in k_values:
-        best = float("inf")
-        for _ in range(reps):
-            start = time.perf_counter()
-            consensus_final(states, a, k)
-            best = min(best, time.perf_counter() - start)
-        points.append((k, best / n_nodes))
-    return points
+    runs = [functools.partial(consensus_final, states, a, k) for k in k_values]
+    times = _mean_times(runs, reps)
+    return [(k, t / n_nodes) for k, t in zip(k_values, times)]
 
 
 def _cmd_bench(args) -> int:
