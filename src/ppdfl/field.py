@@ -4,11 +4,17 @@ Residues are plain Python integers, or int64 arrays, reduced into [0, p),
 so every result is exact. PrimeModulus validates p and caps it below
 2**31, so a product of two residues stays below 2**62 in int64 and a
 residue is exact as a double.
+
+Row reduction (_rref, _reduce_vector) works on int64 arrays and reduces
+mod p after every product. It never uses an int64 dot or matmul: those
+sum products before reducing and would overflow silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 MAX_MODULUS_BITS = 31
 
@@ -77,39 +83,59 @@ def _inverse_int(a: int, p: int) -> int:
     return s0 % p
 
 
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """In-place-style reduced row echelon form; returns (rows, pivot cols)."""
-    rows = [list(r) for r in rows]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
+def _rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of matrix mod p; returns (rows, pivot cols).
+
+    Gauss-Jordan on an int64 copy, reducing mod p after every product, so
+    no intermediate exceeds 2**62 for p < 2**31. The reduced echelon form
+    is unique, so the order rows are taken in changes only the work: rows
+    go sparsest first, which keeps sparse pivot rows from filling in. Each
+    pivot step touches only the rows with a nonzero in the pivot column,
+    and in them only the columns from the pivot on (the pivot row is zero
+    to its left), narrowed to the pivot row's nonzero columns when those
+    are under half of them.
+    """
+    a = np.asarray(matrix, dtype=np.int64) % p
+    a = a[np.argsort(np.count_nonzero(a, axis=1), kind="stable")]
+    n_rows, n_cols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
-        pr = next((i for i in range(r, n_rows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = _inverse_int(rows[r][c], p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        lead = rows[r]
-        for i in range(n_rows):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
-        pivots.append(c)
-        r += 1
         if r == n_rows:
             break
-    return rows, pivots
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
+            continue
+        pr = r + int(below[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r, c:] = a[r, c:] * _inverse_int(int(a[r, c]), p) % p
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            nonzero = np.flatnonzero(a[r, c:])
+            if 2 * nonzero.size < n_cols - c:
+                idx = np.ix_(hit, c + nonzero)
+            else:
+                idx = (hit, slice(c, None))
+            block = a[idx]
+            block -= a[hit, c, None] * a[r, idx[1]]
+            np.remainder(block, p, out=block)
+            a[idx] = block
+        pivots.append(c)
+        r += 1
+    return a, pivots
 
 
-def _reduce_vector(
-    vec: list[int], rows: list[list[int]], pivots: list[int], p: int
-) -> list[int]:
-    """Reduce vec against RREF rows; zero residual means membership."""
-    v = [x % p for x in vec]
+def _reduce_vector(vec, rows: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
+    """Reduce vec against RREF rows; zero residual means membership.
+
+    Each row is zero left of its pivot, so only columns from it on change.
+    """
+    v = np.asarray(vec, dtype=np.int64) % p
     for row, c in zip(rows, pivots):
-        f = v[c]
+        f = int(v[c])
         if f:
-            v = [(x - f * y) % p for x, y in zip(v, row)]
+            v[c:] -= f * row[c:]
+            np.remainder(v[c:], p, out=v[c:])
     return v

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .field import PrimeModulus, _reduce_vector, _rref
 from .fixedpoint import signed_residue
 from .sharing import ShareholderSet, interpolation_weights
@@ -226,34 +228,40 @@ class _LinearView:
     """Reduced GF(p) system of everything the coalition observed.
 
     Unknown columns are the benign encoded secrets followed by every
-    benign polynomial coefficient; the last column carries observed
-    values. infer() decides membership of a secret-space functional in
-    the row space and evaluates it when present.
+    benign polynomial coefficient; one column of observed values per
+    audited coordinate follows them. Only those last columns depend on the
+    coordinate, so one reduction serves every coordinate. infer() decides
+    membership of a secret-space functional in the row space and evaluates
+    it at every coordinate when present.
     """
 
     def __init__(self, p: int, benign: list[int], n_unknowns: int,
-                 rows: list[list[int]], rhs: list[int]):
+                 coordinates: tuple[int, ...], system: np.ndarray):
         self.p = p
         self.benign = benign
         self.secret_col = {i: idx for idx, i in enumerate(benign)}
         self.n_unknowns = n_unknowns
-        augmented = [row + [b % p] for row, b in zip(rows, rhs)]
-        self._rows, self._pivots = _rref(augmented, p)
-        if any(c == n_unknowns for c in self._pivots):
+        self.coordinates = coordinates
+        rows, self._pivots = _rref(system, p)
+        if any(c >= n_unknowns for c in self._pivots):
             raise TranscriptIncomplete(
                 "observation system is inconsistent; transcript is corrupt"
             )
-        self._rows = self._rows[: len(self._pivots)]
+        self._rows = rows[: len(self._pivots)]
 
-    def infer(self, functional: Mapping[int, int]) -> tuple[bool, int | None]:
-        """Membership and value of sum_i functional[i] * secret_i."""
-        vec = [0] * (self.n_unknowns + 1)
+    def infer(
+        self, functional: Mapping[int, int]
+    ) -> tuple[bool, dict[int, int] | None]:
+        """Membership of sum_i functional[i] * secret_i, and its value at
+        every audited coordinate."""
+        vec = np.zeros(self.n_unknowns + len(self.coordinates), dtype=np.int64)
         for i, coeff in functional.items():
             vec[self.secret_col[i]] = coeff % self.p
         residual = _reduce_vector(vec, self._rows, self._pivots, self.p)
-        if any(residual[: self.n_unknowns]):
+        if residual[: self.n_unknowns].any():
             return False, None
-        return True, (-residual[self.n_unknowns]) % self.p
+        values = (-residual[self.n_unknowns:]) % self.p
+        return True, dict(zip(self.coordinates, values.tolist()))
 
 
 def _observed_restriction(
@@ -327,7 +335,7 @@ def _build_view(
     record,
     adversaries: AdversarySet,
     cfg,
-    coordinate: int,
+    coordinates: tuple[int, ...],
     mode: str,
 ) -> _LinearView:
     g: RoundTopology = record.topology
@@ -335,6 +343,9 @@ def _build_view(
     modulus = PrimeModulus(p)
     adv = adversaries.ids
     benign = sorted(adversaries.benign)
+    coords = list(coordinates)
+    if mode not in ("worst_case", "observed"):
+        raise ValueError(f"unknown mode {mode!r}")
 
     bundle_vals: dict[tuple[int, int], tuple[int, ...]] = {}
     for b in record.bundles:
@@ -342,13 +353,27 @@ def _build_view(
     if not bundle_vals:
         raise TranscriptIncomplete("no share bundles recorded")
 
-    col: dict[tuple, int] = {}
+    def bundle(i: int, j: int) -> np.ndarray:
+        try:
+            return np.array(bundle_vals[(i, j)], dtype=np.int64)[coords]
+        except KeyError:
+            raise TranscriptIncomplete(f"bundle {i}->{j} missing") from None
+
+    # Columns: every benign secret, then each benign learner's coefficients
+    # of x^1..x^deg in one block.
+    x_col = {i: k for k, i in enumerate(benign)}
+    c_col: dict[int, int] = {}
+    n_unknowns = len(benign)
     for i in benign:
-        col[("x", i)] = len(col)
-    for i in benign:
-        for m in range(1, g.degree(i) + 1):
-            col[("c", i, m)] = len(col)
-    n_unknowns = len(col)
+        c_col[i] = n_unknowns
+        n_unknowns += g.degree(i)
+
+    # powers[x, m] = x^m mod p
+    max_deg = max(g.degree(i) for i in benign)
+    ids = np.arange(g.n_nodes + 1, dtype=np.int64) % p
+    powers = np.ones((g.n_nodes + 1, max_deg + 1), dtype=np.int64)
+    for m in range(1, max_deg + 1):
+        powers[:, m] = powers[:, m - 1] * ids % p
 
     deltas: dict[int, dict[int, int]] = {}
     for i in benign:
@@ -357,77 +382,61 @@ def _build_view(
             zip(holders.ids, interpolation_weights(holders, modulus).tolist())
         )
 
-    rows: list[list[int]] = []
-    rhs: list[int] = []
+    def put_share(row: np.ndarray, sender: int, holder: int) -> None:
+        """Coefficients of sender's weighted share evaluated at holder."""
+        d = deltas[sender][holder]
+        deg = g.degree(sender)
+        row[x_col[sender]] = d
+        row[c_col[sender] : c_col[sender] + deg] = d * powers[holder, 1 : deg + 1] % p
+
+    share_pairs = [(i, j) for i in benign for j in g.neighbors(i) if j in adv]
+    if mode == "worst_case":
+        n_state_rows = len(benign)
+    else:
+        restriction = _observed_restriction(g, adversaries, benign, p)
+        n_state_rows = len(restriction)
+    first_s0 = 1 + len(share_pairs)
+    system = np.zeros(
+        (first_s0 + n_state_rows, n_unknowns + len(coords)), dtype=np.int64
+    )
+    rhs = system[:, n_unknowns:]
 
     # The aggregate output is known to every participant; the coalition
     # subtracts its own inputs.
-    out_row = [0] * n_unknowns
-    for i in benign:
-        out_row[col[("x", i)]] = 1
-    z = int(record.rounded[0][coordinate])
-    own = sum(int(record.encoded_secrets[a - 1][coordinate]) for a in adv) % p
-    rows.append(out_row)
-    rhs.append((z - own) % p)
+    system[0, : len(benign)] = 1
+    own = sum(record.encoded_secrets[a - 1][coords] for a in adv)
+    rhs[0] = (record.rounded[0][coords] - own) % p
 
     # Weighted shares handed directly to coalition members.
-    for i in benign:
-        for j in g.neighbors(i):
-            if j not in adv:
-                continue
-            d = deltas[i][j]
-            row = [0] * n_unknowns
-            row[col[("x", i)]] = d
-            for m in range(1, g.degree(i) + 1):
-                row[col[("c", i, m)]] = d * pow(j, m, p) % p
-            rows.append(row)
-            try:
-                rhs.append(bundle_vals[(i, j)][coordinate] % p)
-            except KeyError:
-                raise TranscriptIncomplete(f"bundle {i}->{j} missing") from None
+    for r, (i, j) in enumerate(share_pairs, start=1):
+        put_share(system[r], i, j)
+        rhs[r] = bundle(i, j) % p
 
     # State-layer credit: each benign masked state, minus the coalition's
     # own contributions, is a sum of benign share evaluations.
-    s0_rows: list[list[int]] = []
-    s0_rhs: list[int] = []
-    for i in benign:
-        row = [0] * n_unknowns
-        for j in (i, *g.neighbors(i)):
-            if j not in benign:
-                continue
-            d = deltas[j][i]
-            row[col[("x", j)]] = (row[col[("x", j)]] + d) % p
-            for m in range(1, g.degree(j) + 1):
-                c = col[("c", j, m)]
-                row[c] = (row[c] + d * pow(i, m, p)) % p
-        known = 0
-        for j in g.neighbors(i):
-            if j in adv:
-                try:
-                    known += bundle_vals[(j, i)][coordinate]
-                except KeyError:
-                    raise TranscriptIncomplete(f"bundle {j}->{i} missing") from None
-        s0_rows.append(row)
-        s0_rhs.append((int(record.initial_states[i - 1][coordinate]) - known) % p)
-
     if mode == "worst_case":
-        rows.extend(s0_rows)
-        rhs.extend(s0_rhs)
-    elif mode == "observed":
-        for comb in _observed_restriction(g, adversaries, benign, p):
-            row = [0] * n_unknowns
-            val = 0
-            for coeff, srow, srhs in zip(comb, s0_rows, s0_rhs):
-                if coeff == 0:
-                    continue
-                row = [(x + coeff * y) % p for x, y in zip(row, srow)]
-                val = (val + coeff * srhs) % p
-            rows.append(row)
-            rhs.append(val)
+        s0 = system[first_s0:]
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        s0 = np.zeros((len(benign), system.shape[1]), dtype=np.int64)
+    for row, i in zip(s0, benign):
+        known = np.zeros(len(coords), dtype=np.int64)
+        for j in (i, *g.neighbors(i)):
+            if j in adv:
+                known += bundle(j, i)
+            else:
+                put_share(row, j, i)
+        row[n_unknowns:] = (record.initial_states[i - 1][coords] - known) % p
 
-    return _LinearView(p, benign, n_unknowns, rows, rhs)
+    if mode == "observed":
+        for row, comb in zip(system[first_s0:], restriction):
+            for coeff, srow in zip(comb, s0):
+                if coeff:
+                    # reduce each product before adding the next: a sum
+                    # of two products near 2**62 would overflow int64
+                    row += coeff * srow
+                    np.remainder(row, p, out=row)
+
+    return _LinearView(p, benign, n_unknowns, coordinates, system)
 
 
 @dataclass
@@ -448,12 +457,13 @@ class RoundInference:
     component_inferable: dict[tuple[int, ...], bool]
     individual_inferable: dict[int, bool]
     leaked: list[LeakedFunctional]
-    views: dict[int, _LinearView] = field(default_factory=dict, repr=False)
+    view: _LinearView = field(repr=False)
 
     def infer_functional(
         self, functional: Mapping[int, int], coordinate: int = 0
     ) -> tuple[bool, int | None]:
-        return self.views[coordinate].infer(functional)
+        inferable, values = self.view.infer(functional)
+        return inferable, values[coordinate] if inferable else None
 
 
 @dataclass
@@ -499,47 +509,33 @@ def adversary_infer(
 
     Coordinates default to (0,): share polynomials are independent across
     coordinates, so the inferable span is coordinate-invariant and one
-    representative suffices; pass an explicit list for a full audit.
+    representative suffices; pass an explicit list for a full audit. Each
+    round is row-reduced once, with one right-hand side per coordinate.
     """
     sigma = cfg.sigma if hasattr(cfg, "sigma") else int(transcript.meta["sigma"])
     scale = 10**sigma
+    p = cfg.prime
+    coords = tuple(coordinates) if coordinates is not None else (0,)
     rounds_out = []
     for record in transcript.rounds:
-        coords = tuple(coordinates) if coordinates is not None else (0,)
         decomp = surrounded_components(record.topology, adversaries)
-        views = {
-            c: _build_view(record, adversaries, cfg, c, mode) for c in coords
-        }
-        component_inferable: dict[tuple[int, ...], bool] = {}
-        individual_inferable: dict[int, bool] = {}
+        view = _build_view(record, adversaries, cfg, coords, mode)
         leaked: list[LeakedFunctional] = []
-        p = cfg.prime
+
+        def leaks(kind: str, members: tuple[int, ...]) -> bool:
+            ok, values = view.infer({i: 1 for i in members})
+            if ok:
+                reals = {c: signed_residue(v, p) / scale for c, v in values.items()}
+                leaked.append(LeakedFunctional(kind, members, values, reals))
+            return ok
+
+        component_inferable: dict[tuple[int, ...], bool] = {}
         for comp in decomp.components:
             members = tuple(sorted(comp))
-            functional = {i: 1 for i in members}
-            ok = True
-            values: dict[int, int] = {}
-            for c in coords:
-                inferable, value = views[c].infer(functional)
-                ok = ok and inferable
-                if inferable:
-                    values[c] = value
-            component_inferable[members] = ok
-            if ok:
-                reals = {c: signed_residue(v, p) / scale for c, v in values.items()}
-                leaked.append(LeakedFunctional("component_sum", members, values, reals))
-        for i in sorted(adversaries.benign):
-            ok = True
-            values = {}
-            for c in coords:
-                inferable, value = views[c].infer({i: 1})
-                ok = ok and inferable
-                if inferable:
-                    values[c] = value
-            individual_inferable[i] = ok
-            if ok:
-                reals = {c: signed_residue(v, p) / scale for c, v in values.items()}
-                leaked.append(LeakedFunctional("individual", (i,), values, reals))
+            component_inferable[members] = leaks("component_sum", members)
+        individual_inferable = {
+            i: leaks("individual", (i,)) for i in sorted(adversaries.benign)
+        }
         rounds_out.append(
             RoundInference(
                 round_index=record.round_index,
@@ -548,7 +544,7 @@ def adversary_infer(
                 component_inferable=component_inferable,
                 individual_inferable=individual_inferable,
                 leaked=leaked,
-                views=views,
+                view=view,
             )
         )
     return InferenceReport(tuple(sorted(adversaries.ids)), mode, rounds_out)

@@ -264,6 +264,36 @@ class RoundRecord:
     timings: dict[str, float] = field(default_factory=dict)
 
 
+def _collect_message(per_round: dict[int, dict], msg: dict) -> None:
+    """File one transcript message under its round; KeyError on a missing field."""
+    t = msg["round"]
+    slot = per_round.setdefault(
+        t,
+        {"bundles": [], "state0": {}, "decoded": {}, "secrets": {},
+         "models": {}, "topology": None, "k_used": 0, "lambda2": 0.0},
+    )
+    phase = msg["phase"]
+    if phase == "topology":
+        slot["topology"] = RoundTopology(
+            msg["payload"]["n_nodes"],
+            frozenset(tuple(e) for e in msg["payload"]["edges"]),
+            t,
+        )
+        slot["k_used"] = msg["payload"]["k_used"]
+        slot["lambda2"] = msg["payload"].get("lambda2", 0.0)
+    elif phase == "shares":
+        slot["bundles"].append(
+            ShareBundle(msg["from"], msg["to"], t, tuple(msg["payload"]))
+        )
+    elif phase == "state0":
+        slot["state0"][msg["from"]] = msg["payload"]
+    elif phase == "result":
+        slot["decoded"][msg["from"]] = msg["payload"]
+    elif phase == "audit":
+        slot["secrets"][msg["from"]] = msg["payload"]["secret"]
+        slot["models"][msg["from"]] = msg["payload"]["model"]
+
+
 @dataclass
 class Transcript:
     """All messages of a run, keyed by (round, phase, sender, receiver)."""
@@ -348,7 +378,7 @@ class Transcript:
         meta: dict | None = None
         per_round: dict[int, dict] = {}
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
@@ -356,35 +386,15 @@ class Transcript:
                 if "meta" in msg and "round" not in msg:
                     meta = msg["meta"]
                     continue
-                t = msg["round"]
-                slot = per_round.setdefault(
-                    t,
-                    {"bundles": [], "state0": {}, "decoded": {}, "secrets": {},
-                     "models": {}, "topology": None, "k_used": 0, "lambda2": 0.0},
-                )
-                phase = msg["phase"]
-                if phase == "topology":
-                    slot["topology"] = RoundTopology(
-                        msg["payload"]["n_nodes"],
-                        frozenset(tuple(e) for e in msg["payload"]["edges"]),
-                        t,
-                    )
-                    slot["k_used"] = msg["payload"]["k_used"]
-                    slot["lambda2"] = msg["payload"].get("lambda2", 0.0)
-                elif phase == "shares":
-                    slot["bundles"].append(
-                        ShareBundle(msg["from"], msg["to"], t, tuple(msg["payload"]))
-                    )
-                elif phase == "state0":
-                    slot["state0"][msg["from"]] = msg["payload"]
-                elif phase == "result":
-                    slot["decoded"][msg["from"]] = msg["payload"]
-                elif phase == "audit":
-                    slot["secrets"][msg["from"]] = msg["payload"]["secret"]
-                    slot["models"][msg["from"]] = msg["payload"]["model"]
+                try:
+                    _collect_message(per_round, msg)
+                except KeyError as exc:
+                    raise ValueError(
+                        f"transcript line {lineno} lacks field {exc}"
+                    ) from None
         if meta is None:
             raise ValueError("transcript lacks its meta record")
-        missing = [key for key in ("prime", "sigma") if key not in meta]
+        missing = [key for key in ("n_learners", "prime", "sigma") if key not in meta]
         if missing:
             raise ValueError(f"transcript meta record lacks {missing}")
         rounds = []

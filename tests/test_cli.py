@@ -207,6 +207,26 @@ def test_privacy_transcript_without_meta_exits_config(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+def test_privacy_transcript_meta_without_n_learners_exits_config(tmp_path, capsys):
+    lines = _transcript_lines(tmp_path)
+    meta = json.loads(lines[0])
+    del meta["meta"]["n_learners"]
+    path = tmp_path / "no_n_learners.jsonl"
+    path.write_text("\n".join([json.dumps(meta), *lines[1:]]) + "\n")
+    assert main(["privacy", "--transcript", str(path), "--adversary", "1"]) == 2
+    assert "n_learners" in capsys.readouterr().err
+
+
+def test_privacy_transcript_message_without_round_exits_config(tmp_path, capsys):
+    lines = _transcript_lines(tmp_path)
+    msg = json.loads(lines[1])
+    del msg["round"]
+    path = tmp_path / "no_round.jsonl"
+    path.write_text("\n".join([lines[0], json.dumps(msg), *lines[2:]]) + "\n")
+    assert main(["privacy", "--transcript", str(path), "--adversary", "1"]) == 2
+    assert "round" in capsys.readouterr().err
+
+
 def test_privacy_transcript_without_state0_exits_config(tmp_path, capsys):
     lines = _transcript_lines(tmp_path)
     kept = [ln for ln in lines if json.loads(ln).get("phase") != "state0"]

@@ -1,8 +1,11 @@
 import itertools
+import json
+import pathlib
 import random
 
 import numpy as np
 import pytest
+from test_protocol import time_limit
 
 from ppdfl.field import next_prime
 from ppdfl.privacy import (
@@ -27,9 +30,14 @@ def ring4():
     return RoundTopology(4, frozenset({(1, 2), (2, 3), (3, 4), (1, 4)}))
 
 
-def run_one_round(g, sigma=2, theta_max=4.0, seed=5, dim=1):
+# The widest modulus PrimeModulus admits: elimination products reach 2^62.
+P31 = 2**31 - 1
+
+
+def run_one_round(g, sigma=2, theta_max=4.0, seed=5, dim=1, prime=None):
     n = g.n_nodes
-    prime = next_prime(int(max(n, 1 + 2 * 10**sigma * n * theta_max)))
+    if prime is None:
+        prime = next_prime(int(max(n, 1 + 2 * 10**sigma * n * theta_max)))
     cfg = ProtocolConfig(
         n_learners=n,
         model_dim=dim,
@@ -187,21 +195,48 @@ def test_infer_observed_mode_matches_worst_case_on_small_graphs():
         g = generate_topology(
             "random_connected", n, seed=trial, avg_degree=min(2.5, n - 1)
         )
-        cfg, transcript, _ = run_one_round(g, seed=trial)
         adv = AdversarySet(rng.sample(range(1, n + 1), rng.randrange(1, n - 1)), n)
-        worst = adversary_infer(transcript, adv, cfg, mode="worst_case")
-        observed = adversary_infer(transcript, adv, cfg, mode="observed")
-        assert verify_inference(observed, transcript, cfg)
-        w, o = worst.rounds[0], observed.rounds[0]
-        # observed credit is a subset of the worst-case credit
-        for members, ok in o.component_inferable.items():
-            if ok:
-                assert w.component_inferable[members]
-        for i, ok in o.individual_inferable.items():
-            if ok:
-                assert w.individual_inferable[i]
-        # surrounded component sums leak under both
-        assert all(o.component_inferable.values())
+        for prime in (None, P31):
+            cfg, transcript, _ = run_one_round(g, seed=trial, prime=prime)
+            worst = adversary_infer(transcript, adv, cfg, mode="worst_case")
+            observed = adversary_infer(transcript, adv, cfg, mode="observed")
+            assert verify_inference(observed, transcript, cfg)
+            w, o = worst.rounds[0], observed.rounds[0]
+            # observed credit is a subset of the worst-case credit
+            for members, ok in o.component_inferable.items():
+                if ok:
+                    assert w.component_inferable[members]
+            for i, ok in o.individual_inferable.items():
+                if ok:
+                    assert w.individual_inferable[i]
+            # surrounded component sums leak under both
+            assert all(o.component_inferable.values())
+
+
+def test_full_audit_of_reference_config_within_time_bound():
+    # The scale target: every coordinate of a large_random round (coalition
+    # {1,5}: a 272 x 8626 system over GF(p)) audited in seconds.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    raw = json.loads((root / "configs" / "large_random.json").read_text())
+    cfg = ProtocolConfig.from_dict(raw)
+    g = cfg.schedule.round_graph(1)
+    half = cfg.theta_max / 2
+    models = np.random.default_rng(cfg.seed).uniform(
+        -half, half, (cfg.n_learners, cfg.model_dim)
+    )
+    rec = execute_round(models, g, cfg, round_index=1, record_trajectory=False)
+    transcript = Transcript(meta={"sigma": cfg.sigma, "prime": cfg.prime}, rounds=[rec])
+    adv = AdversarySet({1, 5}, cfg.n_learners)
+    with time_limit(30):
+        report = adversary_infer(
+            transcript, adv, cfg, coordinates=range(cfg.model_dim)
+        )
+    assert verify_inference(report, transcript, cfg)
+    decomp = surrounded_components(g, adv)
+    leaked = report.rounds[0].leaked
+    sums = {f.members for f in leaked if f.kind == "component_sum"}
+    assert sums == {tuple(sorted(c)) for c in decomp.components}
+    assert all(len(f.values) == cfg.model_dim for f in leaked)
 
 
 def test_infer_rejects_bundleless_transcript():
@@ -243,25 +278,26 @@ def test_inference_engine_both_directions_randomized():
         )
         adv_ids = rng.sample(range(1, n + 1), rng.randrange(1, n - 1))
         adv = AdversarySet(adv_ids, n)
-        cfg, transcript, rec = run_one_round(g, seed=300 + trial)
-        report = adversary_infer(transcript, adv, cfg)
-        r = report.rounds[0]
-        assert verify_inference(report, transcript, cfg)
         decomp = surrounded_components(g, adv)
-        # completeness: every surrounded component sum is reconstructed
-        for comp in decomp.components:
-            assert r.component_inferable[tuple(sorted(comp))]
-        # individual secrets leak exactly for learners with no benign neighbor
-        for i in sorted(adv.benign):
-            has_benign_neighbor = any(j in adv.benign for j in g.neighbors(i))
-            assert r.individual_inferable[i] == (not has_benign_neighbor)
-        # secrecy: no connected, non-surrounded benign group's sum is in span
-        surrounded = set(decomp.components)
-        for group in connected_subsets(g, adv.benign):
-            if group in surrounded:
-                continue
-            inferable, _ = r.infer_functional({i: 1 for i in group})
-            assert not inferable, f"non-surrounded {sorted(group)} leaked"
+        for prime in (None, P31):
+            cfg, transcript, rec = run_one_round(g, seed=300 + trial, dim=2, prime=prime)
+            report = adversary_infer(transcript, adv, cfg, coordinates=range(2))
+            r = report.rounds[0]
+            assert verify_inference(report, transcript, cfg)
+            # completeness: every surrounded component sum is reconstructed
+            for comp in decomp.components:
+                assert r.component_inferable[tuple(sorted(comp))]
+            # individual secrets leak exactly for learners with no benign neighbor
+            for i in sorted(adv.benign):
+                has_benign_neighbor = any(j in adv.benign for j in g.neighbors(i))
+                assert r.individual_inferable[i] == (not has_benign_neighbor)
+            # secrecy: no connected, non-surrounded benign group's sum is in span
+            surrounded = set(decomp.components)
+            for group in connected_subsets(g, adv.benign):
+                if group in surrounded:
+                    continue
+                inferable, _ = r.infer_functional({i: 1 for i in group})
+                assert not inferable, f"non-surrounded {sorted(group)} leaked"
 
 
 def test_secrecy_verdict_equals_span_exactness_exhaustive_n4():
