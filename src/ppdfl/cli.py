@@ -379,16 +379,16 @@ def bench_share_sweep(n_values, n_nodes=24, avg_degree=8.0, reps=3, seed=0):
 def bench_iteration_sweep(k_values, n_nodes=40, avg_degree=8.0, dim=8,
                           reps=3, seed=0):
     """Wall time of the averaging loop as the iteration count grows."""
-    from .consensus import consensus_final
+    from .consensus import AveragingOperator, consensus_final
     from .seeding import derive_generator
-    from .topology import generate_topology, mh_weights
+    from .topology import generate_topology
 
     g = generate_topology("random_connected", n_nodes, seed=seed,
                           avg_degree=avg_degree)
-    a = mh_weights(g)
+    op = AveragingOperator.from_graph(g)
     gen = derive_generator(seed, "bench-k")
     states = gen.uniform(0.0, 1.0, (n_nodes, dim))
-    runs = [functools.partial(consensus_final, states, a, k) for k in k_values]
+    runs = [functools.partial(consensus_final, states, op, k) for k in k_values]
     times = _mean_times(runs, reps)
     return [(k, t / n_nodes) for k, t in zip(k_values, times)]
 

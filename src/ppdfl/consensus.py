@@ -4,6 +4,12 @@ States live in an (N, n) array, one row per learner. One step is
 s(k+1) = A s(k); with a symmetric doubly stochastic A every step preserves
 the column sums and contracts the spread toward the mean by the factor
 lambda2 = rho(A - (1/N) 11^T) per step.
+
+A is applied as an edge list, never as an N x N array: every learner
+mixes its own state with those its neighbours send, so one step costs
+O((N + 2|E|) n). The dense matrix serves only the eigensolve that picks K.
+The steps run in floats; their rounding error is not budgeted into K but
+measured at run time by the round driver.
 """
 
 from __future__ import annotations
@@ -14,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import DimensionMismatch
-from .topology import second_largest_eigenvalue, stochasticity_errors
+from .topology import (
+    DisconnectedGraph,
+    RoundTopology,
+    is_connected,
+    mh_edge_weights,
+    second_largest_eigenvalue,
+    stochasticity_errors,
+)
 
 # Eigensolver error slack on lambda, EIG_SLACK * N * UNIT_ROUNDOFF; see
 # min_iterations.
@@ -30,23 +43,29 @@ class BadWeights(ValueError):
     """Aggregation weights must be positive and sum to 1."""
 
 
-@dataclass
-class Trajectory:
-    """Snapshots of the joint state for k = 0..K."""
+@dataclass(frozen=True, eq=False)
+class AveragingOperator:
+    """The Metropolis-Hastings matrix of one round as flat edge arrays.
 
-    states: np.ndarray  # shape (K+1, N, n)
+    rows and cols (0-based) hold both directions of every edge, weights the
+    off-diagonal entries a_ij and diag the entries a_ii: the same floats
+    topology.mh_weights places in the dense matrix.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    diag: np.ndarray
+
+    @classmethod
+    def from_graph(cls, g: RoundTopology) -> "AveragingOperator":
+        if not is_connected(g):
+            raise DisconnectedGraph("averaging weights need a connected graph")
+        return cls(*mh_edge_weights(g))
 
     @property
-    def iterations(self) -> int:
-        return self.states.shape[0] - 1
-
-    @property
-    def initial(self) -> np.ndarray:
-        return self.states[0]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
+    def n_nodes(self) -> int:
+        return self.diag.shape[0]
 
 
 def _as_states(states: np.ndarray) -> np.ndarray:
@@ -58,38 +77,52 @@ def _as_states(states: np.ndarray) -> np.ndarray:
     return arr
 
 
-def consensus_step(states: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """One synchronous averaging step: every learner mixes its neighborhood."""
-    arr = _as_states(states)
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("weight matrix must be square")
-    if a.shape[1] != arr.shape[0]:
-        raise DimensionMismatch(
-            f"weight matrix is {a.shape[0]}x{a.shape[1]} but states have "
-            f"{arr.shape[0]} rows"
-        )
-    return a @ arr
+def consensus_final(
+    initial: np.ndarray,
+    op: AveragingOperator,
+    iterations: int,
+    frames: np.ndarray | None = None,
+) -> np.ndarray:
+    """The state s(K) after K = iterations synchronous steps of op.
 
-
-def run_consensus(initial: np.ndarray, a: np.ndarray, iterations: int) -> Trajectory:
-    """Apply consensus_step repeatedly, recording every snapshot."""
+    In one step every learner i sends s_i(k) to its neighbours; a gather of
+    the sent rows, scaled by a_ij, and one scatter-add into the receiving
+    rows, plus a_ii s_i(k), give s(k+1). All K steps run: the intermediate
+    states are the protocol's messages. If frames, a (K+1, N, n) array, is
+    given, s(k) is written to frames[k] for k = 0..K.
+    """
     if iterations < 0:
         raise ValueError("iteration count must be non-negative")
     state = _as_states(initial)
-    frames = np.empty((iterations + 1, *state.shape))
-    frames[0] = state
-    for k in range(iterations):
-        state = consensus_step(state, a)
-        frames[k + 1] = state
-    return Trajectory(frames)
-
-
-def consensus_final(initial: np.ndarray, a: np.ndarray, iterations: int) -> np.ndarray:
-    """Final state only; avoids storing long trajectories."""
-    state = _as_states(initial)
-    for _ in range(iterations):
-        state = consensus_step(state, a)
+    n_nodes, dim = state.shape
+    if n_nodes != op.n_nodes:
+        raise DimensionMismatch(
+            f"operator has {op.n_nodes} rows but states have {n_nodes}"
+        )
+    if frames is not None:
+        if frames.shape != (iterations + 1, n_nodes, dim):
+            raise DimensionMismatch(
+                f"frames are {frames.shape}, expected {(iterations + 1, n_nodes, dim)}"
+            )
+        frames[0] = state
+    # Flat index row * dim + coordinate of every sent entry's receiver.
+    bins = (op.rows[:, None] * dim + np.arange(dim)).ravel()
+    # Weights spelled out per entry: full-length inner loops, no broadcasting.
+    weights = np.repeat(op.weights, dim).reshape(-1, dim)
+    diag = np.repeat(op.diag, dim).reshape(-1, dim)
+    sent = np.empty_like(weights)
+    own = np.empty_like(diag)
+    for k in range(1, iterations + 1):
+        # cols are node indices by construction; "clip" skips the bounds
+        # check, and with it the copy of `out` that "raise" makes.
+        np.take(state, op.cols, axis=0, out=sent, mode="clip")
+        sent *= weights
+        mixed = np.bincount(bins, weights=sent.ravel(), minlength=state.size)
+        mixed = mixed.reshape(state.shape)
+        mixed += np.multiply(diag, state, out=own)
+        state = mixed
+        if frames is not None:
+            frames[k] = state
     return state
 
 

@@ -32,9 +32,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .consensus import (
+    AveragingOperator,
     consensus_final,
     min_iterations,
-    run_consensus,
     termination_inputs,
 )
 from .field import PrimeModulus
@@ -51,6 +51,7 @@ from .topology import (
     RoundTopology,
     TopologySchedule,
     is_connected,
+    mh_edge_weights,
     mh_weights,
     second_largest_eigenvalue,
 )
@@ -270,7 +271,8 @@ def _collect_message(per_round: dict[int, dict], msg: dict) -> None:
     slot = per_round.setdefault(
         t,
         {"bundles": [], "state0": {}, "decoded": {}, "secrets": {},
-         "models": {}, "topology": None, "k_used": 0, "lambda2": 0.0},
+         "models": {}, "topology": None, "k_used": 0, "lambda2": 0.0,
+         "rounding_margin": float("nan")},
     )
     phase = msg["phase"]
     if phase == "topology":
@@ -281,6 +283,7 @@ def _collect_message(per_round: dict[int, dict], msg: dict) -> None:
         )
         slot["k_used"] = msg["payload"]["k_used"]
         slot["lambda2"] = msg["payload"].get("lambda2", 0.0)
+        slot["rounding_margin"] = msg["payload"].get("rounding_margin", float("nan"))
     elif phase == "shares":
         slot["bundles"].append(
             ShareBundle(msg["from"], msg["to"], t, tuple(msg["payload"]))
@@ -312,6 +315,7 @@ class Transcript:
                     "edges": [list(e) for e in rec.topology.sorted_edges()],
                     "k_used": rec.k_used,
                     "lambda2": rec.lambda2,
+                    "rounding_margin": rec.rounding_margin,
                 },
             }
             for b in rec.bundles:
@@ -403,19 +407,23 @@ class Transcript:
             g = slot["topology"]
             if g is None:
                 raise ValueError(f"transcript round {t} lacks a topology record")
-            if not slot["state0"]:
-                raise ValueError(f"transcript round {t} lacks state0 records")
             n = g.n_nodes
-            dim = len(next(iter(slot["state0"].values())))
-            s0 = np.zeros((n, dim), dtype=np.int64)
-            secrets = np.zeros((n, dim), dtype=np.int64)
-            models = np.zeros((n, dim))
-            decoded = np.zeros((n, dim))
-            for i in range(1, n + 1):
-                s0[i - 1] = slot["state0"].get(i, [0] * dim)
-                secrets[i - 1] = slot["secrets"].get(i, [0] * dim)
-                models[i - 1] = slot["models"].get(i, [0.0] * dim)
-                decoded[i - 1] = slot["decoded"].get(i, [0.0] * dim)
+            for phase, key in (("state0", "state0"), ("result", "decoded"),
+                               ("audit", "secrets")):
+                missing = sorted(set(range(1, n + 1)) - slot[key].keys())
+                if missing:
+                    raise ValueError(
+                        f"transcript round {t} lacks {phase} records of "
+                        f"learners {', '.join(map(str, missing))}"
+                    )
+            learners = range(1, n + 1)
+            s0 = np.array([slot["state0"][i] for i in learners], dtype=np.int64)
+            secrets = np.array([slot["secrets"][i] for i in learners], dtype=np.int64)
+            models = np.array([slot["models"][i] for i in learners], dtype=float)
+            decoded = np.array([slot["decoded"][i] for i in learners], dtype=float)
+            shapes = {arr.shape for arr in (s0, secrets, models, decoded)}
+            if s0.ndim != 2 or len(shapes) > 1:
+                raise ValueError(f"transcript round {t} has records of unequal length")
             p = int(meta["prime"])
             scale = 10 ** int(meta["sigma"])
             rounded = np.round(decoded * scale).astype(np.int64) % p
@@ -431,7 +439,7 @@ class Transcript:
                     local_models=models,
                     rounded=rounded,
                     decoded=decoded,
-                    rounding_margin=float("nan"),
+                    rounding_margin=slot["rounding_margin"],
                 )
             )
         return cls(meta=meta, rounds=rounds)
@@ -542,9 +550,12 @@ def execute_round(
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    a = mh_weights(g)
+    edge_weights = mh_edge_weights(g)
+    a = mh_weights(g, edge_weights)
     lam2 = second_largest_eigenvalue(a)  # the round's one eigensolve
     k_used = _resolve_iterations(cfg, a, lam2)
+    del a  # only the eigensolve needs the dense matrix
+    op = AveragingOperator(*edge_weights)
     timings["weights"] = time.perf_counter() - t0
 
     # Share phase: per coordinate, a fresh polynomial of degree |N_i| over
@@ -592,22 +603,17 @@ def execute_round(
 
     # Averaging phase.
     t0 = time.perf_counter()
-    initial = s0.astype(float)
     trajectory = None
     if record_trajectory:
-        traj = run_consensus(initial, a, k_used)
-        trajectory = traj.states
-        final = traj.final
-    else:
-        final = consensus_final(initial, a, k_used)
+        trajectory = np.empty((k_used + 1, *s0.shape))
+    final = consensus_final(s0, op, k_used, trajectory)
     timings["averaging"] = time.perf_counter() - t0
 
     # Readback phase.
     t0 = time.perf_counter()
     column_sums = s0.sum(axis=0)  # exact integer sums of the masked states
     margin = float(np.max(np.abs(n_learners * final - column_sums)))
-    rounded = np.floor(n_learners * final + 0.5).astype(np.int64) % p
-    decoded = decode_residues(rounded, prec, p)
+    rounded, decoded = read_back(final, cfg)
     timings["readback"] = time.perf_counter() - t0
 
     if margin >= 0.5:
@@ -635,12 +641,17 @@ def execute_round(
     )
 
 
+def read_back(final: np.ndarray, cfg: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(rounded, decoded): floor(N s(K) + 0.5) mod p per learner, and its model."""
+    rounded = np.floor(cfg.n_learners * final + 0.5).astype(np.int64) % cfg.prime
+    return rounded, decode_residues(rounded, cfg.precision, cfg.prime)
+
+
 def replay_round(record: RoundRecord, cfg: ProtocolConfig) -> np.ndarray:
     """Re-derive the decoded output from a recorded round; determinism audit."""
-    a = mh_weights(record.topology)
-    final = consensus_final(record.initial_states.astype(float), a, record.k_used)
-    rounded = np.floor(cfg.n_learners * final + 0.5).astype(np.int64) % cfg.prime
-    return decode_residues(rounded, cfg.precision, cfg.prime)
+    op = AveragingOperator.from_graph(record.topology)
+    final = consensus_final(record.initial_states, op, record.k_used)
+    return read_back(final, cfg)[1]
 
 
 def synthetic_trainer(theta_max: float, step: float = 0.25) -> TrainerHook:

@@ -103,22 +103,45 @@ def mh_denominators(g: RoundTopology) -> Iterator[tuple[int, int, int]]:
         yield i, j, max(deg[i], deg[j]) + 1
 
 
-def mh_weights(g: RoundTopology) -> np.ndarray:
+def mh_edge_weights(
+    g: RoundTopology,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Metropolis-Hastings weights as flat arrays (rows, cols, weights, diag).
+
+    rows and cols are 0-based and hold both directions of every edge,
+    sorted by (row, col); weights[e] = 1/d for the edge's denominator.
+    diag[i] = 1 - sum_j a_ij is the row residual, its off-diagonal terms
+    summed in column order. mh_weights places exactly these floats in the
+    dense matrix, so the edge-list averaging operator and the matrix the
+    eigensolve sees are one matrix.
+    """
+    triples = np.array(list(mh_denominators(g)), dtype=np.int64).reshape(-1, 3)
+    i, j, d = triples.T
+    rows = np.concatenate([i, j]) - 1
+    cols = np.concatenate([j, i]) - 1
+    weights = 1.0 / np.concatenate([d, d])
+    order = np.argsort(rows * g.n_nodes + cols)
+    rows, cols, weights = rows[order], cols[order], weights[order]
+    diag = 1.0 - np.bincount(rows, weights=weights, minlength=g.n_nodes)
+    return rows, cols, weights, diag
+
+
+def mh_weights(g: RoundTopology, edge_weights: tuple | None = None) -> np.ndarray:
     """Symmetric doubly stochastic weight matrix for a connected graph.
 
-    The diagonal is the row residual 1 - sum of off-diagonal entries,
-    which keeps row sums exactly 1 up to one rounding step.
+    The dense form of mh_edge_weights(g), passed as ``edge_weights`` when
+    the caller already holds it: the diagonal is the row residual 1 - sum
+    of off-diagonal entries, which keeps row sums exactly 1 up to one
+    rounding step.
     """
     if not is_connected(g):
         raise DisconnectedGraph("averaging weights need a connected graph")
-    n = g.n_nodes
-    a = np.zeros((n, n))
-    for i, j, d in mh_denominators(g):
-        w = 1.0 / d
-        a[i - 1, j - 1] = w
-        a[j - 1, i - 1] = w
-    for i in range(n):
-        a[i, i] = 1.0 - a[i].sum()
+    if edge_weights is None:
+        edge_weights = mh_edge_weights(g)
+    rows, cols, weights, diag = edge_weights
+    a = np.zeros((g.n_nodes, g.n_nodes))
+    a[rows, cols] = weights
+    np.fill_diagonal(a, diag)
     return a
 
 

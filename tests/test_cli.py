@@ -234,6 +234,17 @@ def test_privacy_transcript_without_state0_exits_config(tmp_path, capsys):
     path.write_text("\n".join(kept) + "\n")
     assert main(["privacy", "--transcript", str(path), "--adversary", "1"]) == 2
     assert "state0" in capsys.readouterr().err
+    # One learner's records missing must not read back as zeros.
+    msgs = [json.loads(ln) for ln in lines]
+    for phase in ("state0", "result", "audit"):
+        kept = [ln for ln, m in zip(lines, msgs)
+                if (m.get("phase"), m.get("from")) != (phase, 3)]
+        assert len(kept) < len(lines)
+        path = tmp_path / f"no_{phase}_of_3.jsonl"
+        path.write_text("\n".join(kept) + "\n")
+        assert main(["privacy", "--transcript", str(path), "--adversary", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"round 1 lacks {phase} records of learners 3" in err
 
 
 def test_readme_library_example_runs():

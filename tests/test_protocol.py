@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import pathlib
 import signal
 from contextlib import contextmanager
@@ -392,6 +393,17 @@ def test_transcript_jsonl_roundtrip(tmp_path):
         assert np.array_equal(back.initial_states, orig.initial_states)
         assert np.array_equal(back.encoded_secrets, orig.encoded_secrets)
         assert np.array_equal(back.rounded, orig.rounded)
+        assert back.rounding_margin == orig.rounding_margin
+    # A transcript written before the margin was recorded reads it as NaN.
+    lines = path.read_text().splitlines()
+    for idx, line in enumerate(lines):
+        msg = json.loads(line)
+        if msg.get("phase") == "topology":
+            del msg["payload"]["rounding_margin"]
+            lines[idx] = json.dumps(msg)
+    path.write_text("\n".join(lines) + "\n")
+    old_rounds = Transcript.from_jsonl(str(path)).rounds
+    assert all(math.isnan(r.rounding_margin) for r in old_rounds)
 
 
 def test_transcript_message_phases():
