@@ -39,10 +39,6 @@ class NoFiniteK(ValueError):
     """No finite iteration count satisfies the termination bound."""
 
 
-class BadWeights(ValueError):
-    """Aggregation weights must be positive and sum to 1."""
-
-
 @dataclass(frozen=True, eq=False)
 class AveragingOperator:
     """The Metropolis-Hastings matrix of one round as flat edge arrays.
@@ -185,18 +181,3 @@ def min_iterations(
     while k > 1 and n * lam_hat ** (k - 1) < threshold:
         k -= 1
     return k
-
-
-def plain_weighted_aggregate(models: np.ndarray, weights) -> np.ndarray:
-    """Ground-truth weighted aggregate sum_i w_i theta_i."""
-    arr = np.asarray(models, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.shape[0] != arr.shape[0]:
-        raise DimensionMismatch("one weight per model required")
-    if np.any(w <= 0):
-        raise BadWeights("weights must be positive")
-    if abs(float(w.sum()) - 1.0) > 1e-12:
-        raise BadWeights(f"weights sum to {w.sum()!r}, expected 1")
-    return w @ arr

@@ -37,7 +37,7 @@ import numpy as np
 from .field import PrimeModulus, _reduce_vector, _rref
 from .fixedpoint import signed_residue
 from .sharing import ShareholderSet, interpolation_weights
-from .topology import RoundTopology, TopologySchedule, mh_denominators
+from .topology import RoundTopology, TopologySchedule, mh_denominators, share_pairs
 
 # Exhaustive subset enumeration is only sensible for small graphs.
 _ENUM_LIMIT = 16
@@ -347,17 +347,18 @@ def _build_view(
     if mode not in ("worst_case", "observed"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    bundle_vals: dict[tuple[int, int], tuple[int, ...]] = {}
-    for b in record.bundles:
-        bundle_vals[(b.sender, b.receiver)] = b.values
-    if not bundle_vals:
-        raise TranscriptIncomplete("no share bundles recorded")
+    senders, receivers = share_pairs(g)
+    table = record.bundles
+    if len(table) != len(senders):
+        raise TranscriptIncomplete(
+            f"round {record.round_index} records {len(table)} share bundles, "
+            f"its graph sends {len(senders)}"
+        )
+    # share_pairs sorts by (sender, receiver), so these keys are sorted too.
+    pair_keys = senders * (g.n_nodes + 1) + receivers
 
     def bundle(i: int, j: int) -> np.ndarray:
-        try:
-            return np.array(bundle_vals[(i, j)], dtype=np.int64)[coords]
-        except KeyError:
-            raise TranscriptIncomplete(f"bundle {i}->{j} missing") from None
+        return table[np.searchsorted(pair_keys, i * (g.n_nodes + 1) + j), coords]
 
     # Columns: every benign secret, then each benign learner's coefficients
     # of x^1..x^deg in one block.
@@ -389,13 +390,13 @@ def _build_view(
         row[x_col[sender]] = d
         row[c_col[sender] : c_col[sender] + deg] = d * powers[holder, 1 : deg + 1] % p
 
-    share_pairs = [(i, j) for i in benign for j in g.neighbors(i) if j in adv]
+    handed = [(i, j) for i in benign for j in g.neighbors(i) if j in adv]
     if mode == "worst_case":
         n_state_rows = len(benign)
     else:
         restriction = _observed_restriction(g, adversaries, benign, p)
         n_state_rows = len(restriction)
-    first_s0 = 1 + len(share_pairs)
+    first_s0 = 1 + len(handed)
     system = np.zeros(
         (first_s0 + n_state_rows, n_unknowns + len(coords)), dtype=np.int64
     )
@@ -408,7 +409,7 @@ def _build_view(
     rhs[0] = (record.rounded[0][coords] - own) % p
 
     # Weighted shares handed directly to coalition members.
-    for r, (i, j) in enumerate(share_pairs, start=1):
+    for r, (i, j) in enumerate(handed, start=1):
         put_share(system[r], i, j)
         rhs[r] = bundle(i, j) % p
 

@@ -8,7 +8,8 @@ current communication graph:
   shares      learner i fixes w_i * theta_i into residues, splits every
               coordinate with a fresh random polynomial of degree |N_i|
               over the holder set N_i + {i}, pre-multiplies each share by
-              its interpolation weight, and hands one bundle per neighbor.
+              its interpolation weight, and hands one bundle to each
+              member of N_i + {i}.
   masking     each learner sums the bundles addressed to it mod p; those
               sums are the initial states of the averaging run.
   averaging   K synchronous steps s(k+1) = A s(k), states broadcast to
@@ -16,6 +17,12 @@ current communication graph:
   readback    round(N * s(K)) mod p collapses to the integer sum of all
               masked states, which decodes to the weighted model average
               at sigma digits -- identical at every learner.
+
+The round's bundles form one int64 share table of N + 2|E| rows: row e is
+the bundle of the e-th (sender, receiver) pair of topology.share_pairs,
+and the graph alone fixes who sends what to whom. Masking is one
+reduction of that table by receiver. A transcript read back must hold
+exactly one bundle of n values for each of those pairs.
 
 Delivery is in-process and lossless. All randomness is drawn from
 per-(round, learner, coordinate) substreams of the config seed, so results
@@ -27,7 +34,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,6 +61,7 @@ from .topology import (
     mh_edge_weights,
     mh_weights,
     second_largest_eigenvalue,
+    share_pairs,
 )
 
 
@@ -63,10 +71,6 @@ class ConfigError(ValueError):
 
 class BoundViolation(ValueError):
     """Configuration violates the modulus or iteration-count bound."""
-
-
-class MissingBundle(RuntimeError):
-    """A learner did not receive a bundle from one of its neighbors."""
 
 
 class RangeViolation(RuntimeError):
@@ -236,16 +240,6 @@ def _resolve_schedule(spec, raw: Mapping, base_dir: str) -> TopologySchedule:
     raise ConfigError("schedule must be a file path, generator spec, or edge lists")
 
 
-@dataclass(frozen=True)
-class ShareBundle:
-    """Everything one learner sends one holder in the share phase."""
-
-    sender: int
-    receiver: int
-    round_index: int
-    values: tuple[int, ...]  # one weighted-share residue per coordinate
-
-
 @dataclass
 class RoundRecord:
     """Everything one aggregation round produced, messages included."""
@@ -254,7 +248,7 @@ class RoundRecord:
     topology: RoundTopology
     k_used: int
     lambda2: float
-    bundles: list[ShareBundle]
+    bundles: np.ndarray  # (N + 2|E|, n) int64 share table, share_pairs order
     initial_states: np.ndarray  # (N, n) int64 masked states
     encoded_secrets: np.ndarray  # (N, n) int64, for auditing only
     local_models: np.ndarray  # (N, n) float
@@ -270,7 +264,7 @@ def _collect_message(per_round: dict[int, dict], msg: dict) -> None:
     t = msg["round"]
     slot = per_round.setdefault(
         t,
-        {"bundles": [], "state0": {}, "decoded": {}, "secrets": {},
+        {"shares": {}, "state0": {}, "decoded": {}, "secrets": {},
          "models": {}, "topology": None, "k_used": 0, "lambda2": 0.0,
          "rounding_margin": float("nan")},
     )
@@ -285,9 +279,12 @@ def _collect_message(per_round: dict[int, dict], msg: dict) -> None:
         slot["lambda2"] = msg["payload"].get("lambda2", 0.0)
         slot["rounding_margin"] = msg["payload"].get("rounding_margin", float("nan"))
     elif phase == "shares":
-        slot["bundles"].append(
-            ShareBundle(msg["from"], msg["to"], t, tuple(msg["payload"]))
-        )
+        pair = (msg["from"], msg["to"])
+        if pair in slot["shares"]:
+            raise ValueError(
+                f"transcript round {t} repeats share bundle {pair[0]}->{pair[1]}"
+            )
+        slot["shares"][pair] = msg["payload"]
     elif phase == "state0":
         slot["state0"][msg["from"]] = msg["payload"]
     elif phase == "result":
@@ -295,6 +292,30 @@ def _collect_message(per_round: dict[int, dict], msg: dict) -> None:
     elif phase == "audit":
         slot["secrets"][msg["from"]] = msg["payload"]["secret"]
         slot["models"][msg["from"]] = msg["payload"]["model"]
+
+
+def _share_table(t: int, g: RoundTopology, shares: dict, width: int) -> np.ndarray:
+    """The share table of round t from its {(sender, receiver): payload}
+    messages; ValueError names the first pair that is missing, not between
+    neighbours, or of the wrong length."""
+    senders, receivers = share_pairs(g)
+    pairs = list(zip(senders.tolist(), receivers.tolist()))
+    for i, j in pairs:
+        values = shares.get((i, j))
+        if values is None:
+            raise ValueError(f"transcript round {t} lacks share bundle {i}->{j}")
+        if len(values) != width:
+            raise ValueError(
+                f"transcript round {t} share bundle {i}->{j} carries "
+                f"{len(values)} values, expected {width}"
+            )
+    if len(shares) != len(pairs):
+        i, j = min(set(shares) - set(pairs))
+        raise ValueError(
+            f"transcript round {t} has share bundle {i}->{j} between learners "
+            "that are not neighbours"
+        )
+    return np.array([shares[pair] for pair in pairs], dtype=np.int64)
 
 
 @dataclass
@@ -318,13 +339,16 @@ class Transcript:
                     "rounding_margin": rec.rounding_margin,
                 },
             }
-            for b in rec.bundles:
+            senders, receivers = share_pairs(rec.topology)
+            for i, j, values in zip(
+                senders.tolist(), receivers.tolist(), rec.bundles.tolist()
+            ):
                 yield {
                     "round": t,
                     "phase": "shares",
-                    "from": b.sender,
-                    "to": b.receiver,
-                    "payload": list(b.values),
+                    "from": i,
+                    "to": j,
+                    "payload": values,
                 }
             for i in range(1, rec.topology.n_nodes + 1):
                 payload = [int(v) for v in rec.initial_states[i - 1]]
@@ -424,6 +448,7 @@ class Transcript:
             shapes = {arr.shape for arr in (s0, secrets, models, decoded)}
             if s0.ndim != 2 or len(shapes) > 1:
                 raise ValueError(f"transcript round {t} has records of unequal length")
+            bundles = _share_table(t, g, slot["shares"], s0.shape[1])
             p = int(meta["prime"])
             scale = 10 ** int(meta["sigma"])
             rounded = np.round(decoded * scale).astype(np.int64) % p
@@ -433,7 +458,7 @@ class Transcript:
                     topology=g,
                     k_used=slot["k_used"],
                     lambda2=slot["lambda2"],
-                    bundles=slot["bundles"],
+                    bundles=bundles,
                     initial_states=s0,
                     encoded_secrets=secrets,
                     local_models=models,
@@ -469,35 +494,19 @@ def quantized_aggregate(
 
 
 def build_initial_state(
-    received: Iterable[ShareBundle],
-    receiver: int,
-    expected_senders: Iterable[int],
-    modulus: PrimeModulus,
-) -> list[int]:
-    """Coordinate-wise modular sum of all bundles addressed to a learner.
+    bundles: np.ndarray, receivers: np.ndarray, p: int
+) -> np.ndarray:
+    """Masked initial states: per receiver, the sum mod p of its bundles.
 
-    Requires exactly one bundle from every expected sender (the learner's
-    closed neighborhood).
+    bundles is a share table and receivers[e] the 1-based receiver of row
+    e. Returns one row per receiver in increasing id order, so row i-1 is
+    learner i's state when every learner receives a bundle (its own).
     """
-    expected = set(expected_senders)
-    by_sender: dict[int, ShareBundle] = {}
-    for b in received:
-        if b.receiver != receiver:
-            raise ValueError(f"bundle for {b.receiver} routed to {receiver}")
-        if b.sender in by_sender:
-            raise ValueError(f"duplicate bundle from {b.sender}")
-        by_sender[b.sender] = b
-    missing = expected - set(by_sender)
-    if missing:
-        raise MissingBundle(
-            f"learner {receiver} missing bundles from {sorted(missing)}"
-        )
-    unexpected = set(by_sender) - expected
-    if unexpected:
-        raise ValueError(f"unexpected bundles from {sorted(unexpected)}")
-    # Residues are below p < 2**31, so int64 holds the sum of fewer than 2**32 bundles.
-    values = np.array([b.values for b in by_sender.values()], dtype=np.int64)
-    return (values.sum(axis=0) % modulus.p).tolist()
+    order = np.argsort(receivers, kind="stable")
+    ordered = receivers[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    # Residues are below p < 2**31, so int64 holds the sum of fewer than 2**32 rows.
+    return np.add.reduceat(bundles[order], starts, axis=0) % p
 
 
 def _resolve_iterations(cfg: ProtocolConfig, a: np.ndarray, lambda2: float) -> int:
@@ -562,8 +571,9 @@ def execute_round(
     # the closed neighborhood, weighted so the holder-set sum equals the
     # encoded secret.
     t0 = time.perf_counter()
-    bundles: list[ShareBundle] = []
-    inbox: dict[int, list[ShareBundle]] = {i: [] for i in range(1, n_learners + 1)}
+    _, receivers = share_pairs(g)
+    bundles = np.empty((len(receivers), cfg.model_dim), dtype=np.int64)
+    row = 0  # first row of learner i's block; its receivers are holders.ids
     encoded = np.zeros((n_learners, cfg.model_dim), dtype=np.int64)
     half = (p - 1) // 2
     for i in range(1, n_learners + 1):
@@ -586,19 +596,13 @@ def execute_round(
             for l in range(cfg.model_dim)
         ]
         raw = _generate_share_values(encoded[i - 1], coeffs, holders.ids, p)
-        weighted = (raw * deltas % p).T.tolist()  # one row per holder
-        for j, values in zip(holders.ids, weighted):
-            b = ShareBundle(i, j, round_index, tuple(values))
-            bundles.append(b)
-            inbox[j].append(b)
+        bundles[row : row + len(holders.ids)] = (raw * deltas % p).T
+        row += len(holders.ids)
     timings["shares"] = time.perf_counter() - t0
 
     # Masking phase.
     t0 = time.perf_counter()
-    s0 = np.zeros((n_learners, cfg.model_dim), dtype=np.int64)
-    for i in range(1, n_learners + 1):
-        expected = (i, *g.neighbors(i))
-        s0[i - 1] = build_initial_state(inbox[i], i, expected, modulus)
+    s0 = build_initial_state(bundles, receivers, p)
     timings["masking"] = time.perf_counter() - t0
 
     # Averaging phase.

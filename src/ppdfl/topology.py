@@ -126,6 +126,23 @@ def mh_edge_weights(
     return rows, cols, weights, diag
 
 
+def share_pairs(g: RoundTopology) -> tuple[np.ndarray, np.ndarray]:
+    """(senders, receivers) of the round's share bundles, 1-based int64.
+
+    Every learner sends one bundle to each member of its closed
+    neighbourhood, so there are N + 2|E| pairs, sorted by (sender,
+    receiver): learner i's block lists itself and its neighbours in
+    increasing order. Row e of a round's share table is the bundle of
+    pair e.
+    """
+    e = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2)
+    own = np.arange(1, g.n_nodes + 1, dtype=np.int64)
+    senders = np.concatenate([own, e[:, 0], e[:, 1]])
+    receivers = np.concatenate([own, e[:, 1], e[:, 0]])
+    order = np.lexsort((receivers, senders))
+    return senders[order], receivers[order]
+
+
 def mh_weights(g: RoundTopology, edge_weights: tuple | None = None) -> np.ndarray:
     """Symmetric doubly stochastic weight matrix for a connected graph.
 
@@ -357,24 +374,3 @@ class TopologySchedule:
             [list(e) for e in self.round_graph(t).sorted_edges()]
             for t in range(1, count + 1)
         ]
-
-
-def load_edge_list(path: str, n_nodes: int | None = None) -> RoundTopology:
-    """Read a text edge list, one 'pair i j' of 1-based ids per line."""
-    edges = set()
-    top = 0
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            i, j = (int(tok) for tok in line.split())
-            edges.add((min(i, j), max(i, j)))
-            top = max(top, i, j)
-    return RoundTopology(n_nodes or top, frozenset(edges))
-
-
-def save_edge_list(g: RoundTopology, path: str) -> None:
-    with open(path, "w") as fh:
-        for i, j in g.sorted_edges():
-            fh.write(f"{i} {j}\n")

@@ -1,5 +1,6 @@
 import csv
 import json
+import pathlib
 
 from ppdfl.cli import main
 from ppdfl.field import next_prime
@@ -247,9 +248,62 @@ def test_privacy_transcript_without_state0_exits_config(tmp_path, capsys):
         assert f"round 1 lacks {phase} records of learners 3" in err
 
 
-def test_readme_library_example_runs():
-    import pathlib
+def _demo_messages(tmp_path):
+    """Messages of a configs/demo.json run; its round-1 graph has the edge
+    2-3 and no edge 1-8."""
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+    out = tmp_path / "demo"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    lines = (out / "transcript.jsonl").read_text().splitlines()
+    return [json.loads(ln) for ln in lines]
 
+
+def _bundle_index(msgs, i, j):
+    return next(k for k, m in enumerate(msgs)
+                if (m.get("round"), m.get("phase"), m.get("from"), m.get("to"))
+                == (1, "shares", i, j))
+
+
+def _privacy_error(tmp_path, capsys, msgs):
+    path = tmp_path / "edited.jsonl"
+    path.write_text("".join(json.dumps(m) + "\n" for m in msgs))
+    capsys.readouterr()
+    assert main(["privacy", "--transcript", str(path), "--adversary", "1,5"]) == 2
+    return capsys.readouterr().err
+
+
+def test_privacy_transcript_without_share_bundle_exits_config(tmp_path, capsys):
+    msgs = _demo_messages(tmp_path)
+    del msgs[_bundle_index(msgs, 2, 3)]
+    err = _privacy_error(tmp_path, capsys, msgs)
+    assert "round 1 lacks share bundle 2->3" in err
+
+
+def test_privacy_transcript_duplicate_share_bundle_exits_config(tmp_path, capsys):
+    msgs = _demo_messages(tmp_path)
+    k = _bundle_index(msgs, 2, 3)
+    msgs.insert(k + 1, {**msgs[k], "payload": [v + 1 for v in msgs[k]["payload"]]})
+    err = _privacy_error(tmp_path, capsys, msgs)
+    assert "round 1 repeats share bundle 2->3" in err
+
+
+def test_privacy_transcript_bundle_between_non_neighbours_exits_config(tmp_path, capsys):
+    msgs = _demo_messages(tmp_path)
+    k = _bundle_index(msgs, 1, 6)
+    msgs.insert(k + 1, {**msgs[k], "to": 8})
+    err = _privacy_error(tmp_path, capsys, msgs)
+    assert "round 1 has share bundle 1->8 between learners that are not" in err
+
+
+def test_privacy_transcript_share_bundle_of_wrong_length_exits_config(tmp_path, capsys):
+    msgs = _demo_messages(tmp_path)
+    k = _bundle_index(msgs, 2, 3)
+    msgs[k]["payload"] = msgs[k]["payload"][:-1]
+    err = _privacy_error(tmp_path, capsys, msgs)
+    assert "round 1 share bundle 2->3 carries 2 values, expected 3" in err
+
+
+def test_readme_library_example_runs():
     import ppdfl
 
     for name in ppdfl.__all__:

@@ -6,11 +6,9 @@ import pytest
 
 from ppdfl.consensus import (
     AveragingOperator,
-    BadWeights,
     NoFiniteK,
     consensus_final,
     min_iterations,
-    plain_weighted_aggregate,
 )
 from ppdfl.field import DimensionMismatch
 from ppdfl.topology import DisconnectedGraph, RoundTopology, generate_topology, mh_weights
@@ -189,26 +187,6 @@ def test_rounding_margin_with_residue_initials():
         init = np.array([[rng.randrange(p)] for _ in range(n)], dtype=float)
         final = consensus_final(init, AveragingOperator.from_graph(g), k)
         assert np.max(np.abs(n * final - init.sum())) < 0.5
-
-
-def test_plain_weighted_aggregate():
-    assert np.allclose(plain_weighted_aggregate([[4.0, 1.0]], [1.0]), [4.0, 1.0])
-    assert np.allclose(
-        plain_weighted_aggregate([[1.0], [3.0]], [0.5, 0.5]), [2.0]
-    )
-    models = np.array([[3.0], [6.0], [-3.0]])
-    assert np.allclose(
-        plain_weighted_aggregate(models, [1 / 3, 1 / 3, 1 / 3]), [2.0]
-    )
-
-
-def test_plain_weighted_aggregate_validation():
-    with pytest.raises(BadWeights):
-        plain_weighted_aggregate([[1.0], [2.0]], [0.7, 0.7])
-    with pytest.raises(BadWeights):
-        plain_weighted_aggregate([[1.0], [2.0]], [1.5, -0.5])
-    with pytest.raises(DimensionMismatch):
-        plain_weighted_aggregate([[1.0], [2.0]], [1.0])
 
 
 def test_trajectory_properties():

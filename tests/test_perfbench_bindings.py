@@ -36,4 +36,5 @@ def test_traced_demo_round_records_averaging_span(tmp_path):
     assert protocol.consensus_final is unwrapped
     names = {span[3] for span in tracer.spans}
     assert {"protocol.round", "consensus.averaging", "topology.mh_weights",
-            "topology.lambda2", "consensus.k_select"} <= names
+            "topology.lambda2", "consensus.k_select", "protocol.masking",
+            "sharing.share_gen"} <= names

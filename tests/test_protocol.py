@@ -9,15 +9,13 @@ import numpy as np
 import pytest
 
 from ppdfl import sharing
-from ppdfl.field import PrimeModulus, next_prime
+from ppdfl.field import next_prime
 from ppdfl.fixedpoint import Precision, scaled_trunc
 from ppdfl.protocol import (
     BoundViolation,
     ConfigError,
-    MissingBundle,
     ProtocolConfig,
     RangeViolation,
-    ShareBundle,
     Transcript,
     build_initial_state,
     constant_trainer,
@@ -32,6 +30,7 @@ from ppdfl.topology import (
     RoundTopology,
     TopologySchedule,
     generate_topology,
+    share_pairs,
 )
 
 
@@ -111,26 +110,52 @@ def test_config_json_roundtrip(tmp_path):
 
 
 def test_build_initial_state_self_bundle_only():
-    pm = PrimeModulus(11)
-    b = ShareBundle(1, 1, 1, (7,))
-    assert build_initial_state([b], 1, [1], pm) == [7]
+    _, receivers = share_pairs(RoundTopology(1, frozenset()))
+    s0 = build_initial_state(np.array([[7]], dtype=np.int64), receivers, 11)
+    assert s0.tolist() == [[7]]
 
 
 def test_build_initial_state_modular_sum():
-    pm = PrimeModulus(11)
-    bundles = [
-        ShareBundle(1, 2, 1, (8,)),
-        ShareBundle(2, 2, 1, (5,)),
-        ShareBundle(3, 2, 1, (9,)),
-    ]
-    assert build_initial_state(bundles, 2, [1, 2, 3], pm) == [0]  # 22 mod 11
+    # path 1-2-3: learner 2 receives 8 from 1, 5 from itself and 9 from 3
+    senders, receivers = share_pairs(path3())
+    values = {(1, 1): 1, (1, 2): 8, (2, 1): 2, (2, 2): 5, (2, 3): 3,
+              (3, 2): 9, (3, 3): 4}
+    table = np.array([[values[pair]] for pair in zip(senders.tolist(),
+                                                      receivers.tolist())])
+    s0 = build_initial_state(table, receivers, 11)
+    assert s0.tolist() == [[3], [0], [7]]  # 22 mod 11 at learner 2
 
 
-def test_build_initial_state_missing_bundle():
-    pm = PrimeModulus(11)
-    with pytest.raises(MissingBundle) as err:
-        build_initial_state([ShareBundle(2, 2, 1, (5,))], 2, [1, 2, 3], pm)
-    assert "1" in str(err.value) and "3" in str(err.value)
+def _share_table_graphs():
+    for n in (2, 7, 200):
+        for kind in ("complete", "star", "line"):
+            yield generate_topology(kind, n)
+    for n, degree in ((7, 3.0), (60, 5.0), (200, 4.0)):
+        for seed in range(2):
+            yield generate_topology("random_connected", n, seed=seed,
+                                    avg_degree=degree)
+
+
+@pytest.mark.parametrize("p", [11, 2**31 - 1])
+def test_masking_matches_python_int_sums(p):
+    gen = np.random.default_rng(p)
+    for g in _share_table_graphs():
+        n = g.n_nodes
+        senders, receivers = share_pairs(g)
+        assert len(senders) == n + 2 * len(g.edges)
+        keys = list(zip(senders.tolist(), receivers.tolist()))
+        assert keys == sorted(keys)
+        for i in range(1, n + 1):
+            assert receivers[senders == i].tolist() == sorted((i, *g.neighbors(i)))
+        dim = int(gen.integers(2, 5))
+        for table in (gen.integers(0, p, (len(keys), dim)),
+                      np.full((len(keys), dim), p - 1, dtype=np.int64)):
+            expected = [[0] * dim for _ in range(n)]
+            for (_, j), row in zip(keys, table.tolist()):
+                for l, v in enumerate(row):
+                    expected[j - 1][l] += v
+            expected = [[v % p for v in row] for row in expected]
+            assert build_initial_state(table, receivers, p).tolist() == expected
 
 
 def test_masked_state_sum_matches_encoded_sum():
@@ -276,12 +301,12 @@ def test_share_phase_determinism():
     models = np.linspace(-2, 2, 10).reshape(5, 2)
     rec1 = execute_round(models, g, cfg)
     rec2 = execute_round(models, g, cfg)
-    assert rec1.bundles == rec2.bundles
+    assert np.array_equal(rec1.bundles, rec2.bundles)
     assert np.array_equal(rec1.decoded, rec2.decoded)
 
 
 # sha256 over "sender,receiver:v1,v2,...\n" lines of every share bundle of
-# configs/demo.json rounds 1-2, in send order, as version 0.1.0 produces
+# configs/demo.json rounds 1-2, in share_pairs order, as version 0.1.0 produces
 # them. Seeded runs must stay byte-identical within a version; a change to
 # the share stream has to bump __version__ and this pin together.
 DEMO_BUNDLES_SHA256 = "35da833675ba55d333410082b0d91d391988a209ed1aba5ff63d0630bcfd9d56"
@@ -293,8 +318,8 @@ def test_demo_share_stream_is_pinned():
     cfg.rounds = 2
     digest = hashlib.sha256()
     for rec in run_training(cfg).transcript.rounds:
-        for b in rec.bundles:
-            line = f"{b.sender},{b.receiver}:{','.join(map(str, b.values))}\n"
+        for i, j, values in zip(*share_pairs(rec.topology), rec.bundles.tolist()):
+            line = f"{i},{j}:{','.join(map(str, values))}\n"
             digest.update(line.encode())
     assert digest.hexdigest() == DEMO_BUNDLES_SHA256
 
@@ -387,9 +412,7 @@ def test_transcript_jsonl_roundtrip(tmp_path):
     for orig, back in zip(result.transcript.rounds, loaded.rounds):
         assert back.topology.edges == orig.topology.edges
         assert back.k_used == orig.k_used
-        assert sorted(back.bundles, key=lambda b: (b.sender, b.receiver)) == sorted(
-            orig.bundles, key=lambda b: (b.sender, b.receiver)
-        )
+        assert np.array_equal(back.bundles, orig.bundles)
         assert np.array_equal(back.initial_states, orig.initial_states)
         assert np.array_equal(back.encoded_secrets, orig.encoded_secrets)
         assert np.array_equal(back.rounded, orig.rounded)

@@ -14,9 +14,7 @@ from ppdfl.topology import (
     contraction_radius,
     generate_topology,
     is_connected,
-    load_edge_list,
     mh_weights,
-    save_edge_list,
     second_largest_eigenvalue,
     verify_consensus_conditions,
 )
@@ -225,11 +223,3 @@ def test_schedule_json_roundtrip(tmp_path):
     assert loaded.length == 3
     for t in range(1, 4):
         assert loaded.round_graph(t).edges == sched.round_graph(t).edges
-
-
-def test_edge_list_file_roundtrip(tmp_path):
-    g = generate_topology("random_connected", 9, seed=2, avg_degree=3)
-    path = tmp_path / "graph.txt"
-    save_edge_list(g, str(path))
-    loaded = load_edge_list(str(path), n_nodes=9)
-    assert loaded.edges == g.edges
