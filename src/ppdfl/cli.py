@@ -347,7 +347,7 @@ def bench_share_sweep(n_values, n_nodes=24, avg_degree=8.0, reps=3, seed=0):
     """Wall time of one full round as model dimension grows."""
     from .field import next_prime
     from .protocol import ProtocolConfig, execute_round
-    from .seeding import derive_generator
+    from .seeding import derive_rng
     from .topology import TopologySchedule, generate_topology
 
     g = generate_topology("random_connected", n_nodes, seed=seed,
@@ -367,7 +367,7 @@ def bench_share_sweep(n_values, n_nodes=24, avg_degree=8.0, reps=3, seed=0):
             seed=seed,
             schedule=TopologySchedule.from_graphs([g]),
         )
-        gen = derive_generator(seed, "bench", dim)
+        gen = derive_rng(seed, "bench", dim)
         models = gen.uniform(-theta_max, theta_max, (n_nodes, dim))
         runs.append(functools.partial(execute_round, models, g, cfg,
                                       record_trajectory=False))
@@ -380,13 +380,13 @@ def bench_iteration_sweep(k_values, n_nodes=40, avg_degree=8.0, dim=8,
                           reps=3, seed=0):
     """Wall time of the averaging loop as the iteration count grows."""
     from .consensus import AveragingOperator, consensus_final
-    from .seeding import derive_generator
+    from .seeding import derive_rng
     from .topology import generate_topology
 
     g = generate_topology("random_connected", n_nodes, seed=seed,
                           avg_degree=avg_degree)
     op = AveragingOperator.from_graph(g)
-    gen = derive_generator(seed, "bench-k")
+    gen = derive_rng(seed, "bench-k")
     states = gen.uniform(0.0, 1.0, (n_nodes, dim))
     runs = [functools.partial(consensus_final, states, op, k) for k in k_values]
     times = _mean_times(runs, reps)

@@ -33,6 +33,9 @@ from .topology import (
 # min_iterations.
 UNIT_ROUNDOFF = 2.0**-53
 EIG_SLACK = 8
+# Sent entries per averaging step of one column block: its gather, weight
+# and bin arrays stay at 512 KB each, cache-sized however wide the states.
+_BLOCK_ENTRIES = 2**16
 
 
 class NoFiniteK(ValueError):
@@ -100,6 +103,27 @@ def consensus_final(
             raise DimensionMismatch(
                 f"frames are {frames.shape}, expected {(iterations + 1, n_nodes, dim)}"
             )
+    # Columns average independently, so wide states run in blocks of columns
+    # whose step temporaries hold at most _BLOCK_ENTRIES sent entries.
+    blocks = max(1, -(-len(op.rows) * dim // _BLOCK_ENTRIES))
+    width = max(1, -(-dim // blocks))
+    final = np.empty_like(state)
+    for a in range(0, dim, width):
+        cols = slice(a, a + width)
+        block_frames = None if frames is None else frames[:, :, cols]
+        final[:, cols] = _steps(state[:, cols], op, iterations, block_frames)
+    return final
+
+
+def _steps(
+    state: np.ndarray,
+    op: AveragingOperator,
+    iterations: int,
+    frames: np.ndarray | None,
+) -> np.ndarray:
+    """The K steps of consensus_final on validated states and frames."""
+    dim = state.shape[1]
+    if frames is not None:
         frames[0] = state
     # Flat index row * dim + coordinate of every sent entry's receiver.
     bins = (op.rows[:, None] * dim + np.arange(dim)).ravel()

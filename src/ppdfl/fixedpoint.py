@@ -47,6 +47,19 @@ def scaled_trunc(x: float, prec: Precision) -> int:
     return math.trunc(scaled)
 
 
+def scaled_trunc_array(x: np.ndarray, prec: Precision) -> np.ndarray:
+    """scaled_trunc of every entry of a finite float array, as int64.
+
+    float(scale) is the float Python multiplies by in scaled_trunc, and
+    np.rint rounds ties to even like round(), so each entry snaps and
+    truncates exactly as the scalar rule does.
+    """
+    scaled = np.asarray(x, dtype=float) * float(prec.scale)
+    nearest = np.rint(scaled)
+    snapped = np.abs(scaled - nearest) < _INTEGER_SNAP
+    return np.where(snapped, nearest, np.trunc(scaled)).astype(np.int64)
+
+
 def encode_fixed(x: float, prec: Precision, p: int) -> int:
     """Encode a signed real as a residue; rejects magnitudes past (p-1)/2."""
     scaled = scaled_trunc(x, prec)

@@ -36,8 +36,14 @@ import numpy as np
 
 from .field import PrimeModulus, _reduce_vector, _rref
 from .fixedpoint import signed_residue
-from .sharing import ShareholderSet, interpolation_weights
-from .topology import RoundTopology, TopologySchedule, mh_denominators, share_pairs
+from .sharing import interpolation_weights
+from .topology import (
+    RoundTopology,
+    TopologySchedule,
+    holder_sets,
+    mh_denominators,
+    share_pairs,
+)
 
 # Exhaustive subset enumeration is only sensible for small graphs.
 _ENUM_LIMIT = 16
@@ -340,7 +346,7 @@ def _build_view(
 ) -> _LinearView:
     g: RoundTopology = record.topology
     p: int = cfg.prime
-    modulus = PrimeModulus(p)
+    PrimeModulus(p)  # a transcript's modulus must suit the int64 kernels
     adv = adversaries.ids
     benign = sorted(adversaries.benign)
     coords = list(coordinates)
@@ -376,12 +382,10 @@ def _build_view(
     for m in range(1, max_deg + 1):
         powers[:, m] = powers[:, m - 1] * ids % p
 
-    deltas: dict[int, dict[int, int]] = {}
-    for i in benign:
-        holders = ShareholderSet((i, *g.neighbors(i)))
-        deltas[i] = dict(
-            zip(holders.ids, interpolation_weights(holders, modulus).tolist())
-        )
+    # Every holder set's weights from one batched call, as the round took them.
+    holders = holder_sets(g)
+    weights = interpolation_weights(holders, p).tolist()
+    deltas = {i: dict(zip(holders[i - 1].tolist(), weights[i - 1])) for i in benign}
 
     def put_share(row: np.ndarray, sender: int, holder: int) -> None:
         """Coefficients of sender's weighted share evaluated at holder."""

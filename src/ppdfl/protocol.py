@@ -25,8 +25,8 @@ reduction of that table by receiver. A transcript read back must hold
 exactly one bundle of n values for each of those pairs.
 
 Delivery is in-process and lossless. All randomness is drawn from
-per-(round, learner, coordinate) substreams of the config seed, so results
-are reproducible and independent of scheduling.
+per-(round, learner) numpy Generator substreams of the config seed, so
+results are reproducible and independent of scheduling.
 """
 
 from __future__ import annotations
@@ -45,18 +45,20 @@ from .consensus import (
     termination_inputs,
 )
 from .field import PrimeModulus
-from .fixedpoint import Precision, check_p_bound, decode_residues, scaled_trunc
-from .seeding import derive_generator, derive_rng
-from .sharing import (
-    ShareholderSet,
-    _draw_coefficients,
-    _generate_share_values,
-    interpolation_weights,
+from .fixedpoint import (
+    Precision,
+    check_p_bound,
+    decode_residues,
+    scaled_trunc,
+    scaled_trunc_array,
 )
+from .seeding import derive_rng
+from .sharing import _draw_coefficients, _generate_share_values, interpolation_weights
 from .topology import (
     DisconnectedGraph,
     RoundTopology,
     TopologySchedule,
+    holder_sets,
     is_connected,
     mh_edge_weights,
     mh_weights,
@@ -149,10 +151,6 @@ class ProtocolConfig:
             raise ConfigError(
                 f"schedule covers {length} rounds but {self.rounds} requested"
             )
-
-    @property
-    def modulus(self) -> PrimeModulus:
-        return PrimeModulus(self.prime)
 
     @property
     def precision(self) -> Precision:
@@ -350,16 +348,17 @@ class Transcript:
                     "to": j,
                     "payload": values,
                 }
+            # A learner broadcasts its masked state to all its neighbours:
+            # one record lists them. Older transcripts hold one record per
+            # edge; both read back alike.
             for i in range(1, rec.topology.n_nodes + 1):
-                payload = [int(v) for v in rec.initial_states[i - 1]]
-                for j in rec.topology.neighbors(i):
-                    yield {
-                        "round": t,
-                        "phase": "state0",
-                        "from": i,
-                        "to": j,
-                        "payload": payload,
-                    }
+                yield {
+                    "round": t,
+                    "phase": "state0",
+                    "from": i,
+                    "to": list(rec.topology.neighbors(i)),
+                    "payload": rec.initial_states[i - 1].tolist(),
+                }
             if include_consensus and rec.state_trajectory is not None:
                 for k in range(1, rec.state_trajectory.shape[0]):
                     for i in range(1, rec.topology.n_nodes + 1):
@@ -538,7 +537,6 @@ def execute_round(
     """
     p = cfg.prime
     prec = cfg.precision
-    modulus = cfg.modulus
     n_learners = cfg.n_learners
     arr = np.asarray(models, dtype=float)
     if arr.shape != (n_learners, cfg.model_dim):
@@ -549,7 +547,7 @@ def execute_round(
         raise ValueError("graph size does not match learner count")
     if not is_connected(g):
         raise DisconnectedGraph(f"round {round_index} graph is disconnected")
-    over = np.abs(arr) > cfg.theta_max
+    over = ~(np.abs(arr) <= cfg.theta_max)  # NaN is over too
     if np.any(over):
         i, l = np.argwhere(over)[0]
         raise RangeViolation(
@@ -567,37 +565,35 @@ def execute_round(
     op = AveragingOperator(*edge_weights)
     timings["weights"] = time.perf_counter() - t0
 
-    # Share phase: per coordinate, a fresh polynomial of degree |N_i| over
-    # the closed neighborhood, weighted so the holder-set sum equals the
-    # encoded secret.
+    # Share phase, for the whole round at once: per coordinate, a fresh
+    # polynomial of degree |N_i| over the closed neighborhood, weighted so
+    # the holder-set sum equals the encoded secret. Learner i's
+    # coefficients come from its own (round, learner) substream.
     t0 = time.perf_counter()
-    _, receivers = share_pairs(g)
-    bundles = np.empty((len(receivers), cfg.model_dim), dtype=np.int64)
-    row = 0  # first row of learner i's block; its receivers are holders.ids
-    encoded = np.zeros((n_learners, cfg.model_dim), dtype=np.int64)
-    half = (p - 1) // 2
-    for i in range(1, n_learners + 1):
-        nbrs = g.neighbors(i)
-        holders = ShareholderSet((i, *nbrs))
-        tau = len(nbrs)
-        deltas = interpolation_weights(holders, modulus)
-        for l in range(cfg.model_dim):
-            s = scaled_trunc(cfg.weights[i - 1] * arr[i - 1, l], prec)
-            if abs(s) > half:
-                raise RangeViolation(
-                    f"encoded coordinate {l} of learner {i} leaves the signed "
-                    f"range of modulus {p}"
-                )
-            encoded[i - 1, l] = s % p
-        coeffs = [
-            _draw_coefficients(
-                derive_rng(cfg.seed, "shares", round_index, i, l), tau, p
-            )
-            for l in range(cfg.model_dim)
-        ]
-        raw = _generate_share_values(encoded[i - 1], coeffs, holders.ids, p)
-        bundles[row : row + len(holders.ids)] = (raw * deltas % p).T
-        row += len(holders.ids)
+    holders = holder_sets(g)
+    present = holders > 0
+    receivers = holders[present]
+    scaled = scaled_trunc_array(np.array(cfg.weights)[:, None] * arr, prec)
+    outside = np.abs(scaled) > (p - 1) // 2
+    if np.any(outside):
+        i, l = np.argwhere(outside)[0]
+        raise RangeViolation(
+            f"encoded coordinate {l} of learner {i + 1} leaves the signed "
+            f"range of modulus {p}"
+        )
+    encoded = scaled % p
+    deltas = interpolation_weights(holders, p)
+    degrees = present.sum(axis=1) - 1
+    coeffs = [
+        _draw_coefficients(
+            derive_rng(cfg.seed, "shares", round_index, i), cfg.model_dim, tau, p
+        )
+        for i, tau in enumerate(degrees.tolist(), start=1)
+    ]
+    bundles = _generate_share_values(encoded, coeffs, holders, p)
+    bundles *= deltas[present][:, None]
+    bundles %= p
+    del holders, present, deltas, coeffs  # not held through averaging
     timings["shares"] = time.perf_counter() - t0
 
     # Masking phase.
@@ -707,7 +703,7 @@ def run_training(
     if initial_models is None:
         current = np.empty((n, dim))
         for i in range(1, n + 1):
-            gen = derive_generator(cfg.seed, "init", i)
+            gen = derive_rng(cfg.seed, "init", i)
             current[i - 1] = gen.uniform(-cfg.theta_max / 2, cfg.theta_max / 2, dim)
     else:
         current = np.asarray(initial_models, dtype=float).copy()
@@ -729,7 +725,7 @@ def run_training(
     for t in range(1, cfg.rounds + 1):
         local = np.empty((n, dim))
         for i in range(1, n + 1):
-            gen = derive_generator(cfg.seed, "train", t, i)
+            gen = derive_rng(cfg.seed, "train", t, i)
             local[i - 1] = trainer(i, t, current[i - 1], gen)
         g = cfg.schedule.round_graph(t)
         record = execute_round(

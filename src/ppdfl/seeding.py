@@ -1,7 +1,6 @@
 """Stable derivation of independent RNG substreams from one master seed."""
 
 import hashlib
-import random
 
 import numpy as np
 
@@ -13,9 +12,5 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def derive_rng(*parts) -> random.Random:
-    return random.Random(derive_seed(*parts))
-
-
-def derive_generator(*parts) -> np.random.Generator:
+def derive_rng(*parts) -> np.random.Generator:
     return np.random.default_rng(derive_seed(*parts))

@@ -126,21 +126,27 @@ def mh_edge_weights(
     return rows, cols, weights, diag
 
 
+def holder_sets(g: RoundTopology) -> np.ndarray:
+    """(N, 1 + max degree) int64: row i-1 is learner i's closed neighbourhood
+    in increasing order, padded with zeros (0 is never a learner id)."""
+    rows = [sorted((i, *g.neighbors(i))) for i in range(1, g.n_nodes + 1)]
+    sizes = np.array([len(r) for r in rows])
+    out = np.zeros((g.n_nodes, sizes.max()), dtype=np.int64)
+    out[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(rows)
+    return out
+
+
 def share_pairs(g: RoundTopology) -> tuple[np.ndarray, np.ndarray]:
     """(senders, receivers) of the round's share bundles, 1-based int64.
 
     Every learner sends one bundle to each member of its closed
     neighbourhood, so there are N + 2|E| pairs, sorted by (sender,
-    receiver): learner i's block lists itself and its neighbours in
-    increasing order. Row e of a round's share table is the bundle of
-    pair e.
+    receiver): learner i's block lists row i-1 of holder_sets(g). Row e of
+    a round's share table is the bundle of pair e.
     """
-    e = np.array(g.sorted_edges(), dtype=np.int64).reshape(-1, 2)
-    own = np.arange(1, g.n_nodes + 1, dtype=np.int64)
-    senders = np.concatenate([own, e[:, 0], e[:, 1]])
-    receivers = np.concatenate([own, e[:, 1], e[:, 0]])
-    order = np.lexsort((receivers, senders))
-    return senders[order], receivers[order]
+    holders = holder_sets(g)
+    present = holders > 0
+    return np.nonzero(present)[0] + 1, holders[present]
 
 
 def mh_weights(g: RoundTopology, edge_weights: tuple | None = None) -> np.ndarray:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 from ppdfl.cli import _linear_fit, bench_iteration_sweep, bench_share_sweep
 from ppdfl.consensus import min_iterations
-from ppdfl.field import PrimeModulus, next_prime
+from ppdfl.field import next_prime
 from ppdfl.fixedpoint import Precision, check_p_bound
 from ppdfl.privacy import (
     AdversarySet,
@@ -21,7 +21,6 @@ from ppdfl.privacy import (
 )
 from ppdfl.protocol import ProtocolConfig, Transcript, execute_round, run_training
 from ppdfl.sharing import (
-    ShareholderSet,
     _draw_coefficients,
     _generate_share_values,
     interpolation_weights,
@@ -131,12 +130,11 @@ def test_criterion_3_weight_matrix_properties():
 
 def test_criterion_4_share_secrecy_and_reconstruction():
     p = 11
-    pm = PrimeModulus(p)
-    holders = ShareholderSet((1, 2, 3))
+    holders = (1, 2, 3)
     ok = True
     for tau in (1, 2):
         # joint share distribution over all coefficient vectors, per secret
-        for points in itertools.combinations(holders.ids, tau):
+        for points in itertools.combinations(holders, tau):
             dists = []
             for secret in range(p):
                 counts = {}
@@ -156,13 +154,13 @@ def test_criterion_4_share_secrecy_and_reconstruction():
                 )
                 ok = ok and tv == 0
         # every (tau+1)-subset reconstructs as sum_j w_j H(j) over its weights
-        rng = random.Random(tau)
+        rng = np.random.default_rng(tau)
         for secret in range(p):
-            coeffs = _draw_coefficients(rng, tau, p)
-            (values,) = _generate_share_values([secret], [coeffs], holders.ids, p)
-            shares = dict(zip(holders.ids, values.tolist()))
-            for subset in itertools.combinations(holders.ids, tau + 1):
-                w = interpolation_weights(ShareholderSet(subset), pm).tolist()
+            coeffs = _draw_coefficients(rng, 1, tau, p)
+            values = _generate_share_values([[secret]], [coeffs], [holders], p)
+            shares = dict(zip(holders, values[:, 0].tolist()))
+            for subset in itertools.combinations(holders, tau + 1):
+                w = interpolation_weights(np.array(subset), p).tolist()
                 got = sum(wj * shares[j] for wj, j in zip(w, subset)) % p
                 ok = ok and got == secret
     _report("4 share secrecy by enumeration", ok, "(p=11, tau in {1,2}, TV = 0)")

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from ppdfl import consensus
 from ppdfl.consensus import (
     AveragingOperator,
     NoFiniteK,
@@ -47,6 +48,23 @@ def test_operator_matches_dense_matrix_over_50_steps():
             err = np.max(np.abs(frames[k] - expected)) / np.max(np.abs(expected))
             assert err <= 1e-12, (g.n_nodes, k, err)
             assert np.allclose(frames[k].sum(axis=0), sums, rtol=1e-12, atol=0)
+
+
+def test_column_blocks_match_one_block(monkeypatch):
+    # Columns average independently: running them in blocks, of uneven
+    # widths too, gives the same floats and frames as one block.
+    rng = np.random.default_rng(6)
+    for g in differential_graphs():
+        op = AveragingOperator.from_graph(g)
+        init = rng.uniform(0, 2**31, (g.n_nodes, 37))
+        runs = []
+        for block in (2**62, consensus._BLOCK_ENTRIES, max(1, op.rows.size) * 5):
+            monkeypatch.setattr(consensus, "_BLOCK_ENTRIES", block)
+            frames = np.empty((8, g.n_nodes, 37))
+            runs.append((consensus_final(init, op, 7, frames), frames))
+        for final, frames in runs[1:]:
+            assert np.array_equal(final, runs[0][0])
+            assert np.array_equal(frames, runs[0][1])
 
 
 def test_operator_holds_the_dense_matrix_floats():

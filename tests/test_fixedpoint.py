@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from ppdfl.fixedpoint import (
@@ -9,6 +11,7 @@ from ppdfl.fixedpoint import (
     decode_residues,
     encode_fixed,
     scaled_trunc,
+    scaled_trunc_array,
     signed_residue,
 )
 
@@ -110,3 +113,31 @@ def test_p_bound_theta_threshold():
     ok_lo, _ = check_p_bound(P, 100, S2, 51.02)
     ok_hi, _ = check_p_bound(P, 100, S2, 51.03)
     assert ok_lo and not ok_hi
+
+
+def scalar_rule(x, prec):
+    """trunc toward zero after snapping to an integer within 1e-6, one
+    Python float at a time."""
+    scaled = x * prec.scale
+    nearest = round(scaled)
+    return int(nearest) if abs(scaled - nearest) < 1e-6 else math.trunc(scaled)
+
+
+@pytest.mark.parametrize("sigma", [0, 2, 4])
+def test_scaled_trunc_array_matches_scalar_rule(sigma):
+    prec = Precision(sigma)
+    rng = random.Random(sigma)
+    xs = [1.23, -1.23, -0.375, 0.375, 1.005, -1.005, 2.675, 0.125, 0.0, -0.0,
+          50.0, -50.0, 51.02, -51.02, 0.999999, 1e-9, -1e-9]
+    # Weighted coordinates w * theta with w = 1/N, as the share phase forms them.
+    for n in (3, 7, 100, 1000):
+        xs += [theta / n for theta in (50.0, -50.0, 1.23, -0.375, 12.345)]
+    # Just inside and outside the snap distance of an integer.
+    xs += [(k + d) / prec.scale
+           for k in (-3, 0, 7) for d in (9e-7, 1.1e-6, -9e-7, -1.1e-6)]
+    xs += [rng.uniform(-50, 50) for _ in range(500)]
+    xs += [round(rng.uniform(-50, 50), sigma + 1) for _ in range(500)]
+    got = scaled_trunc_array(np.array(xs).reshape(-1, 1), prec)
+    assert got.dtype == np.int64 and got.shape == (len(xs), 1)
+    assert got[:, 0].tolist() == [scalar_rule(x, prec) for x in xs]
+    assert got[:, 0].tolist() == [scaled_trunc(x, prec) for x in xs]

@@ -37,4 +37,4 @@ def test_traced_demo_round_records_averaging_span(tmp_path):
     names = {span[3] for span in tracer.spans}
     assert {"protocol.round", "consensus.averaging", "topology.mh_weights",
             "topology.lambda2", "consensus.k_select", "protocol.masking",
-            "sharing.share_gen"} <= names
+            "sharing.share_gen", "sharing.interp_weights", "seeding.derive"} <= names

@@ -5,35 +5,24 @@ import random
 import numpy as np
 import pytest
 
-from ppdfl.field import PrimeModulus
+from ppdfl import sharing
 from ppdfl.sharing import (
-    ShareholderSet,
     _draw_coefficients,
     _generate_share_values,
     interpolation_weights,
 )
-
-P11 = PrimeModulus(11)
-
-
-class StubRng:
-    """Feeds fixed coefficient draws to _draw_coefficients."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def randrange(self, *_):
-        return self.values.pop(0)
+from ppdfl.topology import generate_topology, holder_sets
 
 
 def weights(ids, p=11):
-    return interpolation_weights(ShareholderSet(ids), PrimeModulus(p)).tolist()
+    return interpolation_weights(np.array(ids), p).tolist()
 
 
-def share_values(secret, tau, ids, rng, p=11):
-    """H(j) at every id for one secret, with tau drawn coefficients."""
-    coeffs = _draw_coefficients(rng, tau, p)
-    return _generate_share_values([secret], [coeffs], tuple(ids), p)[0].tolist()
+def share_values(secret, tau, ids, gen, p=11):
+    """H(j) at every id for one secret, with tau coefficients drawn from
+    the numpy Generator gen."""
+    coeffs = _draw_coefficients(gen, 1, tau, p)
+    return _generate_share_values([[secret]], [coeffs], [ids], p)[:, 0].tolist()
 
 
 def interpolate_at_zero(shares, p=11):
@@ -44,12 +33,14 @@ def interpolate_at_zero(shares, p=11):
 
 def test_holder_set_validation():
     with pytest.raises(ValueError):
-        ShareholderSet(())
+        weights((1, 1))
     with pytest.raises(ValueError):
-        ShareholderSet((0, 1))
+        weights((-1, 2))
     with pytest.raises(ValueError):
-        ShareholderSet((1, 1))
-    assert ShareholderSet((3, 1, 2)).ids == (1, 2, 3)
+        weights((3, 11))
+    # Zeros are padding, and a set's slot order does not matter.
+    assert weights((0, 1, 2, 0)) == [0] + weights((1, 2)) + [0]
+    assert weights((3, 1, 2)) == [1, 3, 8]
 
 
 def test_delta_singleton_is_empty_product():
@@ -71,97 +62,139 @@ def test_delta_interpolates_constant_one():
     rng = random.Random(2)
     for _ in range(20):
         ids = tuple(sorted(rng.sample(range(1, 11), rng.randrange(1, 6))))
-        w = interpolation_weights(ShareholderSet(ids), P11)
-        assert int(w.sum()) % 11 == 1
+        assert sum(weights(ids)) % 11 == 1
 
 
 def reference_weights(ids, p):
     """Lagrange weights at zero straight from the definition, one
-    inversion per factor."""
+    inversion per holder."""
     out = []
     for j in ids:
-        w = 1
+        num = den = 1
         for k in ids:
             if k != j:
-                w = w * k * pow(k - j, -1, p) % p
-        out.append(w)
+                num, den = num * k % p, den * (k - j) % p
+        out.append(num * pow(den, -1, p) % p)
     return out
 
 
-@pytest.mark.parametrize("p", [11, 2**31 - 1])
+def padded(sets):
+    """The sets as rows of one int64 batch, zero-padded to the widest."""
+    out = np.zeros((len(sets), max(map(len, sets))), dtype=np.int64)
+    for row, ids in zip(out, sets):
+        row[: len(ids)] = ids
+    return out
+
+
+def graph_holder_sets(p):
+    """Closed neighbourhoods of random, star, complete and line graphs, on
+    as many nodes as fit below p, up to 200."""
+    for n in sorted({3, 7, min(p - 1, 60), min(p - 1, 200)}):
+        for kind, extra in (("random_connected", {"avg_degree": min(4.0, n - 1)}),
+                            ("star", {}), ("complete", {}), ("line", {})):
+            yield holder_sets(generate_topology(kind, n, seed=n, **extra))
+
+
+@pytest.mark.parametrize("p", [11, 1020431, 2**31 - 1])
 def test_interpolation_weights_match_definition(p):
     rng = random.Random(p)
     top = min(p - 1, 1000)
     sizes = [1, 1, 2, 3, 5, 8, 10, min(top, 97)]
     sizes += [rng.randrange(1, 11) for _ in range(30)]
-    for size in sizes:
-        ids = tuple(sorted(rng.sample(range(1, top + 1), size)))
-        weights = interpolation_weights(ShareholderSet(ids), PrimeModulus(p))
-        assert weights.dtype == np.int64
-        assert weights.tolist() == reference_weights(ids, p)
+    sets = [rng.sample(range(1, top + 1), size) for size in sizes]
+    batches = [padded(sets), *graph_holder_sets(p)]
+    if p > 2**30:
+        # ids near p give factors near p: the least room for lazy reduction
+        batches.append(padded([[p - 1, p - 2, 1, 2], [p - 1], [p - 3, p - 5]]))
+    for batch in batches:
+        got = interpolation_weights(batch, p)
+        assert got.dtype == np.int64 and got.shape == batch.shape
+        # Each distinct set once: a complete graph repeats one set N times.
+        rows = {tuple(ids): row for row, ids in zip(got.tolist(), batch.tolist())}
+        for ids, row in rows.items():
+            kept = [x for x in ids if x]
+            assert [w for w, x in zip(row, ids) if x] == reference_weights(kept, p)
+            assert all(w == 0 for w, x in zip(row, ids) if not x)
 
 
-@pytest.mark.parametrize("p", [11, 2**31 - 1])
-def test_share_values_match_direct_evaluation(p):
+@pytest.mark.parametrize("p", [11, 1020431, 2**31 - 1])
+def test_share_values_match_direct_evaluation(p, monkeypatch):
+    # Batches of zero-padded holder sets whose polynomials differ in degree,
+    # run whole and in blocks of a few sets, against Python-int evaluation
+    # at every holder; padded columns are dropped.
     rng = random.Random(p + 1)
     top = min(p - 1, 1000)
-    for _ in range(20):
-        ids = tuple(sorted(rng.sample(range(1, top + 1), rng.randrange(1, 10))))
+    for trial in range(20):
+        sets = [rng.sample(range(1, top + 1), rng.randrange(1, 10))
+                for _ in range(rng.randrange(1, 6))]
+        if p > 2**30:
+            sets.append([p - 1, p - 2])
+        ids = padded(sets)
+        if trial % 4 == 0:  # padding need not trail
+            ids = ids[:, ::-1].copy()
         n, tau = rng.randrange(1, 5), rng.randrange(0, 12)
-        secrets = [rng.randrange(p) for _ in range(n)]
-        coeffs = [[rng.randrange(p) for _ in range(tau)] for _ in range(n)]
-        got = _generate_share_values(secrets, coeffs, ids, p)
-        assert got.shape == (n, len(ids))
+        secrets = [[rng.randrange(p) for _ in range(n)] for _ in sets]
+        coeffs = [[[rng.randrange(p) for _ in range(max(0, tau - k))]
+                   for _ in range(n)] for k in range(len(sets))]
         expected = [
-            [(s + sum(c * x ** (m + 1) for m, c in enumerate(cs))) % p for x in ids]
-            for s, cs in zip(secrets, coeffs)
+            [(s + sum(c * x ** (m + 1) for m, c in enumerate(cs))) % p
+             for s, cs in zip(ss, css)]
+            for ss, css, xs in zip(secrets, coeffs, ids.tolist()) for x in xs if x
         ]
-        assert got.tolist() == expected
+        for block in (sharing._BLOCK_ENTRIES, 1, 3 * n * ids.shape[1]):
+            monkeypatch.setattr(sharing, "_BLOCK_ENTRIES", block)
+            got = _generate_share_values(secrets, coeffs, ids, p)
+            assert got.dtype == np.int64 and got.shape == (sum(map(len, sets)), n)
+            assert got.tolist() == expected
 
 
 def test_share_values_hand_polynomial():
     # H(x) = 5 + 3x over GF(11) at points 1, 2, 3
-    assert share_values(5, 1, (1, 2, 3), StubRng([3])) == [8, 0, 3]
+    got = _generate_share_values([[5]], [[[3]]], [[1, 2, 3]], 11)
+    assert got.tolist() == [[8], [0], [3]]
 
 
 def test_share_values_constant_term_is_secret():
     rng = random.Random(4)
+    gen = np.random.default_rng(4)
     for _ in range(25):
         p = rng.choice([11, 101, 1020431])
         secret = rng.randrange(p)
         ids = tuple(sorted(rng.sample(range(1, 10), rng.randrange(2, 6))))
         tau = rng.randrange(1, len(ids))
-        values = share_values(secret, tau, ids, rng, p)
+        values = share_values(secret, tau, ids, gen, p)
         # interpolate from all shares: the polynomial's value at zero
         assert interpolate_at_zero(dict(zip(ids, values)), p) == secret
 
 
 def test_share_values_single_holder_is_the_secret():
     # a lone holder gets a degree-0 polynomial: no draws, share == secret
-    assert _draw_coefficients(random.Random(0), 0, 11) == []
-    assert share_values(6, 0, (1,), random.Random(0)) == [6]
+    assert _draw_coefficients(np.random.default_rng(0), 1, 0, 11).shape == (1, 0)
+    assert share_values(6, 0, (1,), np.random.default_rng(0)) == [6]
     assert interpolate_at_zero({1: 6}) == 6
 
 
 def test_draw_coefficients_deterministic_per_seed():
     ids = (1, 2, 5)
-    a = _draw_coefficients(random.Random(99), 2, 11)
-    b = _draw_coefficients(random.Random(99), 2, 11)
-    c = _draw_coefficients(random.Random(100), 2, 11)
-    assert a == b
-    assert a != c
-    assert share_values(7, 2, ids, random.Random(99)) == share_values(
-        7, 2, ids, random.Random(99)
+
+    def draw(seed):
+        return _draw_coefficients(np.random.default_rng(seed), 3, 2, 11)
+
+    assert draw(99).shape == (3, 2) and draw(99).dtype == np.int64
+    assert np.array_equal(draw(99), draw(99))
+    assert not np.array_equal(draw(99), draw(100))
+    assert share_values(7, 2, ids, np.random.default_rng(99)) == share_values(
+        7, 2, ids, np.random.default_rng(99)
     )
-    assert share_values(7, 2, ids, random.Random(99)) != share_values(
-        7, 2, ids, random.Random(100)
+    assert share_values(7, 2, ids, np.random.default_rng(99)) != share_values(
+        7, 2, ids, np.random.default_rng(100)
     )
 
 
 def weighted(raw, ids, p=11):
     """Each raw share times its holder's interpolation weight, as
     execute_round weights them."""
-    w = interpolation_weights(ShareholderSet(ids), PrimeModulus(p))
+    w = interpolation_weights(np.array(ids), p)
     return (np.asarray(raw, dtype=np.int64) * w % p).tolist()
 
 
@@ -175,10 +208,11 @@ def test_weighted_shares_hand_values():
 
 def test_weighted_share_sum_equals_secret_for_full_degree():
     rng = random.Random(8)
+    gen = np.random.default_rng(8)
     for _ in range(25):
         ids = tuple(sorted(rng.sample(range(1, 11), rng.randrange(2, 6))))
         secret = rng.randrange(11)
-        raw = share_values(secret, len(ids) - 1, ids, rng)
+        raw = share_values(secret, len(ids) - 1, ids, gen)
         assert sum(weighted(raw, ids)) % 11 == secret
 
 
@@ -197,14 +231,16 @@ def test_reconstruct_too_few():
     # tau shares of a degree-tau polynomial interpolate to
     # s - c_tau (-1)^tau prod_j x_j, which misses s unless c_tau == 0
     rng = random.Random(17)
+    gen = np.random.default_rng(17)
     for _ in range(30):
         ids = tuple(sorted(rng.sample(range(1, 11), rng.randrange(2, 6))))
         tau = rng.randrange(1, len(ids))
         secret = rng.randrange(11)
-        coeffs = _draw_coefficients(rng, tau, 11)
+        (coeffs,) = _draw_coefficients(gen, 1, tau, 11).tolist()
         if rng.random() < 0.3:
             coeffs[-1] = 0
-        (values,) = _generate_share_values([secret], [coeffs], ids, 11).tolist()
+        values = _generate_share_values([[secret]], [[coeffs]], [ids], 11)[:, 0]
+        values = values.tolist()
         shares = dict(zip(ids, values))
         for subset in itertools.combinations(ids, tau):
             got = interpolate_at_zero({j: shares[j] for j in subset})
@@ -216,11 +252,12 @@ def test_reconstruct_too_few():
 def test_reconstruction_exhaustive_over_subsets():
     # every subset of size >= tau+1 recovers the secret
     rng = random.Random(13)
+    gen = np.random.default_rng(13)
     for _ in range(15):
         ids = tuple(sorted(rng.sample(range(1, 11), rng.randrange(3, 7))))
         tau = rng.randrange(1, len(ids))
         secret = rng.randrange(11)
-        shares = dict(zip(ids, share_values(secret, tau, ids, rng)))
+        shares = dict(zip(ids, share_values(secret, tau, ids, gen)))
         for size in range(tau + 1, len(ids) + 1):
             for subset in itertools.combinations(ids, size):
                 assert interpolate_at_zero({j: shares[j] for j in subset}) == secret
@@ -243,8 +280,8 @@ def enumerate_share_distribution(secret, tau, holders, points):
 @pytest.mark.parametrize("tau", [1, 2])
 def test_perfect_secrecy_by_enumeration(tau):
     """Any tau shares have a secret-independent joint distribution (exact)."""
-    holders = ShareholderSet((1, 2, 3))
-    for points in itertools.combinations(holders.ids, tau):
+    holders = (1, 2, 3)
+    for points in itertools.combinations(holders, tau):
         baseline = enumerate_share_distribution(0, tau, holders, points)
         for secret in range(1, 11):
             dist = enumerate_share_distribution(secret, tau, holders, points)
