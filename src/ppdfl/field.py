@@ -5,9 +5,10 @@ so every result is exact. PrimeModulus validates p and caps it below
 2**31, so a product of two residues stays below 2**62 in int64 and a
 residue is exact as a double.
 
-Row reduction (_rref, _reduce_vector) works on int64 arrays and reduces
-mod p after every product. It never uses an int64 dot or matmul: those
-sum products before reducing and would overflow silently.
+Row reduction (_rref, _reduce_vector) works on int64 arrays, with
+_reduce_vector's pivot rows given sparse, and reduces mod p after every
+product. It never uses an int64 dot or matmul: those sum products before
+reducing and would overflow silently.
 """
 
 from __future__ import annotations
@@ -83,32 +84,41 @@ def _inverse_int(a: int, p: int) -> int:
     return s0 % p
 
 
+def _leading(rows: np.ndarray, offset: int, empty: int) -> np.ndarray:
+    """offset plus the column of each row's first nonzero; empty for a zero row."""
+    nonzero = rows != 0
+    first = nonzero.argmax(axis=1) if rows.shape[1] else 0
+    return np.where(nonzero.any(axis=1), offset + first, empty)
+
+
 def _rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of matrix mod p; returns (rows, pivot cols).
 
     Gauss-Jordan on an int64 copy, reducing mod p after every product, so
     no intermediate exceeds 2**62 for p < 2**31. The reduced echelon form
     is unique, so the order rows are taken in changes only the work: rows
-    go sparsest first, which keeps sparse pivot rows from filling in. Each
-    pivot step touches only the rows with a nonzero in the pivot column,
-    and in them only the columns from the pivot on (the pivot row is zero
-    to its left), narrowed to the pivot row's nonzero columns when those
-    are under half of them.
+    go sparsest first, which keeps sparse pivot rows from filling in. The
+    rows not yet pivoted are zero left of the last pivot column, so the
+    next pivot column is the leftmost leading nonzero among them, and only
+    pivot columns are visited. Each pivot step touches only the rows with
+    a nonzero in the pivot column, and in them only the columns from the
+    pivot on (the pivot row is zero to its left), narrowed to the pivot
+    row's nonzero columns when those are under half of them.
     """
-    a = np.asarray(matrix, dtype=np.int64) % p
+    a = np.asarray(matrix, dtype=np.int64)
     a = a[np.argsort(np.count_nonzero(a, axis=1), kind="stable")]
+    np.remainder(a, p, out=a)
     n_rows, n_cols = a.shape
+    lead = _leading(a, 0, n_cols)
     pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
+    for r in range(n_rows):
+        pr = r + int(np.argmin(lead[r:]))
+        c = int(lead[pr])
+        if c == n_cols:
             break
-        below = np.flatnonzero(a[r:, c])
-        if not below.size:
-            continue
-        pr = r + int(below[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
+            lead[[r, pr]] = lead[[pr, r]]
         a[r, c:] = a[r, c:] * _inverse_int(int(a[r, c]), p) % p
         hit = np.flatnonzero(a[:, c])
         hit = hit[hit != r]
@@ -122,20 +132,21 @@ def _rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
             block -= a[hit, c, None] * a[r, idx[1]]
             np.remainder(block, p, out=block)
             a[idx] = block
+            below = hit[hit > r]
+            lead[below] = _leading(a[below, c + 1:], c + 1, n_cols)
         pivots.append(c)
-        r += 1
     return a, pivots
 
 
-def _reduce_vector(vec, rows: np.ndarray, pivots: list[int], p: int) -> np.ndarray:
-    """Reduce vec against RREF rows; zero residual means membership.
+def _reduce_vector(vec, rows, pivots: list[int], p: int) -> np.ndarray:
+    """Reduce vec against RREF pivot rows; zero residual means membership.
 
-    Each row is zero left of its pivot, so only columns from it on change.
+    Each row comes sparse, as (its nonzero columns, their values), so only
+    those entries of vec change.
     """
     v = np.asarray(vec, dtype=np.int64) % p
-    for row, c in zip(rows, pivots):
+    for (cols, vals), c in zip(rows, pivots):
         f = int(v[c])
         if f:
-            v[c:] -= f * row[c:]
-            np.remainder(v[c:], p, out=v[c:])
+            v[cols] = (v[cols] - f * vals) % p
     return v

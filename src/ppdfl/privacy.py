@@ -1,13 +1,19 @@
 """Exactly what a semi-honest coalition learns from a run.
 
 The coalition pools every message its members saw. Each observation is a
-GF(p)-linear equation over the benign learners' encoded secrets and their
-share-polynomial coefficients, so the whole analysis reduces to exact rank
-computations: assemble the observations as rows, reduce, and test which
-target functionals of the secrets fall inside the row space. Both answers
-are proofs -- "inferable" comes with the reconstructed value, and "not
-inferable" certifies that no linear post-processing of the view reveals
-the functional.
+GF(p)-linear equation over the benign learners' share values -- learner
+j's polynomial evaluated at each member of its closed neighbourhood --
+so the whole analysis reduces to exact rank computations: assemble the
+observations as rows, reduce, and test which target functionals of the
+secrets fall inside the row space. A secret is the interpolation-weighted
+sum of its learner's share values, and share values are an invertible
+Vandermonde image of the secret and polynomial coefficients, so the
+answers are those of the system over secrets and coefficients (see
+_build_view). In these unknowns a handed share is a one-entry row and no
+two masked-state rows share an unknown, so the system is block-sparse and
+row-reduces fast. Both answers are proofs -- "inferable" comes with the
+reconstructed value, and "not inferable" certifies that no linear
+post-processing of the view reveals the functional.
 
 A connected group of benign learners whose every outside contact is
 adversarial ("surrounded") leaks exactly its summed model: the coalition
@@ -233,27 +239,37 @@ def secrecy_cross_check(g: RoundTopology, adversaries: AdversarySet) -> bool:
 class _LinearView:
     """Reduced GF(p) system of everything the coalition observed.
 
-    Unknown columns are the benign encoded secrets followed by every
-    benign polynomial coefficient; one column of observed values per
-    audited coordinate follows them. Only those last columns depend on the
-    coordinate, so one reduction serves every coordinate. infer() decides
-    membership of a secret-space functional in the row space and evaluates
-    it at every coordinate when present.
+    Unknown columns are the benign learners' share values: learner j's
+    block holds y[j, i] = f_j(i) for each member i of its closed
+    neighbourhood. One column of observed values per audited coordinate
+    follows them. Only those last columns depend on the coordinate, so one
+    reduction serves every coordinate. A secret is x_j = f_j(0) =
+    sum_i delta_ji * y[j, i], with the interpolation weights delta of j's
+    holder set; infer() maps a secret-space functional into share values
+    that way, decides its membership in the row space and evaluates it at
+    every coordinate when present.
+
+    Only the pivot rows are kept, each as (nonzero columns, values): the
+    dense system is dropped once reduced.
     """
 
-    def __init__(self, p: int, benign: list[int], n_unknowns: int,
+    def __init__(self, p: int, blocks: dict[int, slice], delta: np.ndarray,
                  coordinates: tuple[int, ...], system: np.ndarray):
         self.p = p
-        self.benign = benign
-        self.secret_col = {i: idx for idx, i in enumerate(benign)}
-        self.n_unknowns = n_unknowns
+        self.blocks = blocks
+        self.delta = delta
+        self.n_unknowns = len(delta)
         self.coordinates = coordinates
         rows, self._pivots = _rref(system, p)
-        if any(c >= n_unknowns for c in self._pivots):
+        if any(c >= self.n_unknowns for c in self._pivots):
             raise TranscriptIncomplete(
                 "observation system is inconsistent; transcript is corrupt"
             )
-        self._rows = rows[: len(self._pivots)]
+        self._rows = [
+            (cols, row[cols])
+            for row in rows[: len(self._pivots)]
+            for cols in [np.flatnonzero(row)]
+        ]
 
     def infer(
         self, functional: Mapping[int, int]
@@ -262,7 +278,8 @@ class _LinearView:
         every audited coordinate."""
         vec = np.zeros(self.n_unknowns + len(self.coordinates), dtype=np.int64)
         for i, coeff in functional.items():
-            vec[self.secret_col[i]] = coeff % self.p
+            block = self.blocks[i]
+            vec[block] = coeff % self.p * self.delta[block] % self.p
         residual = _reduce_vector(vec, self._rows, self._pivots, self.p)
         if residual[: self.n_unknowns].any():
             return False, None
@@ -344,11 +361,39 @@ def _build_view(
     coordinates: tuple[int, ...],
     mode: str,
 ) -> _LinearView:
+    """The coalition's observations as one GF(p) system over share values.
+
+    Each benign learner j contributes deg_j + 1 unknowns, its share values
+    y[j, i] = f_j(i) at the members i of its closed neighbourhood (row j of
+    topology.holder_sets), in share_pairs order. The rows are:
+
+    - the aggregate, sum_j x_j, with x_j = sum_i delta_ji * y[j, i];
+    - each weighted share a benign j handed to a coalition member a: one
+      nonzero, delta_ja at y[j, a];
+    - each benign i's masked state less the coalition's bundles to it:
+      delta_ji at y[j, i] for every benign j in N[i]. No two of these rows
+      share an unknown.
+
+    Observed mode replaces the masked-state rows by the combinations of
+    them that the coalition's seats span.
+
+    The answers are exactly those of the system over the secrets and
+    polynomial coefficients. f_j has degree deg_j, and its deg_j + 1
+    evaluation points are distinct ids in [1, N], all below p
+    (interpolation_weights refuses any other holder set), so the map
+    from (x_j, c_j1, ..., c_jdeg_j) to j's share values is an invertible
+    Vandermonde matrix V_j; let V be the block diagonal of all V_j. A row b
+    over share values is the row b V over coefficients, with the same
+    right-hand side, and a target t is t V there. As V is invertible, t
+    lies in the span of the rows b_r iff t V lies in the span of the b_r V,
+    by the same combination and so with the same value, and a combination
+    of rows vanishes in one basis iff it vanishes in the other, so the
+    system is inconsistent in one iff in the other.
+    """
     g: RoundTopology = record.topology
     p: int = cfg.prime
     PrimeModulus(p)  # a transcript's modulus must suit the int64 kernels
-    adv = adversaries.ids
-    benign = sorted(adversaries.benign)
+    benign = np.array(sorted(adversaries.benign), dtype=np.int64)
     coords = list(coordinates)
     if mode not in ("worst_case", "observed"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -360,45 +405,28 @@ def _build_view(
             f"round {record.round_index} records {len(table)} share bundles, "
             f"its graph sends {len(senders)}"
         )
-    # share_pairs sorts by (sender, receiver), so these keys are sorted too.
-    pair_keys = senders * (g.n_nodes + 1) + receivers
+    coalition = np.zeros(g.n_nodes + 1, dtype=bool)
+    coalition[list(adversaries.ids)] = True
 
-    def bundle(i: int, j: int) -> np.ndarray:
-        return table[np.searchsorted(pair_keys, i * (g.n_nodes + 1) + j), coords]
-
-    # Columns: every benign secret, then each benign learner's coefficients
-    # of x^1..x^deg in one block.
-    x_col = {i: k for k, i in enumerate(benign)}
-    c_col: dict[int, int] = {}
-    n_unknowns = len(benign)
-    for i in benign:
-        c_col[i] = n_unknowns
-        n_unknowns += g.degree(i)
-
-    # powers[x, m] = x^m mod p
-    max_deg = max(g.degree(i) for i in benign)
-    ids = np.arange(g.n_nodes + 1, dtype=np.int64) % p
-    powers = np.ones((g.n_nodes + 1, max_deg + 1), dtype=np.int64)
-    for m in range(1, max_deg + 1):
-        powers[:, m] = powers[:, m - 1] * ids % p
-
-    # Every holder set's weights from one batched call, as the round took them.
+    # Every holder set's weights from one batched call, as the round took
+    # them; flattened, they line up with share_pairs.
     holders = holder_sets(g)
-    weights = interpolation_weights(holders, p).tolist()
-    deltas = {i: dict(zip(holders[i - 1].tolist(), weights[i - 1])) for i in benign}
+    pair_delta = interpolation_weights(holders, p)[holders > 0]
+    # Unknown k is the share value the k-th benign pair carries: owner[k]'s
+    # polynomial evaluated at holder[k].
+    benign_pairs = np.flatnonzero(~coalition[senders])
+    owner, holder = senders[benign_pairs], receivers[benign_pairs]
+    delta = pair_delta[benign_pairs]
+    n_unknowns = len(delta)
+    starts = np.searchsorted(owner, benign).tolist()
+    stops = np.searchsorted(owner, benign, side="right").tolist()
+    blocks = {j: slice(a, b) for j, a, b in zip(benign.tolist(), starts, stops)}
 
-    def put_share(row: np.ndarray, sender: int, holder: int) -> None:
-        """Coefficients of sender's weighted share evaluated at holder."""
-        d = deltas[sender][holder]
-        deg = g.degree(sender)
-        row[x_col[sender]] = d
-        row[c_col[sender] : c_col[sender] + deg] = d * powers[holder, 1 : deg + 1] % p
-
-    handed = [(i, j) for i in benign for j in g.neighbors(i) if j in adv]
+    handed = np.flatnonzero(coalition[holder])
     if mode == "worst_case":
         n_state_rows = len(benign)
     else:
-        restriction = _observed_restriction(g, adversaries, benign, p)
+        restriction = _observed_restriction(g, adversaries, benign.tolist(), p)
         n_state_rows = len(restriction)
     first_s0 = 1 + len(handed)
     system = np.zeros(
@@ -408,29 +436,28 @@ def _build_view(
 
     # The aggregate output is known to every participant; the coalition
     # subtracts its own inputs.
-    system[0, : len(benign)] = 1
-    own = sum(record.encoded_secrets[a - 1][coords] for a in adv)
+    system[0, :n_unknowns] = delta
+    own = record.encoded_secrets[coalition[1:]][:, coords].sum(axis=0)
     rhs[0] = (record.rounded[0][coords] - own) % p
 
     # Weighted shares handed directly to coalition members.
-    for r, (i, j) in enumerate(handed, start=1):
-        put_share(system[r], i, j)
-        rhs[r] = bundle(i, j) % p
+    system[np.arange(1, first_s0), handed] = delta[handed]
+    rhs[1:first_s0] = table[np.ix_(benign_pairs[handed], coords)] % p
 
     # State-layer credit: each benign masked state, minus the coalition's
-    # own contributions, is a sum of benign share evaluations.
+    # own bundles to it, is a sum of benign share evaluations.
     if mode == "worst_case":
         s0 = system[first_s0:]
     else:
         s0 = np.zeros((len(benign), system.shape[1]), dtype=np.int64)
-    for row, i in zip(s0, benign):
-        known = np.zeros(len(coords), dtype=np.int64)
-        for j in (i, *g.neighbors(i)):
-            if j in adv:
-                known += bundle(j, i)
-            else:
-                put_share(row, j, i)
-        row[n_unknowns:] = (record.initial_states[i - 1][coords] - known) % p
+    rank = np.zeros(g.n_nodes + 1, dtype=np.int64)  # benign i is s0 row rank[i]
+    rank[benign] = np.arange(len(benign))
+    kept = np.flatnonzero(~coalition[holder])
+    s0[rank[holder[kept]], kept] = delta[kept]
+    into = np.flatnonzero(coalition[senders] & ~coalition[receivers])
+    known = np.zeros((len(benign), len(coords)), dtype=np.int64)
+    np.add.at(known, rank[receivers[into]], table[np.ix_(into, coords)] % p)
+    s0[:, n_unknowns:] = (record.initial_states[benign - 1][:, coords] - known) % p
 
     if mode == "observed":
         for row, comb in zip(system[first_s0:], restriction):
@@ -441,7 +468,7 @@ def _build_view(
                     row += coeff * srow
                     np.remainder(row, p, out=row)
 
-    return _LinearView(p, benign, n_unknowns, coordinates, system)
+    return _LinearView(p, blocks, delta, coordinates, system)
 
 
 @dataclass

@@ -24,9 +24,14 @@ def rank(rows, p):
     return len(_rref(rows, p)[1])
 
 
+def sparse(rows):
+    """Pivot rows in the form _reduce_vector takes: (nonzero columns, values)."""
+    return [(cols, row[cols]) for row in rows for cols in [np.flatnonzero(row)]]
+
+
 def spans(rows, vector, p):
     reduced, pivots = _rref(rows, p)
-    return not _reduce_vector(vector, reduced[: len(pivots)], pivots, p).any()
+    return not _reduce_vector(vector, sparse(reduced[: len(pivots)]), pivots, p).any()
 
 
 def reference_rref(rows, p):
@@ -219,7 +224,7 @@ def test_rref_matches_python_int_reference(p):
                     vec = (vec + f * row) % p
             else:
                 vec = rng.integers(0, p, size=n_cols, dtype=np.int64)
-            residual = _reduce_vector(vec, basis, pivots, p)
+            residual = _reduce_vector(vec, sparse(basis), pivots, p)
             assert residual.tolist() == reference_reduce(
                 vec.tolist(), ref_basis, ref_pivots, p
             )

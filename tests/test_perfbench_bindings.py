@@ -4,7 +4,7 @@ bind. A rename on the program side must fail here, not crash traced runs."""
 import importlib.util
 import pathlib
 
-from ppdfl import protocol
+from ppdfl import privacy, protocol
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -38,3 +38,27 @@ def test_traced_demo_round_records_averaging_span(tmp_path):
     assert {"protocol.round", "consensus.averaging", "topology.mh_weights",
             "topology.lambda2", "consensus.k_select", "protocol.masking",
             "sharing.share_gen", "sharing.interp_weights", "seeding.derive"} <= names
+
+
+def test_traced_audit_records_analyzer_spans(tmp_path):
+    tracing = _load("tracing")
+    workloads = _load("workloads")
+    unwrapped = (privacy._rref, privacy._reduce_vector, privacy._build_view)
+    tracer = tracing.Tracer()
+    workloads.install_layers(tracer)
+    try:
+        work = workloads.make("audit_ref", 7, ROOT, tmp_path, tracer.span)
+        work.setup()
+        (coordinate,) = work.keys
+        tracer.begin(1)
+        out = work.run(coordinate)
+        tracer.end()
+        work.check(coordinate, out)
+    finally:
+        tracer.restore()
+    assert (privacy._rref, privacy._reduce_vector, privacy._build_view) == unwrapped
+    names = {span[3] for span in tracer.spans}
+    assert {"protocol.transcript_read", "privacy.infer", "privacy.build_view",
+            "sharing.interp_weights", "field.rref", "field.reduce"} <= names
+    assert tracer.counts["privacy.unknowns"] == 8623
+    assert tracer.counts["privacy.rows"] == 272
