@@ -132,17 +132,28 @@ def _load_config(path: str, seed_override=None):
     return ProtocolConfig.from_dict(raw, base_dir=os.path.dirname(path) or ".")
 
 
-def _schedule_digest(cfg) -> str:
-    blob = json.dumps(cfg.schedule.to_json(cfg.rounds), separators=(",", ":"))
+def _schedule_digest(graphs) -> str:
+    """sha256 of the rounds' edge lists; graphs are the ones the run used, so
+    no graph is generated again."""
+    from .topology import TopologySchedule
+
+    edges = TopologySchedule.from_graphs(graphs).to_json()
+    blob = json.dumps(edges, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _write_manifest(path: str, cfg, timings: dict) -> None:
+def _write_manifest(path: str, cfg, graphs, timings: dict) -> None:
+    """The run's config and the digest of the graphs it ran on."""
+    from dataclasses import fields
+
     from . import __version__
 
+    # cfg.to_dict() less its schedule, whose edge lists would generate
+    # every round's graph again.
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "schedule"}
     manifest = {
-        "config": cfg.to_dict(),
-        "schedule_digest": _schedule_digest(cfg),
+        "config": config,
+        "schedule_digest": _schedule_digest(graphs),
         "seed": cfg.seed,
         "timings": timings,
         "version": __version__,
@@ -191,6 +202,7 @@ def _cmd_simulate(args) -> int:
     with open(os.path.join(args.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
     _write_manifest(os.path.join(args.out, "manifest.json"), cfg,
+                    [rec.topology for rec in result.transcript.rounds],
                     {"total_seconds": elapsed})
 
     deviation = summary["max_deviation"]

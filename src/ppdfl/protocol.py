@@ -21,7 +21,8 @@ current communication graph:
 The round's bundles form one int64 share table of N + 2|E| rows: row e is
 the bundle of the e-th (sender, receiver) pair of topology.share_pairs,
 and the graph alone fixes who sends what to whom. Masking is one
-reduction of that table by receiver. A transcript read back must hold
+reduction of that table by receiver. A transcript stores learner i's
+block of the table as one shares record, and read back it must hold
 exactly one bundle of n values for each of those pairs.
 
 Delivery is in-process and lossless. All randomness is drawn from
@@ -258,67 +259,127 @@ class RoundRecord:
 
 
 def _collect_message(per_round: dict[int, dict], msg: dict) -> None:
-    """File one transcript message under its round; KeyError on a missing field."""
+    """File one transcript message under its round; KeyError on a missing
+    field, ValueError on a record that repeats another."""
     t = msg["round"]
     slot = per_round.setdefault(
         t,
-        {"shares": {}, "state0": {}, "decoded": {}, "secrets": {},
-         "models": {}, "topology": None, "k_used": 0, "lambda2": 0.0,
-         "rounding_margin": float("nan")},
+        {"senders": [], "receivers": [], "rows": [], "state0": {},
+         "result": {}, "audit": {}, "models": {}, "topology": None,
+         "k_used": 0, "lambda2": 0.0, "rounding_margin": float("nan")},
     )
     phase = msg["phase"]
     if phase == "topology":
+        if slot["topology"] is not None:
+            raise ValueError(f"transcript round {t} repeats its topology record")
         slot["topology"] = RoundTopology(
-            msg["payload"]["n_nodes"],
-            frozenset(tuple(e) for e in msg["payload"]["edges"]),
-            t,
+            msg["payload"]["n_nodes"], msg["payload"]["edges"], t
         )
         slot["k_used"] = msg["payload"]["k_used"]
         slot["lambda2"] = msg["payload"].get("lambda2", 0.0)
         slot["rounding_margin"] = msg["payload"].get("rounding_margin", float("nan"))
     elif phase == "shares":
-        pair = (msg["from"], msg["to"])
-        if pair in slot["shares"]:
+        # A sender's block lists its receivers and one bundle per receiver;
+        # a per-pair record of an older transcript, whose "to" is one id, is
+        # a one-row block.
+        sender, to, rows = msg["from"], msg["to"], msg["payload"]
+        if isinstance(to, int):
+            to, rows = [to], [rows]
+        if len(to) != len(rows):
             raise ValueError(
-                f"transcript round {t} repeats share bundle {pair[0]}->{pair[1]}"
+                f"transcript round {t} shares record of learner {sender} lists "
+                f"{len(to)} receivers but carries {len(rows)} bundles"
             )
-        slot["shares"][pair] = msg["payload"]
-    elif phase == "state0":
-        slot["state0"][msg["from"]] = msg["payload"]
-    elif phase == "result":
-        slot["decoded"][msg["from"]] = msg["payload"]
-    elif phase == "audit":
-        slot["secrets"][msg["from"]] = msg["payload"]["secret"]
-        slot["models"][msg["from"]] = msg["payload"]["model"]
+        slot["senders"] += [sender] * len(to)
+        slot["receivers"] += to
+        slot["rows"] += rows
+    elif phase in ("state0", "result", "audit"):
+        sender, payload = msg["from"], msg["payload"]
+        if sender in slot[phase]:
+            # Older transcripts repeat a learner's state0 broadcast once per
+            # edge, each record naming one receiver.
+            legacy = phase == "state0" and isinstance(msg.get("to"), int)
+            if legacy and slot[phase][sender] == payload:
+                return
+            raise ValueError(
+                f"transcript round {t} repeats the {phase} record of learner {sender}"
+            )
+        if phase == "audit":
+            slot["models"][sender] = payload["model"]
+            payload = payload["secret"]
+        slot[phase][sender] = payload
 
 
-def _share_table(t: int, g: RoundTopology, shares: dict, width: int) -> np.ndarray:
-    """The share table of round t from its {(sender, receiver): payload}
-    messages; ValueError names the first pair that is missing, not between
-    neighbours, or of the wrong length."""
-    senders, receivers = share_pairs(g)
-    pairs = list(zip(senders.tolist(), receivers.tolist()))
-    for i, j in pairs:
-        values = shares.get((i, j))
-        if values is None:
-            raise ValueError(f"transcript round {t} lacks share bundle {i}->{j}")
-        if len(values) != width:
-            raise ValueError(
-                f"transcript round {t} share bundle {i}->{j} carries "
-                f"{len(values)} values, expected {width}"
-            )
-    if len(shares) != len(pairs):
-        i, j = min(set(shares) - set(pairs))
+def _learner_ids(t: int, values: list) -> np.ndarray:
+    """Senders or receivers of round t's bundles as int64; ValueError unless
+    every one is an integer."""
+    try:
+        ids = np.array(values, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        ids = None
+    if ids is None or ids.ndim != 1 or ids.tolist() != values:
         raise ValueError(
-            f"transcript round {t} has share bundle {i}->{j} between learners "
-            "that are not neighbours"
+            f"transcript round {t} has a share bundle whose sender or receiver "
+            "is not an integer"
         )
-    return np.array([shares[pair] for pair in pairs], dtype=np.int64)
+    return ids
+
+
+def _share_table(t: int, g: RoundTopology, slot: dict, width: int) -> np.ndarray:
+    """The share table of round t from its shares records; ValueError names
+    the first bundle that is repeated, missing, of the wrong length, or
+    between learners that are not neighbours.
+
+    Each bundle is keyed sender*(N+1) + receiver, which is unique for ids in
+    1..N and increasing in share_pairs order.
+    """
+    n = g.n_nodes
+    senders = _learner_ids(t, slot["senders"])
+    receivers = _learner_ids(t, slot["receivers"])
+    rows = slot["rows"]
+    inside = (senders >= 1) & (senders <= n) & (receivers >= 1) & (receivers <= n)
+    # An id outside 1..N gets a key of its own, so it can only be a stray.
+    key = np.where(inside, senders * (n + 1) + receivers, -1 - np.arange(len(rows)))
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if repeats.size:
+        e = repeats.min()  # the first record to repeat an earlier one
+        raise ValueError(
+            f"transcript round {t} repeats share bundle {senders[e]}->{receivers[e]}"
+        )
+    want_s, want_r = share_pairs(g)
+    wanted = want_s * (n + 1) + want_r
+    slot_of = np.minimum(np.searchsorted(wanted, key), len(wanted) - 1)
+    found = wanted[slot_of] == key
+    source = np.full(len(wanted), -1)  # row of each wanted bundle, -1 if absent
+    source[slot_of[found]] = np.flatnonzero(found)
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    present = source >= 0
+    bad = ~present
+    bad[present] = lengths[source[present]] != width
+    if bad.any():
+        e = int(np.argmax(bad))
+        i, j = want_s[e], want_r[e]
+        if not present[e]:
+            raise ValueError(f"transcript round {t} lacks share bundle {i}->{j}")
+        raise ValueError(
+            f"transcript round {t} share bundle {i}->{j} carries "
+            f"{lengths[source[e]]} values, expected {width}"
+        )
+    if not found.all():
+        stray = np.flatnonzero(~found)
+        e = stray[np.lexsort((receivers[stray], senders[stray]))[0]]
+        raise ValueError(
+            f"transcript round {t} has share bundle {senders[e]}->{receivers[e]} "
+            "between learners that are not neighbours"
+        )
+    return np.array(rows, dtype=np.int64)[source]
 
 
 @dataclass
 class Transcript:
-    """All messages of a run, keyed by (round, phase, sender, receiver)."""
+    """All messages of a run, one record per (round, phase, sender); the "to"
+    of a record sent to other learners lists them."""
 
     meta: dict
     rounds: list[RoundRecord] = field(default_factory=list)
@@ -337,20 +398,21 @@ class Transcript:
                     "rounding_margin": rec.rounding_margin,
                 },
             }
+            # Learner i's block of the share table is one record: its closed
+            # neighbourhood and one bundle per member.
             senders, receivers = share_pairs(rec.topology)
-            for i, j, values in zip(
-                senders.tolist(), receivers.tolist(), rec.bundles.tolist()
-            ):
+            cuts = np.flatnonzero(np.diff(senders)) + 1
+            blocks = zip(np.split(receivers, cuts), np.split(rec.bundles, cuts))
+            for i, (to, rows) in enumerate(blocks, start=1):
                 yield {
                     "round": t,
                     "phase": "shares",
                     "from": i,
-                    "to": j,
-                    "payload": values,
+                    "to": to.tolist(),
+                    "payload": rows.tolist(),
                 }
-            # A learner broadcasts its masked state to all its neighbours:
-            # one record lists them. Older transcripts hold one record per
-            # edge; both read back alike.
+            # A learner broadcasts each state to all its neighbours: one
+            # record lists them.
             for i in range(1, rec.topology.n_nodes + 1):
                 yield {
                     "round": t,
@@ -362,16 +424,14 @@ class Transcript:
             if include_consensus and rec.state_trajectory is not None:
                 for k in range(1, rec.state_trajectory.shape[0]):
                     for i in range(1, rec.topology.n_nodes + 1):
-                        payload = [float(v) for v in rec.state_trajectory[k, i - 1]]
-                        for j in rec.topology.neighbors(i):
-                            yield {
-                                "round": t,
-                                "phase": "consensus",
-                                "k": k,
-                                "from": i,
-                                "to": j,
-                                "payload": payload,
-                            }
+                        yield {
+                            "round": t,
+                            "phase": "consensus",
+                            "k": k,
+                            "from": i,
+                            "to": list(rec.topology.neighbors(i)),
+                            "payload": rec.state_trajectory[k, i - 1].tolist(),
+                        }
             for i in range(1, rec.topology.n_nodes + 1):
                 yield {
                     "round": t,
@@ -431,9 +491,8 @@ class Transcript:
             if g is None:
                 raise ValueError(f"transcript round {t} lacks a topology record")
             n = g.n_nodes
-            for phase, key in (("state0", "state0"), ("result", "decoded"),
-                               ("audit", "secrets")):
-                missing = sorted(set(range(1, n + 1)) - slot[key].keys())
+            for phase in ("state0", "result", "audit"):
+                missing = sorted(set(range(1, n + 1)) - slot[phase].keys())
                 if missing:
                     raise ValueError(
                         f"transcript round {t} lacks {phase} records of "
@@ -441,13 +500,13 @@ class Transcript:
                     )
             learners = range(1, n + 1)
             s0 = np.array([slot["state0"][i] for i in learners], dtype=np.int64)
-            secrets = np.array([slot["secrets"][i] for i in learners], dtype=np.int64)
+            secrets = np.array([slot["audit"][i] for i in learners], dtype=np.int64)
             models = np.array([slot["models"][i] for i in learners], dtype=float)
-            decoded = np.array([slot["decoded"][i] for i in learners], dtype=float)
+            decoded = np.array([slot["result"][i] for i in learners], dtype=float)
             shapes = {arr.shape for arr in (s0, secrets, models, decoded)}
             if s0.ndim != 2 or len(shapes) > 1:
                 raise ValueError(f"transcript round {t} has records of unequal length")
-            bundles = _share_table(t, g, slot["shares"], s0.shape[1])
+            bundles = _share_table(t, g, slot, s0.shape[1])
             p = int(meta["prime"])
             scale = 10 ** int(meta["sigma"])
             rounded = np.round(decoded * scale).astype(np.int64) % p

@@ -47,14 +47,21 @@ class RoundTopology:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("need at least one node")
-        normalized = set()
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (1 <= i <= self.n_nodes and 1 <= j <= self.n_nodes):
-                raise ValueError(f"edge ({i},{j}) outside 1..{self.n_nodes}")
-            normalized.add((min(i, j), max(i, j)))
-        self.edges = frozenset(normalized)
+        # Any iterable of (i, j) pairs; stored as (min, max) int tuples.
+        edges = list(self.edges)
+        pairs = np.array(edges) if edges else np.empty((0, 2), dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ValueError("edges must be pairs of integer node ids")
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if loops.size:
+            raise ValueError(f"self-loop at node {pairs[loops[0], 0]}")
+        outside = np.flatnonzero(((pairs < 1) | (pairs > self.n_nodes)).any(axis=1))
+        if outside.size:
+            i, j = pairs[outside[0]]
+            raise ValueError(f"edge ({i},{j}) outside 1..{self.n_nodes}")
+        self.edges = frozenset(
+            zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist())
+        )
 
     def _adj(self) -> dict[int, tuple[int, ...]]:
         if self._adjacency is None:

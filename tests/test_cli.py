@@ -2,6 +2,8 @@ import csv
 import json
 import pathlib
 
+import pytest
+
 from ppdfl.cli import main
 from ppdfl.field import next_prime
 
@@ -40,6 +42,32 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["round", "learner_id", "coordinate", "value"]
     assert len(rows) == 1 + 2 * 6 * 2
+
+
+def test_simulate_manifest_digests_each_graph_once(tmp_path, monkeypatch):
+    import hashlib
+
+    from ppdfl import topology
+    from ppdfl.protocol import ProtocolConfig
+
+    calls = []
+    generate = topology.generate_topology
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(topology, "generate_topology", counting)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 2  # one per round, run and manifest together
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "schedule" not in manifest["config"]
+    assert manifest["config"]["rounds"] == 2
+    schedule = ProtocolConfig.from_json_file(cfg).schedule.to_json(2)
+    blob = json.dumps(schedule, separators=(",", ":")).encode()
+    assert manifest["schedule_digest"] == hashlib.sha256(blob).hexdigest()
 
 
 def test_simulate_reproducible_outputs(tmp_path):
@@ -258,10 +286,29 @@ def _demo_messages(tmp_path):
     return [json.loads(ln) for ln in lines]
 
 
+def _per_pair(msgs):
+    """msgs with every shares record split into one record per (sender,
+    receiver) pair, the layout of transcripts before version 0.3.0."""
+    out = []
+    for m in msgs:
+        if m.get("phase") == "shares":
+            out += [{**m, "to": j, "payload": list(row)}
+                    for j, row in zip(m["to"], m["payload"])]
+        else:
+            out.append(m)
+    return out
+
+
 def _bundle_index(msgs, i, j):
     return next(k for k, m in enumerate(msgs)
                 if (m.get("round"), m.get("phase"), m.get("from"), m.get("to"))
                 == (1, "shares", i, j))
+
+
+def _shares_record(msgs, i):
+    """Learner i's round-1 shares record: its receivers and their bundles."""
+    return next(m for m in msgs
+                if (m.get("round"), m.get("phase"), m.get("from")) == (1, "shares", i))
 
 
 def _privacy_error(tmp_path, capsys, msgs):
@@ -274,33 +321,108 @@ def _privacy_error(tmp_path, capsys, msgs):
 
 def test_privacy_transcript_without_share_bundle_exits_config(tmp_path, capsys):
     msgs = _demo_messages(tmp_path)
-    del msgs[_bundle_index(msgs, 2, 3)]
+    legacy = _per_pair(msgs)
+    del legacy[_bundle_index(legacy, 2, 3)]
+    err = _privacy_error(tmp_path, capsys, legacy)
+    assert "round 1 lacks share bundle 2->3" in err
+    block = _shares_record(msgs, 2)
+    k = block["to"].index(3)
+    del block["to"][k], block["payload"][k]
     err = _privacy_error(tmp_path, capsys, msgs)
     assert "round 1 lacks share bundle 2->3" in err
 
 
 def test_privacy_transcript_duplicate_share_bundle_exits_config(tmp_path, capsys):
     msgs = _demo_messages(tmp_path)
-    k = _bundle_index(msgs, 2, 3)
-    msgs.insert(k + 1, {**msgs[k], "payload": [v + 1 for v in msgs[k]["payload"]]})
-    err = _privacy_error(tmp_path, capsys, msgs)
+    legacy = _per_pair(msgs)
+    k = _bundle_index(legacy, 2, 3)
+    legacy.insert(k + 1, {**legacy[k], "payload": [v + 1 for v in legacy[k]["payload"]]})
+    err = _privacy_error(tmp_path, capsys, legacy)
     assert "round 1 repeats share bundle 2->3" in err
+    # Repeated within one block, and across two records of one sender.
+    block = _shares_record(msgs, 2)
+    row = block["payload"][block["to"].index(3)]
+    repeat = {**block, "to": [3], "payload": [[v + 1 for v in row]]}
+    within = {**block, "to": block["to"] + [3], "payload": block["payload"] + repeat["payload"]}
+    for edit in ([within], [block, repeat]):
+        k = msgs.index(block)
+        err = _privacy_error(tmp_path, capsys, msgs[:k] + edit + msgs[k + 1:])
+        assert "round 1 repeats share bundle 2->3" in err
 
 
 def test_privacy_transcript_bundle_between_non_neighbours_exits_config(tmp_path, capsys):
     msgs = _demo_messages(tmp_path)
-    k = _bundle_index(msgs, 1, 6)
-    msgs.insert(k + 1, {**msgs[k], "to": 8})
+    legacy = _per_pair(msgs)
+    k = _bundle_index(legacy, 1, 6)
+    legacy.insert(k + 1, {**legacy[k], "to": 8})
+    err = _privacy_error(tmp_path, capsys, legacy)
+    assert "round 1 has share bundle 1->8 between learners that are not" in err
+    block = _shares_record(msgs, 1)
+    block["to"].append(8)
+    block["payload"].append(block["payload"][-1])
     err = _privacy_error(tmp_path, capsys, msgs)
     assert "round 1 has share bundle 1->8 between learners that are not" in err
 
 
 def test_privacy_transcript_share_bundle_of_wrong_length_exits_config(tmp_path, capsys):
     msgs = _demo_messages(tmp_path)
-    k = _bundle_index(msgs, 2, 3)
-    msgs[k]["payload"] = msgs[k]["payload"][:-1]
+    legacy = _per_pair(msgs)
+    k = _bundle_index(legacy, 2, 3)
+    legacy[k]["payload"] = legacy[k]["payload"][:-1]
+    err = _privacy_error(tmp_path, capsys, legacy)
+    assert "round 1 share bundle 2->3 carries 2 values, expected 3" in err
+    block = _shares_record(msgs, 2)
+    k = block["to"].index(3)
+    block["payload"][k] = block["payload"][k][:-1]
     err = _privacy_error(tmp_path, capsys, msgs)
     assert "round 1 share bundle 2->3 carries 2 values, expected 3" in err
+
+
+def test_privacy_transcript_shares_record_of_unequal_lists_exits_config(tmp_path, capsys):
+    msgs = _demo_messages(tmp_path)
+    block = _shares_record(msgs, 2)
+    del block["payload"][0]
+    err = _privacy_error(tmp_path, capsys, msgs)
+    assert "round 1 shares record of learner 2 lists" in err
+
+
+def test_privacy_transcript_share_receiver_not_an_integer_exits_config(tmp_path, capsys):
+    msgs = _demo_messages(tmp_path)
+    block = _shares_record(msgs, 2)
+    k = block["to"].index(3)
+    for bad in (3.5, "3", None, [3]):
+        block["to"][k] = bad
+        err = _privacy_error(tmp_path, capsys, msgs)
+        assert "round 1 has a share bundle whose sender or receiver is not" in err
+
+
+def _changed(phase, payload):
+    if phase == "audit":
+        return {**payload, "secret": [v + 1 for v in payload["secret"]]}
+    return [v + 1 for v in payload]
+
+
+@pytest.mark.parametrize("phase", ["state0", "result", "audit"])
+def test_privacy_transcript_repeated_record_exits_config(tmp_path, capsys, phase):
+    msgs = _demo_messages(tmp_path)
+    k, first = next((k, m) for k, m in enumerate(msgs)
+                    if (m.get("round"), m.get("phase"), m.get("from")) == (1, phase, 3))
+    repeats = [{**first, "payload": _changed(phase, first["payload"])}]
+    if phase == "state0":
+        # A per-edge state0 record may repeat its learner's payload, not change it.
+        repeats.append({**repeats[0], "to": first["to"][0]})
+    for repeat in repeats:
+        err = _privacy_error(tmp_path, capsys, msgs[:k + 1] + [repeat] + msgs[k + 1:])
+        assert f"round 1 repeats the {phase} record of learner 3" in err
+
+
+def test_privacy_transcript_repeated_topology_exits_config(tmp_path, capsys):
+    msgs = _demo_messages(tmp_path)
+    k, first = next((k, m) for k, m in enumerate(msgs)
+                    if (m.get("round"), m.get("phase")) == (1, "topology"))
+    repeat = {**first, "payload": {**first["payload"], "k_used": 1}}
+    err = _privacy_error(tmp_path, capsys, msgs[:k + 1] + [repeat] + msgs[k + 1:])
+    assert "round 1 repeats its topology record" in err
 
 
 def test_readme_library_example_runs():

@@ -16,6 +16,7 @@ from ppdfl.protocol import (
     ConfigError,
     ProtocolConfig,
     RangeViolation,
+    RoundRecord,
     Transcript,
     build_initial_state,
     constant_trainer,
@@ -30,6 +31,7 @@ from ppdfl.topology import (
     RoundTopology,
     TopologySchedule,
     generate_topology,
+    holder_sets,
     share_pairs,
 )
 
@@ -335,9 +337,10 @@ def test_share_phase_determinism():
 
 
 # sha256 over "sender,receiver:v1,v2,...\n" lines of every share bundle of
-# configs/demo.json rounds 1-2, in share_pairs order, as version 0.2.0 produces
-# them. Seeded runs must stay byte-identical within a version; a change to
-# the share stream has to bump __version__ and this pin together.
+# configs/demo.json rounds 1-2, in share_pairs order, as versions 0.2.0 and
+# 0.3.0 produce them (0.3.0 changed only the transcript layout). Seeded runs
+# must stay byte-identical within a version; a change to the share stream
+# has to bump __version__ and this pin together.
 DEMO_BUNDLES_SHA256 = "a0fae653e6f2a26c8c4ec80c1632e68416a4e106443ddab35c013e72c37be4d6"
 
 
@@ -477,13 +480,71 @@ def test_transcript_message_phases():
     assert phases == {"topology", "shares", "state0", "consensus", "result", "audit"}
     g = result.transcript.rounds[0].topology
     share_msgs = [m for m in msgs if m["phase"] == "shares"]
-    # one bundle per ordered closed-neighborhood pair
-    assert len(share_msgs) == sum(g.degree(i) + 1 for i in range(1, 5))
+    # one bundle per ordered closed-neighborhood pair, one record per sender
+    assert sum(len(m["to"]) for m in share_msgs) == sum(
+        g.degree(i) + 1 for i in range(1, 5)
+    )
+    assert [(m["from"], m["to"]) for m in share_msgs] == [
+        (i, sorted((i, *g.neighbors(i)))) for i in range(1, 5)
+    ]
     # one masked-state broadcast per learner, listing its neighbours
     state0_msgs = [m for m in msgs if m["phase"] == "state0"]
     assert [(m["from"], m["to"]) for m in state0_msgs] == [
         (i, list(g.neighbors(i))) for i in range(1, 5)
     ]
+    # one broadcast per (step, learner), reaching every directed edge once
     consensus_msgs = [m for m in msgs if m["phase"] == "consensus"]
     k = result.transcript.rounds[0].k_used
-    assert len(consensus_msgs) == k * 2 * len(g.edges)
+    assert sum(len(m["to"]) for m in consensus_msgs) == k * 2 * len(g.edges)
+    assert len(consensus_msgs) == k * 4
+    assert all(m["to"] == list(g.neighbors(m["from"])) for m in consensus_msgs)
+
+
+def _per_pair_lines(lines):
+    """Transcript lines with every shares record split into one record per
+    (sender, receiver) pair, the layout before version 0.3.0."""
+    out = []
+    for line in lines:
+        msg = json.loads(line)
+        if msg.get("phase") == "shares":
+            out += [json.dumps({**msg, "to": j, "payload": row})
+                    for j, row in zip(msg["to"], msg["payload"])]
+        else:
+            out.append(line)
+    return out
+
+
+@pytest.mark.parametrize("p", [11, 2**31 - 1])
+def test_share_table_transcript_roundtrip(tmp_path, p):
+    gen = np.random.default_rng(p)
+    path = tmp_path / "transcript.jsonl"
+    for g in _share_table_graphs():
+        n = g.n_nodes
+        senders, receivers = share_pairs(g)
+        dim = int(gen.integers(1, 4))
+        table = gen.integers(0, p, (len(senders), dim))
+        zeros = np.zeros((n, dim))
+        record = RoundRecord(
+            round_index=1, topology=g, k_used=1, lambda2=0.0, bundles=table,
+            initial_states=build_initial_state(table, receivers, p),
+            encoded_secrets=gen.integers(0, p, (n, dim)), local_models=zeros,
+            rounded=zeros.astype(np.int64), decoded=zeros, rounding_margin=0.0,
+        )
+        meta = {"n_learners": n, "prime": p, "sigma": 0}
+        Transcript(meta, [record]).to_jsonl(str(path))
+        lines = path.read_text().splitlines()
+        shares = [m for m in map(json.loads, lines) if m.get("phase") == "shares"]
+        assert [(m["from"], m["to"]) for m in shares] == [
+            (i, [j for j in row if j]) for i, row in enumerate(holder_sets(g).tolist(), 1)
+        ]
+        (back,) = Transcript.from_jsonl(str(path)).rounds
+        assert np.array_equal(back.bundles, table)
+        assert np.array_equal(back.initial_states, record.initial_states)
+        # Per-pair records, in any order, fill the same table.
+        legacy = _per_pair_lines(lines)
+        assert len(legacy) == len(lines) - n + len(senders)
+        body = legacy[1:]
+        gen.shuffle(body)
+        path.write_text("\n".join([legacy[0], *body]) + "\n")
+        (back,) = Transcript.from_jsonl(str(path)).rounds
+        assert np.array_equal(back.bundles, table)

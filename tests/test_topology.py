@@ -33,6 +33,41 @@ def test_topology_validation():
     assert (1, 2) in g.edges  # normalized ordering
 
 
+def _loop_normalized(n, edges):
+    """The per-edge reference: validate each (i, j), store it as (min, max)."""
+    out = set()
+    for i, j in edges:
+        if i == j:
+            raise ValueError(f"self-loop at node {i}")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"edge ({i},{j}) outside 1..{n}")
+        out.add((min(i, j), max(i, j)))
+    return frozenset(out)
+
+
+def test_topology_normalization_matches_per_edge_loop():
+    rng = random.Random(5)
+    for n in (1, 2, 9, 60):
+        for _ in range(20):
+            edges = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(3 * n)]
+            edges = [e for e in edges if e[0] != e[1]]
+            expected = _loop_normalized(n, edges)
+            for given in (frozenset(edges), [list(e) for e in edges],
+                          np.array(edges, dtype=np.int64).reshape(-1, 2)):
+                g = RoundTopology(n, given)
+                assert g.edges == expected
+                assert all(type(v) is int for e in g.edges for v in e)
+    for bad in [(2, 2), (1, 4), (4, 1), (0, 2), (-1, 3)]:
+        with pytest.raises(ValueError) as want:
+            _loop_normalized(3, [bad])
+        with pytest.raises(ValueError) as got:
+            RoundTopology(3, frozenset({bad, (1, 2)}))
+        assert str(got.value) == str(want.value)
+    for malformed in ([(1, 2, 3)], [(1,)], [("1", "2")], [(1.0, 2.0)]):
+        with pytest.raises(ValueError):
+            RoundTopology(3, malformed)
+
+
 def test_is_connected_edge_cases():
     assert is_connected(RoundTopology(1, frozenset()))
     assert not is_connected(RoundTopology(2, frozenset()))
