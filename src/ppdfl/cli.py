@@ -383,7 +383,7 @@ def bench_share_sweep(n_values, n_nodes=24, avg_degree=8.0, reps=3, seed=0):
         models = gen.uniform(-theta_max, theta_max, (n_nodes, dim))
         runs.append(functools.partial(execute_round, models, g, cfg,
                                       record_trajectory=False))
-        xs.append((2 * len(g.edges) / n_nodes + 1) * dim)
+        xs.append((2 * len(g.src) / n_nodes + 1) * dim)
     times = _mean_times(runs, reps)
     return [(x, t / n_nodes) for x, t in zip(xs, times)]
 

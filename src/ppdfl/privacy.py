@@ -46,6 +46,7 @@ from .sharing import interpolation_weights
 from .topology import (
     RoundTopology,
     TopologySchedule,
+    component_labels,
     holder_sets,
     mh_denominators,
     share_pairs,
@@ -98,38 +99,32 @@ class SurroundedDecomposition:
 def surrounded_components(
     g: RoundTopology, adversaries: AdversarySet
 ) -> SurroundedDecomposition:
-    """Connected components of the graph restricted to benign learners."""
-    benign = adversaries.benign
-    seen: set[int] = set()
-    comps: list[frozenset[int]] = []
-    for start in sorted(benign):
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in g.neighbors(u):
-                if v in benign and v not in comp:
-                    comp.add(v)
-                    frontier.append(v)
-        seen |= comp
-        comps.append(frozenset(comp))
-    boundary = tuple(
-        frozenset(
-            i for i in comp if any(j in adversaries.ids for j in g.neighbors(i))
-        )
-        for comp in comps
+    """Connected components of the graph restricted to benign learners,
+    ordered by their smallest members."""
+    benign = np.ones(g.n_nodes + 1, dtype=bool)
+    benign[[0, *adversaries.ids]] = False
+    src_benign, dst_benign = benign[g.src], benign[g.dst]
+    inner = src_benign & dst_benign
+    labels = component_labels(g.n_nodes, g.src[inner], g.dst[inner])
+    # Benign members sorted by component, and by id within it.
+    members = np.flatnonzero(benign)
+    members = members[np.argsort(labels[members], kind="stable")]
+    groups = np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)
+    # Benign endpoints of benign-adversary edges.
+    mixed = src_benign != dst_benign
+    touching = np.zeros(g.n_nodes + 1, dtype=bool)
+    touching[np.where(src_benign[mixed], g.src[mixed], g.dst[mixed])] = True
+    return SurroundedDecomposition(
+        tuple(frozenset(m.tolist()) for m in groups),
+        tuple(frozenset(m[touching[m]].tolist()) for m in groups),
     )
-    return SurroundedDecomposition(tuple(comps), boundary)
 
 
 def _neighbor_masks(g: RoundTopology) -> list[int]:
-    masks = [0] * (g.n_nodes + 1)
-    for i, j in g.edges:
-        masks[i] |= 1 << (j - 1)
-        masks[j] |= 1 << (i - 1)
-    return masks
+    """masks[i] has bit j-1 set for each neighbour j of i; N <= 62."""
+    masks = np.zeros(g.n_nodes + 1, dtype=np.int64)
+    np.bitwise_or.at(masks, g.arc_tail, np.left_shift(1, g.arc_head - 1))
+    return masks.tolist()
 
 
 def _mask_connected(sub: int, masks: list[int]) -> bool:
@@ -302,9 +297,7 @@ def _observed_restriction(
     if n > _OBSERVED_MODE_LIMIT:
         raise ValueError(f"observed mode limited to {_OBSERVED_MODE_LIMIT} nodes")
     a = _exact_weights(g)
-    seats = set(adversaries.ids)
-    for s in adversaries.ids:
-        seats.update(j for j in g.neighbors(s) if j in adversaries.benign)
+    seats = set(adversaries.ids).union(*map(g.neighbors, adversaries.ids))
     rows: list[list[Fraction]] = []
     for x in sorted(seats):
         row = [Fraction(0)] * n
@@ -328,7 +321,7 @@ def _exact_weights(g: RoundTopology) -> list[list[Fraction]]:
     """The Metropolis-Hastings weight matrix in exact rationals."""
     n = g.n_nodes
     a = [[Fraction(0)] * n for _ in range(n)]
-    for i, j, d in mh_denominators(g):
+    for i, j, d in zip(*(arr.tolist() for arr in mh_denominators(g))):
         a[i - 1][j - 1] = a[j - 1][i - 1] = Fraction(1, d)
     for i in range(n):
         a[i][i] = 1 - sum(a[i])

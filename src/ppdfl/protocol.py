@@ -152,6 +152,18 @@ class ProtocolConfig:
             raise ConfigError(
                 f"schedule covers {length} rounds but {self.rounds} requested"
             )
+        if length is not None:
+            # Generated graphs are connected on n_learners nodes by
+            # construction; explicit ones are checked before any round runs.
+            for t in range(1, self.rounds + 1):
+                g = self.schedule.round_graph(t)
+                if g.n_nodes != self.n_learners:
+                    raise ConfigError(
+                        f"round {t} graph has {g.n_nodes} nodes, "
+                        f"expected {self.n_learners} learners"
+                    )
+                if not is_connected(g):
+                    raise ConfigError(f"round {t} graph is disconnected")
 
     @property
     def precision(self) -> Precision:
@@ -231,10 +243,7 @@ def _resolve_schedule(spec, raw: Mapping, base_dir: str) -> TopologySchedule:
             avg_degree=spec.get("avg_degree"),
         )
     if isinstance(spec, list):
-        graphs = [
-            RoundTopology(n, frozenset((int(i), int(j)) for i, j in edges), t)
-            for t, edges in enumerate(spec, start=1)
-        ]
+        graphs = [RoundTopology(n, edges, t) for t, edges in enumerate(spec, start=1)]
         return TopologySchedule.from_graphs(graphs)
     raise ConfigError("schedule must be a file path, generator spec, or edge lists")
 
@@ -272,9 +281,12 @@ def _collect_message(per_round: dict[int, dict], msg: dict) -> None:
     if phase == "topology":
         if slot["topology"] is not None:
             raise ValueError(f"transcript round {t} repeats its topology record")
-        slot["topology"] = RoundTopology(
-            msg["payload"]["n_nodes"], msg["payload"]["edges"], t
-        )
+        try:
+            slot["topology"] = RoundTopology(
+                msg["payload"]["n_nodes"], msg["payload"]["edges"], t
+            )
+        except ValueError as exc:
+            raise ValueError(f"transcript round {t} topology record: {exc}") from None
         slot["k_used"] = msg["payload"]["k_used"]
         slot["lambda2"] = msg["payload"].get("lambda2", 0.0)
         slot["rounding_margin"] = msg["payload"].get("rounding_margin", float("nan"))
@@ -386,13 +398,13 @@ class Transcript:
 
     def iter_messages(self, include_consensus: bool = True):
         for rec in self.rounds:
-            t = rec.round_index
+            t, g = rec.round_index, rec.topology
             yield {
                 "round": t,
                 "phase": "topology",
                 "payload": {
-                    "n_nodes": rec.topology.n_nodes,
-                    "edges": [list(e) for e in rec.topology.sorted_edges()],
+                    "n_nodes": g.n_nodes,
+                    "edges": np.stack([g.src, g.dst], axis=1).tolist(),
                     "k_used": rec.k_used,
                     "lambda2": rec.lambda2,
                     "rounding_margin": rec.rounding_margin,
@@ -400,7 +412,7 @@ class Transcript:
             }
             # Learner i's block of the share table is one record: its closed
             # neighbourhood and one bundle per member.
-            senders, receivers = share_pairs(rec.topology)
+            senders, receivers = share_pairs(g)
             cuts = np.flatnonzero(np.diff(senders)) + 1
             blocks = zip(np.split(receivers, cuts), np.split(rec.bundles, cuts))
             for i, (to, rows) in enumerate(blocks, start=1):
@@ -413,26 +425,27 @@ class Transcript:
                 }
             # A learner broadcasts each state to all its neighbours: one
             # record lists them.
-            for i in range(1, rec.topology.n_nodes + 1):
+            nbrs = [heads.tolist() for heads in np.split(g.arc_head, g.indptr[1:-1])]
+            for i in range(1, g.n_nodes + 1):
                 yield {
                     "round": t,
                     "phase": "state0",
                     "from": i,
-                    "to": list(rec.topology.neighbors(i)),
+                    "to": nbrs[i - 1],
                     "payload": rec.initial_states[i - 1].tolist(),
                 }
             if include_consensus and rec.state_trajectory is not None:
                 for k in range(1, rec.state_trajectory.shape[0]):
-                    for i in range(1, rec.topology.n_nodes + 1):
+                    for i in range(1, g.n_nodes + 1):
                         yield {
                             "round": t,
                             "phase": "consensus",
                             "k": k,
                             "from": i,
-                            "to": list(rec.topology.neighbors(i)),
+                            "to": nbrs[i - 1],
                             "payload": rec.state_trajectory[k, i - 1].tolist(),
                         }
-            for i in range(1, rec.topology.n_nodes + 1):
+            for i in range(1, g.n_nodes + 1):
                 yield {
                     "round": t,
                     "phase": "result",
@@ -441,7 +454,7 @@ class Transcript:
                 }
             # Audit records carry ground truth for verification tooling;
             # they are not part of any adversary's view.
-            for i in range(1, rec.topology.n_nodes + 1):
+            for i in range(1, g.n_nodes + 1):
                 yield {
                     "round": t,
                     "phase": "audit",
@@ -491,6 +504,11 @@ class Transcript:
             if g is None:
                 raise ValueError(f"transcript round {t} lacks a topology record")
             n = g.n_nodes
+            if n != meta["n_learners"]:
+                raise ValueError(
+                    f"transcript round {t} topology has {n} nodes but the meta "
+                    f"record has n_learners={meta['n_learners']!r}"
+                )
             for phase in ("state0", "result", "audit"):
                 missing = sorted(set(range(1, n + 1)) - slot[phase].keys())
                 if missing:

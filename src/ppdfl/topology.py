@@ -7,14 +7,19 @@ Nodes carry 1-based ids. Edge weights are degree-based,
 
 which yields a symmetric doubly stochastic matrix on any connected
 undirected graph, so repeated averaging contracts to the exact mean.
+
+A graph is held once, as sorted edge arrays src < dst. Neighbours, degrees,
+weights, share pairs and connectivity all derive from them with numpy.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
+import numbers
 import random
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,81 +38,114 @@ class BadParameters(ValueError):
     """Invalid topology generation parameters."""
 
 
-@dataclass
 class RoundTopology:
-    """Undirected simple graph on nodes 1..n_nodes for one round."""
+    """Undirected simple graph on nodes 1..n_nodes for one round.
 
-    n_nodes: int
-    edges: frozenset[tuple[int, int]]
-    round_index: int = 0
-    _adjacency: dict[int, tuple[int, ...]] | None = field(
-        default=None, repr=False, compare=False
-    )
+    edges is any iterable of (i, j) id pairs; (i, j) and (j, i) are one
+    edge. The graph is stored as two read-only int64 arrays, src < dst,
+    sorted by (src, dst) without repeats. From them the constructor builds
+    both directions of every edge once, sorted by (tail, head):
+    arc_tail[k] -> arc_head[k] is arc k, the arcs of node i are
+    indptr[i-1]:indptr[i], and arc_edge[k] is the index in src/dst of
+    arc k's edge.
+    """
 
-    def __post_init__(self):
-        if self.n_nodes < 1:
+    def __init__(self, n_nodes: int, edges, round_index: int = 0):
+        if not isinstance(n_nodes, numbers.Integral):
+            raise ValueError(f"n_nodes must be an integer, not {n_nodes!r}")
+        n_nodes = int(n_nodes)
+        if n_nodes < 1:
             raise ValueError("need at least one node")
-        # Any iterable of (i, j) pairs; stored as (min, max) int tuples.
-        edges = list(self.edges)
-        pairs = np.array(edges) if edges else np.empty((0, 2), dtype=np.int64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        try:
+            edges = list(edges)
+            pairs = np.array(edges) if edges else np.empty((0, 2), dtype=np.int64)
+        except (TypeError, ValueError):  # not iterable, or ragged
+            pairs = None
+        if (pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2
+                or pairs.dtype.kind not in "iu"):
             raise ValueError("edges must be pairs of integer node ids")
         loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
         if loops.size:
             raise ValueError(f"self-loop at node {pairs[loops[0], 0]}")
-        outside = np.flatnonzero(((pairs < 1) | (pairs > self.n_nodes)).any(axis=1))
+        outside = np.flatnonzero(((pairs < 1) | (pairs > n_nodes)).any(axis=1))
         if outside.size:
             i, j = pairs[outside[0]]
-            raise ValueError(f"edge ({i},{j}) outside 1..{self.n_nodes}")
-        self.edges = frozenset(
-            zip(pairs.min(axis=1).tolist(), pairs.max(axis=1).tolist())
-        )
+            raise ValueError(f"edge ({i},{j}) outside 1..{n_nodes}")
+        pairs = pairs.astype(np.int64)
+        # Edge (i, j), i < j, is the key i * (n + 1) + j: one sort orders
+        # the edges and drops repeats.
+        base = n_nodes + 1
+        key = np.unique(pairs.min(axis=1) * base + pairs.max(axis=1))
+        src, dst = np.divmod(key, base)
+        tails = np.concatenate([src, dst])
+        heads = np.concatenate([dst, src])
+        order = np.argsort(tails * base + heads)
+        self.n_nodes = n_nodes
+        self.round_index = round_index
+        self.src, self.dst = src, dst
+        self.arc_tail, self.arc_head = tails[order], heads[order]
+        self.arc_edge = np.where(order < len(src), order, order - len(src))
+        self.indptr = np.searchsorted(self.arc_tail, np.arange(base), side="right")
+        for arr in (self.src, self.dst, self.arc_tail, self.arc_head,
+                    self.arc_edge, self.indptr):
+            arr.setflags(write=False)
 
-    def _adj(self) -> dict[int, tuple[int, ...]]:
-        if self._adjacency is None:
-            nbrs: dict[int, list[int]] = {i: [] for i in range(1, self.n_nodes + 1)}
-            for i, j in self.edges:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-            self._adjacency = {i: tuple(sorted(v)) for i, v in nbrs.items()}
-        return self._adjacency
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (i, j) tuples with i < j; built on each access."""
+        return frozenset(zip(self.src.tolist(), self.dst.tolist()))
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._adj()[i]
+        if not 1 <= i <= self.n_nodes:
+            raise KeyError(i)
+        return tuple(self.arc_head[self.indptr[i - 1]:self.indptr[i]].tolist())
 
     def degree(self, i: int) -> int:
-        return len(self._adj()[i])
+        return len(self.neighbors(i))
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+
+def component_labels(n_nodes: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """labels[v] = the smallest id in node v's component, for v in 1..n_nodes
+    (labels[0] = 0), of the graph whose edges are (src[e], dst[e]).
+
+    Hook and compress: each pass points every root that an edge joins to a
+    smaller root at the smallest such root, then pointer-jumps every node
+    to its root, and drops the edges inside one tree. A parent is never
+    larger than its node, so each root is its tree's smallest member. A
+    root with an edge to another tree is hooked, or hooked onto, within
+    two passes, so the roots of a component at least halve every two
+    passes.
+    """
+    parent = np.arange(n_nodes + 1)
+    while True:
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        root_a, root_b = parent[src], parent[dst]
+        cross = root_a != root_b
+        if not cross.any():
+            return parent
+        src, dst = src[cross], dst[cross]
+        root_a, root_b = root_a[cross], root_b[cross]
+        np.minimum.at(parent, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
 
 
 def is_connected(g: RoundTopology) -> bool:
-    """BFS from node 1 reaches every node."""
-    if g.n_nodes == 1:
-        return True
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return len(seen) == g.n_nodes
+    """Every node carries the label of node 1."""
+    return bool((component_labels(g.n_nodes, g.src, g.dst)[1:] == 1).all())
 
 
-def mh_denominators(g: RoundTopology) -> Iterator[tuple[int, int, int]]:
-    """Each edge (i, j) with its integer weight denominator max(deg_i, deg_j) + 1.
+def mh_denominators(g: RoundTopology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, d): each edge i < j, in g.src/g.dst order, with its integer
+    weight denominator d = max(deg_i, deg_j) + 1.
 
     The one statement of the Metropolis-Hastings rule: the float weights
     and the analyzer's exact rational weights are both built from it.
     """
-    deg = [0] + [g.degree(i) for i in range(1, g.n_nodes + 1)]
-    for i, j in g.edges:
-        yield i, j, max(deg[i], deg[j]) + 1
+    deg = np.diff(g.indptr)
+    return g.src, g.dst, np.maximum(deg[g.src - 1], deg[g.dst - 1]) + 1
 
 
 def mh_edge_weights(
@@ -122,25 +160,10 @@ def mh_edge_weights(
     dense matrix, so the edge-list averaging operator and the matrix the
     eigensolve sees are one matrix.
     """
-    triples = np.array(list(mh_denominators(g)), dtype=np.int64).reshape(-1, 3)
-    i, j, d = triples.T
-    rows = np.concatenate([i, j]) - 1
-    cols = np.concatenate([j, i]) - 1
-    weights = 1.0 / np.concatenate([d, d])
-    order = np.argsort(rows * g.n_nodes + cols)
-    rows, cols, weights = rows[order], cols[order], weights[order]
+    weights = 1.0 / mh_denominators(g)[2][g.arc_edge]
+    rows = g.arc_tail - 1
     diag = 1.0 - np.bincount(rows, weights=weights, minlength=g.n_nodes)
-    return rows, cols, weights, diag
-
-
-def holder_sets(g: RoundTopology) -> np.ndarray:
-    """(N, 1 + max degree) int64: row i-1 is learner i's closed neighbourhood
-    in increasing order, padded with zeros (0 is never a learner id)."""
-    rows = [sorted((i, *g.neighbors(i))) for i in range(1, g.n_nodes + 1)]
-    sizes = np.array([len(r) for r in rows])
-    out = np.zeros((g.n_nodes, sizes.max()), dtype=np.int64)
-    out[np.arange(sizes.max()) < sizes[:, None]] = np.concatenate(rows)
-    return out
+    return rows, g.arc_head - 1, weights, diag
 
 
 def share_pairs(g: RoundTopology) -> tuple[np.ndarray, np.ndarray]:
@@ -148,12 +171,23 @@ def share_pairs(g: RoundTopology) -> tuple[np.ndarray, np.ndarray]:
 
     Every learner sends one bundle to each member of its closed
     neighbourhood, so there are N + 2|E| pairs, sorted by (sender,
-    receiver): learner i's block lists row i-1 of holder_sets(g). Row e of
-    a round's share table is the bundle of pair e.
+    receiver): the arcs and the self pairs (i, i). Row e of a round's
+    share table is the bundle of pair e.
     """
-    holders = holder_sets(g)
-    present = holders > 0
-    return np.nonzero(present)[0] + 1, holders[present]
+    base = g.n_nodes + 1
+    ids = np.arange(1, base)
+    keys = np.sort(np.concatenate([g.arc_tail * base + g.arc_head, ids * (base + 1)]))
+    return np.divmod(keys, base)
+
+
+def holder_sets(g: RoundTopology) -> np.ndarray:
+    """(N, 1 + max degree) int64: row i-1 is learner i's closed neighbourhood
+    in increasing order, padded with zeros (0 is never a learner id); the
+    receivers of share_pairs(g), one sender per row."""
+    sizes = np.diff(g.indptr) + 1
+    out = np.zeros((g.n_nodes, sizes.max()), dtype=np.int64)
+    out[np.arange(sizes.max()) < sizes[:, None]] = share_pairs(g)[1]
+    return out
 
 
 def mh_weights(g: RoundTopology, edge_weights: tuple | None = None) -> np.ndarray:
@@ -282,11 +316,7 @@ def generate_topology(
     if n_nodes < 2:
         raise BadParameters("need at least 2 nodes")
     if kind == "complete":
-        edges = {
-            (i, j)
-            for i in range(1, n_nodes + 1)
-            for j in range(i + 1, n_nodes + 1)
-        }
+        edges = itertools.combinations(range(1, n_nodes + 1), 2)
     elif kind == "star":
         edges = {(1, j) for j in range(2, n_nodes + 1)}
     elif kind == "line":
@@ -302,18 +332,14 @@ def generate_topology(
         edges = _prufer_tree(n_nodes, rng)
         target = round(avg_degree * n_nodes / 2)
         target = min(max(target, n_nodes - 1), n_nodes * (n_nodes - 1) // 2)
-        candidates = [
-            (i, j)
-            for i in range(1, n_nodes + 1)
-            for j in range(i + 1, n_nodes + 1)
-            if (i, j) not in edges
-        ]
+        pairs = itertools.combinations(range(1, n_nodes + 1), 2)
+        candidates = [e for e in pairs if e not in edges]
         rng.shuffle(candidates)
         for e in candidates[: max(0, target - len(edges))]:
             edges.add(e)
     else:
         raise BadParameters(f"unknown topology kind {kind!r}")
-    return RoundTopology(n_nodes, frozenset(edges), round_index)
+    return RoundTopology(n_nodes, edges, round_index)
 
 
 class TopologySchedule:
@@ -351,8 +377,9 @@ class TopologySchedule:
         if self._graphs is not None:
             if t > len(self._graphs):
                 raise ValueError(f"schedule has only {len(self._graphs)} rounds")
-            g = self._graphs[t - 1]
-            return RoundTopology(g.n_nodes, g.edges, t)
+            g = copy.copy(self._graphs[t - 1])  # shares the read-only arrays
+            g.round_index = t
+            return g
         kind, n_nodes, seed, avg_degree = self._policy
         return generate_topology(
             kind,
@@ -374,16 +401,18 @@ class TopologySchedule:
             raise ValueError("schedule file must be a nonempty JSON array")
         graphs = []
         for t, edge_list in enumerate(rounds, start=1):
-            edges = frozenset((int(i), int(j)) for i, j in edge_list)
-            n = n_nodes or max((max(e) for e in edges), default=1)
-            graphs.append(RoundTopology(n, edges, t))
+            try:
+                n = n_nodes or int(np.max(edge_list, initial=1))
+            except (TypeError, ValueError):  # ids that numpy cannot compare
+                raise ValueError(
+                    f"schedule round {t}: edges must be pairs of integer node ids"
+                ) from None
+            graphs.append(RoundTopology(n, edge_list, t))
         return cls.from_graphs(graphs)
 
     def to_json(self, rounds: int | None = None) -> list:
         count = rounds if rounds is not None else self.length
         if count is None:
             raise ValueError("unbounded schedule needs an explicit round count")
-        return [
-            [list(e) for e in self.round_graph(t).sorted_edges()]
-            for t in range(1, count + 1)
-        ]
+        graphs = (self.round_graph(t) for t in range(1, count + 1))
+        return [np.stack([g.src, g.dst], axis=1).tolist() for g in graphs]

@@ -105,6 +105,32 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
+RING6 = [[i, i % 6 + 1] for i in range(1, 7)]
+TWO_TRIANGLES = [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]]
+
+
+def test_simulate_refuses_disconnected_scheduled_round_up_front(tmp_path, capsys):
+    cfg = write_config(tmp_path, rounds=3, schedule=[RING6, RING6, TWO_TRIANGLES])
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "round 3 graph is disconnected" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    # A disconnected graph past the last round is never run.
+    cfg = write_config(tmp_path, rounds=2, schedule=[RING6, RING6, TWO_TRIANGLES])
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+
+
+def test_bounds_refuses_disconnected_schedule_file_round_up_front(tmp_path, capsys):
+    (tmp_path / "schedule.json").write_text(json.dumps([RING6, RING6, TWO_TRIANGLES]))
+    cfg = write_config(tmp_path, rounds=3, schedule="schedule.json")
+    assert main(["bounds", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no table rows
+    assert "round 3 graph is disconnected" in captured.err
+
+
 def test_spectral_reference_values(capsys):
     assert main(["spectral", "--topology", "complete", "--n", "100",
                  "--kmax", "3"]) == 0
@@ -423,6 +449,36 @@ def test_privacy_transcript_repeated_topology_exits_config(tmp_path, capsys):
     repeat = {**first, "payload": {**first["payload"], "k_used": 1}}
     err = _privacy_error(tmp_path, capsys, msgs[:k + 1] + [repeat] + msgs[k + 1:])
     assert "round 1 repeats its topology record" in err
+
+
+def _round1_topology(msgs):
+    return next(m for m in msgs if (m.get("round"), m.get("phase")) == (1, "topology"))
+
+
+@pytest.mark.parametrize("n_nodes", ["8", 8.0])
+def test_privacy_transcript_topology_n_nodes_not_an_integer_exits_config(
+        tmp_path, capsys, n_nodes):
+    msgs = _demo_messages(tmp_path)
+    _round1_topology(msgs)["payload"]["n_nodes"] = n_nodes
+    err = _privacy_error(tmp_path, capsys, msgs)
+    assert "round 1 topology record: n_nodes must be an integer" in err
+
+
+def test_privacy_transcript_topology_edges_null_exits_config(tmp_path, capsys):
+    msgs = _demo_messages(tmp_path)
+    _round1_topology(msgs)["payload"]["edges"] = None
+    err = _privacy_error(tmp_path, capsys, msgs)
+    assert "round 1 topology record: edges must be pairs of integer node ids" in err
+
+
+@pytest.mark.parametrize("n_learners", [9, 7])
+def test_privacy_transcript_meta_n_learners_differs_from_topology_exits_config(
+        tmp_path, capsys, n_learners):
+    msgs = _demo_messages(tmp_path)
+    msgs[0]["meta"]["n_learners"] = n_learners
+    err = _privacy_error(tmp_path, capsys, msgs)
+    assert (f"round 1 topology has 8 nodes but the meta record has "
+            f"n_learners={n_learners}") in err
 
 
 def test_readme_library_example_runs():

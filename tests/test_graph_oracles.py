@@ -1,0 +1,197 @@
+"""Every graph derivation against an independent pure-Python oracle.
+
+RoundTopology holds sorted edge arrays, and neighbours, degrees, holder
+sets, share pairs, Metropolis-Hastings weights, connectivity and benign
+components are derived from them with numpy. The oracles below rebuild each
+from the normalized edge set with dicts, sorted lists and BFS.
+"""
+
+import random
+from collections import deque
+
+import numpy as np
+import pytest
+
+from ppdfl.privacy import AdversarySet, literal_surrounded_sets, surrounded_components
+from ppdfl.topology import (
+    RoundTopology,
+    component_labels,
+    generate_topology,
+    holder_sets,
+    is_connected,
+    mh_denominators,
+    mh_edge_weights,
+    share_pairs,
+)
+
+
+def normalized(pairs):
+    return sorted({(min(i, j), max(i, j)) for i, j in pairs})
+
+
+def adjacency(n, edges):
+    nbrs = {i: [] for i in range(1, n + 1)}
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    return {i: sorted(v) for i, v in nbrs.items()}
+
+
+def bfs_components(nodes, nbrs):
+    """Components of the graph nbrs restricted to nodes, each a sorted list,
+    ordered by smallest member."""
+    nodes = set(nodes)
+    seen, out = set(), []
+    for start in sorted(nodes):
+        if start in seen:
+            continue
+        comp, queue = {start}, deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in nbrs[u]:
+                if v in nodes and v not in comp:
+                    comp.add(v)
+                    queue.append(v)
+        seen |= comp
+        out.append(sorted(comp))
+    return out
+
+
+def random_pairs(rng, n, count):
+    pairs = []
+    while n > 1 and len(pairs) < count:
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        if i != j:
+            pairs.append((i, j))
+    return pairs
+
+
+def oracle_graphs():
+    """(n, pairs as given) for the shapes the derivations must agree on."""
+    for n in (2, 3, 17, 200):
+        for kind in ("star", "line", "complete"):
+            yield n, sorted(generate_topology(kind, n).edges)
+    rng = random.Random(2024)
+    for n in (2, 5, 30, 120, 200):
+        for density in (0.5, 1.0, 3.0):
+            yield n, random_pairs(rng, n, int(density * n))
+    yield 1, []
+    yield 6, []  # edgeless
+    yield 7, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 7)]  # two components
+    # repeated and reversed pairs
+    yield 5, [(2, 1), (1, 2), (1, 2), (3, 2), (2, 3), (5, 4), (4, 5), (1, 5)]
+
+
+def test_derivations_match_python_oracles():
+    for n, given in oracle_graphs():
+        edges = normalized(given)
+        nbrs = adjacency(n, edges)
+        deg = {i: len(v) for i, v in nbrs.items()}
+        g = RoundTopology(n, given)
+        assert g.edges == frozenset(edges)
+        assert list(zip(g.src.tolist(), g.dst.tolist())) == edges
+        for i in range(1, n + 1):
+            assert g.neighbors(i) == tuple(nbrs[i])
+            assert all(type(v) is int for v in g.neighbors(i))
+            assert g.degree(i) == deg[i] and type(g.degree(i)) is int
+
+        closed = {i: sorted([i, *nbrs[i]]) for i in nbrs}
+        width = max(len(c) for c in closed.values())
+        assert holder_sets(g).tolist() == [
+            closed[i] + [0] * (width - len(closed[i])) for i in range(1, n + 1)
+        ]
+        senders, receivers = share_pairs(g)
+        assert list(zip(senders.tolist(), receivers.tolist())) == [
+            (i, j) for i in range(1, n + 1) for j in closed[i]
+        ]
+
+        denominators = [(i, j, max(deg[i], deg[j]) + 1) for i, j in edges]
+        assert list(zip(*(a.tolist() for a in mh_denominators(g)))) == denominators
+
+        # Float weights, and each row residual summed in column order.
+        weight = {}
+        for i, j, d in denominators:
+            weight[i, j] = weight[j, i] = 1.0 / d
+        arcs = sorted(weight)
+        diag = []
+        for i in range(1, n + 1):
+            total = 0.0
+            for j in nbrs[i]:
+                total += weight[i, j]
+            diag.append(1.0 - total)
+        rows, cols, weights, got_diag = mh_edge_weights(g)
+        assert rows.tolist() == [i - 1 for i, _ in arcs]
+        assert cols.tolist() == [j - 1 for _, j in arcs]
+        assert weights.tolist() == [weight[a] for a in arcs]  # exact floats
+        assert got_diag.tolist() == diag
+
+        comps = bfs_components(range(1, n + 1), nbrs)
+        assert is_connected(g) == (len(comps) == 1)
+        labels = component_labels(n, g.src, g.dst)
+        assert labels[0] == 0
+        for comp in comps:
+            assert labels[comp].tolist() == [comp[0]] * len(comp)
+
+
+def test_surrounded_components_match_bfs_oracle_up_to_2000_learners():
+    rng = random.Random(7)
+    split = 0
+    for n in (10, 60, 300, 1000, 2000):
+        for avg_degree in (2.0, 3.0, 6.0):
+            # A random spanning tree plus random extra edges.
+            ids = list(range(1, n + 1))
+            rng.shuffle(ids)
+            pairs = [(ids[k], ids[rng.randrange(k)]) for k in range(1, n)]
+            pairs += random_pairs(rng, n, int((avg_degree / 2 - 1) * n))
+            g = RoundTopology(n, pairs)
+            nbrs = adjacency(n, normalized(pairs))
+            for _ in range(3):
+                size = rng.randint(1, max(1, int(0.3 * n)))
+                adv = AdversarySet(rng.sample(range(1, n + 1), size), n)
+                comps = bfs_components(adv.benign, nbrs)
+                decomp = surrounded_components(g, adv)
+                assert [sorted(c) for c in decomp.components] == comps
+                assert [sorted(b) for b in decomp.boundary] == [
+                    [i for i in comp if any(j in adv.ids for j in nbrs[i])]
+                    for comp in comps
+                ]
+                split += len(comps) > 1
+    assert split >= 10  # most cases cut the benign learners apart
+
+
+def test_surrounded_components_match_literal_enumeration_small():
+    rng = random.Random(11)
+    for trial in range(60):
+        n = rng.randint(2, 12)
+        g = RoundTopology(n, random_pairs(rng, n, rng.randint(0, 2 * n)))
+        adv = AdversarySet(rng.sample(range(1, n + 1), rng.randint(0, n - 1)), n)
+        assert set(surrounded_components(g, adv).components) == (
+            literal_surrounded_sets(g, adv)
+        )
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_is_connected_on_a_line_of_10k_learners(shuffle):
+    n = 10**4
+    ids = list(range(1, n + 1))
+    if shuffle:
+        random.Random(3).shuffle(ids)
+    pairs = list(zip(ids, ids[1:]))
+    assert is_connected(RoundTopology(n, pairs))
+    cut = random.Random(4).randrange(len(pairs))
+    assert not is_connected(RoundTopology(n, pairs[:cut] + pairs[cut + 1:]))
+
+
+def test_is_connected_one_edge_short():
+    # Two dense halves and the one bridge that would join them.
+    rng = random.Random(5)
+    n = 400
+    left, right = list(range(1, 201)), list(range(201, 401))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    pairs = [(a, b) for half in (left, right) for a, b in zip(half, half[1:])]
+    pairs += [tuple(rng.sample(half, 2)) for half in (left, right) for _ in range(600)]
+    assert not is_connected(RoundTopology(n, pairs))
+    assert is_connected(RoundTopology(n, pairs + [(left[7], right[11])]))
+    labels = component_labels(n, *np.array(normalized(pairs)).T)
+    assert set(labels[1:].tolist()) == {1, 201}

@@ -78,6 +78,21 @@ def test_config_validation_errors():
         ProtocolConfig(3, 1, 0, 103, 1, 0, "uniform", 1.0, 0, sched)
 
 
+def test_config_checks_explicit_schedule_rounds_up_front():
+    line4 = generate_topology("line", 4)
+    split = RoundTopology(4, [(1, 2), (3, 4)])
+    for graphs, message in (
+        ([path3(), path3()], "round 1 graph has 3 nodes, expected 4 learners"),
+        ([line4, line4, split], "round 3 graph is disconnected"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            make_cfg(4, 1, 0, 1.0, rounds=len(graphs),
+                     schedule=TopologySchedule.from_graphs(graphs))
+    # Only rounds 1..rounds are checked.
+    make_cfg(4, 1, 0, 1.0, rounds=2,
+             schedule=TopologySchedule.from_graphs([line4, line4, split]))
+
+
 def test_config_bound_violation():
     sched = TopologySchedule.from_graphs([path3()])
     with pytest.raises(BoundViolation):

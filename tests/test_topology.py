@@ -63,9 +63,13 @@ def test_topology_normalization_matches_per_edge_loop():
         with pytest.raises(ValueError) as got:
             RoundTopology(3, frozenset({bad, (1, 2)}))
         assert str(got.value) == str(want.value)
-    for malformed in ([(1, 2, 3)], [(1,)], [("1", "2")], [(1.0, 2.0)]):
-        with pytest.raises(ValueError):
+    for malformed in ([(1, 2, 3)], [(1,)], [("1", "2")], [(1.0, 2.0)], None, 5,
+                      [(1, 2), (3,)]):
+        with pytest.raises(ValueError, match="edges must be pairs of integer node ids"):
             RoundTopology(3, malformed)
+    for n_nodes in ("3", 3.0, None):
+        with pytest.raises(ValueError, match="n_nodes must be an integer"):
+            RoundTopology(n_nodes, [(1, 2)])
 
 
 def test_is_connected_edge_cases():
@@ -258,3 +262,7 @@ def test_schedule_json_roundtrip(tmp_path):
     assert loaded.length == 3
     for t in range(1, 4):
         assert loaded.round_graph(t).edges == sched.round_graph(t).edges
+    path.write_text('[[[1, 2]], [["1", "2"]]]')
+    for n_nodes in (None, 8):
+        with pytest.raises(ValueError, match="pairs of integer node ids"):
+            TopologySchedule.from_file(str(path), n_nodes=n_nodes)
