@@ -15,7 +15,7 @@ weights, share pairs and connectivity all derive from them with numpy.
 from __future__ import annotations
 
 import copy
-import itertools
+import heapq
 import json
 import numbers
 import random
@@ -56,11 +56,14 @@ class RoundTopology:
         n_nodes = int(n_nodes)
         if n_nodes < 1:
             raise ValueError("need at least one node")
-        try:
-            edges = list(edges)
-            pairs = np.array(edges) if edges else np.empty((0, 2), dtype=np.int64)
-        except (TypeError, ValueError):  # not iterable, or ragged
-            pairs = None
+        if isinstance(edges, np.ndarray) and edges.ndim == 2:
+            pairs = edges
+        else:
+            try:
+                edges = list(edges)
+                pairs = np.array(edges) if edges else np.empty((0, 2), dtype=np.int64)
+            except (TypeError, ValueError):  # not iterable, or ragged
+                pairs = None
         if (pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2
                 or pairs.dtype.kind not in "iu"):
             raise ValueError("edges must be pairs of integer node ids")
@@ -73,9 +76,11 @@ class RoundTopology:
             raise ValueError(f"edge ({i},{j}) outside 1..{n_nodes}")
         pairs = pairs.astype(np.int64)
         # Edge (i, j), i < j, is the key i * (n + 1) + j: one sort orders
-        # the edges and drops repeats.
+        # the edges, and repeats sit next to each other. (numpy 2.4's
+        # np.unique hashes first and takes 15-45x as long.)
         base = n_nodes + 1
-        key = np.unique(pairs.min(axis=1) * base + pairs.max(axis=1))
+        key = np.sort(pairs.min(axis=1) * base + pairs.max(axis=1))
+        key = key[np.diff(key, prepend=-1) != 0]
         src, dst = np.divmod(key, base)
         tails = np.concatenate([src, dst])
         heads = np.concatenate([dst, src])
@@ -283,8 +288,6 @@ def _prufer_tree(n: int, rng: random.Random) -> set[tuple[int, int]]:
     degree = [1] * (n + 1)
     for x in seq:
         degree[x] += 1
-    import heapq
-
     leaves = [i for i in range(1, n + 1) if degree[i] == 1]
     heapq.heapify(leaves)
     edges = set()
@@ -300,6 +303,124 @@ def _prufer_tree(n: int, rng: random.Random) -> set[tuple[int, int]]:
     return edges
 
 
+# Shuffle positions below this are decoded one draw at a time: a rejection
+# shifts every later word by one position, and small n reject often.
+_PYTHON_BELOW = 2048
+
+
+def _shuffle_draws(rng: random.Random, m: int) -> np.ndarray:
+    """j[i] = the randbelow(i + 1) that rng.shuffle draws at position i of a
+    list of length m, for i = m-1 .. 1 (j[0] = 0); rng is left unchanged.
+
+    CPython's getrandbits(k <= 32) is the top k bits of the next MT19937
+    word, and _randbelow_with_getrandbits(n) draws with k = n.bit_length()
+    until the value is below n. numpy's MT19937, seeded with rng's state,
+    yields the same words. A block of words is decoded at once: word t
+    serves position i - (words accepted before t), which the accepted
+    flags determine, so the flags are iterated until they reproduce
+    themselves. Only the sequential answer does: word t's flag depends on
+    the flags of the words before it alone.
+    """
+    key = rng.getstate()[1]
+    bits = np.random.MT19937()
+    bits.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(key[:-1], dtype=np.uint32), "pos": key[-1]},
+    }
+    j = np.zeros(m, dtype=np.int64)
+    i = m - 1  # the next position to draw for
+    spare = np.empty(0, dtype=np.int64)
+    while i >= _PYTHON_BELOW:
+        # A block keeps one bit length k, and spans at most an eighth of
+        # n, which keeps the flags converging in a few passes.
+        k = (i + 1).bit_length()
+        low = max(_PYTHON_BELOW, (1 << (k - 1)) - 1)  # the last one with this k
+        size = min(i >> 3, 1 << 16, 2 * (i - low) + 64)
+        fresh = bits.random_raw(max(0, size - len(spare))).astype(np.int64)
+        words = np.concatenate([spare, fresh])
+        draw = words >> (32 - k)
+        # Start from positions spaced by the acceptance rate n / 2^k.
+        guess = i - (np.arange(len(words)) * ((i + 1) / (1 << k))).astype(np.int64)
+        accepted = (draw <= guess) & (guess >= low)
+        while True:
+            pos = np.int64(i) - (np.cumsum(accepted, dtype=np.int32) - accepted)
+            flags = (draw <= pos) & (pos >= low)
+            if np.array_equal(flags, accepted):
+                break
+            accepted = flags
+        taken = np.flatnonzero(accepted)
+        j[pos[taken]] = draw[taken]
+        spare = words[taken[-1] + 1:] if taken.size else words
+        i -= taken.size
+
+    def words():
+        yield from spare.tolist()
+        while True:
+            yield from bits.random_raw(1024).tolist()
+
+    word = words().__next__
+    tail = []
+    for p in range(i, 0, -1):
+        shift = 32 - (p + 1).bit_length()
+        r = word() >> shift
+        while r > p:
+            r = word() >> shift
+        tail.append(r)
+    j[i:0:-1] = tail
+    return j
+
+
+def _shuffle_prefix(rng: random.Random, m: int, need: int) -> np.ndarray:
+    """The first need entries of x = list(range(m)) after rng.shuffle(x),
+    without building x; rng is left unchanged.
+
+    Step i of the Fisher-Yates pass (i = m-1 .. 1) swaps x[i] and x[j_i].
+    Position p is final after step p, where it takes the value that
+    position j_p held. The value a position q <= s holds before step s was
+    written by the last earlier step that touched it: the smallest i > s
+    with j_i = q, which handed it what position i held before step i. If
+    no such step exists, q still holds its start value q. One sort of the
+    (j_i, i) keys turns each hop into a searchsorted; chains are about
+    log m hops long.
+    """
+    j = _shuffle_draws(rng, m)
+    # The sentinel m * m ends every search on a key of no position.
+    keys = np.sort(np.append(j[1:] * m + np.arange(1, m), m * m))
+    out = np.empty(need, dtype=np.int64)
+    todo = np.arange(need)
+    q, s = j[:need], todo
+    while todo.size:
+        at = np.searchsorted(keys, q * m + s + 1)
+        hit = keys[at] // m == q
+        out[todo[~hit]] = q[~hit]
+        todo = todo[hit]
+        q = s = keys[at[hit]] % m
+    return out
+
+
+def _random_connected_edges(n: int, rng: random.Random, target: int) -> np.ndarray:
+    """A uniform spanning tree plus target - (n - 1) uniformly chosen other
+    pairs, as an int64 array with one (i, j) row per edge.
+
+    The extra pairs are the first ones of the lexicographic list of the
+    non-tree pairs (i < j) after rng.shuffle, found by their ranks in that
+    list; ranks map to pairs with arithmetic.
+    """
+    tree = np.array(sorted(_prufer_tree(n, rng)), dtype=np.int64)
+    need = target - (n - 1)
+    if need <= 0:
+        return tree
+    a = np.arange(n, dtype=np.int64)
+    starts = a * (n - 1) - a * (a - 1) // 2  # the index of pair (a+1, a+2)
+    tree_index = starts[tree[:, 0] - 1] + tree[:, 1] - tree[:, 0] - 1  # sorted
+    ranks = _shuffle_prefix(rng, n * (n - 1) // 2 - (n - 1), need)
+    # Skip the tree pairs: rank r is pair index r + #{tree pairs <= it}.
+    index = ranks + np.searchsorted(tree_index - np.arange(n - 1), ranks, side="right")
+    row = np.searchsorted(starts, index, side="right") - 1
+    extra = np.stack([row + 1, index - starts[row] + row + 2], axis=1)
+    return np.concatenate([tree, extra])
+
+
 def generate_topology(
     kind: str,
     n_nodes: int,
@@ -311,16 +432,18 @@ def generate_topology(
 
     Random graphs are a uniform spanning tree plus uniformly chosen extra
     edges until the target average degree is met, so connectivity holds by
-    construction.
+    construction. Both come from one random.Random(seed) stream: a Pruefer
+    sequence, then a shuffle of the non-tree pairs, which numpy replays.
     """
     if n_nodes < 2:
         raise BadParameters("need at least 2 nodes")
+    ids = np.arange(1, n_nodes + 1, dtype=np.int64)
     if kind == "complete":
-        edges = itertools.combinations(range(1, n_nodes + 1), 2)
+        edges = np.stack(np.triu_indices(n_nodes, 1), axis=1).astype(np.int64) + 1
     elif kind == "star":
-        edges = {(1, j) for j in range(2, n_nodes + 1)}
+        edges = np.stack([np.ones(n_nodes - 1, dtype=np.int64), ids[1:]], axis=1)
     elif kind == "line":
-        edges = {(i, i + 1) for i in range(1, n_nodes)}
+        edges = np.stack([ids[:-1], ids[1:]], axis=1)
     elif kind == "random_connected":
         if avg_degree is None:
             raise BadParameters("random_connected requires avg_degree")
@@ -328,15 +451,9 @@ def generate_topology(
             raise BadParameters(
                 f"avg_degree {avg_degree} outside [2, {n_nodes - 1}]"
             )
-        rng = random.Random(seed)
-        edges = _prufer_tree(n_nodes, rng)
         target = round(avg_degree * n_nodes / 2)
         target = min(max(target, n_nodes - 1), n_nodes * (n_nodes - 1) // 2)
-        pairs = itertools.combinations(range(1, n_nodes + 1), 2)
-        candidates = [e for e in pairs if e not in edges]
-        rng.shuffle(candidates)
-        for e in candidates[: max(0, target - len(edges))]:
-            edges.add(e)
+        edges = _random_connected_edges(n_nodes, random.Random(seed), target)
     else:
         raise BadParameters(f"unknown topology kind {kind!r}")
     return RoundTopology(n_nodes, edges, round_index)

@@ -4,8 +4,13 @@ RoundTopology holds sorted edge arrays, and neighbours, degrees, holder
 sets, share pairs, Metropolis-Hastings weights, connectivity and benign
 components are derived from them with numpy. The oracles below rebuild each
 from the normalized edge set with dicts, sorted lists and BFS.
+
+Seeded random graphs are drawn by a numpy replay of random.Random's
+shuffle; the generator that lists every candidate pair and shuffles the
+list is their oracle.
 """
 
+import itertools
 import random
 from collections import deque
 
@@ -14,7 +19,11 @@ import pytest
 
 from ppdfl.privacy import AdversarySet, literal_surrounded_sets, surrounded_components
 from ppdfl.topology import (
+    BadParameters,
     RoundTopology,
+    _prufer_tree,
+    _random_connected_edges,
+    _shuffle_prefix,
     component_labels,
     generate_topology,
     holder_sets,
@@ -195,3 +204,73 @@ def test_is_connected_one_edge_short():
     assert is_connected(RoundTopology(n, pairs + [(left[7], right[11])]))
     labels = component_labels(n, *np.array(normalized(pairs)).T)
     assert set(labels[1:].tolist()) == {1, 201}
+
+
+def listed_candidates_edges(n_nodes, rng, target):
+    """The random_connected generator before the numpy replay: the spanning
+    tree, then every other pair listed, shuffled, and the first ones taken."""
+    edges = _prufer_tree(n_nodes, rng)
+    pairs = itertools.combinations(range(1, n_nodes + 1), 2)
+    candidates = [e for e in pairs if e not in edges]
+    rng.shuffle(candidates)
+    for e in candidates[: max(0, target - len(edges))]:
+        edges.add(e)
+    return edges
+
+
+def oracle_random_connected(n_nodes, seed, avg_degree):
+    target = round(avg_degree * n_nodes / 2)
+    target = min(max(target, n_nodes - 1), n_nodes * (n_nodes - 1) // 2)
+    return listed_candidates_edges(n_nodes, random.Random(seed), target)
+
+
+def replay_cases():
+    """(n, avg_degree, seed): every degree at small n, spread degrees with
+    both ends at larger n, the complete graph (every candidate taken) and
+    large_random's 87 of 99."""
+    for n in (3, 5, 17):
+        for degree in [d for d in (*range(2, n), 2.5, n - 1.5) if 2 <= d <= n - 1]:
+            for seed in (0, 1, 11):
+                yield n, degree, seed
+    for n, seeds in ((100, (0, 7, 12345)), (200, (3, 4))):
+        for degree in [*range(2, n, 23), 4.0, 87, n - 2, n - 1]:
+            for seed in seeds:
+                yield n, degree, seed
+    yield 1000, 4.0, 11
+    yield 1000, 2, 1
+    yield 1000, 600, 2
+    yield 1000, 999, 3
+
+
+def test_random_connected_matches_listed_candidates_oracle():
+    for n, degree, seed in replay_cases():
+        g = generate_topology("random_connected", n, seed=seed, avg_degree=degree)
+        assert g.edges == frozenset(oracle_random_connected(n, seed, degree)), (
+            n, degree, seed)
+    # Two nodes: the tree is the whole graph, and no candidate is left.
+    for degree in (1, 2):
+        with pytest.raises(BadParameters):
+            generate_topology("random_connected", 2, avg_degree=degree)
+    for seed in (0, 5):
+        got = _random_connected_edges(2, random.Random(seed), 1)
+        assert set(map(tuple, got.tolist())) == listed_candidates_edges(
+            2, random.Random(seed), 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 11, 12, 17])
+def test_shuffle_prefix_matches_random_shuffle(k):
+    # Positions below 2048 = 2^11 are decoded in Python, the rest in
+    # blocks; m straddles both powers of two around that cutover.
+    for m in (2**k - 1, 2**k, 2**k + 1):
+        for seed in (0, 9):
+            rng = random.Random(seed)
+            for _ in range(seed * 37):  # MT19937 part-way through its 624 words
+                rng.random()
+            state = rng.getstate()
+            expected = list(range(m))
+            shuffler = random.Random()
+            shuffler.setstate(state)
+            shuffler.shuffle(expected)
+            for need in {1, m}:
+                assert _shuffle_prefix(rng, m, need).tolist() == expected[:need]
+                assert rng.getstate() == state  # the replay leaves rng as it was

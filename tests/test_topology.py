@@ -1,4 +1,8 @@
+import hashlib
+import itertools
+import json
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -64,7 +68,8 @@ def test_topology_normalization_matches_per_edge_loop():
             RoundTopology(3, frozenset({bad, (1, 2)}))
         assert str(got.value) == str(want.value)
     for malformed in ([(1, 2, 3)], [(1,)], [("1", "2")], [(1.0, 2.0)], None, 5,
-                      [(1, 2), (3,)]):
+                      [(1, 2), (3,)], np.array([[1.0, 2.0]]), np.ones((2, 3), dtype=int),
+                      np.array([["1", "2"]])):
         with pytest.raises(ValueError, match="edges must be pairs of integer node ids"):
             RoundTopology(3, malformed)
     for n_nodes in ("3", 3.0, None):
@@ -197,6 +202,12 @@ def test_contraction_radius_matches_eigensolve_small():
 def test_generate_line_and_star_shapes():
     assert generate_topology("line", 4).edges == frozenset({(1, 2), (2, 3), (3, 4)})
     assert generate_topology("star", 4).edges == frozenset({(1, 2), (1, 3), (1, 4)})
+    for n in (2, 3, 17):
+        ids = range(1, n + 1)
+        assert generate_topology("complete", n).edges == frozenset(
+            itertools.combinations(ids, 2))
+        assert generate_topology("star", n).edges == frozenset((1, j) for j in ids[1:])
+        assert generate_topology("line", n).edges == frozenset(zip(ids, ids[1:]))
 
 
 def test_generate_topology_bad_parameters():
@@ -266,3 +277,29 @@ def test_schedule_json_roundtrip(tmp_path):
     for n_nodes in (None, 8):
         with pytest.raises(ValueError, match="pairs of integer node ids"):
             TopologySchedule.from_file(str(path), n_nodes=n_nodes)
+
+
+# sha256 of each schedule's compact JSON edge lists, as the manifest's
+# schedule_digest hashes them, drawn by versions up to 0.3.0: sparse_1k's
+# four graphs (N=1000, avg degree 4, schedule seed 11) and the six of
+# configs/large_random.json (N=100, avg degree 87, seed 7). A change that
+# moves a seeded graph has to bump __version__ and these pins together.
+SPARSE_1K_SCHEDULE_SHA256 = "d84df31d8a244b5b099a0c726281f1a94d66048f5fe6670b5de056dfe65fb9be"
+LARGE_RANDOM_SCHEDULE_SHA256 = "5f997671c8e50163ab6c30be261444110f02843bca4b576b397d9ddb1e7e7694"
+
+
+def _schedule_sha256(schedule, rounds):
+    blob = json.dumps(schedule.to_json(rounds), separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_seeded_schedules_are_pinned():
+    sparse = TopologySchedule.generated("random_connected", 1000, seed=11, avg_degree=4.0)
+    assert _schedule_sha256(sparse, 4) == SPARSE_1K_SCHEDULE_SHA256
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "large_random.json"
+    raw = json.loads(config.read_text())
+    dense = TopologySchedule.generated(
+        raw["schedule"]["kind"], raw["n_learners"], seed=raw["seed"],
+        avg_degree=raw["schedule"]["avg_degree"],
+    )
+    assert _schedule_sha256(dense, raw["rounds"]) == LARGE_RANDOM_SCHEDULE_SHA256
