@@ -1,7 +1,7 @@
 """Deterministic simulator and analysis toolkit for privacy-preserving
 decentralized model aggregation over time-varying communication graphs."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .field import PrimeModulus
 from .fixedpoint import Precision, check_p_bound, decode_residues, encode_fixed

@@ -225,17 +225,16 @@ def _parse_topology_flag(spec: str, n: int, seed: int):
 
 
 def _cmd_spectral(args) -> int:
-    from .topology import contraction_radius, mh_weights, second_largest_eigenvalue
+    from .topology import mh_weights, second_largest_eigenvalue
 
     g = _parse_topology_flag(args.topology, args.n, args.seed)
-    a = mh_weights(g)
-    lam2 = second_largest_eigenvalue(a)
-    radius = contraction_radius(a)
+    lam2 = second_largest_eigenvalue(mh_weights(g))
     print(f"lambda2,{lam2!r}")
     print("k,averaging_error_norm")
     for k in range(args.kmax + 1):
-        # ||N A^k - 11^T|| == N * radius^k for symmetric doubly stochastic A
-        print(f"{k},{args.n * radius ** k!r}")
+        # ||N A^k - 11^T|| == N * |lambda2|^k for the symmetric doubly
+        # stochastic A of a connected graph
+        print(f"{k},{args.n * abs(lam2) ** k!r}")
     return EXIT_OK
 
 

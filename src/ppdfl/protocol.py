@@ -243,7 +243,7 @@ def _resolve_schedule(spec, raw: Mapping, base_dir: str) -> TopologySchedule:
             avg_degree=spec.get("avg_degree"),
         )
     if isinstance(spec, list):
-        graphs = [RoundTopology(n, edges, t) for t, edges in enumerate(spec, start=1)]
+        graphs = [RoundTopology(n, edges) for edges in spec]
         return TopologySchedule.from_graphs(graphs)
     raise ConfigError("schedule must be a file path, generator spec, or edge lists")
 
@@ -283,7 +283,7 @@ def _collect_message(per_round: dict[int, dict], msg: dict) -> None:
             raise ValueError(f"transcript round {t} repeats its topology record")
         try:
             slot["topology"] = RoundTopology(
-                msg["payload"]["n_nodes"], msg["payload"]["edges"], t
+                msg["payload"]["n_nodes"], msg["payload"]["edges"]
             )
         except ValueError as exc:
             raise ValueError(f"transcript round {t} topology record: {exc}") from None

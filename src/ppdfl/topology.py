@@ -14,16 +14,14 @@ weights, share pairs and connectivity all derive from them with numpy.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import json
 import numbers
-import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import derive_seed
+from .seeding import derive_rng, derive_seed
 
 
 class DisconnectedGraph(ValueError):
@@ -50,7 +48,7 @@ class RoundTopology:
     arc k's edge.
     """
 
-    def __init__(self, n_nodes: int, edges, round_index: int = 0):
+    def __init__(self, n_nodes: int, edges):
         if not isinstance(n_nodes, numbers.Integral):
             raise ValueError(f"n_nodes must be an integer, not {n_nodes!r}")
         n_nodes = int(n_nodes)
@@ -86,7 +84,6 @@ class RoundTopology:
         heads = np.concatenate([dst, src])
         order = np.argsort(tails * base + heads)
         self.n_nodes = n_nodes
-        self.round_index = round_index
         self.src, self.dst = src, dst
         self.arc_tail, self.arc_head = tails[order], heads[order]
         self.arc_edge = np.where(order < len(src), order, order - len(src))
@@ -280,142 +277,67 @@ def second_largest_eigenvalue(a: np.ndarray) -> float:
     return float(vals[order[1]])
 
 
-def _prufer_tree(n: int, rng: random.Random) -> set[tuple[int, int]]:
-    # Uniform random labeled spanning tree on 1..n.
-    if n == 2:
-        return {(1, 2)}
-    seq = [rng.randrange(1, n + 1) for _ in range(n - 2)]
-    degree = [1] * (n + 1)
-    for x in seq:
-        degree[x] += 1
+def _prufer_tree(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniform random labeled spanning tree on 1..n, decoded from a
+    uniform Pruefer sequence: one (i, j) row per edge, i < j."""
+    seq = rng.integers(1, n + 1, size=n - 2)
+    degree = (np.bincount(seq, minlength=n + 1) + 1).tolist()
     leaves = [i for i in range(1, n + 1) if degree[i] == 1]
     heapq.heapify(leaves)
-    edges = set()
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.add((min(leaf, x), max(leaf, x)))
+    edges = []
+    for x in seq.tolist():
+        edges.append((heapq.heappop(leaves), x))
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.add((min(u, v), max(u, v)))
-    return edges
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return np.sort(np.array(edges, dtype=np.int64), axis=1)
 
 
-# Shuffle positions below this are decoded one draw at a time: a rejection
-# shifts every later word by one position, and small n reject often.
-_PYTHON_BELOW = 2048
+def _distinct_draws(
+    rng: np.random.Generator, m: int, excluded: np.ndarray, k: int
+) -> np.ndarray:
+    """k distinct values of 0..m-1 outside the sorted nonempty array
+    excluded, every such k-set equally likely.
 
-
-def _shuffle_draws(rng: random.Random, m: int) -> np.ndarray:
-    """j[i] = the randbelow(i + 1) that rng.shuffle draws at position i of a
-    list of length m, for i = m-1 .. 1 (j[0] = 0); rng is left unchanged.
-
-    CPython's getrandbits(k <= 32) is the top k bits of the next MT19937
-    word, and _randbelow_with_getrandbits(n) draws with k = n.bit_length()
-    until the value is below n. numpy's MT19937, seeded with rng's state,
-    yields the same words. A block of words is decoded at once: word t
-    serves position i - (words accepted before t), which the accepted
-    flags determine, so the flags are iterated until they reproduce
-    themselves. Only the sequential answer does: word t's flag depends on
-    the flags of the words before it alone.
+    They are the first k distinct values, in draw order, of a stream of
+    uniform draws from 0..m-1 with the excluded values dropped. The stream
+    is drawn in batches; a stable sort finds each value's first draw.
     """
-    key = rng.getstate()[1]
-    bits = np.random.MT19937()
-    bits.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": np.array(key[:-1], dtype=np.uint32), "pos": key[-1]},
-    }
-    j = np.zeros(m, dtype=np.int64)
-    i = m - 1  # the next position to draw for
-    spare = np.empty(0, dtype=np.int64)
-    while i >= _PYTHON_BELOW:
-        # A block keeps one bit length k, and spans at most an eighth of
-        # n, which keeps the flags converging in a few passes.
-        k = (i + 1).bit_length()
-        low = max(_PYTHON_BELOW, (1 << (k - 1)) - 1)  # the last one with this k
-        size = min(i >> 3, 1 << 16, 2 * (i - low) + 64)
-        fresh = bits.random_raw(max(0, size - len(spare))).astype(np.int64)
-        words = np.concatenate([spare, fresh])
-        draw = words >> (32 - k)
-        # Start from positions spaced by the acceptance rate n / 2^k.
-        guess = i - (np.arange(len(words)) * ((i + 1) / (1 << k))).astype(np.int64)
-        accepted = (draw <= guess) & (guess >= low)
-        while True:
-            pos = np.int64(i) - (np.cumsum(accepted, dtype=np.int32) - accepted)
-            flags = (draw <= pos) & (pos >= low)
-            if np.array_equal(flags, accepted):
-                break
-            accepted = flags
-        taken = np.flatnonzero(accepted)
-        j[pos[taken]] = draw[taken]
-        spare = words[taken[-1] + 1:] if taken.size else words
-        i -= taken.size
-
-    def words():
-        yield from spare.tolist()
-        while True:
-            yield from bits.random_raw(1024).tolist()
-
-    word = words().__next__
-    tail = []
-    for p in range(i, 0, -1):
-        shift = 32 - (p + 1).bit_length()
-        r = word() >> shift
-        while r > p:
-            r = word() >> shift
-        tail.append(r)
-    j[i:0:-1] = tail
-    return j
+    got = np.empty(0, dtype=np.int64)
+    while len(got) < k:
+        draws = rng.integers(0, m, size=2 * (k - len(got)) + 16)
+        hit = excluded[np.minimum(np.searchsorted(excluded, draws), len(excluded) - 1)]
+        got = np.concatenate([got, draws[hit != draws]])
+        order = np.argsort(got, kind="stable")
+        first = order[np.diff(got[order], prepend=-1) != 0]
+        got = got[np.sort(first)[:k]]
+    return got
 
 
-def _shuffle_prefix(rng: random.Random, m: int, need: int) -> np.ndarray:
-    """The first need entries of x = list(range(m)) after rng.shuffle(x),
-    without building x; rng is left unchanged.
-
-    Step i of the Fisher-Yates pass (i = m-1 .. 1) swaps x[i] and x[j_i].
-    Position p is final after step p, where it takes the value that
-    position j_p held. The value a position q <= s holds before step s was
-    written by the last earlier step that touched it: the smallest i > s
-    with j_i = q, which handed it what position i held before step i. If
-    no such step exists, q still holds its start value q. One sort of the
-    (j_i, i) keys turns each hop into a searchsorted; chains are about
-    log m hops long.
-    """
-    j = _shuffle_draws(rng, m)
-    # The sentinel m * m ends every search on a key of no position.
-    keys = np.sort(np.append(j[1:] * m + np.arange(1, m), m * m))
-    out = np.empty(need, dtype=np.int64)
-    todo = np.arange(need)
-    q, s = j[:need], todo
-    while todo.size:
-        at = np.searchsorted(keys, q * m + s + 1)
-        hit = keys[at] // m == q
-        out[todo[~hit]] = q[~hit]
-        todo = todo[hit]
-        q = s = keys[at[hit]] % m
-    return out
-
-
-def _random_connected_edges(n: int, rng: random.Random, target: int) -> np.ndarray:
+def _random_connected_edges(
+    n: int, rng: np.random.Generator, target: int
+) -> np.ndarray:
     """A uniform spanning tree plus target - (n - 1) uniformly chosen other
     pairs, as an int64 array with one (i, j) row per edge.
 
-    The extra pairs are the first ones of the lexicographic list of the
-    non-tree pairs (i < j) after rng.shuffle, found by their ranks in that
-    list; ranks map to pairs with arithmetic.
+    Pairs i < j are indexed 0..n(n-1)/2 - 1 in lexicographic order. The
+    extra pairs are drawn by index; when they are more than half of the
+    non-tree pairs, the pairs to leave out are drawn instead, so the work
+    stays O(target) in both regimes.
     """
-    tree = np.array(sorted(_prufer_tree(n, rng)), dtype=np.int64)
-    need = target - (n - 1)
-    if need <= 0:
-        return tree
+    tree = _prufer_tree(n, rng)
     a = np.arange(n, dtype=np.int64)
     starts = a * (n - 1) - a * (a - 1) // 2  # the index of pair (a+1, a+2)
-    tree_index = starts[tree[:, 0] - 1] + tree[:, 1] - tree[:, 0] - 1  # sorted
-    ranks = _shuffle_prefix(rng, n * (n - 1) // 2 - (n - 1), need)
-    # Skip the tree pairs: rank r is pair index r + #{tree pairs <= it}.
-    index = ranks + np.searchsorted(tree_index - np.arange(n - 1), ranks, side="right")
+    pairs = n * (n - 1) // 2
+    tree_index = np.sort(starts[tree[:, 0] - 1] + tree[:, 1] - tree[:, 0] - 1)
+    free, need = pairs - (n - 1), target - (n - 1)
+    leave_out = 2 * need > free
+    index = _distinct_draws(rng, pairs, tree_index, free - need if leave_out else need)
+    if leave_out:
+        keep = np.ones(pairs, dtype=bool)
+        keep[tree_index] = keep[index] = False
+        index = np.flatnonzero(keep)
     row = np.searchsorted(starts, index, side="right") - 1
     extra = np.stack([row + 1, index - starts[row] + row + 2], axis=1)
     return np.concatenate([tree, extra])
@@ -426,14 +348,13 @@ def generate_topology(
     n_nodes: int,
     seed: int = 0,
     avg_degree: float | None = None,
-    round_index: int = 0,
 ) -> RoundTopology:
     """Named deterministic graph, or a seeded random connected graph.
 
     Random graphs are a uniform spanning tree plus uniformly chosen extra
     edges until the target average degree is met, so connectivity holds by
-    construction. Both come from one random.Random(seed) stream: a Pruefer
-    sequence, then a shuffle of the non-tree pairs, which numpy replays.
+    construction. Both come from one numpy Generator derived from seed:
+    a Pruefer sequence, then the extra pairs.
     """
     if n_nodes < 2:
         raise BadParameters("need at least 2 nodes")
@@ -453,10 +374,10 @@ def generate_topology(
             )
         target = round(avg_degree * n_nodes / 2)
         target = min(max(target, n_nodes - 1), n_nodes * (n_nodes - 1) // 2)
-        edges = _random_connected_edges(n_nodes, random.Random(seed), target)
+        edges = _random_connected_edges(n_nodes, derive_rng(seed), target)
     else:
         raise BadParameters(f"unknown topology kind {kind!r}")
-    return RoundTopology(n_nodes, edges, round_index)
+    return RoundTopology(n_nodes, edges)
 
 
 class TopologySchedule:
@@ -494,16 +415,13 @@ class TopologySchedule:
         if self._graphs is not None:
             if t > len(self._graphs):
                 raise ValueError(f"schedule has only {len(self._graphs)} rounds")
-            g = copy.copy(self._graphs[t - 1])  # shares the read-only arrays
-            g.round_index = t
-            return g
+            return self._graphs[t - 1]
         kind, n_nodes, seed, avg_degree = self._policy
         return generate_topology(
             kind,
             n_nodes,
             seed=derive_seed(seed, "topology", t),
             avg_degree=avg_degree,
-            round_index=t,
         )
 
     def materialize(self, rounds: int) -> list[RoundTopology]:
@@ -524,7 +442,7 @@ class TopologySchedule:
                 raise ValueError(
                     f"schedule round {t}: edges must be pairs of integer node ids"
                 ) from None
-            graphs.append(RoundTopology(n, edge_list, t))
+            graphs.append(RoundTopology(n, edge_list))
         return cls.from_graphs(graphs)
 
     def to_json(self, rounds: int | None = None) -> list:

@@ -6,6 +6,7 @@ import pytest
 
 from ppdfl.cli import main
 from ppdfl.field import next_prime
+from ppdfl.topology import contraction_radius, generate_topology, mh_weights
 
 
 def write_config(tmp_path, **overrides):
@@ -150,13 +151,20 @@ def test_spectral_reference_values(capsys):
     assert lines[1] == "k,averaging_error_norm"
     k0 = float(lines[2].split(",")[1])
     assert abs(k0 - 100.0) < 1e-9
+    # N * |lambda2|^k is N * radius^k: the contraction radius of a connected
+    # MH matrix is |lambda2|
+    radius = contraction_radius(mh_weights(generate_topology("line", 100)))
+    k2 = float(lines[4].split(",")[1])
+    assert k2 == 100 * abs(lam2) ** 2
+    assert abs(k2 - 100 * radius ** 2) < 1e-9
 
 
 def test_spectral_random_topology_flag(capsys):
-    assert main(["spectral", "--topology", "random:4", "--n", "20",
-                 "--seed", "3", "--kmax", "2"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("lambda2,")
+    for seed in ("3", "-3"):
+        assert main(["spectral", "--topology", "random:4", "--n", "20",
+                     "--seed", seed, "--kmax", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("lambda2,")
 
 
 def test_bounds_pass_and_fail(tmp_path, capsys):
@@ -303,8 +311,8 @@ def test_privacy_transcript_without_state0_exits_config(tmp_path, capsys):
 
 
 def _demo_messages(tmp_path):
-    """Messages of a configs/demo.json run; its round-1 graph has the edge
-    2-3 and no edge 1-8."""
+    """Messages of a configs/demo.json run; its round-1 graph has the edges
+    1-7 and 2-3 and no edge 1-8."""
     config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.json"
     out = tmp_path / "demo"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
@@ -379,7 +387,7 @@ def test_privacy_transcript_duplicate_share_bundle_exits_config(tmp_path, capsys
 def test_privacy_transcript_bundle_between_non_neighbours_exits_config(tmp_path, capsys):
     msgs = _demo_messages(tmp_path)
     legacy = _per_pair(msgs)
-    k = _bundle_index(legacy, 1, 6)
+    k = _bundle_index(legacy, 1, 7)
     legacy.insert(k + 1, {**legacy[k], "to": 8})
     err = _privacy_error(tmp_path, capsys, legacy)
     assert "round 1 has share bundle 1->8 between learners that are not" in err

@@ -5,13 +5,15 @@ sets, share pairs, Metropolis-Hastings weights, connectivity and benign
 components are derived from them with numpy. The oracles below rebuild each
 from the normalized edge set with dicts, sorted lists and BFS.
 
-Seeded random graphs are drawn by a numpy replay of random.Random's
-shuffle; the generator that lists every candidate pair and shuffles the
-list is their oracle.
+Seeded random graphs are checked against their law: a uniform spanning
+tree plus uniformly chosen extra pairs gives each connected graph G with
+the target edge count probability proportional to its spanning-tree count.
 """
 
 import itertools
+import math
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -21,9 +23,7 @@ from ppdfl.privacy import AdversarySet, literal_surrounded_sets, surrounded_comp
 from ppdfl.topology import (
     BadParameters,
     RoundTopology,
-    _prufer_tree,
     _random_connected_edges,
-    _shuffle_prefix,
     component_labels,
     generate_topology,
     holder_sets,
@@ -206,27 +206,9 @@ def test_is_connected_one_edge_short():
     assert set(labels[1:].tolist()) == {1, 201}
 
 
-def listed_candidates_edges(n_nodes, rng, target):
-    """The random_connected generator before the numpy replay: the spanning
-    tree, then every other pair listed, shuffled, and the first ones taken."""
-    edges = _prufer_tree(n_nodes, rng)
-    pairs = itertools.combinations(range(1, n_nodes + 1), 2)
-    candidates = [e for e in pairs if e not in edges]
-    rng.shuffle(candidates)
-    for e in candidates[: max(0, target - len(edges))]:
-        edges.add(e)
-    return edges
-
-
-def oracle_random_connected(n_nodes, seed, avg_degree):
-    target = round(avg_degree * n_nodes / 2)
-    target = min(max(target, n_nodes - 1), n_nodes * (n_nodes - 1) // 2)
-    return listed_candidates_edges(n_nodes, random.Random(seed), target)
-
-
-def replay_cases():
+def sampler_cases():
     """(n, avg_degree, seed): every degree at small n, spread degrees with
-    both ends at larger n, the complete graph (every candidate taken) and
+    both ends at larger n, the complete graph (every pair taken) and
     large_random's 87 of 99."""
     for n in (3, 5, 17):
         for degree in [d for d in (*range(2, n), 2.5, n - 1.5) if 2 <= d <= n - 1]:
@@ -242,35 +224,74 @@ def replay_cases():
     yield 1000, 999, 3
 
 
-def test_random_connected_matches_listed_candidates_oracle():
-    for n, degree, seed in replay_cases():
+def test_random_connected_properties():
+    for n, degree, seed in sampler_cases():
+        target = min(max(round(degree * n / 2), n - 1), n * (n - 1) // 2)
+        edges = _random_connected_edges(n, np.random.default_rng(seed), target)
+        low, high = edges.min(axis=1), edges.max(axis=1)
+        assert len(edges) == target and (low >= 1).all() and (high <= n).all()
+        assert np.unique(low * (n + 1) + high).size == target and (low < high).all()
         g = generate_topology("random_connected", n, seed=seed, avg_degree=degree)
-        assert g.edges == frozenset(oracle_random_connected(n, seed, degree)), (
-            n, degree, seed)
-    # Two nodes: the tree is the whole graph, and no candidate is left.
+        assert len(g.src) == target and is_connected(g)
+        again = generate_topology("random_connected", n, seed=seed, avg_degree=degree)
+        assert np.array_equal(g.src, again.src) and np.array_equal(g.dst, again.dst)
+    # Two nodes: the tree is the whole graph, and no pair is left.
     for degree in (1, 2):
         with pytest.raises(BadParameters):
             generate_topology("random_connected", 2, avg_degree=degree)
     for seed in (0, 5):
-        got = _random_connected_edges(2, random.Random(seed), 1)
-        assert set(map(tuple, got.tolist())) == listed_candidates_edges(
-            2, random.Random(seed), 1)
+        got = _random_connected_edges(2, np.random.default_rng(seed), 1)
+        assert got.tolist() == [[1, 2]]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 11, 12, 17])
-def test_shuffle_prefix_matches_random_shuffle(k):
-    # Positions below 2048 = 2^11 are decoded in Python, the rest in
-    # blocks; m straddles both powers of two around that cutover.
-    for m in (2**k - 1, 2**k, 2**k + 1):
-        for seed in (0, 9):
-            rng = random.Random(seed)
-            for _ in range(seed * 37):  # MT19937 part-way through its 624 words
-                rng.random()
-            state = rng.getstate()
-            expected = list(range(m))
-            shuffler = random.Random()
-            shuffler.setstate(state)
-            shuffler.shuffle(expected)
-            for need in {1, m}:
-                assert _shuffle_prefix(rng, m, need).tolist() == expected[:need]
-                assert rng.getstate() == state  # the replay leaves rng as it was
+def spanning_tree_count(n, edges):
+    """Kirchhoff: any cofactor of the graph Laplacian."""
+    lap = np.zeros((n, n))
+    for i, j in edges:
+        lap[i - 1, j - 1] = lap[j - 1, i - 1] = -1
+        lap[i - 1, i - 1] += 1
+        lap[j - 1, j - 1] += 1
+    return round(np.linalg.det(lap[1:, 1:]))
+
+
+def chi2_quantile(dof, z):
+    """Wilson-Hilferty approximation of the chi-square quantile at the
+    normal quantile z."""
+    c = 2 / (9 * dof)
+    return dof * (1 - c + z * math.sqrt(c)) ** 3
+
+
+# n=5 has 10 pairs, 4 of them tree pairs. Target 6 draws 2 of the 6
+# non-tree pairs; target 8 draws the 2 of them to leave out.
+@pytest.mark.parametrize("target", [6, 8])
+def test_random_connected_follows_the_exact_law(target):
+    n, samples = 5, 20000
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    weight = {}
+    for edges in itertools.combinations(pairs, target):
+        trees = spanning_tree_count(n, edges)
+        if trees:
+            weight[frozenset(edges)] = trees
+    total = sum(weight.values())
+    rng = np.random.default_rng(20260510 + target)
+    seen = {}
+    for _ in range(samples):
+        edges = np.sort(_random_connected_edges(n, rng, target), axis=1)
+        g = frozenset(map(tuple, edges.tolist()))
+        seen[g] = seen.get(g, 0) + 1
+    assert set(seen) <= set(weight)  # every draw has target distinct pairs
+    expected = {g: samples * w / total for g, w in weight.items()}
+    assert min(expected.values()) >= 5
+    chi2 = sum((seen.get(g, 0) - e) ** 2 / e for g, e in expected.items())
+    assert chi2 < chi2_quantile(len(weight) - 1, 3.09)  # the 0.999 quantile
+
+
+def test_random_connected_at_10k_learners_stays_small():
+    tracemalloc.start()
+    try:
+        g = generate_topology("random_connected", 10_000, avg_degree=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert len(g.src) == 20_000 and is_connected(g)

@@ -352,11 +352,11 @@ def test_share_phase_determinism():
 
 
 # sha256 over "sender,receiver:v1,v2,...\n" lines of every share bundle of
-# configs/demo.json rounds 1-2, in share_pairs order, as versions 0.2.0 and
-# 0.3.0 produce them (0.3.0 changed only the transcript layout). Seeded runs
+# configs/demo.json rounds 1-2, in share_pairs order, as version 0.4.0
+# produces them (0.4.0 drew new graphs from the same seeds). Seeded runs
 # must stay byte-identical within a version; a change to the share stream
-# has to bump __version__ and this pin together.
-DEMO_BUNDLES_SHA256 = "a0fae653e6f2a26c8c4ec80c1632e68416a4e106443ddab35c013e72c37be4d6"
+# or to the seeded graphs has to bump __version__ and this pin together.
+DEMO_BUNDLES_SHA256 = "042604414fa64516aec5c6e6cef5fe42e62f3806a0697aefa6de6e2a6b7d7e1a"
 
 
 def test_demo_share_stream_is_pinned():
