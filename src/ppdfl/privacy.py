@@ -3,17 +3,14 @@
 The coalition pools every message its members saw. Each observation is a
 GF(p)-linear equation over the benign learners' share values -- learner
 j's polynomial evaluated at each member of its closed neighbourhood --
-so the whole analysis reduces to exact rank computations: assemble the
-observations as rows, reduce, and test which target functionals of the
-secrets fall inside the row space. A secret is the interpolation-weighted
-sum of its learner's share values, and share values are an invertible
-Vandermonde image of the secret and polynomial coefficients, so the
-answers are those of the system over secrets and coefficients (see
-_build_view). In these unknowns a handed share is a one-entry row and no
-two masked-state rows share an unknown, so the system is block-sparse and
-row-reduces fast. Both answers are proofs -- "inferable" comes with the
-reconstructed value, and "not inferable" certifies that no linear
-post-processing of the view reveals the functional.
+and the question is which target functionals of the secrets fall inside
+the row space, and with what value. A secret is the
+interpolation-weighted sum of its learner's share values, and share
+values are an invertible Vandermonde image of the secret and polynomial
+coefficients, so the answers are those of the system over secrets and
+coefficients (see _build_view). Both answers are proofs -- "inferable"
+comes with the reconstructed value, and "not inferable" certifies that no
+linear post-processing of the view reveals the functional.
 
 A connected group of benign learners whose every outside contact is
 adversarial ("surrounded") leaks exactly its summed model: the coalition
@@ -25,9 +22,14 @@ modular sum. The engine reproduces both directions constructively.
 By default the coalition is over-credited with every benign learner's
 masked initial state: broadcast states are public linear images of the
 initial ones, so this is a safe upper bound on the averaging-layer view
-and keeps the analysis purely linear over GF(p). The "observed" mode
-restricts the credit to the state functionals actually spanned by the
-coalition's seats, computed exactly over the rationals.
+and keeps the analysis purely linear over GF(p). In these unknowns a
+handed share is a one-entry row and the masked-state rows have disjoint
+supports, so the worst-case answer has a closed form: a functional leaks
+exactly when its coefficients are constant on every benign component,
+and its value is read off the share table (_ComponentView) with no
+elimination. The "observed" mode restricts the credit to the state
+functionals actually spanned by the coalition's seats, computed exactly
+over the rationals, and row-reduces that system (_build_view, _LinearView).
 """
 
 from __future__ import annotations
@@ -96,21 +98,30 @@ class SurroundedDecomposition:
     boundary: tuple[frozenset[int], ...]
 
 
+def _benign_labels(
+    g: RoundTopology, adversaries: AdversarySet
+) -> tuple[np.ndarray, np.ndarray]:
+    """(benign, labels) over ids 0..N: benign[v] marks the benign learners,
+    and labels[v] is the smallest id of v's connected component in the
+    benign-induced subgraph (an adversary is its own label)."""
+    benign = np.ones(g.n_nodes + 1, dtype=bool)
+    benign[[0, *adversaries.ids]] = False
+    inner = benign[g.src] & benign[g.dst]
+    return benign, component_labels(g.n_nodes, g.src[inner], g.dst[inner])
+
+
 def surrounded_components(
     g: RoundTopology, adversaries: AdversarySet
 ) -> SurroundedDecomposition:
     """Connected components of the graph restricted to benign learners,
     ordered by their smallest members."""
-    benign = np.ones(g.n_nodes + 1, dtype=bool)
-    benign[[0, *adversaries.ids]] = False
-    src_benign, dst_benign = benign[g.src], benign[g.dst]
-    inner = src_benign & dst_benign
-    labels = component_labels(g.n_nodes, g.src[inner], g.dst[inner])
+    benign, labels = _benign_labels(g, adversaries)
     # Benign members sorted by component, and by id within it.
     members = np.flatnonzero(benign)
     members = members[np.argsort(labels[members], kind="stable")]
     groups = np.split(members, np.flatnonzero(np.diff(labels[members])) + 1)
     # Benign endpoints of benign-adversary edges.
+    src_benign, dst_benign = benign[g.src], benign[g.dst]
     mixed = src_benign != dst_benign
     touching = np.zeros(g.n_nodes + 1, dtype=bool)
     touching[np.where(src_benign[mixed], g.src[mixed], g.dst[mixed])] = True
@@ -231,8 +242,119 @@ def secrecy_cross_check(g: RoundTopology, adversaries: AdversarySet) -> bool:
     return verdict.ok == benign_connected
 
 
+def _round_shares(
+    record, adversaries: AdversarySet, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(coalition, senders, receivers, table) of one round: coalition[v]
+    marks the coalition's ids among 0..N, and row e of the share table is
+    the weighted bundle senders[e] sends receivers[e], in share_pairs order.
+    Refuses a modulus the int64 kernels cannot hold and a table that does
+    not fit the round's graph."""
+    PrimeModulus(p)  # a transcript's modulus must suit the int64 kernels
+    g: RoundTopology = record.topology
+    senders, receivers = share_pairs(g)
+    table = record.bundles
+    if len(table) != len(senders):
+        raise TranscriptIncomplete(
+            f"round {record.round_index} records {len(table)} share bundles, "
+            f"its graph sends {len(senders)}"
+        )
+    coalition = np.zeros(g.n_nodes + 1, dtype=bool)
+    coalition[list(adversaries.ids)] = True
+    return coalition, senders, receivers, table
+
+
+class _ComponentView:
+    """Everything a worst-case coalition learns, in closed form.
+
+    Let w[j, i] = delta_ji * f_j(i) be the weighted share that benign j
+    sends to member i of its closed neighbourhood N[j]: a bundle. These
+    unknowns are the share values of _build_view rescaled by nonzero
+    constants, so they pose the same questions with the same answers. The
+    worst-case view has three kinds of rows:
+
+    - each share benign j handed to a coalition member a is a unit row,
+      w[j, a] = bundle(j, a);
+    - benign i's masked state less the coalition's bundles into i is the
+      sum of w[j, i] over the benign j in N[i]. No two of these rows share
+      an unknown, and with the handed rows they partition the unknowns;
+    - the aggregate, sum_j x_j with x_j = sum_i w[j, i], is the sum of all
+      the rows above, so it adds no information, only a consistency check:
+      its right-hand side, the rounded output less the coalition's own
+      secrets, must equal the sum of theirs.
+
+    A target sum_j c_j x_j puts c_j on every w[j, i]. The rows are unit
+    vectors and indicators of disjoint blocks that cover every unknown, so
+    the target is a combination of them exactly when it is constant on
+    each block: c_j must agree over the benign members j of every closed
+    neighbourhood N[i]. Since i is one of them, that holds exactly when c
+    is constant on each connected component C of the benign-induced
+    subgraph, a member the functional omits counting as 0. The combination
+    takes c_C times each state row in C and c_j times each share j handed
+    out, so the value is sum_C c_C v_C, where v_C sums over i in C the
+    balance
+
+        b_i = s0_i - (coalition bundles into i) + (bundles i handed out).
+
+    Otherwise some benign i has benign j, j' in N[i] with c_j != c_j', and
+    z = e_(j,i)/delta_ji - e_(j',i)/delta_j'i over share values annihilates
+    every row while the target gives c_j - c_j' != 0: no linear
+    post-processing of the view reveals the functional. Both answers are
+    therefore exact over GF(p), and nothing is eliminated.
+    """
+
+    def __init__(self, record, adversaries: AdversarySet, p: int,
+                 coordinates: tuple[int, ...]):
+        coalition, senders, receivers, table = _round_shares(record, adversaries, p)
+        benign, labels = _benign_labels(record.topology, adversaries)
+        coords = list(coordinates)
+        shares = table[:, coords] % p
+        balance = np.zeros((len(benign), len(coords)), dtype=np.int64)
+        balance[benign] = record.initial_states[benign[1:]][:, coords] % p
+        into = coalition[senders] & benign[receivers]
+        np.subtract.at(balance, receivers[into], shares[into])
+        handed = benign[senders] & coalition[receivers]
+        np.add.at(balance, senders[handed], shares[handed])
+        # Component C's value sits at row labels[C], its smallest id.
+        values = np.zeros_like(balance)
+        np.add.at(values, labels[benign], balance[benign] % p)
+        values %= p
+        own = record.encoded_secrets[coalition[1:]][:, coords].sum(axis=0)
+        if ((values.sum(axis=0) - record.rounded[0][coords] + own) % p).any():
+            raise TranscriptIncomplete(
+                "observation system is inconsistent; transcript is corrupt"
+            )
+        self.p = p
+        self.coordinates = coordinates
+        members = np.flatnonzero(benign)
+        self._label = dict(zip(members.tolist(), labels[members].tolist()))
+        self._size = np.bincount(labels[members], minlength=len(benign)).tolist()
+        self._values = values
+
+    def infer(
+        self, functional: Mapping[int, int]
+    ) -> tuple[bool, dict[int, int] | None]:
+        """Membership of sum_i functional[i] * secret_i, and its value at
+        every audited coordinate; KeyError on a key that is not benign."""
+        p = self.p
+        coeff: dict[int, int] = {}  # component label -> c_C
+        named: dict[int, int] = {}  # component label -> members named
+        for i, c in functional.items():
+            label = self._label[i]
+            c %= p
+            if coeff.setdefault(label, c) != c:
+                return False, None
+            named[label] = named.get(label, 0) + 1
+        if any(c and named[label] < self._size[label] for label, c in coeff.items()):
+            return False, None
+        labels = list(coeff)
+        c = np.array([coeff[label] for label in labels], dtype=np.int64)
+        values = (c[:, None] * self._values[labels] % p).sum(axis=0) % p
+        return True, dict(zip(self.coordinates, values.tolist()))
+
+
 class _LinearView:
-    """Reduced GF(p) system of everything the coalition observed.
+    """Reduced GF(p) system of what an observed-mode coalition saw.
 
     Unknown columns are the benign learners' share values: learner j's
     block holds y[j, i] = f_j(i) for each member i of its closed
@@ -352,9 +474,9 @@ def _build_view(
     adversaries: AdversarySet,
     cfg,
     coordinates: tuple[int, ...],
-    mode: str,
 ) -> _LinearView:
-    """The coalition's observations as one GF(p) system over share values.
+    """The observed-mode coalition's view as one GF(p) system over share
+    values.
 
     Each benign learner j contributes deg_j + 1 unknowns, its share values
     y[j, i] = f_j(i) at the members i of its closed neighbourhood (row j of
@@ -363,12 +485,9 @@ def _build_view(
     - the aggregate, sum_j x_j, with x_j = sum_i delta_ji * y[j, i];
     - each weighted share a benign j handed to a coalition member a: one
       nonzero, delta_ja at y[j, a];
-    - each benign i's masked state less the coalition's bundles to it:
-      delta_ji at y[j, i] for every benign j in N[i]. No two of these rows
-      share an unknown.
-
-    Observed mode replaces the masked-state rows by the combinations of
-    them that the coalition's seats span.
+    - the combinations that the coalition's seats span of the benign masked
+      states less the coalition's bundles into them. Benign i's such state
+      has delta_ji at y[j, i] for every benign j in N[i].
 
     The answers are exactly those of the system over the secrets and
     polynomial coefficients. f_j has degree deg_j, and its deg_j + 1
@@ -385,21 +504,9 @@ def _build_view(
     """
     g: RoundTopology = record.topology
     p: int = cfg.prime
-    PrimeModulus(p)  # a transcript's modulus must suit the int64 kernels
+    coalition, senders, receivers, table = _round_shares(record, adversaries, p)
     benign = np.array(sorted(adversaries.benign), dtype=np.int64)
     coords = list(coordinates)
-    if mode not in ("worst_case", "observed"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    senders, receivers = share_pairs(g)
-    table = record.bundles
-    if len(table) != len(senders):
-        raise TranscriptIncomplete(
-            f"round {record.round_index} records {len(table)} share bundles, "
-            f"its graph sends {len(senders)}"
-        )
-    coalition = np.zeros(g.n_nodes + 1, dtype=bool)
-    coalition[list(adversaries.ids)] = True
 
     # Every holder set's weights from one batched call, as the round took
     # them; flattened, they line up with share_pairs.
@@ -416,14 +523,10 @@ def _build_view(
     blocks = {j: slice(a, b) for j, a, b in zip(benign.tolist(), starts, stops)}
 
     handed = np.flatnonzero(coalition[holder])
-    if mode == "worst_case":
-        n_state_rows = len(benign)
-    else:
-        restriction = _observed_restriction(g, adversaries, benign.tolist(), p)
-        n_state_rows = len(restriction)
+    restriction = _observed_restriction(g, adversaries, benign.tolist(), p)
     first_s0 = 1 + len(handed)
     system = np.zeros(
-        (first_s0 + n_state_rows, n_unknowns + len(coords)), dtype=np.int64
+        (first_s0 + len(restriction), n_unknowns + len(coords)), dtype=np.int64
     )
     rhs = system[:, n_unknowns:]
 
@@ -438,11 +541,9 @@ def _build_view(
     rhs[1:first_s0] = table[np.ix_(benign_pairs[handed], coords)] % p
 
     # State-layer credit: each benign masked state, minus the coalition's
-    # own bundles to it, is a sum of benign share evaluations.
-    if mode == "worst_case":
-        s0 = system[first_s0:]
-    else:
-        s0 = np.zeros((len(benign), system.shape[1]), dtype=np.int64)
+    # own bundles to it, is a sum of benign share evaluations; the seats
+    # see the combinations the restriction lists.
+    s0 = np.zeros((len(benign), system.shape[1]), dtype=np.int64)
     rank = np.zeros(g.n_nodes + 1, dtype=np.int64)  # benign i is s0 row rank[i]
     rank[benign] = np.arange(len(benign))
     kept = np.flatnonzero(~coalition[holder])
@@ -451,15 +552,13 @@ def _build_view(
     known = np.zeros((len(benign), len(coords)), dtype=np.int64)
     np.add.at(known, rank[receivers[into]], table[np.ix_(into, coords)] % p)
     s0[:, n_unknowns:] = (record.initial_states[benign - 1][:, coords] - known) % p
-
-    if mode == "observed":
-        for row, comb in zip(system[first_s0:], restriction):
-            for coeff, srow in zip(comb, s0):
-                if coeff:
-                    # reduce each product before adding the next: a sum
-                    # of two products near 2**62 would overflow int64
-                    row += coeff * srow
-                    np.remainder(row, p, out=row)
+    for row, comb in zip(system[first_s0:], restriction):
+        for coeff, srow in zip(comb, s0):
+            if coeff:
+                # reduce each product before adding the next: a sum of two
+                # products near 2**62 would overflow int64
+                row += coeff * srow
+                np.remainder(row, p, out=row)
 
     return _LinearView(p, blocks, delta, coordinates, system)
 
@@ -482,7 +581,7 @@ class RoundInference:
     component_inferable: dict[tuple[int, ...], bool]
     individual_inferable: dict[int, bool]
     leaked: list[LeakedFunctional]
-    view: _LinearView = field(repr=False)
+    view: _ComponentView | _LinearView = field(repr=False)
 
     def infer_functional(
         self, functional: Mapping[int, int], coordinate: int = 0
@@ -534,9 +633,16 @@ def adversary_infer(
 
     Coordinates default to (0,): share polynomials are independent across
     coordinates, so the inferable span is coordinate-invariant and one
-    representative suffices; pass an explicit list for a full audit. Each
-    round is row-reduced once, with one right-hand side per coordinate.
+    representative suffices; pass an explicit list for a full audit. In
+    worst-case mode each round's view is a _ComponentView, read in closed
+    form off the share table and the benign components in O(N * deg) time
+    and memory. In observed mode each round's system is row-reduced once,
+    with one right-hand side per coordinate (_build_view). Either view
+    raises TranscriptIncomplete when the round's records contradict its
+    aggregate output.
     """
+    if mode not in ("worst_case", "observed"):
+        raise ValueError(f"unknown mode {mode!r}")
     sigma = cfg.sigma if hasattr(cfg, "sigma") else int(transcript.meta["sigma"])
     scale = 10**sigma
     p = cfg.prime
@@ -544,7 +650,10 @@ def adversary_infer(
     rounds_out = []
     for record in transcript.rounds:
         decomp = surrounded_components(record.topology, adversaries)
-        view = _build_view(record, adversaries, cfg, coords, mode)
+        if mode == "worst_case":
+            view = _ComponentView(record, adversaries, p, coords)
+        else:
+            view = _build_view(record, adversaries, cfg, coords)
         leaked: list[LeakedFunctional] = []
 
         def leaks(kind: str, members: tuple[int, ...]) -> bool:

@@ -5,6 +5,7 @@ import importlib.util
 import pathlib
 
 from ppdfl import privacy, protocol
+from ppdfl.protocol import Transcript
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -41,9 +42,12 @@ def test_traced_demo_round_records_averaging_span(tmp_path):
 
 
 def test_traced_audit_records_analyzer_spans(tmp_path):
+    # The worst-case audit reads its answer in closed form: the elimination
+    # names stay wrapped (observed mode uses them) but count nothing here.
     tracing = _load("tracing")
     workloads = _load("workloads")
-    unwrapped = (privacy._rref, privacy._reduce_vector, privacy._build_view)
+    unwrapped = (privacy._rref, privacy._reduce_vector, privacy._build_view,
+                 privacy._LinearView.infer, privacy.interpolation_weights)
     tracer = tracing.Tracer()
     workloads.install_layers(tracer)
     try:
@@ -56,9 +60,35 @@ def test_traced_audit_records_analyzer_spans(tmp_path):
         work.check(coordinate, out)
     finally:
         tracer.restore()
-    assert (privacy._rref, privacy._reduce_vector, privacy._build_view) == unwrapped
+    assert (privacy._rref, privacy._reduce_vector, privacy._build_view,
+            privacy._LinearView.infer, privacy.interpolation_weights) == unwrapped
     names = {span[3] for span in tracer.spans}
-    assert {"protocol.transcript_read", "privacy.infer", "privacy.build_view",
-            "sharing.interp_weights", "field.rref", "field.reduce"} <= names
-    assert tracer.counts["privacy.unknowns"] == 8623
-    assert tracer.counts["privacy.rows"] == 272
+    assert {"protocol.transcript_read", "privacy.infer"} <= names
+    assert tracer.counts["privacy.unknowns"] == 0
+    assert tracer.counts["privacy.rows"] == 0
+    assert tracer.counts["field.rref_calls"] == 0
+
+
+def test_traced_observed_audit_records_elimination_spans(tmp_path):
+    tracing = _load("tracing")
+    workloads = _load("workloads")
+    tracer = tracing.Tracer()
+    workloads.install_layers(tracer)
+    try:
+        work = workloads.make("demo", 7, ROOT, tmp_path, tracer.span)
+        work.setup()
+        record = work.run(1)
+        cfg = work.cfg
+        transcript = Transcript({"sigma": cfg.sigma, "prime": cfg.prime}, [record])
+        adversaries = privacy.AdversarySet((1, 5), cfg.n_learners)
+        tracer.begin(1)
+        report = privacy.adversary_infer(transcript, adversaries, cfg, mode="observed")
+        tracer.end()
+    finally:
+        tracer.restore()
+    assert privacy.verify_inference(report, transcript, cfg)
+    names = {span[3] for span in tracer.spans}
+    assert {"privacy.build_view", "field.rref", "field.reduce",
+            "sharing.interp_weights"} <= names
+    assert tracer.counts["privacy.unknowns"] > 0
+    assert tracer.counts["privacy.rows"] > 0

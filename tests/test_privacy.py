@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from test_protocol import time_limit
 
 from ppdfl import privacy
+from ppdfl.cli import main
 from ppdfl.field import _rref, next_prime
 from ppdfl.privacy import (
     AdversarySet,
@@ -21,11 +23,13 @@ from ppdfl.privacy import (
     surrounded_components,
     verify_inference,
 )
-from ppdfl.protocol import ProtocolConfig, Transcript, execute_round
+from ppdfl.protocol import ProtocolConfig, Transcript, build_initial_state, execute_round
+from ppdfl.sharing import _draw_coefficients, _generate_share_values, interpolation_weights
 from ppdfl.topology import (
     RoundTopology,
     TopologySchedule,
     generate_topology,
+    holder_sets,
     is_connected,
     share_pairs,
 )
@@ -224,7 +228,7 @@ def test_infer_observed_mode_matches_worst_case_on_small_graphs():
 
 def test_full_audit_of_reference_config_within_time_bound():
     # The scale target: every coordinate of a large_random round (coalition
-    # {1,5}: a 272 x 8626 system over GF(p)) audited in seconds.
+    # {1,5}; 8624 share values, 98 benign learners) audited in seconds.
     root = pathlib.Path(__file__).resolve().parents[1]
     raw = json.loads((root / "configs" / "large_random.json").read_text())
     cfg = ProtocolConfig.from_dict(raw)
@@ -250,7 +254,8 @@ def test_full_audit_of_reference_config_within_time_bound():
 
 def test_sparse_1k_round_audit_within_time_bound():
     # The large-N scale target: all 16 coordinates of one N=1000, degree-4
-    # round at p = 2^31-1, a system of about 1000 x 5000 over GF(p).
+    # round at p = 2^31-1: about 5000 share values over 998 benign learners,
+    # read in closed form.
     raw = {
         "n_learners": 1000, "model_dim": 16, "sigma": 2, "prime": P31,
         "rounds": 1, "k_policy": "auto", "weights": "uniform",
@@ -275,12 +280,118 @@ def test_sparse_1k_round_audit_within_time_bound():
     assert all(len(f.values) == cfg.model_dim for f in leaked)
 
 
+def test_worst_case_audit_at_10k_learners_in_bounded_memory():
+    # All 16 coordinates of an N=10^4, degree-4 round at p = 2^31-1, audited
+    # by a coalition of every tenth learner, which splits the benign set. The
+    # round is built from the share phase alone, so it needs no eigensolve.
+    n, dim, p = 10_000, 16, P31
+    g = generate_topology("random_connected", n, seed=3, avg_degree=4.0)
+    rng = np.random.default_rng(3)
+    holders = holder_sets(g)
+    present = holders > 0
+    secrets = rng.integers(0, p, size=(n, dim), dtype=np.int64)
+    coeffs = [_draw_coefficients(rng, dim, tau, p)
+              for tau in (present.sum(axis=1) - 1).tolist()]
+    bundles = _generate_share_values(secrets, coeffs, holders, p)
+    bundles = bundles * interpolation_weights(holders, p)[present][:, None] % p
+    record = SimpleNamespace(
+        round_index=1,
+        topology=g,
+        bundles=bundles,
+        initial_states=build_initial_state(bundles, holders[present], p),
+        encoded_secrets=secrets,
+        rounded=secrets.sum(axis=0, keepdims=True) % p,
+    )
+    transcript = Transcript(meta={"sigma": 2, "prime": p}, rounds=[record])
+    cfg = SimpleNamespace(prime=p, sigma=2)
+    adv = AdversarySet(range(1, n + 1, 10), n)
+    tracemalloc.start()
+    try:
+        with time_limit(30):
+            report = adversary_infer(transcript, adv, cfg, coordinates=range(dim))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert verify_inference(report, transcript, cfg)
+    decomp = surrounded_components(g, adv)
+    assert len(decomp.components) > 1
+    leaked = report.rounds[0].leaked
+    sums = {f.members for f in leaked if f.kind == "component_sum"}
+    assert sums == {tuple(sorted(c)) for c in decomp.components}
+    individuals = {f.members for f in leaked if f.kind == "individual"}
+    assert individuals == {m for m in sums if len(m) == 1}
+    assert all(len(f.values) == dim for f in leaked)
+
+
 def test_infer_rejects_bundleless_transcript():
     g = path3()
     cfg, transcript, rec = run_one_round(g)
     rec.bundles = []
     with pytest.raises(TranscriptIncomplete):
         adversary_infer(transcript, AdversarySet({2}, 3), cfg)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def large_random_lines(tmp_path_factory):
+    out = tmp_path_factory.mktemp("large_random")
+    config = str(ROOT / "configs" / "large_random.json")
+    assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    return (out / "transcript.jsonl").read_text().splitlines()
+
+
+def raise_one_value(lines, corrupt, coalition, p):
+    """lines with one coordinate-0 value of round 1 raised by 1 mod p: a
+    benign learner's masked state, or the first bundle of a shares record
+    that crosses into or out of the coalition."""
+    for k, line in enumerate(lines[1:], start=1):
+        msg = json.loads(line)
+        if msg["round"] != 1:
+            continue
+        inside = msg.get("from") in coalition
+        if corrupt == "benign_state" and msg["phase"] == "state0" and not inside:
+            row = msg["payload"]
+        elif corrupt.startswith("bundle") and msg["phase"] == "shares":
+            into = corrupt == "bundle_to_coalition"
+            crossing = [e for e, i in enumerate(msg["to"]) if (i in coalition) == into]
+            if inside == into or not crossing:
+                continue
+            row = msg["payload"][crossing[0]]
+        else:
+            continue
+        row[0] = (row[0] + 1) % p
+        return [*lines[:k], json.dumps(msg), *lines[k + 1:]]
+    raise AssertionError(f"no value to alter for {corrupt}")
+
+
+@pytest.mark.parametrize("corrupt", [None, "benign_state", "bundle_into_benign",
+                                     "bundle_to_coalition"])
+def test_altered_transcript_value_is_refused(corrupt, large_random_lines, tmp_path):
+    """Coalition {1,5} audits coordinate 0 of round 1. One altered benign
+    masked state, coalition-to-benign bundle or benign-to-coalition bundle
+    contradicts the round's aggregate output: the analyzer refuses it, and
+    the CLI exits 2. The unaltered transcript is accepted."""
+    coalition = {1, 5}
+    meta = json.loads(large_random_lines[0])["meta"]
+    lines = large_random_lines
+    if corrupt is not None:
+        lines = raise_one_value(lines, corrupt, coalition, meta["prime"])
+    path = tmp_path / "transcript.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    transcript = Transcript.from_jsonl(str(path))
+    cfg = SimpleNamespace(prime=meta["prime"], sigma=meta["sigma"])
+    adv = AdversarySet(coalition, meta["n_learners"])
+    argv = ["privacy", "--transcript", str(path), "--adversary", "1,5"]
+    if corrupt is None:
+        assert verify_inference(adversary_infer(transcript, adv, cfg), transcript, cfg)
+        assert main(argv) != 2
+    else:
+        with pytest.raises(TranscriptIncomplete):
+            adversary_infer(transcript, adv, cfg)
+        assert main(argv) == 2
 
 
 def connected_subsets(g, members):
@@ -483,18 +594,92 @@ def coefficient_basis_infer(record, adversaries, p, coords, mode):
     return infer
 
 
-def differential_graphs(n_max, rng):
-    for n in (3, n_max // 2, n_max):
-        yield generate_topology("star", n)
-        yield generate_topology("line", n)
-        yield generate_topology("random_connected", n, seed=rng.randrange(1000),
-                                avg_degree=rng.uniform(2, min(5, n - 1)))
+def share_value_system(record, adversaries, p, coords):
+    """The worst-case view as one dense GF(p) system over share values, row
+    by row: the aggregate, one row per share a benign learner handed to the
+    coalition, and one row per benign masked state less the coalition's
+    bundles into it. Returns (system, unknowns, delta): column k is the
+    share value f_j(i) of unknowns[k] = (j, i), weighted by delta[k] in a
+    secret; the last len(coords) columns are the right-hand sides."""
+    g = record.topology
+    adv = adversaries.ids
+    senders, receivers = share_pairs(g)
+    bundle = {(j, i): row for j, i, row in
+              zip(senders.tolist(), receivers.tolist(), record.bundles.tolist())}
+    unknowns = [pair for pair in bundle if pair[0] not in adv]
+    col = {pair: k for k, pair in enumerate(unknowns)}
+    holders = {j: sorted((j, *g.neighbors(j))) for j in adversaries.benign}
+    delta = [lagrange_weight(holders[j], i, p) for j, i in unknowns]
+    handed = [(j, i) for j, i in unknowns if i in adv]
+    benign = sorted(adversaries.benign)
+    n = len(unknowns)
+    system = np.zeros((1 + len(handed) + len(benign), n + len(coords)), dtype=np.int64)
+    system[0, :n] = delta
+    for c_k, c in enumerate(coords):
+        own = sum(int(record.encoded_secrets[a - 1][c]) for a in adv)
+        system[0, n + c_k] = (int(record.rounded[0][c]) - own) % p
+    for r, pair in enumerate(handed, start=1):
+        system[r, col[pair]] = delta[col[pair]]
+        system[r, n:] = [bundle[pair][c] % p for c in coords]
+    for r, i in enumerate(benign, start=1 + len(handed)):
+        state = [int(record.initial_states[i - 1][c]) for c in coords]
+        for j in (i, *g.neighbors(i)):
+            if j in adv:
+                state = [s - bundle[j, i][c] for s, c in zip(state, coords)]
+            else:
+                system[r, col[j, i]] = delta[col[j, i]]
+        system[r, n:] = [s % p for s in state]
+    return system, unknowns, np.array(delta, dtype=np.int64)
 
 
-@pytest.mark.parametrize("mode,n_max", [("worst_case", 30), ("observed", 12)])
-def test_share_value_view_matches_coefficient_basis(mode, n_max, monkeypatch):
+def assert_non_leak_certificate(g, adversaries, p, oracle, functional):
+    """A functional the analyzer calls not inferable has a witness: benign i
+    with benign j, j' in N[i] whose coefficients differ. Then
+    z = e_(j,i)/delta_ji - e_(j',i)/delta_j'i annihilates every row of the
+    share-value system while the target gives c_j - c_j' != 0, so the
+    functional is outside the row space."""
+    system, unknowns, delta = oracle
+    col = {pair: k for k, pair in enumerate(unknowns)}
+    coeff = {i: functional.get(i, 0) % p for i in adversaries.benign}
+    witness = next(
+        (i, j, k)
+        for i in sorted(adversaries.benign)
+        for j in (i, *g.neighbors(i)) if j in coeff
+        for k in g.neighbors(i) if k in coeff and coeff[j] != coeff[k]
+    )
+    i, j, k = witness
+    a, b = col[j, i], col[k, i]
+    za, zb = pow(int(delta[a]), -1, p), -pow(int(delta[b]), -1, p) % p
+    rows = system[:, : len(unknowns)]
+    assert not ((rows[:, a] * za % p + rows[:, b] * zb % p) % p).any()
+    target = (coeff[j] * int(delta[a]) * za + coeff[k] * int(delta[b]) * zb) % p
+    assert target == (coeff[j] - coeff[k]) % p != 0
+
+
+def differential_graphs(sizes, rng):
+    for kind, ns in sizes.items():
+        for n in ns:
+            if kind == "random_connected":
+                yield generate_topology(kind, n, seed=rng.randrange(1000),
+                                        avg_degree=rng.uniform(2, min(5, n - 1)))
+            else:
+                yield generate_topology(kind, n)
+
+
+# The reference analyzers' dense systems grow as N^2 on complete graphs.
+DIFFERENTIAL_SIZES = {
+    "worst_case": {"star": (3, 100, 200), "line": (3, 100, 200),
+                   "random_connected": (3, 100, 200), "complete": (3, 30, 60)},
+    "observed": {"star": (3, 6, 12), "line": (3, 6, 12), "random_connected": (3, 6, 12)},
+}
+
+
+@pytest.mark.parametrize("mode", ["worst_case", "observed"])
+def test_share_value_view_matches_coefficient_basis(mode, monkeypatch):
     """Same answers and values as the system over secrets and coefficients,
-    for every component sum, every individual and random functionals."""
+    for every component sum, every individual and random functionals. In
+    worst-case mode every "not inferable" answer also comes with a witness
+    checked against the share-value system."""
     # The rational Krylov span dominates observed mode; compute it once per
     # coalition for both analyzers.
     spans = {}
@@ -507,15 +692,19 @@ def test_share_value_view_matches_coefficient_basis(mode, n_max, monkeypatch):
         return spans[key]
 
     monkeypatch.setattr(privacy, "_observed_restriction", restriction)
-    rng = random.Random(n_max)
+    rng = random.Random(mode)
     coords = (0, 1)
-    for g in differential_graphs(n_max, rng):
+    for g in differential_graphs(DIFFERENTIAL_SIZES[mode], rng):
         n = g.n_nodes
         for p in (next_prime(n), 1020431, P31):
             record = synthetic_round(g, p, len(coords), rng)
             for _ in range(3):
                 adv = AdversarySet(rng.sample(range(1, n + 1), rng.randrange(0, n)), n)
-                view = _build_view(record, adv, SimpleNamespace(prime=p), coords, mode)
+                if mode == "worst_case":
+                    view = privacy._ComponentView(record, adv, p, coords)
+                    oracle = share_value_system(record, adv, p, coords)
+                else:
+                    view = _build_view(record, adv, SimpleNamespace(prime=p), coords)
                 reference = coefficient_basis_infer(record, adv, p, coords, mode)
                 benign = sorted(adv.benign)
                 comps = surrounded_components(g, adv).components
@@ -530,10 +719,13 @@ def test_share_value_view_matches_coefficient_basis(mode, n_max, monkeypatch):
                         mixed.update({i: f for i in c})
                     functionals.append(mixed)
                 for functional in functionals:
-                    assert view.infer(functional) == reference(functional), (
+                    answer = view.infer(functional)
+                    assert answer == reference(functional), (
                         f"{mode} N={n} p={p} coalition {sorted(adv.ids)}: "
                         f"{functional}"
                     )
+                    if mode == "worst_case" and not answer[0]:
+                        assert_non_leak_certificate(g, adv, p, oracle, functional)
                 for c in comps:
                     ok, values = view.infer({i: 1 for i in c})
                     if mode == "worst_case":
@@ -545,33 +737,47 @@ def test_share_value_view_matches_coefficient_basis(mode, n_max, monkeypatch):
                         }
 
 
-def test_share_value_system_is_block_sparse(monkeypatch):
-    """Each handed share is one unknown; the masked-state rows have pairwise
-    disjoint supports, and with the handed rows they cover every unknown once."""
-    captured = []
-    real_rref = privacy._rref
-
-    def capture(system, p):
-        captured.append(np.array(system))
-        return real_rref(system, p)
-
-    monkeypatch.setattr(privacy, "_rref", capture)
+def test_share_value_system_is_block_sparse():
+    """The lemma the closed form rests on: each handed share is one unknown,
+    the masked-state rows have pairwise disjoint supports, with the handed
+    rows they cover every unknown once, and the aggregate row is their sum."""
     rng = random.Random(3)
     for n, seed in ((12, 1), (30, 2), (30, 3)):
         g = generate_topology("random_connected", n, seed=seed, avg_degree=4)
         p = 1020431
         record = synthetic_round(g, p, 2, rng)
         adv = AdversarySet(rng.sample(range(1, n + 1), 4), n)
-        view = _build_view(record, adv, SimpleNamespace(prime=p), (0, 1), "worst_case")
-        system = captured.pop()
+        system, unknowns, _ = share_value_system(record, adv, p, (0, 1))
+        n_unknowns = len(unknowns)
         benign = sorted(adv.benign)
-        assert view.n_unknowns == sum(g.degree(j) + 1 for j in benign)
+        assert n_unknowns == sum(g.degree(j) + 1 for j in benign)
         handed = sum(1 for j in benign for a in g.neighbors(j) if a in adv.ids)
-        assert system.shape == (1 + handed + len(benign), view.n_unknowns + 2)
-        support = system[:, : view.n_unknowns] != 0
+        assert system.shape == (1 + handed + len(benign), n_unknowns + 2)
+        support = system[:, :n_unknowns] != 0
         assert support[0].all()
         assert (support[1 : 1 + handed].sum(axis=1) == 1).all()
         benign_holders = [sum(j not in adv.ids for j in (i, *g.neighbors(i)))
                           for i in benign]
         assert support[1 + handed :].sum(axis=1).tolist() == benign_holders
         assert (support[1:].sum(axis=0) == 1).all()
+        assert (system[1:, :n_unknowns].sum(axis=0) % p == system[0, :n_unknowns]).all()
+        # A consistent record: the aggregate's right-hand side is theirs summed.
+        assert (system[1:, n_unknowns:].sum(axis=0) % p == system[0, n_unknowns:]).all()
+
+
+def test_worst_case_audit_needs_no_elimination(monkeypatch):
+    """The closed form builds no system: elimination and the interpolation
+    weights are never reached."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("worst-case audit reached elimination")
+
+    for name in ("_rref", "_reduce_vector", "interpolation_weights", "_build_view"):
+        monkeypatch.setattr(privacy, name, refuse)
+    g = generate_topology("random_connected", 40, seed=4, avg_degree=3)
+    cfg, transcript, _ = run_one_round(g, dim=2, prime=P31)
+    adv = AdversarySet(range(1, 41, 4), 40)
+    report = adversary_infer(transcript, adv, cfg, coordinates=range(2))
+    assert verify_inference(report, transcript, cfg)
+    sums = {f.members for f in report.rounds[0].leaked if f.kind == "component_sum"}
+    assert sums == {tuple(sorted(c)) for c in surrounded_components(g, adv).components}
