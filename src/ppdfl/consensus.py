@@ -7,15 +7,22 @@ lambda2 = rho(A - (1/N) 11^T) per step.
 
 A is applied as an edge list, never as an N x N array: every learner
 mixes its own state with those its neighbours send, so one step costs
-O((N + 2|E|) n). The dense matrix serves only the eigensolve that picks K.
-The steps run in floats; their rounding error is not budgeted into K but
-measured at run time by the round driver.
+O((N + 2|E|) n). Learner i's new state is the sum of its terms a_ij s_j,
+its neighbours in edge-list order, and then a_ii s_i. The step is laid
+out slot-major: learners are ordered by degree, highest first, and slot k
+holds every learner's k-th term, so slot k covers a prefix of the
+learners, and each run of slots over the same prefix is summed by one or
+a few numpy calls, slot after slot. Every sum is thus formed in the order
+a scatter-add over the edge list forms it. The dense matrix serves only
+the eigensolve that picks K. The steps run in floats; their rounding
+error is not budgeted into K but measured at run time by the round
+driver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,9 +40,15 @@ from .topology import (
 # min_iterations.
 UNIT_ROUNDOFF = 2.0**-53
 EIG_SLACK = 8
-# Sent entries per averaging step of one column block: its gather, weight
-# and bin arrays stay at 512 KB each, cache-sized however wide the states.
+# Arc entries per averaging step of one column block: its gathered terms
+# and their weights stay near 512 KB each, cache-sized however wide the
+# states.
 _BLOCK_ENTRIES = 2**16
+# Entries per slot below which a run of slots is summed by np.add.accumulate
+# rather than np.add.reduce: the reduction pays a fixed cost per slot, the
+# accumulation writes every partial sum. They cost the same near 6 entries
+# for runs of 10 to 1000 slots (numpy 2.4).
+_THIN_SLOT = 6
 
 
 class NoFiniteK(ValueError):
@@ -49,12 +62,59 @@ class AveragingOperator:
     rows and cols (0-based) hold both directions of every edge, weights the
     off-diagonal entries a_ij and diag the entries a_ii: the same floats
     topology.mh_weights places in the dense matrix.
+
+    The constructor derives the step plan from them once, as read-only
+    arrays. A step treats a_ii s_i as learner i's last term, after its arcs
+    in rows order: its closed neighbourhood has deg_i + 1 slots. perm lists
+    the learners by degree, highest first (ties by index); position r of a
+    step's state is learner perm[r]. slot_cols and slot_weights hold the
+    terms slot-major: slot k holds the k-th term of each learner, its
+    sender's position and its weight, for the positions 0..c_k-1 whose
+    learners have more than k terms. ranges splits the slots into runs
+    with the same c_k, one (first entry, slots, c_k) per distinct degree,
+    lowest first; the first run covers all N learners.
     """
 
     rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
     diag: np.ndarray
+    perm: np.ndarray = field(init=False, repr=False)
+    slot_cols: np.ndarray = field(init=False, repr=False)
+    slot_weights: np.ndarray = field(init=False, repr=False)
+    ranges: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.diag.shape[0]
+        deg = np.bincount(self.rows, minlength=n)
+        perm = np.argsort(-deg, kind="stable")
+        pos = np.empty_like(perm)
+        pos[perm] = np.arange(n)
+        # c[k] learners have more than k terms, deg >= k; slot k starts at
+        # table entry start[k] and holds position r at start[k] + r.
+        counts = np.bincount(deg)
+        c = n - (np.cumsum(counts) - counts)
+        start = np.cumsum(c) - c
+        # An arc's slot is its rank among its row's arcs, in rows order; the
+        # own term's is deg.
+        by_row = np.argsort(self.rows, kind="stable")
+        rank = np.empty_like(by_row)
+        rank[by_row] = np.arange(by_row.size) - (np.cumsum(deg) - deg)[self.rows[by_row]]
+        arcs = start[rank] + pos[self.rows]
+        own = start[deg] + pos
+        slot_cols = np.empty(by_row.size + n, dtype=np.int64)
+        slot_cols[arcs], slot_cols[own] = pos[self.cols], pos
+        slot_weights = np.empty(by_row.size + n)
+        slot_weights[arcs], slot_weights[own] = self.weights, self.diag
+        for name, arr in (("perm", perm), ("slot_cols", slot_cols),
+                          ("slot_weights", slot_weights)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        # Slots [levels[j-1], levels[j]) cover the same c: one run each.
+        levels = np.flatnonzero(np.diff(c, append=0)) + 1
+        first = np.concatenate([[0], levels[:-1]])
+        ranges = zip(start[first].tolist(), (levels - first).tolist(), c[first].tolist())
+        object.__setattr__(self, "ranges", tuple(ranges))
 
     @classmethod
     def from_graph(cls, g: RoundTopology) -> "AveragingOperator":
@@ -84,11 +144,18 @@ def consensus_final(
 ) -> np.ndarray:
     """The state s(K) after K = iterations synchronous steps of op.
 
-    In one step every learner i sends s_i(k) to its neighbours; a gather of
-    the sent rows, scaled by a_ij, and one scatter-add into the receiving
-    rows, plus a_ii s_i(k), give s(k+1). All K steps run: the intermediate
-    states are the protocol's messages. If frames, a (K+1, N, n) array, is
-    given, s(k) is written to frames[k] for k = 0..K.
+    In one step every learner i sends s_i(k) to its neighbours and forms
+    s_i(k+1) = ((0 + a_ij1 s_j1(k)) + a_ij2 s_j2(k)) + ... + a_ii s_i(k),
+    its neighbours j1, j2, ... in the order op.rows lists its arcs. That is
+    the order of a gather, an np.bincount scatter-add and an added own
+    term, so the floats are the same as that step's. The step runs on
+    op's slot-major plan: one gather of every term's sender, one multiply
+    by the weights, one sum over the first run of slots, which every
+    learner has, and one to three calls per further run, one run per
+    distinct degree, however large the largest degree. All K steps run:
+    the intermediate states are the protocol's messages. If frames, a
+    (K+1, N, n) array, is given, s(k) is written to frames[k] for
+    k = 0..K.
     """
     if iterations < 0:
         raise ValueError("iteration count must be non-negative")
@@ -104,14 +171,15 @@ def consensus_final(
                 f"frames are {frames.shape}, expected {(iterations + 1, n_nodes, dim)}"
             )
     # Columns average independently, so wide states run in blocks of columns
-    # whose step temporaries hold at most _BLOCK_ENTRIES sent entries.
+    # whose steps gather at most _BLOCK_ENTRIES arc entries, and the own
+    # terms.
     blocks = max(1, -(-len(op.rows) * dim // _BLOCK_ENTRIES))
     width = max(1, -(-dim // blocks))
     final = np.empty_like(state)
     for a in range(0, dim, width):
         cols = slice(a, a + width)
         block_frames = None if frames is None else frames[:, :, cols]
-        final[:, cols] = _steps(state[:, cols], op, iterations, block_frames)
+        final[op.perm, cols] = _steps(state[:, cols], op, iterations, block_frames)
     return final
 
 
@@ -121,28 +189,63 @@ def _steps(
     iterations: int,
     frames: np.ndarray | None,
 ) -> np.ndarray:
-    """The K steps of consensus_final on validated states and frames."""
-    dim = state.shape[1]
+    """The K steps of consensus_final on validated states and frames; the
+    final state comes back in op.perm's position order."""
+    width = state.shape[1]
     if frames is not None:
         frames[0] = state
-    # Flat index row * dim + coordinate of every sent entry's receiver.
-    bins = (op.rows[:, None] * dim + np.arange(dim)).ravel()
+    state = np.take(state, op.perm, axis=0)
+    mixed = np.empty_like(state)
     # Weights spelled out per entry: full-length inner loops, no broadcasting.
-    weights = np.repeat(op.weights, dim).reshape(-1, dim)
-    diag = np.repeat(op.diag, dim).reshape(-1, dim)
+    weights = np.repeat(op.slot_weights, width).reshape(-1, width)
     sent = np.empty_like(weights)
-    own = np.empty_like(diag)
+    # Views made once per call. The first run is (slots, N, width). A later
+    # run is its first slot and, if it has more, all its slots as
+    # (slots, c * width); one with thin slots is accumulated into a buffer
+    # whose last row is its sum. sums and next_sums are the c running sums
+    # each run adds into, in the two state buffers the steps alternate
+    # between.
+    (_, base_slots, n_nodes), *later = op.ranges
+    base = sent[:base_slots * n_nodes].reshape(base_slots, n_nodes, width)
+    runs = []
+    for first, n_slots, c in later:
+        run = sent[first:first + n_slots * c].reshape(n_slots, c * width)
+        if n_slots == 1:
+            runs.append((run[0], None, None, None))
+        elif c * width >= _THIN_SLOT:
+            runs.append((run[0], run, None, None))
+        else:
+            partial = np.empty_like(run)
+            runs.append((run[0], run, partial, partial[-1]))
+    sums = [mixed[:c].reshape(-1) for _, _, c in later]
+    next_sums = [state[:c].reshape(-1) for _, _, c in later]
     for k in range(1, iterations + 1):
-        # cols are node indices by construction; "clip" skips the bounds
-        # check, and with it the copy of `out` that "raise" makes.
-        np.take(state, op.cols, axis=0, out=sent, mode="clip")
+        # slot_cols are positions by construction; "clip" skips the bounds
+        # check, and with it the copy of `out` that "raise" makes. The
+        # method skips np.take's Python wrapper, about a microsecond a step.
+        state.take(op.slot_cols, axis=0, out=sent, mode="clip")
         sent *= weights
-        mixed = np.bincount(bins, weights=sent.ravel(), minlength=state.size)
-        mixed = mixed.reshape(state.shape)
-        mixed += np.multiply(diag, state, out=own)
-        state = mixed
+        # Every learner has its first slots in the first run: start all
+        # sums at zero.
+        np.add.reduce(base, axis=0, out=mixed, initial=0.0)
+        for (head, run, partial, last), acc in zip(runs, sums):
+            if run is None:
+                acc += head
+                continue
+            head += acc  # the running sums join the run's first slot
+            # Both calls add the slots in order. The reduction loops over
+            # the slots and adds whole slots; accumulate loops along each
+            # entry's slots. Over one-entry slots a reduction would sum
+            # pairwise; such slots are thin, so they accumulate.
+            if partial is None:
+                np.add.reduce(run, axis=0, out=acc)
+            else:
+                np.add.accumulate(run, axis=0, out=partial)
+                acc[:] = last
+        state, mixed = mixed, state
+        sums, next_sums = next_sums, sums
         if frames is not None:
-            frames[k] = state
+            frames[k][op.perm] = state
     return state
 
 

@@ -12,7 +12,13 @@ from ppdfl.consensus import (
     min_iterations,
 )
 from ppdfl.field import DimensionMismatch
-from ppdfl.topology import DisconnectedGraph, RoundTopology, generate_topology, mh_weights
+from ppdfl.topology import (
+    DisconnectedGraph,
+    RoundTopology,
+    generate_topology,
+    mh_edge_weights,
+    mh_weights,
+)
 
 
 def direct_error_norm(a, k):
@@ -50,21 +56,91 @@ def test_operator_matches_dense_matrix_over_50_steps():
             assert np.allclose(frames[k].sum(axis=0), sums, rtol=1e-12, atol=0)
 
 
-def test_column_blocks_match_one_block(monkeypatch):
-    # Columns average independently: running them in blocks, of uneven
-    # widths too, gives the same floats and frames as one block.
-    rng = np.random.default_rng(6)
-    for g in differential_graphs():
+def bincount_steps(initial, op, iterations):
+    """(s(K), frames) from the gather + np.bincount step the slot-major
+    kernel replaced: learner i's sum is ((0 + t1) + t2) + ... in op.rows
+    order, then a_ii s_i(k) is added."""
+    state = np.array(initial, dtype=float)
+    n, dim = state.shape
+    bins = (op.rows[:, None] * dim + np.arange(dim)).ravel()
+    frames = [state]
+    for _ in range(iterations):
+        sent = state[op.cols] * op.weights[:, None]
+        mixed = np.bincount(bins, weights=sent.ravel(), minlength=state.size)
+        state = mixed.reshape(n, dim) + op.diag[:, None] * state
+        frames.append(state)
+    return state, np.array(frames)
+
+
+def hub_and_line(hub_degree, line_length):
+    # Learner 1 joins learners 2..hub_degree+1; the last of them starts a
+    # line, so degrees 1, 2 and hub_degree all occur.
+    n = hub_degree + line_length + 1
+    spokes = [(1, j) for j in range(2, hub_degree + 2)]
+    line = [(j, j + 1) for j in range(hub_degree + 1, n)]
+    return RoundTopology(n, spokes + line)
+
+
+def bit_exact_graphs():
+    yield from differential_graphs()
+    yield generate_topology("star", 1000)
+    yield generate_topology("complete", 60)
+    yield generate_topology("line", 2)
+    yield hub_and_line(40, 30)
+
+
+def test_slot_major_steps_match_bincount_steps_bit_for_bit(monkeypatch):
+    # Values over 16 decades, so any other summation order shows in the
+    # last bits; the star with one coordinate is where a reduction over
+    # its hub's slots would turn pairwise. Columns average independently:
+    # blocks of columns, of uneven widths too, give the same floats.
+    rng = np.random.default_rng(8)
+    for g in bit_exact_graphs():
         op = AveragingOperator.from_graph(g)
-        init = rng.uniform(0, 2**31, (g.n_nodes, 37))
-        runs = []
-        for block in (2**62, consensus._BLOCK_ENTRIES, max(1, op.rows.size) * 5):
-            monkeypatch.setattr(consensus, "_BLOCK_ENTRIES", block)
-            frames = np.empty((8, g.n_nodes, 37))
-            runs.append((consensus_final(init, op, 7, frames), frames))
-        for final, frames in runs[1:]:
-            assert np.array_equal(final, runs[0][0])
-            assert np.array_equal(frames, runs[0][1])
+        for dim in (1, 3, 16, 37):
+            init = rng.uniform(0, 1, (g.n_nodes, dim)) * 10.0 ** rng.integers(-8, 8, (g.n_nodes, dim))
+            expected, expected_frames = bincount_steps(init, op, 5)
+            for block in (2**62, consensus._BLOCK_ENTRIES, max(1, op.rows.size) * 5):
+                monkeypatch.setattr(consensus, "_BLOCK_ENTRIES", block)
+                frames = np.empty((6, g.n_nodes, dim))
+                final = consensus_final(init, op, 5, frames)
+                assert np.array_equal(final, expected), (g.n_nodes, dim, block)
+                assert np.array_equal(frames, expected_frames), (g.n_nodes, dim, block)
+
+
+def test_lone_learner_keeps_its_state():
+    op = AveragingOperator.from_graph(RoundTopology(1, []))
+    init = np.array([[2.5, -1.0]])
+    frames = np.empty((4, 1, 2))
+    assert np.array_equal(consensus_final(init, op, 3, frames), init)
+    assert np.array_equal(frames, np.broadcast_to(init, frames.shape))
+
+
+def test_step_plan_is_built_once_and_read_only(monkeypatch):
+    op = AveragingOperator(*mh_edge_weights(hub_and_line(12, 20)))
+    plan = [op.perm, op.slot_cols, op.slot_weights]
+    kept = [arr.copy() for arr in plan]
+    ranges = op.ranges
+    for arr in plan:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+    assert isinstance(ranges, tuple)
+
+    def no_sorting(*args, **kwargs):
+        raise AssertionError("consensus_final rebuilt the step plan")
+
+    # Every call and column width reuses the plan made at construction.
+    monkeypatch.setattr(consensus.np, "argsort", no_sorting)
+    monkeypatch.setattr(consensus, "_BLOCK_ENTRIES", op.rows.size * 2)
+    rng = np.random.default_rng(9)
+    for dim in (1, 2, 5, 9):
+        init = rng.uniform(0, 100, (op.n_nodes, dim))
+        consensus_final(init, op, 4)
+        consensus_final(init, op, 2, np.empty((3, op.n_nodes, dim)))
+    assert all(a is b for a, b in zip([op.perm, op.slot_cols, op.slot_weights], plan))
+    assert all(np.array_equal(a, b) for a, b in zip(plan, kept))
+    assert op.ranges is ranges
 
 
 def test_operator_holds_the_dense_matrix_floats():

@@ -2,13 +2,14 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 import signal
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from ppdfl import sharing
+from ppdfl import protocol, sharing
 from ppdfl.field import next_prime
 from ppdfl.fixedpoint import Precision, scaled_trunc
 from ppdfl.protocol import (
@@ -563,3 +564,46 @@ def test_share_table_transcript_roundtrip(tmp_path, p):
         path.write_text("\n".join([legacy[0], *body]) + "\n")
         (back,) = Transcript.from_jsonl(str(path)).rounds
         assert np.array_equal(back.bundles, table)
+
+
+def _edited_edges(edges):
+    """(edited edge list, error fragment or None if the transcript still
+    reads) per malformed topology record a transcript may carry."""
+    i, j = edges[0]
+    bad = "round 1 topology record: edges must be pairs of integer node ids"
+    yield [[float(i), float(j)], *edges[1:]], bad
+    yield [[str(i), str(j)], *edges[1:]], bad
+    yield [[True, False]] * len(edges), bad
+    # A bool among integers reads as 0 or 1, as numpy converts it.
+    yield [[True, j], *edges[1:]], None
+    yield [[i, j], [False, j], *edges[1:]], f"round 1 topology record: edge (0,{j}) outside 1..5"
+    yield [[i], *edges[1:]], bad
+    yield [[i]] * len(edges), bad
+    yield [[i, j, j], *edges[1:]], bad
+    yield [[i, j, j]] * len(edges), bad
+    yield [[[i], [j]], *edges[1:]], bad
+    yield [[[i], [j]]] * len(edges), bad
+    # An empty list is a graph without edges; the share bundles then leave it.
+    yield [], f"round 1 has share bundle 1->{j} between learners that are not neighbours"
+
+
+def test_transcript_topology_edges_are_judged_as_before(tmp_path):
+    cfg = make_cfg(5, 2, 2, 4.0, rounds=1, seed=33)
+    result = run_training(cfg, trainer=synthetic_trainer(4.0))
+    path = tmp_path / "transcript.jsonl"
+    result.transcript.to_jsonl(str(path))
+    msgs = [json.loads(line) for line in path.read_text().splitlines()]
+    topology = next(m for m in msgs if m.get("phase") == "topology")
+    edges = topology["payload"]["edges"]
+    assert edges[0][0] == 1
+    converted = protocol._edge_array(edges)
+    assert converted.dtype == np.int64 and converted.tolist() == edges
+    for edited, error in _edited_edges(edges):
+        topology["payload"]["edges"] = edited
+        path.write_text("".join(json.dumps(m) + "\n" for m in msgs))
+        if error is None:
+            (back,) = Transcript.from_jsonl(str(path)).rounds
+            assert back.topology.edges == result.transcript.rounds[0].topology.edges
+        else:
+            with pytest.raises(ValueError, match=re.escape(error)):
+                Transcript.from_jsonl(str(path))
