@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -284,7 +283,7 @@ def _collect_message(per_round: dict[int, dict], msg: dict) -> None:
             raise ValueError(f"transcript round {t} repeats its topology record")
         try:
             slot["topology"] = RoundTopology(
-                msg["payload"]["n_nodes"], _edge_array(msg["payload"]["edges"])
+                msg["payload"]["n_nodes"], msg["payload"]["edges"]
             )
         except ValueError as exc:
             raise ValueError(f"transcript round {t} topology record: {exc}") from None
@@ -321,26 +320,6 @@ def _collect_message(per_round: dict[int, dict], msg: dict) -> None:
             slot["models"][sender] = payload["model"]
             payload = payload["secret"]
         slot[phase][sender] = payload
-
-
-def _edge_array(edges):
-    """A topology record's edges as an (E, 2) array if they are a non-empty
-    list of two-item lists of scalars, as JSON gives them; any other value
-    unchanged.
-
-    np.array over the flattened ids finds the dtype and values it finds
-    over the nested lists, in less time, so RoundTopology accepts and
-    rejects both alike.
-    """
-    if (edges and type(edges) is list and set(map(type, edges)) == {list}
-            and set(map(len, edges)) == {2}):
-        try:
-            ids = np.array(list(chain.from_iterable(edges)))
-        except ValueError:  # ragged nested ids
-            return edges
-        if ids.ndim == 1:
-            return ids.reshape(-1, 2)
-    return edges
 
 
 def _learner_ids(t: int, values: list) -> np.ndarray:

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from ppdfl import protocol, sharing
+from ppdfl import sharing
 from ppdfl.field import next_prime
 from ppdfl.fixedpoint import Precision, scaled_trunc
 from ppdfl.protocol import (
@@ -596,8 +596,6 @@ def test_transcript_topology_edges_are_judged_as_before(tmp_path):
     topology = next(m for m in msgs if m.get("phase") == "topology")
     edges = topology["payload"]["edges"]
     assert edges[0][0] == 1
-    converted = protocol._edge_array(edges)
-    assert converted.dtype == np.int64 and converted.tolist() == edges
     for edited, error in _edited_edges(edges):
         topology["payload"]["edges"] = edited
         path.write_text("".join(json.dumps(m) + "\n" for m in msgs))

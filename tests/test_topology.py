@@ -77,6 +77,39 @@ def test_topology_normalization_matches_per_edge_loop():
             RoundTopology(n_nodes, [(1, 2)])
 
 
+def _outcome(n, edges):
+    """The graph's edges, or the ValueError message it is refused with."""
+    try:
+        return RoundTopology(n, edges).edges
+    except ValueError as exc:
+        return str(exc)
+
+
+def _nested_outcome(n, edges):
+    """_outcome after one np.array over the nested pairs."""
+    try:
+        pairs = np.array(edges)
+    except ValueError:  # ragged
+        pairs = np.array(None)
+    return _outcome(n, pairs if pairs.ndim == 2 else np.array([None]))
+
+
+def test_edge_lists_are_judged_as_their_nested_array():
+    # Flattening the ids must not pair up what np.array would not: triples
+    # whose ids come out even, pairs of pairs, or sets, dicts and bytes of two.
+    cases = [
+        [[1, 2], [2, 3]], [(1, 2), [3, 2]], [[1, 2, 3], [4, 5, 6]], [[[1, 2], [3, 4]]],
+        [[[1], [2]]], [[1, [2]]], [[1], [2]], [[1, 2], [3]], [b"\x01\x02"], [{1, 2}],
+        [{1: 0, 2: 0}], ["12", "34"], [range(1, 3)], [np.array([1, 2]), (2, 3)],
+        [np.array([1, 2], dtype=object)], [[np.int32(1), np.uint8(2)]], [[True, 2]],
+        [[True, False]], [[1.0, 2]], [["1", "2"]], [[1, None]], [[2**63, 1]],
+        [[2**70, 1]], [[np.array(1), 2]], [[1, 1]], [[0, 2]], [[1, 6]], [[1, 2], 3],
+    ]
+    for edges in cases:
+        assert _outcome(5, edges) == _nested_outcome(5, edges), edges
+    assert _outcome(5, []) == frozenset()
+
+
 def test_is_connected_edge_cases():
     assert is_connected(RoundTopology(1, frozenset()))
     assert not is_connected(RoundTopology(2, frozenset()))
