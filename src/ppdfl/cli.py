@@ -14,6 +14,7 @@ import os
 import statistics
 import sys
 import time
+from types import SimpleNamespace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -281,14 +282,10 @@ def _cmd_privacy(args) -> int:
     adversary_ids = [int(tok) for tok in args.adversary.split(",") if tok.strip()]
     if args.transcript:
         transcript = Transcript.from_jsonl(args.transcript)
+        # The reader has checked that these are integers.
         meta = transcript.meta
-
-        class _Cfg:
-            prime = int(meta["prime"])
-            sigma = int(meta["sigma"])
-
-        cfg = _Cfg()
-        n = int(meta["n_learners"])
+        cfg = SimpleNamespace(prime=meta["prime"], sigma=meta["sigma"])
+        n = meta["n_learners"]
     elif args.config:
         cfg = _load_config(args.config, args.seed)
         transcript = run_training(cfg).transcript

@@ -33,8 +33,10 @@ results are reproducible and independent of scheduling.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -45,7 +47,7 @@ from .consensus import (
     min_iterations,
     termination_inputs,
 )
-from .field import PrimeModulus
+from .field import MAX_MODULUS_BITS, PrimeModulus
 from .fixedpoint import (
     Precision,
     check_p_bound,
@@ -267,59 +269,222 @@ class RoundRecord:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _collect_message(per_round: dict[int, dict], msg: dict) -> None:
-    """File one transcript message under its round; KeyError on a missing
+# A round's records hold their payloads as JSON text, parsed in bulk once
+# the round is complete. One regex reads a line in the writer's layout up
+# to its phase, and the phase's own regex captures the payload texts from
+# the rest; a line in any other layout goes through json.loads, and its
+# payloads are dumped back to text.
+_ID = r"(0|[1-9][0-9]*)"
+_ID_LIST = r"\[(?:(?:0|[1-9][0-9]*)(?:, (?:0|[1-9][0-9]*))*)?\]"
+_INTS = r"(\[[0-9, ]*\])"
+_NESTED = r"(\[[0-9, \[\]]*\])"
+_FLOATS = r"(\[[-+.0-9eE, NaInfity]*\])"
+_HEAD = re.compile(r'\{"round": ' + _ID + r', "phase": "([a-z0-9]+)", ')
+_TAILS = {
+    "topology": re.compile(r'"payload": \{"n_nodes": ' + _ID + r', "edges": '
+                           + _NESTED + r', (".*)\}\}'),
+    "shares": re.compile(r'"from": ' + _ID + r', "to": ' + _INTS + r', "payload": '
+                         + _NESTED + r"\}"),
+    "state0": re.compile(r'"from": ' + _ID + r', "to": ' + _ID_LIST + r', "payload": '
+                         + _INTS + r"\}"),
+    "result": re.compile(r'"from": ' + _ID + r', "payload": ' + _FLOATS + r"\}"),
+    "audit": re.compile(r'"from": ' + _ID + r', "payload": \{"secret": ' + _INTS
+                        + r', "model": ' + _FLOATS + r"\}\}"),
+}
+
+_DIGITS = b"0123456789"
+_TO_SPACES = bytes.maketrans(b"[],", b"   ")
+
+
+def _skeletons(counts: list[int], item: str = "") -> str:
+    """Lists of counts[0], counts[1], ... items as json.dumps lays them out,
+    back to back and less their digits, each item reading `item` less its
+    digits."""
+    lists = {k: "[" + ", ".join([item] * k) + "]" for k in set(counts)}
+    return "".join(map(lists.__getitem__, counts))
+
+
+def _int_text(texts: list[str], skeleton: str, count: int) -> np.ndarray | None:
+    """The integers of texts, JSON lists as json.dumps lays them out, as one
+    int64 array in text order; None unless the texts less their digits read
+    exactly skeleton and each of its count slots holds one integer of at
+    most 18 digits without leading zeros.
+
+    The skeleton fixes the brackets, separators and so the width of every
+    list; a bounded number of array passes over the joined bytes checks the
+    digits and converts them, with no work per text.
+    """
+    raw = "".join(texts).encode()
+    if raw.translate(None, _DIGITS) != skeleton.encode():
+        return None
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    digit = (chars - 48) < 10  # uint8 wraps below "0"
+    # A run of digits starts after "[" or " " and ends before "," or "]";
+    # with the skeleton's separators in place, only a slot is such a gap.
+    stray = digit[1:] & ((chars[:-1] == 93) | (chars[:-1] == 44))
+    stray |= digit[:-1] & ((chars[1:] == 91) | (chars[1:] == 32))
+    if stray.any():
+        return None
+    # The runs fill every slot when there are as many as slots.
+    if np.count_nonzero(digit[1:] & ~digit[:-1]) != count:
+        return None
+    if not count:
+        return np.empty(0, dtype=np.int64)
+    leading_zero = (chars[1:-1] == 48) & ~digit[:-2] & digit[2:]
+    if leading_zero.any():
+        return None
+    values = np.fromstring(raw.translate(_TO_SPACES), dtype=np.int64, sep=" ")
+    # A run of more than 18 digits reads as at least 10**18, as fromstring
+    # saturates beyond int64.
+    if len(values) != count or values.max() >= 10**18:
+        return None
+    return values
+
+
+def _json_int_lists(items: list, depth: int):
+    """(values, sizes) of the JSON lists items, nested depth deep: values
+    holds every integer as int64 in order, and sizes[l] the item counts of
+    the lists at nesting level l+1, sizes[0] one per item. Where a list
+    belongs but something else stands, it reads as a list of one value; a
+    value that is not a JSON integer in [0, 2**63) reads as -1."""
+    sizes = []
+    for _ in range(depth):
+        items = [x if type(x) is list else [None] for x in items]
+        sizes.append(np.fromiter(map(len, items), dtype=np.int64, count=len(items)))
+        items = list(chain.from_iterable(items))
+    values = np.fromiter(
+        (v if type(v) is int and 0 <= v < 2**63 else -1 for v in items),
+        dtype=np.int64, count=len(items),
+    )
+    return values, sizes
+
+
+def _float_rows(texts: list[str]) -> np.ndarray:
+    """The result or audit model lists of learners 1..N as one float array.
+    Each text is one JSON list or no JSON at all, so one json.loads reads
+    them all or fails as it would on the text alone."""
+    return np.array(json.loads("[" + ", ".join(texts) + "]"), dtype=float)
+
+
+def _check_residues(t: int, phase: str, owners, counts: np.ndarray,
+                    values: np.ndarray, p: int) -> None:
+    """ValueError naming the learner whose record holds a value outside
+    [0, p); record k is owners[k]'s and holds the next counts[k] values."""
+    bad = (values < 0) | (values >= p)
+    if bad.any():
+        k = int(np.searchsorted(np.cumsum(counts), np.argmax(bad), side="right"))
+        raise ValueError(
+            f"transcript round {t} {phase} record of learner {owners[k]} holds a "
+            f"value that is not an integer in [0, {p})"
+        )
+
+
+def _residue_rows(t: int, phase: str, texts: list[str], p: int) -> np.ndarray:
+    """The state0 or audit secret lists of learners 1..N as one (N, n)
+    int64 block; ValueError on a value outside [0, p) or unequal lists.
+    Lists in the writer's layout are parsed in one _int_text call."""
+    sizes = [text.count(",") + 1 for text in texts]
+    values = _int_text(texts, _skeletons(sizes), sum(sizes))
+    if values is None:
+        values, (sizes,) = _json_int_lists(list(map(json.loads, texts)), 1)
+    sizes = np.asarray(sizes)
+    _check_residues(t, phase, range(1, len(texts) + 1), sizes, values, p)
+    if (sizes != sizes[0]).any():
+        raise ValueError(f"transcript round {t} has records of unequal length")
+    return values.reshape(len(texts), sizes[0])
+
+
+def _slot(per_round: dict, t) -> dict:
+    """The records collected so far of round t."""
+    slot = per_round.get(t)
+    if slot is None:
+        slot = per_round[t] = {
+            "shares": [], "state0": {}, "result": {}, "audit": {}, "models": {},
+            "topology": None, "k_used": 0, "lambda2": 0.0,
+            "rounding_margin": float("nan"),
+        }
+    return slot
+
+
+def _edge_pairs(text: str):
+    """The edges of a topology record as an (E, 2) int64 array; edges in
+    another layout, or not all pairs, as their JSON value."""
+    pairs = text.count("[") - 1
+    ids = _int_text([text], _skeletons([pairs], "[, ]"), 2 * pairs)
+    return json.loads(text) if ids is None else ids.reshape(pairs, 2)
+
+
+def _file_topology(slot: dict, t, payload: dict) -> None:
+    """File a topology record; ValueError if it repeats the round's or
+    holds no valid graph."""
+    if slot["topology"] is not None:
+        raise ValueError(f"transcript round {t} repeats its topology record")
+    try:
+        slot["topology"] = RoundTopology(payload["n_nodes"], payload["edges"])
+    except ValueError as exc:
+        raise ValueError(f"transcript round {t} topology record: {exc}") from None
+    slot["k_used"] = payload["k_used"]
+    slot["lambda2"] = payload.get("lambda2", 0.0)
+    slot["rounding_margin"] = payload.get("rounding_margin", float("nan"))
+
+
+def _file_record(slot: dict, t, phase: str, sender, payload, legacy: bool = False) -> None:
+    """File a state0, result or audit record; ValueError if it repeats
+    another of its learner's."""
+    records = slot[phase]
+    if sender in records:
+        # Older transcripts repeat a learner's state0 broadcast once per
+        # edge, each record naming one receiver.
+        if legacy and json.loads(records[sender]) == json.loads(payload):
+            return
+        raise ValueError(f"transcript round {t} repeats the {phase} record of learner {sender}")
+    if phase == "audit":
+        slot["models"][sender] = payload["model"]
+        payload = payload["secret"]
+    records[sender] = payload
+
+
+def _collect_fields(per_round: dict, t: int, phase: str, fields: tuple) -> None:
+    """File a line in the writer's layout from its captured fields."""
+    slot = _slot(per_round, t)
+    if phase == "topology":
+        n_nodes, edges, rest = fields
+        # Keys repeated in the rest of the payload win, as in json.loads.
+        payload = {"n_nodes": int(n_nodes), **json.loads("{" + rest + "}")}
+        payload.setdefault("edges", _edge_pairs(edges))
+        _file_topology(slot, t, payload)
+    elif phase == "shares":
+        slot["shares"].append((int(fields[0]), fields[1], fields[2]))
+    elif phase == "audit":
+        _file_record(slot, t, phase, int(fields[0]), {"secret": fields[1], "model": fields[2]})
+    else:
+        _file_record(slot, t, phase, int(fields[0]), fields[1])
+
+
+def _collect_message(per_round: dict, msg: dict) -> None:
+    """File a transcript message json.loads read; KeyError on a missing
     field, ValueError on a record that repeats another."""
     t = msg["round"]
-    slot = per_round.setdefault(
-        t,
-        {"senders": [], "receivers": [], "rows": [], "state0": {},
-         "result": {}, "audit": {}, "models": {}, "topology": None,
-         "k_used": 0, "lambda2": 0.0, "rounding_margin": float("nan")},
-    )
+    slot = _slot(per_round, t)
     phase = msg["phase"]
     if phase == "topology":
-        if slot["topology"] is not None:
-            raise ValueError(f"transcript round {t} repeats its topology record")
-        try:
-            slot["topology"] = RoundTopology(
-                msg["payload"]["n_nodes"], msg["payload"]["edges"]
-            )
-        except ValueError as exc:
-            raise ValueError(f"transcript round {t} topology record: {exc}") from None
-        slot["k_used"] = msg["payload"]["k_used"]
-        slot["lambda2"] = msg["payload"].get("lambda2", 0.0)
-        slot["rounding_margin"] = msg["payload"].get("rounding_margin", float("nan"))
+        _file_topology(slot, t, msg["payload"])
     elif phase == "shares":
-        # A sender's block lists its receivers and one bundle per receiver;
-        # a per-pair record of an older transcript, whose "to" is one id, is
+        to, rows = msg["to"], msg["payload"]
+        # A per-pair record of an older transcript, whose "to" is one id, is
         # a one-row block.
-        sender, to, rows = msg["from"], msg["to"], msg["payload"]
         if isinstance(to, int):
             to, rows = [to], [rows]
-        if len(to) != len(rows):
-            raise ValueError(
-                f"transcript round {t} shares record of learner {sender} lists "
-                f"{len(to)} receivers but carries {len(rows)} bundles"
-            )
-        slot["senders"] += [sender] * len(to)
-        slot["receivers"] += to
-        slot["rows"] += rows
+        slot["shares"].append((msg["from"], json.dumps(to), json.dumps(rows)))
     elif phase in ("state0", "result", "audit"):
-        sender, payload = msg["from"], msg["payload"]
-        if sender in slot[phase]:
-            # Older transcripts repeat a learner's state0 broadcast once per
-            # edge, each record naming one receiver.
-            legacy = phase == "state0" and isinstance(msg.get("to"), int)
-            if legacy and slot[phase][sender] == payload:
-                return
-            raise ValueError(
-                f"transcript round {t} repeats the {phase} record of learner {sender}"
-            )
+        payload = msg["payload"]
         if phase == "audit":
-            slot["models"][sender] = payload["model"]
-            payload = payload["secret"]
-        slot[phase][sender] = payload
+            payload = {"secret": json.dumps(payload["secret"]),
+                       "model": json.dumps(payload["model"])}
+        else:
+            payload = json.dumps(payload)
+        legacy = phase == "state0" and isinstance(msg.get("to"), int)
+        _file_record(slot, t, phase, msg["from"], payload, legacy)
 
 
 def _learner_ids(t: int, values: list) -> np.ndarray:
@@ -330,28 +495,72 @@ def _learner_ids(t: int, values: list) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         ids = None
     if ids is None or ids.ndim != 1 or ids.tolist() != values:
-        raise ValueError(
-            f"transcript round {t} has a share bundle whose sender or receiver "
-            "is not an integer"
-        )
+        raise _id_error(t)
     return ids
 
 
-def _share_table(t: int, g: RoundTopology, slot: dict, width: int) -> np.ndarray:
-    """The share table of round t from its shares records; ValueError names
-    the first bundle that is repeated, missing, of the wrong length, or
-    between learners that are not neighbours.
+def _id_error(t: int) -> ValueError:
+    return ValueError(
+        f"transcript round {t} has a share bundle whose sender or receiver "
+        "is not an integer"
+    )
+
+
+def _share_records(t: int, records: list, width: int, p: int):
+    """(senders, receivers, lengths, values) of round t's share bundles from
+    its shares records: bundle e goes from senders[e] to receivers[e] and
+    holds the next lengths[e] of values. ValueError on a record whose lists
+    differ in length, an id that is not an integer, or a value outside
+    [0, p).
+
+    When every record is in the writer's layout with bundles of the given
+    width, two _int_text calls read them all.
+    """
+    senders = [sender for sender, _, _ in records]
+    tos = [to for _, to, _ in records]
+    payloads = [rows for _, _, rows in records]
+    counts = [to.count(",") + 1 for to in tos]
+    receivers = _int_text(tos, _skeletons(counts), sum(counts))
+    values = None if receivers is None else _int_text(
+        payloads, _skeletons(counts, _skeletons([width])), sum(counts) * width
+    )
+    if values is not None:
+        counts = np.array(counts, dtype=np.int64)
+        lengths = np.full(len(receivers), width)
+    else:
+        tos = list(map(json.loads, tos))
+        if any(type(to) is not list for to in tos):
+            raise _id_error(t)
+        values, (counts, lengths) = _json_int_lists(list(map(json.loads, payloads)), 2)
+        for k, to in enumerate(tos):
+            if len(to) != counts[k]:
+                raise ValueError(
+                    f"transcript round {t} shares record of learner {senders[k]} lists "
+                    f"{len(to)} receivers but carries {counts[k]} bundles"
+                )
+        receivers = _learner_ids(t, list(chain.from_iterable(tos)))
+    # Only records with bundles name a sender of one.
+    sending = counts > 0
+    ids = _learner_ids(t, [s for s, k in zip(senders, sending.tolist()) if k])
+    value_ends = np.concatenate([[0], np.cumsum(lengths)])
+    row_ends = np.concatenate([[0], np.cumsum(counts)])
+    _check_residues(t, "shares", senders, np.diff(value_ends[row_ends]), values, p)
+    return np.repeat(ids, counts[sending]), receivers, lengths, values
+
+
+def _share_table(t: int, g: RoundTopology, senders: np.ndarray, receivers: np.ndarray,
+                 lengths: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
+    """The share table of round t from _share_records' bundles; ValueError
+    names the first bundle that is repeated, missing, of the wrong length,
+    or between learners that are not neighbours.
 
     Each bundle is keyed sender*(N+1) + receiver, which is unique for ids in
     1..N and increasing in share_pairs order.
     """
     n = g.n_nodes
-    senders = _learner_ids(t, slot["senders"])
-    receivers = _learner_ids(t, slot["receivers"])
-    rows = slot["rows"]
     inside = (senders >= 1) & (senders <= n) & (receivers >= 1) & (receivers <= n)
     # An id outside 1..N gets a key of its own, so it can only be a stray.
-    key = np.where(inside, senders * (n + 1) + receivers, -1 - np.arange(len(rows)))
+    key = np.where(inside, senders * (n + 1) + receivers, -1 - np.arange(len(lengths)))
     order = np.argsort(key, kind="stable")
     repeats = order[1:][key[order[1:]] == key[order[:-1]]]
     if repeats.size:
@@ -365,7 +574,6 @@ def _share_table(t: int, g: RoundTopology, slot: dict, width: int) -> np.ndarray
     found = wanted[slot_of] == key
     source = np.full(len(wanted), -1)  # row of each wanted bundle, -1 if absent
     source[slot_of[found]] = np.flatnonzero(found)
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     present = source >= 0
     bad = ~present
     bad[present] = lengths[source[present]] != width
@@ -385,7 +593,8 @@ def _share_table(t: int, g: RoundTopology, slot: dict, width: int) -> np.ndarray
             f"transcript round {t} has share bundle {senders[e]}->{receivers[e]} "
             "between learners that are not neighbours"
         )
-    return np.array(rows, dtype=np.int64)[source]
+    # Every bundle is now a wanted one of the given width.
+    return values.reshape(len(lengths), width)[source]
 
 
 @dataclass
@@ -474,29 +683,39 @@ class Transcript:
     @classmethod
     def from_jsonl(cls, path: str) -> "Transcript":
         """Read a transcript back; raises ValueError naming any record the
-        rounds cannot be rebuilt without."""
+        rounds cannot be rebuilt without, and any share, state0 or audit
+        secret value that is not an integer in [0, p).
+
+        A line in the writer's layout is split by regex, and each round's
+        integer payloads are parsed in bulk by _int_text. Any other line,
+        and any payload the bulk parse refuses, goes through json.loads;
+        both routes meet the same checks.
+        """
         meta: dict | None = None
         per_round: dict[int, dict] = {}
         with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
+            lines = fh.read().split("\n")
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            head = _HEAD.match(line)
+            tail = head and _TAILS.get(head[2])
+            fields = tail and tail.fullmatch(line, head.end())
+            try:
+                if fields:
+                    _collect_fields(per_round, int(head[1]), head[2], fields.groups())
                     continue
                 msg = json.loads(line)
+                if not isinstance(msg, dict):
+                    raise ValueError(f"transcript line {lineno} is not a JSON object")
                 if "meta" in msg and "round" not in msg:
                     meta = msg["meta"]
                     continue
-                try:
-                    _collect_message(per_round, msg)
-                except KeyError as exc:
-                    raise ValueError(
-                        f"transcript line {lineno} lacks field {exc}"
-                    ) from None
-        if meta is None:
-            raise ValueError("transcript lacks its meta record")
-        missing = [key for key in ("n_learners", "prime", "sigma") if key not in meta]
-        if missing:
-            raise ValueError(f"transcript meta record lacks {missing}")
+                _collect_message(per_round, msg)
+            except KeyError as exc:
+                raise ValueError(f"transcript line {lineno} lacks field {exc}") from None
+        p, scale = _checked_meta(meta)
         rounds = []
         for t in sorted(per_round):
             slot = per_round[t]
@@ -517,16 +736,14 @@ class Transcript:
                         f"learners {', '.join(map(str, missing))}"
                     )
             learners = range(1, n + 1)
-            s0 = np.array([slot["state0"][i] for i in learners], dtype=np.int64)
-            secrets = np.array([slot["audit"][i] for i in learners], dtype=np.int64)
-            models = np.array([slot["models"][i] for i in learners], dtype=float)
-            decoded = np.array([slot["result"][i] for i in learners], dtype=float)
-            shapes = {arr.shape for arr in (s0, secrets, models, decoded)}
-            if s0.ndim != 2 or len(shapes) > 1:
+            s0 = _residue_rows(t, "state0", [slot["state0"][i] for i in learners], p)
+            secrets = _residue_rows(t, "audit", [slot["audit"][i] for i in learners], p)
+            models = _float_rows([slot["models"][i] for i in learners])
+            decoded = _float_rows([slot["result"][i] for i in learners])
+            if len({arr.shape for arr in (s0, secrets, models, decoded)}) > 1:
                 raise ValueError(f"transcript round {t} has records of unequal length")
-            bundles = _share_table(t, g, slot, s0.shape[1])
-            p = int(meta["prime"])
-            scale = 10 ** int(meta["sigma"])
+            width = s0.shape[1]
+            bundles = _share_table(t, g, *_share_records(t, slot["shares"], width, p), width)
             rounded = np.round(decoded * scale).astype(np.int64) % p
             rounds.append(
                 RoundRecord(
@@ -544,6 +761,28 @@ class Transcript:
                 )
             )
         return cls(meta=meta, rounds=rounds)
+
+
+def _checked_meta(meta) -> tuple[int, int]:
+    """(p, 10**sigma) of a transcript's meta record; ValueError unless it
+    holds n_learners, prime and sigma as JSON integers, with p in the range
+    a modulus may take and sigma not negative."""
+    if meta is None:
+        raise ValueError("transcript lacks its meta record")
+    if not isinstance(meta, dict):
+        raise ValueError("transcript meta record is not a JSON object")
+    missing = [key for key in ("n_learners", "prime", "sigma") if key not in meta]
+    if missing:
+        raise ValueError(f"transcript meta record lacks {missing}")
+    for key in ("n_learners", "prime", "sigma"):
+        if type(meta[key]) is not int:
+            raise ValueError(f"transcript meta record has {key}={meta[key]!r}, not an integer")
+    p, sigma = meta["prime"], meta["sigma"]
+    if not 2 <= p < 2**MAX_MODULUS_BITS:
+        raise ValueError(f"transcript meta record has prime={p}, outside [2, 2**{MAX_MODULUS_BITS})")
+    if sigma < 0:
+        raise ValueError(f"transcript meta record has sigma={sigma}, below 0")
+    return p, 10**sigma
 
 
 def quantized_aggregate(
@@ -604,13 +843,15 @@ def execute_round(
     g: RoundTopology,
     cfg: ProtocolConfig,
     round_index: int = 1,
-    record_trajectory: bool = True,
+    record_trajectory: bool = False,
 ) -> RoundRecord:
     """Run one full aggregation round over graph g.
 
     models is (N, n): row i-1 holds learner i's local model. The returned
     record's decoded rows are identical across learners and equal the
-    sigma-digit quantized weighted aggregate exactly.
+    sigma-digit quantized weighted aggregate exactly. With
+    record_trajectory, the record also holds every averaging step's states,
+    a (K+1, N, n) float array.
     """
     p = cfg.prime
     prec = cfg.precision

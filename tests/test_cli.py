@@ -290,6 +290,14 @@ def test_privacy_transcript_message_without_round_exits_config(tmp_path, capsys)
     assert "round" in capsys.readouterr().err
 
 
+def test_privacy_transcript_line_not_an_object_exits_config(tmp_path, capsys):
+    lines = _transcript_lines(tmp_path)
+    path = tmp_path / "list_line.jsonl"
+    path.write_text("\n".join([*lines[:2], "[1, 2]", *lines[2:]]) + "\n")
+    assert main(["privacy", "--transcript", str(path), "--adversary", "1"]) == 2
+    assert "transcript line 3 is not a JSON object" in capsys.readouterr().err
+
+
 def test_privacy_transcript_without_state0_exits_config(tmp_path, capsys):
     lines = _transcript_lines(tmp_path)
     kept = [ln for ln in lines if json.loads(ln).get("phase") != "state0"]
@@ -457,6 +465,66 @@ def test_privacy_transcript_repeated_topology_exits_config(tmp_path, capsys):
     repeat = {**first, "payload": {**first["payload"], "k_used": 1}}
     err = _privacy_error(tmp_path, capsys, msgs[:k + 1] + [repeat] + msgs[k + 1:])
     assert "round 1 repeats its topology record" in err
+
+
+def _record(msgs, phase, i):
+    return next(m for m in msgs
+                if (m.get("round"), m.get("phase"), m.get("from")) == (1, phase, i))
+
+
+# A value that is not a JSON integer in [0, p): p=16007 in configs/demo.json.
+_NON_RESIDUES = [2**70, 1.5, "7", True, 16007 + 3, -4]
+
+
+@pytest.mark.parametrize("layout", ["block", "per_pair"])
+@pytest.mark.parametrize("value", _NON_RESIDUES)
+def test_privacy_transcript_share_value_not_a_residue_exits_config(
+        tmp_path, capsys, value, layout):
+    msgs = _demo_messages(tmp_path)
+    block = _shares_record(msgs, 2)
+    block["payload"][block["to"].index(3)][0] = value
+    if layout == "per_pair":
+        msgs = _per_pair(msgs)
+    err = _privacy_error(tmp_path, capsys, msgs)
+    assert ("round 1 shares record of learner 2 holds a value that is not an "
+            "integer in [0, 16007)") in err
+
+
+@pytest.mark.parametrize("phase", ["state0", "audit"])
+@pytest.mark.parametrize("value", [*_NON_RESIDUES, 16007])
+def test_privacy_transcript_state_or_secret_not_a_residue_exits_config(
+        tmp_path, capsys, phase, value):
+    msgs = _demo_messages(tmp_path)
+    record = _record(msgs, phase, 5)
+    values = record["payload"]["secret"] if phase == "audit" else record["payload"]
+    values[1] = value
+    err = _privacy_error(tmp_path, capsys, msgs)
+    assert (f"round 1 {phase} record of learner 5 holds a value that is not an "
+            "integer in [0, 16007)") in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("prime", 16007.0), ("prime", True), ("prime", "16007"), ("prime", 1.5),
+    ("sigma", 2.0), ("sigma", False), ("n_learners", 8.0), ("n_learners", None),
+])
+def test_privacy_transcript_meta_field_not_an_integer_exits_config(
+        tmp_path, capsys, key, value):
+    msgs = _demo_messages(tmp_path)
+    msgs[0]["meta"][key] = value
+    err = _privacy_error(tmp_path, capsys, msgs)
+    assert f"transcript meta record has {key}={value!r}, not an integer" in err
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("prime", 1, "prime=1, outside [2, 2**31)"),
+    ("prime", 2**31 + 11, f"prime={2**31 + 11}, outside [2, 2**31)"),
+    ("sigma", -1, "sigma=-1, below 0"),
+])
+def test_privacy_transcript_meta_field_out_of_range_exits_config(
+        tmp_path, capsys, key, value, error):
+    msgs = _demo_messages(tmp_path)
+    msgs[0]["meta"][key] = value
+    assert f"transcript meta record has {error}" in _privacy_error(tmp_path, capsys, msgs)
 
 
 def _round1_topology(msgs):

@@ -372,6 +372,36 @@ def test_demo_share_stream_is_pinned():
     assert digest.hexdigest() == DEMO_BUNDLES_SHA256
 
 
+# sha256 of Transcript.to_jsonl's bytes for round 1 of configs/demo.json,
+# as version 0.4.0 writes them, with lambda2 and the rounding margin first
+# rounded to 6 digits: they come from LAPACK and float sums, whose last bits
+# may differ between hosts. The reader parses lines in exactly this layout
+# in bulk; a change to the layout must update this pin and the reader's
+# line patterns together, or every line falls back to json.loads.
+DEMO_TRANSCRIPT_SHA256 = "40c8062a2f471b7de56704fd1b3bf0ea5b4929e1d1493f74a94e1053833c60bc"
+
+
+def test_demo_transcript_bytes_are_pinned(tmp_path, monkeypatch):
+    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+    cfg = ProtocolConfig.from_json_file(str(config))
+    cfg.rounds = 1
+    transcript = run_training(cfg).transcript
+    (rec,) = transcript.rounds
+    rec.lambda2, rec.rounding_margin = round(rec.lambda2, 6), round(rec.rounding_margin, 6)
+    path = tmp_path / "transcript.jsonl"
+    transcript.to_jsonl(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEMO_TRANSCRIPT_SHA256
+    # Read back, the lines of this layout take no json.loads call of their
+    # own: one reads the meta record, one the topology record's scalars, and
+    # one each the round's result and audit model lists.
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: calls.append(s) or loads(s, *a, **k))
+    (back,) = Transcript.from_jsonl(str(path)).rounds
+    assert len(calls) == 4
+    assert np.array_equal(back.bundles, rec.bundles)
+
+
 def test_share_phase_inverts_once_per_holder_set(monkeypatch):
     calls = []
     inverse = sharing._inverse_int
