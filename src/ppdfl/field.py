@@ -24,19 +24,37 @@ class DimensionMismatch(ValueError):
     """Operand dimensions are incompatible."""
 
 
+# The first 12 primes. As Miller-Rabin bases they decide primality exactly
+# for every n below psi_12 = 318665857834031151167461, about 3.2 * 10**23
+# (Sorenson and Webster, 2017); is_prime refuses larger n.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_EXACT_BELOW = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; adequate for moduli below 2**31."""
+    """Deterministic Miller-Rabin test: with n - 1 = d * 2**s and d odd, n
+    is prime unless some base a has a**d != 1 and a**(d * 2**r) != -1 mod n
+    for every r < s. ValueError for n at or above _EXACT_BELOW."""
+    if n >= _EXACT_BELOW:
+        raise ValueError(f"{n} is too large for a deterministic primality test")
     if n < 2:
         return False
-    if n < 4:
+    if n in _WITNESSES:
         return True
-    if n % 2 == 0:
+    if any(n % a == 0 for a in _WITNESSES):
         return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # twos in n - 1
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -273,12 +273,17 @@ class RoundRecord:
 # the round is complete. One regex reads a line in the writer's layout up
 # to its phase, and the phase's own regex captures the payload texts from
 # the rest; a line in any other layout goes through json.loads, and its
-# payloads are dumped back to text.
+# payloads are dumped back to text. A consensus record is never parsed: its
+# regex admits only valid JSON, so a line it matches is skipped.
 _ID = r"(0|[1-9][0-9]*)"
-_ID_LIST = r"\[(?:(?:0|[1-9][0-9]*)(?:, (?:0|[1-9][0-9]*))*)?\]"
+# An id is digits not led by a zero unless it is 0: a lookahead per id,
+# which the regex engine runs faster than an alternation.
+_ID_LIST = r"\[(?:(?!0[0-9])[0-9]+(?:, (?!0[0-9])[0-9]+)*)?\]"
 _INTS = r"(\[[0-9, ]*\])"
 _NESTED = r"(\[[0-9, \[\]]*\])"
 _FLOATS = r"(\[[-+.0-9eE, NaInfity]*\])"
+_NUMBER = r"(?:-?(?:[1-9][0-9]*|0)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity)"
+_NUMBER_LIST = r"\[(?:" + _NUMBER + r"(?:, " + _NUMBER + r")*)?\]"
 _HEAD = re.compile(r'\{"round": ' + _ID + r', "phase": "([a-z0-9]+)", ')
 _TAILS = {
     "topology": re.compile(r'"payload": \{"n_nodes": ' + _ID + r', "edges": '
@@ -290,6 +295,8 @@ _TAILS = {
     "result": re.compile(r'"from": ' + _ID + r', "payload": ' + _FLOATS + r"\}"),
     "audit": re.compile(r'"from": ' + _ID + r', "payload": \{"secret": ' + _INTS
                         + r', "model": ' + _FLOATS + r"\}\}"),
+    "consensus": re.compile(r'"k": ' + _ID + r', "from": ' + _ID + r', "to": ' + _ID_LIST
+                            + r', "payload": ' + _NUMBER_LIST + r"\}"),
 }
 
 _DIGITS = b"0123456789"
@@ -457,7 +464,7 @@ def _collect_fields(per_round: dict, t: int, phase: str, fields: tuple) -> None:
         slot["shares"].append((int(fields[0]), fields[1], fields[2]))
     elif phase == "audit":
         _file_record(slot, t, phase, int(fields[0]), {"secret": fields[1], "model": fields[2]})
-    else:
+    elif phase != "consensus":  # a consensus record only opens its round
         _file_record(slot, t, phase, int(fields[0]), fields[1])
 
 
@@ -687,9 +694,10 @@ class Transcript:
         secret value that is not an integer in [0, p).
 
         A line in the writer's layout is split by regex, and each round's
-        integer payloads are parsed in bulk by _int_text. Any other line,
-        and any payload the bulk parse refuses, goes through json.loads;
-        both routes meet the same checks.
+        integer payloads are parsed in bulk by _int_text; a consensus record
+        in that layout is skipped unparsed. Any other line, and any payload
+        the bulk parse refuses, goes through json.loads; both routes meet
+        the same checks.
         """
         meta: dict | None = None
         per_round: dict[int, dict] = {}

@@ -14,7 +14,11 @@ Secrets, coefficients, weights and shares are int64 residue arrays.
 
 The kernels work on a batch of holder sets at once: one set per row of an
 int64 array, padded with zeros to the widest set. 0 is never a holder id,
-so it marks padding.
+so it marks padding. Interpolation weights are int64 products reduced mod
+p as they go. Shares are float64 matrix products, holder powers times
+coefficients split into limbs, exact because every partial sum is an
+integer of at most 2**53 (see _limb_split); one reduction mod p at the
+end turns them into residues.
 """
 
 from __future__ import annotations
@@ -25,8 +29,13 @@ import numpy as np
 
 from .field import _inverse_int
 
-# Accumulator entries per block of the Horner pass (128 KB of int64).
-_BLOCK_ENTRIES = 2**14
+# Entries of the temporaries of a block of the share evaluation together
+# (512 KB of float64): the gathered holder powers, the limb-split
+# coefficients and their products hold at most this many for a block of
+# sets, unless one set alone needs more. The float64 products are exact
+# whatever the block size, since _limb_split bounds every partial sum by
+# 2**53.
+_BLOCK_ENTRIES = 2**16
 
 
 def _prefix_products(a: np.ndarray, p: int) -> np.ndarray:
@@ -122,6 +131,44 @@ def _draw_coefficients(
     return rng.integers(0, p, size=(n, tau), dtype=np.int64)
 
 
+def _limb_split(p: int, terms: int) -> tuple[int, int]:
+    """(limbs, bits): the fewest limbs of `bits` bits that residues mod p
+    split into so that a sum of limbs * terms products, each of a limb and
+    a residue, is at most 2**53 and so exact in float64:
+    limbs * terms * (2**bits - 1) * (p - 1) <= 2**53, with limbs * bits
+    covering every residue."""
+    top = max(1, (p - 1).bit_length())
+    for limbs in range(1, top + 1):
+        bits = -(-top // limbs)
+        if limbs * terms * ((1 << bits) - 1) * (p - 1) <= 2**53:
+            return limbs, bits
+    raise ValueError(
+        f"polynomials with {terms} coefficients are too long to evaluate "
+        f"exactly in float64 mod {p}"
+    )
+
+
+def _power_table(ids: np.ndarray, terms: int, limbs: int, bits: int, p: int) -> np.ndarray:
+    """(len(ids), limbs * terms) float64: column i * terms + m holds
+    2**(bits * i) * x**m mod p at each id x, the residue that limb i of
+    coefficient m multiplies. Columns [h, 2h) of x**m are columns [0, h)
+    times x**h, so terms - 1 multiplies mod p fill a row."""
+    x = ids % p
+    table = np.empty((len(ids), limbs, terms), dtype=np.int64)
+    powers = table[:, 0]
+    powers[:, 0] = 1
+    h = 1
+    while h < terms:
+        k = min(h, terms - h)
+        x_h = powers[:, h - 1] * x % p
+        np.multiply(powers[:, :k], x_h[:, None], out=powers[:, h : h + k])
+        np.remainder(powers[:, h : h + k], p, out=powers[:, h : h + k])
+        h += k
+    for i in range(1, limbs):
+        table[:, i] = table[:, i - 1] * (2**bits % p) % p
+    return table.reshape(len(ids), limbs * terms).astype(np.float64)
+
+
 def _generate_share_values(
     secrets: np.ndarray, coeffs: Sequence[np.ndarray], holders: np.ndarray, p: int
 ) -> np.ndarray:
@@ -129,43 +176,54 @@ def _generate_share_values(
     evaluated at each of its holders.
 
     secrets is (G, n) and holders (G, s), zero-padded; coeffs holds one
-    (n, tau_g) array per set. Set g's polynomial for coordinate l is
-    H(x) = secrets[g, l] + sum_m coeffs[g][l, m-1] x^m. Returns (E, n)
+    (n, tau_g) array of residues per set. Set g's polynomial for coordinate
+    l is H(x) = secrets[g, l] + sum_m coeffs[g][l, m-1] x^m. Returns (E, n)
     int64 with one row per nonzero holder, in row-major order: row e holds
-    H at that holder for every coordinate. Padding a set's coefficients
-    with zero high coefficients leaves its polynomials unchanged, so sets
-    of different degree share one Horner pass; padded columns are
-    evaluated and dropped. The pass runs over blocks of sets with at most
-    _BLOCK_ENTRIES accumulator entries, so its temporaries stay cache-sized
-    however large the batch. Coefficients are residues and ids lie in
-    [0, p), so the accumulator needs reducing mod p only every
-    _lazy_steps(p, max id) steps to stay inside int64.
+    H at that holder for every coordinate.
+
+    Evaluation is a float64 matrix product per set, (s, K) powers of its
+    holders times its (K, n) coefficient block, run over blocks of sets
+    whose temporaries together hold at most _BLOCK_ENTRIES entries. Every
+    coefficient, the secret as coefficient 0, is split into limbs of b bits
+    (see _limb_split), and limb i of coefficient m meets 2**(b i) x^m mod p
+    from a table over the distinct ids, so K = limbs * (1 + max tau_g) and
+    one reduction mod p recombines the limbs. Each product is below
+    2**b * p and K of them sum to at most 2**53, so every partial sum is an
+    exact integer in whatever order BLAS adds. Sets of lower degree leave
+    their high coefficients zero, and padded holder slots are evaluated and
+    dropped.
     """
     holders = np.asarray(holders, dtype=np.int64)
     secrets = np.asarray(secrets, dtype=np.int64) % p
     n_sets, width = holders.shape
     dim = secrets.shape[1]
-    present = holders != 0
-    starts = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
-    out = np.empty((starts[-1], dim), dtype=np.int64)
-    lazy = _lazy_steps(p, int(holders.max(initial=0)))
-    per_block = max(1, _BLOCK_ENTRIES // max(1, dim * width))
+    taus = np.array([np.shape(c)[1] for c in coeffs], dtype=np.int64)
+    terms = 1 + int(taus.max(initial=0))
+    limbs, bits = _limb_split(p, terms)
+    span = limbs * terms  # K, the rows of a set's coefficient block
+    ids, slots = np.unique(holders.ravel(), return_inverse=True)
+    table = _power_table(ids, terms, limbs, bits, p)
+    slots = slots.reshape(holders.shape)
+    kept = np.flatnonzero(holders)  # flat positions of the real holders
+    starts = np.concatenate([[0], np.cumsum(np.count_nonzero(holders, axis=1))])
+    # Block row of limb 0 of every coefficient, the sets' columns in turn.
+    col_starts = np.concatenate([[0], np.cumsum(taus)])
+    coef_rows = np.arange(1, col_starts[-1] + 1) + np.repeat(
+        np.arange(n_sets) * span - col_starts[:-1], taus
+    )
+    out = np.empty((len(kept), dim), dtype=np.int64)
+    mask = (1 << bits) - 1
+    per_block = max(1, _BLOCK_ENTRIES // max(1, (width + dim) * span + width * dim))
     for a in range(0, n_sets, per_block):
         b = min(a + per_block, n_sets)
-        x = holders[a:b, None, :]
-        sets = [np.asarray(c, dtype=np.int64) for c in coeffs[a:b]]
-        padded = np.zeros((b - a, dim, max(c.shape[1] for c in sets)), dtype=np.int64)
-        for row, c in zip(padded, sets):
-            row[:, : c.shape[1]] = c
-        acc = np.zeros((b - a, dim, width), dtype=np.int64)
-        for step, m in enumerate(range(padded.shape[2] - 1, -1, -1), start=1):
-            acc *= x
-            acc += padded[:, :, m, None]
-            if step % lazy == 0:
-                acc %= p
-        acc %= p
-        acc *= x
-        acc += secrets[a:b, :, None]
-        acc %= p
-        out[starts[a] : starts[b]] = acc.transpose(0, 2, 1)[present[a:b]]
+        cols = np.concatenate(coeffs[a:b], axis=1).astype(np.int64, copy=False).T
+        rows = coef_rows[col_starts[a] : col_starts[b]] - a * span
+        block = np.zeros(((b - a) * span, dim))
+        for i in range(limbs):
+            block[i * terms :: span] = (secrets[a:b] >> (bits * i)) & mask
+            block[rows + i * terms] = (cols >> (bits * i)) & mask
+        vals = np.matmul(table[slots[a:b]], block.reshape(b - a, span, dim))
+        picks = kept[starts[a] : starts[b]] - a * width
+        out[starts[a] : starts[b]] = vals.reshape(-1, dim)[picks]
+    out %= p
     return out

@@ -77,6 +77,51 @@ def test_primality_helpers():
     assert next_prime(1020430) == 1020431
 
 
+def trial_division(n):
+    """Oracle: n is prime when no integer in [2, sqrt(n)] divides it."""
+    if n < 4:
+        return n > 1
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def lucas_lehmer(q):
+    """Oracle for Mersenne numbers: 2**q - 1 with q an odd prime is prime
+    exactly when s_{q-2} = 0, where s_0 = 4 and s_{k+1} = s_k**2 - 2."""
+    m, s = 2**q - 1, 4
+    for _ in range(q - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+def test_is_prime_matches_trial_division_below_200000():
+    assert all(is_prime(n) == trial_division(n) for n in range(200_000))
+
+
+def test_is_prime_mersenne_and_strong_pseudoprimes():
+    assert is_prime(2**31 - 1) and trial_division(2**31 - 1)
+    # Trial division of 2**61 - 1 would take about 10**9 divisions.
+    assert is_prime(2**61 - 1) and lucas_lehmer(61)
+    assert not is_prime(2**29 - 1) and not lucas_lehmer(29)
+    # The least strong pseudoprimes to the first 1, 2, 3, 4 and 9 prime
+    # bases: a test with fewer bases calls each of them prime.
+    for n in (2047, 1373653, 25326001, 3215031751, 3825123056546413051):
+        assert not trial_division(n) and not is_prime(n)
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    limit = 318665857834031151167461
+    assert not is_prime(limit - 1)
+    with pytest.raises(ValueError):
+        is_prime(limit)
+
+
 def test_modulus_validation():
     with pytest.raises(ValueError):
         PrimeModulus(10)

@@ -136,16 +136,108 @@ def test_share_values_match_direct_evaluation(p, monkeypatch):
         secrets = [[rng.randrange(p) for _ in range(n)] for _ in sets]
         coeffs = [[[rng.randrange(p) for _ in range(max(0, tau - k))]
                    for _ in range(n)] for k in range(len(sets))]
-        expected = [
-            [(s + sum(c * x ** (m + 1) for m, c in enumerate(cs))) % p
-             for s, cs in zip(ss, css)]
-            for ss, css, xs in zip(secrets, coeffs, ids.tolist()) for x in xs if x
-        ]
-        for block in (sharing._BLOCK_ENTRIES, 1, 3 * n * ids.shape[1]):
-            monkeypatch.setattr(sharing, "_BLOCK_ENTRIES", block)
-            got = _generate_share_values(secrets, coeffs, ids, p)
-            assert got.dtype == np.int64 and got.shape == (sum(map(len, sets)), n)
-            assert got.tolist() == expected
+        assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
+
+
+def direct_shares(secrets, coeffs, ids, p):
+    """Oracle: every set's polynomials at each of its nonzero ids, in Python
+    ints, one row per holder in row-major order."""
+    return [
+        [(s + sum(c * x ** (m + 1) for m, c in enumerate(cs))) % p
+         for s, cs in zip(ss, css)]
+        for ss, css, xs in zip(secrets, coeffs, np.asarray(ids).tolist()) for x in xs if x
+    ]
+
+
+def assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch):
+    """The share table equals the oracle's with the default block size, in
+    blocks of one set, in blocks of about three sets, and in one block."""
+    expected = direct_shares(secrets, coeffs, ids, p)
+    width = np.shape(ids)[1]
+    n = len(secrets[0])
+    terms = 1 + max(np.shape(c)[1] for c in coeffs)
+    span = sharing._limb_split(p, terms)[0] * terms
+    few = 3 * ((width + n) * span + width * n)
+    for block in (sharing._BLOCK_ENTRIES, 1, few, 2**62):
+        monkeypatch.setattr(sharing, "_BLOCK_ENTRIES", block)
+        got = _generate_share_values(secrets, coeffs, ids, p)
+        assert got.dtype == np.int64 and got.shape == (len(expected), n)
+        assert got.tolist() == expected
+
+
+def test_limb_split_keeps_every_sum_exact():
+    # limbs * terms products of a limb below 2**bits and a residue sum to at
+    # most 2**53, the limbs cover every residue, and one limb fewer would
+    # not do.
+    for p in (2, 3, 11, 16007, 1020431, 2**31 - 1):
+        top = (p - 1).bit_length()
+        for terms in [*range(1, 70), 99, 100, 101, 682, 683, 684, 4096, 10**5]:
+            limbs, bits = sharing._limb_split(p, terms)
+            assert limbs * bits >= top
+            assert limbs * terms * (2**bits - 1) * (p - 1) <= 2**53
+            if limbs > 1:
+                fewer = -(-top // (limbs - 1))
+                assert (limbs - 1) * terms * (2**fewer - 1) * (p - 1) > 2**53
+    assert sharing._limb_split(1020431, 100) == (1, 20)
+    assert sharing._limb_split(2**31 - 1, 16) == (2, 16)
+    with pytest.raises(ValueError):
+        sharing._limb_split(2**31 - 1, 10**6)
+
+
+@pytest.mark.parametrize("terms", [2, 4, 8, 16, 17, 31, 32, 33, 34, 64, 65, 683, 684])
+def test_share_values_exact_at_31_bits(terms, monkeypatch):
+    # p = 2**31 - 1 with ids and coefficients up to p - 1, the largest
+    # products the float64 sums meet, at term counts on both sides of each
+    # change of the limb split and of each power of two.
+    p = 2**31 - 1
+    splits = [sharing._limb_split(p, t) for t in range(1, 700)]
+    assert [t for t in range(2, 700) if splits[t - 1] != splits[t - 2]] == [33, 684]
+    rng = random.Random(terms)
+    sets = [[p - 1, 1, p - 2], [rng.randrange(1, p) for _ in range(5)], [p - 1], [2, p - 3]]
+    secrets = [[p - 1, rng.randrange(p)] for _ in sets]
+    # Set k has degree terms - 1 - k (at least 0), with coordinate 0's
+    # coefficients all p - 1.
+    taus = [max(0, terms - 1 - k) for k in range(len(sets))]
+    coeffs = [[[p - 1] * tau, [rng.randrange(p) for _ in range(tau)]] for tau in taus]
+    assert_direct_evaluation(secrets, coeffs, padded(sets), p, monkeypatch)
+
+
+def test_share_values_exact_with_one_limb(monkeypatch):
+    # p = 1020431 with 100 terms, a dense_ref holder set's size: one limb of
+    # 20 bits, so each coefficient meets the powers whole.
+    p = 1020431
+    assert sharing._limb_split(p, 100)[0] == 1
+    rng = random.Random(100)
+    sets = [rng.sample(range(1, p), 100), rng.sample(range(1, p), 57), [p - 1, p - 2]]
+    ids = padded(sets)
+    secrets = [[rng.randrange(p) for _ in range(3)] for _ in sets]
+    coeffs = [[[p - 1] * 99, [rng.randrange(p) for _ in range(99)], [0] * 98 + [p - 1]],
+              [[rng.randrange(p) for _ in range(56)] for _ in range(3)],
+              [[rng.randrange(p)] for _ in range(3)]]
+    assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
+
+
+@pytest.mark.parametrize("p", [11, 2**31 - 1])
+def test_share_values_degree_zero_width_one_and_inner_padding(p, monkeypatch):
+    rng = random.Random(p + 2)
+    top = min(p - 1, 1000)
+    # Degree-0 sets only: every share is its set's secret.
+    ids = padded([[1, 2, 3], [4], [5, 6]])
+    secrets = [[rng.randrange(p) for _ in range(2)] for _ in range(3)]
+    coeffs = [np.zeros((2, 0), dtype=np.int64)] * 3
+    assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
+    assert _generate_share_values(secrets, coeffs, ids, p).tolist() == [
+        secrets[0]] * 3 + [secrets[1]] + [secrets[2]] * 2
+    # Width 1: each set is a single holder, of any degree.
+    ids = np.array([[rng.randrange(1, top + 1)] for _ in range(4)])
+    coeffs = [[[rng.randrange(p) for _ in range(k)]] for k in (0, 1, 5, 9)]
+    secrets = [[rng.randrange(p)] for _ in range(4)]
+    assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
+    # Padding between and before holders, and a set of padding only.
+    ids = np.array([[0, 3, 0, 7], [5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 9]])
+    coeffs = [[[rng.randrange(p) for _ in range(k)] for _ in range(3)] for k in (1, 3, 0, 2)]
+    secrets = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
+    assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
 
 
 def test_share_values_hand_polynomial():

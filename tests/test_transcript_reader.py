@@ -462,3 +462,66 @@ def test_bulk_integer_parse_matches_json(width):
             assert got is not None and got.dtype == np.int64 and got.tolist() == want, texts
             accepted += 1
     assert accepted > 300 and refused > 300
+
+
+def _counting_json_loads(monkeypatch):
+    """Count json.loads calls from here on; returns the running count."""
+    calls = [0]
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    return calls
+
+
+def test_consensus_records_are_skipped_without_json(tmp_path, monkeypatch):
+    # A --trajectories transcript reads back as the same transcript without
+    # its consensus lines, with no json.loads call spent on them; states
+    # include every float layout json.dumps writes.
+    cfg = ProtocolConfig.from_json_file(str(ROOT / "configs" / "demo.json"))
+    transcript = run_training(cfg, record_trajectory=True).transcript
+    traj = transcript.rounds[0].state_trajectory
+    traj[1, 0, :3] = [float("nan"), float("-inf"), -0.0]
+    traj[1, 1, :3] = [1e-05, 1.5e300, float("inf")]
+    with_path, without_path = tmp_path / "with.jsonl", tmp_path / "without.jsonl"
+    transcript.to_jsonl(str(with_path))
+    transcript.to_jsonl(str(without_path), include_consensus=False)
+    assert with_path.read_text().count('"phase": "consensus"') > 0
+    calls = _counting_json_loads(monkeypatch)
+    without = Transcript.from_jsonl(str(without_path))
+    bare = calls[0]
+    assert_same_rounds(Transcript.from_jsonl(str(with_path)), without)
+    assert calls[0] == 2 * bare
+
+
+def test_consensus_records_in_other_layouts_meet_json(tmp_path):
+    # Only a consensus line in the writer's layout is skipped unparsed: any
+    # other goes through json.loads and meets the same refusals, and either
+    # opens its round's slot, as the per-line reader does.
+    lines = _written_lines(11, tmp_path)
+    record = {"round": 1, "phase": "consensus", "k": 1, "from": 2, "to": [1, 3],
+              "payload": [0.5, -1e-05, float("nan")]}
+    written = json.dumps(record)
+    path = tmp_path / "variant.jsonl"
+    variants = {
+        "as_written": (written, True),
+        "compact": (json.dumps(record, separators=(",", ":")), True),
+        "reordered_keys": (json.dumps(_reversed_keys(record)), True),
+        "own_round": (written.replace('"round": 1', '"round": 4'), False),
+        "malformed_number": (written.replace("0.5", "0.5.5"), False),
+        "leading_zero": (written.replace("0.5", "05"), False),
+        "trailing_comma": (written.replace("NaN]", "NaN,]"), False),
+        "not_json": (written[:-1], False),
+    }
+    for name, (line, readable) in variants.items():
+        path.write_text("\n".join([*lines, line]) + "\n")
+        expected = _read_or_none(oracle_read, path)
+        assert (expected is not None) == readable, name
+        if expected is None:
+            with pytest.raises(ValueError):
+                Transcript.from_jsonl(str(path))
+        else:
+            assert_same_rounds(Transcript.from_jsonl(str(path)), expected)
