@@ -4,13 +4,12 @@ The coalition pools every message its members saw. Each observation is a
 GF(p)-linear equation over the benign learners' share values -- learner
 j's polynomial evaluated at each member of its closed neighbourhood --
 and the question is which target functionals of the secrets fall inside
-the row space, and with what value. A secret is the
-interpolation-weighted sum of its learner's share values, and share
-values are an invertible Vandermonde image of the secret and polynomial
-coefficients, so the answers are those of the system over secrets and
-coefficients (see _build_view). Both answers are proofs -- "inferable"
-comes with the reconstructed value, and "not inferable" certifies that no
-linear post-processing of the view reveals the functional.
+the row space, and with what value. The answers are those of the system
+over secrets and polynomial coefficients (see _ComponentView), provided
+the N learner ids are distinct and nonzero mod p, so a modulus p <= N is
+refused. Both answers are proofs -- "inferable" comes with the
+reconstructed value, and "not inferable" certifies that no linear
+post-processing of the view reveals the functional.
 
 A connected group of benign learners whose every outside contact is
 adversarial ("surrounded") leaks exactly its summed model: the coalition
@@ -27,15 +26,16 @@ handed share is a one-entry row and the masked-state rows have disjoint
 supports, so the worst-case answer has a closed form: a functional leaks
 exactly when its coefficients are constant on every benign component,
 and its value is read off the share table (_ComponentView) with no
-elimination. The "observed" mode restricts the credit to the state
-functionals actually spanned by the coalition's seats, computed exactly
-over the rationals, and row-reduces that system (_build_view, _LinearView).
+elimination. The "observed" mode credits only the state functionals the
+coalition's seats span (_observed_restriction): a functional leaks when
+it passes the closed form's test and its per-learner coefficients lie in
+the GF(p) row space of those functionals and the all-ones aggregate
+(_LinearView).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -44,18 +44,15 @@ import numpy as np
 
 from .field import PrimeModulus, _reduce_vector, _rref
 from .fixedpoint import signed_residue
-from .sharing import interpolation_weights
+from .sharing import interpolation_weights  # noqa: F401 -- the benchmark's tracer wraps it here
 from .topology import (
     RoundTopology,
     TopologySchedule,
     component_labels,
-    holder_sets,
     mh_denominators,
     share_pairs,
 )
 
-# Exhaustive subset enumeration is only sensible for small graphs.
-_ENUM_LIMIT = 16
 # Rational span computation grows factorially in exact arithmetic.
 _OBSERVED_MODE_LIMIT = 12
 
@@ -131,69 +128,6 @@ def surrounded_components(
     )
 
 
-def _neighbor_masks(g: RoundTopology) -> list[int]:
-    """masks[i] has bit j-1 set for each neighbour j of i; N <= 62."""
-    masks = np.zeros(g.n_nodes + 1, dtype=np.int64)
-    np.bitwise_or.at(masks, g.arc_tail, np.left_shift(1, g.arc_head - 1))
-    return masks.tolist()
-
-
-def _mask_connected(sub: int, masks: list[int]) -> bool:
-    if sub == 0:
-        return False
-    start = sub & -sub
-    reach = start
-    while True:
-        grow = reach
-        m = reach
-        while m:
-            low = m & -m
-            grow |= masks[low.bit_length()] & sub
-            m ^= low
-        if grow == reach:
-            break
-        reach = grow
-    return reach == sub
-
-
-def literal_surrounded_sets(
-    g: RoundTopology, adversaries: AdversarySet
-) -> set[frozenset[int]]:
-    """Surrounded benign subsets by direct enumeration of the definition.
-
-    A nonempty benign subset qualifies iff its induced subgraph is
-    connected and none of its members has a benign neighbor outside it.
-    Exponential; intended as a cross-check oracle for small graphs.
-    """
-    if g.n_nodes > _ENUM_LIMIT:
-        raise ValueError(f"enumeration limited to {_ENUM_LIMIT} nodes")
-    masks = _neighbor_masks(g)
-    benign_mask = 0
-    for i in adversaries.benign:
-        benign_mask |= 1 << (i - 1)
-    out = set()
-    sub = benign_mask
-    while True:
-        if sub:
-            closed = True
-            m = sub
-            while m:
-                low = m & -m
-                if masks[low.bit_length()] & benign_mask & ~sub:
-                    closed = False
-                    break
-                m ^= low
-            if closed and _mask_connected(sub, masks):
-                members = frozenset(
-                    i + 1 for i in range(g.n_nodes) if sub >> i & 1
-                )
-                out.add(members)
-        if sub == 0:
-            break
-        sub = (sub - 1) & benign_mask
-    return out
-
-
 @dataclass(frozen=True)
 class SecrecyVerdict:
     ok: bool
@@ -226,52 +160,21 @@ def perfect_secrecy(
     return SecrecyVerdict(True)
 
 
-def secrecy_cross_check(g: RoundTopology, adversaries: AdversarySet) -> bool:
-    """Tie the three formulations together on one small instance.
-
-    Checks that (a) the literal enumerated surrounded subsets are exactly
-    the benign-component decomposition, and (b) the secrecy verdict equals
-    benign-subgraph connectivity.
-    """
-    decomp = surrounded_components(g, adversaries)
-    literal = literal_surrounded_sets(g, adversaries)
-    if set(decomp.components) != literal:
-        return False
-    benign_connected = len(decomp.components) == 1
-    verdict = perfect_secrecy([g], adversaries)
-    return verdict.ok == benign_connected
-
-
-def _round_shares(
-    record, adversaries: AdversarySet, p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(coalition, senders, receivers, table) of one round: coalition[v]
-    marks the coalition's ids among 0..N, and row e of the share table is
-    the weighted bundle senders[e] sends receivers[e], in share_pairs order.
-    Refuses a modulus the int64 kernels cannot hold and a table that does
-    not fit the round's graph."""
-    PrimeModulus(p)  # a transcript's modulus must suit the int64 kernels
-    g: RoundTopology = record.topology
-    senders, receivers = share_pairs(g)
-    table = record.bundles
-    if len(table) != len(senders):
-        raise TranscriptIncomplete(
-            f"round {record.round_index} records {len(table)} share bundles, "
-            f"its graph sends {len(senders)}"
-        )
-    coalition = np.zeros(g.n_nodes + 1, dtype=bool)
-    coalition[list(adversaries.ids)] = True
-    return coalition, senders, receivers, table
-
-
 class _ComponentView:
     """Everything a worst-case coalition learns, in closed form.
 
     Let w[j, i] = delta_ji * f_j(i) be the weighted share that benign j
-    sends to member i of its closed neighbourhood N[j]: a bundle. These
-    unknowns are the share values of _build_view rescaled by nonzero
-    constants, so they pose the same questions with the same answers. The
-    worst-case view has three kinds of rows:
+    sends to member i of its closed neighbourhood N[j]: a bundle. The
+    interpolation weight delta_ji is nonzero, as the ids are distinct and
+    nonzero mod p > N, and f_j's deg_j + 1 share values are an invertible
+    Vandermonde image V_j of (x_j, c_j1, ..., c_jdeg_j); let V be the block
+    diagonal of the V_j. A row b over the unknowns is the row b V over
+    secrets and coefficients, with the same right-hand side, and a target t
+    is t V there. As V is invertible, t lies in the span of rows b_r iff
+    t V lies in the span of the b_r V, by the same combination and so with
+    the same value, and a combination of rows vanishes in one basis iff in
+    the other: the answers, and the system's consistency, are those over
+    secrets and coefficients. The worst-case view has three kinds of rows:
 
     - each share benign j handed to a coalition member a is a unit row,
       w[j, a] = bundle(j, a);
@@ -305,10 +208,18 @@ class _ComponentView:
 
     def __init__(self, record, adversaries: AdversarySet, p: int,
                  coordinates: tuple[int, ...]):
-        coalition, senders, receivers, table = _round_shares(record, adversaries, p)
+        PrimeModulus(p)  # a transcript's modulus must suit the int64 kernels
+        # Row e of the share table is the bundle senders[e] sends receivers[e].
+        senders, receivers = share_pairs(record.topology)
+        if len(record.bundles) != len(senders):
+            raise TranscriptIncomplete(
+                f"round {record.round_index} records {len(record.bundles)} share "
+                f"bundles, its graph sends {len(senders)}"
+            )
         benign, labels = _benign_labels(record.topology, adversaries)
+        coalition = ~benign  # read at learner ids 1..N only
         coords = list(coordinates)
-        shares = table[:, coords] % p
+        shares = record.bundles[:, coords] % p
         balance = np.zeros((len(benign), len(coords)), dtype=np.int64)
         balance[benign] = record.initial_states[benign[1:]][:, coords] % p
         into = coalition[senders] & benign[receivers]
@@ -353,55 +264,44 @@ class _ComponentView:
         return True, dict(zip(self.coordinates, values.tolist()))
 
 
-class _LinearView:
-    """Reduced GF(p) system of what an observed-mode coalition saw.
+class _LinearView(_ComponentView):
+    """Everything an observed-mode coalition learns: the closed form, less
+    what the seats do not see.
 
-    Unknown columns are the benign learners' share values: learner j's
-    block holds y[j, i] = f_j(i) for each member i of its closed
-    neighbourhood. One column of observed values per audited coordinate
-    follows them. Only those last columns depend on the coordinate, so one
-    reduction serves every coordinate. A secret is x_j = f_j(0) =
-    sum_i delta_ji * y[j, i], with the interpolation weights delta of j's
-    holder set; infer() maps a secret-space functional into share values
-    that way, decides its membership in the row space and evaluates it at
-    every coordinate when present.
-
-    Only the pivot rows are kept, each as (nonzero columns, values): the
-    dense system is dropped once reduced.
+    The seats see the benign masked states, less the coalition's bundles,
+    only through the combinations rho in the rows R of the restriction, and
+    the aggregate adds rho = 1. Benign i's such state is the indicator of
+    the block B_i of weighted shares w[j, i], benign j in N[i], and modulo
+    the handed units the aggregate is the sum of all B_i. So a target that
+    puts c_j on every w[j, i] is credited exactly when c_j = rho_i for
+    every benign j in N[i] and some rho in the row space of [R; 1]: c passes
+    the closed form's test, and c over the benign learners lies in that row
+    space over GF(p). The rows are combinations of the worst-case rows, so
+    a value is the closed form's; only [R; 1] is reduced.
     """
 
-    def __init__(self, p: int, blocks: dict[int, slice], delta: np.ndarray,
-                 coordinates: tuple[int, ...], system: np.ndarray):
-        self.p = p
-        self.blocks = blocks
-        self.delta = delta
-        self.n_unknowns = len(delta)
-        self.coordinates = coordinates
-        rows, self._pivots = _rref(system, p)
-        if any(c >= self.n_unknowns for c in self._pivots):
-            raise TranscriptIncomplete(
-                "observation system is inconsistent; transcript is corrupt"
-            )
-        self._rows = [
-            (cols, row[cols])
-            for row in rows[: len(self._pivots)]
-            for cols in [np.flatnonzero(row)]
-        ]
+    def __init__(self, record, adversaries: AdversarySet, p: int,
+                 coordinates: tuple[int, ...], restriction: list[list[int]]):
+        super().__init__(record, adversaries, p, coordinates)
+        benign = sorted(adversaries.benign)
+        self._column = {i: k for k, i in enumerate(benign)}
+        self.n_unknowns = len(benign)
+        rows, self._pivots = _rref(np.array([*restriction, [1] * len(benign)]), p)
+        self._rows = [(np.flatnonzero(row), row[row != 0]) for row in rows[: len(self._pivots)]]
 
     def infer(
         self, functional: Mapping[int, int]
     ) -> tuple[bool, dict[int, int] | None]:
         """Membership of sum_i functional[i] * secret_i, and its value at
-        every audited coordinate."""
-        vec = np.zeros(self.n_unknowns + len(self.coordinates), dtype=np.int64)
-        for i, coeff in functional.items():
-            block = self.blocks[i]
-            vec[block] = coeff % self.p * self.delta[block] % self.p
-        residual = _reduce_vector(vec, self._rows, self._pivots, self.p)
-        if residual[: self.n_unknowns].any():
-            return False, None
-        values = (-residual[self.n_unknowns:]) % self.p
-        return True, dict(zip(self.coordinates, values.tolist()))
+        every audited coordinate; KeyError on a key that is not benign."""
+        inferable, values = super().infer(functional)
+        if inferable:
+            vec = np.zeros(self.n_unknowns, dtype=np.int64)
+            for i, c in functional.items():
+                vec[self._column[i]] = c % self.p
+            if _reduce_vector(vec, self._rows, self._pivots, self.p).any():
+                return False, None
+        return inferable, values
 
 
 def _observed_restriction(
@@ -410,33 +310,43 @@ def _observed_restriction(
     """Rows restricting the state-layer credit to what seats actually see.
 
     The coalition observes s_x(k) at its own seats and at benign neighbors
-    of its seats, each a row e_x A^k of the exact rational weight matrix.
-    Powers beyond N-1 add nothing (the Krylov span has stabilized), so the
-    span is computed exactly with Fractions and mapped into GF(p); all
-    denominators have prime factors below p, hence are invertible.
+    of its seats, each a row e_x A^k of the exact rational weight matrix,
+    and knows its own masked states: it learns the span V of those rows
+    projected onto the benign columns, and mod p the vectors of V whose
+    denominators p does not divide. Powers beyond N-1 add nothing (the
+    Krylov span has stabilized), so V is computed exactly with Fractions.
+    Each row is reduced against the rows kept so far; a nonzero remainder
+    is scaled by a power of p until no denominator has the factor p and some
+    numerator lacks it, and is kept with that entry, a unit mod p, scaled to
+    1 as its pivot. The kept rows are unitriangular on their pivots, so they
+    span those vectors of V, and mod p they are independent, as many as
+    V's rank.
     """
     n = g.n_nodes
     if n > _OBSERVED_MODE_LIMIT:
         raise ValueError(f"observed mode limited to {_OBSERVED_MODE_LIMIT} nodes")
     a = _exact_weights(g)
     seats = set(adversaries.ids).union(*map(g.neighbors, adversaries.ids))
-    rows: list[list[Fraction]] = []
-    for x in sorted(seats):
-        row = [Fraction(0)] * n
-        row[x - 1] = Fraction(1)
-        for _ in range(n):
-            rows.append(row)
-            row = [sum(row[i] * a[i][c] for i in range(n)) for c in range(n)]
-    basis = _fraction_row_basis(rows)
     benign_idx = [i - 1 for i in benign]
-    out = []
-    for row in basis:
-        restricted = [row[i] for i in benign_idx]
-        if not any(restricted):
-            continue
-        lcm = math.lcm(*(f.denominator for f in restricted))
-        out.append([int(f * lcm) % p for f in restricted])
-    return out
+    kept: list[tuple[list[Fraction], int]] = []  # (row of V, pivot column)
+    for x in sorted(seats):
+        row = [Fraction(int(c == x - 1)) for c in range(n)]
+        for _ in range(n):
+            r = [row[i] for i in benign_idx]
+            row = [sum(row[i] * a[i][c] for i in range(n)) for c in range(n)]
+            for k, c in kept:
+                if r[c]:
+                    f = r[c]
+                    r = [y - f * z for y, z in zip(r, k)]
+            if not any(r):
+                continue
+            while any(y.denominator % p == 0 for y in r):
+                r = [y * p for y in r]
+            while all(y.numerator % p == 0 for y in r):
+                r = [y / p for y in r]
+            c = next(c for c, y in enumerate(r) if y.numerator % p)
+            kept.append(([y / r[c] for y in r], c))
+    return [[y.numerator * pow(y.denominator, -1, p) % p for y in k] for k, _ in kept]
 
 
 def _exact_weights(g: RoundTopology) -> list[list[Fraction]]:
@@ -450,117 +360,19 @@ def _exact_weights(g: RoundTopology) -> list[list[Fraction]]:
     return a
 
 
-def _fraction_row_basis(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        row = list(row)
-        for b, c in zip(basis, pivots):
-            if row[c]:
-                f = row[c]
-                row = [x - f * y for x, y in zip(row, b)]
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        inv = row[lead]
-        row = [x / inv for x in row]
-        basis.append(row)
-        pivots.append(lead)
-    return basis
-
-
 def _build_view(
     record,
     adversaries: AdversarySet,
     cfg,
     coordinates: tuple[int, ...],
 ) -> _LinearView:
-    """The observed-mode coalition's view as one GF(p) system over share
-    values.
-
-    Each benign learner j contributes deg_j + 1 unknowns, its share values
-    y[j, i] = f_j(i) at the members i of its closed neighbourhood (row j of
-    topology.holder_sets), in share_pairs order. The rows are:
-
-    - the aggregate, sum_j x_j, with x_j = sum_i delta_ji * y[j, i];
-    - each weighted share a benign j handed to a coalition member a: one
-      nonzero, delta_ja at y[j, a];
-    - the combinations that the coalition's seats span of the benign masked
-      states less the coalition's bundles into them. Benign i's such state
-      has delta_ji at y[j, i] for every benign j in N[i].
-
-    The answers are exactly those of the system over the secrets and
-    polynomial coefficients. f_j has degree deg_j, and its deg_j + 1
-    evaluation points are distinct ids in [1, N], all below p
-    (interpolation_weights refuses any other holder set), so the map
-    from (x_j, c_j1, ..., c_jdeg_j) to j's share values is an invertible
-    Vandermonde matrix V_j; let V be the block diagonal of all V_j. A row b
-    over share values is the row b V over coefficients, with the same
-    right-hand side, and a target t is t V there. As V is invertible, t
-    lies in the span of the rows b_r iff t V lies in the span of the b_r V,
-    by the same combination and so with the same value, and a combination
-    of rows vanishes in one basis iff it vanishes in the other, so the
-    system is inconsistent in one iff in the other.
-    """
-    g: RoundTopology = record.topology
+    """The observed-mode coalition's view: the worst-case closed form and
+    the seats' restriction of the state credit, as rows over the benign
+    learners in id order."""
     p: int = cfg.prime
-    coalition, senders, receivers, table = _round_shares(record, adversaries, p)
-    benign = np.array(sorted(adversaries.benign), dtype=np.int64)
-    coords = list(coordinates)
-
-    # Every holder set's weights from one batched call, as the round took
-    # them; flattened, they line up with share_pairs.
-    holders = holder_sets(g)
-    pair_delta = interpolation_weights(holders, p)[holders > 0]
-    # Unknown k is the share value the k-th benign pair carries: owner[k]'s
-    # polynomial evaluated at holder[k].
-    benign_pairs = np.flatnonzero(~coalition[senders])
-    owner, holder = senders[benign_pairs], receivers[benign_pairs]
-    delta = pair_delta[benign_pairs]
-    n_unknowns = len(delta)
-    starts = np.searchsorted(owner, benign).tolist()
-    stops = np.searchsorted(owner, benign, side="right").tolist()
-    blocks = {j: slice(a, b) for j, a, b in zip(benign.tolist(), starts, stops)}
-
-    handed = np.flatnonzero(coalition[holder])
-    restriction = _observed_restriction(g, adversaries, benign.tolist(), p)
-    first_s0 = 1 + len(handed)
-    system = np.zeros(
-        (first_s0 + len(restriction), n_unknowns + len(coords)), dtype=np.int64
-    )
-    rhs = system[:, n_unknowns:]
-
-    # The aggregate output is known to every participant; the coalition
-    # subtracts its own inputs.
-    system[0, :n_unknowns] = delta
-    own = record.encoded_secrets[coalition[1:]][:, coords].sum(axis=0)
-    rhs[0] = (record.rounded[0][coords] - own) % p
-
-    # Weighted shares handed directly to coalition members.
-    system[np.arange(1, first_s0), handed] = delta[handed]
-    rhs[1:first_s0] = table[np.ix_(benign_pairs[handed], coords)] % p
-
-    # State-layer credit: each benign masked state, minus the coalition's
-    # own bundles to it, is a sum of benign share evaluations; the seats
-    # see the combinations the restriction lists.
-    s0 = np.zeros((len(benign), system.shape[1]), dtype=np.int64)
-    rank = np.zeros(g.n_nodes + 1, dtype=np.int64)  # benign i is s0 row rank[i]
-    rank[benign] = np.arange(len(benign))
-    kept = np.flatnonzero(~coalition[holder])
-    s0[rank[holder[kept]], kept] = delta[kept]
-    into = np.flatnonzero(coalition[senders] & ~coalition[receivers])
-    known = np.zeros((len(benign), len(coords)), dtype=np.int64)
-    np.add.at(known, rank[receivers[into]], table[np.ix_(into, coords)] % p)
-    s0[:, n_unknowns:] = (record.initial_states[benign - 1][:, coords] - known) % p
-    for row, comb in zip(system[first_s0:], restriction):
-        for coeff, srow in zip(comb, s0):
-            if coeff:
-                # reduce each product before adding the next: a sum of two
-                # products near 2**62 would overflow int64
-                row += coeff * srow
-                np.remainder(row, p, out=row)
-
-    return _LinearView(p, blocks, delta, coordinates, system)
+    benign = sorted(adversaries.benign)
+    restriction = _observed_restriction(record.topology, adversaries, benign, p)
+    return _LinearView(record, adversaries, p, coordinates, restriction)
 
 
 @dataclass
@@ -636,16 +448,19 @@ def adversary_infer(
     representative suffices; pass an explicit list for a full audit. In
     worst-case mode each round's view is a _ComponentView, read in closed
     form off the share table and the benign components in O(N * deg) time
-    and memory. In observed mode each round's system is row-reduced once,
-    with one right-hand side per coordinate (_build_view). Either view
+    and memory. In observed mode each round's view adds one reduction of the
+    seats' restriction over the benign learners (_build_view). Either view
     raises TranscriptIncomplete when the round's records contradict its
-    aggregate output.
+    aggregate output. A modulus p <= N is refused with ValueError: the
+    answers need N distinct nonzero ids mod p.
     """
     if mode not in ("worst_case", "observed"):
         raise ValueError(f"unknown mode {mode!r}")
     sigma = cfg.sigma if hasattr(cfg, "sigma") else int(transcript.meta["sigma"])
     scale = 10**sigma
     p = cfg.prime
+    if p <= adversaries.n_nodes:
+        raise ValueError(f"modulus {p} does not exceed the {adversaries.n_nodes} learner ids")
     coords = tuple(coordinates) if coordinates is not None else (0,)
     rounds_out = []
     for record in transcript.rounds:

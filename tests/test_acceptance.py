@@ -8,6 +8,8 @@ import random
 import time
 
 import numpy as np
+from test_graph_oracles import secrecy_cross_check
+
 from ppdfl.cli import _linear_fit, bench_iteration_sweep, bench_share_sweep
 from ppdfl.consensus import min_iterations
 from ppdfl.field import next_prime
@@ -15,7 +17,6 @@ from ppdfl.fixedpoint import Precision, check_p_bound
 from ppdfl.privacy import (
     AdversarySet,
     adversary_infer,
-    secrecy_cross_check,
     surrounded_components,
     verify_inference,
 )

@@ -5,6 +5,10 @@ sets, share pairs, Metropolis-Hastings weights, connectivity and benign
 components are derived from them with numpy. The oracles below rebuild each
 from the normalized edge set with dicts, sorted lists and BFS.
 
+Surrounded benign sets are also enumerated from their definition
+(literal_surrounded_sets, secrecy_cross_check); the privacy and acceptance
+tests import those oracles from here.
+
 Seeded random graphs are checked against their law: a uniform spanning
 tree plus uniformly chosen extra pairs gives each connected graph G with
 the target edge count probability proportional to its spanning-tree count.
@@ -19,7 +23,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from ppdfl.privacy import AdversarySet, literal_surrounded_sets, surrounded_components
+from ppdfl.privacy import AdversarySet, perfect_secrecy, surrounded_components
 from ppdfl.topology import (
     BadParameters,
     RoundTopology,
@@ -64,6 +68,89 @@ def bfs_components(nodes, nbrs):
         seen |= comp
         out.append(sorted(comp))
     return out
+
+
+# Exhaustive subset enumeration is only sensible for small graphs.
+_ENUM_LIMIT = 16
+
+
+def _neighbor_masks(g: RoundTopology) -> list[int]:
+    """masks[i] has bit j-1 set for each neighbour j of i; N <= 62."""
+    masks = np.zeros(g.n_nodes + 1, dtype=np.int64)
+    np.bitwise_or.at(masks, g.arc_tail, np.left_shift(1, g.arc_head - 1))
+    return masks.tolist()
+
+
+def _mask_connected(sub: int, masks: list[int]) -> bool:
+    if sub == 0:
+        return False
+    start = sub & -sub
+    reach = start
+    while True:
+        grow = reach
+        m = reach
+        while m:
+            low = m & -m
+            grow |= masks[low.bit_length()] & sub
+            m ^= low
+        if grow == reach:
+            break
+        reach = grow
+    return reach == sub
+
+
+def literal_surrounded_sets(
+    g: RoundTopology, adversaries: AdversarySet
+) -> set[frozenset[int]]:
+    """Surrounded benign subsets by direct enumeration of the definition.
+
+    A nonempty benign subset qualifies iff its induced subgraph is
+    connected and none of its members has a benign neighbor outside it.
+    Exponential; intended as a cross-check oracle for small graphs.
+    """
+    if g.n_nodes > _ENUM_LIMIT:
+        raise ValueError(f"enumeration limited to {_ENUM_LIMIT} nodes")
+    masks = _neighbor_masks(g)
+    benign_mask = 0
+    for i in adversaries.benign:
+        benign_mask |= 1 << (i - 1)
+    out = set()
+    sub = benign_mask
+    while True:
+        if sub:
+            closed = True
+            m = sub
+            while m:
+                low = m & -m
+                if masks[low.bit_length()] & benign_mask & ~sub:
+                    closed = False
+                    break
+                m ^= low
+            if closed and _mask_connected(sub, masks):
+                members = frozenset(
+                    i + 1 for i in range(g.n_nodes) if sub >> i & 1
+                )
+                out.add(members)
+        if sub == 0:
+            break
+        sub = (sub - 1) & benign_mask
+    return out
+
+
+def secrecy_cross_check(g: RoundTopology, adversaries: AdversarySet) -> bool:
+    """Tie the three formulations together on one small instance.
+
+    Checks that (a) the literal enumerated surrounded subsets are exactly
+    the benign-component decomposition, and (b) the secrecy verdict equals
+    benign-subgraph connectivity.
+    """
+    decomp = surrounded_components(g, adversaries)
+    literal = literal_surrounded_sets(g, adversaries)
+    if set(decomp.components) != literal:
+        return False
+    benign_connected = len(decomp.components) == 1
+    verdict = perfect_secrecy([g], adversaries)
+    return verdict.ok == benign_connected
 
 
 def random_pairs(rng, n, count):

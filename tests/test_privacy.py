@@ -3,10 +3,12 @@ import json
 import pathlib
 import random
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from test_graph_oracles import literal_surrounded_sets, secrecy_cross_check
 from test_protocol import time_limit
 
 from ppdfl import privacy
@@ -17,9 +19,7 @@ from ppdfl.privacy import (
     TranscriptIncomplete,
     _build_view,
     adversary_infer,
-    literal_surrounded_sets,
     perfect_secrecy,
-    secrecy_cross_check,
     surrounded_components,
     verify_inference,
 )
@@ -209,8 +209,14 @@ def test_infer_observed_mode_matches_worst_case_on_small_graphs():
             "random_connected", n, seed=trial, avg_degree=min(2.5, n - 1)
         )
         adv = AdversarySet(rng.sample(range(1, n + 1), rng.randrange(1, n - 1)), n)
-        for prime in (None, P31):
-            cfg, transcript, _ = run_one_round(g, seed=trial, prime=prime)
+        for prime in (None, P31, next_prime(n)):
+            if prime == next_prime(n):
+                # Below any config's modulus bound: draw the analyzer inputs.
+                record = synthetic_round(g, prime, 1, random.Random(trial))
+                cfg = SimpleNamespace(prime=prime, sigma=0)
+                transcript = Transcript(meta={}, rounds=[record])
+            else:
+                cfg, transcript, _ = run_one_round(g, seed=trial, prime=prime)
             worst = adversary_infer(transcript, adv, cfg, mode="worst_case")
             observed = adversary_infer(transcript, adv, cfg, mode="observed")
             assert verify_inference(observed, transcript, cfg)
@@ -224,6 +230,101 @@ def test_infer_observed_mode_matches_worst_case_on_small_graphs():
                     assert w.individual_inferable[i]
             # surrounded component sums leak under both
             assert all(o.component_inferable.values())
+
+
+def seat_rank(g, adversaries):
+    """Rank over the rationals of the Krylov rows e_x A^k, k < N, of the
+    coalition's seats (its members and their neighbours), projected onto
+    the benign learners; A is built from the degrees, a_ij = 1/(max(deg_i,
+    deg_j) + 1)."""
+    n = g.n_nodes
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in g.neighbors(i):
+            a[i - 1][j - 1] = Fraction(1, max(g.degree(i), g.degree(j)) + 1)
+        a[i - 1][i - 1] = 1 - sum(a[i - 1])
+    seats = set(adversaries.ids).union(*(g.neighbors(x) for x in adversaries.ids))
+    benign = sorted(adversaries.benign)
+    rows = []
+    for x in seats:
+        row = [Fraction(int(c == x - 1)) for c in range(n)]
+        for _ in range(n):
+            rows.append([row[i - 1] for i in benign])
+            row = [sum(row[i] * a[i][c] for i in range(n)) for c in range(n)]
+    rank = 0
+    for c in range(len(benign)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def observed_rank(g, adversaries, p):
+    rows = privacy._observed_restriction(g, adversaries, sorted(adversaries.benign), p)
+    return len(_rref(np.array(rows), p)[1]) if rows else 0
+
+
+@pytest.mark.parametrize("seed, coalition, leaking", [(2, {7, 10}, {3, 5}), (3, {2}, set())])
+def test_observed_mode_keeps_the_seats_rank_mod_a_small_prime(seed, coalition, leaking):
+    """At p = 11 the seats' rational rows have denominators divisible by p.
+    Their GF(p) restriction keeps the rational rank, so observed mode
+    answers as the worst case does wherever the seats see every benign
+    state: with seed 2, learner 5's only neighbour is in the coalition."""
+    g = generate_topology("random_connected", 10, seed=seed, avg_degree=2.5)
+    p = 11
+    adv = AdversarySet(coalition, 10)
+    assert observed_rank(g, adv, p) == seat_rank(g, adv) == 8
+    record = synthetic_round(g, p, 1, random.Random(0))
+    transcript = Transcript(meta={}, rounds=[record])
+    cfg = SimpleNamespace(prime=p, sigma=0)
+    worst = adversary_infer(transcript, adv, cfg, mode="worst_case").rounds[0]
+    observed = adversary_infer(transcript, adv, cfg, mode="observed")
+    assert verify_inference(observed, transcript, cfg)
+    o = observed.rounds[0]
+    assert o.component_inferable == worst.component_inferable
+    assert all(o.component_inferable.values())
+    assert {i for i, ok in o.individual_inferable.items() if ok} == leaking
+    for i in leaking:
+        assert o.infer_functional({i: 1}) == (True, record.encoded_secrets[i - 1][0])
+
+
+def test_observed_restriction_rank_equals_the_rational_rank():
+    """Every single-member coalition of small random graphs, at the
+    smallest admissible prime, where p divides denominators most often."""
+    checked = 0
+    for n in range(7, 10):
+        for seed in range(4):
+            g = generate_topology("random_connected", n, seed=seed, avg_degree=2.5)
+            for a in range(1, n + 1):
+                adv = AdversarySet({a}, n)
+                assert observed_rank(g, adv, next_prime(n)) == seat_rank(g, adv)
+                checked += 1
+    assert checked == 96
+
+
+@pytest.mark.parametrize("mode", ["worst_case", "observed"])
+def test_modulus_not_above_the_learner_count_is_refused(mode, tmp_path, capsys):
+    """The answers rest on N distinct nonzero ids mod p: a line of 7
+    learners at p = 7 is refused, by the analyzer and by the CLI."""
+    g = generate_topology("line", 7)
+    record = synthetic_round(g, 7, 1, random.Random(1))
+    transcript = Transcript(meta={"n_learners": 7, "prime": 7, "sigma": 0}, rounds=[record])
+    with pytest.raises(ValueError, match="does not exceed"):
+        adversary_infer(transcript, AdversarySet({4}, 7), SimpleNamespace(prime=7, sigma=0),
+                        mode=mode)
+    record.k_used, record.lambda2, record.rounding_margin = 1, 0.0, 0.0
+    record.state_trajectory = None
+    record.decoded = record.local_models = record.rounded.astype(float)
+    path = tmp_path / "transcript.jsonl"
+    transcript.to_jsonl(str(path))
+    argv = ["privacy", "--transcript", str(path), "--adversary", "4", "--mode", mode]
+    assert main(argv) == 2
+    assert "modulus 7 does not exceed the 7 learner ids" in capsys.readouterr().err
 
 
 def test_full_audit_of_reference_config_within_time_bound():
@@ -781,3 +882,29 @@ def test_worst_case_audit_needs_no_elimination(monkeypatch):
     assert verify_inference(report, transcript, cfg)
     sums = {f.members for f in report.rounds[0].leaked if f.kind == "component_sum"}
     assert sums == {tuple(sorted(c)) for c in surrounded_components(g, adv).components}
+
+
+def test_observed_audit_reduces_only_the_restriction(monkeypatch):
+    """Observed mode computes no interpolation weights and row-reduces one
+    (|R|+1) x |B| matrix per round: the seats' rows and the aggregate over
+    the benign learners."""
+    shapes = []
+    rref = privacy._rref
+
+    def recording(matrix, p):
+        shapes.append(np.shape(matrix))
+        return rref(matrix, p)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("observed audit computed interpolation weights")
+
+    monkeypatch.setattr(privacy, "_rref", recording)
+    monkeypatch.setattr(privacy, "interpolation_weights", refuse)
+    g = generate_topology("random_connected", 10, seed=2, avg_degree=2.5)
+    cfg, transcript, _ = run_one_round(g, dim=2)
+    adv = AdversarySet({7, 10}, 10)
+    report = adversary_infer(transcript, adv, cfg, mode="observed", coordinates=range(2))
+    assert verify_inference(report, transcript, cfg)
+    benign = sorted(adv.benign)
+    restriction = privacy._observed_restriction(g, adv, benign, cfg.prime)
+    assert shapes == [(len(restriction) + 1, len(benign))]
