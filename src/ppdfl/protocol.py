@@ -26,8 +26,10 @@ block of the table as one shares record, and read back it must hold
 exactly one bundle of n values for each of those pairs.
 
 Delivery is in-process and lossless. All randomness is drawn from
-per-(round, learner) numpy Generator substreams of the config seed, so
-results are reproducible and independent of scheduling.
+substreams of the config seed: one numpy Generator per (round, learner)
+for the models and one Philox key per round, on per-learner counters, for
+the share coefficients. Results are reproducible and independent of
+scheduling.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .fixedpoint import (
     scaled_trunc_array,
 )
 from .seeding import derive_rng
-from .sharing import _draw_coefficients, _generate_share_values, interpolation_weights
+from .sharing import _coefficient_streams, _generate_share_values, interpolation_weights
 from .topology import (
     DisconnectedGraph,
     RoundTopology,
@@ -893,8 +895,10 @@ def execute_round(
 
     # Share phase, for the whole round at once: per coordinate, a fresh
     # polynomial of degree |N_i| over the closed neighborhood, weighted so
-    # the holder-set sum equals the encoded secret. Learner i's
-    # coefficients come from its own (round, learner) substream.
+    # the holder-set sum equals the encoded secret. One round substream
+    # gives a Philox key, and learner i's coefficients come from that key
+    # on counters of its own, so they depend on (seed, round, i, n, |N_i|)
+    # alone.
     t0 = time.perf_counter()
     holders = holder_sets(g)
     present = holders > 0
@@ -910,13 +914,9 @@ def execute_round(
     encoded = scaled % p
     deltas = interpolation_weights(holders, p)
     degrees = present.sum(axis=1) - 1
-    coeffs = [
-        _draw_coefficients(
-            derive_rng(cfg.seed, "shares", round_index, i), cfg.model_dim, tau, p
-        )
-        for i, tau in enumerate(degrees.tolist(), start=1)
-    ]
-    bundles = _generate_share_values(encoded, coeffs, holders, p)
+    key = derive_rng(cfg.seed, "shares", round_index).bit_generator.random_raw(2)
+    coeffs = _coefficient_streams(key, degrees, cfg.model_dim, p)
+    bundles = _generate_share_values(encoded, coeffs, degrees, holders, p)
     bundles *= deltas[present][:, None]
     bundles %= p
     del holders, present, deltas, coeffs  # not held through averaging

@@ -15,27 +15,49 @@ Secrets, coefficients, weights and shares are int64 residue arrays.
 The kernels work on a batch of holder sets at once: one set per row of an
 int64 array, padded with zeros to the widest set. 0 is never a holder id,
 so it marks padding. Interpolation weights are int64 products reduced mod
-p as they go. Shares are float64 matrix products, holder powers times
-coefficients split into limbs, exact because every partial sum is an
-integer of at most 2**53 (see _limb_split); one reduction mod p at the
-end turns them into residues.
+p as they go. A set holding more than half of the batch's distinct ids is
+weighted from its complement, through the weights of all those ids; the
+other sets loop over their own slots. Coefficients of every set come from
+one Philox4x64-10 key per batch, each set on counters of its own. Shares
+are float64 matrix products, holder powers times coefficients split into
+limbs, exact because every partial sum is an integer of at most 2**53
+(see _limb_split); one reduction mod p at the end turns them into
+residues. Blocks of sets whose holders cover most of the distinct ids are
+evaluated at every id in one product, the others at their own holders.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from .field import _inverse_int
 
-# Entries of the temporaries of a block of the share evaluation together
-# (512 KB of float64): the gathered holder powers, the limb-split
-# coefficients and their products hold at most this many for a block of
-# sets, unless one set alone needs more. The float64 products are exact
-# whatever the block size, since _limb_split bounds every partial sum by
-# 2**53.
+# Entries of the temporaries of a block of either kernel together (512 KB
+# of float64 or int64): the share evaluation's powers, limb-split
+# coefficients and products, and the all-id weights' difference rows,
+# hold at most this many for a block, unless one set or row alone needs
+# more. The float64 products are exact whatever the block size, since
+# _limb_split bounds every partial sum by 2**53.
 _BLOCK_ENTRIES = 2**16
+
+# Philox4x64 multipliers and Weyl key increments (Salmon et al., "Parallel
+# random numbers: as easy as 1, 2, 3", SC 2011), as np.random.Philox uses
+# them. Every operand stays np.uint64: numpy 1.x promotes a Python int
+# mixed with uint64 to float64.
+_LOW32 = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _HALF
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+# A set whose coefficient stream needs at least this many blocks draws
+# them from an np.random.Philox of its own, the same words: building one
+# costs about 10 us, as much as some 35 blocks of the vectorized kernel,
+# which then runs several times slower per block. large_random.json's sets
+# need about 36 blocks, sparse_1k's 8, and a 512-coordinate model's
+# hundreds.
+_LONG_STREAM_BLOCKS = 48
 
 
 def _prefix_products(a: np.ndarray, p: int) -> np.ndarray:
@@ -79,6 +101,60 @@ def _lazy_steps(p: int, bound: int) -> int:
     return r
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an array: np.unique's values, from
+    one sort."""
+    s = np.sort(a, axis=None)
+    return s[np.concatenate([[True], s[1:] != s[:-1]])]
+
+
+def _row_products(f: np.ndarray, p: int) -> np.ndarray:
+    """Products mod p along the last axis of an array of residues, by
+    pairwise halving: log2 of its length multiplies of half the entries."""
+    while f.shape[-1] > 1:
+        h = f.shape[-1] // 2
+        head = f[..., :h] * f[..., h : 2 * h] % p
+        if f.shape[-1] % 2:
+            head[..., 0] = head[..., 0] * f[..., -1] % p
+        f = head
+    return f[..., 0] if f.shape[-1] else np.ones(f.shape[:-1], dtype=np.int64)
+
+
+def _all_id_denominators(u: np.ndarray, p: int) -> np.ndarray:
+    """u_j prod_{k != j} (u_k - u_j) mod p for every entry of u, distinct
+    ids: rows of the difference matrix with u_j on the diagonal, a block
+    of rows of at most _BLOCK_ENTRIES entries at a time."""
+    m = len(u)
+    out = np.empty(m, dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // max(1, m))
+    for a in range(0, m, step):
+        b = min(a + step, m)
+        diff = (u - u[a:b, None]) % p
+        diff[np.arange(b - a), np.arange(a, b)] = u[a:b]
+        out[a:b] = _row_products(diff, p)
+    return out
+
+
+def _slot_loop(x: np.ndarray, present: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(num, den) of a batch of sets, slot by slot: num[r] = prod of row r's
+    ids and den_j = x_j prod_{k != j} (x_k - x_j), each mod p, in row-major
+    order over the holders. Every factor has magnitude below the largest
+    id, so den is reduced mod p only every _lazy_steps factors."""
+    lazy = _lazy_steps(p, int(x.max(initial=0)))
+    num = np.ones(len(x), dtype=np.int64)
+    den = np.ones_like(x)
+    for k in range(x.shape[1]):
+        xk = x[:, k]
+        factor = xk[:, None] - x
+        factor[:, k] = xk
+        # A padding slot contributes no factor to its row.
+        np.multiply(den, factor, out=den, where=present[:, k, None])
+        num = np.where(present[:, k], num * xk % p, num)
+        if (k + 1) % lazy == 0:
+            den %= p
+    return num, den[present] % p
+
+
 def interpolation_weights(holders: np.ndarray, p: int) -> np.ndarray:
     """Interpolation weights of every holder set in a batch.
 
@@ -86,49 +162,201 @@ def interpolation_weights(holders: np.ndarray, p: int) -> np.ndarray:
     ids in [1, p), padded with zeros. Returns an int64 array of the same
     shape holding delta(C, x_j) at each holder's slot and 0 at padding.
 
-    delta_j = prod_k x_k / den_j with den_j = x_j prod_{k != j} (x_k - x_j)
-    (the extra x_j cancels the numerator's), accumulated slot by slot so no
-    temporary is larger than the batch. Every factor has magnitude below the
-    largest id, so den_j is reduced mod p only every _lazy_steps factors.
-    Every denominator of the batch is inverted with one modular inversion.
+    Let U be the batch's m distinct ids. A set C is dense when |C| > m/2;
+    its weights come from those of U through its complement (the
+    barycentric-weight relation, Berrut & Trefethen, SIAM Review 2004):
+
+        delta(C, j) = delta(U, j) prod_{k in U \\ C} (u_k - u_j) / u_k,
+
+    with delta(U, j) = prod_U u_k / (u_j prod_{k != j} (u_k - u_j)), so a
+    dense set loops over its complement's slots rather than its own. Any
+    other set takes delta_j = prod_C x_k / (x_j prod_{k != j} (x_k - x_j))
+    slot by slot (see _slot_loop), packed to the widest such set. Every
+    denominator of the call -- U's, the complements' prod u_k and the other
+    sets' own -- is inverted with one modular inversion.
     """
     x = np.asarray(holders, dtype=np.int64)
     if x.size and (x.min() < 0 or x.max() >= p):
         raise ValueError(f"holder ids must lie in [1, {p})")
-    present = x != 0
-    lazy = _lazy_steps(p, int(x.max(initial=0)))
-    num = np.ones(x.shape[:-1], dtype=np.int64)
-    den = np.ones_like(x)
-    for k in range(x.shape[-1]):
-        xk = x[..., k]
-        factor = xk[..., None] - x
-        factor[..., k] = xk
-        # A padding slot contributes no factor to its row.
-        np.multiply(den, factor, out=den, where=present[..., k, None])
-        num = np.where(present[..., k], num * xk % p, num)
-        if (k + 1) % lazy == 0:
-            den %= p
-    den = den[present] % p
-    if not den.all():
-        raise ValueError("holder ids within a set must be distinct")
-    num = np.broadcast_to(num[..., None], x.shape)[present]
-    weights = np.zeros_like(x)
-    weights[present] = num * _batch_inverse(den, p) % p
-    return weights
+    rows = x.reshape(-1, x.shape[-1])
+    present = rows != 0
+    sizes = present.sum(axis=1)
+    u = _distinct(rows)
+    u = u[u != 0]
+    dense = 2 * sizes > len(u)
+    sparse = ~dense & (sizes > 0)
+    dens = []  # every denominator of the call, inverted together
+
+    if sparse.any():
+        xs, ps = rows[sparse], present[sparse]
+        width = int(sizes[sparse].max())
+        if width < rows.shape[1]:  # pack each row's holders to the front
+            order = np.argsort(~ps, axis=1, kind="stable")[:, :width]
+            xs, ps = np.take_along_axis(xs, order, 1), np.take_along_axis(ps, order, 1)
+        num_s, den = _slot_loop(xs, ps, p)
+        if not den.all():
+            raise ValueError("holder ids within a set must be distinct")
+        dens.append(den)
+
+    if dense.any():
+        # Dense rows, longest complement first, so that pass k of the loop
+        # below touches a leading run of them.
+        missing = len(u) - sizes
+        dense_rows = np.flatnonzero(dense)
+        dense_rows = dense_rows[np.argsort(-missing[dense_rows], kind="stable")]
+        missing = missing[dense_rows]
+        xd, pd = rows[dense_rows], present[dense_rows]
+        at = np.searchsorted(u, xd)  # each holder's index in U
+        member = np.zeros((len(xd), len(u)), dtype=bool)
+        member[np.nonzero(pd)[0], at[pd]] = True
+        if (member.sum(axis=1) < sizes[dense_rows]).any():
+            raise ValueError("holder ids within a set must be distinct")
+        # Each dense row's complement in U, increasing, padded at the end.
+        width = int(missing[0])
+        comp = u[np.argsort(member, axis=1, kind="stable")[:, :width]]
+        live = np.count_nonzero(missing[:, None] > np.arange(width), axis=0)
+        lazy = _lazy_steps(p, int(u[-1]))
+        fac = np.ones_like(xd)  # prod over the complement of (u_k - x_j)
+        for k, r in enumerate(live.tolist()):
+            head = fac[:r]
+            head *= comp[:r, k, None] - xd[:r]
+            if (k + 1) % lazy == 0:
+                head %= p
+        comp_prod = _row_products(np.where(np.arange(width) < missing[:, None], comp, 1), p)
+        dens += [_all_id_denominators(u, p), comp_prod]
+
+    weights = np.zeros_like(rows)
+    if not dens:
+        return weights.reshape(x.shape)
+    inv = _batch_inverse(np.concatenate(dens), p)
+    inv = np.split(inv, np.cumsum([len(d) for d in dens])[:-1])
+    if sparse.any():
+        weights[present & sparse[:, None]] = np.repeat(num_s, sizes[sparse]) * inv[0] % p
+    if dense.any():
+        inv_u, inv_comp = inv[-2:]
+        num_u = _row_products(u[None], p)[0]
+        w = num_u * inv_u[at] % p * (fac % p) % p * inv_comp[:, None] % p
+        weights[dense_rows] = np.where(pd, w, 0)
+    return weights.reshape(x.shape)
 
 
-def _draw_coefficients(
-    rng: np.random.Generator, n: int, tau: int, p: int
-) -> np.ndarray:
-    """(n, tau) uniform residues: row l holds c_1..c_tau of coordinate l's
-    polynomial, in the order the share stream fixes.
+def _mulhilo(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products of the Philox
+    multipliers with the (2, B) uint64 words b, row by row, from four
+    32 x 32-bit partial products."""
+    b_lo, b_hi = b & _LOW32, b >> _HALF
+    lo_lo, hi_lo = _PHILOX_M_LO * b_lo, _PHILOX_M_HI * b_lo
+    cross = lo_lo >> _HALF
+    cross += hi_lo & _LOW32
+    cross += _PHILOX_M_LO * b_hi
+    hi = _PHILOX_M_HI * b_hi
+    hi += hi_lo >> _HALF
+    hi += cross >> _HALF
+    return hi, _PHILOX_M * b
 
-    Uniform coefficients are what make any tau shares carry zero
-    information about the secret; restricting the top coefficient away
-    from zero would skew the share distribution by an s-dependent
-    exclusion. Generator.integers draws exactly uniformly on [0, p).
+
+def _philox4x64(counters: np.ndarray, key) -> np.ndarray:
+    """Philox4x64-10 blocks: row r of the (B, 4) uint64 result is the
+    block of counter row r under the 128-bit key (two uint64 words), the
+    four words np.random.Philox(key=key) gives for that counter. (numpy
+    adds one to its counter before each block, so its first block is that
+    of counter + 1.)"""
+    state = np.asarray(counters, dtype=np.uint64).T.copy()
+    k0, k1 = (int(w) for w in key)
+    for r in range(_PHILOX_ROUNDS):
+        # A round maps (c0, c1, c2, c3) to
+        # (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)).
+        keys = np.array([[(k1 + r * _PHILOX_W[1]) % 2**64],
+                         [(k0 + r * _PHILOX_W[0]) % 2**64]], dtype=np.uint64)
+        hi, lo = _mulhilo(state[0::2])
+        hi ^= state[3:0:-2]
+        hi ^= keys
+        state[0::2], state[1::2] = hi[::-1], lo[::-1]
+    return state.T
+
+
+def _masked_halves(words: np.ndarray, mask: np.uint32, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 32-bit halves of uint64 words in order, low half of each word
+    first, masked to mask; and which of them are below p."""
+    halves = np.ascontiguousarray(words, dtype="<u8").view("<u4").ravel() & mask
+    return halves, halves < np.uint32(p)
+
+
+def _stream_blocks(need: np.ndarray, accept: float) -> np.ndarray:
+    """Philox blocks of eight candidates to draw first for sets needing
+    need[i] kept values each, a candidate being kept with probability
+    accept: room for the expected rejections plus five standard
+    deviations, rounded down. A set that falls short draws again."""
+    lost = need * (1 - accept)
+    spare = np.floor((lost + 5 * np.sqrt(lost)) / accept)
+    return np.ceil((need + spare) / 8).astype(np.int64)
+
+
+def _coefficient_streams(key, taus, n: int, p: int) -> np.ndarray:
+    """Uniform residues for the polynomials of a batch of sets, from one
+    128-bit Philox key: an (n, sum(taus)) int64 matrix whose columns
+    [T_i, T_i + tau_i), T_i = sum of the taus before set i, hold set i's
+    (n, tau_i) coefficients; row l holds c_1..c_tau_i of coordinate l's
+    polynomial.
+
+    Set i (counting from 1) draws blocks j = 0, 1, ... on counter
+    (j, i, 0, 0). Each block's four words give eight 32-bit halves, low
+    half first; each is masked to bitlength(p - 1) bits and kept only if
+    it is below p (< 2**32), so every kept value is exactly uniform on
+    [0, p). Set i's coefficients are its first n * tau_i kept values, row
+    by row: they depend on (key, i, n, tau_i) alone. Uniform coefficients
+    are what make any tau shares carry zero information about the secret;
+    restricting the top coefficient away from zero would skew the share
+    distribution by an s-dependent exclusion.
+
+    Sets whose streams need fewer than _LONG_STREAM_BLOCKS blocks run
+    through _philox4x64 together; each longer one draws the same words
+    from an np.random.Philox of its own.
     """
-    return rng.integers(0, p, size=(n, tau), dtype=np.int64)
+    if p >= 2**32:
+        raise ValueError(f"modulus {p} does not fit 32-bit candidates")
+    taus = np.asarray(taus, dtype=np.int64)
+    need = n * taus
+    bits = max(1, (p - 1).bit_length())
+    mask = np.uint32((1 << bits) - 1)
+    blocks = _stream_blocks(need, p / 2**bits)
+    out = np.empty((n, int(taus.sum())), dtype=np.int64)
+    starts = np.cumsum(taus) - taus
+    long = blocks >= _LONG_STREAM_BLOCKS
+    for i in np.flatnonzero(long).tolist():
+        # numpy's first block is that of its counter + 1, (0, i + 1, 0, 0),
+        # and each call goes on from the block after the last.
+        gen = np.random.Philox(key=key, counter=np.array([2**64 - 1, i, 0, 0], dtype=np.uint64))
+        values, have = [np.empty(0, dtype=np.uint32)], 0
+        while have < need[i]:
+            halves, keep = _masked_halves(gen.random_raw(4 * max(blocks[i], 1)), mask, p)
+            values.append(np.compress(keep, halves))
+            have += len(values[-1])
+        values = np.concatenate(values)[: need[i]]
+        out[:, starts[i] : starts[i] + taus[i]] = values.reshape(n, taus[i])
+    # The other sets' blocks in one run of the vectorized kernel.
+    sets = np.flatnonzero(~long)
+    s_blocks, s_taus, s_need = blocks[sets], taus[sets], need[sets]
+    while True:
+        first = np.cumsum(s_blocks) - s_blocks
+        counters = np.zeros((int(s_blocks.sum()), 4), dtype=np.uint64)
+        counters[:, 0] = np.arange(len(counters)) - np.repeat(first, s_blocks)
+        counters[:, 1] = np.repeat(sets + 1, s_blocks)
+        halves, keep = _masked_halves(_philox4x64(counters, key), mask, p)
+        del counters
+        # Candidates each set kept, from the rejected ones alone.
+        owner = np.repeat(np.arange(len(sets)), s_blocks)[np.flatnonzero(~keep) // 8]
+        have = 8 * s_blocks - np.bincount(owner, minlength=len(sets))
+        if (have >= s_need).all():
+            break
+        s_blocks = np.where(have < s_need, 2 * s_blocks + 1, s_blocks)
+    values = np.compress(keep, halves)
+    del halves, keep
+    # Entry (l, c) of a set's block is its kept value number l * tau + c.
+    base = np.cumsum(have) - have  # where each set's kept values start
+    col = np.repeat(base - np.cumsum(s_taus) + s_taus, s_taus) + np.arange(s_taus.sum())
+    out[:, np.repeat(~long, taus)] = values[col + np.arange(n)[:, None] * np.repeat(s_taus, s_taus)]
+    return out
 
 
 def _limb_split(p: int, terms: int) -> tuple[int, int]:
@@ -170,60 +398,92 @@ def _power_table(ids: np.ndarray, terms: int, limbs: int, bits: int, p: int) -> 
 
 
 def _generate_share_values(
-    secrets: np.ndarray, coeffs: Sequence[np.ndarray], holders: np.ndarray, p: int
+    secrets: np.ndarray, coeffs: np.ndarray, taus, holders: np.ndarray, p: int
 ) -> np.ndarray:
     """The share table of a batch of holder sets: every set's polynomials
     evaluated at each of its holders.
 
-    secrets is (G, n) and holders (G, s), zero-padded; coeffs holds one
-    (n, tau_g) array of residues per set. Set g's polynomial for coordinate
-    l is H(x) = secrets[g, l] + sum_m coeffs[g][l, m-1] x^m. Returns (E, n)
-    int64 with one row per nonzero holder, in row-major order: row e holds
-    H at that holder for every coordinate.
+    secrets is (G, n) and holders (G, s), zero-padded; coeffs is the
+    (n, sum(taus)) matrix of residues whose columns [T_g, T_g + taus[g])
+    belong to set g, as _coefficient_streams lays them out. Set g's
+    polynomial for coordinate l is H(x) = secrets[g, l] +
+    sum_m coeffs[l, T_g + m - 1] x^m. Returns (E, n) int64 with one row
+    per nonzero holder, in row-major order: row e holds H at that holder
+    for every coordinate.
 
-    Evaluation is a float64 matrix product per set, (s, K) powers of its
-    holders times its (K, n) coefficient block, run over blocks of sets
-    whose temporaries together hold at most _BLOCK_ENTRIES entries. Every
-    coefficient, the secret as coefficient 0, is split into limbs of b bits
-    (see _limb_split), and limb i of coefficient m meets 2**(b i) x^m mod p
-    from a table over the distinct ids, so K = limbs * (1 + max tau_g) and
-    one reduction mod p recombines the limbs. Each product is below
-    2**b * p and K of them sum to at most 2**53, so every partial sum is an
-    exact integer in whatever order BLAS adds. Sets of lower degree leave
-    their high coefficients zero, and padded holder slots are evaluated and
-    dropped.
+    Every coefficient, the secret as coefficient 0, is split into limbs of
+    b bits (see _limb_split), and limb i of coefficient m meets
+    2**(b i) x^m mod p from a table over the m' distinct ids, so a set's
+    coefficient block is (K, n) with K = limbs * (1 + max tau_g), and one
+    reduction mod p recombines the limbs. Each product is below 2**b * p
+    and K of them sum to at most 2**53, so every partial sum is an exact
+    integer in whatever order BLAS adds. Sets of lower degree leave their
+    high coefficients zero.
+
+    Sets are evaluated in blocks whose temporaries together hold at most
+    _BLOCK_ENTRIES entries. Where evaluating a block's sets at all m' ids
+    costs at most twice the work at their own holders (m' times the sets
+    <= 2 times the holders), one (m', K) @ (K, sets * n) product does it
+    and each holder's entries are picked out; otherwise each set's (s, K)
+    powers of its holders meet its block in one batched product, and
+    padded holder slots are evaluated and dropped.
     """
     holders = np.asarray(holders, dtype=np.int64)
     secrets = np.asarray(secrets, dtype=np.int64) % p
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    taus = np.asarray(taus, dtype=np.int64)
     n_sets, width = holders.shape
     dim = secrets.shape[1]
-    taus = np.array([np.shape(c)[1] for c in coeffs], dtype=np.int64)
     terms = 1 + int(taus.max(initial=0))
     limbs, bits = _limb_split(p, terms)
     span = limbs * terms  # K, the rows of a set's coefficient block
-    ids, slots = np.unique(holders.ravel(), return_inverse=True)
+    ids = _distinct(holders)
     table = _power_table(ids, terms, limbs, bits, p)
-    slots = slots.reshape(holders.shape)
-    kept = np.flatnonzero(holders)  # flat positions of the real holders
+    slots = np.searchsorted(ids, holders)
     starts = np.concatenate([[0], np.cumsum(np.count_nonzero(holders, axis=1))])
-    # Block row of limb 0 of every coefficient, the sets' columns in turn.
     col_starts = np.concatenate([[0], np.cumsum(taus)])
-    coef_rows = np.arange(1, col_starts[-1] + 1) + np.repeat(
-        np.arange(n_sets) * span - col_starts[:-1], taus
-    )
-    out = np.empty((len(kept), dim), dtype=np.int64)
+    out = np.empty((starts[-1], dim), dtype=np.int64)
     mask = (1 << bits) - 1
-    per_block = max(1, _BLOCK_ENTRIES // max(1, (width + dim) * span + width * dim))
-    for a in range(0, n_sets, per_block):
-        b = min(a + per_block, n_sets)
-        cols = np.concatenate(coeffs[a:b], axis=1).astype(np.int64, copy=False).T
-        rows = coef_rows[col_starts[a] : col_starts[b]] - a * span
-        block = np.zeros(((b - a) * span, dim))
+    m = np.arange(terms)[:, None]
+    # Entries per set of a block's temporaries: its limb-split coefficients
+    # and its coefficient block (at most K * n each), and its products, at
+    # its padded holders (whose K powers each are gathered) or at every id.
+    # An all-id block is one BLAS product, which packs its operands into
+    # buffers of its own; it gets a quarter of the entries, which on
+    # large_random.json keeps peak RSS at the gathered path's (a whole
+    # budget adds about 1 MB) and runs no slower.
+    per_gathered = max(1, _BLOCK_ENTRIES // ((width + 2 * dim) * span + width * dim))
+    per_all = max(1, _BLOCK_ENTRIES // (4 * (2 * span + len(ids)) * dim))
+    a = 0
+    while a < n_sets:
+        b = min(a + per_all, n_sets)
+        all_ids = len(ids) * (b - a) <= 2 * (starts[b] - starts[a])
+        if not all_ids:
+            b = min(a + per_gathered, n_sets)
+        size = b - a
+        # src[i] holds limb i of the block's secrets, of its drawn
+        # coefficients and of zero, and src_rows[m, g] is the row of
+        # coefficient m of the block's set g: the secret for m = 0, a
+        # drawn coefficient up to taus[g], zero above. The block's
+        # (K * size, n) coefficients hold limb i of it at row
+        # (i * terms + m) * size + g.
+        cols = coeffs[:, col_starts[a] : col_starts[b]].T
+        src = np.zeros((limbs, size + len(cols) + 1, dim))
         for i in range(limbs):
-            block[i * terms :: span] = (secrets[a:b] >> (bits * i)) & mask
-            block[rows + i * terms] = (cols >> (bits * i)) & mask
-        vals = np.matmul(table[slots[a:b]], block.reshape(b - a, span, dim))
-        picks = kept[starts[a] : starts[b]] - a * width
-        out[starts[a] : starts[b]] = vals.reshape(-1, dim)[picks]
+            src[i, :size] = (secrets[a:b] >> (bits * i)) & mask
+            src[i, size:-1] = (cols >> (bits * i)) & mask
+        first = col_starts[a:b] - col_starts[a] + size - 1
+        src_rows = np.where(m <= taus[a:b], first + m, src.shape[1] - 1)
+        src_rows[0] = np.arange(size)
+        block = np.take(src, src_rows.ravel(), axis=1)
+        kept = np.flatnonzero(holders[a:b])  # the block's holders, row-major
+        if all_ids:
+            vals = table @ block.reshape(span, size * dim)
+            at = slots[a:b].ravel()[kept] * size + kept // width
+        else:
+            vals = np.matmul(table[slots[a:b]], block.reshape(span, size, dim).transpose(1, 0, 2))
+            at = kept
+        out[starts[a] : starts[b]] = np.take(vals.reshape(-1, dim), at, axis=0)
+        a = b
     out %= p
     return out

@@ -22,7 +22,7 @@ from ppdfl.privacy import (
 )
 from ppdfl.protocol import ProtocolConfig, Transcript, execute_round, run_training
 from ppdfl.sharing import (
-    _draw_coefficients,
+    _coefficient_streams,
     _generate_share_values,
     interpolation_weights,
 )
@@ -157,8 +157,8 @@ def test_criterion_4_share_secrecy_and_reconstruction():
         # every (tau+1)-subset reconstructs as sum_j w_j H(j) over its weights
         rng = np.random.default_rng(tau)
         for secret in range(p):
-            coeffs = _draw_coefficients(rng, 1, tau, p)
-            values = _generate_share_values([[secret]], [coeffs], [holders], p)
+            coeffs = _coefficient_streams(rng.bit_generator.random_raw(2), [tau], 1, p)
+            values = _generate_share_values([[secret]], coeffs, [tau], [holders], p)
             shares = dict(zip(holders, values[:, 0].tolist()))
             for subset in itertools.combinations(holders, tau + 1):
                 w = interpolation_weights(np.array(subset), p).tolist()

@@ -24,7 +24,7 @@ from ppdfl.privacy import (
     verify_inference,
 )
 from ppdfl.protocol import ProtocolConfig, Transcript, build_initial_state, execute_round
-from ppdfl.sharing import _draw_coefficients, _generate_share_values, interpolation_weights
+from ppdfl.sharing import _coefficient_streams, _generate_share_values, interpolation_weights
 from ppdfl.topology import (
     RoundTopology,
     TopologySchedule,
@@ -391,9 +391,9 @@ def test_worst_case_audit_at_10k_learners_in_bounded_memory():
     holders = holder_sets(g)
     present = holders > 0
     secrets = rng.integers(0, p, size=(n, dim), dtype=np.int64)
-    coeffs = [_draw_coefficients(rng, dim, tau, p)
-              for tau in (present.sum(axis=1) - 1).tolist()]
-    bundles = _generate_share_values(secrets, coeffs, holders, p)
+    taus = present.sum(axis=1) - 1
+    coeffs = _coefficient_streams(rng.bit_generator.random_raw(2), taus, dim, p)
+    bundles = _generate_share_values(secrets, coeffs, taus, holders, p)
     bundles = bundles * interpolation_weights(holders, p)[present][:, None] % p
     record = SimpleNamespace(
         round_index=1,

@@ -353,11 +353,12 @@ def test_share_phase_determinism():
 
 
 # sha256 over "sender,receiver:v1,v2,...\n" lines of every share bundle of
-# configs/demo.json rounds 1-2, in share_pairs order, as version 0.4.0
-# produces them (0.4.0 drew new graphs from the same seeds). Seeded runs
-# must stay byte-identical within a version; a change to the share stream
-# or to the seeded graphs has to bump __version__ and this pin together.
-DEMO_BUNDLES_SHA256 = "042604414fa64516aec5c6e6cef5fe42e62f3806a0697aefa6de6e2a6b7d7e1a"
+# configs/demo.json rounds 1-2, in share_pairs order, as version 0.5.0
+# produces them (0.5.0 draws share coefficients from per-round Philox
+# streams; the graphs are 0.4.0's). Seeded runs must stay byte-identical
+# within a version; a change to the share stream or to the seeded graphs
+# has to bump __version__ and this pin together.
+DEMO_BUNDLES_SHA256 = "7645b2f94f0c04043a45323665fa49753f8f96c630a789ae544b3db43c82dd6e"
 
 
 def test_demo_share_stream_is_pinned():
@@ -373,12 +374,12 @@ def test_demo_share_stream_is_pinned():
 
 
 # sha256 of Transcript.to_jsonl's bytes for round 1 of configs/demo.json,
-# as version 0.4.0 writes them, with lambda2 and the rounding margin first
+# as version 0.5.0 writes them, with lambda2 and the rounding margin first
 # rounded to 6 digits: they come from LAPACK and float sums, whose last bits
 # may differ between hosts. The reader parses lines in exactly this layout
 # in bulk; a change to the layout must update this pin and the reader's
 # line patterns together, or every line falls back to json.loads.
-DEMO_TRANSCRIPT_SHA256 = "40c8062a2f471b7de56704fd1b3bf0ea5b4929e1d1493f74a94e1053833c60bc"
+DEMO_TRANSCRIPT_SHA256 = "0d95af793b4a9e8d17bc86b117cb1cc508798977262e361eca782a089fb448f5"
 
 
 def test_demo_transcript_bytes_are_pinned(tmp_path, monkeypatch):
@@ -412,12 +413,16 @@ def test_share_phase_inverts_once_per_holder_set(monkeypatch):
 
     monkeypatch.setattr(sharing, "_inverse_int", counting)
     cfg = make_cfg(12, 2, 2, 4.0)
-    g = generate_topology("random_connected", 12, seed=3, avg_degree=8.0)
     models = np.random.default_rng(4).uniform(-4, 4, (12, 2))
-    execute_round(models, g, cfg)
-    # Every holder set's denominators are inverted together: one inversion
-    # per round.
-    assert len(calls) == 1
+    # Dense sets only, then a star: the hub's set holds every id and is
+    # weighted through its complement, the 11 leaves' sets slot by slot.
+    for g in (generate_topology("random_connected", 12, seed=3, avg_degree=8.0),
+              generate_topology("star", 12)):
+        calls.clear()
+        execute_round(models, g, cfg)
+        # Every holder set's denominators are inverted together: one
+        # inversion per round.
+        assert len(calls) == 1
 
 
 def test_replay_round_reproduces_output():

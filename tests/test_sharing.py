@@ -7,7 +7,7 @@ import pytest
 
 from ppdfl import sharing
 from ppdfl.sharing import (
-    _draw_coefficients,
+    _coefficient_streams,
     _generate_share_values,
     interpolation_weights,
 )
@@ -18,11 +18,17 @@ def weights(ids, p=11):
     return interpolation_weights(np.array(ids), p).tolist()
 
 
+def set_coefficients(gen, n, tau, p):
+    """(n, tau) coefficients of one set, on a Philox key the numpy
+    Generator gen supplies."""
+    return _coefficient_streams(gen.bit_generator.random_raw(2), [tau], n, p)
+
+
 def share_values(secret, tau, ids, gen, p=11):
-    """H(j) at every id for one secret, with tau coefficients drawn from
-    the numpy Generator gen."""
-    coeffs = _draw_coefficients(gen, 1, tau, p)
-    return _generate_share_values([[secret]], [coeffs], [ids], p)[:, 0].tolist()
+    """H(j) at every id for one secret, with tau coefficients drawn on a
+    key from the numpy Generator gen."""
+    coeffs = set_coefficients(gen, 1, tau, p)
+    return _generate_share_values([[secret]], coeffs, [tau], [ids], p)[:, 0].tolist()
 
 
 def interpolate_at_zero(shares, p=11):
@@ -38,6 +44,10 @@ def test_holder_set_validation():
         weights((-1, 2))
     with pytest.raises(ValueError):
         weights((3, 11))
+    # A repeated id in a set holding most of the batch's ids, which is
+    # weighted through its complement.
+    with pytest.raises(ValueError):
+        interpolation_weights(np.array([[1, 2, 3, 3], [4, 0, 0, 0]]), 11)
     # Zeros are padding, and a set's slot order does not matter.
     assert weights((0, 1, 2, 0)) == [0] + weights((1, 2)) + [0]
     assert weights((3, 1, 2)) == [1, 3, 8]
@@ -106,6 +116,13 @@ def test_interpolation_weights_match_definition(p):
     if p > 2**30:
         # ids near p give factors near p: the least room for lazy reduction
         batches.append(padded([[p - 1, p - 2, 1, 2], [p - 1], [p - 3, p - 5]]))
+        # Sets holding more than half of eight scattered ids near p, in any
+        # order and with padding between, beside sets holding fewer.
+        far = [p - 1, p - 3, p - 8, p - 1000, 7, 12345, 2**30 + 1, 99]
+        batches.append(padded([far, far[:5], far[3:], [far[6], far[1], far[0], far[4], far[2]],
+                               far[::2], [far[7], far[2]], [far[5]]]))
+        batches.append(np.array([[far[0], 0, far[1], far[2], 0, far[3], far[4]],
+                                 [0, 0, far[5], far[6], far[7], 0, 0]]))
     for batch in batches:
         got = interpolation_weights(batch, p)
         assert got.dtype == np.int64 and got.shape == batch.shape
@@ -137,6 +154,15 @@ def test_share_values_match_direct_evaluation(p, monkeypatch):
         coeffs = [[[rng.randrange(p) for _ in range(max(0, tau - k))]
                    for _ in range(n)] for k in range(len(sets))]
         assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
+    # Closed neighbourhoods of whole graphs: complete graphs and small
+    # stars are evaluated at all ids, sparse graphs at their own holders,
+    # and blocks of one set mix the two.
+    for ids in graph_holder_sets(p):
+        sizes = np.count_nonzero(ids, axis=1).tolist()
+        secrets = [[rng.randrange(p) for _ in range(2)] for _ in sizes]
+        coeffs = [[[rng.randrange(p) for _ in range(min(size - 1, 6))] for _ in range(2)]
+                  for size in sizes]
+        assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
 
 
 def direct_shares(secrets, coeffs, ids, p):
@@ -149,18 +175,27 @@ def direct_shares(secrets, coeffs, ids, p):
     ]
 
 
+def flat(coeffs, n):
+    """Per-set (n, tau_g) coefficient lists as the (n, sum tau_g) matrix
+    and the taus that _generate_share_values takes."""
+    taus = [np.shape(c)[1] for c in coeffs]
+    blocks = [np.asarray(c, dtype=np.int64).reshape(n, t) for c, t in zip(coeffs, taus)]
+    return np.concatenate(blocks, axis=1), taus
+
+
 def assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch):
     """The share table equals the oracle's with the default block size, in
     blocks of one set, in blocks of about three sets, and in one block."""
     expected = direct_shares(secrets, coeffs, ids, p)
     width = np.shape(ids)[1]
     n = len(secrets[0])
-    terms = 1 + max(np.shape(c)[1] for c in coeffs)
+    matrix, taus = flat(coeffs, n)
+    terms = 1 + max(taus)
     span = sharing._limb_split(p, terms)[0] * terms
     few = 3 * ((width + n) * span + width * n)
     for block in (sharing._BLOCK_ENTRIES, 1, few, 2**62):
         monkeypatch.setattr(sharing, "_BLOCK_ENTRIES", block)
-        got = _generate_share_values(secrets, coeffs, ids, p)
+        got = _generate_share_values(secrets, matrix, taus, ids, p)
         assert got.dtype == np.int64 and got.shape == (len(expected), n)
         assert got.tolist() == expected
 
@@ -226,7 +261,7 @@ def test_share_values_degree_zero_width_one_and_inner_padding(p, monkeypatch):
     secrets = [[rng.randrange(p) for _ in range(2)] for _ in range(3)]
     coeffs = [np.zeros((2, 0), dtype=np.int64)] * 3
     assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
-    assert _generate_share_values(secrets, coeffs, ids, p).tolist() == [
+    assert _generate_share_values(secrets, *flat(coeffs, 2), ids, p).tolist() == [
         secrets[0]] * 3 + [secrets[1]] + [secrets[2]] * 2
     # Width 1: each set is a single holder, of any degree.
     ids = np.array([[rng.randrange(1, top + 1)] for _ in range(4)])
@@ -242,7 +277,7 @@ def test_share_values_degree_zero_width_one_and_inner_padding(p, monkeypatch):
 
 def test_share_values_hand_polynomial():
     # H(x) = 5 + 3x over GF(11) at points 1, 2, 3
-    got = _generate_share_values([[5]], [[[3]]], [[1, 2, 3]], 11)
+    got = _generate_share_values([[5]], [[3]], [1], [[1, 2, 3]], 11)
     assert got.tolist() == [[8], [0], [3]]
 
 
@@ -261,7 +296,7 @@ def test_share_values_constant_term_is_secret():
 
 def test_share_values_single_holder_is_the_secret():
     # a lone holder gets a degree-0 polynomial: no draws, share == secret
-    assert _draw_coefficients(np.random.default_rng(0), 1, 0, 11).shape == (1, 0)
+    assert set_coefficients(np.random.default_rng(0), 1, 0, 11).shape == (1, 0)
     assert share_values(6, 0, (1,), np.random.default_rng(0)) == [6]
     assert interpolate_at_zero({1: 6}) == 6
 
@@ -270,7 +305,7 @@ def test_draw_coefficients_deterministic_per_seed():
     ids = (1, 2, 5)
 
     def draw(seed):
-        return _draw_coefficients(np.random.default_rng(seed), 3, 2, 11)
+        return set_coefficients(np.random.default_rng(seed), 3, 2, 11)
 
     assert draw(99).shape == (3, 2) and draw(99).dtype == np.int64
     assert np.array_equal(draw(99), draw(99))
@@ -281,6 +316,89 @@ def test_draw_coefficients_deterministic_per_seed():
     assert share_values(7, 2, ids, np.random.default_rng(99)) != share_values(
         7, 2, ids, np.random.default_rng(100)
     )
+
+
+KEY = np.array([0x0123456789ABCDEF, 0xFEDCBA9876543210], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("counter", [
+    [0, 0, 0, 0],
+    [7, 3, 0, 0],
+    [2**64 - 1, 5, 0, 0],  # the carry out of word 0
+    [2**64 - 2, 2**64 - 1, 9, 0],
+    [12345, 2**40, 2**63, 17],
+])
+def test_philox_kernel_matches_numpy(counter):
+    # numpy adds one to its counter before each block, so its first three
+    # blocks are those of counter + 1, + 2 and + 3 (carries included).
+    want = np.random.Philox(key=KEY, counter=np.array(counter, dtype=np.uint64)).random_raw(12)
+    value = sum(w << (64 * k) for k, w in enumerate(counter))
+    blocks = [[((value + step) % 2**256 >> (64 * k)) % 2**64 for k in range(4)]
+              for step in (1, 2, 3)]
+    got = sharing._philox4x64(np.array(blocks, dtype=np.uint64), KEY)
+    assert got.dtype == np.uint64 and got.shape == (3, 4)
+    assert got.ravel().tolist() == want.tolist()
+
+
+def reference_stream(key, i, count, p):
+    """The first count kept values of set i's stream, one candidate at a
+    time: block j on counter (j, i, 0, 0), the low then the high half of
+    each word, masked to bitlength(p - 1) bits and kept below p."""
+    mask = (1 << (p - 1).bit_length()) - 1
+    out, j = [], 0
+    while len(out) < count:
+        (block,) = sharing._philox4x64(np.array([[j, i, 0, 0]], dtype=np.uint64), key).tolist()
+        halves = [h & mask for word in block for h in (word & 0xFFFFFFFF, word >> 32)]
+        out += [h for h in halves if h < p]
+        j += 1
+    return out[:count]
+
+
+@pytest.mark.parametrize("p", [2, 17, 1020431, 2**31 - 1])
+def test_coefficient_streams_follow_the_counter_layout(p, monkeypatch):
+    taus, n = [3, 0, 7, 1, 12], 4
+    got = _coefficient_streams(KEY, taus, n, p)
+    assert got.dtype == np.int64 and got.shape == (n, sum(taus))
+    start = 0
+    for i, tau in enumerate(taus, start=1):
+        want = np.array(reference_stream(KEY, i, n * tau, p), dtype=np.int64)
+        assert got[:, start : start + tau].tolist() == want.reshape(n, tau).tolist()
+        start += tau
+    # Long streams come from np.random.Philox itself, short ones from the
+    # vectorized kernel: the same values whichever side a set is on.
+    for blocks in (0, 3, 10**9):
+        monkeypatch.setattr(sharing, "_LONG_STREAM_BLOCKS", blocks)
+        assert np.array_equal(_coefficient_streams(KEY, taus, n, p), got)
+        # Sets that fall short of their first estimate draw again: starting
+        # from no blocks at all gives the same values.
+        with monkeypatch.context() as m:
+            m.setattr(sharing, "_stream_blocks", lambda need, accept: 0 * need)
+            assert np.array_equal(_coefficient_streams(KEY, taus, n, p), got)
+
+
+def test_coefficient_streams_depend_on_own_set_only():
+    p = 1020431
+    full = _coefficient_streams(KEY, [3, 5, 2], 4, p)
+    assert np.array_equal(_coefficient_streams(KEY, [9, 5], 4, p)[:, 9:], full[:, 3:8])
+    assert np.array_equal(_coefficient_streams(KEY, [3], 4, p), full[:, :3])
+    other = np.array([KEY[0], KEY[1] + np.uint64(1)], dtype=np.uint64)
+    assert not np.array_equal(_coefficient_streams(other, [3, 5, 2], 4, p), full)
+
+
+@pytest.mark.parametrize("p, bins", [(17, 17), (2**31 - 1, 64)])
+def test_coefficient_streams_are_uniform(p, bins):
+    # Rejection keeps every residue exactly equally likely, also at p = 17,
+    # where about 47% of the 5-bit candidates are rejected. chi^2 over bins
+    # of equal mass (to within one residue) at fixed keys, so the test is
+    # deterministic; the bound is the mean plus six standard deviations.
+    counts = np.zeros(bins)
+    for k in range(4):
+        key = np.array([k, 99], dtype=np.uint64)
+        values = _coefficient_streams(key, [250] * 50, 2, p).ravel()
+        counts += np.bincount(values * bins // p, minlength=bins)
+    expected = counts.sum() * np.diff(np.ceil(np.arange(bins + 1) * p / bins)) / p
+    chi2 = ((counts - expected) ** 2 / expected).sum()
+    assert chi2 < bins - 1 + 6 * np.sqrt(2 * (bins - 1))
 
 
 def weighted(raw, ids, p=11):
@@ -328,10 +446,10 @@ def test_reconstruct_too_few():
         ids = tuple(sorted(rng.sample(range(1, 11), rng.randrange(2, 6))))
         tau = rng.randrange(1, len(ids))
         secret = rng.randrange(11)
-        (coeffs,) = _draw_coefficients(gen, 1, tau, 11).tolist()
+        (coeffs,) = set_coefficients(gen, 1, tau, 11).tolist()
         if rng.random() < 0.3:
             coeffs[-1] = 0
-        values = _generate_share_values([[secret]], [[coeffs]], [ids], 11)[:, 0]
+        values = _generate_share_values([[secret]], [coeffs], [tau], [ids], 11)[:, 0]
         values = values.tolist()
         shares = dict(zip(ids, values))
         for subset in itertools.combinations(ids, tau):
