@@ -40,26 +40,6 @@ from .field import _inverse_int
 # _limb_split bounds every partial sum by 2**53.
 _BLOCK_ENTRIES = 2**16
 
-# Philox4x64 multipliers and Weyl key increments (Salmon et al., "Parallel
-# random numbers: as easy as 1, 2, 3", SC 2011), as np.random.Philox uses
-# them. Every operand stays np.uint64: numpy 1.x promotes a Python int
-# mixed with uint64 to float64.
-_LOW32 = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _HALF
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-
-# A set whose coefficient stream needs at least this many blocks draws
-# them from an np.random.Philox of its own, the same words: building one
-# costs about 10 us, as much as some 35 blocks of the vectorized kernel,
-# which then runs several times slower per block. large_random.json's sets
-# need about 36 blocks, sparse_1k's 8, and a 512-coordinate model's
-# hundreds.
-_LONG_STREAM_BLOCKS = 48
-
-
 def _prefix_products(a: np.ndarray, p: int) -> np.ndarray:
     """Inclusive running products mod p of a 1-D array, by a Hillis-Steele
     scan in log2(len(a)) vectorized doubling steps."""
@@ -240,53 +220,12 @@ def interpolation_weights(holders: np.ndarray, p: int) -> np.ndarray:
     return weights.reshape(x.shape)
 
 
-def _mulhilo(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products of the Philox
-    multipliers with the (2, B) uint64 words b, row by row, from four
-    32 x 32-bit partial products."""
-    b_lo, b_hi = b & _LOW32, b >> _HALF
-    lo_lo, hi_lo = _PHILOX_M_LO * b_lo, _PHILOX_M_HI * b_lo
-    cross = lo_lo >> _HALF
-    cross += hi_lo & _LOW32
-    cross += _PHILOX_M_LO * b_hi
-    hi = _PHILOX_M_HI * b_hi
-    hi += hi_lo >> _HALF
-    hi += cross >> _HALF
-    return hi, _PHILOX_M * b
-
-
-def _philox4x64(counters: np.ndarray, key) -> np.ndarray:
-    """Philox4x64-10 blocks: row r of the (B, 4) uint64 result is the
-    block of counter row r under the 128-bit key (two uint64 words), the
-    four words np.random.Philox(key=key) gives for that counter. (numpy
-    adds one to its counter before each block, so its first block is that
-    of counter + 1.)"""
-    state = np.asarray(counters, dtype=np.uint64).T.copy()
-    k0, k1 = (int(w) for w in key)
-    for r in range(_PHILOX_ROUNDS):
-        # A round maps (c0, c1, c2, c3) to
-        # (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)).
-        keys = np.array([[(k1 + r * _PHILOX_W[1]) % 2**64],
-                         [(k0 + r * _PHILOX_W[0]) % 2**64]], dtype=np.uint64)
-        hi, lo = _mulhilo(state[0::2])
-        hi ^= state[3:0:-2]
-        hi ^= keys
-        state[0::2], state[1::2] = hi[::-1], lo[::-1]
-    return state.T
-
-
-def _masked_halves(words: np.ndarray, mask: np.uint32, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 32-bit halves of uint64 words in order, low half of each word
-    first, masked to mask; and which of them are below p."""
-    halves = np.ascontiguousarray(words, dtype="<u8").view("<u4").ravel() & mask
-    return halves, halves < np.uint32(p)
-
-
 def _stream_blocks(need: np.ndarray, accept: float) -> np.ndarray:
     """Philox blocks of eight candidates to draw first for sets needing
     need[i] kept values each, a candidate being kept with probability
     accept: room for the expected rejections plus five standard
-    deviations, rounded down. A set that falls short draws again."""
+    deviations, rounded down. A set that falls short draws as many
+    again."""
     lost = need * (1 - accept)
     spare = np.floor((lost + 5 * np.sqrt(lost)) / accept)
     return np.ceil((need + spare) / 8).astype(np.int64)
@@ -299,63 +238,41 @@ def _coefficient_streams(key, taus, n: int, p: int) -> np.ndarray:
     (n, tau_i) coefficients; row l holds c_1..c_tau_i of coordinate l's
     polynomial.
 
-    Set i (counting from 1) draws blocks j = 0, 1, ... on counter
-    (j, i, 0, 0). Each block's four words give eight 32-bit halves, low
-    half first; each is masked to bitlength(p - 1) bits and kept only if
-    it is below p (< 2**32), so every kept value is exactly uniform on
-    [0, p). Set i's coefficients are its first n * tau_i kept values, row
-    by row: they depend on (key, i, n, tau_i) alone. Uniform coefficients
-    are what make any tau shares carry zero information about the secret;
-    restricting the top coefficient away from zero would skew the share
-    distribution by an s-dependent exclusion.
+    Set i (counting from 1) draws Philox4x64-10 blocks j = 0, 1, ... on
+    counter (j, i, 0, 0) (Salmon et al., "Parallel random numbers: as easy
+    as 1, 2, 3", SC 2011). Each block's four words give eight 32-bit
+    halves, low half first; each is masked to bitlength(p - 1) bits and
+    kept only if it is below p (< 2**32), so every kept value is exactly
+    uniform on [0, p). Set i's coefficients are its first n * tau_i kept
+    values, row by row: they depend on (key, i, n, tau_i) alone. Uniform
+    coefficients are what make any tau shares carry zero information about
+    the secret; restricting the top coefficient away from zero would skew
+    the share distribution by an s-dependent exclusion.
 
-    Sets whose streams need fewer than _LONG_STREAM_BLOCKS blocks run
-    through _philox4x64 together; each longer one draws the same words
-    from an np.random.Philox of its own.
+    One np.random.Philox under the key serves every set, moved to the
+    set's counters with advance: numpy adds one to its counter before each
+    block, so set i's block 0 follows counter i * 2**64 - 1. A set draws
+    the blocks _stream_blocks expects it to need, and as many again until
+    it has enough.
     """
     if p >= 2**32:
         raise ValueError(f"modulus {p} does not fit 32-bit candidates")
     taus = np.asarray(taus, dtype=np.int64)
-    need = n * taus
     bits = max(1, (p - 1).bit_length())
     mask = np.uint32((1 << bits) - 1)
-    blocks = _stream_blocks(need, p / 2**bits)
+    blocks = _stream_blocks(n * taus, p / 2**bits)
     out = np.empty((n, int(taus.sum())), dtype=np.int64)
-    starts = np.cumsum(taus) - taus
-    long = blocks >= _LONG_STREAM_BLOCKS
-    for i in np.flatnonzero(long).tolist():
-        # numpy's first block is that of its counter + 1, (0, i + 1, 0, 0),
-        # and each call goes on from the block after the last.
-        gen = np.random.Philox(key=key, counter=np.array([2**64 - 1, i, 0, 0], dtype=np.uint64))
-        values, have = [np.empty(0, dtype=np.uint32)], 0
-        while have < need[i]:
-            halves, keep = _masked_halves(gen.random_raw(4 * max(blocks[i], 1)), mask, p)
-            values.append(np.compress(keep, halves))
-            have += len(values[-1])
-        values = np.concatenate(values)[: need[i]]
-        out[:, starts[i] : starts[i] + taus[i]] = values.reshape(n, taus[i])
-    # The other sets' blocks in one run of the vectorized kernel.
-    sets = np.flatnonzero(~long)
-    s_blocks, s_taus, s_need = blocks[sets], taus[sets], need[sets]
-    while True:
-        first = np.cumsum(s_blocks) - s_blocks
-        counters = np.zeros((int(s_blocks.sum()), 4), dtype=np.uint64)
-        counters[:, 0] = np.arange(len(counters)) - np.repeat(first, s_blocks)
-        counters[:, 1] = np.repeat(sets + 1, s_blocks)
-        halves, keep = _masked_halves(_philox4x64(counters, key), mask, p)
-        del counters
-        # Candidates each set kept, from the rejected ones alone.
-        owner = np.repeat(np.arange(len(sets)), s_blocks)[np.flatnonzero(~keep) // 8]
-        have = 8 * s_blocks - np.bincount(owner, minlength=len(sets))
-        if (have >= s_need).all():
-            break
-        s_blocks = np.where(have < s_need, 2 * s_blocks + 1, s_blocks)
-    values = np.compress(keep, halves)
-    del halves, keep
-    # Entry (l, c) of a set's block is its kept value number l * tau + c.
-    base = np.cumsum(have) - have  # where each set's kept values start
-    col = np.repeat(base - np.cumsum(s_taus) + s_taus, s_taus) + np.arange(s_taus.sum())
-    out[:, np.repeat(~long, taus)] = values[col + np.arange(n)[:, None] * np.repeat(s_taus, s_taus)]
+    gen, at, start = np.random.Philox(key=key), 0, 0  # at: numpy's counter
+    for i, (tau, count) in enumerate(zip(taus.tolist(), blocks.tolist()), start=1):
+        gen.advance(i * 2**64 - 1 - at)
+        at = i * 2**64 - 1
+        kept = np.empty(0, dtype=np.uint32)
+        while len(kept) < n * tau:
+            halves = gen.random_raw(4 * count).astype("<u8", copy=False).view("<u4") & mask
+            kept = np.concatenate([kept, halves[halves < np.uint32(p)]])
+            at += count
+        out[:, start : start + tau] = kept[: n * tau].reshape(n, tau)
+        start += tau
     return out
 
 

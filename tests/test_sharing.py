@@ -321,23 +321,15 @@ def test_draw_coefficients_deterministic_per_seed():
 KEY = np.array([0x0123456789ABCDEF, 0xFEDCBA9876543210], dtype=np.uint64)
 
 
-@pytest.mark.parametrize("counter", [
-    [0, 0, 0, 0],
-    [7, 3, 0, 0],
-    [2**64 - 1, 5, 0, 0],  # the carry out of word 0
-    [2**64 - 2, 2**64 - 1, 9, 0],
-    [12345, 2**40, 2**63, 17],
-])
-def test_philox_kernel_matches_numpy(counter):
-    # numpy adds one to its counter before each block, so its first three
-    # blocks are those of counter + 1, + 2 and + 3 (carries included).
-    want = np.random.Philox(key=KEY, counter=np.array(counter, dtype=np.uint64)).random_raw(12)
-    value = sum(w << (64 * k) for k, w in enumerate(counter))
-    blocks = [[((value + step) % 2**256 >> (64 * k)) % 2**64 for k in range(4)]
-              for step in (1, 2, 3)]
-    got = sharing._philox4x64(np.array(blocks, dtype=np.uint64), KEY)
-    assert got.dtype == np.uint64 and got.shape == (3, 4)
-    assert got.ravel().tolist() == want.tolist()
+def philox_block(key, counter):
+    """The Philox4x64-10 block of a counter (four 64-bit words, word 0
+    lowest) under key, from a fresh np.random.Philox. numpy adds one to
+    its counter before each block, so it starts one below, borrowing from
+    the higher words when word 0 is 0."""
+    value = sum(w << (64 * k) for k, w in enumerate(counter)) - 1
+    below = [(value % 2**256 >> (64 * k)) % 2**64 for k in range(4)]
+    gen = np.random.Philox(key=key, counter=np.array(below, dtype=np.uint64))
+    return gen.random_raw(4).tolist()
 
 
 def reference_stream(key, i, count, p):
@@ -347,7 +339,7 @@ def reference_stream(key, i, count, p):
     mask = (1 << (p - 1).bit_length()) - 1
     out, j = [], 0
     while len(out) < count:
-        (block,) = sharing._philox4x64(np.array([[j, i, 0, 0]], dtype=np.uint64), key).tolist()
+        block = philox_block(key, [j, i, 0, 0])
         halves = [h & mask for word in block for h in (word & 0xFFFFFFFF, word >> 32)]
         out += [h for h in halves if h < p]
         j += 1
@@ -364,16 +356,10 @@ def test_coefficient_streams_follow_the_counter_layout(p, monkeypatch):
         want = np.array(reference_stream(KEY, i, n * tau, p), dtype=np.int64)
         assert got[:, start : start + tau].tolist() == want.reshape(n, tau).tolist()
         start += tau
-    # Long streams come from np.random.Philox itself, short ones from the
-    # vectorized kernel: the same values whichever side a set is on.
-    for blocks in (0, 3, 10**9):
-        monkeypatch.setattr(sharing, "_LONG_STREAM_BLOCKS", blocks)
-        assert np.array_equal(_coefficient_streams(KEY, taus, n, p), got)
-        # Sets that fall short of their first estimate draw again: starting
-        # from no blocks at all gives the same values.
-        with monkeypatch.context() as m:
-            m.setattr(sharing, "_stream_blocks", lambda need, accept: 0 * need)
-            assert np.array_equal(_coefficient_streams(KEY, taus, n, p), got)
+    # Sets that fall short of their first estimate go on drawing: one
+    # block at a time gives the same values.
+    monkeypatch.setattr(sharing, "_stream_blocks", lambda need, accept: np.ones_like(need))
+    assert np.array_equal(_coefficient_streams(KEY, taus, n, p), got)
 
 
 def test_coefficient_streams_depend_on_own_set_only():
@@ -381,6 +367,7 @@ def test_coefficient_streams_depend_on_own_set_only():
     full = _coefficient_streams(KEY, [3, 5, 2], 4, p)
     assert np.array_equal(_coefficient_streams(KEY, [9, 5], 4, p)[:, 9:], full[:, 3:8])
     assert np.array_equal(_coefficient_streams(KEY, [3], 4, p), full[:, :3])
+    assert _coefficient_streams(KEY, [], 4, p).shape == (4, 0)
     other = np.array([KEY[0], KEY[1] + np.uint64(1)], dtype=np.uint64)
     assert not np.array_equal(_coefficient_streams(other, [3, 5, 2], 4, p), full)
 
