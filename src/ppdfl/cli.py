@@ -5,7 +5,6 @@ leakage detected, 5 internal invariant failure.
 """
 
 import argparse
-import csv
 import functools
 import gc
 import hashlib
@@ -163,6 +162,33 @@ def _write_manifest(path: str, cfg, graphs, timings: dict) -> None:
         json.dump(manifest, fh, indent=2)
 
 
+def _csv_block(template: str, key: str, block) -> str:
+    """The rows of an (N, n) float block: template holds N*n rows
+    "%s,i,l,%r" with csv's line ending, and one % call fills each with key
+    and the plain repr of the cell's float."""
+    cells = [key] * (2 * block.size)
+    cells[1::2] = block.ravel().tolist()
+    return template % tuple(cells)
+
+
+def _write_csvs(out: str, cfg, transcript, trajectories: bool) -> None:
+    """decoded_models.csv and, with trajectories, trajectories.csv, as
+    csv.writer lays out one row per cell, written one block at a time:
+    per round, and per averaging step and round."""
+    template = "".join(f"%s,{i},{l},%r\r\n" for i in range(1, cfg.n_learners + 1)
+                       for l in range(cfg.model_dim))
+    with open(os.path.join(out, "decoded_models.csv"), "w", newline="") as fh:
+        fh.write("round,learner_id,coordinate,value\r\n")
+        for rec in transcript.rounds:
+            fh.write(_csv_block(template, str(rec.round_index), rec.decoded))
+    if trajectories:
+        with open(os.path.join(out, "trajectories.csv"), "w", newline="") as fh:
+            fh.write("round,iteration,learner_id,coordinate,value\r\n")
+            for rec in transcript.rounds:
+                for k, states in enumerate(rec.state_trajectory):
+                    fh.write(_csv_block(template, f"{rec.round_index},{k}", states))
+
+
 def _cmd_simulate(args) -> int:
     from .protocol import run_training
 
@@ -172,31 +198,13 @@ def _cmd_simulate(args) -> int:
     result = run_training(cfg, record_trajectory=args.trajectories)
     elapsed = time.perf_counter() - start
 
-    with open(os.path.join(args.out, "decoded_models.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "learner_id", "coordinate", "value"])
-        for rec in result.transcript.rounds:
-            for i in range(1, cfg.n_learners + 1):
-                for l in range(cfg.model_dim):
-                    writer.writerow([rec.round_index, i, l, repr(rec.decoded[i - 1, l])])
-
-    if args.trajectories:
-        with open(os.path.join(args.out, "trajectories.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "iteration", "learner_id", "coordinate", "value"])
-            for rec in result.transcript.rounds:
-                traj = rec.state_trajectory
-                for k in range(traj.shape[0]):
-                    for i in range(1, cfg.n_learners + 1):
-                        for l in range(cfg.model_dim):
-                            writer.writerow(
-                                [rec.round_index, k, i, l, repr(traj[k, i - 1, l])]
-                            )
-
+    start = time.perf_counter()
+    _write_csvs(args.out, cfg, result.transcript, args.trajectories)
     result.transcript.to_jsonl(
         os.path.join(args.out, "transcript.jsonl"),
         include_consensus=args.trajectories,
     )
+    written = time.perf_counter() - start
 
     summary = dict(result.summary)
     summary["total_seconds"] = elapsed
@@ -204,7 +212,7 @@ def _cmd_simulate(args) -> int:
         json.dump(summary, fh, indent=2)
     _write_manifest(os.path.join(args.out, "manifest.json"), cfg,
                     [rec.topology for rec in result.transcript.rounds],
-                    {"total_seconds": elapsed})
+                    {"total_seconds": elapsed, "write_seconds": written})
 
     deviation = summary["max_deviation"]
     print(f"rounds={cfg.rounds} max_deviation={deviation} elapsed={elapsed:.3f}s")

@@ -276,7 +276,8 @@ class RoundRecord:
 # to its phase, and the phase's own regex captures the payload texts from
 # the rest; a line in any other layout goes through json.loads, and its
 # payloads are dumped back to text. A consensus record is never parsed: its
-# regex admits only valid JSON, so a line it matches is skipped.
+# regex and the strict id-list check admit only valid JSON, so a line they
+# admit is skipped.
 _ID = r"(0|[1-9][0-9]*)"
 # An id is digits not led by a zero unless it is 0: a lookahead per id,
 # which the regex engine runs faster than an alternation.
@@ -292,24 +293,56 @@ _TAILS = {
                            + _NESTED + r', (".*)\}\}'),
     "shares": re.compile(r'"from": ' + _ID + r', "to": ' + _INTS + r', "payload": '
                          + _NESTED + r"\}"),
-    "state0": re.compile(r'"from": ' + _ID + r', "to": ' + _ID_LIST + r', "payload": '
+    "state0": re.compile(r'"from": ' + _ID + r', "to": (' + _ID_LIST + r'), "payload": '
                          + _INTS + r"\}"),
     "result": re.compile(r'"from": ' + _ID + r', "payload": ' + _FLOATS + r"\}"),
     "audit": re.compile(r'"from": ' + _ID + r', "payload": \{"secret": ' + _INTS
                         + r', "model": ' + _FLOATS + r"\}\}"),
-    "consensus": re.compile(r'"k": ' + _ID + r', "from": ' + _ID + r', "to": ' + _ID_LIST
-                            + r', "payload": ' + _NUMBER_LIST + r"\}"),
+    # The to list is taken up to the next quote; _admit_id_list then holds
+    # it to _ID_LIST.
+    "consensus": re.compile(r'"k": ' + _ID + r', "from": ' + _ID + r', "to": (\[[^"]*\]), '
+                            r'"payload": ' + _NUMBER_LIST + r"\}"),
 }
+_STRICT_ID_LIST = re.compile(_ID_LIST)
+
+
+def _admit_id_list(text: str, admitted: set[str]) -> bool:
+    """Whether text is an id list as _ID_LIST reads it; admitted keeps the
+    texts that are."""
+    if _STRICT_ID_LIST.fullmatch(text):
+        admitted.add(text)
+        return True
+    return False
+
 
 _DIGITS = b"0123456789"
 _TO_SPACES = bytes.maketrans(b"[],", b"   ")
+
+
+def _list_layout(count: int, item: str) -> str:
+    """A list of count items, each reading item, as json.dumps lays it out."""
+    return "[" + ", ".join([item] * count) + "]"
+
+
+class _ListLayouts(dict):
+    """_list_layout(count, item) by (count, item), each built once."""
+
+    def __missing__(self, key):
+        layout = self[key] = _list_layout(*key)
+        return layout
+
+
+def _json_rows(block: np.ndarray) -> list[str]:
+    """The rows of an (N, n) float block as json.dumps writes each row as a
+    list, less its brackets: one json.dumps for the whole block."""
+    return json.dumps(np.asarray(block, dtype=float).tolist())[2:-2].split("], [")
 
 
 def _skeletons(counts: list[int], item: str = "") -> str:
     """Lists of counts[0], counts[1], ... items as json.dumps lays them out,
     back to back and less their digits, each item reading `item` less its
     digits."""
-    lists = {k: "[" + ", ".join([item] * k) + "]" for k in set(counts)}
+    lists = {k: _list_layout(k, item) for k in set(counts)}
     return "".join(map(lists.__getitem__, counts))
 
 
@@ -464,9 +497,11 @@ def _collect_fields(per_round: dict, t: int, phase: str, fields: tuple) -> None:
         _file_topology(slot, t, payload)
     elif phase == "shares":
         slot["shares"].append((int(fields[0]), fields[1], fields[2]))
+    elif phase == "state0":
+        _file_record(slot, t, phase, int(fields[0]), fields[2])
     elif phase == "audit":
         _file_record(slot, t, phase, int(fields[0]), {"secret": fields[1], "model": fields[2]})
-    elif phase != "consensus":  # a consensus record only opens its round
+    else:
         _file_record(slot, t, phase, int(fields[0]), fields[1])
 
 
@@ -614,80 +649,70 @@ class Transcript:
     meta: dict
     rounds: list[RoundRecord] = field(default_factory=list)
 
-    def iter_messages(self, include_consensus: bool = True):
+    def _lines(self, include_consensus: bool):
+        """The transcript's lines: the meta record, then per round its
+        topology, shares, state0, (consensus,) result and audit records,
+        each line byte for byte json.dumps of its message.
+
+        Integer lists fill %-templates of their shapes, built once per
+        length; float lists come from one json.dumps per (N, n) block,
+        split into rows, so NaN, Infinity and float repr read as json.dumps
+        writes them. Each round's neighbour lists are rendered once, and
+        each record converts only its own rows.
+        """
+        yield json.dumps({"meta": self.meta}) + "\n"
+        lists = _ListLayouts()
         for rec in self.rounds:
             t, g = rec.round_index, rec.topology
-            yield {
-                "round": t,
-                "phase": "topology",
-                "payload": {
-                    "n_nodes": g.n_nodes,
-                    "edges": np.stack([g.src, g.dst], axis=1).tolist(),
-                    "k_used": rec.k_used,
-                    "lambda2": rec.lambda2,
-                    "rounding_margin": rec.rounding_margin,
-                },
-            }
+            edges = np.stack([g.src, g.dst], axis=1).ravel().tolist()
+            yield (
+                '{"round": %d, "phase": "topology", "payload": {"n_nodes": %d, "edges": %s, '
+                '"k_used": %s, "lambda2": %s, "rounding_margin": %s}}\n'
+            ) % (t, g.n_nodes, lists[len(edges) // 2, "[%d, %d]"] % tuple(edges),
+                 json.dumps(rec.k_used), json.dumps(rec.lambda2),
+                 json.dumps(rec.rounding_margin))
             # Learner i's block of the share table is one record: its closed
             # neighbourhood and one bundle per member.
             senders, receivers = share_pairs(g)
-            cuts = np.flatnonzero(np.diff(senders)) + 1
-            blocks = zip(np.split(receivers, cuts), np.split(rec.bundles, cuts))
-            for i, (to, rows) in enumerate(blocks, start=1):
-                yield {
-                    "round": t,
-                    "phase": "shares",
-                    "from": i,
-                    "to": to.tolist(),
-                    "payload": rows.tolist(),
-                }
+            bounds = [0, *(np.flatnonzero(np.diff(senders)) + 1).tolist(), len(senders)]
+            row = lists[rec.bundles.shape[1], "%d"]
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
+                yield (
+                    '{"round": %d, "phase": "shares", "from": %d, "to": ' + lists[hi - lo, "%d"]
+                    + ', "payload": ' + lists[hi - lo, row] + "}\n"
+                ) % (t, i, *receivers[lo:hi].tolist(), *rec.bundles[lo:hi].ravel().tolist())
             # A learner broadcasts each state to all its neighbours: one
             # record lists them.
-            nbrs = [heads.tolist() for heads in np.split(g.arc_head, g.indptr[1:-1])]
-            for i in range(1, g.n_nodes + 1):
-                yield {
-                    "round": t,
-                    "phase": "state0",
-                    "from": i,
-                    "to": nbrs[i - 1],
-                    "payload": rec.initial_states[i - 1].tolist(),
-                }
+            ptr = g.indptr.tolist()
+            nbrs = [lists[hi - lo, "%d"] % tuple(g.arc_head[lo:hi].tolist())
+                    for lo, hi in zip(ptr, ptr[1:])]
+            state0 = ('{"round": %d, "phase": "state0", "from": %d, "to": %s, "payload": '
+                      + lists[rec.initial_states.shape[1], "%d"] + "}\n")
+            for i, (to, states) in enumerate(zip(nbrs, rec.initial_states), start=1):
+                yield state0 % (t, i, to, *states.tolist())
             if include_consensus and rec.state_trajectory is not None:
                 for k in range(1, rec.state_trajectory.shape[0]):
-                    for i in range(1, g.n_nodes + 1):
-                        yield {
-                            "round": t,
-                            "phase": "consensus",
-                            "k": k,
-                            "from": i,
-                            "to": nbrs[i - 1],
-                            "payload": rec.state_trajectory[k, i - 1].tolist(),
-                        }
-            for i in range(1, g.n_nodes + 1):
-                yield {
-                    "round": t,
-                    "phase": "result",
-                    "from": i,
-                    "payload": [float(v) for v in rec.decoded[i - 1]],
-                }
+                    rows = _json_rows(rec.state_trajectory[k])
+                    for i, (to, states) in enumerate(zip(nbrs, rows), start=1):
+                        yield ('{"round": %d, "phase": "consensus", "k": %d, "from": %d, '
+                               '"to": %s, "payload": [%s]}\n') % (t, k, i, to, states)
+            for i, model in enumerate(_json_rows(rec.decoded), start=1):
+                yield '{"round": %d, "phase": "result", "from": %d, "payload": [%s]}\n' % (
+                    t, i, model)
             # Audit records carry ground truth for verification tooling;
             # they are not part of any adversary's view.
-            for i in range(1, g.n_nodes + 1):
-                yield {
-                    "round": t,
-                    "phase": "audit",
-                    "from": i,
-                    "payload": {
-                        "secret": [int(v) for v in rec.encoded_secrets[i - 1]],
-                        "model": [float(v) for v in rec.local_models[i - 1]],
-                    },
-                }
+            audit = ('{"round": %d, "phase": "audit", "from": %d, "payload": {"secret": '
+                     + lists[rec.encoded_secrets.shape[1], "%d"] + ', "model": [%s]}}\n')
+            models = _json_rows(rec.local_models)
+            for i, (secret, model) in enumerate(zip(rec.encoded_secrets, models), start=1):
+                yield audit % (t, i, *secret.tolist(), model)
 
     def to_jsonl(self, path: str, include_consensus: bool = True) -> None:
+        """Write the transcript as JSON lines, one record at a time;
+        consensus records only with include_consensus and a recorded
+        trajectory."""
         with open(path, "w") as fh:
-            fh.write(json.dumps({"meta": self.meta}) + "\n")
-            for msg in self.iter_messages(include_consensus):
-                fh.write(json.dumps(msg) + "\n")
+            fh.writelines(self._lines(include_consensus))
 
     @classmethod
     def from_jsonl(cls, path: str) -> "Transcript":
@@ -703,28 +728,38 @@ class Transcript:
         """
         meta: dict | None = None
         per_round: dict[int, dict] = {}
+        id_lists: set[str] = set()  # to lists _ID_LIST admits
         with open(path) as fh:
-            lines = fh.read().split("\n")
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            head = _HEAD.match(line)
-            tail = head and _TAILS.get(head[2])
-            fields = tail and tail.fullmatch(line, head.end())
-            try:
-                if fields:
-                    _collect_fields(per_round, int(head[1]), head[2], fields.groups())
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
                     continue
-                msg = json.loads(line)
-                if not isinstance(msg, dict):
-                    raise ValueError(f"transcript line {lineno} is not a JSON object")
-                if "meta" in msg and "round" not in msg:
-                    meta = msg["meta"]
-                    continue
-                _collect_message(per_round, msg)
-            except KeyError as exc:
-                raise ValueError(f"transcript line {lineno} lacks field {exc}") from None
+                head = _HEAD.match(line)
+                tail = head and _TAILS.get(head[2])
+                fields = tail and tail.fullmatch(line, head.end())
+                if fields and head[2] == "consensus":
+                    # A learner's to list repeats at every step, so each
+                    # distinct text meets the strict pattern once. The
+                    # record only opens its round.
+                    if fields[3] in id_lists or _admit_id_list(fields[3], id_lists):
+                        _slot(per_round, int(head[1]))
+                        continue
+                    fields = None
+                try:
+                    if fields:
+                        if head[2] == "state0":
+                            id_lists.add(fields[2])  # consensus records repeat it
+                        _collect_fields(per_round, int(head[1]), head[2], fields.groups())
+                        continue
+                    msg = json.loads(line)
+                    if not isinstance(msg, dict):
+                        raise ValueError(f"transcript line {lineno} is not a JSON object")
+                    if "meta" in msg and "round" not in msg:
+                        meta = msg["meta"]
+                        continue
+                    _collect_message(per_round, msg)
+                except KeyError as exc:
+                    raise ValueError(f"transcript line {lineno} lacks field {exc}") from None
         p, scale = _checked_meta(meta)
         rounds = []
         for t in sorted(per_round):

@@ -74,14 +74,45 @@ def test_simulate_manifest_digests_each_graph_once(tmp_path, monkeypatch):
 def test_simulate_reproducible_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
-    assert (out1 / "decoded_models.csv").read_bytes() == (
-        out2 / "decoded_models.csv"
-    ).read_bytes()
-    assert (out1 / "transcript.jsonl").read_bytes() == (
-        out2 / "transcript.jsonl"
-    ).read_bytes()
+    for out in (out1, out2):
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--trajectories"]) == 0
+    for name in ("decoded_models.csv", "trajectories.csv", "transcript.jsonl"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_simulate_csv_cells_are_plain_float_reprs(tmp_path):
+    from ppdfl.protocol import ProtocolConfig, run_training
+
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--trajectories"]) == 0
+    rounds = run_training(ProtocolConfig.from_json_file(cfg), record_trajectory=True)
+    rounds = rounds.transcript.rounds
+    with open(out / "decoded_models.csv", newline="") as fh:
+        decoded = list(csv.reader(fh))
+    assert len(decoded) == 1 + 2 * 6 * 2
+    for t, i, l, value in decoded[1:]:
+        recorded = rounds[int(t) - 1].decoded[int(i) - 1, int(l)]
+        assert value == repr(float(value)) and float(value) == recorded
+    with open(out / "trajectories.csv", newline="") as fh:
+        states = list(csv.reader(fh))
+    assert len(states) == 1 + sum(rec.state_trajectory.size for rec in rounds)
+    for t, k, i, l, value in states[1:]:
+        recorded = rounds[int(t) - 1].state_trajectory[int(k), int(i) - 1, int(l)]
+        assert value == repr(float(value)) and float(value) == recorded
+    # Every row ends in csv's terminator, as csv.writer writes it.
+    for name, rows in (("decoded_models.csv", decoded), ("trajectories.csv", states)):
+        data = (out / name).read_bytes()
+        assert data.count(b"\r\n") == data.count(b"\n") == len(rows)
+
+
+def test_simulate_manifest_reports_write_seconds(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert timings["write_seconds"] >= 0.0
+    assert timings["total_seconds"] >= 0.0
 
 
 def test_simulate_trajectories_flag(tmp_path):

@@ -374,7 +374,7 @@ def test_demo_share_stream_is_pinned():
 
 
 # sha256 of Transcript.to_jsonl's bytes for round 1 of configs/demo.json,
-# as version 0.5.0 writes them, with lambda2 and the rounding margin first
+# as versions 0.5.0 and 0.5.1 write them, with lambda2 and the rounding margin first
 # rounded to 6 digits: they come from LAPACK and float sums, whose last bits
 # may differ between hosts. The reader parses lines in exactly this layout
 # in bulk; a change to the layout must update this pin and the reader's
@@ -523,10 +523,13 @@ def test_transcript_jsonl_roundtrip(tmp_path):
         assert np.array_equal(back.bundles, orig.bundles)
 
 
-def test_transcript_message_phases():
+def test_transcript_message_phases(tmp_path):
     cfg = make_cfg(4, 1, 1, 2.0, rounds=1, seed=2)
     result = run_training(cfg, record_trajectory=True)
-    msgs = list(result.transcript.iter_messages())
+    path = tmp_path / "transcript.jsonl"
+    result.transcript.to_jsonl(str(path))
+    meta, *msgs = map(json.loads, path.read_text().splitlines())
+    assert meta == {"meta": result.transcript.meta}
     phases = {m["phase"] for m in msgs}
     assert phases == {"topology", "shares", "state0", "consensus", "result", "audit"}
     g = result.transcript.rounds[0].topology

@@ -525,3 +525,37 @@ def test_consensus_records_in_other_layouts_meet_json(tmp_path):
                 Transcript.from_jsonl(str(path))
         else:
             assert_same_rounds(Transcript.from_jsonl(str(path)), expected)
+
+
+def test_consensus_to_lists_meet_the_strict_pattern(tmp_path):
+    # A consensus to list is captured loosely and checked once per distinct
+    # text. A list json.dumps would not write goes through json.loads and
+    # meets its refusals, also after a valid list of the same learner was
+    # admitted.
+    lines = _written_lines(11, tmp_path)
+    record = {"round": 1, "phase": "consensus", "k": 1, "from": 2, "to": [1, 3],
+              "payload": [0.5, -1e-05]}
+    written = json.dumps(record)
+    path = tmp_path / "variant.jsonl"
+    variants = {
+        "as_written": ("[1, 3]", True),
+        "leading_zero": ("[01, 3]", False),
+        "trailing_comma": ("[1, 3, ]", False),
+        "empty_id": ("[1, , 3]", False),
+        "unclosed": ("[1, 3", False),
+        "compact": ("[1,3]", True),
+        "spaced": ("[ 1, 3 ]", True),
+        "negative_id": ("[-1, 3]", True),
+        "nested": ("[[1], 3]", True),
+        "empty": ("[]", True),
+    }
+    for name, (to, readable) in variants.items():
+        line = written.replace("[1, 3]", to)
+        path.write_text("\n".join([*lines, written, line, written]) + "\n")
+        expected = _read_or_none(oracle_read, path)
+        assert (expected is not None) == readable, name
+        if expected is None:
+            with pytest.raises(ValueError):
+                Transcript.from_jsonl(str(path))
+        else:
+            assert_same_rounds(Transcript.from_jsonl(str(path)), expected)
