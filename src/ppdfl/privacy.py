@@ -456,8 +456,7 @@ def adversary_infer(
     """
     if mode not in ("worst_case", "observed"):
         raise ValueError(f"unknown mode {mode!r}")
-    sigma = cfg.sigma if hasattr(cfg, "sigma") else int(transcript.meta["sigma"])
-    scale = 10**sigma
+    scale = 10**cfg.sigma
     p = cfg.prime
     if p <= adversaries.n_nodes:
         raise ValueError(f"modulus {p} does not exceed the {adversaries.n_nodes} learner ids")

@@ -18,13 +18,6 @@ current communication graph:
               masked states, which decodes to the weighted model average
               at sigma digits -- identical at every learner.
 
-The round's bundles form one int64 share table of N + 2|E| rows: row e is
-the bundle of the e-th (sender, receiver) pair of topology.share_pairs,
-and the graph alone fixes who sends what to whom. Masking is one
-reduction of that table by receiver. A transcript stores learner i's
-block of the table as one shares record, and read back it must hold
-exactly one bundle of n values for each of those pairs.
-
 Delivery is in-process and lossless. All randomness is drawn from
 substreams of the config seed: one numpy Generator per (round, learner)
 for the models and one Philox key per round, on per-learner counters, for
@@ -35,10 +28,9 @@ scheduling.
 from __future__ import annotations
 
 import json
-import re
+import os
 import time
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -49,7 +41,7 @@ from .consensus import (
     min_iterations,
     termination_inputs,
 )
-from .field import MAX_MODULUS_BITS, PrimeModulus
+from .field import PrimeModulus
 from .fixedpoint import (
     Precision,
     check_p_bound,
@@ -68,8 +60,8 @@ from .topology import (
     mh_edge_weights,
     mh_weights,
     second_largest_eigenvalue,
-    share_pairs,
 )
+from .transcript import RoundRecord, Transcript
 
 
 class ConfigError(ValueError):
@@ -175,64 +167,45 @@ class ProtocolConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping, base_dir: str = ".") -> "ProtocolConfig":
-        required = {
-            "n_learners",
-            "model_dim",
-            "sigma",
-            "prime",
-            "rounds",
-            "k_policy",
-            "weights",
-            "theta_max",
-            "seed",
-            "schedule",
-        }
-        missing = required - set(raw)
+        """The config raw holds; a schedule file path is taken relative to
+        base_dir. ConfigError names a field of the wrong type."""
+        missing = {f.name for f in fields(cls)} - set(raw)
         if missing:
             raise ConfigError(f"missing config fields: {sorted(missing)}")
-        schedule = _resolve_schedule(raw["schedule"], raw, base_dir)
-        return cls(
-            n_learners=int(raw["n_learners"]),
-            model_dim=int(raw["model_dim"]),
-            sigma=int(raw["sigma"]),
-            prime=int(raw["prime"]),
-            rounds=int(raw["rounds"]),
-            k_policy=raw["k_policy"],
-            weights=raw["weights"],
-            theta_max=float(raw["theta_max"]),
-            seed=int(raw["seed"]),
-            schedule=schedule,
-        )
+
+        def read(name, convert):
+            try:
+                return convert(raw[name])
+            except (TypeError, OverflowError) as exc:
+                raise ConfigError(f"config field {name!r}: {exc}") from None
+
+        # Every field but these is an integer; the schedule needs the others.
+        convert = {"k_policy": lambda policy: policy, "theta_max": float,
+                   "weights": lambda w: w if isinstance(w, str) else tuple(map(float, w))}
+        values = {f.name: read(f.name, convert.get(f.name, int))
+                  for f in fields(cls) if f.name != "schedule"}
+        values["schedule"] = read("schedule", lambda spec: _resolve_schedule(
+            spec, values["n_learners"], values["seed"], base_dir))
+        return cls(**values)
 
     @classmethod
-    def from_json_file(cls, path: str, base_dir: str | None = None) -> "ProtocolConfig":
-        import os
-
+    def from_json_file(cls, path: str, seed: int | None = None) -> "ProtocolConfig":
+        """The config in a JSON file, its seed replaced by seed when given."""
         with open(path) as fh:
             raw = json.load(fh)
         if not isinstance(raw, Mapping):
             raise ConfigError("config file must hold a JSON object")
-        return cls.from_dict(raw, base_dir or os.path.dirname(path) or ".")
+        if seed is not None:
+            raw["seed"] = seed
+        return cls.from_dict(raw, os.path.dirname(path) or ".")
 
     def to_dict(self) -> dict:
-        return {
-            "n_learners": self.n_learners,
-            "model_dim": self.model_dim,
-            "sigma": self.sigma,
-            "prime": self.prime,
-            "rounds": self.rounds,
-            "k_policy": self.k_policy,
-            "weights": list(self.weights),
-            "theta_max": self.theta_max,
-            "seed": self.seed,
-            "schedule": self.schedule.to_json(self.rounds),
-        }
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**raw, "weights": list(self.weights),
+                "schedule": self.schedule.to_json(self.rounds)}
 
 
-def _resolve_schedule(spec, raw: Mapping, base_dir: str) -> TopologySchedule:
-    import os
-
-    n = int(raw["n_learners"])
+def _resolve_schedule(spec, n: int, seed: int, base_dir: str) -> TopologySchedule:
     if isinstance(spec, str):
         path = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
         return TopologySchedule.from_file(path, n_nodes=n)
@@ -243,591 +216,13 @@ def _resolve_schedule(spec, raw: Mapping, base_dir: str) -> TopologySchedule:
         return TopologySchedule.generated(
             kind,
             n,
-            seed=int(spec.get("seed", raw["seed"])),
+            seed=int(spec.get("seed", seed)),
             avg_degree=spec.get("avg_degree"),
         )
     if isinstance(spec, list):
         graphs = [RoundTopology(n, edges) for edges in spec]
         return TopologySchedule.from_graphs(graphs)
     raise ConfigError("schedule must be a file path, generator spec, or edge lists")
-
-
-@dataclass
-class RoundRecord:
-    """Everything one aggregation round produced, messages included."""
-
-    round_index: int
-    topology: RoundTopology
-    k_used: int
-    lambda2: float
-    bundles: np.ndarray  # (N + 2|E|, n) int64 share table, share_pairs order
-    initial_states: np.ndarray  # (N, n) int64 masked states
-    encoded_secrets: np.ndarray  # (N, n) int64, for auditing only
-    local_models: np.ndarray  # (N, n) float
-    rounded: np.ndarray  # (N, n) int64 residues after readback
-    decoded: np.ndarray  # (N, n) float, identical rows
-    rounding_margin: float
-    state_trajectory: np.ndarray | None = None
-    timings: dict[str, float] = field(default_factory=dict)
-
-
-# A round's records hold their payloads as JSON text, parsed in bulk once
-# the round is complete. One regex reads a line in the writer's layout up
-# to its phase, and the phase's own regex captures the payload texts from
-# the rest; a line in any other layout goes through json.loads, and its
-# payloads are dumped back to text. A consensus record is never parsed: its
-# regex and the strict id-list check admit only valid JSON, so a line they
-# admit is skipped.
-_ID = r"(0|[1-9][0-9]*)"
-# An id is digits not led by a zero unless it is 0: a lookahead per id,
-# which the regex engine runs faster than an alternation.
-_ID_LIST = r"\[(?:(?!0[0-9])[0-9]+(?:, (?!0[0-9])[0-9]+)*)?\]"
-_INTS = r"(\[[0-9, ]*\])"
-_NESTED = r"(\[[0-9, \[\]]*\])"
-_FLOATS = r"(\[[-+.0-9eE, NaInfity]*\])"
-_NUMBER = r"(?:-?(?:[1-9][0-9]*|0)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity)"
-_NUMBER_LIST = r"\[(?:" + _NUMBER + r"(?:, " + _NUMBER + r")*)?\]"
-_HEAD = re.compile(r'\{"round": ' + _ID + r', "phase": "([a-z0-9]+)", ')
-_TAILS = {
-    "topology": re.compile(r'"payload": \{"n_nodes": ' + _ID + r', "edges": '
-                           + _NESTED + r', (".*)\}\}'),
-    "shares": re.compile(r'"from": ' + _ID + r', "to": ' + _INTS + r', "payload": '
-                         + _NESTED + r"\}"),
-    "state0": re.compile(r'"from": ' + _ID + r', "to": (' + _ID_LIST + r'), "payload": '
-                         + _INTS + r"\}"),
-    "result": re.compile(r'"from": ' + _ID + r', "payload": ' + _FLOATS + r"\}"),
-    "audit": re.compile(r'"from": ' + _ID + r', "payload": \{"secret": ' + _INTS
-                        + r', "model": ' + _FLOATS + r"\}\}"),
-    # The to list is taken up to the next quote; _admit_id_list then holds
-    # it to _ID_LIST.
-    "consensus": re.compile(r'"k": ' + _ID + r', "from": ' + _ID + r', "to": (\[[^"]*\]), '
-                            r'"payload": ' + _NUMBER_LIST + r"\}"),
-}
-_STRICT_ID_LIST = re.compile(_ID_LIST)
-
-
-def _admit_id_list(text: str, admitted: set[str]) -> bool:
-    """Whether text is an id list as _ID_LIST reads it; admitted keeps the
-    texts that are."""
-    if _STRICT_ID_LIST.fullmatch(text):
-        admitted.add(text)
-        return True
-    return False
-
-
-_DIGITS = b"0123456789"
-_TO_SPACES = bytes.maketrans(b"[],", b"   ")
-
-
-def _list_layout(count: int, item: str) -> str:
-    """A list of count items, each reading item, as json.dumps lays it out."""
-    return "[" + ", ".join([item] * count) + "]"
-
-
-class _ListLayouts(dict):
-    """_list_layout(count, item) by (count, item), each built once."""
-
-    def __missing__(self, key):
-        layout = self[key] = _list_layout(*key)
-        return layout
-
-
-def _json_rows(block: np.ndarray) -> list[str]:
-    """The rows of an (N, n) float block as json.dumps writes each row as a
-    list, less its brackets: one json.dumps for the whole block."""
-    return json.dumps(np.asarray(block, dtype=float).tolist())[2:-2].split("], [")
-
-
-def _skeletons(counts: list[int], item: str = "") -> str:
-    """Lists of counts[0], counts[1], ... items as json.dumps lays them out,
-    back to back and less their digits, each item reading `item` less its
-    digits."""
-    lists = {k: _list_layout(k, item) for k in set(counts)}
-    return "".join(map(lists.__getitem__, counts))
-
-
-def _int_text(texts: list[str], skeleton: str, count: int) -> np.ndarray | None:
-    """The integers of texts, JSON lists as json.dumps lays them out, as one
-    int64 array in text order; None unless the texts less their digits read
-    exactly skeleton and each of its count slots holds one integer of at
-    most 18 digits without leading zeros.
-
-    The skeleton fixes the brackets, separators and so the width of every
-    list; a bounded number of array passes over the joined bytes checks the
-    digits and converts them, with no work per text.
-    """
-    raw = "".join(texts).encode()
-    if raw.translate(None, _DIGITS) != skeleton.encode():
-        return None
-    chars = np.frombuffer(raw, dtype=np.uint8)
-    digit = (chars - 48) < 10  # uint8 wraps below "0"
-    # A run of digits starts after "[" or " " and ends before "," or "]";
-    # with the skeleton's separators in place, only a slot is such a gap.
-    stray = digit[1:] & ((chars[:-1] == 93) | (chars[:-1] == 44))
-    stray |= digit[:-1] & ((chars[1:] == 91) | (chars[1:] == 32))
-    if stray.any():
-        return None
-    # The runs fill every slot when there are as many as slots.
-    if np.count_nonzero(digit[1:] & ~digit[:-1]) != count:
-        return None
-    if not count:
-        return np.empty(0, dtype=np.int64)
-    leading_zero = (chars[1:-1] == 48) & ~digit[:-2] & digit[2:]
-    if leading_zero.any():
-        return None
-    values = np.fromstring(raw.translate(_TO_SPACES), dtype=np.int64, sep=" ")
-    # A run of more than 18 digits reads as at least 10**18, as fromstring
-    # saturates beyond int64.
-    if len(values) != count or values.max() >= 10**18:
-        return None
-    return values
-
-
-def _json_int_lists(items: list, depth: int):
-    """(values, sizes) of the JSON lists items, nested depth deep: values
-    holds every integer as int64 in order, and sizes[l] the item counts of
-    the lists at nesting level l+1, sizes[0] one per item. Where a list
-    belongs but something else stands, it reads as a list of one value; a
-    value that is not a JSON integer in [0, 2**63) reads as -1."""
-    sizes = []
-    for _ in range(depth):
-        items = [x if type(x) is list else [None] for x in items]
-        sizes.append(np.fromiter(map(len, items), dtype=np.int64, count=len(items)))
-        items = list(chain.from_iterable(items))
-    values = np.fromiter(
-        (v if type(v) is int and 0 <= v < 2**63 else -1 for v in items),
-        dtype=np.int64, count=len(items),
-    )
-    return values, sizes
-
-
-def _float_rows(texts: list[str]) -> np.ndarray:
-    """The result or audit model lists of learners 1..N as one float array.
-    Each text is one JSON list or no JSON at all, so one json.loads reads
-    them all or fails as it would on the text alone."""
-    return np.array(json.loads("[" + ", ".join(texts) + "]"), dtype=float)
-
-
-def _check_residues(t: int, phase: str, owners, counts: np.ndarray,
-                    values: np.ndarray, p: int) -> None:
-    """ValueError naming the learner whose record holds a value outside
-    [0, p); record k is owners[k]'s and holds the next counts[k] values."""
-    bad = (values < 0) | (values >= p)
-    if bad.any():
-        k = int(np.searchsorted(np.cumsum(counts), np.argmax(bad), side="right"))
-        raise ValueError(
-            f"transcript round {t} {phase} record of learner {owners[k]} holds a "
-            f"value that is not an integer in [0, {p})"
-        )
-
-
-def _residue_rows(t: int, phase: str, texts: list[str], p: int) -> np.ndarray:
-    """The state0 or audit secret lists of learners 1..N as one (N, n)
-    int64 block; ValueError on a value outside [0, p) or unequal lists.
-    Lists in the writer's layout are parsed in one _int_text call."""
-    sizes = [text.count(",") + 1 for text in texts]
-    values = _int_text(texts, _skeletons(sizes), sum(sizes))
-    if values is None:
-        values, (sizes,) = _json_int_lists(list(map(json.loads, texts)), 1)
-    sizes = np.asarray(sizes)
-    _check_residues(t, phase, range(1, len(texts) + 1), sizes, values, p)
-    if (sizes != sizes[0]).any():
-        raise ValueError(f"transcript round {t} has records of unequal length")
-    return values.reshape(len(texts), sizes[0])
-
-
-def _slot(per_round: dict, t) -> dict:
-    """The records collected so far of round t."""
-    slot = per_round.get(t)
-    if slot is None:
-        slot = per_round[t] = {
-            "shares": [], "state0": {}, "result": {}, "audit": {}, "models": {},
-            "topology": None, "k_used": 0, "lambda2": 0.0,
-            "rounding_margin": float("nan"),
-        }
-    return slot
-
-
-def _edge_pairs(text: str):
-    """The edges of a topology record as an (E, 2) int64 array; edges in
-    another layout, or not all pairs, as their JSON value."""
-    pairs = text.count("[") - 1
-    ids = _int_text([text], _skeletons([pairs], "[, ]"), 2 * pairs)
-    return json.loads(text) if ids is None else ids.reshape(pairs, 2)
-
-
-def _file_topology(slot: dict, t, payload: dict) -> None:
-    """File a topology record; ValueError if it repeats the round's or
-    holds no valid graph."""
-    if slot["topology"] is not None:
-        raise ValueError(f"transcript round {t} repeats its topology record")
-    try:
-        slot["topology"] = RoundTopology(payload["n_nodes"], payload["edges"])
-    except ValueError as exc:
-        raise ValueError(f"transcript round {t} topology record: {exc}") from None
-    slot["k_used"] = payload["k_used"]
-    slot["lambda2"] = payload.get("lambda2", 0.0)
-    slot["rounding_margin"] = payload.get("rounding_margin", float("nan"))
-
-
-def _file_record(slot: dict, t, phase: str, sender, payload, legacy: bool = False) -> None:
-    """File a state0, result or audit record; ValueError if it repeats
-    another of its learner's."""
-    records = slot[phase]
-    if sender in records:
-        # Older transcripts repeat a learner's state0 broadcast once per
-        # edge, each record naming one receiver.
-        if legacy and json.loads(records[sender]) == json.loads(payload):
-            return
-        raise ValueError(f"transcript round {t} repeats the {phase} record of learner {sender}")
-    if phase == "audit":
-        slot["models"][sender] = payload["model"]
-        payload = payload["secret"]
-    records[sender] = payload
-
-
-def _collect_fields(per_round: dict, t: int, phase: str, fields: tuple) -> None:
-    """File a line in the writer's layout from its captured fields."""
-    slot = _slot(per_round, t)
-    if phase == "topology":
-        n_nodes, edges, rest = fields
-        # Keys repeated in the rest of the payload win, as in json.loads.
-        payload = {"n_nodes": int(n_nodes), **json.loads("{" + rest + "}")}
-        payload.setdefault("edges", _edge_pairs(edges))
-        _file_topology(slot, t, payload)
-    elif phase == "shares":
-        slot["shares"].append((int(fields[0]), fields[1], fields[2]))
-    elif phase == "state0":
-        _file_record(slot, t, phase, int(fields[0]), fields[2])
-    elif phase == "audit":
-        _file_record(slot, t, phase, int(fields[0]), {"secret": fields[1], "model": fields[2]})
-    else:
-        _file_record(slot, t, phase, int(fields[0]), fields[1])
-
-
-def _collect_message(per_round: dict, msg: dict) -> None:
-    """File a transcript message json.loads read; KeyError on a missing
-    field, ValueError on a record that repeats another."""
-    t = msg["round"]
-    slot = _slot(per_round, t)
-    phase = msg["phase"]
-    if phase == "topology":
-        _file_topology(slot, t, msg["payload"])
-    elif phase == "shares":
-        to, rows = msg["to"], msg["payload"]
-        # A per-pair record of an older transcript, whose "to" is one id, is
-        # a one-row block.
-        if isinstance(to, int):
-            to, rows = [to], [rows]
-        slot["shares"].append((msg["from"], json.dumps(to), json.dumps(rows)))
-    elif phase in ("state0", "result", "audit"):
-        payload = msg["payload"]
-        if phase == "audit":
-            payload = {"secret": json.dumps(payload["secret"]),
-                       "model": json.dumps(payload["model"])}
-        else:
-            payload = json.dumps(payload)
-        legacy = phase == "state0" and isinstance(msg.get("to"), int)
-        _file_record(slot, t, phase, msg["from"], payload, legacy)
-
-
-def _learner_ids(t: int, values: list) -> np.ndarray:
-    """Senders or receivers of round t's bundles as int64; ValueError unless
-    every one is an integer."""
-    try:
-        ids = np.array(values, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        ids = None
-    if ids is None or ids.ndim != 1 or ids.tolist() != values:
-        raise _id_error(t)
-    return ids
-
-
-def _id_error(t: int) -> ValueError:
-    return ValueError(
-        f"transcript round {t} has a share bundle whose sender or receiver "
-        "is not an integer"
-    )
-
-
-def _share_records(t: int, records: list, width: int, p: int):
-    """(senders, receivers, lengths, values) of round t's share bundles from
-    its shares records: bundle e goes from senders[e] to receivers[e] and
-    holds the next lengths[e] of values. ValueError on a record whose lists
-    differ in length, an id that is not an integer, or a value outside
-    [0, p).
-
-    When every record is in the writer's layout with bundles of the given
-    width, two _int_text calls read them all.
-    """
-    senders = [sender for sender, _, _ in records]
-    tos = [to for _, to, _ in records]
-    payloads = [rows for _, _, rows in records]
-    counts = [to.count(",") + 1 for to in tos]
-    receivers = _int_text(tos, _skeletons(counts), sum(counts))
-    values = None if receivers is None else _int_text(
-        payloads, _skeletons(counts, _skeletons([width])), sum(counts) * width
-    )
-    if values is not None:
-        counts = np.array(counts, dtype=np.int64)
-        lengths = np.full(len(receivers), width)
-    else:
-        tos = list(map(json.loads, tos))
-        if any(type(to) is not list for to in tos):
-            raise _id_error(t)
-        values, (counts, lengths) = _json_int_lists(list(map(json.loads, payloads)), 2)
-        for k, to in enumerate(tos):
-            if len(to) != counts[k]:
-                raise ValueError(
-                    f"transcript round {t} shares record of learner {senders[k]} lists "
-                    f"{len(to)} receivers but carries {counts[k]} bundles"
-                )
-        receivers = _learner_ids(t, list(chain.from_iterable(tos)))
-    # Only records with bundles name a sender of one.
-    sending = counts > 0
-    ids = _learner_ids(t, [s for s, k in zip(senders, sending.tolist()) if k])
-    value_ends = np.concatenate([[0], np.cumsum(lengths)])
-    row_ends = np.concatenate([[0], np.cumsum(counts)])
-    _check_residues(t, "shares", senders, np.diff(value_ends[row_ends]), values, p)
-    return np.repeat(ids, counts[sending]), receivers, lengths, values
-
-
-def _share_table(t: int, g: RoundTopology, senders: np.ndarray, receivers: np.ndarray,
-                 lengths: np.ndarray, values: np.ndarray, width: int) -> np.ndarray:
-    """The share table of round t from _share_records' bundles; ValueError
-    names the first bundle that is repeated, missing, of the wrong length,
-    or between learners that are not neighbours.
-
-    Each bundle is keyed sender*(N+1) + receiver, which is unique for ids in
-    1..N and increasing in share_pairs order.
-    """
-    n = g.n_nodes
-    inside = (senders >= 1) & (senders <= n) & (receivers >= 1) & (receivers <= n)
-    # An id outside 1..N gets a key of its own, so it can only be a stray.
-    key = np.where(inside, senders * (n + 1) + receivers, -1 - np.arange(len(lengths)))
-    order = np.argsort(key, kind="stable")
-    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
-    if repeats.size:
-        e = repeats.min()  # the first record to repeat an earlier one
-        raise ValueError(
-            f"transcript round {t} repeats share bundle {senders[e]}->{receivers[e]}"
-        )
-    want_s, want_r = share_pairs(g)
-    wanted = want_s * (n + 1) + want_r
-    slot_of = np.minimum(np.searchsorted(wanted, key), len(wanted) - 1)
-    found = wanted[slot_of] == key
-    source = np.full(len(wanted), -1)  # row of each wanted bundle, -1 if absent
-    source[slot_of[found]] = np.flatnonzero(found)
-    present = source >= 0
-    bad = ~present
-    bad[present] = lengths[source[present]] != width
-    if bad.any():
-        e = int(np.argmax(bad))
-        i, j = want_s[e], want_r[e]
-        if not present[e]:
-            raise ValueError(f"transcript round {t} lacks share bundle {i}->{j}")
-        raise ValueError(
-            f"transcript round {t} share bundle {i}->{j} carries "
-            f"{lengths[source[e]]} values, expected {width}"
-        )
-    if not found.all():
-        stray = np.flatnonzero(~found)
-        e = stray[np.lexsort((receivers[stray], senders[stray]))[0]]
-        raise ValueError(
-            f"transcript round {t} has share bundle {senders[e]}->{receivers[e]} "
-            "between learners that are not neighbours"
-        )
-    # Every bundle is now a wanted one of the given width.
-    return values.reshape(len(lengths), width)[source]
-
-
-@dataclass
-class Transcript:
-    """All messages of a run, one record per (round, phase, sender); the "to"
-    of a record sent to other learners lists them."""
-
-    meta: dict
-    rounds: list[RoundRecord] = field(default_factory=list)
-
-    def _lines(self, include_consensus: bool):
-        """The transcript's lines: the meta record, then per round its
-        topology, shares, state0, (consensus,) result and audit records,
-        each line byte for byte json.dumps of its message.
-
-        Integer lists fill %-templates of their shapes, built once per
-        length; float lists come from one json.dumps per (N, n) block,
-        split into rows, so NaN, Infinity and float repr read as json.dumps
-        writes them. Each round's neighbour lists are rendered once, and
-        each record converts only its own rows.
-        """
-        yield json.dumps({"meta": self.meta}) + "\n"
-        lists = _ListLayouts()
-        for rec in self.rounds:
-            t, g = rec.round_index, rec.topology
-            edges = np.stack([g.src, g.dst], axis=1).ravel().tolist()
-            yield (
-                '{"round": %d, "phase": "topology", "payload": {"n_nodes": %d, "edges": %s, '
-                '"k_used": %s, "lambda2": %s, "rounding_margin": %s}}\n'
-            ) % (t, g.n_nodes, lists[len(edges) // 2, "[%d, %d]"] % tuple(edges),
-                 json.dumps(rec.k_used), json.dumps(rec.lambda2),
-                 json.dumps(rec.rounding_margin))
-            # Learner i's block of the share table is one record: its closed
-            # neighbourhood and one bundle per member.
-            senders, receivers = share_pairs(g)
-            bounds = [0, *(np.flatnonzero(np.diff(senders)) + 1).tolist(), len(senders)]
-            row = lists[rec.bundles.shape[1], "%d"]
-            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=1):
-                yield (
-                    '{"round": %d, "phase": "shares", "from": %d, "to": ' + lists[hi - lo, "%d"]
-                    + ', "payload": ' + lists[hi - lo, row] + "}\n"
-                ) % (t, i, *receivers[lo:hi].tolist(), *rec.bundles[lo:hi].ravel().tolist())
-            # A learner broadcasts each state to all its neighbours: one
-            # record lists them.
-            ptr = g.indptr.tolist()
-            nbrs = [lists[hi - lo, "%d"] % tuple(g.arc_head[lo:hi].tolist())
-                    for lo, hi in zip(ptr, ptr[1:])]
-            state0 = ('{"round": %d, "phase": "state0", "from": %d, "to": %s, "payload": '
-                      + lists[rec.initial_states.shape[1], "%d"] + "}\n")
-            for i, (to, states) in enumerate(zip(nbrs, rec.initial_states), start=1):
-                yield state0 % (t, i, to, *states.tolist())
-            if include_consensus and rec.state_trajectory is not None:
-                for k in range(1, rec.state_trajectory.shape[0]):
-                    rows = _json_rows(rec.state_trajectory[k])
-                    for i, (to, states) in enumerate(zip(nbrs, rows), start=1):
-                        yield ('{"round": %d, "phase": "consensus", "k": %d, "from": %d, '
-                               '"to": %s, "payload": [%s]}\n') % (t, k, i, to, states)
-            for i, model in enumerate(_json_rows(rec.decoded), start=1):
-                yield '{"round": %d, "phase": "result", "from": %d, "payload": [%s]}\n' % (
-                    t, i, model)
-            # Audit records carry ground truth for verification tooling;
-            # they are not part of any adversary's view.
-            audit = ('{"round": %d, "phase": "audit", "from": %d, "payload": {"secret": '
-                     + lists[rec.encoded_secrets.shape[1], "%d"] + ', "model": [%s]}}\n')
-            models = _json_rows(rec.local_models)
-            for i, (secret, model) in enumerate(zip(rec.encoded_secrets, models), start=1):
-                yield audit % (t, i, *secret.tolist(), model)
-
-    def to_jsonl(self, path: str, include_consensus: bool = True) -> None:
-        """Write the transcript as JSON lines, one record at a time;
-        consensus records only with include_consensus and a recorded
-        trajectory."""
-        with open(path, "w") as fh:
-            fh.writelines(self._lines(include_consensus))
-
-    @classmethod
-    def from_jsonl(cls, path: str) -> "Transcript":
-        """Read a transcript back; raises ValueError naming any record the
-        rounds cannot be rebuilt without, and any share, state0 or audit
-        secret value that is not an integer in [0, p).
-
-        A line in the writer's layout is split by regex, and each round's
-        integer payloads are parsed in bulk by _int_text; a consensus record
-        in that layout is skipped unparsed. Any other line, and any payload
-        the bulk parse refuses, goes through json.loads; both routes meet
-        the same checks.
-        """
-        meta: dict | None = None
-        per_round: dict[int, dict] = {}
-        id_lists: set[str] = set()  # to lists _ID_LIST admits
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                head = _HEAD.match(line)
-                tail = head and _TAILS.get(head[2])
-                fields = tail and tail.fullmatch(line, head.end())
-                if fields and head[2] == "consensus":
-                    # A learner's to list repeats at every step, so each
-                    # distinct text meets the strict pattern once. The
-                    # record only opens its round.
-                    if fields[3] in id_lists or _admit_id_list(fields[3], id_lists):
-                        _slot(per_round, int(head[1]))
-                        continue
-                    fields = None
-                try:
-                    if fields:
-                        if head[2] == "state0":
-                            id_lists.add(fields[2])  # consensus records repeat it
-                        _collect_fields(per_round, int(head[1]), head[2], fields.groups())
-                        continue
-                    msg = json.loads(line)
-                    if not isinstance(msg, dict):
-                        raise ValueError(f"transcript line {lineno} is not a JSON object")
-                    if "meta" in msg and "round" not in msg:
-                        meta = msg["meta"]
-                        continue
-                    _collect_message(per_round, msg)
-                except KeyError as exc:
-                    raise ValueError(f"transcript line {lineno} lacks field {exc}") from None
-        p, scale = _checked_meta(meta)
-        rounds = []
-        for t in sorted(per_round):
-            slot = per_round[t]
-            g = slot["topology"]
-            if g is None:
-                raise ValueError(f"transcript round {t} lacks a topology record")
-            n = g.n_nodes
-            if n != meta["n_learners"]:
-                raise ValueError(
-                    f"transcript round {t} topology has {n} nodes but the meta "
-                    f"record has n_learners={meta['n_learners']!r}"
-                )
-            for phase in ("state0", "result", "audit"):
-                missing = sorted(set(range(1, n + 1)) - slot[phase].keys())
-                if missing:
-                    raise ValueError(
-                        f"transcript round {t} lacks {phase} records of "
-                        f"learners {', '.join(map(str, missing))}"
-                    )
-            learners = range(1, n + 1)
-            s0 = _residue_rows(t, "state0", [slot["state0"][i] for i in learners], p)
-            secrets = _residue_rows(t, "audit", [slot["audit"][i] for i in learners], p)
-            models = _float_rows([slot["models"][i] for i in learners])
-            decoded = _float_rows([slot["result"][i] for i in learners])
-            if len({arr.shape for arr in (s0, secrets, models, decoded)}) > 1:
-                raise ValueError(f"transcript round {t} has records of unequal length")
-            width = s0.shape[1]
-            bundles = _share_table(t, g, *_share_records(t, slot["shares"], width, p), width)
-            rounded = np.round(decoded * scale).astype(np.int64) % p
-            rounds.append(
-                RoundRecord(
-                    round_index=t,
-                    topology=g,
-                    k_used=slot["k_used"],
-                    lambda2=slot["lambda2"],
-                    bundles=bundles,
-                    initial_states=s0,
-                    encoded_secrets=secrets,
-                    local_models=models,
-                    rounded=rounded,
-                    decoded=decoded,
-                    rounding_margin=slot["rounding_margin"],
-                )
-            )
-        return cls(meta=meta, rounds=rounds)
-
-
-def _checked_meta(meta) -> tuple[int, int]:
-    """(p, 10**sigma) of a transcript's meta record; ValueError unless it
-    holds n_learners, prime and sigma as JSON integers, with p in the range
-    a modulus may take and sigma not negative."""
-    if meta is None:
-        raise ValueError("transcript lacks its meta record")
-    if not isinstance(meta, dict):
-        raise ValueError("transcript meta record is not a JSON object")
-    missing = [key for key in ("n_learners", "prime", "sigma") if key not in meta]
-    if missing:
-        raise ValueError(f"transcript meta record lacks {missing}")
-    for key in ("n_learners", "prime", "sigma"):
-        if type(meta[key]) is not int:
-            raise ValueError(f"transcript meta record has {key}={meta[key]!r}, not an integer")
-    p, sigma = meta["prime"], meta["sigma"]
-    if not 2 <= p < 2**MAX_MODULUS_BITS:
-        raise ValueError(f"transcript meta record has prime={p}, outside [2, 2**{MAX_MODULUS_BITS})")
-    if sigma < 0:
-        raise ValueError(f"transcript meta record has sigma={sigma}, below 0")
-    return p, 10**sigma
 
 
 def quantized_aggregate(

@@ -588,6 +588,46 @@ def test_privacy_transcript_meta_n_learners_differs_from_topology_exits_config(
             f"n_learners={n_learners}") in err
 
 
+@pytest.mark.parametrize("phase, edit, key, kind", [
+    pytest.param("result", {"round": "x"}, "round", "integer", id="round_a_string"),
+    pytest.param("result", {"round": [1]}, "round", "integer", id="round_a_list"),
+    pytest.param("result", {"from": [1]}, "from", "integer", id="from_a_list"),
+    pytest.param("topology", {"round": 99, "payload": 5}, "payload", "object",
+                 id="topology_payload_a_number"),
+    pytest.param("audit", {"payload": [1]}, "payload", "object", id="audit_payload_a_list"),
+])
+def test_privacy_transcript_field_of_wrong_type_exits_config(
+        tmp_path, capsys, phase, edit, key, kind):
+    # An appended record in another layout goes through json.loads, whose
+    # fields must have the types the layout table names.
+    msgs = _demo_messages(tmp_path)
+    msgs.append({**next(m for m in msgs if m.get("phase") == phase), **edit})
+    err = _privacy_error(tmp_path, capsys, msgs)
+    assert f"transcript line {len(msgs)} field {key!r} is not a JSON {kind}" in err
+
+
+@pytest.mark.parametrize("raw, command", [
+    pytest.param(5, "bounds", id="file_holds_a_number"),
+    pytest.param([1, 2], "simulate", id="file_holds_a_list_with_seed"),
+    pytest.param({"n_learners": None}, "bounds", id="n_learners_null"),
+    pytest.param({"weights": 5}, "bounds", id="weights_a_number"),
+    pytest.param({"theta_max": [1]}, "bounds", id="theta_max_a_list"),
+])
+def test_config_of_wrong_type_exits_config(tmp_path, capsys, raw, command):
+    if isinstance(raw, dict):
+        path = write_config(tmp_path, **raw)
+        message = f"config field {next(iter(raw))!r}"
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        message = "config file must hold a JSON object"
+    args = [command, "--config", str(path)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "out"), "--seed", "3"]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_readme_library_example_runs():
     import ppdfl
 

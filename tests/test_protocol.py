@@ -376,9 +376,10 @@ def test_demo_share_stream_is_pinned():
 # sha256 of Transcript.to_jsonl's bytes for round 1 of configs/demo.json,
 # as versions 0.5.0 and 0.5.1 write them, with lambda2 and the rounding margin first
 # rounded to 6 digits: they come from LAPACK and float sums, whose last bits
-# may differ between hosts. The reader parses lines in exactly this layout
-# in bulk; a change to the layout must update this pin and the reader's
-# line patterns together, or every line falls back to json.loads.
+# may differ between hosts. The writer's templates and the reader's line
+# patterns both derive from the table of record layouts in ppdfl.transcript,
+# so the reader parses these lines in bulk; a change to that table changes
+# these bytes and must update this pin.
 DEMO_TRANSCRIPT_SHA256 = "0d95af793b4a9e8d17bc86b117cb1cc508798977262e361eca782a089fb448f5"
 
 

@@ -15,17 +15,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from ppdfl.protocol import (
-    ProtocolConfig,
-    RoundRecord,
-    Transcript,
-    _int_text,
-    _skeletons,
-    build_initial_state,
-    execute_round,
-    run_training,
-)
+from ppdfl.protocol import ProtocolConfig, build_initial_state, execute_round, run_training
 from ppdfl.topology import RoundTopology, generate_topology, share_pairs
+from ppdfl.transcript import RoundRecord, Transcript, _int_text, _skeletons
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 

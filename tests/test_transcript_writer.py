@@ -4,24 +4,20 @@ Transcript.to_jsonl renders each record's text directly: integer lists
 through %-templates of their shapes, float lists through one json.dumps per
 block. The oracle below is the writer it replaced, kept here as the
 reference: one message dict per record, each line json.dumps(msg). Both
-must write the same bytes.
+must write the same bytes, and the reader must split every written line by
+its patterns, as both derive from one table of record layouts.
 """
 
 import json
 import pathlib
 
 import numpy as np
+import pytest
 
 from ppdfl.field import next_prime
-from ppdfl.protocol import (
-    ProtocolConfig,
-    RoundRecord,
-    Transcript,
-    build_initial_state,
-    execute_round,
-    run_training,
-)
+from ppdfl.protocol import ProtocolConfig, build_initial_state, execute_round, run_training
 from ppdfl.topology import TopologySchedule, generate_topology, share_pairs
+from ppdfl.transcript import RoundRecord, Transcript
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -72,11 +68,31 @@ def _oracle_bytes(transcript: Transcript, include_consensus: bool) -> bytes:
     return "".join(line + "\n" for line in lines).encode()
 
 
-def assert_written_as_oracle(tmp_path, transcript: Transcript) -> None:
+def _json_loads_calls(path) -> int:
+    """The json.loads calls of reading path back."""
+    calls = [0]
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return loads(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(json, "loads", counted)
+        Transcript.from_jsonl(str(path))
+    return calls[0]
+
+
+def assert_written_as_oracle(tmp_path, transcript: Transcript,
+                             include_consensus=(True, False)) -> None:
     path = tmp_path / "transcript.jsonl"
-    for include_consensus in (True, False):
-        transcript.to_jsonl(str(path), include_consensus=include_consensus)
-        assert path.read_bytes() == _oracle_bytes(transcript, include_consensus)
+    for include in include_consensus:
+        transcript.to_jsonl(str(path), include_consensus=include)
+        assert path.read_bytes() == _oracle_bytes(transcript, include)
+        # Every written line matches the reader's patterns: the only
+        # json.loads calls read the meta record and, per round, the
+        # topology scalars, the result block and the audit model block.
+        assert _json_loads_calls(path) == 1 + 3 * len(transcript.rounds)
 
 
 def _config(n, dim, schedule, rounds=2, seed=5, theta_max=4.0, sigma=2, prime=None):
@@ -91,6 +107,8 @@ def _config(n, dim, schedule, rounds=2, seed=5, theta_max=4.0, sigma=2, prime=No
 SPECIALS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e-05, 1.5e300]
 
 
+# NaN decoded values have no residue: reading them back warns in the cast.
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 def test_writer_matches_oracle_on_demo_with_special_floats(tmp_path):
     cfg = ProtocolConfig.from_json_file(str(ROOT / "configs" / "demo.json"))
     transcript = run_training(cfg, record_trajectory=True).transcript
@@ -145,6 +163,4 @@ def test_writer_matches_oracle_on_sparse_large_round(tmp_path):
     rec = execute_round(models, schedule.round_graph(1), cfg)
     assert rec.state_trajectory is None
     transcript = Transcript({"n_learners": n, "prime": cfg.prime, "sigma": 2}, [rec])
-    path = tmp_path / "transcript.jsonl"
-    transcript.to_jsonl(str(path), include_consensus=False)
-    assert path.read_bytes() == _oracle_bytes(transcript, include_consensus=False)
+    assert_written_as_oracle(tmp_path, transcript, include_consensus=[False])
