@@ -26,21 +26,6 @@ EXIT_INTERNAL = 5
 _MIN_PASSES = 10
 
 
-def _apply_thread_cap() -> None:
-    # Must run before numpy binds its BLAS thread pools, hence the lazy
-    # imports in every command handler.
-    cap = os.environ.get("PPDFL_THREADS")
-    if not cap:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(var, cap)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ppdfl",
@@ -92,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
@@ -118,13 +102,17 @@ def main(argv=None) -> int:
 
 
 def _schedule_digest(graphs) -> str:
-    """sha256 of the rounds' edge lists; graphs are the ones the run used, so
-    no graph is generated again."""
-    from .topology import TopologySchedule
+    """sha256 of the rounds' edge lists as compact JSON, the bytes of
+    json.dumps(schedule.to_json(), separators=(",", ":")); graphs are the
+    ones the run used, so no graph is generated again. Each round's list
+    is one %-template filled from its src and dst arrays."""
+    import numpy as np
 
-    edges = TopologySchedule.from_graphs(graphs).to_json()
-    blob = json.dumps(edges, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    rounds = []
+    for g in graphs:
+        edges = np.stack([g.src, g.dst], axis=1).ravel().tolist()
+        rounds.append(("[" + ",".join(["[%d,%d]"] * (len(edges) // 2)) + "]") % tuple(edges))
+    return hashlib.sha256(("[" + ",".join(rounds) + "]").encode()).hexdigest()
 
 
 def _write_manifest(path: str, cfg, graphs, timings: dict) -> None:

@@ -20,7 +20,7 @@ current communication graph:
 
 Delivery is in-process and lossless. All randomness is drawn from
 substreams of the config seed: one numpy Generator per (round, learner)
-for the models and one Philox key per round, on per-learner counters, for
+for the models and one Philox stream per round, one lane per learner, for
 the share coefficients. Results are reproducible and independent of
 scheduling.
 """
@@ -28,6 +28,9 @@ scheduling.
 from __future__ import annotations
 
 import json
+import math
+import numbers
+import operator
 import os
 import time
 from dataclasses import dataclass, fields
@@ -126,10 +129,11 @@ class ProtocolConfig:
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ConfigError(f"weights sum to {sum(self.weights)}, expected 1")
         if self.k_policy != "auto":
-            if not isinstance(self.k_policy, int) or self.k_policy < 1:
+            if (isinstance(self.k_policy, bool) or not isinstance(self.k_policy, int)
+                    or self.k_policy < 1):
                 raise ConfigError("k_policy must be 'auto' or a positive integer")
-        if self.theta_max <= 0:
-            raise ConfigError("theta_max must be positive")
+        if not 0 < self.theta_max < math.inf:  # NaN fails too
+            raise ConfigError("theta_max must be a finite positive number")
         try:
             PrimeModulus(self.prime)
         except (TypeError, ValueError) as exc:
@@ -179,10 +183,22 @@ class ProtocolConfig:
             except (TypeError, OverflowError) as exc:
                 raise ConfigError(f"config field {name!r}: {exc}") from None
 
+        # JSON values are taken as they are typed, never coerced: a boolean
+        # is neither an integer nor a number here.
+        def integer(value):
+            if isinstance(value, bool):
+                raise TypeError(f"{value!r} is not an integer")
+            return operator.index(value)
+
+        def number(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{value!r} is not a number")
+            return float(value)
+
         # Every field but these is an integer; the schedule needs the others.
-        convert = {"k_policy": lambda policy: policy, "theta_max": float,
-                   "weights": lambda w: w if isinstance(w, str) else tuple(map(float, w))}
-        values = {f.name: read(f.name, convert.get(f.name, int))
+        convert = {"k_policy": lambda policy: policy, "theta_max": number,
+                   "weights": lambda w: w if isinstance(w, str) else tuple(map(number, w))}
+        values = {f.name: read(f.name, convert.get(f.name, integer))
                   for f in fields(cls) if f.name != "schedule"}
         values["schedule"] = read("schedule", lambda spec: _resolve_schedule(
             spec, values["n_learners"], values["seed"], base_dir))
@@ -326,8 +342,8 @@ def execute_round(
     # Share phase, for the whole round at once: per coordinate, a fresh
     # polynomial of degree |N_i| over the closed neighborhood, weighted so
     # the holder-set sum equals the encoded secret. One round substream
-    # gives a Philox key, and learner i's coefficients come from that key
-    # on counters of its own, so they depend on (seed, round, i, n, |N_i|)
+    # gives a Philox key, and learner i's coefficients come from lane i of
+    # that key's stream, so they depend on (seed, round, i, N, n, |N_i|)
     # alone.
     t0 = time.perf_counter()
     holders = holder_sets(g)

@@ -18,7 +18,7 @@ so it marks padding. Interpolation weights are int64 products reduced mod
 p as they go. A set holding more than half of the batch's distinct ids is
 weighted from its complement, through the weights of all those ids; the
 other sets loop over their own slots. Coefficients of every set come from
-one Philox4x64-10 key per batch, each set on counters of its own. Shares
+one Philox4x64-10 stream per batch, each set on a lane of its own. Shares
 are float64 matrix products, holder powers times coefficients split into
 limbs, exact because every partial sum is an integer of at most 2**53
 (see _limb_split); one reduction mod p at the end turns them into
@@ -220,59 +220,102 @@ def interpolation_weights(holders: np.ndarray, p: int) -> np.ndarray:
     return weights.reshape(x.shape)
 
 
-def _stream_blocks(need: np.ndarray, accept: float) -> np.ndarray:
-    """Philox blocks of eight candidates to draw first for sets needing
-    need[i] kept values each, a candidate being kept with probability
-    accept: room for the expected rejections plus five standard
-    deviations, rounded down. A set that falls short draws as many
-    again."""
+def _stream_blocks(need, accept: float):
+    """Philox blocks of eight candidates to draw for a set still needing
+    need kept values, a candidate being kept with probability accept: room
+    for the expected rejections plus five standard deviations, rounded
+    down."""
     lost = need * (1 - accept)
     spare = np.floor((lost + 5 * np.sqrt(lost)) / accept)
     return np.ceil((need + spare) / 8).astype(np.int64)
 
 
 def _coefficient_streams(key, taus, n: int, p: int) -> np.ndarray:
-    """Uniform residues for the polynomials of a batch of sets, from one
-    128-bit Philox key: an (n, sum(taus)) int64 matrix whose columns
-    [T_i, T_i + tau_i), T_i = sum of the taus before set i, hold set i's
-    (n, tau_i) coefficients; row l holds c_1..c_tau_i of coordinate l's
-    polynomial.
+    """Uniform residues for the polynomials of a batch of G sets, from one
+    128-bit Philox key: a (sum(taus), n) int64 matrix whose rows
+    [T_g, T_g + tau_g), T_g = sum of the taus before set g, hold set g's
+    (tau_g, n) coefficients; row T_g + m - 1 holds coefficient m of every
+    coordinate's polynomial.
 
-    Set i (counting from 1) draws Philox4x64-10 blocks j = 0, 1, ... on
-    counter (j, i, 0, 0) (Salmon et al., "Parallel random numbers: as easy
-    as 1, 2, 3", SC 2011). Each block's four words give eight 32-bit
-    halves, low half first; each is masked to bitlength(p - 1) bits and
-    kept only if it is below p (< 2**32), so every kept value is exactly
-    uniform on [0, p). Set i's coefficients are its first n * tau_i kept
-    values, row by row: they depend on (key, i, n, tau_i) alone. Uniform
-    coefficients are what make any tau shares carry zero information about
-    the secret; restricting the top coefficient away from zero would skew
-    the share distribution by an s-dependent exclusion.
+    Block b of the stream is the b-th Philox4x64-10 block of
+    np.random.Philox(key=key) (Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3", SC 2011), and the stream is lane-major: set g
+    (counting from 1) owns lane g, blocks g - 1, G + g - 1, 2G + g - 1, ...
+    Each block's four words give eight 32-bit halves, low half first; each
+    is masked to bitlength(p - 1) bits and kept only if it is below p
+    (< 2**32), so every kept value is exactly uniform on [0, p). Set g's
+    coefficients are its lane's first n * tau_g kept values, row-major in
+    its (tau_g, n) block: they depend on (key, g, G, n, tau_g) alone.
+    Uniform coefficients are what make any tau shares carry zero
+    information about the secret; restricting the top coefficient away
+    from zero would skew the share distribution by an s-dependent
+    exclusion.
 
-    One np.random.Philox under the key serves every set, moved to the
-    set's counters with advance: numpy adds one to its counter before each
-    block, so set i's block 0 follows counter i * 2**64 - 1. A set draws
-    the blocks _stream_blocks expects it to need, and as many again until
-    it has enough.
+    The stream is drawn a chunk of whole rows (G blocks each) at a time,
+    one random_raw call per chunk: the rows _stream_blocks expects the
+    neediest set still drawing to need, at most as many as keep a chunk's
+    raw words and its candidates together within _BLOCK_ENTRIES 8-byte
+    entries, unless one row alone needs more. From a chunk each set reads
+    only the rows _stream_blocks expects it to need, so the candidates
+    sorted grow with the values drawn, not with the chunks; a set that
+    falls short reads on, into the next chunk if need be, and a set
+    leaves once it has all its values. How many rows a chunk holds or a
+    set reads at once changes no value.
     """
     if p >= 2**32:
         raise ValueError(f"modulus {p} does not fit 32-bit candidates")
     taus = np.asarray(taus, dtype=np.int64)
+    n_sets = len(taus)
     bits = max(1, (p - 1).bit_length())
-    mask = np.uint32((1 << bits) - 1)
-    blocks = _stream_blocks(n * taus, p / 2**bits)
-    out = np.empty((n, int(taus.sum())), dtype=np.int64)
-    gen, at, start = np.random.Philox(key=key), 0, 0  # at: numpy's counter
-    for i, (tau, count) in enumerate(zip(taus.tolist(), blocks.tolist()), start=1):
-        gen.advance(i * 2**64 - 1 - at)
-        at = i * 2**64 - 1
-        kept = np.empty(0, dtype=np.uint32)
-        while len(kept) < n * tau:
-            halves = gen.random_raw(4 * count).astype("<u8", copy=False).view("<u4") & mask
-            kept = np.concatenate([kept, halves[halves < np.uint32(p)]])
-            at += count
-        out[:, start : start + tau] = kept[: n * tau].reshape(n, tau)
-        start += tau
+    # Both 32-bit halves of a word masked at once.
+    mask = np.uint64(((1 << bits) - 1) * (2**32 + 1))
+    accept = p / 2**bits
+    out = np.empty((int(taus.sum()), n), dtype=np.int64)
+    flat = out.reshape(-1)
+    left = n * taus  # values each set still needs
+    at = np.cumsum(left) - left  # where each set's next value goes in flat
+    most = max(1, _BLOCK_ENTRIES // (8 * max(n_sets, 1)))  # rows a chunk
+    gen = np.random.Philox(key=key)
+    live = np.flatnonzero(left)
+    row = np.zeros(n_sets, dtype=np.int64)  # each set's next row to read
+    base = drawn = 0  # the chunk in hand holds rows [base, drawn)
+    while len(live):
+        if (row[live] == drawn).all():  # every set has read the chunk out
+            rows = min(most, int(_stream_blocks(left[live].max(), accept)))
+            chunk = gen.random_raw(4 * rows * n_sets).astype("<u8", copy=False)
+            chunk = chunk.reshape(rows * n_sets, 4)  # row base + r of set g at r * G + g
+            base, drawn = drawn, drawn + rows
+        # Each set reads on for the rows _stream_blocks expects it to need,
+        # as far as the chunk goes; cand holds their blocks set by set.
+        upto = np.minimum(drawn, row[live] + _stream_blocks(left[live], accept))
+        more = upto > row[live]
+        reading = live[more]
+        count = upto[more] - row[reading]
+        start = np.cumsum(count) - count
+        blocks = np.repeat((row[reading] - base - start) * n_sets + reading, count)
+        blocks += np.arange(len(blocks)) * n_sets
+        cand = np.take(chunk, blocks, axis=0)
+        cand &= mask
+        cand = cand.reshape(-1).view("<u4")
+        keep = cand < np.uint32(p)
+        kept = np.compress(keep, cand)  # faster than cand[keep]
+        have = np.add.reduceat(keep, 8 * start, dtype=np.int64)
+        need = left[reading]
+        take = np.minimum(have, need)
+        # The first take[i] of reading set i's kept values go to
+        # flat[at[i]:]; dest holds the slot of each value taken, set by set.
+        first = np.cumsum(take) - take
+        dest = np.repeat(at[reading] - first, take)
+        dest += np.arange(len(dest))
+        if (take < have).any():  # a set that finishes drops its surplus
+            src = np.repeat(np.cumsum(have) - have - first, take)
+            src += np.arange(len(src))
+            kept = kept[src]
+        flat[dest] = kept
+        row[reading] += count
+        at[reading] += take
+        left[reading] = need - take
+        live = live[left[live] > 0]
     return out
 
 
@@ -321,10 +364,10 @@ def _generate_share_values(
     evaluated at each of its holders.
 
     secrets is (G, n) and holders (G, s), zero-padded; coeffs is the
-    (n, sum(taus)) matrix of residues whose columns [T_g, T_g + taus[g])
+    (sum(taus), n) matrix of residues whose rows [T_g, T_g + taus[g])
     belong to set g, as _coefficient_streams lays them out. Set g's
     polynomial for coordinate l is H(x) = secrets[g, l] +
-    sum_m coeffs[l, T_g + m - 1] x^m. Returns (E, n) int64 with one row
+    sum_m coeffs[T_g + m - 1, l] x^m. Returns (E, n) int64 with one row
     per nonzero holder, in row-major order: row e holds H at that holder
     for every coordinate.
 
@@ -358,7 +401,7 @@ def _generate_share_values(
     table = _power_table(ids, terms, limbs, bits, p)
     slots = np.searchsorted(ids, holders)
     starts = np.concatenate([[0], np.cumsum(np.count_nonzero(holders, axis=1))])
-    col_starts = np.concatenate([[0], np.cumsum(taus)])
+    coeff_starts = np.concatenate([[0], np.cumsum(taus)])
     out = np.empty((starts[-1], dim), dtype=np.int64)
     mask = (1 << bits) - 1
     m = np.arange(terms)[:, None]
@@ -384,12 +427,12 @@ def _generate_share_values(
         # drawn coefficient up to taus[g], zero above. The block's
         # (K * size, n) coefficients hold limb i of it at row
         # (i * terms + m) * size + g.
-        cols = coeffs[:, col_starts[a] : col_starts[b]].T
-        src = np.zeros((limbs, size + len(cols) + 1, dim))
+        drawn = coeffs[coeff_starts[a] : coeff_starts[b]]
+        src = np.zeros((limbs, size + len(drawn) + 1, dim))
         for i in range(limbs):
             src[i, :size] = (secrets[a:b] >> (bits * i)) & mask
-            src[i, size:-1] = (cols >> (bits * i)) & mask
-        first = col_starts[a:b] - col_starts[a] + size - 1
+            src[i, size:-1] = (drawn >> (bits * i)) & mask
+        first = coeff_starts[a:b] - coeff_starts[a] + size - 1
         src_rows = np.where(m <= taus[a:b], first + m, src.shape[1] - 1)
         src_rows[0] = np.arange(size)
         block = np.take(src, src_rows.ravel(), axis=1)

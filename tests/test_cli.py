@@ -268,16 +268,41 @@ def test_bench_iteration_sweep_fit(tmp_path, capsys):
     assert out.exists()
 
 
-def test_thread_cap_env(monkeypatch, capsys):
-    import os
+# Run in a fresh interpreter: records the thread variables the moment
+# numpy is first imported, which is when BLAS reads its thread count.
+_NUMPY_IMPORT_PROBE = """
+import json, os, sys
+seen = {}
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.update((v, os.environ.get(v)) for v in sys.argv[1:])
+sys.meta_path.insert(0, Probe())
+from ppdfl.cli import main
+assert main(["spectral", "--topology", "complete", "--n", "10", "--kmax", "1"]) == 0
+print(json.dumps(seen))
+"""
 
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("PPDFL_THREADS", "2")
-    assert main(["spectral", "--topology", "complete", "--n", "10",
-                 "--kmax", "1"]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
+
+def test_thread_cap_env():
+    import os
+    import subprocess
+    import sys
+
+    import ppdfl
+
+    names = ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"]
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    src = str(pathlib.Path(ppdfl.__file__).resolve().parents[1])
+    env.update(PPDFL_THREADS="2", OMP_NUM_THREADS="3",
+               PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _NUMPY_IMPORT_PROBE, *names],
+                         env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(run.stdout.splitlines()[-1])
+    # Set before numpy loads; a thread variable already set is kept.
+    assert seen == {"OMP_NUM_THREADS": "3", "OPENBLAS_NUM_THREADS": "2",
+                    "MKL_NUM_THREADS": "2", "NUMEXPR_NUM_THREADS": "2"}
 
 
 def _transcript_lines(tmp_path):
@@ -626,6 +651,24 @@ def test_config_of_wrong_type_exits_config(tmp_path, capsys, raw, command):
         args += ["--out", str(tmp_path / "out"), "--seed", "3"]
     assert main(args) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param("model_dim", 3.7, id="model_dim_a_float"),
+    pytest.param("model_dim", "5", id="model_dim_a_string"),
+    pytest.param("rounds", True, id="rounds_a_boolean"),
+    pytest.param("k_policy", True, id="k_policy_a_boolean"),
+    pytest.param("theta_max", float("nan"), id="theta_max_nan"),
+])
+def test_config_field_is_not_coerced(tmp_path, capsys, field, value):
+    # Integer fields take JSON integers only, k_policy "auto" or a positive
+    # integer, theta_max a finite positive number; none is converted.
+    demo = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+    raw = {**json.loads(demo.read_text()), field: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["bounds", "--config", str(path)]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_readme_library_example_runs():

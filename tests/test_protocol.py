@@ -353,12 +353,12 @@ def test_share_phase_determinism():
 
 
 # sha256 over "sender,receiver:v1,v2,...\n" lines of every share bundle of
-# configs/demo.json rounds 1-2, in share_pairs order, as version 0.5.0
-# produces them (0.5.0 draws share coefficients from per-round Philox
-# streams; the graphs are 0.4.0's). Seeded runs must stay byte-identical
-# within a version; a change to the share stream or to the seeded graphs
-# has to bump __version__ and this pin together.
-DEMO_BUNDLES_SHA256 = "7645b2f94f0c04043a45323665fa49753f8f96c630a789ae544b3db43c82dd6e"
+# configs/demo.json rounds 1-2, in share_pairs order, as version 0.6.0
+# produces them (0.6.0 draws share coefficients from one lane-major Philox
+# stream per round; the graphs are 0.4.0's). Seeded runs must stay
+# byte-identical within a version; a change to the share stream or to the
+# seeded graphs has to bump __version__ and this pin together.
+DEMO_BUNDLES_SHA256 = "e7ea918b37f41be3a94a376a5a9abaecdc1375fbcf565e96b73c48a6ca7f0680"
 
 
 def test_demo_share_stream_is_pinned():
@@ -374,13 +374,13 @@ def test_demo_share_stream_is_pinned():
 
 
 # sha256 of Transcript.to_jsonl's bytes for round 1 of configs/demo.json,
-# as versions 0.5.0 and 0.5.1 write them, with lambda2 and the rounding margin first
+# as version 0.6.0 writes it, with lambda2 and the rounding margin first
 # rounded to 6 digits: they come from LAPACK and float sums, whose last bits
 # may differ between hosts. The writer's templates and the reader's line
 # patterns both derive from the table of record layouts in ppdfl.transcript,
-# so the reader parses these lines in bulk; a change to that table changes
-# these bytes and must update this pin.
-DEMO_TRANSCRIPT_SHA256 = "0d95af793b4a9e8d17bc86b117cb1cc508798977262e361eca782a089fb448f5"
+# so the reader parses these lines in bulk; a change to that table or to
+# the share stream changes these bytes and must update this pin.
+DEMO_TRANSCRIPT_SHA256 = "bc50c1a32766fc52eef8e8f2e09ccdfe66b369f2a25999dca6a53c2594ee330b"
 
 
 def test_demo_transcript_bytes_are_pinned(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ def weights(ids, p=11):
 
 
 def set_coefficients(gen, n, tau, p):
-    """(n, tau) coefficients of one set, on a Philox key the numpy
+    """(tau, n) coefficients of one set, on a Philox key the numpy
     Generator gen supplies."""
     return _coefficient_streams(gen.bit_generator.random_raw(2), [tau], n, p)
 
@@ -176,11 +176,11 @@ def direct_shares(secrets, coeffs, ids, p):
 
 
 def flat(coeffs, n):
-    """Per-set (n, tau_g) coefficient lists as the (n, sum tau_g) matrix
+    """Per-set (n, tau_g) coefficient lists as the (sum tau_g, n) matrix
     and the taus that _generate_share_values takes."""
     taus = [np.shape(c)[1] for c in coeffs]
-    blocks = [np.asarray(c, dtype=np.int64).reshape(n, t) for c, t in zip(coeffs, taus)]
-    return np.concatenate(blocks, axis=1), taus
+    blocks = [np.asarray(c, dtype=np.int64).reshape(n, t).T for c, t in zip(coeffs, taus)]
+    return np.concatenate(blocks), taus
 
 
 def assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch):
@@ -296,7 +296,7 @@ def test_share_values_constant_term_is_secret():
 
 def test_share_values_single_holder_is_the_secret():
     # a lone holder gets a degree-0 polynomial: no draws, share == secret
-    assert set_coefficients(np.random.default_rng(0), 1, 0, 11).shape == (1, 0)
+    assert set_coefficients(np.random.default_rng(0), 1, 0, 11).shape == (0, 1)
     assert share_values(6, 0, (1,), np.random.default_rng(0)) == [6]
     assert interpolate_at_zero({1: 6}) == 6
 
@@ -307,7 +307,7 @@ def test_draw_coefficients_deterministic_per_seed():
     def draw(seed):
         return set_coefficients(np.random.default_rng(seed), 3, 2, 11)
 
-    assert draw(99).shape == (3, 2) and draw(99).dtype == np.int64
+    assert draw(99).shape == (2, 3) and draw(99).dtype == np.int64
     assert np.array_equal(draw(99), draw(99))
     assert not np.array_equal(draw(99), draw(100))
     assert share_values(7, 2, ids, np.random.default_rng(99)) == share_values(
@@ -332,42 +332,63 @@ def philox_block(key, counter):
     return gen.random_raw(4).tolist()
 
 
-def reference_stream(key, i, count, p):
-    """The first count kept values of set i's stream, one candidate at a
-    time: block j on counter (j, i, 0, 0), the low then the high half of
-    each word, masked to bitlength(p - 1) bits and kept below p."""
+def reference_stream(key, g, sets, count, p):
+    """The first count kept values of lane g of a batch of `sets` sets, one
+    candidate at a time: its block j is block j * sets + g - 1 of a fresh
+    np.random.Philox, which is on counter j * sets + g; the low then the
+    high half of each word, masked to bitlength(p - 1) bits and kept below
+    p."""
     mask = (1 << (p - 1).bit_length()) - 1
     out, j = [], 0
     while len(out) < count:
-        block = philox_block(key, [j, i, 0, 0])
+        block = philox_block(key, [j * sets + g, 0, 0, 0])
         halves = [h & mask for word in block for h in (word & 0xFFFFFFFF, word >> 32)]
         out += [h for h in halves if h < p]
         j += 1
     return out[:count]
 
 
-@pytest.mark.parametrize("p", [2, 17, 1020431, 2**31 - 1])
-def test_coefficient_streams_follow_the_counter_layout(p, monkeypatch):
+@pytest.mark.parametrize("p", [2, 17, 1020431, 2**31 - 1, 4294967291])
+def test_coefficient_streams_follow_the_counter_layout(p):
+    # Block b of the stream is the b-th block of a fresh np.random.Philox.
+    assert np.random.Philox(key=KEY).random_raw(8).tolist() == (
+        philox_block(KEY, [1, 0, 0, 0]) + philox_block(KEY, [2, 0, 0, 0]))
     taus, n = [3, 0, 7, 1, 12], 4
     got = _coefficient_streams(KEY, taus, n, p)
-    assert got.dtype == np.int64 and got.shape == (n, sum(taus))
+    assert got.dtype == np.int64 and got.shape == (sum(taus), n)
     start = 0
-    for i, tau in enumerate(taus, start=1):
-        want = np.array(reference_stream(KEY, i, n * tau, p), dtype=np.int64)
-        assert got[:, start : start + tau].tolist() == want.reshape(n, tau).tolist()
+    for g, tau in enumerate(taus, start=1):
+        want = reference_stream(KEY, g, len(taus), n * tau, p)
+        assert got[start : start + tau].ravel().tolist() == want
         start += tau
-    # Sets that fall short of their first estimate go on drawing: one
-    # block at a time gives the same values.
-    monkeypatch.setattr(sharing, "_stream_blocks", lambda need, accept: np.ones_like(need))
-    assert np.array_equal(_coefficient_streams(KEY, taus, n, p), got)
+
+
+@pytest.mark.parametrize("p", [17, 2**31 - 1])
+def test_coefficient_streams_do_not_depend_on_chunk_rows(p, monkeypatch):
+    # One row per chunk, and chunks sized one row at a time, give the
+    # values of the default chunks: sets finish inside chunks and leave
+    # later ones at different points, but every set reads its own lane.
+    taus, n = [3, 0, 7, 1, 12, 2], 5
+    want = _coefficient_streams(KEY, taus, n, p)
+    with monkeypatch.context() as m:
+        m.setattr(sharing, "_BLOCK_ENTRIES", 1)
+        assert np.array_equal(_coefficient_streams(KEY, taus, n, p), want)
+    with monkeypatch.context() as m:
+        m.setattr(sharing, "_stream_blocks", lambda need, accept: np.ones_like(need))
+        assert np.array_equal(_coefficient_streams(KEY, taus, n, p), want)
 
 
 def test_coefficient_streams_depend_on_own_set_only():
+    # At a fixed batch size G = 3, a set's block stays the same whatever
+    # the other sets' degrees.
     p = 1020431
     full = _coefficient_streams(KEY, [3, 5, 2], 4, p)
-    assert np.array_equal(_coefficient_streams(KEY, [9, 5], 4, p)[:, 9:], full[:, 3:8])
-    assert np.array_equal(_coefficient_streams(KEY, [3], 4, p), full[:, :3])
-    assert _coefficient_streams(KEY, [], 4, p).shape == (4, 0)
+    assert np.array_equal(_coefficient_streams(KEY, [9, 5, 0], 4, p)[9:], full[3:8])
+    assert np.array_equal(_coefficient_streams(KEY, [3, 0, 11], 4, p)[:3], full[:3])
+    assert np.array_equal(_coefficient_streams(KEY, [0, 1, 2], 4, p)[1:], full[8:])
+    # The lanes interleave by G, so another batch size moves them.
+    assert not np.array_equal(_coefficient_streams(KEY, [3, 5], 4, p)[3:], full[3:8])
+    assert _coefficient_streams(KEY, [], 4, p).shape == (0, 4)
     other = np.array([KEY[0], KEY[1] + np.uint64(1)], dtype=np.uint64)
     assert not np.array_equal(_coefficient_streams(other, [3, 5, 2], 4, p), full)
 
@@ -433,10 +454,11 @@ def test_reconstruct_too_few():
         ids = tuple(sorted(rng.sample(range(1, 11), rng.randrange(2, 6))))
         tau = rng.randrange(1, len(ids))
         secret = rng.randrange(11)
-        (coeffs,) = set_coefficients(gen, 1, tau, 11).tolist()
+        coeffs = set_coefficients(gen, 1, tau, 11)[:, 0].tolist()
         if rng.random() < 0.3:
             coeffs[-1] = 0
-        values = _generate_share_values([[secret]], [coeffs], [tau], [ids], 11)[:, 0]
+        column = [[c] for c in coeffs]
+        values = _generate_share_values([[secret]], column, [tau], [ids], 11)[:, 0]
         values = values.tolist()
         shares = dict(zip(ids, values))
         for subset in itertools.combinations(ids, tau):
