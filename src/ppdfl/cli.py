@@ -235,9 +235,8 @@ def _cmd_bounds(args) -> int:
     all_ok = True
     for t in range(1, cfg.rounds + 1):
         g = cfg.schedule.round_graph(t)
-        a = mh_weights(g)
-        lam2 = second_largest_eigenvalue(a)
-        k = min_iterations(a, cfg.prime, lambda2=lam2)
+        lam2 = second_largest_eigenvalue(mh_weights(g))
+        k = min_iterations(lam2, cfg.n_learners, cfg.prime)
         print(f"{t},{lam2!r},{k}")
         if cfg.k_policy != "auto" and k > int(cfg.k_policy):
             all_ok = False

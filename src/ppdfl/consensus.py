@@ -13,10 +13,12 @@ out slot-major: learners are ordered by degree, highest first, and slot k
 holds every learner's k-th term, so slot k covers a prefix of the
 learners, and each run of slots over the same prefix is summed by one or
 a few numpy calls, slot after slot. Every sum is thus formed in the order
-a scatter-add over the edge list forms it. The dense matrix serves only
-the eigensolve that picks K. The steps run in floats; their rounding
-error is not budgeted into K but measured at run time by the round
-driver.
+a scatter-add over the edge list forms it.
+
+K is a closed form in lambda2, N and p alone (min_iterations); the dense
+matrix serves only the eigensolve that gives lambda2, in the round
+driver. The steps run in floats; their rounding error is not budgeted
+into K but measured at run time by the round driver.
 """
 
 from __future__ import annotations
@@ -27,14 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import DimensionMismatch
-from .topology import (
-    DisconnectedGraph,
-    RoundTopology,
-    is_connected,
-    mh_edge_weights,
-    second_largest_eigenvalue,
-    stochasticity_errors,
-)
+from .topology import DisconnectedGraph, RoundTopology, is_connected, mh_edge_weights
 
 # Eigensolver error slack on lambda, EIG_SLACK * N * UNIT_ROUNDOFF; see
 # min_iterations.
@@ -268,36 +263,28 @@ def termination_inputs(lambda2: float, n: int, p: int) -> tuple[float, float]:
     return lam_hat, 1.0 / (2.0 * p * math.sqrt(n))
 
 
-def min_iterations(
-    a: np.ndarray, p: int, lambda2: float | None = None
-) -> int:
+def min_iterations(lambda2: float, n: int, p: int) -> int:
     """Smallest K >= 1 with N lam_hat^K < 1 / (2 p sqrt(N)), in closed form.
 
     For symmetric doubly stochastic A, ||N A^k - 11^T|| = N lambda^k exactly,
-    where lambda is the second-largest eigenvalue magnitude of A (Xiao and
-    Boyd, "Fast linear iterations for distributed averaging", 2004). Below
-    the threshold, |N s_i(K) - sum_j s_j(0)| < 0.5 for any initial states
-    in [0, p), so rounding N s(K) recovers the exact integer sum.
+    where lambda = |lambda2| is the second-largest eigenvalue magnitude of A
+    (Xiao and Boyd, "Fast linear iterations for distributed averaging",
+    2004). Below the threshold, |N s_i(K) - sum_j s_j(0)| < 0.5 for any
+    initial states in [0, p), so rounding N s(K) recovers the exact integer
+    sum. The rule reads only lambda2, N and p: the caller's one eigensolve
+    gives lambda2, and topology.mh_weights builds A doubly stochastic.
 
-    lambda comes from one symmetric eigensolve: ``lambda2`` when the caller
-    already holds it for this A, else second_largest_eigenvalue(a). The
-    solver's eigenvalues are exact for a matrix within p(N) u ||A|| of A
+    The solver's eigenvalues are exact for a matrix within p(N) u ||A|| of A
     (LAPACK Users' Guide, section 4.7), so by Weyl's inequality lambda is
     off by at most that much; ||A|| = 1 here. K is chosen for
     lam_hat = lambda + c N u with c = EIG_SLACK = 8 and u = 2^-53, i.e.
-    taking p(N) = 8N (8.9e-13 at N=1000). lam_hat >= 1 raises NoFiniteK.
+    taking p(N) = 8N (8.9e-13 at N=1000); termination_inputs states lam_hat
+    and the threshold. lam_hat >= 1 raises NoFiniteK.
 
     The K float averaging steps add rounding error of their own that this
     bound does not budget for; the round driver measures the rounding
     margin at run time and raises if it reaches 0.5.
     """
-    a = np.asarray(a, dtype=float)
-    row_err, col_err = stochasticity_errors(a)
-    if row_err >= 1e-9 or col_err >= 1e-9:
-        raise ValueError("matrix is not doubly stochastic")
-    if lambda2 is None:
-        lambda2 = second_largest_eigenvalue(a)
-    n = a.shape[0]
     lam_hat, threshold = termination_inputs(lambda2, n, p)
     if lam_hat >= 1.0:
         raise NoFiniteK(f"inflated contraction radius {lam_hat} >= 1")

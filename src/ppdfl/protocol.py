@@ -55,9 +55,11 @@ from .fixedpoint import (
 from .seeding import derive_rng
 from .sharing import _coefficient_streams, _generate_share_values, interpolation_weights
 from .topology import (
+    BadParameters,
     DisconnectedGraph,
     RoundTopology,
     TopologySchedule,
+    check_generator,
     holder_sets,
     is_connected,
     mh_edge_weights,
@@ -92,7 +94,7 @@ class ProtocolConfig:
 
     Learner ids are 1..n_learners and double as share evaluation points.
     k_policy is either "auto" (derive the iteration count per round from
-    the round's weight matrix) or a fixed positive integer that is checked
+    the round's second eigenvalue) or a fixed positive integer that is checked
     against the termination bound every round and rejected loudly when it
     falls short.
     """
@@ -124,8 +126,8 @@ class ProtocolConfig:
         self.weights = tuple(float(w) for w in self.weights)
         if len(self.weights) != self.n_learners:
             raise ConfigError("need one weight per learner")
-        if any(w <= 0 for w in self.weights):
-            raise ConfigError("weights must be positive")
+        if not all(0 < w < math.inf for w in self.weights):  # NaN fails too
+            raise ConfigError("weights must be finite positive numbers")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ConfigError(f"weights sum to {sum(self.weights)}, expected 1")
         if self.k_policy != "auto":
@@ -176,31 +178,12 @@ class ProtocolConfig:
         missing = {f.name for f in fields(cls)} - set(raw)
         if missing:
             raise ConfigError(f"missing config fields: {sorted(missing)}")
-
-        def read(name, convert):
-            try:
-                return convert(raw[name])
-            except (TypeError, OverflowError) as exc:
-                raise ConfigError(f"config field {name!r}: {exc}") from None
-
-        # JSON values are taken as they are typed, never coerced: a boolean
-        # is neither an integer nor a number here.
-        def integer(value):
-            if isinstance(value, bool):
-                raise TypeError(f"{value!r} is not an integer")
-            return operator.index(value)
-
-        def number(value):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{value!r} is not a number")
-            return float(value)
-
         # Every field but these is an integer; the schedule needs the others.
-        convert = {"k_policy": lambda policy: policy, "theta_max": number,
-                   "weights": lambda w: w if isinstance(w, str) else tuple(map(number, w))}
-        values = {f.name: read(f.name, convert.get(f.name, integer))
+        convert = {"k_policy": lambda policy: policy, "theta_max": _json_number,
+                   "weights": lambda w: w if isinstance(w, str) else tuple(map(_json_number, w))}
+        values = {f.name: _read(raw, f.name, convert.get(f.name, _json_integer))
                   for f in fields(cls) if f.name != "schedule"}
-        values["schedule"] = read("schedule", lambda spec: _resolve_schedule(
+        values["schedule"] = _read(raw, "schedule", lambda spec: _resolve_schedule(
             spec, values["n_learners"], values["seed"], base_dir))
         return cls(**values)
 
@@ -221,20 +204,45 @@ class ProtocolConfig:
                 "schedule": self.schedule.to_json(self.rounds)}
 
 
+# JSON values are taken as they are typed, never coerced: a boolean is
+# neither an integer nor a number here.
+def _json_integer(value):
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
+
+
+def _json_number(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _read(raw: Mapping, name: str, convert, where: str = "config field"):
+    """convert(raw[name]); ConfigError names the field of the wrong type."""
+    try:
+        return convert(raw[name])
+    except (TypeError, OverflowError) as exc:
+        raise ConfigError(f"{where} {name!r}: {exc}") from None
+
+
 def _resolve_schedule(spec, n: int, seed: int, base_dir: str) -> TopologySchedule:
     if isinstance(spec, str):
         path = spec if os.path.isabs(spec) else os.path.join(base_dir, spec)
         return TopologySchedule.from_file(path, n_nodes=n)
     if isinstance(spec, Mapping):
-        kind = spec.get("kind")
-        if kind is None:
+        if spec.get("kind") is None:
             raise ConfigError("schedule generator spec needs a 'kind'")
-        return TopologySchedule.generated(
-            kind,
-            n,
-            seed=int(spec.get("seed", seed)),
-            avg_degree=spec.get("avg_degree"),
-        )
+        if "seed" in spec:
+            seed = _read(spec, "seed", _json_integer, "schedule field")
+        avg_degree = None
+        if "avg_degree" in spec:
+            avg_degree = _read(spec, "avg_degree", _json_number, "schedule field")
+        try:  # the parameters only: no graph is generated at load
+            check_generator(spec["kind"], n, avg_degree)
+        except BadParameters as exc:
+            raise ConfigError(f"schedule generator spec: {exc}") from None
+        return TopologySchedule.generated(spec["kind"], n, seed=seed, avg_degree=avg_degree)
     if isinstance(spec, list):
         graphs = [RoundTopology(n, edges) for edges in spec]
         return TopologySchedule.from_graphs(graphs)
@@ -280,8 +288,8 @@ def build_initial_state(
     return np.add.reduceat(bundles[order], starts, axis=0) % p
 
 
-def _resolve_iterations(cfg: ProtocolConfig, a: np.ndarray, lambda2: float) -> int:
-    k_min = min_iterations(a, cfg.prime, lambda2=lambda2)
+def _resolve_iterations(cfg: ProtocolConfig, lambda2: float) -> int:
+    k_min = min_iterations(lambda2, cfg.n_learners, cfg.prime)
     if cfg.k_policy == "auto":
         return k_min
     k = int(cfg.k_policy)
@@ -332,10 +340,9 @@ def execute_round(
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     edge_weights = mh_edge_weights(g)
-    a = mh_weights(g, edge_weights)
-    lam2 = second_largest_eigenvalue(a)  # the round's one eigensolve
-    k_used = _resolve_iterations(cfg, a, lam2)
-    del a  # only the eigensolve needs the dense matrix
+    # The round's one eigensolve, and the only use of the dense matrix.
+    lam2 = second_largest_eigenvalue(mh_weights(g, edge_weights))
+    k_used = _resolve_iterations(cfg, lam2)
     op = AveragingOperator(*edge_weights)
     timings["weights"] = time.perf_counter() - t0
 

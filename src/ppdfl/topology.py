@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import json
 import numbers
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -246,38 +245,6 @@ def contraction_radius(a: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(b))))
 
 
-@dataclass(frozen=True)
-class ConsensusReport:
-    """Stochasticity and contraction diagnostics for a weight matrix."""
-
-    row_sum_err: float
-    col_sum_err: float
-    contraction_radius: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.row_sum_err < 1e-9
-            and self.col_sum_err < 1e-9
-            and self.contraction_radius < 1.0
-        )
-
-
-def verify_consensus_conditions(a: np.ndarray) -> ConsensusReport:
-    """Check the conditions under which averaging converges to the mean."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetric("expected a square matrix")
-    return ConsensusReport(*stochasticity_errors(a), contraction_radius(a))
-
-
-def stochasticity_errors(a: np.ndarray) -> tuple[float, float]:
-    """Largest deviation of a row sum and of a column sum from 1."""
-    row_err = float(np.max(np.abs(a.sum(axis=1) - 1.0)))
-    col_err = float(np.max(np.abs(a.sum(axis=0) - 1.0)))
-    return row_err, col_err
-
-
 def second_largest_eigenvalue(a: np.ndarray) -> float:
     """Eigenvalue with the second-largest magnitude (signed value).
 
@@ -359,6 +326,26 @@ def _random_connected_edges(
     return np.concatenate([tree, extra])
 
 
+def check_generator(kind: str, n_nodes: int, avg_degree: float | None = None) -> None:
+    """Raise BadParameters unless generate_topology accepts these parameters.
+
+    The one statement of the rule, checked without generating a graph: a
+    known kind on at least 2 nodes, and for random_connected an average
+    degree in [2, n_nodes - 1] (NaN is outside).
+    """
+    if n_nodes < 2:
+        raise BadParameters("need at least 2 nodes")
+    if kind not in ("complete", "star", "line", "random_connected"):
+        raise BadParameters(f"unknown topology kind {kind!r}")
+    if kind == "random_connected":
+        if avg_degree is None:
+            raise BadParameters("random_connected requires avg_degree")
+        if not 2 <= avg_degree <= n_nodes - 1:
+            raise BadParameters(
+                f"avg_degree {avg_degree} outside [2, {n_nodes - 1}]"
+            )
+
+
 def generate_topology(
     kind: str,
     n_nodes: int,
@@ -372,8 +359,7 @@ def generate_topology(
     construction. Both come from one numpy Generator derived from seed:
     a Pruefer sequence, then the extra pairs.
     """
-    if n_nodes < 2:
-        raise BadParameters("need at least 2 nodes")
+    check_generator(kind, n_nodes, avg_degree)
     ids = np.arange(1, n_nodes + 1, dtype=np.int64)
     if kind == "complete":
         edges = np.stack(np.triu_indices(n_nodes, 1), axis=1).astype(np.int64) + 1
@@ -381,18 +367,10 @@ def generate_topology(
         edges = np.stack([np.ones(n_nodes - 1, dtype=np.int64), ids[1:]], axis=1)
     elif kind == "line":
         edges = np.stack([ids[:-1], ids[1:]], axis=1)
-    elif kind == "random_connected":
-        if avg_degree is None:
-            raise BadParameters("random_connected requires avg_degree")
-        if not 2 <= avg_degree <= n_nodes - 1:
-            raise BadParameters(
-                f"avg_degree {avg_degree} outside [2, {n_nodes - 1}]"
-            )
+    else:  # random_connected
         target = round(avg_degree * n_nodes / 2)
         target = min(max(target, n_nodes - 1), n_nodes * (n_nodes - 1) // 2)
         edges = _random_connected_edges(n_nodes, derive_rng(seed), target)
-    else:
-        raise BadParameters(f"unknown topology kind {kind!r}")
     return RoundTopology(n_nodes, edges)
 
 

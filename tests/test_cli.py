@@ -653,22 +653,48 @@ def test_config_of_wrong_type_exits_config(tmp_path, capsys, raw, command):
     assert message in capsys.readouterr().err
 
 
+def _demo_config(tmp_path, **overrides):
+    demo = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.json"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**json.loads(demo.read_text()), **overrides}))
+    return str(path)
+
+
 @pytest.mark.parametrize("field, value", [
     pytest.param("model_dim", 3.7, id="model_dim_a_float"),
     pytest.param("model_dim", "5", id="model_dim_a_string"),
     pytest.param("rounds", True, id="rounds_a_boolean"),
     pytest.param("k_policy", True, id="k_policy_a_boolean"),
     pytest.param("theta_max", float("nan"), id="theta_max_nan"),
+    pytest.param("weights", [float("nan")] + [0.125] * 7, id="weights_nan"),
 ])
 def test_config_field_is_not_coerced(tmp_path, capsys, field, value):
     # Integer fields take JSON integers only, k_policy "auto" or a positive
-    # integer, theta_max a finite positive number; none is converted.
-    demo = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.json"
-    raw = {**json.loads(demo.read_text()), field: value}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(raw))
-    assert main(["bounds", "--config", str(path)]) == 2
+    # integer, theta_max and weights finite positive numbers; none is
+    # converted. Every comparison with NaN is false, so a NaN passes a
+    # positivity test and a sum test alike.
+    assert main(["bounds", "--config", _demo_config(tmp_path, **{field: value})]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule, message", [
+    pytest.param({"kind": "ring"}, "unknown topology kind 'ring'", id="unknown_kind"),
+    pytest.param({"kind": "random_connected", "avg_degree": 1.0},
+                 "avg_degree 1.0 outside [2, 7]", id="avg_degree_out_of_range"),
+    pytest.param({"kind": "random_connected", "avg_degree": "4"},
+                 "schedule field 'avg_degree': '4' is not a number", id="avg_degree_a_string"),
+    pytest.param({"kind": "random_connected", "avg_degree": 3.0, "seed": 1.5},
+                 "schedule field 'seed'", id="seed_a_float"),
+    pytest.param({"kind": "random_connected", "avg_degree": 3.0, "seed": "7"},
+                 "schedule field 'seed'", id="seed_a_string"),
+])
+def test_generator_schedule_spec_refused_at_load(tmp_path, capsys, schedule, message):
+    # Refused when the config loads, before bounds prints its verdict or
+    # any round's graph is generated.
+    assert main(["bounds", "--config", _demo_config(tmp_path, schedule=schedule)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_readme_library_example_runs():

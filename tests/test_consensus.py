@@ -18,7 +18,13 @@ from ppdfl.topology import (
     generate_topology,
     mh_edge_weights,
     mh_weights,
+    second_largest_eigenvalue,
 )
+
+
+def k_of(a, p):
+    # the round driver's K: the rule on the matrix's eigensolved lambda2
+    return min_iterations(second_largest_eigenvalue(a), a.shape[0], p)
 
 
 def direct_error_norm(a, k):
@@ -234,7 +240,7 @@ def test_contraction_of_spread():
 
 def test_min_iterations_complete_graph():
     a = mh_weights(generate_topology("complete", 10))
-    assert min_iterations(a, 1020431) == 1
+    assert k_of(a, 1020431) == 1
 
 
 def test_min_iterations_tight_against_direct_norm():
@@ -246,7 +252,7 @@ def test_min_iterations_tight_against_direct_norm():
             "random_connected", n, seed=trial, avg_degree=rng.uniform(2, min(6, n - 1))
         )
         a = mh_weights(g)
-        k = min_iterations(a, p)
+        k = k_of(a, p)
         threshold = 1.0 / (2 * p * math.sqrt(n))
         assert direct_error_norm(a, k) < threshold
         if k > 1:
@@ -256,7 +262,7 @@ def test_min_iterations_tight_against_direct_norm():
 def test_min_iterations_line_matches_closed_form_prediction():
     p = 1020431
     a = mh_weights(generate_topology("line", 100))
-    k = min_iterations(a, p)
+    k = k_of(a, p)
     threshold = 1.0 / (2 * p * 10.0)
     assert direct_error_norm(a, k) < threshold
     assert direct_error_norm(a, k - 1) >= threshold
@@ -264,7 +270,7 @@ def test_min_iterations_line_matches_closed_form_prediction():
 
 def test_min_iterations_no_finite_k():
     with pytest.raises(NoFiniteK):
-        min_iterations(np.eye(3), 11)
+        min_iterations(1.0, 3, 11)
 
 
 def test_rounding_margin_with_residue_initials():
@@ -277,7 +283,7 @@ def test_rounding_margin_with_residue_initials():
         g = generate_topology(
             "random_connected", n, seed=100 + trial, avg_degree=min(2.5, n - 1)
         )
-        k = min_iterations(mh_weights(g), p)
+        k = k_of(mh_weights(g), p)
         init = np.array([[rng.randrange(p)] for _ in range(n)], dtype=float)
         final = consensus_final(init, AveragingOperator.from_graph(g), k)
         assert np.max(np.abs(n * final - init.sum())) < 0.5

@@ -15,12 +15,12 @@ from ppdfl.topology import (
     NotSymmetric,
     RoundTopology,
     TopologySchedule,
+    check_generator,
     contraction_radius,
     generate_topology,
     is_connected,
     mh_weights,
     second_largest_eigenvalue,
-    verify_consensus_conditions,
 )
 
 
@@ -179,23 +179,31 @@ def test_exact_and_float_mh_weights_agree():
                     assert float(exact[i][j]) == a[i, j]
 
 
+def _consensus_conditions(a):
+    # (passed, contraction radius): every row and column sum within 1e-9 of
+    # 1, and a radius below 1
+    sum_err = max(np.max(np.abs(a.sum(axis=1) - 1.0)), np.max(np.abs(a.sum(axis=0) - 1.0)))
+    radius = contraction_radius(a)
+    return bool(sum_err < 1e-9 and radius < 1.0), radius
+
+
 def test_verify_conditions_pass_on_mh():
     g = generate_topology("random_connected", 25, seed=9, avg_degree=3)
-    report = verify_consensus_conditions(mh_weights(g))
-    assert report.passed
-    assert report.contraction_radius < 1
+    passed, radius = _consensus_conditions(mh_weights(g))
+    assert passed
+    assert radius < 1
 
 
 def test_verify_conditions_identity_fails():
-    report = verify_consensus_conditions(np.eye(2))
-    assert abs(report.contraction_radius - 1.0) < 1e-12
-    assert not report.passed
+    passed, radius = _consensus_conditions(np.eye(2))
+    assert abs(radius - 1.0) < 1e-12
+    assert not passed
 
 
 def test_verify_conditions_exact_averaging_matrix():
-    report = verify_consensus_conditions(np.full((2, 2), 0.5))
-    assert report.contraction_radius < 1e-12
-    assert report.passed
+    passed, radius = _consensus_conditions(np.full((2, 2), 0.5))
+    assert radius < 1e-12
+    assert passed
 
 
 def test_second_eigenvalue_complete():
@@ -252,6 +260,20 @@ def test_generate_topology_bad_parameters():
         generate_topology("random_connected", 10, avg_degree=10.0)
     with pytest.raises(BadParameters):
         generate_topology("random_connected", 10)
+
+
+def test_check_generator_is_generate_topology_rule():
+    # The loader's check refuses exactly what generation refuses.
+    for kind, n, avg_degree in (("hypercube", 8, None), ("random_connected", 10, 1.0),
+                                ("random_connected", 10, float("nan")),
+                                ("random_connected", 10, None), ("line", 1, None)):
+        with pytest.raises(BadParameters):
+            check_generator(kind, n, avg_degree)
+        with pytest.raises(BadParameters):
+            generate_topology(kind, n, avg_degree=avg_degree)
+    for kind, n, avg_degree in (("random_connected", 10, 9.0), ("star", 2, None)):
+        check_generator(kind, n, avg_degree)
+        generate_topology(kind, n, avg_degree=avg_degree)
 
 
 def test_random_topology_deterministic_and_connected():
