@@ -22,7 +22,7 @@ EXIT_LEAKAGE = 4
 EXIT_INTERNAL = 5
 
 # A shared machine scatters single rounds by about 15% either way; only a
-# mean over some ten round-robin passes holds a sweep's linear shape.
+# median over some ten round-robin passes holds a sweep's linear shape.
 _MIN_PASSES = 10
 
 
@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--n-nodes", type=int, default=24)
     bench.add_argument("--avg-degree", type=float, default=8.0)
     bench.add_argument("--reps", type=int, default=3,
-                       help="round-robin passes averaged per point; "
-                            f"at least {_MIN_PASSES} are run")
+                       help="round-robin passes per point, whose median is "
+                            f"taken; at least {_MIN_PASSES} are run")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", default=None, help="CSV output path")
     return parser
@@ -285,7 +285,8 @@ def _cmd_privacy(args) -> int:
                  or len(f.members) < len(adv.benign)]
         print(f"round {r.round_index}: secrecy="
               f"{'ok' if r.secrecy_ok else 'LEAK'} "
-              f"surrounded={[sorted(s) for s in r.surrounded_sets]} "
+              f"surrounded={len(r.surrounded_sets)} "
+              f"sizes={sorted(map(len, r.surrounded_sets))} "
               f"extra_leaked={len(leaks)}")
     if report.perfectly_secret:
         print("perfect secrecy holds across all rounds")
@@ -308,12 +309,21 @@ def _linear_fit(xs, ys):
     return float(slope), r2
 
 
-def _mean_times(runs, reps):
-    """Mean wall time of each run over round-robin passes, garbage collector off.
+def _median_times(runs, reps):
+    """Median wall time of each run over round-robin passes, garbage collector off.
 
     One pass times every run once, so a slow or fast spell of the machine
-    lands on all points of a sweep alike. At least `_MIN_PASSES` passes run.
+    lands on all points of a sweep alike, and the median leaves out a pass
+    that a spell slowed. At least `_MIN_PASSES` passes run.
     """
+    import numpy as np
+
+    # Freeing a block of almost 32 MiB raises glibc's mmap and trim
+    # thresholds to their dynamic ceiling, so the memory a run frees stays
+    # in the heap. Otherwise, depending on how a process's heap lies, the
+    # larger points hand it back and fault it in again on every pass, which
+    # bent the share sweep by up to a fifth at n = 384 and 512.
+    np.empty(31 << 20, dtype=np.uint8)
     samples = [[] for _ in runs]
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -326,7 +336,7 @@ def _mean_times(runs, reps):
     finally:
         if gc_was_enabled:
             gc.enable()
-    return [statistics.fmean(times) for times in samples]
+    return [statistics.median(times) for times in samples]
 
 
 def bench_share_sweep(n_values, n_nodes=24, avg_degree=8.0, reps=3, seed=0):
@@ -358,7 +368,7 @@ def bench_share_sweep(n_values, n_nodes=24, avg_degree=8.0, reps=3, seed=0):
         runs.append(functools.partial(execute_round, models, g, cfg,
                                       record_trajectory=False))
         xs.append((2 * len(g.src) / n_nodes + 1) * dim)
-    times = _mean_times(runs, reps)
+    times = _median_times(runs, reps)
     return [(x, t / n_nodes) for x, t in zip(xs, times)]
 
 
@@ -375,7 +385,7 @@ def bench_iteration_sweep(k_values, n_nodes=40, avg_degree=8.0, dim=8,
     gen = derive_rng(seed, "bench-k")
     states = gen.uniform(0.0, 1.0, (n_nodes, dim))
     runs = [functools.partial(consensus_final, states, op, k) for k in k_values]
-    times = _mean_times(runs, reps)
+    times = _median_times(runs, reps)
     return [(k, t / n_nodes) for k, t in zip(k_values, times)]
 
 

@@ -154,9 +154,22 @@ class ProtocolConfig:
             raise ConfigError(
                 f"schedule covers {length} rounds but {self.rounds} requested"
             )
-        if length is not None:
-            # Generated graphs are connected on n_learners nodes by
-            # construction; explicit ones are checked before any round runs.
+        generator = self.schedule.generator
+        if generator is not None:
+            # Generated graphs are connected by construction; their
+            # parameters are checked without generating one.
+            kind, n_nodes, _, avg_degree = generator
+            try:
+                check_generator(kind, n_nodes, avg_degree)
+            except BadParameters as exc:
+                raise ConfigError(f"schedule generator spec: {exc}") from None
+            if n_nodes != self.n_learners:
+                raise ConfigError(
+                    f"schedule generates graphs on {n_nodes} nodes, "
+                    f"expected {self.n_learners} learners"
+                )
+        else:
+            # Explicit graphs are checked before any round runs.
             for t in range(1, self.rounds + 1):
                 g = self.schedule.round_graph(t)
                 if g.n_nodes != self.n_learners:
@@ -238,10 +251,7 @@ def _resolve_schedule(spec, n: int, seed: int, base_dir: str) -> TopologySchedul
         avg_degree = None
         if "avg_degree" in spec:
             avg_degree = _read(spec, "avg_degree", _json_number, "schedule field")
-        try:  # the parameters only: no graph is generated at load
-            check_generator(spec["kind"], n, avg_degree)
-        except BadParameters as exc:
-            raise ConfigError(f"schedule generator spec: {exc}") from None
+        # ProtocolConfig checks the parameters: no graph is generated at load.
         return TopologySchedule.generated(spec["kind"], n, seed=seed, avg_degree=avg_degree)
     if isinstance(spec, list):
         graphs = [RoundTopology(n, edges) for edges in spec]

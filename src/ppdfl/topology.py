@@ -398,6 +398,12 @@ class TopologySchedule:
         return cls(policy=(kind, n_nodes, seed, avg_degree))
 
     @property
+    def generator(self) -> tuple | None:
+        """(kind, n_nodes, seed, avg_degree) of a generated schedule; None
+        for an explicit one."""
+        return self._policy
+
+    @property
     def length(self) -> int | None:
         """Number of rounds covered; None for unbounded generated schedules."""
         return len(self._graphs) if self._graphs is not None else None

@@ -8,8 +8,9 @@ one shares record, and read back it must hold exactly one bundle of n
 values for each of those pairs.
 
 Each record's layout is stated once, in _LAYOUTS: the writer's
-%-templates, the reader's regexes and the fields it takes from a message
-json.loads read all derive from it.
+%-templates, the zero texts the reader checks blocks of records against,
+its consensus regex and the fields it takes from a message json.loads read
+all derive from it.
 """
 
 from __future__ import annotations
@@ -50,27 +51,32 @@ class RoundRecord:
 # which the regex engine runs faster than an alternation.
 _ID_LIST = r"\[(?:(?!0[0-9])[0-9]+(?:, (?!0[0-9])[0-9]+)*)?\]"
 _NUMBER = r"(?:-?(?:[1-9][0-9]*|0)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity)"
-_NESTED = r"(\[[0-9, \[\]]*\])"
-# Each kind of field: its regex in the writer's layout, whose group captures
-# its text; its %-template, None where the record's shape sets a list's
-# layout; and the type json.loads must read for it, or None for any value.
-# The bulk parse holds integer lists to the writer's layout, the graph
-# checks n_nodes and edges, and the first scalar takes the rest of its
-# object. A consensus record is never parsed: its to list is checked
-# against _ID_LIST separately, like the state0 list it repeats, and its
-# states are checked, not captured.
+# Each kind of field: its %-template, None where the record's shape sets a
+# list's layout; and the type json.loads must read for it, or None for any
+# value. The graph checks n_nodes and edges, and the first scalar takes the
+# rest of its object.
 _KINDS = {
-    "id": (r"(0|[1-9][0-9]*)", "%d", int),
-    "phase": (r'"([a-z0-9]+)"', None, None),
-    "nodes": (r"(0|[1-9][0-9]*)", "%d", None),
-    "edges": (_NESTED, "%s", None),
-    "scalar": (r'(".*)', "%s", None),
-    "ints": (r"(\[[0-9, ]*\])", None, list),
-    "rows": (_NESTED, None, list),
-    "floats": (r"(\[[-+.0-9eE, NaInfity]*\])", "[%s]", list),
-    "neighbours": ("(" + _ID_LIST + ")", "%s", None),
-    "step_neighbours": (r'(\[[^"]*\])', "%s", None),
-    "states": (r"\[(?:" + _NUMBER + r"(?:, " + _NUMBER + r")*)?\]", "[%s]", None),
+    "id": ("%d", int),
+    "phase": (None, None),
+    "nodes": ("%d", None),
+    "edges": ("%s", None),
+    "scalar": ("%s", None),
+    "ints": (None, list),
+    "rows": (None, list),
+    "floats": ("[%s]", list),
+    "neighbours": ("%s", None),
+    "step_neighbours": ("%s", None),
+    "states": ("[%s]", None),
+}
+# The regex of each kind a pattern reads, in the writer's layout, its group
+# capturing its text: a record's head, and a consensus record, which is
+# never parsed. Its to list is captured loosely and checked against _ID_LIST
+# separately; its states are checked, not captured.
+_PATTERNS = {
+    "id": r"(0|[1-9][0-9]*)",
+    "phase": r'"([a-z0-9]+)"',
+    "step_neighbours": r'(\[[^"]*\])',
+    "states": r"\[(?:" + _NUMBER + r"(?:, " + _NUMBER + r")*)?\]",
 }
 
 # Every record opens with its round and phase, and each phase's fields
@@ -105,13 +111,7 @@ _SHAPED = "\0"  # where the record's shape sets a list's layout
 
 def _pattern(fields) -> str:
     """The regex of fields in the writer's layout."""
-    parts = []
-    for key, kind, *_ in fields:
-        if kind == "scalar":
-            return ", ".join([*parts, _KINDS[kind][0]])
-        text = r"\{%s\}" % _pattern(kind) if type(kind) is tuple else _KINDS[kind][0]
-        parts.append('"%s": %s' % (key, text))
-    return ", ".join(parts)
+    return ", ".join('"%s": %s' % (key, _PATTERNS[kind]) for key, kind, *_ in fields)
 
 
 def _render(fields, phase: str) -> str:
@@ -121,13 +121,13 @@ def _render(fields, phase: str) -> str:
         if type(kind) is tuple:
             text = "{%s}" % _render(kind, phase)
         else:
-            text = '"%s"' % phase if kind == "phase" else _KINDS[kind][1] or _SHAPED
+            text = '"%s"' % phase if kind == "phase" else _KINDS[kind][0] or _SHAPED
         parts.append('"%s": %s' % (key, text))
     return ", ".join(parts)
 
 
 _HEAD = re.compile(r"\{" + _pattern(_HEAD_FIELDS) + ", ")
-_TAILS = {phase: re.compile(_pattern(fields) + r"\}") for phase, fields in _LAYOUTS.items()}
+_CONSENSUS = re.compile(_pattern(_LAYOUTS["consensus"]) + r"\}")
 _TEMPLATES = {phase: ("{" + _render(_HEAD_FIELDS + fields, phase) + "}\n").split(_SHAPED)
               for phase, fields in _LAYOUTS.items()}
 _STRICT_ID_LIST = re.compile(_ID_LIST)
@@ -140,15 +140,34 @@ def _template(phase: str, *layouts: str) -> str:
     return "".join(chain.from_iterable(zip(pieces, layouts))) + pieces[-1]
 
 
-_DIGITS = b"0123456789"
-_TO_SPACES = bytes.maketrans(b"[],", b"   ")
+# A topology record up to its first scalar: the part the writer's layout
+# fixes, for the edges' layout given.
+_TOPOLOGY_HEAD = _template("topology").split('"%s"' % _SCALARS[0][0])[0]
+# The integers a record's text holds between its round and its sender: the
+# digits of its phase, as in state0.
+_PHASE_INTS = {phase: [int(d) for d in re.findall("[0-9]+", phase)] for phase in _LAYOUTS}
+_ZERO_DIGITS = bytes.maketrans(b"123456789", b"000000000")
+_SPACE_NON_DIGITS = bytes(c if 48 <= c < 58 else 32 for c in range(256))
 
 
 @lru_cache(maxsize=4096)
 def _list_layout(count: int, item: str) -> str:
     """A list of count items, each reading item, as json.dumps lays it out;
-    the writer's templates and the reader's skeletons share these."""
+    the writer's templates and the reader's zero texts share these."""
     return "[" + ", ".join([item] * count) + "]"
+
+
+@lru_cache(maxsize=4096)
+def _zero_record(phase: str, width: int, to_count: int) -> bytes:
+    """A shares or state0 record as the writer lays it out, every integer
+    written 0: to_count receivers (a shares record's bundles, of width
+    values each) or neighbours (a state0 record's), and width states."""
+    row = _list_layout(width, "0")
+    if phase == "shares":
+        text = _template(phase, _list_layout(to_count, "0"), _list_layout(to_count, row)) % (0, 0)
+    else:
+        text = _template(phase, row) % (0, 0, _list_layout(to_count, "0"))
+    return text.encode()
 
 
 def _json_rows(block: np.ndarray) -> list[str]:
@@ -157,48 +176,70 @@ def _json_rows(block: np.ndarray) -> list[str]:
     return json.dumps(np.asarray(block, dtype=float).tolist())[2:-2].split("], [")
 
 
-def _skeletons(counts: list[int], item: str = "") -> str:
-    """Lists of counts[0], counts[1], ... items as json.dumps lays them out,
-    back to back and less their digits, each item reading `item` less its
-    digits."""
-    return "".join([_list_layout(k, item) for k in counts])
+def _int_text(raw: bytes, zeros: bytes) -> np.ndarray | None:
+    """The integers of raw as one int64 array in text order; None unless raw
+    reads exactly zeros once each run of its digits is written 0, and each
+    run is an integer of at most 18 digits without a leading zero.
 
-
-def _int_text(texts: list[str], skeleton: str, count: int) -> np.ndarray | None:
-    """The integers of texts, JSON lists as json.dumps lays them out, as one
-    int64 array in text order; None unless the texts less their digits read
-    exactly skeleton and each of its count slots holds one integer of at
-    most 18 digits without leading zeros.
-
-    The skeleton fixes the brackets, separators and so the width of every
-    list; a bounded number of array passes over the joined bytes checks the
-    digits and converts them, with no work per text.
+    zeros is the writer's text of raw's shapes with every integer 0: it
+    fixes every key, bracket and separator and where each integer stands (a
+    digit of the layout's own, such as state0's, is an integer the caller
+    checks). A bounded number of array passes checks the digits and converts
+    them, with no work per record or list.
     """
-    raw = "".join(texts).encode()
-    if raw.translate(None, _DIGITS) != skeleton.encode():
+    chars = np.frombuffer(raw.translate(_ZERO_DIGITS), dtype=np.uint8)
+    digit = chars == 48
+    first = np.ones(len(chars), dtype=bool)  # every byte but a run's second digit on
+    first[1:] = ~(digit[1:] & digit[:-1])
+    if chars[first].tobytes() != zeros:
         return None
-    chars = np.frombuffer(raw, dtype=np.uint8)
-    digit = (chars - 48) < 10  # uint8 wraps below "0"
-    # A run of digits starts after "[" or " " and ends before "," or "]";
-    # with the skeleton's separators in place, only a slot is such a gap.
-    stray = digit[1:] & ((chars[:-1] == 93) | (chars[:-1] == 44))
-    stray |= digit[:-1] & ((chars[1:] == 91) | (chars[1:] == 32))
-    if stray.any():
+    if ((np.frombuffer(raw, dtype=np.uint8)[:-1] == 48) & first[:-1] & digit[1:]).any():
         return None
-    # The runs fill every slot when there are as many as slots.
-    if np.count_nonzero(digit[1:] & ~digit[:-1]) != count:
-        return None
-    if not count:
-        return np.empty(0, dtype=np.int64)
-    leading_zero = (chars[1:-1] == 48) & ~digit[:-2] & digit[2:]
-    if leading_zero.any():
-        return None
-    values = np.fromstring(raw.translate(_TO_SPACES), dtype=np.int64, sep=" ")
+    values = np.fromstring(raw.translate(_SPACE_NON_DIGITS), dtype=np.int64, sep=" ")
     # A run of more than 18 digits reads as at least 10**18, as fromstring
     # saturates beyond int64.
-    if len(values) != count or values.max() >= 10**18:
+    if values.size and values.max() >= 10**18:
         return None
     return values
+
+
+def _block_payload(values: np.ndarray, t: int, phase: str, to: np.ndarray,
+                   to_counts: np.ndarray, payload_counts: np.ndarray) -> np.ndarray | None:
+    """The payload integers of a block of records of phase, one per learner
+    1..N in order, from values, every integer of the block in text order;
+    learner i's record lists to_counts[i-1] ids and holds payload_counts[i-1]
+    integers. None unless every record names round t, its learner, and the
+    next to_counts[i-1] ids of to as its to list."""
+    head = [t, *_PHASE_INTS[phase], 0]  # the sender last
+    lengths = len(head) + to_counts + payload_counts
+    starts = np.cumsum(lengths) - lengths
+    expected = np.full(len(values), -1)  # -1 at a payload integer
+    at = starts[:, None] + np.arange(len(head))
+    expected[at] = head
+    expected[at[:, -1]] = np.arange(1, len(starts) + 1)
+    firsts = np.cumsum(to_counts) - to_counts
+    expected[np.arange(len(to)) + np.repeat(starts + len(head) - firsts, to_counts)] = to
+    known = expected >= 0
+    if not np.array_equal(values[known], expected[known]):
+        return None
+    return values[~known]
+
+
+def _topology_fields(line: bytes):
+    """(round, field texts as the filer takes them) of a topology record
+    whose round, n_nodes and edges stand in the writer's layout, the edges
+    as an (E, 2) int64 array and the payload's other fields as text from
+    its first scalar on; None for any other line."""
+    body = line[:-1] if line.endswith(b"\n") else line
+    at = body.find(b'"edges": ')
+    cut = body.find(b'"', at + 9) if at >= 0 else -1
+    if cut < 0 or not body.endswith(b"}}"):
+        return None
+    pairs = body.count(b"[", 0, cut) - 1
+    ints = _int_text(body[:cut], (_TOPOLOGY_HEAD % (0, 0, _list_layout(pairs, "[0, 0]"))).encode())
+    if ints is None:
+        return None
+    return int(ints[0]), (str(ints[1]), ints[2:].reshape(pairs, 2), body[cut:-2].decode())
 
 
 def _json_int_lists(items: list, depth: int):
@@ -206,12 +247,18 @@ def _json_int_lists(items: list, depth: int):
     holds every integer as int64 in order, and sizes[l] the item counts of
     the lists at nesting level l+1, sizes[0] one per item. Where a list
     belongs but something else stands, it reads as a list of one value; a
-    value that is not a JSON integer in [0, 2**63) reads as -1."""
+    value that is not a JSON integer in [0, 2**63) reads as a negative
+    number."""
     sizes = []
     for _ in range(depth):
         items = [x if type(x) is list else [None] for x in items]
         sizes.append(np.fromiter(map(len, items), dtype=np.int64, count=len(items)))
         items = list(chain.from_iterable(items))
+    if set(map(type, items)) == {int}:
+        try:
+            return np.array(items, dtype=np.int64), sizes
+        except OverflowError:  # an integer beyond int64
+            pass
     values = np.fromiter(
         (v if type(v) is int and 0 <= v < 2**63 else -1 for v in items),
         dtype=np.int64, count=len(items),
@@ -244,25 +291,27 @@ def _check_residues(t: int, phase: str, owners, counts: np.ndarray,
 
 def _residue_rows(t: int, phase: str, texts: list[str], p: int) -> np.ndarray:
     """The state0 or audit secret lists of learners 1..N as one (N, n)
-    int64 block; ValueError on a value outside [0, p) or unequal lists.
-    Lists in the writer's layout are parsed in one _int_text call."""
-    sizes = [text.count(",") + 1 for text in texts]
-    values = _int_text(texts, _skeletons(sizes), sum(sizes))
-    if values is None:
-        values, (sizes,) = _json_int_lists(list(map(json.loads, texts)), 1)
-    sizes = np.asarray(sizes)
+    int64 block; ValueError on a value outside [0, p) or unequal lists."""
+    values, (sizes,) = _json_int_lists(list(map(json.loads, texts)), 1)
     _check_residues(t, phase, range(1, len(texts) + 1), sizes, values, p)
     if (sizes != sizes[0]).any():
         raise ValueError(f"transcript round {t} has records of unequal length")
     return values.reshape(len(texts), sizes[0])
 
 
+def _new_slot() -> dict:
+    """A round's records as they are filed: from lines read alone, or the
+    arrays of its blocks."""
+    return {"shares": [], "state0": {}, "result": {}, "audit": {}, "topology": None,
+            "block": None}
+
+
 def _collect_fields(per_round: dict, t: int, phase: str, fields: tuple | None,
                     legacy: bool = False) -> None:
-    """File a record from its field texts in table order, as the phase's
-    regex captures them; fields None only opens the round. ValueError on a
-    record that repeats another (a legacy state0 record may repeat its
-    learner's payload) or a graph that is not valid."""
+    """File a record from its field texts in table order; fields None only
+    opens the round. A topology record's edges may come as an (E, 2) array.
+    ValueError on a record that repeats another (a legacy state0 record may
+    repeat its learner's payload) or a graph that is not valid."""
     slot = per_round[t]
     if fields is None:
         return
@@ -275,11 +324,7 @@ def _collect_fields(per_round: dict, t: int, phase: str, fields: tuple | None,
         # rest of the payload win, as in json.loads.
         payload = json.loads('{"%s": %s%s}' % (nodes_key, n_nodes, rest and ", " + rest))
         if edges_key not in payload:
-            # An (E, 2) int64 array; edges in another layout, or not all
-            # pairs, as their JSON value.
-            pairs = edges.count("[") - 1
-            ids = _int_text([edges], _skeletons([pairs], "[, ]"), 2 * pairs)
-            payload[edges_key] = json.loads(edges) if ids is None else ids.reshape(pairs, 2)
+            payload[edges_key] = json.loads(edges) if type(edges) is str else edges
         try:
             slot["topology"] = RoundTopology(*(payload[key] for key in _GRAPH))
         except ValueError as exc:
@@ -305,7 +350,7 @@ def _json_value(lineno: int, obj: dict, key: str, kind, *default):
     """obj[key], or default; ValueError naming the line unless it has the
     kind's type."""
     value = obj.get(key, *default) if default else obj[key]
-    want = dict if type(kind) is tuple else _KINDS[kind][2]
+    want = dict if type(kind) is tuple else _KINDS[kind][1]
     if want is not None and type(value) is not want:
         raise ValueError(f"transcript line {lineno} field {key!r} is not a JSON "
                          f"{_JSON_NAMES[want]}")
@@ -313,9 +358,9 @@ def _json_value(lineno: int, obj: dict, key: str, kind, *default):
 
 
 def _json_texts(lineno: int, fields, obj: dict) -> list[str]:
-    """The texts of obj's fields in table order, as their regex captures
-    them in the writer's layout: each value dumped back to text, and the
-    first scalar with the rest of its object."""
+    """The texts of obj's fields in table order, as the filer takes them:
+    each value dumped back to text, and the first scalar with the rest of
+    its object."""
     texts = []
     for n, (key, kind, *default) in enumerate(fields):
         if kind == "scalar":
@@ -335,7 +380,7 @@ def _message_fields(lineno: int, msg: dict):
     if type(phase) is not str or phase not in _LAYOUTS or phase == "consensus":
         return t, phase, None, False
     layout, legacy = _LAYOUTS[phase], _LEGACY_LAYOUTS.get(phase, ())
-    if not legacy or any(type(msg.get(key)) is not _KINDS[kind][2] for key, kind in legacy):
+    if not legacy or any(type(msg.get(key)) is not _KINDS[kind][1] for key, kind in legacy):
         return t, phase, tuple(_json_texts(lineno, layout, msg)), False
     texts = _json_texts(lineno, legacy, msg)
     return t, phase, tuple(text if old[1] == new[1] else "[" + text + "]"
@@ -357,37 +402,22 @@ def _learner_ids(t: int, values: list) -> np.ndarray:
     return ids
 
 
-def _share_records(t: int, records: list, width: int, p: int):
+def _share_records(t: int, records: list, p: int):
     """(senders, receivers, lengths, values) of round t's share bundles from
     its shares records: bundle e goes from senders[e] to receivers[e] and
     holds the next lengths[e] of values. ValueError on a record whose lists
     differ in length, an id that is not an integer, or a value outside
-    [0, p).
-
-    When every record is in the writer's layout with bundles of the given
-    width, two _int_text calls read them all.
-    """
+    [0, p)."""
     senders = [sender for sender, _, _ in records]
-    tos = [to for _, to, _ in records]
-    payloads = [rows for _, _, rows in records]
-    counts = [to.count(",") + 1 for to in tos]
-    receivers = _int_text(tos, _skeletons(counts), sum(counts))
-    values = None if receivers is None else _int_text(
-        payloads, _skeletons(counts, _skeletons([width])), sum(counts) * width
-    )
-    if values is not None:
-        counts = np.array(counts, dtype=np.int64)
-        lengths = np.full(len(receivers), width)
-    else:
-        tos = list(map(json.loads, tos))  # lists, by their regex or the json.loads route
-        values, (counts, lengths) = _json_int_lists(list(map(json.loads, payloads)), 2)
-        for k, to in enumerate(tos):
-            if len(to) != counts[k]:
-                raise ValueError(
-                    f"transcript round {t} shares record of learner {senders[k]} lists "
-                    f"{len(to)} receivers but carries {counts[k]} bundles"
-                )
-        receivers = _learner_ids(t, list(chain.from_iterable(tos)))
+    tos = [json.loads(to) for _, to, _ in records]
+    values, (counts, lengths) = _json_int_lists([json.loads(rows) for _, _, rows in records], 2)
+    for k, to in enumerate(tos):
+        if len(to) != counts[k]:
+            raise ValueError(
+                f"transcript round {t} shares record of learner {senders[k]} lists "
+                f"{len(to)} receivers but carries {counts[k]} bundles"
+            )
+    receivers = _learner_ids(t, list(chain.from_iterable(tos)))
     # Only records with bundles name a sender of one.
     sending = counts > 0
     ids = _learner_ids(t, [s for s, k in zip(senders, sending.tolist()) if k])
@@ -444,6 +474,179 @@ def _share_table(t: int, g: RoundTopology, senders: np.ndarray, receivers: np.nd
         )
     # Every bundle is now a wanted one of the given width.
     return values.reshape(len(lengths), width)[source]
+
+
+class _Reader:
+    """One pass over a transcript's bytes, filing its records by round.
+
+    A round whose topology record opens with the writer's layout is tried
+    as blocks: its N shares and N state0 records, each block checked
+    against the writer's zero text of the round's shapes and parsed by one
+    _int_text call; consensus records skipped by regex; then its N result
+    and N audit records, one json.loads per block. A round its blocks read
+    holds their arrays. Every other line is read alone, through json.loads
+    and the filer, and so is every line of a round whose blocks do not
+    read: an edited, reordered or legacy line meets the refusals it always
+    met. A line read alone that files a record into a round its blocks
+    read turns those blocks back into lines first, so every record of that
+    round meets the filer in file order.
+    """
+
+    def __init__(self, data: bytes):
+        self.data = data
+        ends = (np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + 1).tolist()
+        # Line k is data[bounds[k]:bounds[k + 1]], its newline included.
+        self.bounds = [0, *ends] if data.endswith(b"\n") or not data else [0, *ends, len(data)]
+        self.count = len(self.bounds) - 1
+        self.meta = None
+        self.per_round: dict[int, dict] = defaultdict(_new_slot)
+        self.id_lists: set[str] = set()  # consensus to lists _ID_LIST admits
+
+    def lines(self, k: int, n: int = 1) -> bytes:
+        """Lines k to k + n - 1, with their newlines."""
+        return self.data[self.bounds[k]:self.bounds[k + n]]
+
+    def read(self) -> None:
+        k = 0
+        while k < self.count:
+            topology = _topology_fields(self.lines(k))
+            if topology is None:
+                self.file_line(k)
+                k += 1
+                continue
+            t, fields = topology
+            fresh = not any(self.per_round.get(t, {}).values())
+            self.file(k + 1, t, "topology", fields)
+            k += 1
+            if fresh:
+                k = self.blocks(k, t)
+
+    def file(self, lineno: int, t: int, phase, fields, legacy: bool = False) -> None:
+        """File a record of line lineno; a round its blocks read turns back
+        into lines first."""
+        slot = self.per_round.get(t)
+        if fields is not None and slot is not None and slot["block"] is not None:
+            lines, slot["block"] = slot["block"][0], None
+            for j in lines:
+                self.file_line(j)
+        try:
+            _collect_fields(self.per_round, t, phase, fields, legacy)
+        except KeyError as exc:
+            raise ValueError(f"transcript line {lineno} lacks field {exc}") from None
+
+    def file_line(self, k: int) -> None:
+        """Read line k alone: skip it if blank or a consensus record the
+        regex admits, else file its message."""
+        line = self.lines(k).decode().strip()
+        if not line or self.skips(line):
+            return
+        try:
+            msg = json.loads(line)
+            if not isinstance(msg, dict):
+                raise ValueError(f"transcript line {k + 1} is not a JSON object")
+            if "meta" in msg and "round" not in msg:
+                self.meta = msg["meta"]
+                return
+            fields = _message_fields(k + 1, msg)
+        except KeyError as exc:
+            raise ValueError(f"transcript line {k + 1} lacks field {exc}") from None
+        self.file(k + 1, *fields)
+
+    def skips(self, line: str) -> bool:
+        """Whether line is a consensus record in the writer's layout, which
+        only opens its round."""
+        head = _HEAD.match(line)
+        fields = head and head[2] == "consensus" and _CONSENSUS.fullmatch(line, head.end())
+        # A learner's to list repeats at every step, so each distinct text
+        # meets the strict pattern once.
+        if not fields or not (fields[3] in self.id_lists or _STRICT_ID_LIST.fullmatch(fields[3])):
+            return False
+        self.id_lists.add(fields[3])
+        _collect_fields(self.per_round, int(head[1]), "consensus", None)
+        return True
+
+    def blocks(self, k: int, t: int) -> int:
+        """The line after round t's blocks, which start at line k, with the
+        round's arrays filed; k if they do not read."""
+        g = self.per_round[t]["topology"]
+        n = g.n_nodes
+        if k + 2 * n > self.count:
+            return k
+        # The bundle width, from learner 1's first bundle; the zero text
+        # checks it with the rest.
+        first = self.lines(k)
+        at = first.find(b'"payload": [[') + 13
+        width = first.count(b",", at, first.find(b"]", at)) + (first[at:at + 1] != b"]")
+        degrees = np.diff(g.indptr)
+        receivers = share_pairs(g)[1]
+        bundles = self.int_block(k, t, "shares", width, receivers, degrees + 1,
+                                 (degrees + 1) * width)
+        states = self.int_block(k + n, t, "state0", width, g.arc_head, degrees,
+                                np.full(n, width))
+        if bundles is None or states is None:
+            return k
+        end = k + 2 * n
+        while end < self.count and self.skips(self.lines(end).decode().strip()):
+            end += 1
+        results, audits = self.json_block(end, t, "result", n), self.json_block(end + n, t, "audit", n)
+        if results is None or audits is None or set(map(type, audits)) != {dict}:
+            return k
+        if not all("secret" in a and "model" in a for a in audits):
+            return k
+        secrets, models = [a["secret"] for a in audits], [a["model"] for a in audits]
+        if set(map(type, chain(results, secrets, models))) != {list}:
+            return k
+        secrets, (sizes,) = _json_int_lists(secrets, 1)
+        try:
+            decoded, models = np.array(results, dtype=float), np.array(models, dtype=float)
+        except (TypeError, ValueError):
+            return k
+        if (sizes != width).any() or decoded.shape != (n, width) or models.shape != (n, width):
+            return k
+        self.per_round[t]["block"] = (
+            range(k, end + 2 * n), bundles.reshape(len(receivers), width), states.reshape(n, width),
+            secrets.reshape(n, width), models, decoded)
+        return end + 2 * n
+
+    def int_block(self, k: int, t: int, phase: str, width: int, to: np.ndarray,
+                  to_counts: np.ndarray, payload_counts: np.ndarray) -> np.ndarray | None:
+        """The payload integers of round t's shares or state0 records of
+        learners 1..N on the N lines from k, in the writer's layout and
+        order; None unless they are exactly that (_block_payload)."""
+        n = len(to_counts)
+        raw = self.lines(k, n)
+        # Every integer takes a byte at least, so a zero text longer than
+        # about three times the block is never built.
+        if to_counts.sum() + payload_counts.sum() > len(raw):
+            return None
+        zeros = b"".join([_zero_record(phase, width, c) for c in to_counts.tolist()])
+        values = _int_text(raw, zeros)
+        if values is None:
+            return None
+        return _block_payload(values, t, phase, to, to_counts, payload_counts)
+
+    def json_block(self, k: int, t: int, phase: str, n: int) -> list | None:
+        """The payloads of round t's result or audit records of learners
+        1..n on the n lines from k, by one json.loads; None unless each line
+        holds one such record, its round and sender JSON integers."""
+        if k + n > self.count:
+            return None
+        try:
+            msgs = json.loads(b"[%s]" % self.lines(k, n).rstrip(b"\n").replace(b"\n", b","))
+        except ValueError:
+            return None
+        if len(msgs) != n or set(map(type, msgs)) != {dict}:
+            return None
+        try:
+            heads = [(m["round"], m["phase"], m["from"]) for m in msgs]
+            payloads = [m["payload"] for m in msgs]
+        except KeyError:
+            return None
+        if heads != [(t, phase, i) for i in range(1, n + 1)]:
+            return None
+        if set(map(type, chain.from_iterable(heads))) != {int, str}:  # a bool equals 0 or 1
+            return None
+        return payloads
 
 
 @dataclass
@@ -513,52 +716,24 @@ class Transcript:
         another type than its kind's, and any share, state0 or audit secret
         value that is not an integer in [0, p).
 
-        A line in the writer's layout is split by regex; a consensus record
-        in that layout is skipped unparsed. Any other line goes through
-        json.loads, and its fields are dumped back to the texts the regex
-        captures, so one filer takes both. Each round's integer payloads
-        are parsed in bulk, and those the bulk parse refuses by json.loads.
+        The file is read once, as bytes. A round in the writer's layout and
+        order is read as blocks of records (_Reader) as soon as they end;
+        any other line goes through json.loads, and its fields are dumped
+        back to texts for the one filer, as do the lines of a round whose
+        blocks do not read. A consensus record in the writer's layout is
+        skipped unparsed.
         """
-        meta: dict | None = None
-        per_round: dict[int, dict] = defaultdict(lambda: {
-            "shares": [], "state0": {}, "result": {}, "audit": {}, "topology": None})
-        id_lists: set[str] = set()  # to lists _ID_LIST admits
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                head = _HEAD.match(line)
-                tail = head and _TAILS.get(head[2])
-                fields = tail and tail.fullmatch(line, head.end())
-                if fields and head[2] == "consensus":
-                    # A learner's to list repeats at every step, so each
-                    # distinct text meets the strict pattern once. The
-                    # record only opens its round.
-                    if fields[3] in id_lists or _STRICT_ID_LIST.fullmatch(fields[3]):
-                        id_lists.add(fields[3])
-                        _collect_fields(per_round, int(head[1]), "consensus", None)
-                        continue
-                    fields = None
-                try:
-                    if fields:
-                        if head[2] == "state0":
-                            id_lists.add(fields[2])  # consensus records repeat it
-                        _collect_fields(per_round, int(head[1]), head[2], fields.groups())
-                        continue
-                    msg = json.loads(line)
-                    if not isinstance(msg, dict):
-                        raise ValueError(f"transcript line {lineno} is not a JSON object")
-                    if "meta" in msg and "round" not in msg:
-                        meta = msg["meta"]
-                        continue
-                    _collect_fields(per_round, *_message_fields(lineno, msg))
-                except KeyError as exc:
-                    raise ValueError(f"transcript line {lineno} lacks field {exc}") from None
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if b"\r" in data:  # newlines as a file read as text splits lines
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        reader = _Reader(data)
+        reader.read()
+        meta = reader.meta
         p, scale = _checked_meta(meta)
         rounds = []
-        for t in sorted(per_round):
-            slot = per_round[t]
+        for t in sorted(reader.per_round):
+            slot = reader.per_round[t]
             g = slot["topology"]
             if g is None:
                 raise ValueError(f"transcript round {t} lacks a topology record")
@@ -568,22 +743,15 @@ class Transcript:
                     f"transcript round {t} topology has {n} nodes but the meta "
                     f"record has n_learners={meta['n_learners']!r}"
                 )
-            for phase in ("state0", "result", "audit"):
-                missing = sorted(set(range(1, n + 1)) - slot[phase].keys())
-                if missing:
-                    raise ValueError(
-                        f"transcript round {t} lacks {phase} records of "
-                        f"learners {', '.join(map(str, missing))}"
-                    )
-            learners = range(1, n + 1)
-            s0 = _residue_rows(t, "state0", [slot["state0"][i][0] for i in learners], p)
-            secrets = _residue_rows(t, "audit", [slot["audit"][i][0] for i in learners], p)
-            models = _float_rows(t, "audit", [slot["audit"][i][1] for i in learners])
-            decoded = _float_rows(t, "result", [slot["result"][i][0] for i in learners])
-            if len({arr.shape for arr in (s0, secrets, models, decoded)}) > 1:
-                raise ValueError(f"transcript round {t} has records of unequal length")
-            width = s0.shape[1]
-            bundles = _share_table(t, g, *_share_records(t, slot["shares"], width, p), width)
+            if slot["block"] is None:
+                bundles, s0, secrets, models, decoded = _filed_arrays(t, slot, g, p)
+            else:
+                _, bundles, s0, secrets, models, decoded = slot["block"]
+                width = s0.shape[1]
+                for phase, counts, values in (
+                        ("state0", np.full(n, width), s0), ("audit", np.full(n, width), secrets),
+                        ("shares", (np.diff(g.indptr) + 1) * width, bundles)):
+                    _check_residues(t, phase, range(1, n + 1), counts, values.ravel(), p)
             rounded = np.round(decoded * scale).astype(np.int64) % p
             rounds.append(
                 RoundRecord(
@@ -599,6 +767,30 @@ class Transcript:
                 )
             )
         return cls(meta=meta, rounds=rounds)
+
+
+def _filed_arrays(t: int, slot: dict, g: RoundTopology, p: int):
+    """(bundles, initial states, secrets, models, decoded) of round t from
+    the records filed line by line; ValueError names the first record that
+    is missing, repeated or malformed."""
+    n = g.n_nodes
+    for phase in ("state0", "result", "audit"):
+        missing = sorted(set(range(1, n + 1)) - slot[phase].keys())
+        if missing:
+            raise ValueError(
+                f"transcript round {t} lacks {phase} records of "
+                f"learners {', '.join(map(str, missing))}"
+            )
+    learners = range(1, n + 1)
+    s0 = _residue_rows(t, "state0", [slot["state0"][i][0] for i in learners], p)
+    secrets = _residue_rows(t, "audit", [slot["audit"][i][0] for i in learners], p)
+    models = _float_rows(t, "audit", [slot["audit"][i][1] for i in learners])
+    decoded = _float_rows(t, "result", [slot["result"][i][0] for i in learners])
+    if len({arr.shape for arr in (s0, secrets, models, decoded)}) > 1:
+        raise ValueError(f"transcript round {t} has records of unequal length")
+    width = s0.shape[1]
+    bundles = _share_table(t, g, *_share_records(t, slot["shares"], p), width)
+    return bundles, s0, secrets, models, decoded
 
 
 def _checked_meta(meta) -> tuple[int, int]:

@@ -239,6 +239,25 @@ def test_privacy_star_hub_adversary_leaks(tmp_path, capsys):
     assert any(f["kind"] == "individual" for f in leaked)
 
 
+def test_privacy_summary_line_does_not_list_members(tmp_path, capsys):
+    # Each round's line counts the surrounded sets and gives their sizes;
+    # the members stay in the --out report. On a complete graph, coalition
+    # {1, 5} surrounds the other N - 2 learners, so only the digits of N - 2
+    # tell two sizes of N apart.
+    lines = {}
+    for n in (10, 300):
+        cfg = write_config(tmp_path, n_learners=n, rounds=1, prime=next_prime(1 + 2 * 100 * n * 4),
+                           schedule={"kind": "complete"})
+        report = tmp_path / "report.json"
+        assert main(["privacy", "--config", cfg, "--adversary", "1,5", "--out", str(report)]) == 0
+        (lines[n],) = [line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("round 1:")]
+        (surrounded,) = json.loads(report.read_text())["rounds"][0]["surrounded_sets"]
+        assert surrounded == [i for i in range(2, n + 1) if i != 5]
+        assert f"surrounded=1 sizes=[{n - 2}] " in lines[n]
+    assert len(lines[300]) - len(lines[10]) == len("298") - len("8")
+
+
 def test_privacy_empty_adversary_ok(tmp_path):
     cfg = write_config(tmp_path, schedule={"kind": "line"})
     assert main(["privacy", "--config", cfg, "--adversary", ""]) == 0

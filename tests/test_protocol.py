@@ -94,6 +94,23 @@ def test_config_checks_explicit_schedule_rounds_up_front():
              schedule=TopologySchedule.from_graphs([line4, line4, split]))
 
 
+def test_config_checks_generated_schedule_up_front():
+    # A generated schedule's parameters are checked when the config is
+    # built, as an explicit schedule's graphs are, not in round 1.
+    for schedule, message in (
+        (TopologySchedule.generated("ring", 8), "unknown topology kind 'ring'"),
+        (TopologySchedule.generated("random_connected", 8, avg_degree=9.0),
+         "avg_degree 9.0 outside [2, 7]"),
+        (TopologySchedule.generated("line", 6),
+         "schedule generates graphs on 6 nodes, expected 8 learners"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ProtocolConfig(8, 3, 2, 16007, 2, "auto", "uniform", 10.0, 42, schedule)
+    cfg = ProtocolConfig(8, 3, 2, 16007, 2, "auto", "uniform", 10.0, 42,
+                         TopologySchedule.generated("line", 8))
+    assert cfg.schedule.generator == ("line", 8, 0, None)
+
+
 def test_config_bound_violation():
     sched = TopologySchedule.from_graphs([path3()])
     with pytest.raises(BoundViolation):
@@ -376,9 +393,9 @@ def test_demo_share_stream_is_pinned():
 # sha256 of Transcript.to_jsonl's bytes for round 1 of configs/demo.json,
 # as version 0.6.0 writes it, with lambda2 and the rounding margin first
 # rounded to 6 digits: they come from LAPACK and float sums, whose last bits
-# may differ between hosts. The writer's templates and the reader's line
-# patterns both derive from the table of record layouts in ppdfl.transcript,
-# so the reader parses these lines in bulk; a change to that table or to
+# may differ between hosts. The writer's templates and the reader's zero
+# texts both derive from the table of record layouts in ppdfl.transcript,
+# so the reader reads this round as blocks; a change to that table or to
 # the share stream changes these bytes and must update this pin.
 DEMO_TRANSCRIPT_SHA256 = "bc50c1a32766fc52eef8e8f2e09ccdfe66b369f2a25999dca6a53c2594ee330b"
 
@@ -395,7 +412,7 @@ def test_demo_transcript_bytes_are_pinned(tmp_path, monkeypatch):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEMO_TRANSCRIPT_SHA256
     # Read back, the lines of this layout take no json.loads call of their
     # own: one reads the meta record, one the topology record's scalars, and
-    # one each the round's result and audit model lists.
+    # one each the round's result and audit blocks.
     calls = []
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda s, *a, **k: calls.append(s) or loads(s, *a, **k))

@@ -1,9 +1,9 @@
 """The transcript reader against the per-line reader it replaced.
 
-Transcript.from_jsonl parses each round's integer payloads in bulk and
-takes any line in another layout through json.loads. The oracle below is
-the reader it replaced, kept here as the reference: json.loads on every
-line, then np.array on each round's nested lists. On a corpus of written,
+Transcript.from_jsonl reads each round in the writer's layout and order as
+blocks of records, and takes any other line through json.loads. The oracle
+below is the reader it replaced, kept here as the reference: json.loads on
+every line, then np.array on each round's nested lists. On a corpus of written,
 re-serialised, legacy and damaged transcripts, both readers must return
 byte-identical rounds, or both refuse the transcript.
 """
@@ -17,7 +17,7 @@ import pytest
 
 from ppdfl.protocol import ProtocolConfig, build_initial_state, execute_round, run_training
 from ppdfl.topology import RoundTopology, generate_topology, share_pairs
-from ppdfl.transcript import RoundRecord, Transcript, _int_text, _skeletons
+from ppdfl.transcript import RoundRecord, Transcript, _int_text, _list_layout, _Reader
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -444,8 +444,9 @@ def test_bulk_integer_parse_matches_json(width):
             at = int(gen.integers(len(text) + 1))
             cut = int(gen.integers(0, 2))
             texts[k] = text[:at] + alphabet[gen.integers(len(alphabet))] * int(gen.integers(0, 2)) + text[at + cut:]
-        skeleton = _skeletons(counts) if width is None else _skeletons(counts, _skeletons([width]))
-        got = _int_text(texts, skeleton, sum(counts) * (width or 1))
+        item = "0" if width is None else _list_layout(width, "0")
+        zeros = "".join(_list_layout(count, item) for count in counts)
+        got = _int_text("".join(texts).encode(), zeros.encode())
         want = _kernel_reference(texts, counts, width)
         if want is None:
             assert got is None, texts
@@ -551,3 +552,89 @@ def test_consensus_to_lists_meet_the_strict_pattern(tmp_path):
                 Transcript.from_jsonl(str(path))
         else:
             assert_same_rounds(Transcript.from_jsonl(str(path)), expected)
+
+
+def test_writer_layout_takes_one_json_loads_per_result_and_audit_block(tmp_path, monkeypatch):
+    # A round in the writer's layout is read as blocks: json.loads reads the
+    # meta line, each round's topology scalars and its result and audit
+    # blocks whole, and no shares or state0 line.
+    _written_lines(2**31 - 1, tmp_path)
+    texts = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: texts.append(s) or loads(s, *a, **k))
+    Transcript.from_jsonl(str(tmp_path / "written.jsonl"))
+    texts = [s.decode() if isinstance(s, bytes) else s for s in texts]
+    kinds = []
+    for text in texts:
+        assert '"phase": "shares"' not in text and '"phase": "state0"' not in text
+        blocks = [phase for phase in ("result", "audit") if text.count(f'"phase": "{phase}"') == 9]
+        kinds += blocks or ["meta" if text.startswith('{"meta"') else "scalars"]
+    assert kinds == ["meta"] + ["scalars", "result", "audit"] * 3
+    assert all(text.startswith('{"n_nodes": 9, "k_used": ')
+               for text, kind in zip(texts, kinds) if kind == "scalars")
+
+
+def _two_rounds(p, tmp_path):
+    """Rounds 1 and 2 of the written corpus transcript; in round 2 two state0
+    lines are swapped and one shares line is compact, so only round 2 leaves
+    the writer's layout and order."""
+    lines = [line for line in _written_lines(p, tmp_path) if '"round": 3,' not in line]
+    state0 = [k for k, line in enumerate(lines)
+              if line.startswith('{"round": 2, "phase": "state0"')]
+    lines[state0[2]], lines[state0[5]] = lines[state0[5]], lines[state0[2]]
+    k = next(k for k, line in enumerate(lines)
+             if line.startswith('{"round": 2, "phase": "shares", "from": 4,'))
+    lines[k] = json.dumps(json.loads(lines[k]), separators=(",", ":"))
+    return lines
+
+
+def _routes(path):
+    """Whether each round of the transcript at path was read as blocks."""
+    reader = _Reader(path.read_bytes())
+    reader.read()
+    return {t: slot["block"] is not None for t, slot in reader.per_round.items()}
+
+
+@pytest.mark.parametrize("p", [11, 2**31 - 1])
+def test_reader_matches_per_line_reader_when_one_round_leaves_the_layout(tmp_path, p):
+    lines = _two_rounds(p, tmp_path)
+    path = tmp_path / "variant.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert _routes(path) == {1: True, 2: False}
+    assert_same_rounds(Transcript.from_jsonl(str(path)), oracle_read(str(path)))
+    # A later line that files a record into round 1 turns its blocks back
+    # into lines, and the round meets the refusals the oracle's lines meet.
+    state0 = next(line for line in lines if line.startswith('{"round": 1, "phase": "state0", "from": 4,'))
+    empty = json.dumps({"round": 1, "phase": "shares", "from": 3, "to": [], "payload": []})
+    path.write_text("\n".join([*lines, empty]) + "\n")
+    assert_same_rounds(Transcript.from_jsonl(str(path)), oracle_read(str(path)))
+    path.write_text("\n".join([*lines, state0]) + "\n")
+    for reader in (oracle_read, Transcript.from_jsonl):
+        with pytest.raises(ValueError, match="round 1 repeats the state0 record of learner 4"):
+            reader(str(path))
+    # The digit of state0 is checked as an integer of the layout's own: a
+    # record of another phase leaves round 1 without learner 4's state0.
+    for phase in ("state1", "state00"):
+        edited = [line.replace('"state0"', f'"{phase}"') if line == state0 else line
+                  for line in lines]
+        path.write_text("\n".join(edited) + "\n")
+        assert _routes(path)[1] is False
+        for reader in (oracle_read, Transcript.from_jsonl):
+            with pytest.raises(ValueError, match="round 1 lacks state0 records of learners 4"):
+                reader(str(path))
+
+
+def test_zero_width_bundles_read_as_blocks(tmp_path):
+    # Bundles, states and models of no values still form blocks of the
+    # writer's layout, and read back as the oracle reads them.
+    g = generate_topology("line", 4)
+    rows = len(share_pairs(g)[0])
+    empty = np.zeros((4, 0), dtype=np.int64)
+    record = RoundRecord(round_index=1, topology=g, k_used=3, lambda2=0.5,
+                         bundles=np.zeros((rows, 0), dtype=np.int64), initial_states=empty,
+                         encoded_secrets=empty, local_models=np.zeros((4, 0)), rounded=empty,
+                         decoded=np.zeros((4, 0)), rounding_margin=0.1)
+    path = tmp_path / "written.jsonl"
+    Transcript({"n_learners": 4, "prime": 11, "sigma": 0}, [record]).to_jsonl(str(path))
+    assert _routes(path) == {1: True}
+    assert_same_rounds(Transcript.from_jsonl(str(path)), oracle_read(str(path)))

@@ -4,8 +4,8 @@ Transcript.to_jsonl renders each record's text directly: integer lists
 through %-templates of their shapes, float lists through one json.dumps per
 block. The oracle below is the writer it replaced, kept here as the
 reference: one message dict per record, each line json.dumps(msg). Both
-must write the same bytes, and the reader must split every written line by
-its patterns, as both derive from one table of record layouts.
+must write the same bytes, and the reader must read every written round as
+blocks, as both derive from one table of record layouts.
 """
 
 import json
@@ -89,9 +89,9 @@ def assert_written_as_oracle(tmp_path, transcript: Transcript,
     for include in include_consensus:
         transcript.to_jsonl(str(path), include_consensus=include)
         assert path.read_bytes() == _oracle_bytes(transcript, include)
-        # Every written line matches the reader's patterns: the only
-        # json.loads calls read the meta record and, per round, the
-        # topology scalars, the result block and the audit model block.
+        # Every written round reads as blocks: the only json.loads calls
+        # read the meta record and, per round, the topology scalars, the
+        # result block and the audit block.
         assert _json_loads_calls(path) == 1 + 3 * len(transcript.rounds)
 
 
