@@ -9,6 +9,7 @@ the modulus bound check below guarantees for aggregated models.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,17 @@ class OutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class Precision:
-    """Count of retained fraction digits."""
+    """Count of retained fraction digits; 10**sigma must be a finite float,
+    as the array codecs scale by float(10**sigma)."""
 
     sigma: int
 
     def __post_init__(self):
         if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
+            raise ValueError(f"sigma={self.sigma}, below 0")
+        if self.sigma > sys.float_info.max_10_exp:
+            raise ValueError(f"sigma={self.sigma}, above {sys.float_info.max_10_exp}: "
+                             "10**sigma is not a finite float")
 
     @property
     def scale(self) -> int:

@@ -115,8 +115,10 @@ class ProtocolConfig:
             raise ConfigError("need at least 2 learners")
         if self.model_dim < 1:
             raise ConfigError("model dimension must be positive")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be non-negative")
+        try:
+            prec = self.precision
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.rounds < 1:
             raise ConfigError("need at least one round")
         if isinstance(self.weights, str):
@@ -141,7 +143,7 @@ class ProtocolConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         ok, admissible = check_p_bound(
-            self.prime, self.n_learners, Precision(self.sigma), self.theta_max
+            self.prime, self.n_learners, prec, self.theta_max
         )
         if not ok:
             raise BoundViolation(

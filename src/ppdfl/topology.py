@@ -54,6 +54,10 @@ class RoundTopology:
         n_nodes = int(n_nodes)
         if n_nodes < 1:
             raise ValueError("need at least one node")
+        # No id at or above 2**31 is a share point below a modulus of at
+        # most 31 bits, and the keys i * (n + 1) + j below must fit int64.
+        if n_nodes >= 2**31:
+            raise ValueError(f"n_nodes must be an integer below 2**31, not {n_nodes}")
         if isinstance(edges, np.ndarray) and edges.ndim == 2:
             pairs = edges
         else:

@@ -25,6 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .field import MAX_MODULUS_BITS
+from .fixedpoint import Precision
 from .topology import RoundTopology, share_pairs
 
 
@@ -53,8 +54,7 @@ _ID_LIST = r"\[(?:(?!0[0-9])[0-9]+(?:, (?!0[0-9])[0-9]+)*)?\]"
 _NUMBER = r"(?:-?(?:[1-9][0-9]*|0)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|NaN|-?Infinity)"
 # Each kind of field: its %-template, None where the record's shape sets a
 # list's layout; and the type json.loads must read for it, or None for any
-# value. The graph checks n_nodes and edges, and the first scalar takes the
-# rest of its object.
+# value. The graph checks n_nodes and edges, and the filer the scalars.
 _KINDS = {
     "id": ("%d", int),
     "phase": (None, None),
@@ -226,10 +226,10 @@ def _block_payload(values: np.ndarray, t: int, phase: str, to: np.ndarray,
 
 
 def _topology_fields(line: bytes):
-    """(round, field texts as the filer takes them) of a topology record
-    whose round, n_nodes and edges stand in the writer's layout, the edges
-    as an (E, 2) int64 array and the payload's other fields as text from
-    its first scalar on; None for any other line."""
+    """(round, payload) of a topology record whose round, n_nodes and edges
+    stand in the writer's layout: its edges an (E, 2) int64 array, and one
+    json.loads reading n_nodes with the payload's other fields from its
+    first scalar on; None for any other line."""
     body = line[:-1] if line.endswith(b"\n") else line
     at = body.find(b'"edges": ')
     cut = body.find(b'"', at + 9) if at >= 0 else -1
@@ -239,13 +239,20 @@ def _topology_fields(line: bytes):
     ints = _int_text(body[:cut], (_TOPOLOGY_HEAD % (0, 0, _list_layout(pairs, "[0, 0]"))).encode())
     if ints is None:
         return None
-    return int(ints[0]), (str(ints[1]), ints[2:].reshape(pairs, 2), body[cut:-2].decode())
+    rest = body[cut:-2]
+    try:
+        # Keys repeated in the rest of the payload win, as in json.loads.
+        payload = json.loads(b'{"%s": %d%s}' % (_GRAPH[0].encode(), ints[1], rest and b", " + rest))
+    except ValueError:
+        return None
+    payload.setdefault(_GRAPH[1], ints[2:].reshape(pairs, 2))
+    return int(ints[0]), payload
 
 
 def _json_int_lists(items: list, depth: int):
-    """(values, sizes) of the JSON lists items, nested depth deep: values
-    holds every integer as int64 in order, and sizes[l] the item counts of
-    the lists at nesting level l+1, sizes[0] one per item. Where a list
+    """(values, *sizes) of the JSON lists items, nested depth deep: values
+    holds every integer as int64 in order, and the l-th of sizes the item
+    counts of the lists at nesting level l, the first one per item. Where a list
     belongs but something else stands, it reads as a list of one value; a
     value that is not a JSON integer in [0, 2**63) reads as a negative
     number."""
@@ -256,24 +263,28 @@ def _json_int_lists(items: list, depth: int):
         items = list(chain.from_iterable(items))
     if set(map(type, items)) == {int}:
         try:
-            return np.array(items, dtype=np.int64), sizes
+            return np.array(items, dtype=np.int64), *sizes
         except OverflowError:  # an integer beyond int64
             pass
     values = np.fromiter(
         (v if type(v) is int and 0 <= v < 2**63 else -1 for v in items),
         dtype=np.int64, count=len(items),
     )
-    return values, sizes
+    return values, *sizes
 
 
-def _float_rows(t: int, phase: str, texts: list[str]) -> np.ndarray:
-    """The result or audit model lists of learners 1..N as one float array.
-    Each text is one JSON list or no JSON at all, so one json.loads reads
-    them all or fails as it would on the text alone."""
-    try:
-        return np.array(json.loads("[" + ", ".join(texts) + "]"), dtype=float)
-    except TypeError:  # a list or object among the values
-        raise ValueError(f"transcript round {t} has a {phase} value that is not a number") from None
+def _float_rows(t: int, phase: str, rows: list[list]) -> np.ndarray:
+    """The result or audit model lists of learners 1..N as one float array;
+    ValueError on an item that is not a JSON number in float range, or
+    lists of unequal length."""
+    if set(map(type, chain.from_iterable(rows))) <= {float, int}:
+        if len(set(map(len, rows))) > 1:
+            raise ValueError(f"transcript round {t} has records of unequal length")
+        try:
+            return np.array(rows, dtype=float)
+        except OverflowError:  # an integer beyond float range
+            pass
+    raise ValueError(f"transcript round {t} has a {phase} value that is not a number")
 
 
 def _check_residues(t: int, phase: str, owners, counts: np.ndarray,
@@ -289,102 +300,93 @@ def _check_residues(t: int, phase: str, owners, counts: np.ndarray,
         )
 
 
-def _residue_rows(t: int, phase: str, texts: list[str], p: int) -> np.ndarray:
-    """The state0 or audit secret lists of learners 1..N as one (N, n)
-    int64 block; ValueError on a value outside [0, p) or unequal lists."""
-    values, (sizes,) = _json_int_lists(list(map(json.loads, texts)), 1)
-    _check_residues(t, phase, range(1, len(texts) + 1), sizes, values, p)
+def _residue_rows(t: int, phase: str, values: np.ndarray, sizes: np.ndarray,
+                  p: int) -> np.ndarray:
+    """The state0 or audit secret lists of learners 1..N, holding sizes[i-1]
+    of values each, as one (N, n) int64 block; ValueError on a value
+    outside [0, p) or unequal lists."""
+    _check_residues(t, phase, range(1, len(sizes) + 1), sizes, values, p)
     if (sizes != sizes[0]).any():
         raise ValueError(f"transcript round {t} has records of unequal length")
-    return values.reshape(len(texts), sizes[0])
+    return values.reshape(len(sizes), sizes[0])
 
 
 def _new_slot() -> dict:
-    """A round's records as they are filed: from lines read alone, or the
-    arrays of its blocks."""
+    """A round's records as they are filed: from lines read alone, or what
+    its blocks read."""
     return {"shares": [], "state0": {}, "result": {}, "audit": {}, "topology": None,
             "block": None}
 
 
 def _collect_fields(per_round: dict, t: int, phase: str, fields: tuple | None,
                     legacy: bool = False) -> None:
-    """File a record from its field texts in table order; fields None only
-    opens the round. A topology record's edges may come as an (E, 2) array.
-    ValueError on a record that repeats another (a legacy state0 record may
-    repeat its learner's payload) or a graph that is not valid."""
+    """File a record from its field values in table order; fields None only
+    opens the round. A topology record's payload is one object, its edges
+    perhaps an (E, 2) array. ValueError on a record that repeats another (a
+    legacy state0 record may repeat its learner's payload), a graph that is
+    not valid, or a scalar of another type than its RoundRecord field."""
     slot = per_round[t]
     if fields is None:
         return
     if phase == "topology":
         if slot["topology"] is not None:
             raise ValueError(f"transcript round {t} repeats its topology record")
-        n_nodes, edges, rest = fields
-        nodes_key, edges_key = _GRAPH
-        # One json.loads reads n_nodes and the scalars. Keys repeated in the
-        # rest of the payload win, as in json.loads.
-        payload = json.loads('{"%s": %s%s}' % (nodes_key, n_nodes, rest and ", " + rest))
-        if edges_key not in payload:
-            payload[edges_key] = json.loads(edges) if type(edges) is str else edges
+        (payload,) = fields
         try:
             slot["topology"] = RoundTopology(*(payload[key] for key in _GRAPH))
         except ValueError as exc:
             raise ValueError(f"transcript round {t} topology record: {exc}") from None
-        slot["scalars"] = {key: payload.get(key, *default) if default else payload[key]
-                           for key, default in _SCALARS}
+        slot["scalars"] = scalars = {key: payload.get(key, *default) if default else payload[key]
+                                     for key, default in _SCALARS}
+        if type(scalars["k_used"]) is not int or scalars["k_used"] < 0:
+            raise ValueError(f"transcript round {t} topology record has "
+                             f"k_used={scalars['k_used']!r}, not a non-negative integer")
+        for key, value in scalars.items():  # NaN is a number, as the writer writes it
+            if type(value) not in (int, float):
+                raise ValueError(f"transcript round {t} topology record has {key}={value!r}, "
+                                 "not a number")
         return
     if phase == "shares":
-        slot["shares"].append((int(fields[0]), fields[1], fields[2]))
+        slot["shares"].append(fields)
         return
-    # A state0, result or audit record keeps its texts after the sender,
-    # a state0 record less its to list.
-    sender, texts = int(fields[0]), fields[2:] if phase == "state0" else fields[1:]
+    # A state0, result or audit record keeps its payload.
+    sender, payload = fields[0], fields[-1]
     records = slot[phase]
     if sender in records:
-        if legacy and records[sender] == texts:
+        # repr tells 1 from 1.0 or true, as the records' texts do.
+        if legacy and repr(records[sender]) == repr(payload):
             return
         raise ValueError(f"transcript round {t} repeats the {phase} record of learner {sender}")
-    records[sender] = texts
+    records[sender] = payload
 
 
 def _json_value(lineno: int, obj: dict, key: str, kind, *default):
     """obj[key], or default; ValueError naming the line unless it has the
-    kind's type."""
+    kind's type, and so do the fields of a nested payload."""
     value = obj.get(key, *default) if default else obj[key]
     want = dict if type(kind) is tuple else _KINDS[kind][1]
     if want is not None and type(value) is not want:
         raise ValueError(f"transcript line {lineno} field {key!r} is not a JSON "
                          f"{_JSON_NAMES[want]}")
+    if want is dict:
+        for field in kind:
+            _json_value(lineno, value, *field)
     return value
 
 
-def _json_texts(lineno: int, fields, obj: dict) -> list[str]:
-    """The texts of obj's fields in table order, as the filer takes them:
-    each value dumped back to text, and the first scalar with the rest of
-    its object."""
-    texts = []
-    for n, (key, kind, *default) in enumerate(fields):
-        if kind == "scalar":
-            before = {field[0] for field in fields[:n]}
-            return texts + [json.dumps({k: v for k, v in obj.items() if k not in before})[1:-1]]
-        value = _json_value(lineno, obj, key, kind, *default)
-        texts += _json_texts(lineno, kind, value) if type(kind) is tuple else [json.dumps(value)]
-    return texts
-
-
 def _message_fields(lineno: int, msg: dict):
-    """(round, phase, field texts, legacy) of a message json.loads read, the
-    texts None for a record that is not filed. A legacy record's texts are
-    turned into the current layout's: a per-pair shares record is a
-    one-row block."""
+    """(round, phase, field values, legacy) of a message json.loads read, the
+    values None for a record that is not filed. A legacy record's values
+    are turned into the current layout's: a field of another kind holds
+    one item of its list."""
     t, phase = (_json_value(lineno, msg, *field) for field in _HEAD_FIELDS)
     if type(phase) is not str or phase not in _LAYOUTS or phase == "consensus":
         return t, phase, None, False
     layout, legacy = _LAYOUTS[phase], _LEGACY_LAYOUTS.get(phase, ())
     if not legacy or any(type(msg.get(key)) is not _KINDS[kind][1] for key, kind in legacy):
-        return t, phase, tuple(_json_texts(lineno, layout, msg)), False
-    texts = _json_texts(lineno, legacy, msg)
-    return t, phase, tuple(text if old[1] == new[1] else "[" + text + "]"
-                           for text, old, new in zip(texts, legacy, layout)), True
+        return t, phase, tuple(_json_value(lineno, msg, *field) for field in layout), False
+    return t, phase, tuple(msg[key] if kind == new[1] else [msg[key]]
+                           for (key, kind), new in zip(legacy, layout)), True
 
 
 def _learner_ids(t: int, values: list) -> np.ndarray:
@@ -409,8 +411,8 @@ def _share_records(t: int, records: list, p: int):
     differ in length, an id that is not an integer, or a value outside
     [0, p)."""
     senders = [sender for sender, _, _ in records]
-    tos = [json.loads(to) for _, to, _ in records]
-    values, (counts, lengths) = _json_int_lists([json.loads(rows) for _, _, rows in records], 2)
+    tos = [to for _, to, _ in records]
+    values, counts, lengths = _json_int_lists([rows for _, _, rows in records], 2)
     for k, to in enumerate(tos):
         if len(to) != counts[k]:
             raise ValueError(
@@ -484,10 +486,10 @@ class _Reader:
     against the writer's zero text of the round's shapes and parsed by one
     _int_text call; consensus records skipped by regex; then its N result
     and N audit records, one json.loads per block. A round its blocks read
-    holds their arrays. Every other line is read alone, through json.loads
-    and the filer, and so is every line of a round whose blocks do not
-    read: an edited, reordered or legacy line meets the refusals it always
-    met. A line read alone that files a record into a round its blocks
+    holds what they read. Every other line is read alone, parsed once by
+    json.loads and filed as values, and so is every line of a round whose
+    blocks do not read: an edited, reordered or legacy line meets the
+    refusals it always met. A line read alone that files a record into a round its blocks
     read turns those blocks back into lines first, so every record of that
     round meets the filer in file order.
     """
@@ -514,9 +516,9 @@ class _Reader:
                 self.file_line(k)
                 k += 1
                 continue
-            t, fields = topology
+            t, payload = topology
             fresh = not any(self.per_round.get(t, {}).values())
-            self.file(k + 1, t, "topology", fields)
+            self.file(k + 1, t, "topology", (payload,))
             k += 1
             if fresh:
                 k = self.blocks(k, t)
@@ -566,8 +568,8 @@ class _Reader:
         return True
 
     def blocks(self, k: int, t: int) -> int:
-        """The line after round t's blocks, which start at line k, with the
-        round's arrays filed; k if they do not read."""
+        """The line after round t's blocks, which start at line k, with what
+        they read filed; k if they do not read."""
         g = self.per_round[t]["topology"]
         n = g.n_nodes
         if k + 2 * n > self.count:
@@ -589,23 +591,16 @@ class _Reader:
         while end < self.count and self.skips(self.lines(end).decode().strip()):
             end += 1
         results, audits = self.json_block(end, t, "result", n), self.json_block(end + n, t, "audit", n)
+        # Types a line read alone is refused for, naming its line.
         if results is None or audits is None or set(map(type, audits)) != {dict}:
             return k
         if not all("secret" in a and "model" in a for a in audits):
             return k
-        secrets, models = [a["secret"] for a in audits], [a["model"] for a in audits]
-        if set(map(type, chain(results, secrets, models))) != {list}:
-            return k
-        secrets, (sizes,) = _json_int_lists(secrets, 1)
-        try:
-            decoded, models = np.array(results, dtype=float), np.array(models, dtype=float)
-        except (TypeError, ValueError):
-            return k
-        if (sizes != width).any() or decoded.shape != (n, width) or models.shape != (n, width):
+        lists = chain(results, (a[key] for a in audits for key in ("secret", "model")))
+        if set(map(type, lists)) != {list}:
             return k
         self.per_round[t]["block"] = (
-            range(k, end + 2 * n), bundles.reshape(len(receivers), width), states.reshape(n, width),
-            secrets.reshape(n, width), models, decoded)
+            range(k, end + 2 * n), bundles.reshape(len(receivers), width), states, results, audits)
         return end + 2 * n
 
     def int_block(self, k: int, t: int, phase: str, width: int, to: np.ndarray,
@@ -718,10 +713,10 @@ class Transcript:
 
         The file is read once, as bytes. A round in the writer's layout and
         order is read as blocks of records (_Reader) as soon as they end;
-        any other line goes through json.loads, and its fields are dumped
-        back to texts for the one filer, as do the lines of a round whose
-        blocks do not read. A consensus record in the writer's layout is
-        skipped unparsed.
+        any other line is parsed once, by json.loads, and its values go to
+        the one filer, as do the lines of a round whose blocks do not read.
+        A consensus record in the writer's layout is skipped unparsed. One
+        stage then builds and checks every round's arrays (_round_arrays).
         """
         with open(path, "rb") as fh:
             data = fh.read()
@@ -743,15 +738,7 @@ class Transcript:
                     f"transcript round {t} topology has {n} nodes but the meta "
                     f"record has n_learners={meta['n_learners']!r}"
                 )
-            if slot["block"] is None:
-                bundles, s0, secrets, models, decoded = _filed_arrays(t, slot, g, p)
-            else:
-                _, bundles, s0, secrets, models, decoded = slot["block"]
-                width = s0.shape[1]
-                for phase, counts, values in (
-                        ("state0", np.full(n, width), s0), ("audit", np.full(n, width), secrets),
-                        ("shares", (np.diff(g.indptr) + 1) * width, bundles)):
-                    _check_residues(t, phase, range(1, n + 1), counts, values.ravel(), p)
+            bundles, s0, secrets, models, decoded = _round_arrays(t, g, p, slot)
             rounded = np.round(decoded * scale).astype(np.int64) % p
             rounds.append(
                 RoundRecord(
@@ -769,34 +756,45 @@ class Transcript:
         return cls(meta=meta, rounds=rounds)
 
 
-def _filed_arrays(t: int, slot: dict, g: RoundTopology, p: int):
-    """(bundles, initial states, secrets, models, decoded) of round t from
-    the records filed line by line; ValueError names the first record that
-    is missing, repeated or malformed."""
+def _round_arrays(t: int, g: RoundTopology, p: int, slot: dict):
+    """(bundles, initial states, secrets, models, decoded) of round t, from
+    its blocks or from the records filed line by line; ValueError names the
+    first record that is missing, repeated or malformed."""
     n = g.n_nodes
-    for phase in ("state0", "result", "audit"):
-        missing = sorted(set(range(1, n + 1)) - slot[phase].keys())
-        if missing:
-            raise ValueError(
-                f"transcript round {t} lacks {phase} records of "
-                f"learners {', '.join(map(str, missing))}"
-            )
     learners = range(1, n + 1)
-    s0 = _residue_rows(t, "state0", [slot["state0"][i][0] for i in learners], p)
-    secrets = _residue_rows(t, "audit", [slot["audit"][i][0] for i in learners], p)
-    models = _float_rows(t, "audit", [slot["audit"][i][1] for i in learners])
-    decoded = _float_rows(t, "result", [slot["result"][i][0] for i in learners])
+    if slot["block"] is None:
+        for phase in ("state0", "result", "audit"):
+            missing = sorted(set(learners) - slot[phase].keys())
+            if missing:
+                raise ValueError(
+                    f"transcript round {t} lacks {phase} records of "
+                    f"learners {', '.join(map(str, missing))}"
+                )
+        table = None
+        states, results, audits = ([slot[phase][i] for i in learners]
+                                   for phase in ("state0", "result", "audit"))
+        states = _json_int_lists(states, 1)
+    else:
+        _, table, states, results, audits = slot["block"]
+        states = states, np.full(n, table.shape[1])
+    s0 = _residue_rows(t, "state0", *states, p)
+    secrets = _residue_rows(t, "audit", *_json_int_lists([a["secret"] for a in audits], 1), p)
+    models = _float_rows(t, "audit", [a["model"] for a in audits])
+    decoded = _float_rows(t, "result", results)
     if len({arr.shape for arr in (s0, secrets, models, decoded)}) > 1:
         raise ValueError(f"transcript round {t} has records of unequal length")
     width = s0.shape[1]
-    bundles = _share_table(t, g, *_share_records(t, slot["shares"], p), width)
-    return bundles, s0, secrets, models, decoded
+    if table is None:
+        table = _share_table(t, g, *_share_records(t, slot["shares"], p), width)
+    else:  # a block's bundles are its share table, each of the width
+        _check_residues(t, "shares", learners, (np.diff(g.indptr) + 1) * width, table.ravel(), p)
+    return table, s0, secrets, models, decoded
 
 
 def _checked_meta(meta) -> tuple[int, int]:
     """(p, 10**sigma) of a transcript's meta record; ValueError unless it
     holds n_learners, prime and sigma as JSON integers, with p in the range
-    a modulus may take and sigma not negative."""
+    a modulus may take and sigma one Precision takes."""
     if meta is None:
         raise ValueError("transcript lacks its meta record")
     if not isinstance(meta, dict):
@@ -809,6 +807,7 @@ def _checked_meta(meta) -> tuple[int, int]:
     p, sigma = meta["prime"], meta["sigma"]
     if not 2 <= p < 2**MAX_MODULUS_BITS:
         raise ValueError(f"transcript meta record has prime={p}, outside [2, 2**{MAX_MODULUS_BITS})")
-    if sigma < 0:
-        raise ValueError(f"transcript meta record has sigma={sigma}, below 0")
-    return p, 10**sigma
+    try:
+        return p, Precision(sigma).scale
+    except ValueError as exc:
+        raise ValueError(f"transcript meta record has {exc}") from None

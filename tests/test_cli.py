@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import pathlib
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ppdfl.cli import main
 from ppdfl.field import next_prime
 from ppdfl.topology import contraction_radius, generate_topology, mh_weights
+from ppdfl.transcript import Transcript
 
 
 def write_config(tmp_path, **overrides):
@@ -428,9 +430,9 @@ def _shares_record(msgs, i):
                 if (m.get("round"), m.get("phase"), m.get("from")) == (1, "shares", i))
 
 
-def _privacy_error(tmp_path, capsys, msgs):
+def _privacy_error(tmp_path, capsys, msgs, separators=None):
     path = tmp_path / "edited.jsonl"
-    path.write_text("".join(json.dumps(m) + "\n" for m in msgs))
+    path.write_text("".join(json.dumps(m, separators=separators) + "\n" for m in msgs))
     capsys.readouterr()
     assert main(["privacy", "--transcript", str(path), "--adversary", "1,5"]) == 2
     return capsys.readouterr().err
@@ -594,6 +596,8 @@ def test_privacy_transcript_meta_field_not_an_integer_exits_config(
     ("prime", 1, "prime=1, outside [2, 2**31)"),
     ("prime", 2**31 + 11, f"prime={2**31 + 11}, outside [2, 2**31)"),
     ("sigma", -1, "sigma=-1, below 0"),
+    ("sigma", 309, "sigma=309, above 308"),
+    ("sigma", 400, "sigma=400, above 308"),
 ])
 def test_privacy_transcript_meta_field_out_of_range_exits_config(
         tmp_path, capsys, key, value, error):
@@ -630,6 +634,71 @@ def test_privacy_transcript_meta_n_learners_differs_from_topology_exits_config(
     err = _privacy_error(tmp_path, capsys, msgs)
     assert (f"round 1 topology has 8 nodes but the meta record has "
             f"n_learners={n_learners}") in err
+
+
+# The writer's layout, read as blocks, and a compact one, read line by line.
+_LAYOUTS = {"written": None, "compact": (",", ":")}
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("phase", ["result", "audit"])
+@pytest.mark.parametrize("value", [
+    pytest.param("1.35", id="string"), pytest.param(True, id="boolean"),
+    pytest.param(None, id="null"), pytest.param([1.5], id="list"),
+    pytest.param({"x": 1.5}, id="object"), pytest.param(10**400, id="integer_beyond_float"),
+])
+def test_privacy_transcript_model_value_not_a_number_exits_config(
+        tmp_path, capsys, value, phase, layout):
+    msgs = _demo_messages(tmp_path)
+    payload = _record(msgs, phase, 5)["payload"]
+    (payload["model"] if phase == "audit" else payload)[1] = value
+    err = _privacy_error(tmp_path, capsys, msgs, _LAYOUTS[layout])
+    assert f"transcript round 1 has a {phase} value that is not a number" in err
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("key, value, kind", [
+    ("k_used", "12", "a non-negative integer"), ("k_used", 1.5, "a non-negative integer"),
+    ("k_used", [1], "a non-negative integer"), ("k_used", True, "a non-negative integer"),
+    ("k_used", -1, "a non-negative integer"), ("lambda2", "x", "a number"),
+    ("lambda2", None, "a number"), ("rounding_margin", [0.5], "a number"),
+    ("rounding_margin", False, "a number"),
+])
+def test_privacy_transcript_topology_scalar_of_wrong_type_exits_config(
+        tmp_path, capsys, key, value, kind, layout):
+    msgs = _demo_messages(tmp_path)
+    _round1_topology(msgs)["payload"][key] = value
+    err = _privacy_error(tmp_path, capsys, msgs, _LAYOUTS[layout])
+    assert f"transcript round 1 topology record has {key}={value!r}, not {kind}" in err
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_privacy_transcript_topology_scalars_read_as_written(tmp_path, layout):
+    # An integer lambda2 and a NaN margin, as the writer writes an unknown one,
+    # are numbers; an older transcript without them reads the defaults.
+    msgs = _demo_messages(tmp_path)
+    payload = _round1_topology(msgs)["payload"]
+    payload.update(k_used=0, lambda2=1, rounding_margin=float("nan"))
+    path = tmp_path / "edited.jsonl"
+    for edit in ({}, {"lambda2": None, "rounding_margin": None}):
+        for key in edit:
+            del payload[key]
+        path.write_text("".join(json.dumps(m, separators=_LAYOUTS[layout]) + "\n" for m in msgs))
+        record = Transcript.from_jsonl(str(path)).rounds[0]
+        assert record.k_used == 0
+        assert record.lambda2 == (0.0 if edit else 1)
+        assert math.isnan(record.rounding_margin)
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_config_sigma_beyond_float_scale_exits_config(tmp_path, capsys, command):
+    # The modulus bound holds, but 10**309 is not a finite float: refused
+    # when the config loads, before any round runs.
+    cfg = write_config(tmp_path, sigma=309, theta_max=1e-307, prime=16007)
+    args = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, "--config", cfg, *args]) == 2
+    assert "sigma=309, above 308" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("phase, edit, key, kind", [

@@ -24,6 +24,11 @@ def test_precision_validation():
         Precision(-1)
     assert Precision(0).scale == 1
     assert Precision(4).scale == 10_000
+    # The array codecs scale by float(10**sigma), finite up to sigma 308.
+    assert float(Precision(308).scale) == 1e308
+    for sigma in (309, 400):
+        with pytest.raises(ValueError, match=f"sigma={sigma}, above 308"):
+            Precision(sigma)
 
 
 def test_encode_truncates_extra_digits():

@@ -72,7 +72,8 @@ def test_topology_normalization_matches_per_edge_loop():
                       np.array([["1", "2"]])):
         with pytest.raises(ValueError, match="edges must be pairs of integer node ids"):
             RoundTopology(3, malformed)
-    for n_nodes in ("3", 3.0, None):
+    # Ids from 2**31 on are refused before any array is built.
+    for n_nodes in ("3", 3.0, None, 2**31, 10**30):
         with pytest.raises(ValueError, match="n_nodes must be an integer"):
             RoundTopology(n_nodes, [(1, 2)])
 

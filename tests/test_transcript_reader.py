@@ -638,3 +638,38 @@ def test_zero_width_bundles_read_as_blocks(tmp_path):
     Transcript({"n_learners": 4, "prime": 11, "sigma": 0}, [record]).to_jsonl(str(path))
     assert _routes(path) == {1: True}
     assert_same_rounds(Transcript.from_jsonl(str(path)), oracle_read(str(path)))
+
+
+def test_compact_transcript_parses_each_line_once(tmp_path, monkeypatch):
+    # Lines read alone are parsed once, by json.loads, and filed as values:
+    # nothing is dumped back to text or parsed again.
+    msgs = _messages(_written_lines(2**31 - 1, tmp_path))
+    lines = _dumped(msgs, separators=(",", ":"))
+    path = tmp_path / "compact.jsonl"
+    path.write_text("\n".join([*lines[:4], "", *lines[4:]]) + "\n")
+    assert _routes(path) == {1: False, 2: False, 3: False}
+    expected = oracle_read(str(path))
+    loads = _counting_json_loads(monkeypatch)
+    dumps = []
+    monkeypatch.setattr(json, "dumps", lambda *a, **k: dumps.append(a))
+    assert_same_rounds(Transcript.from_jsonl(str(path)), expected)
+    assert (loads[0], len(dumps)) == (len(lines), 0)
+
+
+def test_per_edge_state0_repeat_must_be_spelled_alike(tmp_path):
+    # A per-edge state0 record may repeat its learner's payload only as
+    # written: 1 spelled 1.0 or true is another payload.
+    msgs = _per_edge_state0(_messages(_written_lines(11, tmp_path)))
+    fours = [k for k, m in enumerate(msgs)
+             if (m.get("round"), m.get("phase"), m.get("from")) == (1, "state0", 4)]
+    for k in fours:
+        msgs[k]["payload"][0] = 1
+    path = tmp_path / "variant.jsonl"
+    path.write_text("\n".join(_dumped(msgs)) + "\n")
+    assert_same_rounds(Transcript.from_jsonl(str(path)), oracle_read(str(path)))
+    k = fours[1]
+    for value in (1.0, True):
+        edited = [*msgs[:k], {**msgs[k], "payload": [value, *msgs[k]["payload"][1:]]}, *msgs[k + 1:]]
+        path.write_text("\n".join(_dumped(edited)) + "\n")
+        with pytest.raises(ValueError, match="round 1 repeats the state0 record of learner 4"):
+            Transcript.from_jsonl(str(path))
