@@ -216,6 +216,11 @@ class _ComponentView:
                 f"round {record.round_index} records {len(record.bundles)} share "
                 f"bundles, its graph sends {len(senders)}"
             )
+        # Every learner rounds the same sum; rows that differ are not a run.
+        if (record.rounded != record.rounded[0]).any():
+            raise TranscriptIncomplete(
+                f"round {record.round_index}: learners' result rows differ"
+            )
         benign, labels = _benign_labels(record.topology, adversaries)
         coalition = ~benign  # read at learner ids 1..N only
         coords = list(coordinates)

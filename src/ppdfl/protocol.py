@@ -64,6 +64,7 @@ from .topology import (
     is_connected,
     mh_edge_weights,
     mh_weights,
+    receiver_order,
     second_largest_eigenvalue,
 )
 from .transcript import RoundRecord, Transcript
@@ -284,20 +285,17 @@ def quantized_aggregate(
     return decoded, sums
 
 
-def build_initial_state(
-    bundles: np.ndarray, receivers: np.ndarray, p: int
-) -> np.ndarray:
-    """Masked initial states: per receiver, the sum mod p of its bundles.
+def build_initial_state(bundles: np.ndarray, g: RoundTopology, p: int) -> np.ndarray:
+    """Masked initial states: row i-1 is the sum mod p of the bundles
+    addressed to learner i.
 
-    bundles is a share table and receivers[e] the 1-based receiver of row
-    e. Returns one row per receiver in increasing id order, so row i-1 is
-    learner i's state when every learner receives a bundle (its own).
+    bundles is g's share table, in share_pairs order. Taken in
+    receiver_order(g), learner i's incoming bundles form one run, where its
+    own outgoing bundles sit in the table.
     """
-    order = np.argsort(receivers, kind="stable")
-    ordered = receivers[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    starts = g.indptr[:-1] + np.arange(g.n_nodes)
     # Residues are below p < 2**31, so int64 holds the sum of fewer than 2**32 rows.
-    return np.add.reduceat(bundles[order], starts, axis=0) % p
+    return np.add.reduceat(np.take(bundles, receiver_order(g), axis=0), starts, axis=0) % p
 
 
 def _resolve_iterations(cfg: ProtocolConfig, lambda2: float) -> int:
@@ -366,8 +364,6 @@ def execute_round(
     # alone.
     t0 = time.perf_counter()
     holders = holder_sets(g)
-    present = holders > 0
-    receivers = holders[present]
     scaled = scaled_trunc_array(np.array(cfg.weights)[:, None] * arr, prec)
     outside = np.abs(scaled) > (p - 1) // 2
     if np.any(outside):
@@ -378,18 +374,18 @@ def execute_round(
         )
     encoded = scaled % p
     deltas = interpolation_weights(holders, p)
-    degrees = present.sum(axis=1) - 1
+    degrees = np.diff(g.indptr)
     key = derive_rng(cfg.seed, "shares", round_index).bit_generator.random_raw(2)
     coeffs = _coefficient_streams(key, degrees, cfg.model_dim, p)
     bundles = _generate_share_values(encoded, coeffs, degrees, holders, p)
-    bundles *= deltas[present][:, None]
+    bundles *= deltas[:, None]
     bundles %= p
-    del holders, present, deltas, coeffs  # not held through averaging
+    del holders, deltas, coeffs  # not held through averaging
     timings["shares"] = time.perf_counter() - t0
 
     # Masking phase.
     t0 = time.perf_counter()
-    s0 = build_initial_state(bundles, receivers, p)
+    s0 = build_initial_state(bundles, g, p)
     timings["masking"] = time.perf_counter() - t0
 
     # Averaging phase.
@@ -438,13 +434,6 @@ def read_back(final: np.ndarray, cfg: ProtocolConfig) -> tuple[np.ndarray, np.nd
     return rounded, decode_residues(rounded, cfg.precision, cfg.prime)
 
 
-def replay_round(record: RoundRecord, cfg: ProtocolConfig) -> np.ndarray:
-    """Re-derive the decoded output from a recorded round; determinism audit."""
-    op = AveragingOperator.from_graph(record.topology)
-    final = consensus_final(record.initial_states, op, record.k_used)
-    return read_back(final, cfg)[1]
-
-
 def synthetic_trainer(theta_max: float, step: float = 0.25) -> TrainerHook:
     """Seeded bounded perturbation of the incoming model; no data needed."""
 
@@ -453,15 +442,6 @@ def synthetic_trainer(theta_max: float, step: float = 0.25) -> TrainerHook:
     ) -> np.ndarray:
         noise = rng.uniform(-step, step, size=model.shape)
         return np.clip(model + noise, -theta_max, theta_max)
-
-    return train
-
-
-def constant_trainer() -> TrainerHook:
-    """Returns the incoming model unchanged."""
-
-    def train(learner_id, round_index, model, rng):
-        return model.copy()
 
     return train
 

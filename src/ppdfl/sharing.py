@@ -12,18 +12,12 @@ turns reconstruction over the full holder set into a plain modular sum,
 which is what lets sums of shares travel through an averaging layer.
 Secrets, coefficients, weights and shares are int64 residue arrays.
 
-The kernels work on a batch of holder sets at once: one set per row of an
-int64 array, padded with zeros to the widest set. 0 is never a holder id,
-so it marks padding. Interpolation weights are int64 products reduced mod
-p as they go. A set holding more than half of the batch's distinct ids is
-weighted from its complement, through the weights of all those ids; the
-other sets loop over their own slots. Coefficients of every set come from
-one Philox4x64-10 stream per batch, each set on a lane of its own. Shares
-are float64 matrix products, holder powers times coefficients split into
-limbs, exact because every partial sum is an integer of at most 2**53
-(see _limb_split); one reduction mod p at the end turns them into
-residues. Blocks of sets whose holders cover most of the distinct ids are
-evaluated at every id in one product, the others at their own holders.
+The kernels take holder sets laid out flat, with no padding
+(topology.HolderSets), and give one row per holder in that order. Weights
+are int64 products reduced mod p as they go. Coefficients come from one
+Philox4x64-10 stream per batch, a lane per set. Shares are float64
+matrix products of holder powers and limb-split coefficients, exact as
+every partial sum is an integer of at most 2**53 (see _limb_split).
 """
 
 from __future__ import annotations
@@ -32,12 +26,10 @@ import numpy as np
 
 from .field import _inverse_int
 
-# Entries of the temporaries of a block of either kernel together (512 KB
-# of float64 or int64): the share evaluation's powers, limb-split
-# coefficients and products, and the all-id weights' difference rows,
-# hold at most this many for a block, unless one set or row alone needs
-# more. The float64 products are exact whatever the block size, since
-# _limb_split bounds every partial sum by 2**53.
+# Entries (512 KB of float64 or int64) that a block's temporaries in either
+# kernel -- powers, limb-split coefficients, products, difference matrices
+# -- hold together, unless one set or row alone needs more. The float64
+# products are exact whatever the size (_limb_split bounds every sum).
 _BLOCK_ENTRIES = 2**16
 
 def _prefix_products(a: np.ndarray, p: int) -> np.ndarray:
@@ -71,153 +63,139 @@ def _batch_inverse(a: np.ndarray, p: int) -> np.ndarray:
     return others * _inverse_int(total, p) % p
 
 
-def _lazy_steps(p: int, bound: int) -> int:
-    """How many times a residue below p can be multiplied by an integer of
-    magnitude at most bound and have a residue added, before int64 needs it
-    reduced again: the largest r >= 1 with p * (bound + 1)**r < 2**63."""
-    r = 1
-    while p * (max(bound, 1) + 1) ** (r + 1) < 2**63:
-        r += 1
-    return r
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct entries of an array: np.unique's values, from
-    one sort."""
-    s = np.sort(a, axis=None)
-    return s[np.concatenate([[True], s[1:] != s[:-1]])]
-
-
-def _row_products(f: np.ndarray, p: int) -> np.ndarray:
-    """Products mod p along the last axis of an array of residues, by
-    pairwise halving: log2 of its length multiplies of half the entries."""
+def _row_products(f: np.ndarray, p: int, bound: int | None = None) -> np.ndarray:
+    """Products mod p along the last axis of an int64 array of entries of
+    magnitude at most bound (p - 1 if not given), by pairwise halving,
+    reduced mod p only where the next multiply could leave int64."""
+    big = p - 1 if bound is None else bound  # a bound on f's magnitudes
     while f.shape[-1] > 1:
-        h = f.shape[-1] // 2
-        head = f[..., :h] * f[..., h : 2 * h] % p
-        if f.shape[-1] % 2:
-            head[..., 0] = head[..., 0] * f[..., -1] % p
-        f = head
-    return f[..., 0] if f.shape[-1] else np.ones(f.shape[:-1], dtype=np.int64)
+        h, odd = divmod(f.shape[-1], 2)
+        head = f[..., :h] * f[..., h : 2 * h]
+        if odd:
+            head[..., 0] = head[..., 0] % p * f[..., -1]
+        f, big = head, max(big * big, (p - 1) * big * odd)
+        if big * big >= 2**63:
+            f %= p
+            big = p - 1
+    return f[..., 0] % p if f.shape[-1] else np.ones(f.shape[:-1], dtype=np.int64)
 
 
-def _all_id_denominators(u: np.ndarray, p: int) -> np.ndarray:
-    """u_j prod_{k != j} (u_k - u_j) mod p for every entry of u, distinct
-    ids: rows of the difference matrix with u_j on the diagonal, a block
-    of rows of at most _BLOCK_ENTRIES entries at a time."""
-    m = len(u)
-    out = np.empty(m, dtype=np.int64)
-    step = max(1, _BLOCK_ENTRIES // max(1, m))
-    for a in range(0, m, step):
-        b = min(a + step, m)
-        diff = (u - u[a:b, None]) % p
-        diff[np.arange(b - a), np.arange(a, b)] = u[a:b]
-        out[a:b] = _row_products(diff, p)
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[g], starts[g] + counts[g]) laid end to end."""
+    out = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    out += np.arange(len(out))
     return out
 
 
-def _slot_loop(x: np.ndarray, present: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(num, den) of a batch of sets, slot by slot: num[r] = prod of row r's
-    ids and den_j = x_j prod_{k != j} (x_k - x_j), each mod p, in row-major
-    order over the holders. Every factor has magnitude below the largest
-    id, so den is reduced mod p only every _lazy_steps factors."""
-    lazy = _lazy_steps(p, int(x.max(initial=0)))
-    num = np.ones(len(x), dtype=np.int64)
-    den = np.ones_like(x)
-    for k in range(x.shape[1]):
-        xk = x[:, k]
-        factor = xk[:, None] - x
-        factor[:, k] = xk
-        # A padding slot contributes no factor to its row.
-        np.multiply(den, factor, out=den, where=present[:, k, None])
-        num = np.where(present[:, k], num * xk % p, num)
-        if (k + 1) % lazy == 0:
-            den %= p
-    return num, den[present] % p
+def _denominators(x: np.ndarray, p: int, present: np.ndarray | None = None) -> np.ndarray:
+    """x_j prod_{k != j} (x_k - x_j) mod p at every entry of each row of x,
+    rows of distinct ids below p: row j of its row's difference matrix, x_j
+    on the diagonal, multiplied out, a block of matrices at a time. Only
+    the entries where the boolean present holds count."""
+    (rows, width), out, top = x.shape, np.empty_like(x), int(x.max(initial=0))
+    sets = max(1, _BLOCK_ENTRIES // max(1, width * width))
+    step = max(1, _BLOCK_ENTRIES // max(1, sets * width))
+    for a in range(0, rows, sets):
+        xs = x[a : a + sets]
+        for j in range(0, width, step):
+            diff = xs[:, None, :] - xs[:, j : j + step, None]
+            if present is not None:
+                diff = np.where(present[a : a + sets, None, :], diff, 1)
+            k = np.arange(diff.shape[1])
+            diff[:, k, j + k] = xs[:, j + k]
+            out[a : a + sets, j : j + step] = _row_products(diff, p, top)
+    return out
 
 
-def interpolation_weights(holders: np.ndarray, p: int) -> np.ndarray:
-    """Interpolation weights of every holder set in a batch.
+def interpolation_weights(holders, p: int) -> np.ndarray:
+    """Interpolation weights of every holder set in a flat batch.
 
-    holders is a (..., s) int64 array with one holder set per row: distinct
-    ids in [1, p), padded with zeros. Returns an int64 array of the same
-    shape holding delta(C, x_j) at each holder's slot and 0 at padding.
+    holders is (indptr, slot, points) as the module docstring lays it out,
+    the points distinct ids in [1, p). Returns an int64 array with
+    delta(C, x_j) at each holder's entry.
 
-    Let U be the batch's m distinct ids. A set C is dense when |C| > m/2;
-    its weights come from those of U through its complement (the
-    barycentric-weight relation, Berrut & Trefethen, SIAM Review 2004):
+    Let U be the m points. A set C is dense when |C| > m/2; its weights
+    come from those of U through its complement (the barycentric-weight
+    relation, Berrut & Trefethen, SIAM Review 2004):
 
         delta(C, j) = delta(U, j) prod_{k in U \\ C} (u_k - u_j) / u_k,
 
     with delta(U, j) = prod_U u_k / (u_j prod_{k != j} (u_k - u_j)), so a
-    dense set loops over its complement's slots rather than its own. Any
-    other set takes delta_j = prod_C x_k / (x_j prod_{k != j} (x_k - x_j))
-    slot by slot (see _slot_loop), packed to the widest such set. Every
-    denominator of the call -- U's, the complements' prod u_k and the other
-    sets' own -- is inverted with one modular inversion.
+    dense set loops over its complement's slots rather than its own. The
+    other sets take delta_j = prod_C x_k / (x_j prod_{k != j} (x_k - x_j))
+    a size class at a time (see _denominators). Every denominator of the
+    call -- U's, the complements' prod u_k and the other sets' own -- is
+    inverted with one modular inversion.
     """
-    x = np.asarray(holders, dtype=np.int64)
-    if x.size and (x.min() < 0 or x.max() >= p):
-        raise ValueError(f"holder ids must lie in [1, {p})")
-    rows = x.reshape(-1, x.shape[-1])
-    present = rows != 0
-    sizes = present.sum(axis=1)
-    u = _distinct(rows)
-    u = u[u != 0]
-    dense = 2 * sizes > len(u)
-    sparse = ~dense & (sizes > 0)
-    dens = []  # every denominator of the call, inverted together
-
-    if sparse.any():
-        xs, ps = rows[sparse], present[sparse]
-        width = int(sizes[sparse].max())
-        if width < rows.shape[1]:  # pack each row's holders to the front
-            order = np.argsort(~ps, axis=1, kind="stable")[:, :width]
-            xs, ps = np.take_along_axis(xs, order, 1), np.take_along_axis(ps, order, 1)
-        num_s, den = _slot_loop(xs, ps, p)
-        if not den.all():
-            raise ValueError("holder ids within a set must be distinct")
-        dens.append(den)
+    indptr, slot, points = (np.asarray(a, dtype=np.int64) for a in holders)
+    if points.size and (points[0] < 1 or points[-1] >= p or (np.diff(points) <= 0).any()):
+        raise ValueError(f"holder ids must be increasing points in [1, {p})")
+    ids, sizes, m = points[slot], np.diff(indptr), len(points)
+    top, dense = int(points.max(initial=0)), 2 * sizes > m  # top: the largest id
+    classes, dens = [], []  # (entries, numerators) per size class; denominators
+    # The other sets by size class (bit length), padded with 1 to its largest.
+    sparse = np.flatnonzero(~dense & (sizes > 0))
+    sparse = sparse[np.argsort(np.frexp(sizes[sparse])[1], kind="stable")]
+    for sets in np.split(sparse, np.flatnonzero(np.diff(np.frexp(sizes[sparse])[1])) + 1):
+        if len(sets):
+            entries = _ranges(indptr[sets], sizes[sets])
+            present = np.arange(sizes[sets].max()) < sizes[sets][:, None]
+            x = np.ones(present.shape, dtype=np.int64)
+            x[present] = ids[entries]
+            dens.append(_denominators(x, p, present)[present])
+            if not dens[-1].all():
+                raise ValueError("holder ids within a set must be distinct")
+            classes.append((entries, np.repeat(_row_products(x, p, top), sizes[sets])))
 
     if dense.any():
-        # Dense rows, longest complement first, so that pass k of the loop
-        # below touches a leading run of them.
-        missing = len(u) - sizes
-        dense_rows = np.flatnonzero(dense)
-        dense_rows = dense_rows[np.argsort(-missing[dense_rows], kind="stable")]
-        missing = missing[dense_rows]
-        xd, pd = rows[dense_rows], present[dense_rows]
-        at = np.searchsorted(u, xd)  # each holder's index in U
-        member = np.zeros((len(xd), len(u)), dtype=bool)
-        member[np.nonzero(pd)[0], at[pd]] = True
-        if (member.sum(axis=1) < sizes[dense_rows]).any():
+        # Dense sets, longest complement first: pass k below covers a leading run.
+        sets = np.flatnonzero(dense)
+        sets = sets[np.argsort(sizes[sets], kind="stable")]
+        size, missing = sizes[sets], m - sizes[sets]
+        entries = _ranges(indptr[sets], size)
+        member = np.zeros((len(sets), m), dtype=bool)
+        member[np.repeat(np.arange(len(sets)), size), slot[entries]] = True
+        if (member.sum(axis=1) < size).any():
             raise ValueError("holder ids within a set must be distinct")
-        # Each dense row's complement in U, increasing, padded at the end.
-        width = int(missing[0])
-        comp = u[np.argsort(member, axis=1, kind="stable")[:, :width]]
-        live = np.count_nonzero(missing[:, None] > np.arange(width), axis=0)
-        lazy = _lazy_steps(p, int(u[-1]))
-        fac = np.ones_like(xd)  # prod over the complement of (u_k - x_j)
-        for k, r in enumerate(live.tolist()):
-            head = fac[:r]
-            head *= comp[:r, k, None] - xd[:r]
-            if (k + 1) % lazy == 0:
-                head %= p
-        comp_prod = _row_products(np.where(np.arange(width) < missing[:, None], comp, 1), p)
-        dens += [_all_id_denominators(u, p), comp_prod]
+        # Each dense set's complement in U, increasing, padded with 1.
+        row, col = np.nonzero(~member)
+        comp = np.ones((len(sets), missing[0]), dtype=np.int64)
+        comp[row, np.arange(len(row)) - (np.cumsum(missing) - missing)[row]] = points[col]
+        if top == m:  # points 1..m: prod_{k != j} (k - j) = (-1)**(j-1) (j-1)! (m-j)!
+            fact = np.concatenate([[1], _prefix_products(points, p)[:-1]])  # fact[i] = i!
+            den_u = points * fact % p * fact[::-1] % p * (1 - 2 * (points % 2 == 0)) % p
+        else:
+            den_u = _denominators(points[None], p)[0]
+        dens += [den_u, _row_products(comp, p, top)]
 
-    weights = np.zeros_like(rows)
-    if not dens:
-        return weights.reshape(x.shape)
+    weights = np.empty(len(slot), dtype=np.int64)
+    if not dens:  # no set holds anything
+        return weights
     inv = _batch_inverse(np.concatenate(dens), p)
     inv = np.split(inv, np.cumsum([len(d) for d in dens])[:-1])
-    if sparse.any():
-        weights[present & sparse[:, None]] = np.repeat(num_s, sizes[sparse]) * inv[0] % p
+    for (entries_c, num), inv_c in zip(classes, inv):
+        weights[entries_c] = num * inv_c % p
     if dense.any():
+        # Each dense set's holders, padded at the end: fac starts at
+        # delta(U, j) / prod_{k in U \ C} u_k and takes on (u_k - x_j) for
+        # each k of the complement.
         inv_u, inv_comp = inv[-2:]
-        num_u = _row_products(u[None], p)[0]
-        w = num_u * inv_u[at] % p * (fac % p) % p * inv_comp[:, None] % p
-        weights[dense_rows] = np.where(pd, w, 0)
-    return weights.reshape(x.shape)
+        present = np.arange(size[-1]) < size[:, None]
+        xd = np.zeros(present.shape, dtype=np.int64)
+        xd[present], fac = ids[entries], np.zeros_like(xd)
+        num = _row_products(points[None], p, top)[0] * inv_comp % p
+        fac[present] = inv_u[slot[entries]] * np.repeat(num, size) % p
+        live = np.count_nonzero(missing[:, None] > np.arange(missing[0]), axis=0)
+        # Reduced every lazy passes, the most with p * (top + 1)**lazy < 2**63.
+        lazy = next(r for r in range(1, 64) if p * (top + 1) ** (r + 1) >= 2**63)
+        step = np.empty_like(xd)
+        for k, r in enumerate(live.tolist()):
+            head = fac[:r]
+            head *= np.subtract(comp[:r, k, None], xd[:r], out=step[:r])
+            if (k + 1) % lazy == 0:
+                head %= p
+        weights[entries] = fac[present] % p
+    return weights
 
 
 def _stream_blocks(need, accept: float):
@@ -251,16 +229,17 @@ def _coefficient_streams(key, taus, n: int, p: int) -> np.ndarray:
     from zero would skew the share distribution by an s-dependent
     exclusion.
 
-    The stream is drawn a chunk of whole rows (G blocks each) at a time,
-    one random_raw call per chunk: the rows _stream_blocks expects the
-    neediest set still drawing to need, at most as many as keep a chunk's
-    raw words and its candidates together within _BLOCK_ENTRIES 8-byte
-    entries, unless one row alone needs more. From a chunk each set reads
-    only the rows _stream_blocks expects it to need, so the candidates
-    sorted grow with the values drawn, not with the chunks; a set that
-    falls short reads on, into the next chunk if need be, and a set
-    leaves once it has all its values. How many rows a chunk holds or a
-    set reads at once changes no value.
+    The stream is drawn a chunk of rows at a time: the rows _stream_blocks
+    expects the neediest set still drawing to need, at most as many as
+    keep a chunk's raw words and its candidates within _BLOCK_ENTRIES
+    8-byte entries, unless one row alone needs more. A chunk holds whole
+    rows, or, once the sets still drawing lie within half a row (as a
+    star's hub does), only their lanes, the generator advanced past the
+    rest. From a chunk each set reads only the rows _stream_blocks expects
+    it to need, so the candidates sorted grow with the values drawn, not
+    with the chunks; a set that falls short reads on, into the next chunk
+    if need be, and a set leaves once it has all its values. How many rows
+    a chunk holds or a set reads at once changes no value.
     """
     if p >= 2**32:
         raise ValueError(f"modulus {p} does not fit 32-bit candidates")
@@ -274,16 +253,24 @@ def _coefficient_streams(key, taus, n: int, p: int) -> np.ndarray:
     flat = out.reshape(-1)
     left = n * taus  # values each set still needs
     at = np.cumsum(left) - left  # where each set's next value goes in flat
-    most = max(1, _BLOCK_ENTRIES // (8 * max(n_sets, 1)))  # rows a chunk
     gen = np.random.Philox(key=key)
     live = np.flatnonzero(left)
     row = np.zeros(n_sets, dtype=np.int64)  # each set's next row to read
-    base = drawn = 0  # the chunk in hand holds rows [base, drawn)
+    base = drawn = pos = 0  # the chunk in hand holds rows [base, drawn); gen is at block pos
     while len(live):
         if (row[live] == drawn).all():  # every set has read the chunk out
-            rows = min(most, int(_stream_blocks(left[live].max(), accept)))
-            chunk = gen.random_raw(4 * rows * n_sets).astype("<u8", copy=False)
-            chunk = chunk.reshape(rows * n_sets, 4)  # row base + r of set g at r * G + g
+            # Lanes [lo, lo + width): the live sets' if within half a row.
+            lo, width = int(live[0]), int(live[-1] + 1 - live[0])
+            lo, width = (lo, width) if 2 * width <= n_sets else (0, n_sets)
+            rows = min(max(1, _BLOCK_ENTRIES // (8 * width)),
+                       int(_stream_blocks(left[live].max(), accept)))
+            run, words = width if width < n_sets else rows * n_sets, []
+            for block0 in range(drawn * n_sets + lo, (drawn + rows) * n_sets, max(run, n_sets)):
+                gen.advance(block0 - pos)
+                words.append(gen.random_raw(4 * run))
+                pos = block0 + run
+            chunk = (np.concatenate(words) if len(words) > 1 else words[0]).astype("<u8", copy=False)
+            chunk = chunk.reshape(rows * width, 4)  # row base + r of set g at r * width + g - lo
             base, drawn = drawn, drawn + rows
         # Each set reads on for the rows _stream_blocks expects it to need,
         # as far as the chunk goes; cand holds their blocks set by set.
@@ -292,8 +279,8 @@ def _coefficient_streams(key, taus, n: int, p: int) -> np.ndarray:
         reading = live[more]
         count = upto[more] - row[reading]
         start = np.cumsum(count) - count
-        blocks = np.repeat((row[reading] - base - start) * n_sets + reading, count)
-        blocks += np.arange(len(blocks)) * n_sets
+        blocks = np.repeat((row[reading] - base - start) * width + reading - lo, count)
+        blocks += np.arange(len(blocks)) * width
         cand = np.take(chunk, blocks, axis=0)
         cand &= mask
         cand = cand.reshape(-1).view("<u4")
@@ -339,111 +326,124 @@ def _limb_split(p: int, terms: int) -> tuple[int, int]:
 def _power_table(ids: np.ndarray, terms: int, limbs: int, bits: int, p: int) -> np.ndarray:
     """(len(ids), limbs * terms) float64: column i * terms + m holds
     2**(bits * i) * x**m mod p at each id x, the residue that limb i of
-    coefficient m multiplies. Columns [h, 2h) of x**m are columns [0, h)
-    times x**h, so terms - 1 multiplies mod p fill a row."""
+    coefficient m multiplies. Powers [h, 2h) are powers [0, h) times x**h:
+    terms - 1 multiplies mod p, on contiguous rows of a transposed table."""
     x = ids % p
-    table = np.empty((len(ids), limbs, terms), dtype=np.int64)
-    powers = table[:, 0]
-    powers[:, 0] = 1
+    table = np.empty((limbs, terms, len(ids)), dtype=np.int64)
+    powers = table[0]
+    powers[0] = 1
     h = 1
     while h < terms:
         k = min(h, terms - h)
-        x_h = powers[:, h - 1] * x % p
-        np.multiply(powers[:, :k], x_h[:, None], out=powers[:, h : h + k])
-        np.remainder(powers[:, h : h + k], p, out=powers[:, h : h + k])
+        np.multiply(powers[:k], powers[h - 1] * x % p, out=powers[h : h + k])
+        np.remainder(powers[h : h + k], p, out=powers[h : h + k])
         h += k
     for i in range(1, limbs):
-        table[:, i] = table[:, i - 1] * (2**bits % p) % p
-    return table.reshape(len(ids), limbs * terms).astype(np.float64)
+        table[i] = table[i - 1] * (2**bits % p) % p
+    return table.transpose(2, 0, 1).astype(np.float64, order="C").reshape(len(ids), limbs * terms)
 
 
 def _generate_share_values(
-    secrets: np.ndarray, coeffs: np.ndarray, taus, holders: np.ndarray, p: int
+    secrets: np.ndarray, coeffs: np.ndarray, taus, holders, p: int
 ) -> np.ndarray:
-    """The share table of a batch of holder sets: every set's polynomials
-    evaluated at each of its holders.
+    """The share table of a flat batch of holder sets: row e holds, for
+    every coordinate, the polynomial of holder entry e's set at that holder.
 
-    secrets is (G, n) and holders (G, s), zero-padded; coeffs is the
-    (sum(taus), n) matrix of residues whose rows [T_g, T_g + taus[g])
-    belong to set g, as _coefficient_streams lays them out. Set g's
-    polynomial for coordinate l is H(x) = secrets[g, l] +
-    sum_m coeffs[T_g + m - 1, l] x^m. Returns (E, n) int64 with one row
-    per nonzero holder, in row-major order: row e holds H at that holder
-    for every coordinate.
+    secrets is (G, n), holders (indptr, slot, points) as the module
+    docstring lays it out, and coeffs the (sum(taus), n) matrix whose rows
+    [T_g, T_g + taus[g]) belong to set g, as _coefficient_streams lays them
+    out: set g's polynomial for coordinate l is H(x) = secrets[g, l] +
+    sum_m coeffs[T_g + m - 1, l] x^m.
 
     Every coefficient, the secret as coefficient 0, is split into limbs of
-    b bits (see _limb_split), and limb i of coefficient m meets
-    2**(b i) x^m mod p from a table over the m' distinct ids, so a set's
-    coefficient block is (K, n) with K = limbs * (1 + max tau_g), and one
-    reduction mod p recombines the limbs. Each product is below 2**b * p
-    and K of them sum to at most 2**53, so every partial sum is an exact
-    integer in whatever order BLAS adds. Sets of lower degree leave their
-    high coefficients zero.
+    b bits (see _limb_split), and limb i of coefficient m meets 2**(b i)
+    x^m mod p, so reductions mod p recombine the limbs. A product is below
+    2**b * p and limbs * (1 + max tau_g) of them sum to at most 2**53: every
+    partial sum is an exact integer in whatever order BLAS adds.
 
-    Sets are evaluated in blocks whose temporaries together hold at most
-    _BLOCK_ENTRIES entries. Where evaluating a block's sets at all m' ids
-    costs at most twice the work at their own holders (m' times the sets
-    <= 2 times the holders), one (m', K) @ (K, sets * n) product does it
-    and each holder's entries are picked out; otherwise each set's (s, K)
-    powers of its holders meet its block in one batched product, and
-    padded holder slots are evaluated and dropped.
+    Sets holding half of the m points or more come first, then the others
+    by term count, most first, and by size. A block is a run of them whose
+    temporaries hold at most _BLOCK_ENTRIES entries, evaluated with t
+    terms, its own most. Where evaluating it at all m points costs at most
+    twice the work at its own holders, one (m, K) @ (K, sets * n) product,
+    K = limbs * t, does it. Otherwise its sets have one size s, and each
+    set's (s, K) powers of its holders meet its coefficients in a batched
+    product. The powers at every point are built once if they hold no more
+    entries than the share table, else at each block's holders.
     """
-    holders = np.asarray(holders, dtype=np.int64)
+    indptr, slot, points = (np.asarray(a, dtype=np.int64) for a in holders)
     secrets = np.asarray(secrets, dtype=np.int64) % p
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    taus = np.asarray(taus, dtype=np.int64)
-    n_sets, width = holders.shape
-    dim = secrets.shape[1]
+    coeffs, taus = np.asarray(coeffs, dtype=np.int64), np.asarray(taus, dtype=np.int64)
+    sizes, dim, m = np.diff(indptr), secrets.shape[1], len(points)
     terms = 1 + int(taus.max(initial=0))
     limbs, bits = _limb_split(p, terms)
-    span = limbs * terms  # K, the rows of a set's coefficient block
-    ids = _distinct(holders)
-    table = _power_table(ids, terms, limbs, bits, p)
-    slots = np.searchsorted(ids, holders)
-    starts = np.concatenate([[0], np.cumsum(np.count_nonzero(holders, axis=1))])
-    coeff_starts = np.concatenate([[0], np.cumsum(taus)])
-    out = np.empty((starts[-1], dim), dtype=np.int64)
-    mask = (1 << bits) - 1
-    m = np.arange(terms)[:, None]
-    # Entries per set of a block's temporaries: its limb-split coefficients
-    # and its coefficient block (at most K * n each), and its products, at
-    # its padded holders (whose K powers each are gathered) or at every id.
-    # An all-id block is one BLAS product, which packs its operands into
-    # buffers of its own; it gets a quarter of the entries, which on
-    # large_random.json keeps peak RSS at the gathered path's (a whole
-    # budget adds about 1 MB) and runs no slower.
-    per_gathered = max(1, _BLOCK_ENTRIES // ((width + 2 * dim) * span + width * dim))
-    per_all = max(1, _BLOCK_ENTRIES // (4 * (2 * span + len(ids)) * dim))
+    scale = np.array([2 ** (bits * i) % p for i in range(limbs)])[:, None]
+    small = m * limbs * terms <= len(slot) * dim  # powers at every point, within the shares' size
+    table = _power_table(points, terms, limbs, bits, p).reshape(m, limbs, terms) if small else None
+    # The sets in block order; entries[h] is the row of out that their h-th
+    # holder takes.
+    wide, level = 2 * sizes >= m, -np.frexp(sizes)[1]  # level: minus the size's bit length
+    order = np.lexsort((np.where(wide, 0, -sizes), np.where(wide, 0, -taus), level * ~wide, ~wide))
+    order = order[sizes[order] > 0]
+    entries, coeff_starts = _ranges(indptr[order], sizes[order]), np.cumsum(taus) - taus
+    sizes, slot, taus, coeff_starts = sizes[order], slot[entries], taus[order], coeff_starts[order]
+    held, level = np.append(np.cumsum(sizes) - sizes, len(slot)), (level * ~wide)[order]
+    run_ends = np.append(np.flatnonzero(np.diff(level)) + 1, len(order))
+    run_ends = np.repeat(run_ends, np.diff(run_ends, prepend=0))  # the end of each set's run
+    in_order = (np.diff(order) == 1).all()  # consecutive sets: a block's rows are runs
+    out = np.empty((len(slot), dim), dtype=np.int64)
     a = 0
-    while a < n_sets:
-        b = min(a + per_all, n_sets)
-        all_ids = len(ids) * (b - a) <= 2 * (starts[b] - starts[a])
-        if not all_ids:
-            b = min(a + per_gathered, n_sets)
-        size = b - a
-        # src[i] holds limb i of the block's secrets, of its drawn
-        # coefficients and of zero, and src_rows[m, g] is the row of
-        # coefficient m of the block's set g: the secret for m = 0, a
-        # drawn coefficient up to taus[g], zero above. The block's
-        # (K * size, n) coefficients hold limb i of it at row
-        # (i * terms + m) * size + g.
-        drawn = coeffs[coeff_starts[a] : coeff_starts[b]]
+    while a < len(order):
+        # Entries per set of a block's temporaries: its coefficients (K * n,
+        # twice) and its products at its holders (K powers each) or at every
+        # point. An all-point block, one BLAS product that packs its operands
+        # into buffers of its own, gets a quarter of the entries.
+        span = limbs * (1 + int(taus[a]))
+        b = min(a + max(1, _BLOCK_ENTRIES // (4 * (2 * span + m) * dim)), len(order))
+        all_points = table is not None and m * (b - a) <= 2 * (held[b] - held[a])
+        if not all_points:
+            width = int(sizes[a])
+            per = max(1, _BLOCK_ENTRIES // ((width + 2 * dim) * span + width * dim))
+            b = min(a + per, run_ends[a])
+        size, t = b - a, 1 + int(taus[a:b].max())
+        span = limbs * t  # K
+        # src[i] is limb i of the secrets, drawn coefficients and zero; row
+        # i * t + m of the (K, size, n) block is limb i of each set's
+        # coefficient m (the secret for m = 0, zero above the set's tau).
+        drawn = (coeffs[coeff_starts[a] : coeff_starts[b - 1] + taus[b - 1]] if in_order
+                 else np.take(coeffs, _ranges(coeff_starts[a:b], taus[a:b]), axis=0))
         src = np.zeros((limbs, size + len(drawn) + 1, dim))
         for i in range(limbs):
-            src[i, :size] = (secrets[a:b] >> (bits * i)) & mask
-            src[i, size:-1] = (drawn >> (bits * i)) & mask
-        first = coeff_starts[a:b] - coeff_starts[a] + size - 1
-        src_rows = np.where(m <= taus[a:b], first + m, src.shape[1] - 1)
+            src[i, :size] = (secrets[order[a:b]] >> (bits * i)) & ((1 << bits) - 1)
+            src[i, size:-1] = (drawn >> (bits * i)) & ((1 << bits) - 1)
+        powers = np.arange(t)[:, None]
+        first = np.cumsum(taus[a:b]) - taus[a:b] + size - 1
+        src_rows = np.where(powers <= taus[a:b], first + powers, len(drawn) + size)
         src_rows[0] = np.arange(size)
-        block = np.take(src, src_rows.ravel(), axis=1)
-        kept = np.flatnonzero(holders[a:b])  # the block's holders, row-major
-        if all_ids:
-            vals = table @ block.reshape(span, size * dim)
-            at = slots[a:b].ravel()[kept] * size + kept // width
-        else:
-            vals = np.matmul(table[slots[a:b]], block.reshape(span, size, dim).transpose(1, 0, 2))
-            at = kept
-        out[starts[a] : starts[b]] = np.take(vals.reshape(-1, dim), at, axis=0)
+        block = np.take(src, src_rows.ravel(), axis=1).reshape(span, size, dim)
+        if all_points:
+            vals = table[:, :, :t].reshape(m, span) @ block.reshape(span, size * dim)
+            at = slot[held[a] : held[b]] * size + np.repeat(np.arange(size), sizes[a:b])
+            rows = slice(held[a], held[b]) if in_order else entries[held[a] : held[b]]
+            out[rows] = np.take(vals.reshape(-1, dim), at, axis=0)
+        else:  # a chunk of holders at a time, each set's last repeated to the width
+            width = int(sizes[a:b].max())
+            rows = held[a:b, None] + np.minimum(np.arange(width), sizes[a:b, None] - 1)
+            block, per_holder = block.transpose(1, 0, 2), span
+            if table is None:
+                # Powers built here (limb 0) meet each limb in its own product.
+                block = block.reshape(size, limbs, t, dim).transpose(0, 2, 1, 3)
+                block, per_holder = block.reshape(size, t, limbs * dim), t + limbs * dim
+            step = max(1, _BLOCK_ENTRIES // (size * per_holder))
+            for j in range(0, width, step):
+                sub = rows[:, j : j + step].ravel()
+                if table is None:
+                    pw = _power_table(points[slot[sub]], t, 1, bits, p)
+                    vals = np.matmul(pw.reshape(size, -1, t), block).reshape(-1, limbs, dim)
+                    out[entries[sub]] = (vals.astype(np.int64) % p * scale % p).sum(axis=1)
+                else:
+                    pw = table[slot[sub], :, :t].reshape(size, -1, span)
+                    out[entries[sub]] = np.matmul(pw, block).reshape(-1, dim)
         a = b
     out %= p
     return out

@@ -18,6 +18,7 @@ import heapq
 import json
 import numbers
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +42,11 @@ class RoundTopology:
 
     edges is any iterable of (i, j) id pairs; (i, j) and (j, i) are one
     edge. The graph is stored as two read-only int64 arrays, src < dst,
-    sorted by (src, dst) without repeats. From them the constructor builds
-    both directions of every edge once, sorted by (tail, head):
+    sorted by (src, dst) without repeats. From them the constructor lays
+    out both directions of every edge once, sorted by (tail, head):
     arc_tail[k] -> arc_head[k] is arc k, the arcs of node i are
-    indptr[i-1]:indptr[i], and arc_edge[k] is the index in src/dst of
-    arc k's edge.
+    indptr[i-1]:indptr[i], and arc_rev[k] is the index of arc k's reverse.
+    The forward arcs (head > tail) run in src/dst order.
     """
 
     def __init__(self, n_nodes: int, edges):
@@ -68,31 +69,47 @@ class RoundTopology:
         if (pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2
                 or pairs.dtype.kind not in "iu"):
             raise ValueError("edges must be pairs of integer node ids")
-        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        # Elementwise on the two columns: numpy's axis=1 reductions over
+        # rows of two cost several times as much.
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        loops = np.flatnonzero(lo == hi)
         if loops.size:
-            raise ValueError(f"self-loop at node {pairs[loops[0], 0]}")
-        outside = np.flatnonzero(((pairs < 1) | (pairs > n_nodes)).any(axis=1))
+            raise ValueError(f"self-loop at node {lo[loops[0]]}")
+        outside = np.flatnonzero((lo < 1) | (hi > n_nodes))
         if outside.size:
             i, j = pairs[outside[0]]
             raise ValueError(f"edge ({i},{j}) outside 1..{n_nodes}")
-        pairs = pairs.astype(np.int64)
         # Edge (i, j), i < j, is the key i * (n + 1) + j: one sort orders
         # the edges, and repeats sit next to each other. (numpy 2.4's
         # np.unique hashes first and takes 15-45x as long.)
         base = n_nodes + 1
-        key = np.sort(pairs.min(axis=1) * base + pairs.max(axis=1))
+        key = np.sort(lo.astype(np.int64) * base + hi.astype(np.int64))
         key = key[np.diff(key, prepend=-1) != 0]
         src, dst = np.divmod(key, base)
-        tails = np.concatenate([src, dst])
-        heads = np.concatenate([dst, src])
-        order = np.argsort(tails * base + heads)
+        # Node i's arcs are laid out by counting: first its backward arcs,
+        # to the j < i of the edges (j, i), then its forward arcs, to the
+        # j > i of the edges (i, j), each run in head order. The edges are
+        # in forward order already; one sort of (dst, src) keys gives the
+        # backward order. back[i] and ahead[i] count the backward and the
+        # forward arcs of nodes 1..i.
+        back = np.cumsum(np.bincount(dst, minlength=base))
+        ahead = np.cumsum(np.bincount(src, minlength=base))
+        edge = np.arange(len(src))
+        fwd_at = edge + back[src]
+        by_dst = np.argsort(dst * base + src)
+        back_at = np.empty_like(edge)
+        back_at[by_dst] = edge + ahead[dst[by_dst] - 1]
         self.n_nodes = n_nodes
         self.src, self.dst = src, dst
-        self.arc_tail, self.arc_head = tails[order], heads[order]
-        self.arc_edge = np.where(order < len(src), order, order - len(src))
-        self.indptr = np.searchsorted(self.arc_tail, np.arange(base), side="right")
+        self.indptr = back + ahead
+        self.arc_tail = np.empty(2 * len(src), dtype=np.int64)
+        self.arc_head = np.empty_like(self.arc_tail)
+        self.arc_rev = np.empty_like(self.arc_tail)
+        for at, other, tail, head in ((fwd_at, back_at, src, dst), (back_at, fwd_at, dst, src)):
+            self.arc_tail[at], self.arc_head[at], self.arc_rev[at] = tail, head, other
         for arr in (self.src, self.dst, self.arc_tail, self.arc_head,
-                    self.arc_edge, self.indptr):
+                    self.arc_rev, self.indptr):
             arr.setflags(write=False)
 
     @property
@@ -181,10 +198,38 @@ def mh_edge_weights(
     dense matrix, so the edge-list averaging operator and the matrix the
     eigensolve sees are one matrix.
     """
-    weights = 1.0 / mh_denominators(g)[2][g.arc_edge]
+    # Forward arcs run in edge order; a backward arc takes its reverse's weight.
+    forward = g.arc_head > g.arc_tail
+    weights = np.empty(len(forward))
+    weights[forward] = 1.0 / mh_denominators(g)[2]
+    weights[~forward] = weights[g.arc_rev[~forward]]
     rows = g.arc_tail - 1
     diag = 1.0 - np.bincount(rows, weights=weights, minlength=g.n_nodes)
     return rows, g.arc_head - 1, weights, diag
+
+
+class HolderSets(NamedTuple):
+    """Holder sets laid out flat: set g holds the ids points[slot[k]] for k
+    in indptr[g]:indptr[g+1], points being distinct ids in increasing
+    order (the layout sharing's kernels take)."""
+
+    indptr: np.ndarray
+    slot: np.ndarray
+    points: np.ndarray
+
+
+def _pair_rows(g: RoundTopology) -> tuple[np.ndarray, np.ndarray]:
+    """(arc_row, own_row): the rows of share_pairs(g) that arc k and learner
+    i's own pair (i, i) take, arc_row[k] and own_row[i-1].
+
+    Learner i's pairs follow those of the learners before it, one more row
+    each than their arcs, and list its closed neighbourhood in id order:
+    its backward arcs, then its own pair, at the count of its smaller
+    neighbours, then its forward arcs."""
+    ids = np.arange(g.n_nodes)
+    arc_row = np.arange(len(g.arc_head)) + g.arc_tail - 1 + (g.arc_head > g.arc_tail)
+    own_row = g.indptr[:-1] + ids + np.bincount(g.dst, minlength=g.n_nodes + 1)[1:]
+    return arc_row, own_row
 
 
 def share_pairs(g: RoundTopology) -> tuple[np.ndarray, np.ndarray]:
@@ -192,23 +237,34 @@ def share_pairs(g: RoundTopology) -> tuple[np.ndarray, np.ndarray]:
 
     Every learner sends one bundle to each member of its closed
     neighbourhood, so there are N + 2|E| pairs, sorted by (sender,
-    receiver): the arcs and the self pairs (i, i). Row e of a round's
-    share table is the bundle of pair e.
+    receiver): the arcs and the self pairs (i, i), scattered to their rows
+    (see _pair_rows). Row e of a round's share table is the bundle of pair
+    e.
     """
-    base = g.n_nodes + 1
-    ids = np.arange(1, base)
-    keys = np.sort(np.concatenate([g.arc_tail * base + g.arc_head, ids * (base + 1)]))
-    return np.divmod(keys, base)
+    arc_row, own_row = _pair_rows(g)
+    ids = np.arange(1, g.n_nodes + 1)
+    receivers = np.empty(len(arc_row) + g.n_nodes, dtype=np.int64)
+    receivers[arc_row], receivers[own_row] = g.arc_head, ids
+    return np.repeat(ids, np.diff(g.indptr) + 1), receivers
 
 
-def holder_sets(g: RoundTopology) -> np.ndarray:
-    """(N, 1 + max degree) int64: row i-1 is learner i's closed neighbourhood
-    in increasing order, padded with zeros (0 is never a learner id); the
-    receivers of share_pairs(g), one sender per row."""
-    sizes = np.diff(g.indptr) + 1
-    out = np.zeros((g.n_nodes, sizes.max()), dtype=np.int64)
-    out[np.arange(sizes.max()) < sizes[:, None]] = share_pairs(g)[1]
-    return out
+def holder_sets(g: RoundTopology) -> HolderSets:
+    """Every learner's closed neighbourhood over the points 1..N: learner
+    i's set is set i-1, and its holders are the receivers of its rows of
+    share_pairs(g)."""
+    ids = np.arange(g.n_nodes + 1)
+    return HolderSets(g.indptr + ids, share_pairs(g)[1] - 1, ids[1:])
+
+
+def receiver_order(g: RoundTopology) -> np.ndarray:
+    """The rows of share_pairs(g) in (receiver, sender) order: entry e is
+    the row of the pair that reverses pair e. Learner i's entries thus sit
+    where its own bundles do, and list the rows of the bundles it receives,
+    from its closed neighbourhood in id order."""
+    arc_row, own_row = _pair_rows(g)
+    order = np.empty(len(arc_row) + g.n_nodes, dtype=np.int64)
+    order[arc_row], order[own_row] = arc_row[g.arc_rev], own_row
+    return order
 
 
 def mh_weights(g: RoundTopology, edge_weights: tuple | None = None) -> np.ndarray:

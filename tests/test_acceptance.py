@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 from test_graph_oracles import secrecy_cross_check
+from test_sharing import flat_holders
 
 from ppdfl.cli import _linear_fit, bench_iteration_sweep, bench_share_sweep
 from ppdfl.consensus import min_iterations
@@ -158,10 +159,10 @@ def test_criterion_4_share_secrecy_and_reconstruction():
         rng = np.random.default_rng(tau)
         for secret in range(p):
             coeffs = _coefficient_streams(rng.bit_generator.random_raw(2), [tau], 1, p)
-            values = _generate_share_values([[secret]], coeffs, [tau], [holders], p)
+            values = _generate_share_values([[secret]], coeffs, [tau], flat_holders([holders]), p)
             shares = dict(zip(holders, values[:, 0].tolist()))
             for subset in itertools.combinations(holders, tau + 1):
-                w = interpolation_weights(np.array(subset), p).tolist()
+                w = interpolation_weights(flat_holders([subset]), p).tolist()
                 got = sum(wj * shares[j] for wj, j in zip(w, subset)) % p
                 ok = ok and got == secret
     _report("4 share secrecy by enumeration", ok, "(p=11, tau in {1,2}, TV = 0)")

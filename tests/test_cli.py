@@ -273,6 +273,26 @@ def test_privacy_from_transcript_file(tmp_path):
                  "--adversary", "1"]) == 4
 
 
+def test_privacy_refuses_result_rows_that_differ(tmp_path, capsys):
+    # Every learner of a run reads back the same result; a transcript in
+    # which learner 5's round-1 result differs is refused, not audited.
+    cfg = str(pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.json")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "transcript.jsonl"
+    assert main(["privacy", "--transcript", str(path), "--adversary", "1,5"]) == 4
+    lines = path.read_text().splitlines()
+    for k, line in enumerate(lines):
+        record = json.loads(line)
+        if (record.get("round"), record.get("phase"), record.get("from")) == (1, "result", 5):
+            record["payload"][0] = 2.5
+            lines[k] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["privacy", "--transcript", str(path), "--adversary", "1,5"]) == 2
+    assert "round 1" in capsys.readouterr().err
+
+
 def test_bench_single_point_slope_undefined(capsys):
     assert main(["bench", "--sweep", "iterations", "--points", "50",
                  "--reps", "1"]) == 0

@@ -192,9 +192,10 @@ def test_derivations_match_python_oracles():
             assert g.degree(i) == deg[i] and type(g.degree(i)) is int
 
         closed = {i: sorted([i, *nbrs[i]]) for i in nbrs}
-        width = max(len(c) for c in closed.values())
-        assert holder_sets(g).tolist() == [
-            closed[i] + [0] * (width - len(closed[i])) for i in range(1, n + 1)
+        indptr, slot, points = holder_sets(g)
+        assert points.tolist() == list(range(1, n + 1))
+        assert [points[slot[a:b]].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == [
+            closed[i] for i in range(1, n + 1)
         ]
         senders, receivers = share_pairs(g)
         assert list(zip(senders.tolist(), receivers.tolist())) == [

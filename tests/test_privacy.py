@@ -389,17 +389,16 @@ def test_worst_case_audit_at_10k_learners_in_bounded_memory():
     g = generate_topology("random_connected", n, seed=3, avg_degree=4.0)
     rng = np.random.default_rng(3)
     holders = holder_sets(g)
-    present = holders > 0
     secrets = rng.integers(0, p, size=(n, dim), dtype=np.int64)
-    taus = present.sum(axis=1) - 1
+    taus = np.diff(g.indptr)
     coeffs = _coefficient_streams(rng.bit_generator.random_raw(2), taus, dim, p)
     bundles = _generate_share_values(secrets, coeffs, taus, holders, p)
-    bundles = bundles * interpolation_weights(holders, p)[present][:, None] % p
+    bundles = bundles * interpolation_weights(holders, p)[:, None] % p
     record = SimpleNamespace(
         round_index=1,
         topology=g,
         bundles=bundles,
-        initial_states=build_initial_state(bundles, holders[present], p),
+        initial_states=build_initial_state(bundles, g, p),
         encoded_secrets=secrets,
         rounded=secrets.sum(axis=0, keepdims=True) % p,
     )

@@ -4,14 +4,20 @@ import math
 import pathlib
 import re
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from test_sharing import reference_weights
+from test_topology import hub_and_path
 
 from ppdfl import sharing
+from ppdfl.consensus import AveragingOperator, consensus_final
 from ppdfl.field import next_prime
 from ppdfl.fixedpoint import Precision, scaled_trunc
+from ppdfl.seeding import derive_rng
+from ppdfl.sharing import interpolation_weights
 from ppdfl.protocol import (
     BoundViolation,
     ConfigError,
@@ -20,10 +26,9 @@ from ppdfl.protocol import (
     RoundRecord,
     Transcript,
     build_initial_state,
-    constant_trainer,
     execute_round,
     quantized_aggregate,
-    replay_round,
+    read_back,
     run_training,
     synthetic_trainer,
 )
@@ -35,6 +40,22 @@ from ppdfl.topology import (
     holder_sets,
     share_pairs,
 )
+
+
+def replay_round(record, cfg):
+    """Re-derive the decoded output from a recorded round; determinism audit."""
+    op = AveragingOperator.from_graph(record.topology)
+    final = consensus_final(record.initial_states, op, record.k_used)
+    return read_back(final, cfg)[1]
+
+
+def constant_trainer():
+    """A trainer hook that returns the incoming model unchanged."""
+
+    def train(learner_id, round_index, model, rng):
+        return model.copy()
+
+    return train
 
 
 def make_cfg(n, dim, sigma, theta_max, rounds=1, schedule=None, seed=7,
@@ -145,8 +166,7 @@ def test_config_json_roundtrip(tmp_path):
 
 
 def test_build_initial_state_self_bundle_only():
-    _, receivers = share_pairs(RoundTopology(1, frozenset()))
-    s0 = build_initial_state(np.array([[7]], dtype=np.int64), receivers, 11)
+    s0 = build_initial_state(np.array([[7]], dtype=np.int64), RoundTopology(1, frozenset()), 11)
     assert s0.tolist() == [[7]]
 
 
@@ -157,7 +177,7 @@ def test_build_initial_state_modular_sum():
               (3, 2): 9, (3, 3): 4}
     table = np.array([[values[pair]] for pair in zip(senders.tolist(),
                                                       receivers.tolist())])
-    s0 = build_initial_state(table, receivers, 11)
+    s0 = build_initial_state(table, path3(), 11)
     assert s0.tolist() == [[3], [0], [7]]  # 22 mod 11 at learner 2
 
 
@@ -190,7 +210,7 @@ def test_masking_matches_python_int_sums(p):
                 for l, v in enumerate(row):
                     expected[j - 1][l] += v
             expected = [[v % p for v in row] for row in expected]
-            assert build_initial_state(table, receivers, p).tolist() == expected
+            assert build_initial_state(table, g, p).tolist() == expected
 
 
 def test_masked_state_sum_matches_encoded_sum():
@@ -205,6 +225,63 @@ def test_masked_state_sum_matches_encoded_sum():
     assert list(rec.initial_states.sum(axis=0) % p) == list(
         rec.encoded_secrets.sum(axis=0) % p
     )
+
+
+def _skewed_graphs():
+    yield generate_topology("star", 300)
+    yield hub_and_path(300, 150, 3)
+
+
+@pytest.mark.parametrize("g", list(_skewed_graphs()), ids=["star", "hub_and_path"])
+def test_share_table_on_skewed_degrees_is_the_drawn_polynomials(g):
+    # One high-degree learner among low-degree ones: every bundle is the
+    # sender's drawn polynomial at the receiver, times its Lagrange weight
+    # over the sender's closed neighbourhood, and the weighted shares a
+    # learner sends sum to its encoded secret.
+    n, dim, p = g.n_nodes, 2, 2**31 - 1
+    cfg = make_cfg(n, dim, 2, 4.0, schedule=TopologySchedule.from_graphs([g]), prime=p)
+    rec = execute_round(np.random.default_rng(6).uniform(-4, 4, (n, dim)), g, cfg)
+    degrees = np.diff(g.indptr)
+    key = derive_rng(cfg.seed, "shares", 1).bit_generator.random_raw(2)
+    coeffs = sharing._coefficient_streams(key, degrees, dim, p).tolist()
+    expected, start = [], 0
+    for i, secret in enumerate(rec.encoded_secrets.tolist(), 1):
+        drawn, start = coeffs[start : start + degrees[i - 1]], start + degrees[i - 1]
+        holders = sorted((i, *g.neighbors(i)))
+        for j, weight in zip(holders, reference_weights(holders, p)):
+            values = []
+            for l, s in enumerate(secret):
+                value = 0
+                for c in reversed(drawn):  # Horner, from the top coefficient
+                    value = (value + c[l]) * j % p
+                values.append(weight * (value + s) % p)
+            expected.append(values)
+    assert rec.bundles.tolist() == expected
+    sent = np.add.reduceat(rec.bundles, g.indptr[:-1] + np.arange(n), axis=0) % p
+    assert np.array_equal(sent, rec.encoded_secrets)
+
+
+def test_star_share_phase_allocates_no_hub_width_array():
+    # At N=1000 an (N, 1 + max degree) int64 array is 8 MB. The share phase
+    # of a star -- holder sets, weights, draw and evaluation -- stays well
+    # below it: no padded holder matrix, and no leaf is evaluated at the
+    # hub's width.
+    n, dim, p = 1000, 2, 2**31 - 1
+    g = generate_topology("star", n)
+    secrets = np.random.default_rng(2).integers(0, p, (n, dim))
+    key = np.array([5, 6], dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        holders = holder_sets(g)
+        degrees = np.diff(g.indptr)
+        deltas = interpolation_weights(holders, p)
+        coeffs = sharing._coefficient_streams(key, degrees, dim, p)
+        bundles = sharing._generate_share_values(secrets, coeffs, degrees, holders, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bundles) == len(deltas) == n + 2 * (n - 1)
+    assert peak < n * (1 + degrees.max()) * 8 / 2
 
 
 def test_execute_round_path_sigma0():
@@ -433,7 +510,7 @@ def test_share_phase_inverts_once_per_holder_set(monkeypatch):
     cfg = make_cfg(12, 2, 2, 4.0)
     models = np.random.default_rng(4).uniform(-4, 4, (12, 2))
     # Dense sets only, then a star: the hub's set holds every id and is
-    # weighted through its complement, the 11 leaves' sets slot by slot.
+    # weighted through its complement, the 11 leaves' sets as one size class.
     for g in (generate_topology("random_connected", 12, seed=3, avg_degree=8.0),
               generate_topology("star", 12)):
         calls.clear()
@@ -598,7 +675,7 @@ def test_share_table_transcript_roundtrip(tmp_path, p):
         zeros = np.zeros((n, dim))
         record = RoundRecord(
             round_index=1, topology=g, k_used=1, lambda2=0.0, bundles=table,
-            initial_states=build_initial_state(table, receivers, p),
+            initial_states=build_initial_state(table, g, p),
             encoded_secrets=gen.integers(0, p, (n, dim)), local_models=zeros,
             rounded=zeros.astype(np.int64), decoded=zeros, rounding_margin=0.0,
         )
@@ -606,8 +683,9 @@ def test_share_table_transcript_roundtrip(tmp_path, p):
         Transcript(meta, [record]).to_jsonl(str(path))
         lines = path.read_text().splitlines()
         shares = [m for m in map(json.loads, lines) if m.get("phase") == "shares"]
+        indptr, slot, points = holder_sets(g)
         assert [(m["from"], m["to"]) for m in shares] == [
-            (i, [j for j in row if j]) for i, row in enumerate(holder_sets(g).tolist(), 1)
+            (i, points[slot[a:b]].tolist()) for i, (a, b) in enumerate(zip(indptr[:-1], indptr[1:]), 1)
         ]
         (back,) = Transcript.from_jsonl(str(path)).rounds
         assert np.array_equal(back.bundles, table)

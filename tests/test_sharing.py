@@ -11,11 +11,25 @@ from ppdfl.sharing import (
     _generate_share_values,
     interpolation_weights,
 )
-from ppdfl.topology import generate_topology, holder_sets
+from ppdfl.topology import HolderSets, generate_topology, holder_sets
+
+
+def flat_holders(sets):
+    """The id lists as one flat HolderSets batch over their distinct ids."""
+    ids = np.array([x for s in sets for x in s], dtype=np.int64)
+    points = np.unique(ids)
+    indptr = np.cumsum([0, *map(len, sets)])
+    return HolderSets(indptr, np.searchsorted(points, ids), points)
+
+
+def holder_lists(holders):
+    """The id lists of a flat HolderSets batch, set by set."""
+    indptr, slot, points = holders
+    return [points[slot[a:b]].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
 
 
 def weights(ids, p=11):
-    return interpolation_weights(np.array(ids), p).tolist()
+    return interpolation_weights(flat_holders([ids]), p).tolist()
 
 
 def set_coefficients(gen, n, tau, p):
@@ -28,7 +42,7 @@ def share_values(secret, tau, ids, gen, p=11):
     """H(j) at every id for one secret, with tau coefficients drawn on a
     key from the numpy Generator gen."""
     coeffs = set_coefficients(gen, 1, tau, p)
-    return _generate_share_values([[secret]], coeffs, [tau], [ids], p)[:, 0].tolist()
+    return _generate_share_values([[secret]], coeffs, [tau], flat_holders([ids]), p)[:, 0].tolist()
 
 
 def interpolate_at_zero(shares, p=11):
@@ -47,9 +61,16 @@ def test_holder_set_validation():
     # A repeated id in a set holding most of the batch's ids, which is
     # weighted through its complement.
     with pytest.raises(ValueError):
-        interpolation_weights(np.array([[1, 2, 3, 3], [4, 0, 0, 0]]), 11)
-    # Zeros are padding, and a set's slot order does not matter.
-    assert weights((0, 1, 2, 0)) == [0] + weights((1, 2)) + [0]
+        interpolation_weights(flat_holders([[1, 2, 3, 3], [4]]), 11)
+    # Points must be distinct and increasing.
+    with pytest.raises(ValueError):
+        interpolation_weights(HolderSets(np.array([0, 2]), np.array([0, 1]), np.array([4, 1])), 11)
+    # A set's weights do not depend on the other sets of the batch, on
+    # points it does not hold, or on its slot order.
+    assert interpolation_weights(flat_holders([(1, 2), (5,), ()]), 11).tolist() == [
+        *weights((1, 2)), *weights((5,))]
+    spare = HolderSets(np.array([0, 2]), np.array([0, 2]), np.array([1, 2, 4, 9]))
+    assert interpolation_weights(spare, 11).tolist() == weights((1, 4))
     assert weights((3, 1, 2)) == [1, 3, 8]
 
 
@@ -88,14 +109,6 @@ def reference_weights(ids, p):
     return out
 
 
-def padded(sets):
-    """The sets as rows of one int64 batch, zero-padded to the widest."""
-    out = np.zeros((len(sets), max(map(len, sets))), dtype=np.int64)
-    for row, ids in zip(out, sets):
-        row[: len(ids)] = ids
-    return out
-
-
 def graph_holder_sets(p):
     """Closed neighbourhoods of random, star, complete and line graphs, on
     as many nodes as fit below p, up to 200."""
@@ -112,33 +125,33 @@ def test_interpolation_weights_match_definition(p):
     sizes = [1, 1, 2, 3, 5, 8, 10, min(top, 97)]
     sizes += [rng.randrange(1, 11) for _ in range(30)]
     sets = [rng.sample(range(1, top + 1), size) for size in sizes]
-    batches = [padded(sets), *graph_holder_sets(p)]
+    batches = [flat_holders(sets), *graph_holder_sets(p)]
     if p > 2**30:
         # ids near p give factors near p: the least room for lazy reduction
-        batches.append(padded([[p - 1, p - 2, 1, 2], [p - 1], [p - 3, p - 5]]))
+        batches.append(flat_holders([[p - 1, p - 2, 1, 2], [p - 1], [p - 3, p - 5]]))
         # Sets holding more than half of eight scattered ids near p, in any
-        # order and with padding between, beside sets holding fewer.
+        # order, beside sets holding fewer.
         far = [p - 1, p - 3, p - 8, p - 1000, 7, 12345, 2**30 + 1, 99]
-        batches.append(padded([far, far[:5], far[3:], [far[6], far[1], far[0], far[4], far[2]],
-                               far[::2], [far[7], far[2]], [far[5]]]))
-        batches.append(np.array([[far[0], 0, far[1], far[2], 0, far[3], far[4]],
-                                 [0, 0, far[5], far[6], far[7], 0, 0]]))
+        batches.append(flat_holders([far, far[:5], far[3:], [far[6], far[1], far[0], far[4], far[2]],
+                                     far[::2], [far[7], far[2]], [far[5]]]))
+        batches.append(flat_holders([[far[0], far[1], far[2], far[3], far[4]],
+                                     [far[5], far[6], far[7]]]))
     for batch in batches:
         got = interpolation_weights(batch, p)
-        assert got.dtype == np.int64 and got.shape == batch.shape
+        assert got.dtype == np.int64 and got.shape == batch.slot.shape
+        sets = holder_lists(batch)
         # Each distinct set once: a complete graph repeats one set N times.
-        rows = {tuple(ids): row for row, ids in zip(got.tolist(), batch.tolist())}
+        rows = {tuple(ids): got[a:b].tolist()
+                for ids, a, b in zip(sets, batch.indptr[:-1], batch.indptr[1:])}
         for ids, row in rows.items():
-            kept = [x for x in ids if x]
-            assert [w for w, x in zip(row, ids) if x] == reference_weights(kept, p)
-            assert all(w == 0 for w, x in zip(row, ids) if not x)
+            assert row == reference_weights(ids, p)
 
 
 @pytest.mark.parametrize("p", [11, 1020431, 2**31 - 1])
 def test_share_values_match_direct_evaluation(p, monkeypatch):
-    # Batches of zero-padded holder sets whose polynomials differ in degree,
-    # run whole and in blocks of a few sets, against Python-int evaluation
-    # at every holder; padded columns are dropped.
+    # Batches of holder sets whose polynomials differ in degree, run whole
+    # and in blocks of a few sets, against Python-int evaluation at every
+    # holder.
     rng = random.Random(p + 1)
     top = min(p - 1, 1000)
     for trial in range(20):
@@ -146,32 +159,33 @@ def test_share_values_match_direct_evaluation(p, monkeypatch):
                 for _ in range(rng.randrange(1, 6))]
         if p > 2**30:
             sets.append([p - 1, p - 2])
-        ids = padded(sets)
-        if trial % 4 == 0:  # padding need not trail
-            ids = ids[:, ::-1].copy()
+        if trial % 4 == 0:  # holders need not be in increasing order
+            sets = [ids[::-1] for ids in sets]
         n, tau = rng.randrange(1, 5), rng.randrange(0, 12)
         secrets = [[rng.randrange(p) for _ in range(n)] for _ in sets]
         coeffs = [[[rng.randrange(p) for _ in range(max(0, tau - k))]
                    for _ in range(n)] for k in range(len(sets))]
-        assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
+        assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
     # Closed neighbourhoods of whole graphs: complete graphs and small
-    # stars are evaluated at all ids, sparse graphs at their own holders,
-    # and blocks of one set mix the two.
-    for ids in graph_holder_sets(p):
-        sizes = np.count_nonzero(ids, axis=1).tolist()
-        secrets = [[rng.randrange(p) for _ in range(2)] for _ in sizes]
-        coeffs = [[[rng.randrange(p) for _ in range(min(size - 1, 6))] for _ in range(2)]
-                  for size in sizes]
-        assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
+    # stars are evaluated at all points, sparse graphs at their own
+    # holders, and blocks of one set mix the two. With 2 coordinates the
+    # powers of sparse graphs are built at each block's holders, with 8
+    # they are built once at every point.
+    for holders, dim in itertools.product(graph_holder_sets(p), (2, 8)):
+        sets = holder_lists(holders)
+        secrets = [[rng.randrange(p) for _ in range(dim)] for _ in sets]
+        coeffs = [[[rng.randrange(p) for _ in range(min(len(ids) - 1, 6))] for _ in range(dim)]
+                  for ids in sets]
+        assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
 
 
-def direct_shares(secrets, coeffs, ids, p):
-    """Oracle: every set's polynomials at each of its nonzero ids, in Python
-    ints, one row per holder in row-major order."""
+def direct_shares(secrets, coeffs, sets, p):
+    """Oracle: every set's polynomials at each of its ids, in Python ints,
+    one row per holder, set by set."""
     return [
         [(s + sum(c * x ** (m + 1) for m, c in enumerate(cs))) % p
          for s, cs in zip(ss, css)]
-        for ss, css, xs in zip(secrets, coeffs, np.asarray(ids).tolist()) for x in xs if x
+        for ss, css, xs in zip(secrets, coeffs, sets) for x in xs
     ]
 
 
@@ -183,11 +197,12 @@ def flat(coeffs, n):
     return np.concatenate(blocks), taus
 
 
-def assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch):
+def assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch):
     """The share table equals the oracle's with the default block size, in
     blocks of one set, in blocks of about three sets, and in one block."""
-    expected = direct_shares(secrets, coeffs, ids, p)
-    width = np.shape(ids)[1]
+    expected = direct_shares(secrets, coeffs, sets, p)
+    ids = flat_holders(sets)
+    width = max(map(len, sets))
     n = len(secrets[0])
     matrix, taus = flat(coeffs, n)
     terms = 1 + max(taus)
@@ -234,7 +249,7 @@ def test_share_values_exact_at_31_bits(terms, monkeypatch):
     # coefficients all p - 1.
     taus = [max(0, terms - 1 - k) for k in range(len(sets))]
     coeffs = [[[p - 1] * tau, [rng.randrange(p) for _ in range(tau)]] for tau in taus]
-    assert_direct_evaluation(secrets, coeffs, padded(sets), p, monkeypatch)
+    assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
 
 
 def test_share_values_exact_with_one_limb(monkeypatch):
@@ -244,12 +259,11 @@ def test_share_values_exact_with_one_limb(monkeypatch):
     assert sharing._limb_split(p, 100)[0] == 1
     rng = random.Random(100)
     sets = [rng.sample(range(1, p), 100), rng.sample(range(1, p), 57), [p - 1, p - 2]]
-    ids = padded(sets)
     secrets = [[rng.randrange(p) for _ in range(3)] for _ in sets]
     coeffs = [[[p - 1] * 99, [rng.randrange(p) for _ in range(99)], [0] * 98 + [p - 1]],
               [[rng.randrange(p) for _ in range(56)] for _ in range(3)],
               [[rng.randrange(p)] for _ in range(3)]]
-    assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
+    assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
 
 
 @pytest.mark.parametrize("p", [11, 2**31 - 1])
@@ -257,27 +271,31 @@ def test_share_values_degree_zero_width_one_and_inner_padding(p, monkeypatch):
     rng = random.Random(p + 2)
     top = min(p - 1, 1000)
     # Degree-0 sets only: every share is its set's secret.
-    ids = padded([[1, 2, 3], [4], [5, 6]])
+    sets = [[1, 2, 3], [4], [5, 6]]
     secrets = [[rng.randrange(p) for _ in range(2)] for _ in range(3)]
     coeffs = [np.zeros((2, 0), dtype=np.int64)] * 3
-    assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
-    assert _generate_share_values(secrets, *flat(coeffs, 2), ids, p).tolist() == [
+    assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
+    assert _generate_share_values(secrets, *flat(coeffs, 2), flat_holders(sets), p).tolist() == [
         secrets[0]] * 3 + [secrets[1]] + [secrets[2]] * 2
     # Width 1: each set is a single holder, of any degree.
-    ids = np.array([[rng.randrange(1, top + 1)] for _ in range(4)])
+    sets = [[rng.randrange(1, top + 1)] for _ in range(4)]
     coeffs = [[[rng.randrange(p) for _ in range(k)]] for k in (0, 1, 5, 9)]
     secrets = [[rng.randrange(p)] for _ in range(4)]
-    assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
-    # Padding between and before holders, and a set of padding only.
-    ids = np.array([[0, 3, 0, 7], [5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 9]])
-    coeffs = [[[rng.randrange(p) for _ in range(k)] for _ in range(3)] for k in (1, 3, 0, 2)]
-    secrets = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
-    assert_direct_evaluation(secrets, coeffs, ids, p, monkeypatch)
+    assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
+    # Sets of different sizes at one degree, and an empty set whose drawn
+    # coefficients sit between the others'.
+    sets = [[3, 7], [5], [], [2, 9], [10, 4, 8]]
+    coeffs = [[[rng.randrange(p) for _ in range(k)] for _ in range(3)] for k in (1, 3, 2, 2, 3)]
+    secrets = [[rng.randrange(p) for _ in range(3)] for _ in range(5)]
+    assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
+    sets = [[1, 2, 3], [], [1, 2, 4]]  # the same, between sets kept in their own order
+    coeffs = [[[rng.randrange(p) for _ in range(k)] for _ in range(3)] for k in (2, 1, 2)]
+    assert_direct_evaluation(secrets[:3], coeffs, sets, p, monkeypatch)
 
 
 def test_share_values_hand_polynomial():
     # H(x) = 5 + 3x over GF(11) at points 1, 2, 3
-    got = _generate_share_values([[5]], [[3]], [1], [[1, 2, 3]], 11)
+    got = _generate_share_values([[5]], [[3]], [1], flat_holders([[1, 2, 3]]), 11)
     assert got.tolist() == [[8], [0], [3]]
 
 
@@ -353,14 +371,15 @@ def test_coefficient_streams_follow_the_counter_layout(p):
     # Block b of the stream is the b-th block of a fresh np.random.Philox.
     assert np.random.Philox(key=KEY).random_raw(8).tolist() == (
         philox_block(KEY, [1, 0, 0, 0]) + philox_block(KEY, [2, 0, 0, 0]))
-    taus, n = [3, 0, 7, 1, 12], 4
-    got = _coefficient_streams(KEY, taus, n, p)
-    assert got.dtype == np.int64 and got.shape == (sum(taus), n)
-    start = 0
-    for g, tau in enumerate(taus, start=1):
-        want = reference_stream(KEY, g, len(taus), n * tau, p)
-        assert got[start : start + tau].ravel().tolist() == want
-        start += tau
+    n = 4
+    for taus in ([3, 0, 7, 1, 12], [12] + [1] * 30, [1] * 30 + [12], [0, 9, 1, 1, 0, 8]):
+        got = _coefficient_streams(KEY, taus, n, p)
+        assert got.dtype == np.int64 and got.shape == (sum(taus), n)
+        start = 0
+        for g, tau in enumerate(taus, start=1):
+            want = reference_stream(KEY, g, len(taus), n * tau, p)
+            assert got[start : start + tau].ravel().tolist() == want
+            start += tau
 
 
 @pytest.mark.parametrize("p", [17, 2**31 - 1])
@@ -368,14 +387,18 @@ def test_coefficient_streams_do_not_depend_on_chunk_rows(p, monkeypatch):
     # One row per chunk, and chunks sized one row at a time, give the
     # values of the default chunks: sets finish inside chunks and leave
     # later ones at different points, but every set reads its own lane.
-    taus, n = [3, 0, 7, 1, 12, 2], 5
-    want = _coefficient_streams(KEY, taus, n, p)
-    with monkeypatch.context() as m:
-        m.setattr(sharing, "_BLOCK_ENTRIES", 1)
-        assert np.array_equal(_coefficient_streams(KEY, taus, n, p), want)
-    with monkeypatch.context() as m:
-        m.setattr(sharing, "_stream_blocks", lambda need, accept: np.ones_like(need))
-        assert np.array_equal(_coefficient_streams(KEY, taus, n, p), want)
+    # Once the sets still drawing lie within half a row (the hub of a star,
+    # first or last, or two sets near each other) a chunk holds their lanes
+    # alone, and the generator skips the others.
+    n = 5
+    for taus in ([3, 0, 7, 1, 12, 2], [12] + [1] * 30, [1] * 30 + [12], [1] * 9 + [6, 0, 7] + [1] * 9):
+        want = _coefficient_streams(KEY, taus, n, p)
+        with monkeypatch.context() as m:
+            m.setattr(sharing, "_BLOCK_ENTRIES", 1)
+            assert np.array_equal(_coefficient_streams(KEY, taus, n, p), want)
+        with monkeypatch.context() as m:
+            m.setattr(sharing, "_stream_blocks", lambda need, accept: np.ones_like(need))
+            assert np.array_equal(_coefficient_streams(KEY, taus, n, p), want)
 
 
 def test_coefficient_streams_depend_on_own_set_only():
@@ -412,7 +435,7 @@ def test_coefficient_streams_are_uniform(p, bins):
 def weighted(raw, ids, p=11):
     """Each raw share times its holder's interpolation weight, as
     execute_round weights them."""
-    w = interpolation_weights(np.array(ids), p)
+    w = interpolation_weights(flat_holders([ids]), p)
     return (np.asarray(raw, dtype=np.int64) * w % p).tolist()
 
 
@@ -458,7 +481,7 @@ def test_reconstruct_too_few():
         if rng.random() < 0.3:
             coeffs[-1] = 0
         column = [[c] for c in coeffs]
-        values = _generate_share_values([[secret]], column, [tau], [ids], 11)[:, 0]
+        values = _generate_share_values([[secret]], column, [tau], flat_holders([ids]), 11)[:, 0]
         values = values.tolist()
         shares = dict(zip(ids, values))
         for subset in itertools.combinations(ids, tau):

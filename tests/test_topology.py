@@ -18,9 +18,12 @@ from ppdfl.topology import (
     check_generator,
     contraction_radius,
     generate_topology,
+    holder_sets,
     is_connected,
     mh_weights,
+    receiver_order,
     second_largest_eigenvalue,
+    share_pairs,
 )
 
 
@@ -76,6 +79,71 @@ def test_topology_normalization_matches_per_edge_loop():
     for n_nodes in ("3", 3.0, None, 2**31, 10**30):
         with pytest.raises(ValueError, match="n_nodes must be an integer"):
             RoundTopology(n_nodes, [(1, 2)])
+
+
+def hub_and_path(n, hub, stride):
+    """A path 1-2-...-n plus edges from node hub to every stride-th node
+    1, 1 + stride, ... not next to it on the path: one high-degree learner
+    among learners of degree 2 or 3."""
+    path = [(i, i + 1) for i in range(1, n)]
+    return RoundTopology(n, path + [(hub, j) for j in range(1, n + 1, stride) if abs(j - hub) > 1])
+
+
+def _layout_graphs():
+    rng = np.random.default_rng(8)
+    for n, degree in ((5, 2.0), (30, 4.0), (100, 87.0), (300, 3.0), (1000, 4.0)):
+        for seed in range(2):
+            yield generate_topology("random_connected", n, seed=seed, avg_degree=degree)
+    for n in (2, 9, 60):
+        for kind in ("complete", "star", "line"):
+            yield generate_topology(kind, n)
+    yield RoundTopology(1, [])
+    yield hub_and_path(40, 1, 1)
+    yield hub_and_path(300, 150, 3)
+    # The same graph from its edge list shuffled, reversed and repeated.
+    g = generate_topology("random_connected", 60, seed=4, avg_degree=6.0)
+    edges = np.stack([g.src, g.dst], axis=1)
+    yield RoundTopology(60, rng.permutation(edges))
+    yield RoundTopology(60, edges[::-1, ::-1])
+    yield RoundTopology(60, rng.permutation(np.concatenate([edges, edges[:, ::-1], edges[:7]])))
+
+
+def _sorted_layouts(g):
+    """The sort-based definitions of the CSR arrays, the share pairs, the
+    holder sets and the masking order."""
+    base = g.n_nodes + 1
+    tails = np.concatenate([g.src, g.dst])
+    heads = np.concatenate([g.dst, g.src])
+    order = np.argsort(tails * base + heads)
+    keys = tails[order] * base + heads[order]
+    pairs = np.sort(np.concatenate([keys, np.arange(1, base) * (base + 1)]))
+    senders, receivers = np.divmod(pairs, base)
+    return {
+        "arc_tail": tails[order], "arc_head": heads[order],
+        "arc_rev": np.searchsorted(keys, heads[order] * base + tails[order]),
+        "indptr": np.searchsorted(tails[order], np.arange(base), side="right"),
+        "senders": senders, "receivers": receivers,
+        "holder_indptr": np.searchsorted(senders, np.arange(base), side="right"),
+        "masking": np.argsort(receivers, kind="stable"),
+    }
+
+
+def test_csr_layouts_match_sort_based_definitions():
+    for g in _layout_graphs():
+        want = _sorted_layouts(g)
+        edges = sorted(g.edges)
+        assert list(zip(g.src.tolist(), g.dst.tolist())) == edges
+        for name in ("arc_tail", "arc_head", "arc_rev", "indptr"):
+            assert getattr(g, name).tolist() == want[name].tolist(), name
+            assert not getattr(g, name).flags.writeable
+        senders, receivers = share_pairs(g)
+        assert senders.tolist() == want["senders"].tolist()
+        assert receivers.tolist() == want["receivers"].tolist()
+        indptr, slot, points = holder_sets(g)
+        assert indptr.tolist() == want["holder_indptr"].tolist()
+        assert slot.tolist() == (want["receivers"] - 1).tolist()
+        assert points.tolist() == list(range(1, g.n_nodes + 1))
+        assert receiver_order(g).tolist() == want["masking"].tolist()
 
 
 def _outcome(n, edges):

@@ -226,13 +226,12 @@ def _records(p, gen):
     graphs = [generate_topology("random_connected", 9, seed=3, avg_degree=3.0),
               generate_topology("star", 9), generate_topology("line", 9)]
     for t, g in enumerate(graphs, start=1):
-        senders, receivers = share_pairs(g)
-        table = gen.integers(0, p, (len(senders), 3))
+        table = gen.integers(0, p, (len(share_pairs(g)[0]), 3))
         decoded = np.repeat(gen.integers(-300, 300, (1, 3)) / 100, 9, axis=0)
         yield RoundRecord(
             round_index=t, topology=g, k_used=int(gen.integers(1, 90)),
             lambda2=float(gen.uniform()), bundles=table,
-            initial_states=build_initial_state(table, receivers, p),
+            initial_states=build_initial_state(table, g, p),
             encoded_secrets=gen.integers(0, p, (9, 3)),
             local_models=gen.uniform(-4, 4, (9, 3)),
             rounded=np.zeros((9, 3), dtype=np.int64), decoded=decoded,

@@ -140,13 +140,12 @@ def test_writer_matches_oracle_on_largest_residues(tmp_path):
     rounds = []
     for t, g in enumerate([generate_topology("random_connected", 7, seed=2, avg_degree=3.0),
                            generate_topology("star", 7)], start=1):
-        senders, receivers = share_pairs(g)
-        table = np.full((len(senders), 4), p - 1, dtype=np.int64)
+        table = np.full((len(share_pairs(g)[0]), 4), p - 1, dtype=np.int64)
         table[::3] = np.arange(len(table[::3]))[:, None]
         zeros = np.zeros((7, 4))
         rounds.append(RoundRecord(
             round_index=t, topology=g, k_used=3, lambda2=0.5, bundles=table,
-            initial_states=build_initial_state(table, receivers, p),
+            initial_states=build_initial_state(table, g, p),
             encoded_secrets=np.full((7, 4), p - 1, dtype=np.int64), local_models=zeros,
             rounded=zeros.astype(np.int64), decoded=zeros, rounding_margin=0.0,
         ))
