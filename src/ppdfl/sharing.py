@@ -32,6 +32,12 @@ from .field import _inverse_int
 # products are exact whatever the size (_limb_split bounds every sum).
 _BLOCK_ENTRIES = 2**16
 
+# Philox blocks a row must skip before the draw takes only the live sets'
+# lanes: the pass of its Python loop that each row then costs (an advance
+# and a random_raw call, some 3 us) is worth some 170 blocks (17 ns each,
+# numpy 2 on x86-64).
+_SKIP_BLOCKS = 256
+
 def _prefix_products(a: np.ndarray, p: int) -> np.ndarray:
     """Inclusive running products mod p of a 1-D array, by a Hillis-Steele
     scan in log2(len(a)) vectorized doubling steps."""
@@ -92,7 +98,9 @@ def _denominators(x: np.ndarray, p: int, present: np.ndarray | None = None) -> n
     rows of distinct ids below p: row j of its row's difference matrix, x_j
     on the diagonal, multiplied out, a block of matrices at a time. Only
     the entries where the boolean present holds count."""
-    (rows, width), out, top = x.shape, np.empty_like(x), int(x.max(initial=0))
+    rows, width = x.shape
+    out = np.empty_like(x)
+    top = int(x.max(initial=0))
     sets = max(1, _BLOCK_ENTRIES // max(1, width * width))
     step = max(1, _BLOCK_ENTRIES // max(1, sets * width))
     for a in range(0, rows, sets):
@@ -130,9 +138,13 @@ def interpolation_weights(holders, p: int) -> np.ndarray:
     indptr, slot, points = (np.asarray(a, dtype=np.int64) for a in holders)
     if points.size and (points[0] < 1 or points[-1] >= p or (np.diff(points) <= 0).any()):
         raise ValueError(f"holder ids must be increasing points in [1, {p})")
-    ids, sizes, m = points[slot], np.diff(indptr), len(points)
-    top, dense = int(points.max(initial=0)), 2 * sizes > m  # top: the largest id
-    classes, dens = [], []  # (entries, numerators) per size class; denominators
+    ids = points[slot]
+    sizes = np.diff(indptr)
+    m = len(points)
+    top = int(points.max(initial=0))  # the largest id
+    dense = 2 * sizes > m
+    classes = []  # (entries, numerators) per size class
+    dens = []  # every denominator, inverted together below
     # The other sets by size class (bit length), padded with 1 to its largest.
     sparse = np.flatnonzero(~dense & (sizes > 0))
     sparse = sparse[np.argsort(np.frexp(sizes[sparse])[1], kind="stable")]
@@ -151,7 +163,8 @@ def interpolation_weights(holders, p: int) -> np.ndarray:
         # Dense sets, longest complement first: pass k below covers a leading run.
         sets = np.flatnonzero(dense)
         sets = sets[np.argsort(sizes[sets], kind="stable")]
-        size, missing = sizes[sets], m - sizes[sets]
+        size = sizes[sets]
+        missing = m - size
         entries = _ranges(indptr[sets], size)
         member = np.zeros((len(sets), m), dtype=bool)
         member[np.repeat(np.arange(len(sets)), size), slot[entries]] = True
@@ -182,7 +195,8 @@ def interpolation_weights(holders, p: int) -> np.ndarray:
         inv_u, inv_comp = inv[-2:]
         present = np.arange(size[-1]) < size[:, None]
         xd = np.zeros(present.shape, dtype=np.int64)
-        xd[present], fac = ids[entries], np.zeros_like(xd)
+        xd[present] = ids[entries]
+        fac = np.zeros_like(xd)
         num = _row_products(points[None], p, top)[0] * inv_comp % p
         fac[present] = inv_u[slot[entries]] * np.repeat(num, size) % p
         live = np.count_nonzero(missing[:, None] > np.arange(missing[0]), axis=0)
@@ -233,13 +247,14 @@ def _coefficient_streams(key, taus, n: int, p: int) -> np.ndarray:
     expects the neediest set still drawing to need, at most as many as
     keep a chunk's raw words and its candidates within _BLOCK_ENTRIES
     8-byte entries, unless one row alone needs more. A chunk holds whole
-    rows, or, once the sets still drawing lie within half a row (as a
-    star's hub does), only their lanes, the generator advanced past the
-    rest. From a chunk each set reads only the rows _stream_blocks expects
-    it to need, so the candidates sorted grow with the values drawn, not
-    with the chunks; a set that falls short reads on, into the next chunk
-    if need be, and a set leaves once it has all its values. How many rows
-    a chunk holds or a set reads at once changes no value.
+    rows, or, once the lanes outside the span of the sets still drawing
+    outnumber that span and _SKIP_BLOCKS (as around a star's hub), only
+    the span, the generator advanced past the rest. From a chunk each set
+    reads only the rows _stream_blocks expects it to need, so the
+    candidates sorted grow with the values drawn, not with the chunks; a
+    set that falls short reads on, into the next chunk if need be, and a
+    set leaves once it has all its values. How many rows a chunk holds or
+    a set reads at once changes no value.
     """
     if p >= 2**32:
         raise ValueError(f"modulus {p} does not fit 32-bit candidates")
@@ -259,18 +274,26 @@ def _coefficient_streams(key, taus, n: int, p: int) -> np.ndarray:
     base = drawn = pos = 0  # the chunk in hand holds rows [base, drawn); gen is at block pos
     while len(live):
         if (row[live] == drawn).all():  # every set has read the chunk out
-            # Lanes [lo, lo + width): the live sets' if within half a row.
-            lo, width = int(live[0]), int(live[-1] + 1 - live[0])
-            lo, width = (lo, width) if 2 * width <= n_sets else (0, n_sets)
+            # Lanes [lo, lo + width): the live sets' alone when the lanes
+            # skipped outnumber them and pay for a pass of this loop per row.
+            lo = int(live[0])
+            width = int(live[-1] + 1 - live[0])
+            if n_sets - width < max(width, _SKIP_BLOCKS):
+                lo = 0
+                width = n_sets
             rows = min(max(1, _BLOCK_ENTRIES // (8 * width)),
                        int(_stream_blocks(left[live].max(), accept)))
-            run, words = width if width < n_sets else rows * n_sets, []
+            run = width if width < n_sets else rows * n_sets
+            words = []
             for block0 in range(drawn * n_sets + lo, (drawn + rows) * n_sets, max(run, n_sets)):
                 gen.advance(block0 - pos)
                 words.append(gen.random_raw(4 * run))
                 pos = block0 + run
-            chunk = (np.concatenate(words) if len(words) > 1 else words[0]).astype("<u8", copy=False)
-            chunk = chunk.reshape(rows * width, 4)  # row base + r of set g at r * width + g - lo
+            # Whole rows come in one call, used as drawn: copying them would
+            # add a tenth to the draw of a small graph.
+            chunk = words[0] if len(words) == 1 else np.concatenate(words)
+            # Row base + r of set g is at r * width + g - lo.
+            chunk = chunk.astype("<u8", copy=False).reshape(rows * width, 4)
             base, drawn = drawn, drawn + rows
         # Each set reads on for the rows _stream_blocks expects it to need,
         # as far as the chunk goes; cand holds their blocks set by set.
@@ -366,31 +389,45 @@ def _generate_share_values(
     temporaries hold at most _BLOCK_ENTRIES entries, evaluated with t
     terms, its own most. Where evaluating it at all m points costs at most
     twice the work at its own holders, one (m, K) @ (K, sets * n) product,
-    K = limbs * t, does it. Otherwise its sets have one size s, and each
-    set's (s, K) powers of its holders meet its coefficients in a batched
-    product. The powers at every point are built once if they hold no more
-    entries than the share table, else at each block's holders.
+    K = limbs * t, does it. Otherwise its sets are of one size class (bit
+    length), and each set's powers at its holders, the last repeated up to
+    the block's largest set, meet its coefficients in a batched product.
+    The powers at every point are built once if they hold no more entries
+    than the share table, else at each block's holders. The rows are
+    written in block order and put in the holders' order at the end.
     """
     indptr, slot, points = (np.asarray(a, dtype=np.int64) for a in holders)
     secrets = np.asarray(secrets, dtype=np.int64) % p
-    coeffs, taus = np.asarray(coeffs, dtype=np.int64), np.asarray(taus, dtype=np.int64)
-    sizes, dim, m = np.diff(indptr), secrets.shape[1], len(points)
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    taus = np.asarray(taus, dtype=np.int64)
+    sizes = np.diff(indptr)
+    dim = secrets.shape[1]
+    m = len(points)
     terms = 1 + int(taus.max(initial=0))
     limbs, bits = _limb_split(p, terms)
     scale = np.array([2 ** (bits * i) % p for i in range(limbs)])[:, None]
     small = m * limbs * terms <= len(slot) * dim  # powers at every point, within the shares' size
     table = _power_table(points, terms, limbs, bits, p).reshape(m, limbs, terms) if small else None
-    # The sets in block order; entries[h] is the row of out that their h-th
-    # holder takes.
-    wide, level = 2 * sizes >= m, -np.frexp(sizes)[1]  # level: minus the size's bit length
-    order = np.lexsort((np.where(wide, 0, -sizes), np.where(wide, 0, -taus), level * ~wide, ~wide))
+    # src[i] is limb i of the secrets, the drawn coefficients and zero.
+    src = np.zeros((limbs, len(secrets) + len(coeffs) + 1, dim))
+    for i in range(limbs):
+        src[i, : len(secrets)] = (secrets >> (bits * i)) & ((1 << bits) - 1)
+        src[i, len(secrets) : -1] = (coeffs >> (bits * i)) & ((1 << bits) - 1)
+    # The sets in block order, in which out holds their holders' rows;
+    # entries[h] is the row of the share table that out[h] is.
+    wide = 2 * sizes >= m
+    level = -np.frexp(sizes)[1] * ~wide  # minus the size's bit length, 0 if wide
+    order = np.lexsort((np.where(wide, 0, -sizes), np.where(wide, 0, -taus), level, ~wide))
     order = order[sizes[order] > 0]
-    entries, coeff_starts = _ranges(indptr[order], sizes[order]), np.cumsum(taus) - taus
-    sizes, slot, taus, coeff_starts = sizes[order], slot[entries], taus[order], coeff_starts[order]
-    held, level = np.append(np.cumsum(sizes) - sizes, len(slot)), (level * ~wide)[order]
-    run_ends = np.append(np.flatnonzero(np.diff(level)) + 1, len(order))
+    entries = _ranges(indptr[order], sizes[order])
+    # The row of src just before each set's drawn coefficients.
+    before = (len(secrets) + np.cumsum(taus) - taus - 1)[order]
+    sizes = sizes[order]
+    slot = slot[entries]
+    taus = taus[order]
+    held = np.append(np.cumsum(sizes) - sizes, len(slot))
+    run_ends = np.append(np.flatnonzero(np.diff(level[order])) + 1, len(order))
     run_ends = np.repeat(run_ends, np.diff(run_ends, prepend=0))  # the end of each set's run
-    in_order = (np.diff(order) == 1).all()  # consecutive sets: a block's rows are runs
     out = np.empty((len(slot), dim), dtype=np.int64)
     a = 0
     while a < len(order):
@@ -405,45 +442,41 @@ def _generate_share_values(
             width = int(sizes[a])
             per = max(1, _BLOCK_ENTRIES // ((width + 2 * dim) * span + width * dim))
             b = min(a + per, run_ends[a])
-        size, t = b - a, 1 + int(taus[a:b].max())
+        size = b - a
+        t = 1 + int(taus[a:b].max())
         span = limbs * t  # K
-        # src[i] is limb i of the secrets, drawn coefficients and zero; row
-        # i * t + m of the (K, size, n) block is limb i of each set's
+        # Row i * t + m of the (K, size, n) block is limb i of each set's
         # coefficient m (the secret for m = 0, zero above the set's tau).
-        drawn = (coeffs[coeff_starts[a] : coeff_starts[b - 1] + taus[b - 1]] if in_order
-                 else np.take(coeffs, _ranges(coeff_starts[a:b], taus[a:b]), axis=0))
-        src = np.zeros((limbs, size + len(drawn) + 1, dim))
-        for i in range(limbs):
-            src[i, :size] = (secrets[order[a:b]] >> (bits * i)) & ((1 << bits) - 1)
-            src[i, size:-1] = (drawn >> (bits * i)) & ((1 << bits) - 1)
         powers = np.arange(t)[:, None]
-        first = np.cumsum(taus[a:b]) - taus[a:b] + size - 1
-        src_rows = np.where(powers <= taus[a:b], first + powers, len(drawn) + size)
-        src_rows[0] = np.arange(size)
+        src_rows = np.where(powers <= taus[a:b], before[a:b] + powers, src.shape[1] - 1)
+        src_rows[0] = order[a:b]
         block = np.take(src, src_rows.ravel(), axis=1).reshape(span, size, dim)
         if all_points:
             vals = table[:, :, :t].reshape(m, span) @ block.reshape(span, size * dim)
             at = slot[held[a] : held[b]] * size + np.repeat(np.arange(size), sizes[a:b])
-            rows = slice(held[a], held[b]) if in_order else entries[held[a] : held[b]]
-            out[rows] = np.take(vals.reshape(-1, dim), at, axis=0)
+            out[held[a] : held[b]] = np.take(vals.reshape(-1, dim), at, axis=0)
         else:  # a chunk of holders at a time, each set's last repeated to the width
             width = int(sizes[a:b].max())
             rows = held[a:b, None] + np.minimum(np.arange(width), sizes[a:b, None] - 1)
-            block, per_holder = block.transpose(1, 0, 2), span
+            block = block.transpose(1, 0, 2)
+            per_holder = span
             if table is None:
                 # Powers built here (limb 0) meet each limb in its own product.
                 block = block.reshape(size, limbs, t, dim).transpose(0, 2, 1, 3)
-                block, per_holder = block.reshape(size, t, limbs * dim), t + limbs * dim
+                block = block.reshape(size, t, limbs * dim)
+                per_holder = t + limbs * dim
             step = max(1, _BLOCK_ENTRIES // (size * per_holder))
             for j in range(0, width, step):
                 sub = rows[:, j : j + step].ravel()
                 if table is None:
                     pw = _power_table(points[slot[sub]], t, 1, bits, p)
                     vals = np.matmul(pw.reshape(size, -1, t), block).reshape(-1, limbs, dim)
-                    out[entries[sub]] = (vals.astype(np.int64) % p * scale % p).sum(axis=1)
+                    out[sub] = (vals.astype(np.int64) % p * scale % p).sum(axis=1)
                 else:
                     pw = table[slot[sub], :, :t].reshape(size, -1, span)
-                    out[entries[sub]] = np.matmul(pw, block).reshape(-1, dim)
+                    out[sub] = np.matmul(pw, block).reshape(-1, dim)
         a = b
     out %= p
-    return out
+    back = np.empty_like(entries)  # from block order back to the holders'
+    back[entries] = np.arange(len(entries))
+    return np.take(out, back, axis=0)

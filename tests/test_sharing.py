@@ -367,19 +367,23 @@ def reference_stream(key, g, sets, count, p):
 
 
 @pytest.mark.parametrize("p", [2, 17, 1020431, 2**31 - 1, 4294967291])
-def test_coefficient_streams_follow_the_counter_layout(p):
+def test_coefficient_streams_follow_the_counter_layout(p, monkeypatch):
     # Block b of the stream is the b-th block of a fresh np.random.Philox.
     assert np.random.Philox(key=KEY).random_raw(8).tolist() == (
         philox_block(KEY, [1, 0, 0, 0]) + philox_block(KEY, [2, 0, 0, 0]))
     n = 4
-    for taus in ([3, 0, 7, 1, 12], [12] + [1] * 30, [1] * 30 + [12], [0, 9, 1, 1, 0, 8]):
-        got = _coefficient_streams(KEY, taus, n, p)
-        assert got.dtype == np.int64 and got.shape == (sum(taus), n)
-        start = 0
-        for g, tau in enumerate(taus, start=1):
-            want = reference_stream(KEY, g, len(taus), n * tau, p)
-            assert got[start : start + tau].ravel().tolist() == want
-            start += tau
+    # As drawn, and with lane windows (see _coefficient_streams) taken
+    # whatever the number of lanes they skip.
+    for skip in (sharing._SKIP_BLOCKS, 1):
+        monkeypatch.setattr(sharing, "_SKIP_BLOCKS", skip)
+        for taus in ([3, 0, 7, 1, 12], [12] + [1] * 30, [1] * 30 + [12], [0, 9, 1, 1, 0, 8]):
+            got = _coefficient_streams(KEY, taus, n, p)
+            assert got.dtype == np.int64 and got.shape == (sum(taus), n)
+            start = 0
+            for g, tau in enumerate(taus, start=1):
+                want = reference_stream(KEY, g, len(taus), n * tau, p)
+                assert got[start : start + tau].ravel().tolist() == want
+                start += tau
 
 
 @pytest.mark.parametrize("p", [17, 2**31 - 1])
@@ -389,7 +393,9 @@ def test_coefficient_streams_do_not_depend_on_chunk_rows(p, monkeypatch):
     # later ones at different points, but every set reads its own lane.
     # Once the sets still drawing lie within half a row (the hub of a star,
     # first or last, or two sets near each other) a chunk holds their lanes
-    # alone, and the generator skips the others.
+    # alone, and the generator skips the others: here whatever the number
+    # of lanes skipped.
+    monkeypatch.setattr(sharing, "_SKIP_BLOCKS", 1)
     n = 5
     for taus in ([3, 0, 7, 1, 12, 2], [12] + [1] * 30, [1] * 30 + [12], [1] * 9 + [6, 0, 7] + [1] * 9):
         want = _coefficient_streams(KEY, taus, n, p)
