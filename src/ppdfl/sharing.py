@@ -86,6 +86,12 @@ def _row_products(f: np.ndarray, p: int, bound: int | None = None) -> np.ndarray
     return f[..., 0] % p if f.shape[-1] else np.ones(f.shape[:-1], dtype=np.int64)
 
 
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a C-contiguous 2-D array as the items of a 1-D array,
+    which numpy scatters several times faster than rows of a 2-D one."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).reshape(-1)
+
+
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The ranges [starts[g], starts[g] + counts[g]) laid end to end."""
     out = np.repeat(starts - np.cumsum(counts) + counts, counts)
@@ -393,8 +399,7 @@ def _generate_share_values(
     length), and each set's powers at its holders, the last repeated up to
     the block's largest set, meet its coefficients in a batched product.
     The powers at every point are built once if they hold no more entries
-    than the share table, else at each block's holders. The rows are
-    written in block order and put in the holders' order at the end.
+    than the share table, else at each block's holders.
     """
     indptr, slot, points = (np.asarray(a, dtype=np.int64) for a in holders)
     secrets = np.asarray(secrets, dtype=np.int64) % p
@@ -408,20 +413,15 @@ def _generate_share_values(
     scale = np.array([2 ** (bits * i) % p for i in range(limbs)])[:, None]
     small = m * limbs * terms <= len(slot) * dim  # powers at every point, within the shares' size
     table = _power_table(points, terms, limbs, bits, p).reshape(m, limbs, terms) if small else None
-    # src[i] is limb i of the secrets, the drawn coefficients and zero.
-    src = np.zeros((limbs, len(secrets) + len(coeffs) + 1, dim))
-    for i in range(limbs):
-        src[i, : len(secrets)] = (secrets >> (bits * i)) & ((1 << bits) - 1)
-        src[i, len(secrets) : -1] = (coeffs >> (bits * i)) & ((1 << bits) - 1)
-    # The sets in block order, in which out holds their holders' rows;
-    # entries[h] is the row of the share table that out[h] is.
+    # The sets in block order; entries[h] is the row of out that their h-th
+    # holder takes.
     wide = 2 * sizes >= m
     level = -np.frexp(sizes)[1] * ~wide  # minus the size's bit length, 0 if wide
     order = np.lexsort((np.where(wide, 0, -sizes), np.where(wide, 0, -taus), level, ~wide))
     order = order[sizes[order] > 0]
     entries = _ranges(indptr[order], sizes[order])
-    # The row of src just before each set's drawn coefficients.
-    before = (len(secrets) + np.cumsum(taus) - taus - 1)[order]
+    # The row of coeffs just before each set's drawn coefficients.
+    before = (np.cumsum(taus) - taus - 1)[order]
     sizes = sizes[order]
     slot = slot[entries]
     taus = taus[order]
@@ -429,6 +429,7 @@ def _generate_share_values(
     run_ends = np.append(np.flatnonzero(np.diff(level[order])) + 1, len(order))
     run_ends = np.repeat(run_ends, np.diff(run_ends, prepend=0))  # the end of each set's run
     out = np.empty((len(slot), dim), dtype=np.int64)
+    out_rows = _as_rows(out)
     a = 0
     while a < len(order):
         # Entries per set of a block's temporaries: its coefficients (K * n,
@@ -445,16 +446,23 @@ def _generate_share_values(
         size = b - a
         t = 1 + int(taus[a:b].max())
         span = limbs * t  # K
-        # Row i * t + m of the (K, size, n) block is limb i of each set's
-        # coefficient m (the secret for m = 0, zero above the set's tau).
-        powers = np.arange(t)[:, None]
-        src_rows = np.where(powers <= taus[a:b], before[a:b] + powers, src.shape[1] - 1)
-        src_rows[0] = order[a:b]
-        block = np.take(src, src_rows.ravel(), axis=1).reshape(span, size, dim)
+        # Row m of coeff is each set's coefficient m: the secret for m = 0,
+        # zero above the set's tau. Row i * t + m of the (K, size, n) block
+        # is its limb i.
+        powers = np.arange(1, t)[:, None]
+        coeff = np.empty((t, size, dim), dtype=np.int64)
+        coeff[0] = secrets[order[a:b]]
+        np.take(coeffs, before[a:b] + powers, axis=0, out=coeff[1:], mode="clip")
+        coeff[1:][powers > taus[a:b]] = 0
+        block = np.empty((limbs, t, size, dim))
+        for i in range(limbs):
+            block[i] = (coeff >> (bits * i)) & ((1 << bits) - 1)
+        block = block.reshape(span, size, dim)
         if all_points:
             vals = table[:, :, :t].reshape(m, span) @ block.reshape(span, size * dim)
             at = slot[held[a] : held[b]] * size + np.repeat(np.arange(size), sizes[a:b])
-            out[held[a] : held[b]] = np.take(vals.reshape(-1, dim), at, axis=0)
+            vals = np.take(vals.reshape(-1, dim), at, axis=0).astype(np.int64)
+            out_rows[entries[held[a] : held[b]]] = _as_rows(vals)
         else:  # a chunk of holders at a time, each set's last repeated to the width
             width = int(sizes[a:b].max())
             rows = held[a:b, None] + np.minimum(np.arange(width), sizes[a:b, None] - 1)
@@ -471,12 +479,12 @@ def _generate_share_values(
                 if table is None:
                     pw = _power_table(points[slot[sub]], t, 1, bits, p)
                     vals = np.matmul(pw.reshape(size, -1, t), block).reshape(-1, limbs, dim)
-                    out[sub] = (vals.astype(np.int64) % p * scale % p).sum(axis=1)
+                    vals = (vals.astype(np.int64) % p * scale % p).sum(axis=1)
+                    out_rows[entries[sub]] = _as_rows(vals)
                 else:
                     pw = table[slot[sub], :, :t].reshape(size, -1, span)
-                    out[sub] = np.matmul(pw, block).reshape(-1, dim)
+                    vals = np.matmul(pw, block).reshape(-1, dim).astype(np.int64)
+                    out_rows[entries[sub]] = _as_rows(vals)
         a = b
     out %= p
-    back = np.empty_like(entries)  # from block order back to the holders'
-    back[entries] = np.arange(len(entries))
-    return np.take(out, back, axis=0)
+    return out
