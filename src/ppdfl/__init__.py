@@ -1,7 +1,7 @@
 """Deterministic simulator and analysis toolkit for privacy-preserving
 decentralized model aggregation over time-varying communication graphs."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 import os
 

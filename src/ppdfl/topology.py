@@ -211,7 +211,7 @@ def mh_edge_weights(
 class HolderSets(NamedTuple):
     """Holder sets laid out flat: set g holds the ids points[slot[k]] for k
     in indptr[g]:indptr[g+1], points being distinct ids in increasing
-    order (the layout sharing's kernels take)."""
+    order (the layout sharing.interpolation_weights takes)."""
 
     indptr: np.ndarray
     slot: np.ndarray

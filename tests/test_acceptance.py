@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 from test_graph_oracles import secrecy_cross_check
-from test_sharing import flat_holders
+from test_sharing import evaluate, flat_holders
 
 from ppdfl.cli import _linear_fit, bench_iteration_sweep, bench_share_sweep
 from ppdfl.consensus import min_iterations
@@ -22,11 +22,7 @@ from ppdfl.privacy import (
     verify_inference,
 )
 from ppdfl.protocol import ProtocolConfig, Transcript, execute_round, run_training
-from ppdfl.sharing import (
-    _coefficient_streams,
-    _generate_share_values,
-    interpolation_weights,
-)
+from ppdfl.sharing import _share_streams, interpolation_weights
 from ppdfl.topology import (
     RoundTopology,
     TopologySchedule,
@@ -158,9 +154,8 @@ def test_criterion_4_share_secrecy_and_reconstruction():
         # every (tau+1)-subset reconstructs as sum_j w_j H(j) over its weights
         rng = np.random.default_rng(tau)
         for secret in range(p):
-            coeffs = _coefficient_streams(rng.bit_generator.random_raw(2), [tau], 1, p)
-            values = _generate_share_values([[secret]], coeffs, [tau], flat_holders([holders]), p)
-            shares = dict(zip(holders, values[:, 0].tolist()))
+            coeffs = _share_streams(rng.bit_generator.random_raw(2), [tau], 1, p)
+            shares = dict(zip(holders, evaluate(secret, coeffs[:, 0].tolist(), holders, p)))
             for subset in itertools.combinations(holders, tau + 1):
                 w = interpolation_weights(flat_holders([subset]), p).tolist()
                 got = sum(wj * shares[j] for wj, j in zip(w, subset)) % p

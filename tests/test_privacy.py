@@ -24,12 +24,12 @@ from ppdfl.privacy import (
     verify_inference,
 )
 from ppdfl.protocol import ProtocolConfig, Transcript, build_initial_state, execute_round
-from ppdfl.sharing import _coefficient_streams, _generate_share_values, interpolation_weights
+from ppdfl.sharing import _generate_share_values, _share_streams
 from ppdfl.topology import (
     RoundTopology,
     TopologySchedule,
+    _pair_rows,
     generate_topology,
-    holder_sets,
     is_connected,
     share_pairs,
 )
@@ -384,16 +384,14 @@ def test_sparse_1k_round_audit_within_time_bound():
 def test_worst_case_audit_at_10k_learners_in_bounded_memory():
     # All 16 coordinates of an N=10^4, degree-4 round at p = 2^31-1, audited
     # by a coalition of every tenth learner, which splits the benign set. The
-    # round is built from the share phase alone, so it needs no eigensolve.
+    # round is built from the round's own share functions alone, so it needs
+    # no eigensolve.
     n, dim, p = 10_000, 16, P31
     g = generate_topology("random_connected", n, seed=3, avg_degree=4.0)
     rng = np.random.default_rng(3)
-    holders = holder_sets(g)
     secrets = rng.integers(0, p, size=(n, dim), dtype=np.int64)
-    taus = np.diff(g.indptr)
-    coeffs = _coefficient_streams(rng.bit_generator.random_raw(2), taus, dim, p)
-    bundles = _generate_share_values(secrets, coeffs, taus, holders, p)
-    bundles = bundles * interpolation_weights(holders, p)[:, None] % p
+    drawn = _share_streams(rng.bit_generator.random_raw(2), np.diff(g.indptr), dim, p)
+    bundles = _generate_share_values(secrets, drawn, g.indptr, _pair_rows(g)[1], p)
     record = SimpleNamespace(
         round_index=1,
         topology=g,

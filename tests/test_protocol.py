@@ -9,7 +9,6 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from test_sharing import reference_weights
 from test_topology import hub_and_path
 
 from ppdfl import sharing
@@ -17,7 +16,6 @@ from ppdfl.consensus import AveragingOperator, consensus_final
 from ppdfl.field import next_prime
 from ppdfl.fixedpoint import Precision, scaled_trunc
 from ppdfl.seeding import derive_rng
-from ppdfl.sharing import interpolation_weights
 from ppdfl.protocol import (
     BoundViolation,
     ConfigError,
@@ -36,6 +34,7 @@ from ppdfl.topology import (
     DisconnectedGraph,
     RoundTopology,
     TopologySchedule,
+    _pair_rows,
     generate_topology,
     holder_sets,
     share_pairs,
@@ -233,54 +232,48 @@ def _skewed_graphs():
 
 
 @pytest.mark.parametrize("g", list(_skewed_graphs()), ids=["star", "hub_and_path"])
-def test_share_table_on_skewed_degrees_is_the_drawn_polynomials(g):
-    # One high-degree learner among low-degree ones: every bundle is the
-    # sender's drawn polynomial at the receiver, times its Lagrange weight
-    # over the sender's closed neighbourhood, and the weighted shares a
-    # learner sends sum to its encoded secret.
+def test_share_table_on_skewed_degrees_is_the_drawn_shares(g):
+    # One high-degree learner among low-degree ones: the bundles a learner
+    # sends its neighbours, in id order, are its rows of the round's draw,
+    # the bundle it keeps is its encoded secret minus their sum, and so
+    # every learner's bundles sum to its encoded secret.
     n, dim, p = g.n_nodes, 2, 2**31 - 1
     cfg = make_cfg(n, dim, 2, 4.0, schedule=TopologySchedule.from_graphs([g]), prime=p)
     rec = execute_round(np.random.default_rng(6).uniform(-4, 4, (n, dim)), g, cfg)
     degrees = np.diff(g.indptr)
     key = derive_rng(cfg.seed, "shares", 1).bit_generator.random_raw(2)
-    coeffs = sharing._coefficient_streams(key, degrees, dim, p).tolist()
-    expected, start = [], 0
-    for i, secret in enumerate(rec.encoded_secrets.tolist(), 1):
-        drawn, start = coeffs[start : start + degrees[i - 1]], start + degrees[i - 1]
-        holders = sorted((i, *g.neighbors(i)))
-        for j, weight in zip(holders, reference_weights(holders, p)):
-            values = []
-            for l, s in enumerate(secret):
-                value = 0
-                for c in reversed(drawn):  # Horner, from the top coefficient
-                    value = (value + c[l]) * j % p
-                values.append(weight * (value + s) % p)
-            expected.append(values)
-    assert rec.bundles.tolist() == expected
-    sent = np.add.reduceat(rec.bundles, g.indptr[:-1] + np.arange(n), axis=0) % p
-    assert np.array_equal(sent, rec.encoded_secrets)
+    drawn = sharing._share_streams(key, degrees, dim, p)
+    senders, receivers = share_pairs(g)
+    sent = senders != receivers
+    assert np.array_equal(rec.bundles[sent], drawn)
+    kept = rec.bundles[~sent].tolist()
+    start = 0
+    for i, secret in enumerate(rec.encoded_secrets.tolist()):
+        rows = drawn[start : start + degrees[i]].tolist()
+        start += degrees[i]
+        assert kept[i] == [(s - sum(col)) % p for s, col in zip(secret, zip(*rows))]
+    total = np.zeros((n, dim), dtype=np.int64)
+    np.add.at(total, senders - 1, rec.bundles)
+    assert np.array_equal(total % p, rec.encoded_secrets)
 
 
 def test_star_share_phase_allocates_no_hub_width_array():
     # At N=1000 an (N, 1 + max degree) int64 array is 8 MB. The share phase
-    # of a star -- holder sets, weights, draw and evaluation -- stays well
-    # below it: no padded holder matrix, and no leaf is evaluated at the
-    # hub's width.
+    # of a star -- draw and completion -- stays well below it: nothing is
+    # laid out at the hub's width.
     n, dim, p = 1000, 2, 2**31 - 1
     g = generate_topology("star", n)
     secrets = np.random.default_rng(2).integers(0, p, (n, dim))
     key = np.array([5, 6], dtype=np.uint64)
+    degrees = np.diff(g.indptr)
     tracemalloc.start()
     try:
-        holders = holder_sets(g)
-        degrees = np.diff(g.indptr)
-        deltas = interpolation_weights(holders, p)
-        coeffs = sharing._coefficient_streams(key, degrees, dim, p)
-        bundles = sharing._generate_share_values(secrets, coeffs, degrees, holders, p)
+        drawn = sharing._share_streams(key, degrees, dim, p)
+        bundles = sharing._generate_share_values(secrets, drawn, g.indptr, _pair_rows(g)[1], p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(bundles) == len(deltas) == n + 2 * (n - 1)
+    assert len(bundles) == n + 2 * (n - 1)
     assert peak < n * (1 + degrees.max()) * 8 / 2
 
 
@@ -447,12 +440,15 @@ def test_share_phase_determinism():
 
 
 # sha256 over "sender,receiver:v1,v2,...\n" lines of every share bundle of
-# configs/demo.json rounds 1-2, in share_pairs order, as version 0.6.0
-# produces them (0.6.0 draws share coefficients from one lane-major Philox
-# stream per round; the graphs are 0.4.0's). Seeded runs must stay
-# byte-identical within a version; a change to the share stream or to the
-# seeded graphs has to bump __version__ and this pin together.
-DEMO_BUNDLES_SHA256 = "e7ea918b37f41be3a94a376a5a9abaecdc1375fbcf565e96b73c48a6ca7f0680"
+# configs/demo.json rounds 1-2, in share_pairs order, as version 0.7.0
+# produces them. 0.7.0 keeps 0.6.0's lane-major Philox stream but hands its
+# values out as the weighted shares themselves, where 0.6.0 took them for
+# polynomial coefficients, and completes each learner's own share to its
+# secret: every bundle changed, while the stream, the graphs (0.4.0's) and
+# the decoded models did not. Seeded runs
+# must stay byte-identical within a version; a change to the share values
+# or to the seeded graphs has to bump __version__ and this pin together.
+DEMO_BUNDLES_SHA256 = "854e25f938863111357687f9aa99f941d27825bde32f3fd42943368832011e64"
 
 
 def test_demo_share_stream_is_pinned():
@@ -468,13 +464,14 @@ def test_demo_share_stream_is_pinned():
 
 
 # sha256 of Transcript.to_jsonl's bytes for round 1 of configs/demo.json,
-# as version 0.6.0 writes it, with lambda2 and the rounding margin first
+# as version 0.7.0 writes it (its share bundles changed with 0.7.0's share
+# values, see DEMO_BUNDLES_SHA256), with lambda2 and the rounding margin first
 # rounded to 6 digits: they come from LAPACK and float sums, whose last bits
 # may differ between hosts. The writer's templates and the reader's zero
 # texts both derive from the table of record layouts in ppdfl.transcript,
 # so the reader reads this round as blocks; a change to that table or to
-# the share stream changes these bytes and must update this pin.
-DEMO_TRANSCRIPT_SHA256 = "bc50c1a32766fc52eef8e8f2e09ccdfe66b369f2a25999dca6a53c2594ee330b"
+# the share values changes these bytes and must update this pin.
+DEMO_TRANSCRIPT_SHA256 = "b007d885829b4867a13c7780d70c00d3fe5415e2807ebcddec383b126463783e"
 
 
 def test_demo_transcript_bytes_are_pinned(tmp_path, monkeypatch):
@@ -498,26 +495,19 @@ def test_demo_transcript_bytes_are_pinned(tmp_path, monkeypatch):
     assert np.array_equal(back.bundles, rec.bundles)
 
 
-def test_share_phase_inverts_once_per_holder_set(monkeypatch):
+def test_share_phase_inverts_nothing(monkeypatch):
+    # The round draws its weighted shares directly: it computes no
+    # interpolation weight, so it inverts nothing (sharing's tests count
+    # the weights' one inversion per batch).
     calls = []
     inverse = sharing._inverse_int
-
-    def counting(a, p):
-        calls.append(a)
-        return inverse(a, p)
-
-    monkeypatch.setattr(sharing, "_inverse_int", counting)
+    monkeypatch.setattr(sharing, "_inverse_int", lambda a, p: calls.append(a) or inverse(a, p))
     cfg = make_cfg(12, 2, 2, 4.0)
     models = np.random.default_rng(4).uniform(-4, 4, (12, 2))
-    # Dense sets only, then a star: the hub's set holds every id and is
-    # weighted through its complement, the 11 leaves' sets as one size class.
     for g in (generate_topology("random_connected", 12, seed=3, avg_degree=8.0),
               generate_topology("star", 12)):
-        calls.clear()
         execute_round(models, g, cfg)
-        # Every holder set's denominators are inverted together: one
-        # inversion per round.
-        assert len(calls) == 1
+    assert calls == []
 
 
 def test_replay_round_reproduces_output():

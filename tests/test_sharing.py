@@ -7,8 +7,8 @@ import pytest
 
 from ppdfl import sharing
 from ppdfl.sharing import (
-    _coefficient_streams,
     _generate_share_values,
+    _share_streams,
     interpolation_weights,
 )
 from ppdfl.topology import HolderSets, generate_topology, holder_sets
@@ -33,16 +33,21 @@ def weights(ids, p=11):
 
 
 def set_coefficients(gen, n, tau, p):
-    """(tau, n) coefficients of one set, on a Philox key the numpy
-    Generator gen supplies."""
-    return _coefficient_streams(gen.bit_generator.random_raw(2), [tau], n, p)
+    """(tau, n) uniform residues for one set's coefficients, on a Philox
+    key the numpy Generator gen supplies."""
+    return _share_streams(gen.bit_generator.random_raw(2), [tau], n, p)
+
+
+def evaluate(secret, coeffs, ids, p=11):
+    """Reference evaluator: H(x) = secret + sum_m coeffs[m-1] x**m at every
+    id, in Python ints."""
+    return [(secret + sum(c * pow(x, m, p) for m, c in enumerate(coeffs, 1))) % p for x in ids]
 
 
 def share_values(secret, tau, ids, gen, p=11):
     """H(j) at every id for one secret, with tau coefficients drawn on a
     key from the numpy Generator gen."""
-    coeffs = set_coefficients(gen, 1, tau, p)
-    return _generate_share_values([[secret]], coeffs, [tau], flat_holders([ids]), p)[:, 0].tolist()
+    return evaluate(secret, set_coefficients(gen, 1, tau, p)[:, 0].tolist(), ids, p)
 
 
 def interpolate_at_zero(shares, p=11):
@@ -58,8 +63,7 @@ def test_holder_set_validation():
         weights((-1, 2))
     with pytest.raises(ValueError):
         weights((3, 11))
-    # A repeated id in a set holding most of the batch's ids, which is
-    # weighted through its complement.
+    # A repeated id in a set holding most of the batch's ids.
     with pytest.raises(ValueError):
         interpolation_weights(flat_holders([[1, 2, 3, 3], [4]]), 11)
     # Points must be distinct and increasing.
@@ -147,156 +151,52 @@ def test_interpolation_weights_match_definition(p):
             assert row == reference_weights(ids, p)
 
 
-@pytest.mark.parametrize("p", [11, 1020431, 2**31 - 1])
-def test_share_values_match_direct_evaluation(p, monkeypatch):
-    # Batches of holder sets whose polynomials differ in degree, run whole
-    # and in blocks of a few sets, against Python-int evaluation at every
-    # holder.
-    rng = random.Random(p + 1)
-    top = min(p - 1, 1000)
-    for trial in range(20):
-        sets = [rng.sample(range(1, top + 1), rng.randrange(1, 10))
-                for _ in range(rng.randrange(1, 6))]
-        if p > 2**30:
-            sets.append([p - 1, p - 2])
-        if trial % 4 == 0:  # holders need not be in increasing order
-            sets = [ids[::-1] for ids in sets]
-        n, tau = rng.randrange(1, 5), rng.randrange(0, 12)
-        secrets = [[rng.randrange(p) for _ in range(n)] for _ in sets]
-        coeffs = [[[rng.randrange(p) for _ in range(max(0, tau - k))]
-                   for _ in range(n)] for k in range(len(sets))]
-        assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
-    # Closed neighbourhoods of whole graphs: complete graphs and small
-    # stars are evaluated at all points, sparse graphs at their own
-    # holders, and blocks of one set mix the two. With 2 coordinates the
-    # powers of sparse graphs are built at each block's holders, with 8
-    # they are built once at every point.
-    for holders, dim in itertools.product(graph_holder_sets(p), (2, 8)):
-        sets = holder_lists(holders)
-        secrets = [[rng.randrange(p) for _ in range(dim)] for _ in sets]
-        coeffs = [[[rng.randrange(p) for _ in range(min(len(ids) - 1, 6))] for _ in range(dim)]
-                  for ids in sets]
-        assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
+def test_interpolation_weights_invert_once_per_batch(monkeypatch):
+    # A batch of dense sets, then a star's: the hub's set holds every id,
+    # the leaves' sets form one size class. Every denominator of the batch
+    # is inverted together.
+    calls = []
+    inverse = sharing._inverse_int
+    monkeypatch.setattr(sharing, "_inverse_int", lambda a, p: calls.append(a) or inverse(a, p))
+    for g in (generate_topology("random_connected", 12, seed=3, avg_degree=8.0),
+              generate_topology("star", 12)):
+        calls.clear()
+        interpolation_weights(holder_sets(g), 1020431)
+        assert len(calls) == 1
 
 
-def direct_shares(secrets, coeffs, sets, p):
-    """Oracle: every set's polynomials at each of its ids, in Python ints,
-    one row per holder, set by set."""
-    return [
-        [(s + sum(c * x ** (m + 1) for m, c in enumerate(cs))) % p
-         for s, cs in zip(ss, css)]
-        for ss, css, xs in zip(secrets, coeffs, sets) for x in xs
-    ]
+@pytest.mark.parametrize("ids", [(1, 2), (1, 2, 3), (2, 5, 7), (1, 3, 4, 9)])
+def test_completed_shares_are_the_weighted_polynomial_shares(ids):
+    # Exhaustively at p = 11: for every secret and wherever the holder that
+    # completes the set sits among the ids, the completion maps the p**tau
+    # drawn vectors one to one onto the delta-weighted evaluation vectors
+    # of all polynomials of degree tau = |C| - 1 with H(0) = s.
+    p, tau = 11, len(ids) - 1
+    delta = reference_weights(ids, p)
+    everything = list(itertools.product(range(p), repeat=tau))
+    drawn = np.array(everything, dtype=np.int64).reshape(-1, 1)
+    sets = len(everything)
+    indptr = np.arange(sets + 1) * tau
+    for own in range(len(ids)):
+        rows = np.arange(sets) * len(ids) + own
+        for secret in range(p):
+            table = _generate_share_values(np.full((sets, 1), secret), drawn, indptr, rows, p)
+            got = sorted(map(tuple, table.reshape(sets, len(ids)).tolist()))
+            want = sorted(tuple(d * h % p for d, h in zip(delta, evaluate(secret, coeffs, ids, p)))
+                          for coeffs in everything)
+            assert got == want
+            assert len(set(got)) == sets
 
 
-def flat(coeffs, n):
-    """Per-set (n, tau_g) coefficient lists as the (sum tau_g, n) matrix
-    and the taus that _generate_share_values takes."""
-    taus = [np.shape(c)[1] for c in coeffs]
-    blocks = [np.asarray(c, dtype=np.int64).reshape(n, t).T for c, t in zip(coeffs, taus)]
-    return np.concatenate(blocks), taus
-
-
-def assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch):
-    """The share table equals the oracle's with the default block size, in
-    blocks of one set, in blocks of about three sets, and in one block."""
-    expected = direct_shares(secrets, coeffs, sets, p)
-    ids = flat_holders(sets)
-    width = max(map(len, sets))
-    n = len(secrets[0])
-    matrix, taus = flat(coeffs, n)
-    terms = 1 + max(taus)
-    span = sharing._limb_split(p, terms)[0] * terms
-    few = 3 * ((width + n) * span + width * n)
-    for block in (sharing._BLOCK_ENTRIES, 1, few, 2**62):
-        monkeypatch.setattr(sharing, "_BLOCK_ENTRIES", block)
-        got = _generate_share_values(secrets, matrix, taus, ids, p)
-        assert got.dtype == np.int64 and got.shape == (len(expected), n)
-        assert got.tolist() == expected
-
-
-def test_limb_split_keeps_every_sum_exact():
-    # limbs * terms products of a limb below 2**bits and a residue sum to at
-    # most 2**53, the limbs cover every residue, and one limb fewer would
-    # not do.
-    for p in (2, 3, 11, 16007, 1020431, 2**31 - 1):
-        top = (p - 1).bit_length()
-        for terms in [*range(1, 70), 99, 100, 101, 682, 683, 684, 4096, 10**5]:
-            limbs, bits = sharing._limb_split(p, terms)
-            assert limbs * bits >= top
-            assert limbs * terms * (2**bits - 1) * (p - 1) <= 2**53
-            if limbs > 1:
-                fewer = -(-top // (limbs - 1))
-                assert (limbs - 1) * terms * (2**fewer - 1) * (p - 1) > 2**53
-    assert sharing._limb_split(1020431, 100) == (1, 20)
-    assert sharing._limb_split(2**31 - 1, 16) == (2, 16)
-    with pytest.raises(ValueError):
-        sharing._limb_split(2**31 - 1, 10**6)
-
-
-@pytest.mark.parametrize("terms", [2, 4, 8, 16, 17, 31, 32, 33, 34, 64, 65, 683, 684])
-def test_share_values_exact_at_31_bits(terms, monkeypatch):
-    # p = 2**31 - 1 with ids and coefficients up to p - 1, the largest
-    # products the float64 sums meet, at term counts on both sides of each
-    # change of the limb split and of each power of two.
-    p = 2**31 - 1
-    splits = [sharing._limb_split(p, t) for t in range(1, 700)]
-    assert [t for t in range(2, 700) if splits[t - 1] != splits[t - 2]] == [33, 684]
-    rng = random.Random(terms)
-    sets = [[p - 1, 1, p - 2], [rng.randrange(1, p) for _ in range(5)], [p - 1], [2, p - 3]]
-    secrets = [[p - 1, rng.randrange(p)] for _ in sets]
-    # Set k has degree terms - 1 - k (at least 0), with coordinate 0's
-    # coefficients all p - 1.
-    taus = [max(0, terms - 1 - k) for k in range(len(sets))]
-    coeffs = [[[p - 1] * tau, [rng.randrange(p) for _ in range(tau)]] for tau in taus]
-    assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
-
-
-def test_share_values_exact_with_one_limb(monkeypatch):
-    # p = 1020431 with 100 terms, a dense_ref holder set's size: one limb of
-    # 20 bits, so each coefficient meets the powers whole.
-    p = 1020431
-    assert sharing._limb_split(p, 100)[0] == 1
-    rng = random.Random(100)
-    sets = [rng.sample(range(1, p), 100), rng.sample(range(1, p), 57), [p - 1, p - 2]]
-    secrets = [[rng.randrange(p) for _ in range(3)] for _ in sets]
-    coeffs = [[[p - 1] * 99, [rng.randrange(p) for _ in range(99)], [0] * 98 + [p - 1]],
-              [[rng.randrange(p) for _ in range(56)] for _ in range(3)],
-              [[rng.randrange(p)] for _ in range(3)]]
-    assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
-
-
-@pytest.mark.parametrize("p", [11, 2**31 - 1])
-def test_share_values_degree_zero_width_one_and_inner_padding(p, monkeypatch):
-    rng = random.Random(p + 2)
-    top = min(p - 1, 1000)
-    # Degree-0 sets only: every share is its set's secret.
-    sets = [[1, 2, 3], [4], [5, 6]]
-    secrets = [[rng.randrange(p) for _ in range(2)] for _ in range(3)]
-    coeffs = [np.zeros((2, 0), dtype=np.int64)] * 3
-    assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
-    assert _generate_share_values(secrets, *flat(coeffs, 2), flat_holders(sets), p).tolist() == [
-        secrets[0]] * 3 + [secrets[1]] + [secrets[2]] * 2
-    # Width 1: each set is a single holder, of any degree.
-    sets = [[rng.randrange(1, top + 1)] for _ in range(4)]
-    coeffs = [[[rng.randrange(p) for _ in range(k)]] for k in (0, 1, 5, 9)]
-    secrets = [[rng.randrange(p)] for _ in range(4)]
-    assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
-    # Sets of different sizes at one degree, and an empty set whose drawn
-    # coefficients sit between the others'.
-    sets = [[3, 7], [5], [], [2, 9], [10, 4, 8]]
-    coeffs = [[[rng.randrange(p) for _ in range(k)] for _ in range(3)] for k in (1, 3, 2, 2, 3)]
-    secrets = [[rng.randrange(p) for _ in range(3)] for _ in range(5)]
-    assert_direct_evaluation(secrets, coeffs, sets, p, monkeypatch)
-    sets = [[1, 2, 3], [], [1, 2, 4]]  # the same, between sets kept in their own order
-    coeffs = [[[rng.randrange(p) for _ in range(k)] for _ in range(3)] for k in (2, 1, 2)]
-    assert_direct_evaluation(secrets[:3], coeffs, sets, p, monkeypatch)
-
-
-def test_share_values_hand_polynomial():
-    # H(x) = 5 + 3x over GF(11) at points 1, 2, 3
-    got = _generate_share_values([[5]], [[3]], [1], flat_holders([[1, 2, 3]]), 11)
-    assert got.tolist() == [[8], [0], [3]]
+def test_share_table_of_sets_that_draw_nothing():
+    # Sets without a drawn row, first, between others and last, keep their
+    # secret; the others complete their drawn rows to theirs, at their rows.
+    p = 11
+    secrets = [[3, 4], [5, 6], [7, 8], [9, 10], [1, 2]]
+    drawn = [[1, 2], [3, 4], [5, 6]]
+    table = _generate_share_values(secrets, drawn, [0, 0, 2, 2, 3, 3], [0, 1, 4, 5, 7], p)
+    assert table.dtype == np.int64
+    assert table.tolist() == [[3, 4], [1, 0], [1, 2], [3, 4], [7, 8], [4, 4], [5, 6], [1, 2]]
 
 
 def test_share_values_constant_term_is_secret():
@@ -316,6 +216,7 @@ def test_share_values_single_holder_is_the_secret():
     # a lone holder gets a degree-0 polynomial: no draws, share == secret
     assert set_coefficients(np.random.default_rng(0), 1, 0, 11).shape == (0, 1)
     assert share_values(6, 0, (1,), np.random.default_rng(0)) == [6]
+    assert _generate_share_values([[6]], np.zeros((0, 1)), [0, 0], [0], 11).tolist() == [[6]]
     assert interpolate_at_zero({1: 6}) == 6
 
 
@@ -367,17 +268,17 @@ def reference_stream(key, g, sets, count, p):
 
 
 @pytest.mark.parametrize("p", [2, 17, 1020431, 2**31 - 1, 4294967291])
-def test_coefficient_streams_follow_the_counter_layout(p, monkeypatch):
+def test_share_streams_follow_the_counter_layout(p, monkeypatch):
     # Block b of the stream is the b-th block of a fresh np.random.Philox.
     assert np.random.Philox(key=KEY).random_raw(8).tolist() == (
         philox_block(KEY, [1, 0, 0, 0]) + philox_block(KEY, [2, 0, 0, 0]))
     n = 4
-    # As drawn, and with lane windows (see _coefficient_streams) taken
+    # As drawn, and with lane windows (see _share_streams) taken
     # whatever the number of lanes they skip.
     for skip in (sharing._SKIP_BLOCKS, 1):
         monkeypatch.setattr(sharing, "_SKIP_BLOCKS", skip)
         for taus in ([3, 0, 7, 1, 12], [12] + [1] * 30, [1] * 30 + [12], [0, 9, 1, 1, 0, 8]):
-            got = _coefficient_streams(KEY, taus, n, p)
+            got = _share_streams(KEY, taus, n, p)
             assert got.dtype == np.int64 and got.shape == (sum(taus), n)
             start = 0
             for g, tau in enumerate(taus, start=1):
@@ -387,7 +288,7 @@ def test_coefficient_streams_follow_the_counter_layout(p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [17, 2**31 - 1])
-def test_coefficient_streams_do_not_depend_on_chunk_rows(p, monkeypatch):
+def test_share_streams_do_not_depend_on_chunk_rows(p, monkeypatch):
     # One row per chunk, and chunks sized one row at a time, give the
     # values of the default chunks: sets finish inside chunks and leave
     # later ones at different points, but every set reads its own lane.
@@ -398,32 +299,32 @@ def test_coefficient_streams_do_not_depend_on_chunk_rows(p, monkeypatch):
     monkeypatch.setattr(sharing, "_SKIP_BLOCKS", 1)
     n = 5
     for taus in ([3, 0, 7, 1, 12, 2], [12] + [1] * 30, [1] * 30 + [12], [1] * 9 + [6, 0, 7] + [1] * 9):
-        want = _coefficient_streams(KEY, taus, n, p)
+        want = _share_streams(KEY, taus, n, p)
         with monkeypatch.context() as m:
             m.setattr(sharing, "_BLOCK_ENTRIES", 1)
-            assert np.array_equal(_coefficient_streams(KEY, taus, n, p), want)
+            assert np.array_equal(_share_streams(KEY, taus, n, p), want)
         with monkeypatch.context() as m:
             m.setattr(sharing, "_stream_blocks", lambda need, accept: np.ones_like(need))
-            assert np.array_equal(_coefficient_streams(KEY, taus, n, p), want)
+            assert np.array_equal(_share_streams(KEY, taus, n, p), want)
 
 
-def test_coefficient_streams_depend_on_own_set_only():
+def test_share_streams_depend_on_own_set_only():
     # At a fixed batch size G = 3, a set's block stays the same whatever
     # the other sets' degrees.
     p = 1020431
-    full = _coefficient_streams(KEY, [3, 5, 2], 4, p)
-    assert np.array_equal(_coefficient_streams(KEY, [9, 5, 0], 4, p)[9:], full[3:8])
-    assert np.array_equal(_coefficient_streams(KEY, [3, 0, 11], 4, p)[:3], full[:3])
-    assert np.array_equal(_coefficient_streams(KEY, [0, 1, 2], 4, p)[1:], full[8:])
+    full = _share_streams(KEY, [3, 5, 2], 4, p)
+    assert np.array_equal(_share_streams(KEY, [9, 5, 0], 4, p)[9:], full[3:8])
+    assert np.array_equal(_share_streams(KEY, [3, 0, 11], 4, p)[:3], full[:3])
+    assert np.array_equal(_share_streams(KEY, [0, 1, 2], 4, p)[1:], full[8:])
     # The lanes interleave by G, so another batch size moves them.
-    assert not np.array_equal(_coefficient_streams(KEY, [3, 5], 4, p)[3:], full[3:8])
-    assert _coefficient_streams(KEY, [], 4, p).shape == (0, 4)
+    assert not np.array_equal(_share_streams(KEY, [3, 5], 4, p)[3:], full[3:8])
+    assert _share_streams(KEY, [], 4, p).shape == (0, 4)
     other = np.array([KEY[0], KEY[1] + np.uint64(1)], dtype=np.uint64)
-    assert not np.array_equal(_coefficient_streams(other, [3, 5, 2], 4, p), full)
+    assert not np.array_equal(_share_streams(other, [3, 5, 2], 4, p), full)
 
 
 @pytest.mark.parametrize("p, bins", [(17, 17), (2**31 - 1, 64)])
-def test_coefficient_streams_are_uniform(p, bins):
+def test_share_streams_are_uniform(p, bins):
     # Rejection keeps every residue exactly equally likely, also at p = 17,
     # where about 47% of the 5-bit candidates are rejected. chi^2 over bins
     # of equal mass (to within one residue) at fixed keys, so the test is
@@ -431,7 +332,7 @@ def test_coefficient_streams_are_uniform(p, bins):
     counts = np.zeros(bins)
     for k in range(4):
         key = np.array([k, 99], dtype=np.uint64)
-        values = _coefficient_streams(key, [250] * 50, 2, p).ravel()
+        values = _share_streams(key, [250] * 50, 2, p).ravel()
         counts += np.bincount(values * bins // p, minlength=bins)
     expected = counts.sum() * np.diff(np.ceil(np.arange(bins + 1) * p / bins)) / p
     chi2 = ((counts - expected) ** 2 / expected).sum()
@@ -486,10 +387,7 @@ def test_reconstruct_too_few():
         coeffs = set_coefficients(gen, 1, tau, 11)[:, 0].tolist()
         if rng.random() < 0.3:
             coeffs[-1] = 0
-        column = [[c] for c in coeffs]
-        values = _generate_share_values([[secret]], column, [tau], flat_holders([ids]), 11)[:, 0]
-        values = values.tolist()
-        shares = dict(zip(ids, values))
+        shares = dict(zip(ids, evaluate(secret, coeffs, ids)))
         for subset in itertools.combinations(ids, tau):
             got = interpolate_at_zero({j: shares[j] for j in subset})
             offset = coeffs[-1] * (-1) ** tau * math.prod(subset)
