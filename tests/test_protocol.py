@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from test_topology import hub_and_path
 
+from ppdfl import protocol as protocol_module
 from ppdfl import sharing
+from ppdfl import topology as topology_module
 from ppdfl.consensus import AveragingOperator, consensus_final
 from ppdfl.field import next_prime
 from ppdfl.fixedpoint import Precision, scaled_trunc
@@ -180,6 +182,17 @@ def test_build_initial_state_modular_sum():
     assert s0.tolist() == [[3], [0], [7]]  # 22 mod 11 at learner 2
 
 
+def test_build_initial_state_leaves_the_bundles_untouched():
+    # The reduction runs in place on the summed rows, not on the table.
+    g = generate_topology("random_connected", 30, seed=2, avg_degree=4.0)
+    p = 2**31 - 1
+    table = np.random.default_rng(3).integers(0, p, (g.n_nodes + 2 * len(g.edges), 3))
+    before = table.copy()
+    s0 = build_initial_state(table, g, p)
+    assert np.array_equal(table, before)
+    assert s0.min() >= 0 and s0.max() < p
+
+
 def _share_table_graphs():
     for n in (2, 7, 200):
         for kind in ("complete", "star", "line"):
@@ -231,12 +244,11 @@ def _skewed_graphs():
     yield hub_and_path(300, 150, 3)
 
 
-@pytest.mark.parametrize("g", list(_skewed_graphs()), ids=["star", "hub_and_path"])
-def test_share_table_on_skewed_degrees_is_the_drawn_shares(g):
-    # One high-degree learner among low-degree ones: the bundles a learner
-    # sends its neighbours, in id order, are its rows of the round's draw,
-    # the bundle it keeps is its encoded secret minus their sum, and so
-    # every learner's bundles sum to its encoded secret.
+def assert_drawn_share_table(g):
+    """The bundles a learner sends its neighbours in a round on g, in id
+    order, are its rows of the round's draw, the bundle it keeps is its
+    encoded secret minus their sum, and so every learner's bundles sum to
+    its encoded secret."""
     n, dim, p = g.n_nodes, 2, 2**31 - 1
     cfg = make_cfg(n, dim, 2, 4.0, schedule=TopologySchedule.from_graphs([g]), prime=p)
     rec = execute_round(np.random.default_rng(6).uniform(-4, 4, (n, dim)), g, cfg)
@@ -255,6 +267,20 @@ def test_share_table_on_skewed_degrees_is_the_drawn_shares(g):
     total = np.zeros((n, dim), dtype=np.int64)
     np.add.at(total, senders - 1, rec.bundles)
     assert np.array_equal(total % p, rec.encoded_secrets)
+
+
+@pytest.mark.parametrize("g", list(_skewed_graphs()), ids=["star", "hub_and_path"])
+def test_share_table_on_skewed_degrees_is_the_drawn_shares(g):
+    # One high-degree learner among low-degree ones.
+    assert_drawn_share_table(g)
+
+
+@pytest.mark.parametrize("kind", ["line", "complete", "random_connected"])
+def test_share_table_is_the_drawn_shares(kind):
+    # Even and dense degrees: a learner's kept bundle comes first, last or
+    # between the ones it sends, as its id falls among its neighbours'.
+    extra = {"seed": 5, "avg_degree": 4.0} if kind == "random_connected" else {}
+    assert_drawn_share_table(generate_topology(kind, 9, **extra))
 
 
 def test_star_share_phase_allocates_no_hub_width_array():
@@ -508,6 +534,85 @@ def test_share_phase_inverts_nothing(monkeypatch):
               generate_topology("star", 12)):
         execute_round(models, g, cfg)
     assert calls == []
+
+
+def test_round_calls_neither_holder_sets_nor_interpolation_weights(monkeypatch):
+    # The share phase takes the graph's CSR arrays and the draw alone.
+    def refuse(*args, **kwargs):
+        raise AssertionError("holder sets or weights computed in a round")
+
+    for module in (protocol_module, sharing, topology_module):
+        for name in ("holder_sets", "interpolation_weights"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    cfg = make_cfg(12, 2, 2, 4.0)
+    models = np.random.default_rng(4).uniform(-4, 4, (12, 2))
+    oracle, _ = quantized_aggregate(models, cfg.weights, cfg.precision)
+    for g in (generate_topology("random_connected", 12, seed=3, avg_degree=8.0),
+              generate_topology("star", 12)):
+        rec = execute_round(models, g, cfg)
+        assert np.max(np.abs(rec.decoded - oracle[None, :])) == 0.0
+
+
+# The benchmark's sparse workload: N=1000, p = 2^31-1, average degree 4.
+SPARSE_1K = {
+    "n_learners": 1000,
+    "model_dim": 16,
+    "sigma": 2,
+    "prime": 2147483647,
+    "rounds": 4,
+    "k_policy": "auto",
+    "weights": "uniform",
+    "theta_max": 50.0,
+    "seed": 11,
+    "schedule": {"kind": "random_connected", "avg_degree": 4.0, "seed": 11},
+}
+
+
+def config_named(name):
+    """configs/<name>.json, or SPARSE_1K for "sparse_1k"."""
+    if name == "sparse_1k":
+        return ProtocolConfig.from_dict(SPARSE_1K)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    return ProtocolConfig.from_json_file(str(root / "configs" / f"{name}.json"))
+
+
+@pytest.mark.parametrize("name", ["large_random", "sparse_1k"])
+def test_every_learner_bundles_sum_to_its_secret(name):
+    # On every round of the dense (average degree 87) and the sparse
+    # N=1000 config, each learner's bundles sum to its encoded secret mod
+    # p, and every learner decodes the quantized aggregate.
+    cfg = config_named(name)
+    result = run_training(cfg)
+    assert len(result.transcript.rounds) == cfg.rounds
+    for rec in result.transcript.rounds:
+        senders, _ = share_pairs(rec.topology)
+        total = np.zeros_like(rec.encoded_secrets)
+        np.add.at(total, senders - 1, rec.bundles)
+        assert np.array_equal(total % cfg.prime, rec.encoded_secrets)
+    assert result.summary["max_deviation"] == 0.0
+
+
+# sha256 over every round of a config of the line "round,K,lambda2\n",
+# lambda2 to 6 digits (see DEMO_TRANSCRIPT_SHA256), then the round's
+# encoded secrets and rounded residues as little-endian int64 and its
+# decoded models as little-endian float64. Version 0.7.0 changed the share
+# values but none of these: the digests are those of 0.6.0.
+ROUND_OUTPUTS_SHA256 = {
+    "demo": "75b3036b241727ec886a39733e3616e4aea0fe2051d8027e95bbcbd6e6d08718",
+    "large_random": "b072d46416278b4d02e9c133ebc7a32fcc48c2118cdef13b88a9b64c6201d728",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_OUTPUTS_SHA256))
+def test_round_outputs_are_pinned(name):
+    digest = hashlib.sha256()
+    for rec in run_training(config_named(name)).transcript.rounds:
+        digest.update(f"{rec.round_index},{rec.k_used},{rec.lambda2:.6f}\n".encode())
+        for values in (rec.encoded_secrets, rec.rounded):
+            digest.update(np.ascontiguousarray(values, dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(rec.decoded, dtype="<f8").tobytes())
+    assert digest.hexdigest() == ROUND_OUTPUTS_SHA256[name]
 
 
 def test_replay_round_reproduces_output():

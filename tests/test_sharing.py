@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -165,7 +166,7 @@ def test_interpolation_weights_invert_once_per_batch(monkeypatch):
         assert len(calls) == 1
 
 
-@pytest.mark.parametrize("ids", [(1, 2), (1, 2, 3), (2, 5, 7), (1, 3, 4, 9)])
+@pytest.mark.parametrize("ids", [(1, 2), (1, 2, 3), (2, 5, 7), (1, 3, 4, 9), (1, 10), (8, 9, 10)])
 def test_completed_shares_are_the_weighted_polynomial_shares(ids):
     # Exhaustively at p = 11: for every secret and wherever the holder that
     # completes the set sits among the ids, the completion maps the p**tau
@@ -186,6 +187,53 @@ def test_completed_shares_are_the_weighted_polynomial_shares(ids):
                           for coeffs in everything)
             assert got == want
             assert len(set(got)) == sets
+
+
+def test_share_values_hand_polynomial():
+    # H(x) = 5 + 3x over GF(11) at 1, 2, 3 is 8, 0, 3; weighted by 3, 8, 1
+    # (test_delta_hand_derived_triple) the shares are 2, 0, 3. Drawn as
+    # holder 2's and 3's, the completion gives holder 1's; drawn as holder
+    # 1's and 2's, holder 3's.
+    assert _generate_share_values([[5]], [[0], [3]], [0, 2], [0], 11).tolist() == [[2], [0], [3]]
+    assert _generate_share_values([[5]], [[2], [0]], [0, 2], [2], 11).tolist() == [[2], [0], [3]]
+
+
+@pytest.mark.parametrize("p", [2, 11, 1020431, 2**31 - 1, 4294967291])
+def test_share_values_match_reference_completion(p):
+    # Batches of sets drawing from none to a few dozen rows, each set's
+    # last share at any of its rows, against Python ints; every fifth
+    # batch with every secret and drawn residue p - 1, the largest sums the
+    # completion meets.
+    rng = random.Random(p)
+    for trial in range(20):
+        n = rng.randrange(1, 5)
+        counts = [rng.choice([0, 1, 2, 5, rng.randrange(40)]) for _ in range(rng.randrange(1, 8))]
+        value = (lambda: p - 1) if trial % 5 == 0 else (lambda: rng.randrange(p))
+        secrets = [[value() for _ in range(n)] for _ in counts]
+        drawn = [[value() for _ in range(n)] for _ in range(sum(counts))]
+        own = [rng.randrange(count + 1) for count in counts]
+        indptr = np.cumsum([0, *counts])
+        rows = indptr[:-1] + np.arange(len(counts)) + own
+        table = _generate_share_values(secrets, np.array(drawn, dtype=np.int64).reshape(-1, n),
+                                       indptr, rows, p)
+        assert table.dtype == np.int64 and table.shape == (sum(counts) + len(counts), n)
+        expected, start = [], 0
+        for secret, count, at in zip(secrets, counts, own):
+            mine, start = drawn[start : start + count], start + count
+            last = [(s - sum(row[l] for row in mine)) % p for l, s in enumerate(secret)]
+            expected += mine[:at] + [last] + mine[at:]
+        assert table.tolist() == expected
+
+
+def test_share_values_leave_their_inputs_untouched():
+    # The completion subtracts and reduces in place, on its own copy of the
+    # secrets: the caller's secrets and drawn rows keep their values.
+    secrets = np.array([[3, 4], [5, 6]], dtype=np.int64)
+    drawn = np.array([[7, 8], [9, 10], [1, 2]], dtype=np.int64)
+    before = secrets.copy(), drawn.copy()
+    table = _generate_share_values(secrets, drawn, [0, 2, 3], [1, 3], 11)
+    assert np.array_equal(secrets, before[0]) and np.array_equal(drawn, before[1])
+    assert table.tolist() == [[7, 8], [9, 8], [9, 10], [4, 4], [1, 2]]
 
 
 def test_share_table_of_sets_that_draw_nothing():
@@ -337,6 +385,22 @@ def test_share_streams_are_uniform(p, bins):
     expected = counts.sum() * np.diff(np.ceil(np.arange(bins + 1) * p / bins)) / p
     chi2 = ((counts - expected) ** 2 / expected).sum()
     assert chi2 < bins - 1 + 6 * np.sqrt(2 * (bins - 1))
+
+
+# sha256 of _share_streams(KEY, [3, 0, 7, 1, 12], 4, p) as little-endian
+# int64 bytes, for p = 17, 1020431 and 2**31 - 1 in turn: the matrices
+# version 0.6.0's coefficient draw returned for the same key. 0.7.0 hands
+# these values out as shares, so a change to them changes every bundle and
+# must bump __version__ together with this pin.
+SHARE_STREAM_SHA256 = "0983c44ce854bdaab89385793042e7b4cd9ea282bf872580a306ec0143e6ccb3"
+
+
+def test_share_stream_is_pinned():
+    digest = hashlib.sha256()
+    for p in (17, 1020431, 2**31 - 1):
+        digest.update(np.ascontiguousarray(_share_streams(KEY, [3, 0, 7, 1, 12], 4, p),
+                                           dtype="<i8").tobytes())
+    assert digest.hexdigest() == SHARE_STREAM_SHA256
 
 
 def weighted(raw, ids, p=11):
