@@ -3,27 +3,25 @@
 A secret s is split by sampling a random polynomial H with H(0) = s and
 handing holder j the evaluation H(j); holder ids double as evaluation
 points, so they must be distinct, nonzero and below the modulus. Any
-tau+1 holders recover s by Lagrange interpolation at zero. Pre-multiplying
-each share by its interpolation weight
+tau+1 holders C recover s by Lagrange interpolation at zero: s is the sum
+of their shares, each times its interpolation weight
 
-    delta(C, j) = prod_{k in C, k != j}  k / (k - j)   (mod p)
+    delta(C, j) = prod_{k in C, k != j}  k / (k - j)   (mod p),
 
-turns reconstruction over the full holder set into a plain modular sum,
-which is what lets sums of shares travel through an averaging layer.
+which interpolation_weights computes for one holder set from this
+definition. Weighted shares thus sum to the secret, which is what lets
+sums of shares travel through an averaging layer.
 
 A learner shares over its closed neighbourhood C with a polynomial of
 degree |C| - 1. Evaluation at |C| distinct points is then a bijection from
-(s, coefficients) to share values, and the weighted shares sum to H(0) =
-s, so for a fixed s the weighted shares are exactly uniform on the vectors
-that sum to s: the Lagrange conversion of Shamir shares to additive ones
-(Cramer, Damgard & Nielsen, Secure Multiparty Computation and Secret
-Sharing, 2015). A round therefore draws them directly: |C| - 1 uniform
-residues (_share_streams) and the last share, s minus their sum
-(_generate_share_values). It evaluates no polynomial and computes no
-weight. interpolation_weights, which reconstruction from any other holder
-set needs, takes holder sets laid out flat, with no padding
-(topology.HolderSets), and gives one weight per holder in that order.
-Secrets, weights and shares are int64 residue arrays.
+(s, coefficients) to share values, so for a fixed s the weighted shares
+are exactly uniform on the vectors that sum to s: the Lagrange conversion
+of Shamir shares to additive ones (Cramer, Damgard & Nielsen, Secure
+Multiparty Computation and Secret Sharing, 2015). A round therefore draws
+them directly: |C| - 1 uniform residues from a Philox lane
+(_share_streams), and the last share, s minus their sum, by the
+completion (_generate_share_values). It evaluates no polynomial and
+computes no weight. Secrets and shares are int64 residue arrays.
 """
 
 from __future__ import annotations
@@ -32,9 +30,8 @@ import numpy as np
 
 from .field import _inverse_int
 
-# Entries (512 KB of int64) that the temporaries of a block of difference
-# matrices, or of a chunk of the draw, hold together, unless one set or row
-# alone needs more.
+# Entries (512 KB of int64) that the raw words and candidates of a chunk of
+# the draw hold together, unless one row alone needs more.
 _BLOCK_ENTRIES = 2**16
 
 # Philox blocks a row must skip before the draw takes only the live sets'
@@ -43,121 +40,20 @@ _BLOCK_ENTRIES = 2**16
 # numpy 2 on x86-64).
 _SKIP_BLOCKS = 256
 
-def _prefix_products(a: np.ndarray, p: int) -> np.ndarray:
-    """Inclusive running products mod p of a 1-D array, by a Hillis-Steele
-    scan in log2(len(a)) vectorized doubling steps."""
-    out = a.copy()
-    shift = 1
-    while shift < len(out):
-        out[shift:] = out[shift:] * out[:-shift] % p
-        shift *= 2
-    return out
 
-
-def _products_of_others(a: np.ndarray, p: int) -> np.ndarray:
-    """Entry j is the product mod p of every entry of a except a[j]: the
-    exclusive prefix product times the exclusive suffix product."""
-    one = np.ones(1, dtype=np.int64)
-    before = _prefix_products(np.concatenate([one, a[:-1]]), p)
-    after = _prefix_products(np.concatenate([one, a[:0:-1]]), p)[::-1]
-    return before * after % p
-
-
-def _batch_inverse(a: np.ndarray, p: int) -> np.ndarray:
-    """Inverses mod p of nonzero residues with a single inversion.
-
-    Montgomery's trick: 1/a_j = (product of the other entries) / (product
-    of all entries), so only the full product is ever inverted.
-    """
-    others = _products_of_others(a, p)
-    total = int(others[0]) * int(a[0]) % p
-    return others * _inverse_int(total, p) % p
-
-
-def _row_products(f: np.ndarray, p: int, bound: int | None = None) -> np.ndarray:
-    """Products mod p along the last axis of an int64 array of entries of
-    magnitude at most bound (p - 1 if not given), by pairwise halving,
-    reduced mod p only where the next multiply could leave int64."""
-    big = p - 1 if bound is None else bound  # a bound on f's magnitudes
-    while f.shape[-1] > 1:
-        h, odd = divmod(f.shape[-1], 2)
-        head = f[..., :h] * f[..., h : 2 * h]
-        if odd:
-            head[..., 0] = head[..., 0] % p * f[..., -1]
-        f, big = head, max(big * big, (p - 1) * big * odd)
-        if big * big >= 2**63:
-            f %= p
-            big = p - 1
-    return f[..., 0] % p if f.shape[-1] else np.ones(f.shape[:-1], dtype=np.int64)
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges [starts[g], starts[g] + counts[g]) laid end to end."""
-    out = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    out += np.arange(len(out))
-    return out
-
-
-def _denominators(x: np.ndarray, p: int, present: np.ndarray | None = None) -> np.ndarray:
-    """x_j prod_{k != j} (x_k - x_j) mod p at every entry of each row of x,
-    rows of distinct ids below p: row j of its row's difference matrix, x_j
-    on the diagonal, multiplied out, a block of matrices at a time. Only
-    the entries where the boolean present holds count."""
-    rows, width = x.shape
-    out = np.empty_like(x)
-    top = int(x.max(initial=0))
-    sets = max(1, _BLOCK_ENTRIES // max(1, width * width))
-    step = max(1, _BLOCK_ENTRIES // max(1, sets * width))
-    for a in range(0, rows, sets):
-        xs = x[a : a + sets]
-        for j in range(0, width, step):
-            diff = xs[:, None, :] - xs[:, j : j + step, None]
-            if present is not None:
-                diff = np.where(present[a : a + sets, None, :], diff, 1)
-            k = np.arange(diff.shape[1])
-            diff[:, k, j + k] = xs[:, j + k]
-            out[a : a + sets, j : j + step] = _row_products(diff, p, top)
-    return out
-
-
-def interpolation_weights(holders, p: int) -> np.ndarray:
-    """Interpolation weights of every holder set in a flat batch.
-
-    holders is (indptr, slot, points) as the module docstring lays it out,
-    the points distinct ids in [1, p). Returns an int64 array with
-    delta(C, x_j) = prod_C x_k / (x_j prod_{k != j} (x_k - x_j)) at each
-    holder's entry, for a size class (bit length) of sets at a time (see
-    _denominators). Every denominator of the call is inverted with one
-    modular inversion.
-    """
-    indptr, slot, points = (np.asarray(a, dtype=np.int64) for a in holders)
-    if points.size and (points[0] < 1 or points[-1] >= p or (np.diff(points) <= 0).any()):
-        raise ValueError(f"holder ids must be increasing points in [1, {p})")
-    ids = points[slot]
-    sizes = np.diff(indptr)
-    top = int(points.max(initial=0))  # the largest id
-    classes = []  # (entries, numerators) per size class
-    dens = []  # every denominator, inverted together below
-    # Sets by size class, each padded with 1 to its largest.
-    held = np.flatnonzero(sizes)
-    held = held[np.argsort(np.frexp(sizes[held])[1], kind="stable")]
-    for sets in np.split(held, np.flatnonzero(np.diff(np.frexp(sizes[held])[1])) + 1):
-        if len(sets):
-            entries = _ranges(indptr[sets], sizes[sets])
-            present = np.arange(sizes[sets].max()) < sizes[sets][:, None]
-            x = np.ones(present.shape, dtype=np.int64)
-            x[present] = ids[entries]
-            dens.append(_denominators(x, p, present)[present])
-            if not dens[-1].all():
-                raise ValueError("holder ids within a set must be distinct")
-            classes.append((entries, np.repeat(_row_products(x, p, top), sizes[sets])))
-    weights = np.empty(len(slot), dtype=np.int64)
-    if not dens:  # no set holds anything
-        return weights
-    inv = _batch_inverse(np.concatenate(dens), p)
-    inv = np.split(inv, np.cumsum([len(d) for d in dens])[:-1])
-    for (entries, num), inv_c in zip(classes, inv):
-        weights[entries] = num * inv_c % p
+def interpolation_weights(ids, p: int) -> list[int]:
+    """delta(C, j) for each id j of the holder set C = ids, in order, as
+    Python ints; ids must be distinct and in [1, p)."""
+    ids = [int(k) for k in ids]
+    if len(set(ids)) < len(ids) or not all(0 < k < p for k in ids):
+        raise ValueError(f"holder ids must be distinct ids in [1, {p})")
+    weights = []
+    for j in ids:
+        num = den = 1
+        for k in ids:
+            if k != j:
+                num, den = num * k % p, den * (k - j) % p
+        weights.append(num * _inverse_int(den, p) % p)
     return weights
 
 

@@ -18,7 +18,6 @@ import heapq
 import json
 import numbers
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -208,16 +207,6 @@ def mh_edge_weights(
     return rows, g.arc_head - 1, weights, diag
 
 
-class HolderSets(NamedTuple):
-    """Holder sets laid out flat: set g holds the ids points[slot[k]] for k
-    in indptr[g]:indptr[g+1], points being distinct ids in increasing
-    order (the layout sharing.interpolation_weights takes)."""
-
-    indptr: np.ndarray
-    slot: np.ndarray
-    points: np.ndarray
-
-
 def _pair_rows(g: RoundTopology) -> tuple[np.ndarray, np.ndarray]:
     """(arc_row, own_row): the rows of share_pairs(g) that arc k and learner
     i's own pair (i, i) take, arc_row[k] and own_row[i-1].
@@ -246,14 +235,6 @@ def share_pairs(g: RoundTopology) -> tuple[np.ndarray, np.ndarray]:
     receivers = np.empty(len(arc_row) + g.n_nodes, dtype=np.int64)
     receivers[arc_row], receivers[own_row] = g.arc_head, ids
     return np.repeat(ids, np.diff(g.indptr) + 1), receivers
-
-
-def holder_sets(g: RoundTopology) -> HolderSets:
-    """Every learner's closed neighbourhood over the points 1..N: learner
-    i's set is set i-1, and its holders are the receivers of its rows of
-    share_pairs(g)."""
-    ids = np.arange(g.n_nodes + 1)
-    return HolderSets(g.indptr + ids, share_pairs(g)[1] - 1, ids[1:])
 
 
 def receiver_order(g: RoundTopology) -> np.ndarray:

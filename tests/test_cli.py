@@ -7,6 +7,7 @@ import pytest
 
 from ppdfl.cli import main
 from ppdfl.field import next_prime
+from ppdfl.protocol import ProtocolConfig, run_training
 from ppdfl.topology import contraction_radius, generate_topology, mh_weights
 from ppdfl.transcript import Transcript
 
@@ -51,7 +52,6 @@ def test_simulate_manifest_digests_each_graph_once(tmp_path, monkeypatch):
     import hashlib
 
     from ppdfl import topology
-    from ppdfl.protocol import ProtocolConfig
 
     calls = []
     generate = topology.generate_topology
@@ -83,8 +83,6 @@ def test_simulate_reproducible_outputs(tmp_path):
 
 
 def test_simulate_csv_cells_are_plain_float_reprs(tmp_path):
-    from ppdfl.protocol import ProtocolConfig, run_training
-
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--trajectories"]) == 0
@@ -216,6 +214,22 @@ def test_bounds_reports_admissible_theta(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "51.0215" in out
     assert out.splitlines()[2].endswith(",1")  # complete graph needs K=1
+
+
+@pytest.mark.parametrize("config", ["large_random", "random_200"])
+def test_bounds_rows_are_the_run_rounds(tmp_path, capsys, config):
+    # bounds and the round each reach (lambda2, K) on their own: every row
+    # bounds prints must be what that round of the run used.
+    if config == "large_random":
+        path = str(pathlib.Path(__file__).resolve().parents[1] / "configs" / "large_random.json")
+    else:
+        path = write_config(tmp_path, n_learners=200, prime=2**31 - 1, rounds=3,
+                            schedule={"kind": "random_connected", "avg_degree": 4.0})
+    assert main(["bounds", "--config", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = lines[lines.index("round,lambda2,min_iterations") + 1:]
+    records = run_training(ProtocolConfig.from_json_file(path)).transcript.rounds
+    assert rows == [f"{r.round_index},{r.lambda2!r},{r.k_used}" for r in records]
 
 
 def test_privacy_ring_single_adversary_ok(tmp_path, capsys):

@@ -30,7 +30,6 @@ from ppdfl.topology import (
     _random_connected_edges,
     component_labels,
     generate_topology,
-    holder_sets,
     is_connected,
     mh_denominators,
     mh_edge_weights,
@@ -192,11 +191,6 @@ def test_derivations_match_python_oracles():
             assert g.degree(i) == deg[i] and type(g.degree(i)) is int
 
         closed = {i: sorted([i, *nbrs[i]]) for i in nbrs}
-        indptr, slot, points = holder_sets(g)
-        assert points.tolist() == list(range(1, n + 1))
-        assert [points[slot[a:b]].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == [
-            closed[i] for i in range(1, n + 1)
-        ]
         senders, receivers = share_pairs(g)
         assert list(zip(senders.tolist(), receivers.tolist())) == [
             (i, j) for i in range(1, n + 1) for j in closed[i]

@@ -13,7 +13,6 @@ from test_topology import hub_and_path
 
 from ppdfl import protocol as protocol_module
 from ppdfl import sharing
-from ppdfl import topology as topology_module
 from ppdfl.consensus import AveragingOperator, consensus_final
 from ppdfl.field import next_prime
 from ppdfl.fixedpoint import Precision, scaled_trunc
@@ -38,7 +37,6 @@ from ppdfl.topology import (
     TopologySchedule,
     _pair_rows,
     generate_topology,
-    holder_sets,
     share_pairs,
 )
 
@@ -523,8 +521,7 @@ def test_demo_transcript_bytes_are_pinned(tmp_path, monkeypatch):
 
 def test_share_phase_inverts_nothing(monkeypatch):
     # The round draws its weighted shares directly: it computes no
-    # interpolation weight, so it inverts nothing (sharing's tests count
-    # the weights' one inversion per batch).
+    # interpolation weight, so it inverts nothing.
     calls = []
     inverse = sharing._inverse_int
     monkeypatch.setattr(sharing, "_inverse_int", lambda a, p: calls.append(a) or inverse(a, p))
@@ -536,15 +533,13 @@ def test_share_phase_inverts_nothing(monkeypatch):
     assert calls == []
 
 
-def test_round_calls_neither_holder_sets_nor_interpolation_weights(monkeypatch):
+def test_round_calls_no_interpolation_weights(monkeypatch):
     # The share phase takes the graph's CSR arrays and the draw alone.
     def refuse(*args, **kwargs):
-        raise AssertionError("holder sets or weights computed in a round")
+        raise AssertionError("interpolation weights computed in a round")
 
-    for module in (protocol_module, sharing, topology_module):
-        for name in ("holder_sets", "interpolation_weights"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    for module in (protocol_module, sharing):
+        monkeypatch.setattr(module, "interpolation_weights", refuse)
     cfg = make_cfg(12, 2, 2, 4.0)
     models = np.random.default_rng(4).uniform(-4, 4, (12, 2))
     oracle, _ = quantized_aggregate(models, cfg.weights, cfg.precision)
@@ -778,9 +773,8 @@ def test_share_table_transcript_roundtrip(tmp_path, p):
         Transcript(meta, [record]).to_jsonl(str(path))
         lines = path.read_text().splitlines()
         shares = [m for m in map(json.loads, lines) if m.get("phase") == "shares"]
-        indptr, slot, points = holder_sets(g)
         assert [(m["from"], m["to"]) for m in shares] == [
-            (i, points[slot[a:b]].tolist()) for i, (a, b) in enumerate(zip(indptr[:-1], indptr[1:]), 1)
+            (i, receivers[senders == i].tolist()) for i in range(1, n + 1)
         ]
         (back,) = Transcript.from_jsonl(str(path)).rounds
         assert np.array_equal(back.bundles, table)

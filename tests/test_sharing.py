@@ -12,25 +12,11 @@ from ppdfl.sharing import (
     _share_streams,
     interpolation_weights,
 )
-from ppdfl.topology import HolderSets, generate_topology, holder_sets
-
-
-def flat_holders(sets):
-    """The id lists as one flat HolderSets batch over their distinct ids."""
-    ids = np.array([x for s in sets for x in s], dtype=np.int64)
-    points = np.unique(ids)
-    indptr = np.cumsum([0, *map(len, sets)])
-    return HolderSets(indptr, np.searchsorted(points, ids), points)
-
-
-def holder_lists(holders):
-    """The id lists of a flat HolderSets batch, set by set."""
-    indptr, slot, points = holders
-    return [points[slot[a:b]].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
+from ppdfl.topology import generate_topology, share_pairs
 
 
 def weights(ids, p=11):
-    return interpolation_weights(flat_holders([ids]), p).tolist()
+    return interpolation_weights(ids, p)
 
 
 def set_coefficients(gen, n, tau, p):
@@ -61,21 +47,14 @@ def test_holder_set_validation():
     with pytest.raises(ValueError):
         weights((1, 1))
     with pytest.raises(ValueError):
+        weights((1, 2, 3, 3))
+    with pytest.raises(ValueError):
         weights((-1, 2))
     with pytest.raises(ValueError):
+        weights((0, 2))
+    with pytest.raises(ValueError):
         weights((3, 11))
-    # A repeated id in a set holding most of the batch's ids.
-    with pytest.raises(ValueError):
-        interpolation_weights(flat_holders([[1, 2, 3, 3], [4]]), 11)
-    # Points must be distinct and increasing.
-    with pytest.raises(ValueError):
-        interpolation_weights(HolderSets(np.array([0, 2]), np.array([0, 1]), np.array([4, 1])), 11)
-    # A set's weights do not depend on the other sets of the batch, on
-    # points it does not hold, or on its slot order.
-    assert interpolation_weights(flat_holders([(1, 2), (5,), ()]), 11).tolist() == [
-        *weights((1, 2)), *weights((5,))]
-    spare = HolderSets(np.array([0, 2]), np.array([0, 2]), np.array([1, 2, 4, 9]))
-    assert interpolation_weights(spare, 11).tolist() == weights((1, 4))
+    # Weights follow the ids' order, which need not be increasing.
     assert weights((3, 1, 2)) == [1, 3, 8]
 
 
@@ -116,11 +95,13 @@ def reference_weights(ids, p):
 
 def graph_holder_sets(p):
     """Closed neighbourhoods of random, star, complete and line graphs, on
-    as many nodes as fit below p, up to 200."""
+    as many nodes as fit below p, up to 200: each learner's receivers in
+    share_pairs."""
     for n in sorted({3, 7, min(p - 1, 60), min(p - 1, 200)}):
         for kind, extra in (("random_connected", {"avg_degree": min(4.0, n - 1)}),
                             ("star", {}), ("complete", {}), ("line", {})):
-            yield holder_sets(generate_topology(kind, n, seed=n, **extra))
+            senders, receivers = share_pairs(generate_topology(kind, n, seed=n, **extra))
+            yield from np.split(receivers, np.flatnonzero(np.diff(senders)) + 1)
 
 
 @pytest.mark.parametrize("p", [11, 1020431, 2**31 - 1])
@@ -130,40 +111,19 @@ def test_interpolation_weights_match_definition(p):
     sizes = [1, 1, 2, 3, 5, 8, 10, min(top, 97)]
     sizes += [rng.randrange(1, 11) for _ in range(30)]
     sets = [rng.sample(range(1, top + 1), size) for size in sizes]
-    batches = [flat_holders(sets), *graph_holder_sets(p)]
+    sets += graph_holder_sets(p)
     if p > 2**30:
-        # ids near p give factors near p: the least room for lazy reduction
-        batches.append(flat_holders([[p - 1, p - 2, 1, 2], [p - 1], [p - 3, p - 5]]))
-        # Sets holding more than half of eight scattered ids near p, in any
-        # order, beside sets holding fewer.
+        # ids near p give factors near p
+        sets += [[p - 1, p - 2, 1, 2], [p - 1], [p - 3, p - 5]]
+        # Sets of eight scattered ids near p, in any order.
         far = [p - 1, p - 3, p - 8, p - 1000, 7, 12345, 2**30 + 1, 99]
-        batches.append(flat_holders([far, far[:5], far[3:], [far[6], far[1], far[0], far[4], far[2]],
-                                     far[::2], [far[7], far[2]], [far[5]]]))
-        batches.append(flat_holders([[far[0], far[1], far[2], far[3], far[4]],
-                                     [far[5], far[6], far[7]]]))
-    for batch in batches:
-        got = interpolation_weights(batch, p)
-        assert got.dtype == np.int64 and got.shape == batch.slot.shape
-        sets = holder_lists(batch)
-        # Each distinct set once: a complete graph repeats one set N times.
-        rows = {tuple(ids): got[a:b].tolist()
-                for ids, a, b in zip(sets, batch.indptr[:-1], batch.indptr[1:])}
-        for ids, row in rows.items():
-            assert row == reference_weights(ids, p)
-
-
-def test_interpolation_weights_invert_once_per_batch(monkeypatch):
-    # A batch of dense sets, then a star's: the hub's set holds every id,
-    # the leaves' sets form one size class. Every denominator of the batch
-    # is inverted together.
-    calls = []
-    inverse = sharing._inverse_int
-    monkeypatch.setattr(sharing, "_inverse_int", lambda a, p: calls.append(a) or inverse(a, p))
-    for g in (generate_topology("random_connected", 12, seed=3, avg_degree=8.0),
-              generate_topology("star", 12)):
-        calls.clear()
-        interpolation_weights(holder_sets(g), 1020431)
-        assert len(calls) == 1
+        sets += [far, far[:5], far[3:], [far[6], far[1], far[0], far[4], far[2]],
+                 far[::2], [far[7], far[2]], [far[5]], far[5:]]
+    # Each distinct set once: a complete graph repeats one set N times.
+    for ids in {tuple(int(j) for j in ids) for ids in sets}:
+        got = interpolation_weights(ids, p)
+        assert all(type(w) is int for w in got)
+        assert got == reference_weights(ids, p)
 
 
 @pytest.mark.parametrize("ids", [(1, 2), (1, 2, 3), (2, 5, 7), (1, 3, 4, 9), (1, 10), (8, 9, 10)])
@@ -173,7 +133,7 @@ def test_completed_shares_are_the_weighted_polynomial_shares(ids):
     # drawn vectors one to one onto the delta-weighted evaluation vectors
     # of all polynomials of degree tau = |C| - 1 with H(0) = s.
     p, tau = 11, len(ids) - 1
-    delta = reference_weights(ids, p)
+    delta = interpolation_weights(ids, p)
     everything = list(itertools.product(range(p), repeat=tau))
     drawn = np.array(everything, dtype=np.int64).reshape(-1, 1)
     sets = len(everything)
@@ -406,7 +366,7 @@ def test_share_stream_is_pinned():
 def weighted(raw, ids, p=11):
     """Each raw share times its holder's interpolation weight, as
     execute_round weights them."""
-    w = interpolation_weights(flat_holders([ids]), p)
+    w = np.array(interpolation_weights(ids, p), dtype=np.int64)
     return (np.asarray(raw, dtype=np.int64) * w % p).tolist()
 
 

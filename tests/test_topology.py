@@ -18,7 +18,6 @@ from ppdfl.topology import (
     check_generator,
     contraction_radius,
     generate_topology,
-    holder_sets,
     is_connected,
     mh_weights,
     receiver_order,
@@ -109,8 +108,8 @@ def _layout_graphs():
 
 
 def _sorted_layouts(g):
-    """The sort-based definitions of the CSR arrays, the share pairs, the
-    holder sets and the masking order."""
+    """The sort-based definitions of the CSR arrays, the share pairs and
+    the masking order."""
     base = g.n_nodes + 1
     tails = np.concatenate([g.src, g.dst])
     heads = np.concatenate([g.dst, g.src])
@@ -123,7 +122,6 @@ def _sorted_layouts(g):
         "arc_rev": np.searchsorted(keys, heads[order] * base + tails[order]),
         "indptr": np.searchsorted(tails[order], np.arange(base), side="right"),
         "senders": senders, "receivers": receivers,
-        "holder_indptr": np.searchsorted(senders, np.arange(base), side="right"),
         "masking": np.argsort(receivers, kind="stable"),
     }
 
@@ -139,10 +137,6 @@ def test_csr_layouts_match_sort_based_definitions():
         senders, receivers = share_pairs(g)
         assert senders.tolist() == want["senders"].tolist()
         assert receivers.tolist() == want["receivers"].tolist()
-        indptr, slot, points = holder_sets(g)
-        assert indptr.tolist() == want["holder_indptr"].tolist()
-        assert slot.tolist() == (want["receivers"] - 1).tolist()
-        assert points.tolist() == list(range(1, g.n_nodes + 1))
         assert receiver_order(g).tolist() == want["masking"].tolist()
 
 
