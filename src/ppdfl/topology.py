@@ -14,7 +14,6 @@ weights, share pairs and connectivity all derive from them with numpy.
 
 from __future__ import annotations
 
-import heapq
 import json
 import numbers
 from itertools import chain
@@ -303,19 +302,33 @@ def second_largest_eigenvalue(a: np.ndarray) -> float:
 
 def _prufer_tree(n: int, rng: np.random.Generator) -> np.ndarray:
     """A uniform random labeled spanning tree on 1..n, decoded from a
-    uniform Pruefer sequence: one (i, j) row per edge, i < j."""
+    uniform Pruefer sequence: one (i, j) row per edge, i < j.
+
+    The linear decode (Caminiti, Finocchi & Petreschi, "On coding labeled
+    trees", 2007). count[v] is node v's degree among the nodes not yet
+    joined, and step k joins the smallest leaf to seq[k]. A scan pointer
+    starts at the smallest leaf and only moves up. When seq[k] falls to
+    degree one below the pointer, it is the next smallest leaf; otherwise
+    the pointer moves on to the next id of degree one. Each id is scanned
+    once, so the decode is O(n). The last edge joins the final leaf to n,
+    which is never the smaller of two leaves.
+    """
     seq = rng.integers(1, n + 1, size=n - 2)
-    degree = (np.bincount(seq, minlength=n + 1) + 1).tolist()
-    leaves = [i for i in range(1, n + 1) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
+    count = (np.bincount(seq, minlength=n + 1) + 1).tolist()
+    count[0] = 0
+    ptr = leaf = count.index(1)
+    leaves = []
     for x in seq.tolist():
-        edges.append((heapq.heappop(leaves), x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return np.sort(np.array(edges, dtype=np.int64), axis=1)
+        leaves.append(leaf)
+        count[x] -= 1
+        if count[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr = leaf = count.index(1, ptr + 1)
+    leaves.append(leaf)
+    leaves = np.array(leaves, dtype=np.int64)
+    joined = np.append(seq, n)
+    return np.stack([np.minimum(leaves, joined), np.maximum(leaves, joined)], axis=1)
 
 
 def _distinct_draws(
@@ -326,16 +339,20 @@ def _distinct_draws(
 
     They are the first k distinct values, in draw order, of a stream of
     uniform draws from 0..m-1 with the excluded values dropped. The stream
-    is drawn in batches; a stable sort finds each value's first draw.
+    is drawn in batches, each appended to the values already kept. One
+    sort of a batch groups equal values; the smallest position in a group
+    is that value's first draw, so the sort need not be stable. One
+    searchsorted over the distinct values alone drops the excluded ones.
     """
     got = np.empty(0, dtype=np.int64)
     while len(got) < k:
-        draws = rng.integers(0, m, size=2 * (k - len(got)) + 16)
-        hit = excluded[np.minimum(np.searchsorted(excluded, draws), len(excluded) - 1)]
-        got = np.concatenate([got, draws[hit != draws]])
-        order = np.argsort(got, kind="stable")
-        first = order[np.diff(got[order], prepend=-1) != 0]
-        got = got[np.sort(first)[:k]]
+        draws = np.concatenate([got, rng.integers(0, m, size=2 * (k - len(got)) + 16)])
+        order = np.argsort(draws)
+        ranked = draws[order]
+        first = np.flatnonzero(np.diff(ranked, prepend=-1))
+        order, values = np.minimum.reduceat(order, first), ranked[first]
+        hit = excluded[np.minimum(np.searchsorted(excluded, values), len(excluded) - 1)]
+        got = draws[np.sort(order[hit != values])[:k]]
     return got
 
 
@@ -362,6 +379,8 @@ def _random_connected_edges(
         keep = np.ones(pairs, dtype=bool)
         keep[tree_index] = keep[index] = False
         index = np.flatnonzero(keep)
+    else:
+        index = np.sort(index)  # sorted needles search several times faster
     row = np.searchsorted(starts, index, side="right") - 1
     extra = np.stack([row + 1, index - starts[row] + row + 2], axis=1)
     return np.concatenate([tree, extra])

@@ -12,10 +12,18 @@ tests import those oracles from here.
 Seeded random graphs are checked against their law: a uniform spanning
 tree plus uniformly chosen extra pairs gives each connected graph G with
 the target edge count probability proportional to its spanning-tree count.
+Their two parts are checked against oracles too: the linear Pruefer decode
+against the textbook heap decode, and the one-sort distinct draw against
+a set-based loop over the same stream. Digests pin the seeded graphs of
+three schedules, so any change to the generator's output shows.
 """
 
+import hashlib
+import heapq
 import itertools
+import json
 import math
+import pathlib
 import random
 import tracemalloc
 from collections import deque
@@ -24,9 +32,13 @@ import numpy as np
 import pytest
 
 from ppdfl.privacy import AdversarySet, perfect_secrecy, surrounded_components
+from ppdfl.protocol import ProtocolConfig
 from ppdfl.topology import (
     BadParameters,
     RoundTopology,
+    TopologySchedule,
+    _distinct_draws,
+    _prufer_tree,
     _random_connected_edges,
     component_labels,
     generate_topology,
@@ -324,6 +336,135 @@ def test_random_connected_properties():
     for seed in (0, 5):
         got = _random_connected_edges(2, np.random.default_rng(seed), 1)
         assert got.tolist() == [[1, 2]]
+
+
+def heap_prufer_tree(n, seq):
+    """The textbook decode: a heap of the current leaves, and each step
+    joins the smallest of them to the next entry of seq."""
+    degree = [0] + [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [i for i in range(1, n + 1) if degree[i] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        edges.append((heapq.heappop(leaves), x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return normalized(edges)
+
+
+class FixedSequence:
+    """Stands in for the Generator: its one draw is the given sequence."""
+
+    def __init__(self, n, seq):
+        self.n, self.seq = n, seq
+
+    def integers(self, low, high, size):
+        assert (low, high, size) == (1, self.n + 1, self.n - 2)
+        return np.array(self.seq, dtype=np.int64)
+
+
+def test_prufer_decode_matches_heap_oracle_on_every_sequence_to_7_nodes():
+    count = 0
+    for n in range(2, 8):
+        for seq in itertools.product(range(1, n + 1), repeat=n - 2):
+            tree = _prufer_tree(n, FixedSequence(n, seq))
+            assert (tree[:, 0] < tree[:, 1]).all()
+            assert normalized(tree.tolist()) == heap_prufer_tree(n, seq)
+            count += 1
+    assert count == sum(n ** (n - 2) for n in range(2, 8))  # Cayley: 18 248
+
+
+@pytest.mark.parametrize("n", [100, 1000, 10_000])
+def test_prufer_decode_matches_heap_oracle_on_random_sequences(n):
+    for seed in range(3):
+        seq = np.random.default_rng(seed).integers(1, n + 1, size=n - 2).tolist()
+        rng = np.random.default_rng(seed)
+        tree = _prufer_tree(n, rng)
+        assert normalized(tree.tolist()) == heap_prufer_tree(n, seq)
+        # One draw of n - 2 ids, as the oracle made.
+        twin = np.random.default_rng(seed)
+        twin.integers(1, n + 1, size=n - 2)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def reference_distinct_draws(rng, m, excluded, k):
+    """(the first k distinct values outside excluded in draw order, the
+    number of batches): batches of 2 * (k - found) + 16 draws, scanned one
+    value at a time."""
+    excluded, got, batches = set(excluded.tolist()), [], 0
+    while len(got) < k:
+        batches += 1
+        for v in rng.integers(0, m, size=2 * (k - len(got)) + 16).tolist():
+            if v not in excluded and v not in got and len(got) < k:
+                got.append(v)
+    return got, batches
+
+
+def distinct_draw_cases():
+    """(m, excluded, k): the draw and the leave-out mode of
+    _random_connected_edges, from tree pairs of random graphs, and small
+    ranges drawn empty, which take several batches."""
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(3, 40)
+        pairs = n * (n - 1) // 2
+        excluded = np.array(sorted(rng.sample(range(pairs), n - 1)), dtype=np.int64)
+        free = pairs - (n - 1)
+        need = rng.randint(0, free)
+        yield pairs, excluded, free - need if 2 * need > free else need
+    for m in (3, 10, 40, 200):
+        for _ in range(10):
+            excluded = np.array(sorted(rng.sample(range(m), rng.randint(1, m - 1))))
+            yield m, excluded, m - len(excluded)
+
+
+def test_distinct_draws_match_reference():
+    several_batches = 0
+    for seed, (m, excluded, k) in enumerate(distinct_draw_cases()):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _distinct_draws(rng, m, excluded, k)
+        want, batches = reference_distinct_draws(twin, m, excluded, k)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert rng.bit_generator.state == twin.bit_generator.state
+        several_batches += batches > 1
+    assert several_batches >= 10
+
+
+def schedule_digest(graphs):
+    h = hashlib.sha256()
+    for g in graphs:
+        for a in (g.src, g.dst):
+            h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+def pinned_graphs(name):
+    if name == "sparse_1k":
+        schedule = TopologySchedule.generated("random_connected", 1000, seed=11, avg_degree=4.0)
+        return schedule.materialize(4)
+    if name == "large_random":
+        config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "large_random.json"
+        cfg = ProtocolConfig.from_dict(json.loads(config.read_text()))
+        return cfg.schedule.materialize(cfg.rounds)
+    return [generate_topology("random_connected", 10_000, seed=0, avg_degree=4)]
+
+
+# sha256 of every round's src then dst, as little-endian int64, taken from
+# the heap decoder: seeded graphs may not change within a version.
+PINNED = {
+    "sparse_1k": "c7366001f49c789ec8acdc597bf2bc0f1d54aaf90525586675dd2d022ec890f8",
+    "large_random": "9410a67d89bccd0d255c68db1808a52f15cb76972c1dd2538e67e649d05fce58",
+    "random_10k": "c01e819c9409b281905038f5d732d54447e38be4d66a5cd25470ed9a26883241",
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_seeded_schedules_are_pinned(name):
+    assert schedule_digest(pinned_graphs(name)) == PINNED[name]
 
 
 def spanning_tree_count(n, edges):
