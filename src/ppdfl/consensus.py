@@ -5,20 +5,26 @@ s(k+1) = A s(k); with a symmetric doubly stochastic A every step preserves
 the column sums and contracts the spread toward the mean by the factor
 lambda2 = rho(A - (1/N) 11^T) per step.
 
-A is applied as an edge list, never as an N x N array: every learner
-mixes its own state with those its neighbours send, so one step costs
-O((N + 2|E|) n). Learner i's new state is the sum of its terms a_ij s_j,
-its neighbours in edge-list order, and then a_ii s_i. The step is laid
-out slot-major: learners are ordered by degree, highest first, and slot k
-holds every learner's k-th term, so slot k covers a prefix of the
-learners, and each run of slots over the same prefix is summed by one or
-a few numpy calls, slot after slot. Every sum is thus formed in the order
-a scatter-add over the edge list forms it.
+Learner i's new state is the sum of its terms a_ij s_j, its neighbours in
+id order, and then a_ii s_i: every sum is formed in the order a
+scatter-add over the edge list forms it, on either of two layouts of A,
+chosen from N and |E| when the operator is built.
 
-K is a closed form in lambda2, N and p alone (min_iterations); the dense
-matrix serves only the eigensolve that gives lambda2, in the round
-driver. The steps run in floats; their rounding error is not budgeted
-into K but measured at run time by the round driver.
+A sparse graph runs on an edge-list plan, never on an N x N array, so one
+step costs O((N + 2|E|) n). The plan is slot-major: learners are ordered
+by degree, highest first, and slot k holds every learner's k-th term, so
+slot k covers a prefix of the learners, and each run of slots over the
+same prefix is summed by one or a few numpy calls, slot after slot.
+
+A dense graph, one with 2|E| >= _DENSE_FILL * N^2 arcs, runs on the N x N
+off-diagonal matrix instead: one broadcast multiply and one reduction over
+the senders per step, O(N^2 n). Its zero entries add exact zeros, so the
+floats are those of the edge list.
+
+K is a closed form in lambda2, N and p alone (min_iterations); the round
+driver's one eigensolve gives lambda2. The steps run in floats; their
+rounding error is not budgeted into K but measured at run time by the
+round driver.
 """
 
 from __future__ import annotations
@@ -35,10 +41,17 @@ from .topology import DisconnectedGraph, RoundTopology, is_connected, mh_edge_we
 # min_iterations.
 UNIT_ROUNDOFF = 2.0**-53
 EIG_SLACK = 8
-# Arc entries per averaging step of one column block: its gathered terms
-# and their weights stay near 512 KB each, cache-sized however wide the
-# states.
+# Products per averaging step of one column block: a block's gathered terms
+# and their weights, or its dense products, stay near 512 KB each,
+# cache-sized however wide the states.
 _BLOCK_ENTRIES = 2**16
+# Fill, arcs per N^2, from which a graph averages on the dense plan. The
+# dense step does N^2 products a column where the slot step does
+# N + 2|E|, but without a gather or a call per distinct degree. At n=3 it
+# breaks even with the slot step near fill 0.5-0.6 for N=24 to 300, and is
+# 30% faster at fill 0.87, N=100; at n=16 it breaks even near fill 0.9 at
+# N=100 and 0.6 at N=300, and loses at N <= 40 (numpy 2.4).
+_DENSE_FILL = 0.75
 # Entries per slot below which a run of slots is summed by np.add.accumulate
 # rather than np.add.reduce: the reduction pays a fixed cost per slot, the
 # accumulation writes every partial sum. They cost the same near 6 entries
@@ -54,17 +67,23 @@ class NoFiniteK(ValueError):
 class AveragingOperator:
     """The Metropolis-Hastings matrix of one round as flat edge arrays.
 
-    rows and cols (0-based) hold both directions of every edge, weights the
-    off-diagonal entries a_ij and diag the entries a_ii: the same floats
-    topology.mh_weights places in the dense matrix.
+    rows and cols (0-based) hold both directions of every edge, sorted by
+    (row, col), weights the off-diagonal entries a_ij and diag the entries
+    a_ii: the same floats topology.mh_weights places in the dense matrix.
 
-    The constructor derives the step plan from them once, as read-only
-    arrays. A step treats a_ii s_i as learner i's last term, after its arcs
-    in rows order: its closed neighbourhood has deg_i + 1 slots. perm lists
-    the learners by degree, highest first (ties by index); position r of a
-    step's state is learner perm[r]. slot_cols and slot_weights hold the
-    terms slot-major: slot k holds the k-th term of each learner, its
-    sender's position and its weight, for the positions 0..c_k-1 whose
+    The constructor derives one step plan from them, as read-only arrays:
+    the dense one if the graph has at least _DENSE_FILL * N^2 arcs, else
+    the slot one; the other plan's fields are None.
+
+    Dense plan: off is the (N, N) matrix with off[j, i] = a_ij, the weight
+    learner i gives sender j, and zeros on the diagonal.
+
+    Slot plan: a step treats a_ii s_i as learner i's last term, after its
+    arcs in rows order: its closed neighbourhood has deg_i + 1 slots. perm
+    lists the learners by degree, highest first (ties by index); position
+    r of a step's state is learner perm[r]. slot_cols and slot_weights
+    hold the terms slot-major: slot k holds the k-th term of each learner,
+    its sender's position and its weight, for the positions 0..c_k-1 whose
     learners have more than k terms. ranges splits the slots into runs
     with the same c_k, one (first entry, slots, c_k) per distinct degree,
     lowest first; the first run covers all N learners.
@@ -74,13 +93,21 @@ class AveragingOperator:
     cols: np.ndarray
     weights: np.ndarray
     diag: np.ndarray
-    perm: np.ndarray = field(init=False, repr=False)
-    slot_cols: np.ndarray = field(init=False, repr=False)
-    slot_weights: np.ndarray = field(init=False, repr=False)
-    ranges: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+    off: np.ndarray | None = field(init=False, repr=False, default=None)
+    perm: np.ndarray | None = field(init=False, repr=False, default=None)
+    slot_cols: np.ndarray | None = field(init=False, repr=False, default=None)
+    slot_weights: np.ndarray | None = field(init=False, repr=False, default=None)
+    ranges: tuple[tuple[int, int, int], ...] | None = field(
+        init=False, repr=False, default=None)
 
     def __post_init__(self):
         n = self.diag.shape[0]
+        if self.rows.size >= _DENSE_FILL * n * n:
+            off = np.zeros((n, n))
+            off[self.cols, self.rows] = self.weights
+            off.setflags(write=False)
+            object.__setattr__(self, "off", off)
+            return
         deg = np.bincount(self.rows, minlength=n)
         perm = np.argsort(-deg, kind="stable")
         pos = np.empty_like(perm)
@@ -141,16 +168,21 @@ def consensus_final(
 
     In one step every learner i sends s_i(k) to its neighbours and forms
     s_i(k+1) = ((0 + a_ij1 s_j1(k)) + a_ij2 s_j2(k)) + ... + a_ii s_i(k),
-    its neighbours j1, j2, ... in the order op.rows lists its arcs. That is
-    the order of a gather, an np.bincount scatter-add and an added own
-    term, so the floats are the same as that step's. The step runs on
-    op's slot-major plan: one gather of every term's sender, one multiply
-    by the weights, one sum over the first run of slots, which every
-    learner has, and one to three calls per further run, one run per
-    distinct degree, however large the largest degree. All K steps run:
-    the intermediate states are the protocol's messages. If frames, a
-    (K+1, N, n) array, is given, s(k) is written to frames[k] for
-    k = 0..K.
+    its neighbours j1 < j2 < ... in id order, the order op.rows lists its
+    arcs. That is the order of a gather, an np.bincount scatter-add and an
+    added own term, so the floats are the same as that step's.
+
+    On op's dense plan a step is one broadcast multiply of every sender's
+    state by its column of weights, one reduction over the senders in id
+    order, which starts at +0.0 and adds exact zeros for non-neighbours,
+    and the own terms. On the slot plan it is one gather of every term's
+    sender, one multiply by the weights, one sum over the first run of
+    slots, which every learner has, and one to three calls per further
+    run, one run per distinct degree, however large the largest degree.
+
+    All K steps run: the intermediate states are the protocol's messages.
+    If frames, a (K+1, N, n) array, is given, s(k) is written to frames[k]
+    for k = 0..K. initial is never written to.
     """
     if iterations < 0:
         raise ValueError("iteration count must be non-negative")
@@ -166,26 +198,63 @@ def consensus_final(
                 f"frames are {frames.shape}, expected {(iterations + 1, n_nodes, dim)}"
             )
     # Columns average independently, so wide states run in blocks of columns
-    # whose steps gather at most _BLOCK_ENTRIES arc entries, and the own
-    # terms.
-    blocks = max(1, -(-len(op.rows) * dim // _BLOCK_ENTRIES))
+    # whose steps hold at most _BLOCK_ENTRIES products, N^2 a column on the
+    # dense plan and one per arc on the slot plan, unless one column needs
+    # more.
+    if op.off is not None:
+        steps, per_column = _dense_steps, n_nodes * n_nodes
+    else:
+        steps, per_column = _slot_steps, len(op.rows)
+    blocks = max(1, -(-per_column * dim // _BLOCK_ENTRIES))
     width = max(1, -(-dim // blocks))
     final = np.empty_like(state)
     for a in range(0, dim, width):
         cols = slice(a, a + width)
         block_frames = None if frames is None else frames[:, :, cols]
-        final[op.perm, cols] = _steps(state[:, cols], op, iterations, block_frames)
+        steps(state[:, cols], op, iterations, block_frames, final[:, cols])
     return final
 
 
-def _steps(
+def _dense_steps(
     state: np.ndarray,
     op: AveragingOperator,
     iterations: int,
     frames: np.ndarray | None,
-) -> np.ndarray:
-    """The K steps of consensus_final on validated states and frames; the
-    final state comes back in op.perm's position order."""
+    out: np.ndarray,
+) -> None:
+    """The K steps of consensus_final on op's dense plan, for validated
+    states and frames; the final state is written to out."""
+    if frames is not None:
+        frames[0] = state
+    # Coordinate-major, cur[c, j] is sender j's coordinate c; a copy even
+    # when state.T is contiguous, so the steps never write to initial.
+    cur = state.T.copy()
+    nxt = np.empty_like(cur)
+    own = np.empty_like(cur)
+    prod = np.empty((cur.shape[0], *op.off.shape))
+    off = op.off[None]
+    for k in range(1, iterations + 1):
+        # prod[c, j, i] = a_ij s_j; reducing over j, an outer axis, adds
+        # whole rows of senders in id order.
+        np.multiply(off, cur[:, :, None], out=prod)
+        np.add.reduce(prod, axis=1, out=nxt, initial=0.0)
+        np.multiply(op.diag, cur, out=own)
+        nxt += own
+        cur, nxt = nxt, cur
+        if frames is not None:
+            frames[k] = cur.T
+    out[:] = cur.T
+
+
+def _slot_steps(
+    state: np.ndarray,
+    op: AveragingOperator,
+    iterations: int,
+    frames: np.ndarray | None,
+    out: np.ndarray,
+) -> None:
+    """The K steps of consensus_final on op's slot plan, for validated
+    states and frames; the final state is written to out."""
     width = state.shape[1]
     if frames is not None:
         frames[0] = state
@@ -241,7 +310,7 @@ def _steps(
         sums, next_sums = next_sums, sums
         if frames is not None:
             frames[k][op.perm] = state
-    return state
+    out[op.perm] = state
 
 
 def averaging_error_norm(a: np.ndarray, k: int) -> float:

@@ -61,7 +61,6 @@ from .topology import (
     DisconnectedGraph,
     RoundTopology,
     TopologySchedule,
-    _pair_rows,
     check_generator,
     is_connected,
     mh_edge_weights,
@@ -341,8 +340,6 @@ def execute_round(
         )
     if g.n_nodes != n_learners:
         raise ValueError("graph size does not match learner count")
-    if not is_connected(g):
-        raise DisconnectedGraph(f"round {round_index} graph is disconnected")
     over = ~(np.abs(arr) <= cfg.theta_max)  # NaN is over too
     if np.any(over):
         i, l = np.argwhere(over)[0]
@@ -354,8 +351,13 @@ def execute_round(
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     edge_weights = mh_edge_weights(g)
-    # The round's one eigensolve, and the only use of the dense matrix.
-    lam2 = second_largest_eigenvalue(mh_weights(g, edge_weights))
+    # The round's one eigensolve; mh_weights makes the round's one
+    # connectivity check.
+    try:
+        a = mh_weights(g, edge_weights)
+    except DisconnectedGraph:
+        raise DisconnectedGraph(f"round {round_index} graph is disconnected") from None
+    lam2 = second_largest_eigenvalue(a)
     k_used = _resolve_iterations(cfg, lam2)
     op = AveragingOperator(*edge_weights)
     timings["weights"] = time.perf_counter() - t0
@@ -380,7 +382,7 @@ def execute_round(
     encoded = scaled % p
     key = derive_rng(cfg.seed, "shares", round_index).bit_generator.random_raw(2)
     drawn = _share_streams(key, np.diff(g.indptr), cfg.model_dim, p)
-    bundles = _generate_share_values(encoded, drawn, g.indptr, _pair_rows(g)[1], p)
+    bundles = _generate_share_values(encoded, drawn, g.indptr, g.pair_rows[1], p)
     del drawn  # not held through averaging
     timings["shares"] = time.perf_counter() - t0
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -123,6 +124,24 @@ class RoundTopology:
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))
 
+    @cached_property
+    def pair_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(arc_row, own_row): the rows of share_pairs(g) that arc k and
+        learner i's own pair (i, i) take, arc_row[k] and own_row[i-1];
+        read-only, laid out on first use.
+
+        Learner i's pairs follow those of the learners before it, one more
+        row each than their arcs, and list its closed neighbourhood in id
+        order: its backward arcs, then its own pair, at the count of its
+        smaller neighbours, then its forward arcs."""
+        tail, head, n = self.arc_tail, self.arc_head, self.n_nodes
+        arc_row = np.arange(len(head)) + tail - 1 + (head > tail)
+        below = np.bincount(self.dst, minlength=n + 1)[1:]
+        own_row = self.indptr[:-1] + np.arange(n) + below
+        arc_row.setflags(write=False)
+        own_row.setflags(write=False)
+        return arc_row, own_row
+
 
 def _pair_array(edges: list) -> np.ndarray | None:
     """np.array(edges), an empty (0, 2) int64 array if there are none, or
@@ -206,30 +225,16 @@ def mh_edge_weights(
     return rows, g.arc_head - 1, weights, diag
 
 
-def _pair_rows(g: RoundTopology) -> tuple[np.ndarray, np.ndarray]:
-    """(arc_row, own_row): the rows of share_pairs(g) that arc k and learner
-    i's own pair (i, i) take, arc_row[k] and own_row[i-1].
-
-    Learner i's pairs follow those of the learners before it, one more row
-    each than their arcs, and list its closed neighbourhood in id order:
-    its backward arcs, then its own pair, at the count of its smaller
-    neighbours, then its forward arcs."""
-    ids = np.arange(g.n_nodes)
-    arc_row = np.arange(len(g.arc_head)) + g.arc_tail - 1 + (g.arc_head > g.arc_tail)
-    own_row = g.indptr[:-1] + ids + np.bincount(g.dst, minlength=g.n_nodes + 1)[1:]
-    return arc_row, own_row
-
-
 def share_pairs(g: RoundTopology) -> tuple[np.ndarray, np.ndarray]:
     """(senders, receivers) of the round's share bundles, 1-based int64.
 
     Every learner sends one bundle to each member of its closed
     neighbourhood, so there are N + 2|E| pairs, sorted by (sender,
     receiver): the arcs and the self pairs (i, i), scattered to their rows
-    (see _pair_rows). Row e of a round's share table is the bundle of pair
-    e.
+    (see RoundTopology.pair_rows). Row e of a round's share table is the
+    bundle of pair e.
     """
-    arc_row, own_row = _pair_rows(g)
+    arc_row, own_row = g.pair_rows
     ids = np.arange(1, g.n_nodes + 1)
     receivers = np.empty(len(arc_row) + g.n_nodes, dtype=np.int64)
     receivers[arc_row], receivers[own_row] = g.arc_head, ids
@@ -241,14 +246,15 @@ def receiver_order(g: RoundTopology) -> np.ndarray:
     the row of the pair that reverses pair e. Learner i's entries thus sit
     where its own bundles do, and list the rows of the bundles it receives,
     from its closed neighbourhood in id order."""
-    arc_row, own_row = _pair_rows(g)
+    arc_row, own_row = g.pair_rows
     order = np.empty(len(arc_row) + g.n_nodes, dtype=np.int64)
     order[arc_row], order[own_row] = arc_row[g.arc_rev], own_row
     return order
 
 
 def mh_weights(g: RoundTopology, edge_weights: tuple | None = None) -> np.ndarray:
-    """Symmetric doubly stochastic weight matrix for a connected graph.
+    """Symmetric doubly stochastic weight matrix for a connected graph;
+    DisconnectedGraph for any other.
 
     The dense form of mh_edge_weights(g), passed as ``edge_weights`` when
     the caller already holds it: the diagonal is the row residual 1 - sum

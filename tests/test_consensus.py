@@ -87,31 +87,123 @@ def hub_and_line(hub_degree, line_length):
     return RoundTopology(n, spokes + line)
 
 
+def filled_graph(n, arcs, seed=0):
+    # A connected random graph on n learners with exactly `arcs` arcs.
+    g = generate_topology("random_connected", n, seed=seed, avg_degree=arcs / n)
+    assert 2 * len(g.src) == arcs
+    return g
+
+
+def fill_graphs():
+    # Graphs with one edge fewer than the dense plan needs, exactly as
+    # many, and one more.
+    for n in (12, 40, 100):
+        at = math.ceil(consensus._DENSE_FILL * n * n / 2) * 2
+        yield from (filled_graph(n, at + d, seed=n) for d in (-2, 0, 2))
+
+
 def bit_exact_graphs():
     yield from differential_graphs()
     yield generate_topology("star", 1000)
     yield generate_topology("complete", 60)
     yield generate_topology("line", 2)
     yield hub_and_line(40, 30)
+    yield from fill_graphs()
 
 
-def test_slot_major_steps_match_bincount_steps_bit_for_bit(monkeypatch):
+def uses_dense_plan(g):
+    return 2 * len(g.src) >= consensus._DENSE_FILL * g.n_nodes**2
+
+
+def test_operator_picks_its_plan_from_the_fill():
+    for g in bit_exact_graphs():
+        op = AveragingOperator.from_graph(g)
+        dense = uses_dense_plan(g)
+        assert (op.off is not None) == dense, (g.n_nodes, len(g.src))
+        slot_plan = (op.perm, op.slot_cols, op.slot_weights, op.ranges)
+        assert all((part is None) == dense for part in slot_plan)
+    # Around the selection: below, at and above it.
+    assert [uses_dense_plan(g) for g in fill_graphs()] == [False, True, True] * 3
+    # The reference config's graphs (N=100, degree 87) are dense; the
+    # sparse and spread-out shapes, and the sweeps of acceptance
+    # criterion 8 (N=24 and N=40, degree 8), are not.
+    assert uses_dense_plan(generate_topology("random_connected", 100, seed=7, avg_degree=87))
+    for g in (generate_topology("random_connected", 1000, seed=11, avg_degree=4),
+              generate_topology("random_connected", 24, seed=1, avg_degree=8),
+              generate_topology("random_connected", 40, seed=1, avg_degree=8),
+              generate_topology("star", 100), generate_topology("line", 100)):
+        assert not uses_dense_plan(g), (g.n_nodes, len(g.src))
+
+
+def test_both_plans_match_bincount_steps_bit_for_bit(monkeypatch):
     # Values over 16 decades, so any other summation order shows in the
     # last bits; the star with one coordinate is where a reduction over
     # its hub's slots would turn pairwise. Columns average independently:
-    # blocks of columns, of uneven widths too, give the same floats.
+    # blocks of columns, of uneven widths and of one column too, give the
+    # same floats.
     rng = np.random.default_rng(8)
     for g in bit_exact_graphs():
         op = AveragingOperator.from_graph(g)
+        per_column = g.n_nodes**2 if op.off is not None else max(1, op.rows.size)
         for dim in (1, 3, 16, 37):
             init = rng.uniform(0, 1, (g.n_nodes, dim)) * 10.0 ** rng.integers(-8, 8, (g.n_nodes, dim))
             expected, expected_frames = bincount_steps(init, op, 5)
-            for block in (2**62, consensus._BLOCK_ENTRIES, max(1, op.rows.size) * 5):
+            for block in (2**62, consensus._BLOCK_ENTRIES, per_column * 5, 1):
                 monkeypatch.setattr(consensus, "_BLOCK_ENTRIES", block)
                 frames = np.empty((6, g.n_nodes, dim))
                 final = consensus_final(init, op, 5, frames)
                 assert np.array_equal(final, expected), (g.n_nodes, dim, block)
                 assert np.array_equal(frames, expected_frames), (g.n_nodes, dim, block)
+
+
+def test_signed_states_match_bincount_steps_bit_for_bit():
+    # Negative states make 0 * s = -0.0 for every non-neighbour on the
+    # dense plan; sums that start at +0.0 absorb them. A learner whose
+    # neighbours all send zeros gets +0.0 + a_ii s_i, as the scatter-add.
+    rng = np.random.default_rng(10)
+    for g in (generate_topology("complete", 30), filled_graph(40, 1200, seed=3),
+              hub_and_line(12, 20)):
+        op = AveragingOperator.from_graph(g)
+        init = rng.uniform(-1, 1, (g.n_nodes, 4)) * 10.0 ** rng.integers(-8, 8, (g.n_nodes, 4))
+        init[:, 1] = -0.0
+        init[::2, 2] = 0.0
+        expected, expected_frames = bincount_steps(init, op, 4)
+        frames = np.empty((5, g.n_nodes, 4))
+        final = consensus_final(init, op, 4, frames)
+        assert np.array_equal(np.signbit(final), np.signbit(expected))
+        assert np.array_equal(final, expected)
+        assert np.array_equal(frames, expected_frames)
+
+
+def test_plans_follow_the_edge_list_not_symmetry():
+    # Each arc gets a weight of its own, so a_ij != a_ji: a plan that
+    # took a transpose of a symmetric matrix would sum the wrong terms.
+    rng = np.random.default_rng(13)
+    for g in (generate_topology("complete", 20), filled_graph(40, 1200, seed=5),
+              hub_and_line(12, 20)):
+        rows, cols, _, _ = mh_edge_weights(g)
+        op = AveragingOperator(rows, cols, rng.uniform(0, 1, rows.size), rng.uniform(0, 1, g.n_nodes))
+        init = rng.uniform(0, 1, (g.n_nodes, 3))
+        assert np.array_equal(consensus_final(init, op, 3), bincount_steps(init, op, 3)[0])
+
+
+def test_initial_states_are_never_written(monkeypatch):
+    # A one-column state is (N,) or a view of its caller's (N, 1) array;
+    # neither may serve as a step buffer, on either plan or block layout.
+    rng = np.random.default_rng(11)
+    for g in (generate_topology("complete", 20), hub_and_line(12, 20)):
+        op = AveragingOperator.from_graph(g)
+        for shape in ((g.n_nodes,), (g.n_nodes, 1), (g.n_nodes, 5)):
+            for block in (2**62, 1):
+                monkeypatch.setattr(consensus, "_BLOCK_ENTRIES", block)
+                init = rng.uniform(0, 1000, shape)
+                kept = init.copy()
+                final = consensus_final(init, op, 3)
+                assert np.array_equal(init, kept), (g.n_nodes, shape, block)
+                consensus_final(np.asfortranarray(init), op, 3, np.empty((4, g.n_nodes, final.shape[1])))
+                assert np.array_equal(init, kept), (g.n_nodes, shape, block)
+                init.setflags(write=False)
+                assert np.array_equal(consensus_final(init, op, 3), final)
 
 
 def test_lone_learner_keeps_its_state():
@@ -132,6 +224,7 @@ def test_step_plan_is_built_once_and_read_only(monkeypatch):
         with pytest.raises(ValueError):
             arr[0] = arr[1]
     assert isinstance(ranges, tuple)
+    assert op.off is None
 
     def no_sorting(*args, **kwargs):
         raise AssertionError("consensus_final rebuilt the step plan")
@@ -147,6 +240,35 @@ def test_step_plan_is_built_once_and_read_only(monkeypatch):
     assert all(a is b for a, b in zip([op.perm, op.slot_cols, op.slot_weights], plan))
     assert all(np.array_equal(a, b) for a, b in zip(plan, kept))
     assert op.ranges is ranges
+
+
+def test_dense_plan_is_built_once_and_read_only(monkeypatch):
+    op = AveragingOperator(*mh_edge_weights(filled_graph(40, 1200, seed=4)))
+    off = op.off
+    kept = off.copy()
+    assert off.shape == (40, 40) and not off.flags.writeable
+    with pytest.raises(ValueError):
+        off[0, 1] = 0.5
+    # off[j, i] = a_ij, from the edge list alone: no transpose of a
+    # symmetric matrix is taken.
+    want = np.zeros((40, 40))
+    want[op.cols, op.rows] = op.weights
+    assert np.array_equal(off, want)
+    assert (op.perm, op.slot_cols, op.slot_weights, op.ranges) == (None,) * 4
+
+    def no_building(*args, **kwargs):
+        raise AssertionError("consensus_final rebuilt the step plan")
+
+    rng = np.random.default_rng(12)
+    inits = [rng.uniform(0, 100, (op.n_nodes, dim)) for dim in (1, 2, 5, 9)]
+    monkeypatch.setattr(consensus.np, "zeros", no_building)
+    monkeypatch.setattr(consensus.np, "argsort", no_building)
+    monkeypatch.setattr(consensus, "_BLOCK_ENTRIES", 40 * 40 * 2)
+    for init in inits:
+        dim = init.shape[1]
+        consensus_final(init, op, 4)
+        consensus_final(init, op, 2, np.empty((3, op.n_nodes, dim)))
+    assert op.off is off and np.array_equal(off, kept)
 
 
 def test_operator_holds_the_dense_matrix_floats():

@@ -28,7 +28,6 @@ from ppdfl.sharing import _generate_share_values, _share_streams
 from ppdfl.topology import (
     RoundTopology,
     TopologySchedule,
-    _pair_rows,
     generate_topology,
     is_connected,
     share_pairs,
@@ -391,7 +390,7 @@ def test_worst_case_audit_at_10k_learners_in_bounded_memory():
     rng = np.random.default_rng(3)
     secrets = rng.integers(0, p, size=(n, dim), dtype=np.int64)
     drawn = _share_streams(rng.bit_generator.random_raw(2), np.diff(g.indptr), dim, p)
-    bundles = _generate_share_values(secrets, drawn, g.indptr, _pair_rows(g)[1], p)
+    bundles = _generate_share_values(secrets, drawn, g.indptr, g.pair_rows[1], p)
     record = SimpleNamespace(
         round_index=1,
         topology=g,

@@ -12,7 +12,7 @@ import pytest
 from test_topology import hub_and_path
 
 from ppdfl import protocol as protocol_module
-from ppdfl import sharing
+from ppdfl import sharing, topology
 from ppdfl.consensus import AveragingOperator, consensus_final
 from ppdfl.field import next_prime
 from ppdfl.fixedpoint import Precision, scaled_trunc
@@ -35,7 +35,6 @@ from ppdfl.topology import (
     DisconnectedGraph,
     RoundTopology,
     TopologySchedule,
-    _pair_rows,
     generate_topology,
     share_pairs,
 )
@@ -293,7 +292,7 @@ def test_star_share_phase_allocates_no_hub_width_array():
     tracemalloc.start()
     try:
         drawn = sharing._share_streams(key, degrees, dim, p)
-        bundles = sharing._generate_share_values(secrets, drawn, g.indptr, _pair_rows(g)[1], p)
+        bundles = sharing._generate_share_values(secrets, drawn, g.indptr, g.pair_rows[1], p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -363,8 +362,40 @@ def test_topology_independence_of_result():
 def test_execute_round_rejects_disconnected():
     g = RoundTopology(3, frozenset({(1, 2)}))
     cfg = make_cfg(3, 1, 0, 8.0)
-    with pytest.raises(DisconnectedGraph):
-        execute_round(np.zeros((3, 1)), g, cfg)
+    with pytest.raises(DisconnectedGraph, match="round 4 graph is disconnected"):
+        execute_round(np.zeros((3, 1)), g, cfg, round_index=4)
+
+
+def test_round_checks_connectivity_and_lays_out_pair_rows_once(monkeypatch):
+    g = generate_topology("random_connected", 30, seed=2, avg_degree=6)
+    cfg = make_cfg(30, 2, 2, 3.0, schedule=TopologySchedule.from_graphs([g]))
+    checks, layouts = [], []
+    is_connected, lay_out = topology.is_connected, RoundTopology.pair_rows.func
+    for module in (topology, protocol_module):
+        monkeypatch.setattr(module, "is_connected", lambda h: checks.append(h) or is_connected(h))
+    monkeypatch.setattr(RoundTopology.pair_rows, "func", lambda h: layouts.append(h) or lay_out(h))
+    rec = execute_round(np.zeros((30, 2)), g, cfg)
+    assert checks == [g] and layouts == [g]
+    assert rec.bundles.shape == (30 + 2 * len(g.src), 2)
+
+
+# sha256 of round 1's (K+1, N, n) float64 states of configs/large_random.json
+# (seed 7, N=100, degree 87: the dense averaging plan), as recorded by the
+# edge-list step before the dense plan existed.
+LARGE_RANDOM_ROUND1_FRAMES = "0656b9d7de98182a72f9ca3434310d8015a07a6e55b610f3497a98e73260ce52"
+
+
+def test_large_random_round1_frames_are_pinned():
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "large_random.json"
+    raw = json.loads(path.read_text())
+    raw["rounds"] = 1
+    cfg = ProtocolConfig.from_dict(raw, str(path.parent))
+    record = run_training(cfg, record_trajectory=True).transcript.rounds[0]
+    op = AveragingOperator.from_graph(record.topology)
+    assert op.off is not None
+    frames = record.state_trajectory
+    assert frames.shape == (record.k_used + 1, 100, 3) and frames.dtype == np.float64
+    assert hashlib.sha256(np.ascontiguousarray(frames).tobytes()).hexdigest() == LARGE_RANDOM_ROUND1_FRAMES
 
 
 def test_execute_round_rejects_oversized_model():
