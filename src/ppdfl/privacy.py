@@ -457,7 +457,8 @@ def adversary_infer(
     seats' restriction over the benign learners (_build_view). Either view
     raises TranscriptIncomplete when the round's records contradict its
     aggregate output. A modulus p <= N is refused with ValueError: the
-    answers need N distinct nonzero ids mod p.
+    answers need N distinct nonzero ids mod p. So is a coordinate outside
+    [0, n) for a round's model width n.
     """
     if mode not in ("worst_case", "observed"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -468,6 +469,10 @@ def adversary_infer(
     coords = tuple(coordinates) if coordinates is not None else (0,)
     rounds_out = []
     for record in transcript.rounds:
+        width = record.initial_states.shape[1]
+        outside = [c for c in coords if not 0 <= c < width]
+        if outside:
+            raise ValueError(f"coordinate {outside[0]} is outside the model width {width}")
         decomp = surrounded_components(record.topology, adversaries)
         if mode == "worst_case":
             view = _ComponentView(record, adversaries, p, coords)

@@ -391,6 +391,14 @@ def test_privacy_transcript_meta_without_n_learners_exits_config(tmp_path, capsy
     assert "n_learners" in capsys.readouterr().err
 
 
+def _not_record(line, phase=None, learner=None, t=1):
+    """The reader's refusal of a line that does not stand as the writer
+    writes round t's phase record of learner there (a topology record if
+    phase is None)."""
+    what = f"round {t}'s {phase} record of learner {learner}" if phase else "a topology record"
+    return f"transcript line {line} is not {what} in the writer's layout"
+
+
 def test_privacy_transcript_message_without_round_exits_config(tmp_path, capsys):
     lines = _transcript_lines(tmp_path)
     msg = json.loads(lines[1])
@@ -398,7 +406,7 @@ def test_privacy_transcript_message_without_round_exits_config(tmp_path, capsys)
     path = tmp_path / "no_round.jsonl"
     path.write_text("\n".join([lines[0], json.dumps(msg), *lines[2:]]) + "\n")
     assert main(["privacy", "--transcript", str(path), "--adversary", "1"]) == 2
-    assert "round" in capsys.readouterr().err
+    assert _not_record(2) in capsys.readouterr().err
 
 
 def test_privacy_transcript_line_not_an_object_exits_config(tmp_path, capsys):
@@ -406,27 +414,25 @@ def test_privacy_transcript_line_not_an_object_exits_config(tmp_path, capsys):
     path = tmp_path / "list_line.jsonl"
     path.write_text("\n".join([*lines[:2], "[1, 2]", *lines[2:]]) + "\n")
     assert main(["privacy", "--transcript", str(path), "--adversary", "1"]) == 2
-    assert "transcript line 3 is not a JSON object" in capsys.readouterr().err
+    assert _not_record(3, "shares", 1) in capsys.readouterr().err
 
 
 def test_privacy_transcript_without_state0_exits_config(tmp_path, capsys):
     lines = _transcript_lines(tmp_path)
-    kept = [ln for ln in lines if json.loads(ln).get("phase") != "state0"]
+    msgs = [json.loads(ln) for ln in lines]
+    kept = [ln for ln, m in zip(lines, msgs) if m.get("phase") != "state0"]
     path = tmp_path / "no_state0.jsonl"
     path.write_text("\n".join(kept) + "\n")
     assert main(["privacy", "--transcript", str(path), "--adversary", "1"]) == 2
-    assert "state0" in capsys.readouterr().err
+    first = next(k for k, m in enumerate(msgs, start=1) if m.get("phase") == "state0")
+    assert _not_record(first, "state0", 1) in capsys.readouterr().err
     # One learner's records missing must not read back as zeros.
-    msgs = [json.loads(ln) for ln in lines]
     for phase in ("state0", "result", "audit"):
-        kept = [ln for ln, m in zip(lines, msgs)
-                if (m.get("phase"), m.get("from")) != (phase, 3)]
-        assert len(kept) < len(lines)
+        k = next(k for k, m in enumerate(msgs) if (m.get("phase"), m.get("from")) == (phase, 3))
         path = tmp_path / f"no_{phase}_of_3.jsonl"
-        path.write_text("\n".join(kept) + "\n")
+        path.write_text("\n".join(lines[:k] + lines[k + 1:]) + "\n")
         assert main(["privacy", "--transcript", str(path), "--adversary", "1"]) == 2
-        err = capsys.readouterr().err
-        assert f"round 1 lacks {phase} records of learners 3" in err
+        assert _not_record(k + 1, phase, 3) in capsys.readouterr().err
 
 
 def _demo_messages(tmp_path):
@@ -464,6 +470,11 @@ def _shares_record(msgs, i):
                 if (m.get("round"), m.get("phase"), m.get("from")) == (1, "shares", i))
 
 
+def _line_of(msgs, msg):
+    """The line number of msg in the transcript of msgs."""
+    return next(k for k, m in enumerate(msgs, start=1) if m is msg)
+
+
 def _privacy_error(tmp_path, capsys, msgs, separators=None):
     path = tmp_path / "edited.jsonl"
     path.write_text("".join(json.dumps(m, separators=separators) + "\n" for m in msgs))
@@ -477,12 +488,12 @@ def test_privacy_transcript_without_share_bundle_exits_config(tmp_path, capsys):
     legacy = _per_pair(msgs)
     del legacy[_bundle_index(legacy, 2, 3)]
     err = _privacy_error(tmp_path, capsys, legacy)
-    assert "round 1 lacks share bundle 2->3" in err
+    assert _not_record(3, "shares", 1) in err
     block = _shares_record(msgs, 2)
     k = block["to"].index(3)
     del block["to"][k], block["payload"][k]
     err = _privacy_error(tmp_path, capsys, msgs)
-    assert "round 1 lacks share bundle 2->3" in err
+    assert _not_record(_line_of(msgs, block), "shares", 2) in err
 
 
 def test_privacy_transcript_duplicate_share_bundle_exits_config(tmp_path, capsys):
@@ -491,16 +502,18 @@ def test_privacy_transcript_duplicate_share_bundle_exits_config(tmp_path, capsys
     k = _bundle_index(legacy, 2, 3)
     legacy.insert(k + 1, {**legacy[k], "payload": [v + 1 for v in legacy[k]["payload"]]})
     err = _privacy_error(tmp_path, capsys, legacy)
-    assert "round 1 repeats share bundle 2->3" in err
+    assert _not_record(3, "shares", 1) in err
     # Repeated within one block, and across two records of one sender.
     block = _shares_record(msgs, 2)
     row = block["payload"][block["to"].index(3)]
     repeat = {**block, "to": [3], "payload": [[v + 1 for v in row]]}
     within = {**block, "to": block["to"] + [3], "payload": block["payload"] + repeat["payload"]}
-    for edit in ([within], [block, repeat]):
-        k = msgs.index(block)
-        err = _privacy_error(tmp_path, capsys, msgs[:k] + edit + msgs[k + 1:])
-        assert "round 1 repeats share bundle 2->3" in err
+    line = _line_of(msgs, block)
+    k = line - 1
+    err = _privacy_error(tmp_path, capsys, msgs[:k] + [within] + msgs[k + 1:])
+    assert _not_record(line, "shares", 2) in err
+    err = _privacy_error(tmp_path, capsys, msgs[:k] + [block, repeat] + msgs[k + 1:])
+    assert _not_record(line + 1, "shares", 3) in err
 
 
 def test_privacy_transcript_bundle_between_non_neighbours_exits_config(tmp_path, capsys):
@@ -509,12 +522,12 @@ def test_privacy_transcript_bundle_between_non_neighbours_exits_config(tmp_path,
     k = _bundle_index(legacy, 1, 7)
     legacy.insert(k + 1, {**legacy[k], "to": 8})
     err = _privacy_error(tmp_path, capsys, legacy)
-    assert "round 1 has share bundle 1->8 between learners that are not" in err
+    assert _not_record(3, "shares", 1) in err
     block = _shares_record(msgs, 1)
     block["to"].append(8)
     block["payload"].append(block["payload"][-1])
     err = _privacy_error(tmp_path, capsys, msgs)
-    assert "round 1 has share bundle 1->8 between learners that are not" in err
+    assert _not_record(_line_of(msgs, block), "shares", 1) in err
 
 
 def test_privacy_transcript_share_bundle_of_wrong_length_exits_config(tmp_path, capsys):
@@ -523,12 +536,12 @@ def test_privacy_transcript_share_bundle_of_wrong_length_exits_config(tmp_path, 
     k = _bundle_index(legacy, 2, 3)
     legacy[k]["payload"] = legacy[k]["payload"][:-1]
     err = _privacy_error(tmp_path, capsys, legacy)
-    assert "round 1 share bundle 2->3 carries 2 values, expected 3" in err
+    assert _not_record(3, "shares", 1) in err
     block = _shares_record(msgs, 2)
     k = block["to"].index(3)
     block["payload"][k] = block["payload"][k][:-1]
     err = _privacy_error(tmp_path, capsys, msgs)
-    assert "round 1 share bundle 2->3 carries 2 values, expected 3" in err
+    assert _not_record(_line_of(msgs, block), "shares", 2) in err
 
 
 def test_privacy_transcript_shares_record_of_unequal_lists_exits_config(tmp_path, capsys):
@@ -536,7 +549,7 @@ def test_privacy_transcript_shares_record_of_unequal_lists_exits_config(tmp_path
     block = _shares_record(msgs, 2)
     del block["payload"][0]
     err = _privacy_error(tmp_path, capsys, msgs)
-    assert "round 1 shares record of learner 2 lists" in err
+    assert _not_record(_line_of(msgs, block), "shares", 2) in err
 
 
 def test_privacy_transcript_share_receiver_not_an_integer_exits_config(tmp_path, capsys):
@@ -546,7 +559,7 @@ def test_privacy_transcript_share_receiver_not_an_integer_exits_config(tmp_path,
     for bad in (3.5, "3", None, [3]):
         block["to"][k] = bad
         err = _privacy_error(tmp_path, capsys, msgs)
-        assert "round 1 has a share bundle whose sender or receiver is not" in err
+        assert _not_record(_line_of(msgs, block), "shares", 2) in err
 
 
 def _changed(phase, payload):
@@ -560,13 +573,13 @@ def test_privacy_transcript_repeated_record_exits_config(tmp_path, capsys, phase
     msgs = _demo_messages(tmp_path)
     k, first = next((k, m) for k, m in enumerate(msgs)
                     if (m.get("round"), m.get("phase"), m.get("from")) == (1, phase, 3))
-    repeats = [{**first, "payload": _changed(phase, first["payload"])}]
+    repeats = [{**first, "payload": _changed(phase, first["payload"])}, first]
     if phase == "state0":
-        # A per-edge state0 record may repeat its learner's payload, not change it.
-        repeats.append({**repeats[0], "to": first["to"][0]})
+        # A per-edge state0 record of the layout before version 0.3.0.
+        repeats.append({**first, "to": first["to"][0]})
     for repeat in repeats:
         err = _privacy_error(tmp_path, capsys, msgs[:k + 1] + [repeat] + msgs[k + 1:])
-        assert f"round 1 repeats the {phase} record of learner 3" in err
+        assert _not_record(k + 2, phase, 4) in err
 
 
 def test_privacy_transcript_repeated_topology_exits_config(tmp_path, capsys):
@@ -575,6 +588,10 @@ def test_privacy_transcript_repeated_topology_exits_config(tmp_path, capsys):
                     if (m.get("round"), m.get("phase")) == (1, "topology"))
     repeat = {**first, "payload": {**first["payload"], "k_used": 1}}
     err = _privacy_error(tmp_path, capsys, msgs[:k + 1] + [repeat] + msgs[k + 1:])
+    assert _not_record(k + 2, "shares", 1) in err
+    # A whole round repeated, after the last.
+    end = next(j for j, m in enumerate(msgs) if m.get("round") == 2)
+    err = _privacy_error(tmp_path, capsys, msgs + msgs[k:end])
     assert "round 1 repeats its topology record" in err
 
 
@@ -587,18 +604,31 @@ def _record(msgs, phase, i):
 _NON_RESIDUES = [2**70, 1.5, "7", True, 16007 + 3, -4]
 
 
+def _written_as_digits(value):
+    """Whether the writer's layout holds value: at most 18 digits."""
+    return type(value) is int and 0 <= value < 10**18
+
+
 @pytest.mark.parametrize("layout", ["block", "per_pair"])
 @pytest.mark.parametrize("value", _NON_RESIDUES)
 def test_privacy_transcript_share_value_not_a_residue_exits_config(
         tmp_path, capsys, value, layout):
+    # Written digits outside [0, p) name the learner; any other value is
+    # not in the writer's layout, and neither is a per-pair record.
     msgs = _demo_messages(tmp_path)
     block = _shares_record(msgs, 2)
     block["payload"][block["to"].index(3)][0] = value
+    line = _line_of(msgs, block)
     if layout == "per_pair":
         msgs = _per_pair(msgs)
     err = _privacy_error(tmp_path, capsys, msgs)
-    assert ("round 1 shares record of learner 2 holds a value that is not an "
-            "integer in [0, 16007)") in err
+    if layout == "per_pair":
+        assert _not_record(3, "shares", 1) in err
+    elif _written_as_digits(value):
+        assert ("round 1 shares record of learner 2 holds a value that is not an "
+                "integer in [0, 16007)") in err
+    else:
+        assert _not_record(line, "shares", 2) in err
 
 
 @pytest.mark.parametrize("phase", ["state0", "audit"])
@@ -610,8 +640,11 @@ def test_privacy_transcript_state_or_secret_not_a_residue_exits_config(
     values = record["payload"]["secret"] if phase == "audit" else record["payload"]
     values[1] = value
     err = _privacy_error(tmp_path, capsys, msgs)
-    assert (f"round 1 {phase} record of learner 5 holds a value that is not an "
-            "integer in [0, 16007)") in err
+    if phase == "state0" and not _written_as_digits(value):
+        assert _not_record(_line_of(msgs, record), "state0", 5) in err
+    else:
+        assert (f"round 1 {phase} record of learner 5 holds a value that is not an "
+                "integer in [0, 16007)") in err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -650,14 +683,14 @@ def test_privacy_transcript_topology_n_nodes_not_an_integer_exits_config(
     msgs = _demo_messages(tmp_path)
     _round1_topology(msgs)["payload"]["n_nodes"] = n_nodes
     err = _privacy_error(tmp_path, capsys, msgs)
-    assert "round 1 topology record: n_nodes must be an integer" in err
+    assert _not_record(2) in err
 
 
 def test_privacy_transcript_topology_edges_null_exits_config(tmp_path, capsys):
     msgs = _demo_messages(tmp_path)
     _round1_topology(msgs)["payload"]["edges"] = None
     err = _privacy_error(tmp_path, capsys, msgs)
-    assert "round 1 topology record: edges must be pairs of integer node ids" in err
+    assert _not_record(2) in err
 
 
 @pytest.mark.parametrize("n_learners", [9, 7])
@@ -670,7 +703,7 @@ def test_privacy_transcript_meta_n_learners_differs_from_topology_exits_config(
             f"n_learners={n_learners}") in err
 
 
-# The writer's layout, read as blocks, and a compact one, read line by line.
+# The writer's layout, and a compact one, refused at its topology line.
 _LAYOUTS = {"written": None, "compact": (",", ":")}
 
 
@@ -687,7 +720,10 @@ def test_privacy_transcript_model_value_not_a_number_exits_config(
     payload = _record(msgs, phase, 5)["payload"]
     (payload["model"] if phase == "audit" else payload)[1] = value
     err = _privacy_error(tmp_path, capsys, msgs, _LAYOUTS[layout])
-    assert f"transcript round 1 has a {phase} value that is not a number" in err
+    if layout == "compact":
+        assert _not_record(2) in err
+    else:
+        assert f"transcript round 1 has a {phase} value that is not a number" in err
 
 
 @pytest.mark.parametrize("layout", _LAYOUTS)
@@ -703,25 +739,32 @@ def test_privacy_transcript_topology_scalar_of_wrong_type_exits_config(
     msgs = _demo_messages(tmp_path)
     _round1_topology(msgs)["payload"][key] = value
     err = _privacy_error(tmp_path, capsys, msgs, _LAYOUTS[layout])
-    assert f"transcript round 1 topology record has {key}={value!r}, not {kind}" in err
+    if layout == "compact":
+        assert _not_record(2) in err
+    else:
+        assert f"transcript round 1 topology record has {key}={value!r}, not {kind}" in err
 
 
-@pytest.mark.parametrize("layout", _LAYOUTS)
-def test_privacy_transcript_topology_scalars_read_as_written(tmp_path, layout):
-    # An integer lambda2 and a NaN margin, as the writer writes an unknown one,
-    # are numbers; an older transcript without them reads the defaults.
+def test_privacy_transcript_topology_scalars_read_as_written(tmp_path):
+    # An integer lambda2 and a NaN margin, as the writer writes an unknown
+    # one, are numbers.
     msgs = _demo_messages(tmp_path)
     payload = _round1_topology(msgs)["payload"]
     payload.update(k_used=0, lambda2=1, rounding_margin=float("nan"))
     path = tmp_path / "edited.jsonl"
-    for edit in ({}, {"lambda2": None, "rounding_margin": None}):
-        for key in edit:
-            del payload[key]
-        path.write_text("".join(json.dumps(m, separators=_LAYOUTS[layout]) + "\n" for m in msgs))
-        record = Transcript.from_jsonl(str(path)).rounds[0]
-        assert record.k_used == 0
-        assert record.lambda2 == (0.0 if edit else 1)
-        assert math.isnan(record.rounding_margin)
+    path.write_text("".join(json.dumps(m) + "\n" for m in msgs))
+    record = Transcript.from_jsonl(str(path)).rounds[0]
+    assert record.k_used == 0
+    assert record.lambda2 == 1
+    assert math.isnan(record.rounding_margin)
+
+
+@pytest.mark.parametrize("missing", ["lambda2", "rounding_margin"])
+def test_privacy_transcript_topology_without_a_scalar_exits_config(tmp_path, capsys, missing):
+    # Transcripts written before the margin was recorded lack it: refused.
+    msgs = _demo_messages(tmp_path)
+    del _round1_topology(msgs)["payload"][missing]
+    assert _not_record(2) in _privacy_error(tmp_path, capsys, msgs)
 
 
 @pytest.mark.parametrize("command", ["bounds", "simulate"])
@@ -735,22 +778,25 @@ def test_config_sigma_beyond_float_scale_exits_config(tmp_path, capsys, command)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("phase, edit, key, kind", [
-    pytest.param("result", {"round": "x"}, "round", "integer", id="round_a_string"),
-    pytest.param("result", {"round": [1]}, "round", "integer", id="round_a_list"),
-    pytest.param("result", {"from": [1]}, "from", "integer", id="from_a_list"),
-    pytest.param("topology", {"round": 99, "payload": 5}, "payload", "object",
-                 id="topology_payload_a_number"),
-    pytest.param("audit", {"payload": [1]}, "payload", "object", id="audit_payload_a_list"),
+@pytest.mark.parametrize("phase, edit", [
+    pytest.param("result", {"round": "x"}, id="round_a_string"),
+    pytest.param("result", {"round": [1]}, id="round_a_list"),
+    pytest.param("result", {"from": [1]}, id="from_a_list"),
+    pytest.param("topology", {"round": 99, "payload": 5}, id="topology_payload_a_number"),
+    pytest.param("audit", {"payload": [1]}, id="audit_payload_a_list"),
+    pytest.param("audit", {"payload": {"secret": 1, "model": [1.5]}}, id="audit_secret_a_number"),
+    pytest.param("result", {"payload": 1.5}, id="result_payload_a_number"),
 ])
-def test_privacy_transcript_field_of_wrong_type_exits_config(
-        tmp_path, capsys, phase, edit, key, kind):
-    # An appended record in another layout goes through json.loads, whose
-    # fields must have the types the layout table names.
+def test_privacy_transcript_field_of_wrong_type_exits_config(tmp_path, capsys, phase, edit):
+    # A record whose fields lack the writer's types is refused at its line,
+    # in place or appended where only a round's topology record may stand.
     msgs = _demo_messages(tmp_path)
-    msgs.append({**next(m for m in msgs if m.get("phase") == phase), **edit})
+    k, record = next((k, m) for k, m in enumerate(msgs) if m.get("phase") == phase)
+    err = _privacy_error(tmp_path, capsys, [*msgs, {**record, **edit}])
+    assert _not_record(len(msgs) + 1) in err
+    msgs[k] = {**record, **edit}
     err = _privacy_error(tmp_path, capsys, msgs)
-    assert f"transcript line {len(msgs)} field {key!r} is not a JSON {kind}" in err
+    assert _not_record(k + 1, *(() if phase == "topology" else (phase, 1))) in err
 
 
 @pytest.mark.parametrize("raw, command", [

@@ -421,6 +421,14 @@ def test_worst_case_audit_at_10k_learners_in_bounded_memory():
     assert all(len(f.values) == dim for f in leaked)
 
 
+@pytest.mark.parametrize("coordinate", [-1, 3, 10])
+def test_infer_refuses_a_coordinate_outside_the_model(coordinate):
+    # Not read as a column from the end, nor as an IndexError.
+    cfg, transcript, rec = run_one_round(ring4(), dim=3)
+    with pytest.raises(ValueError, match=f"coordinate {coordinate} is outside the model width 3"):
+        adversary_infer(transcript, AdversarySet({1}, 4), cfg, coordinates=[0, coordinate])
+
+
 def test_infer_rejects_bundleless_transcript():
     g = path3()
     cfg, transcript, rec = run_one_round(g)

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import pathlib
 import re
 import signal
@@ -713,30 +712,25 @@ def test_transcript_jsonl_roundtrip(tmp_path):
         assert np.array_equal(back.encoded_secrets, orig.encoded_secrets)
         assert np.array_equal(back.rounded, orig.rounded)
         assert back.rounding_margin == orig.rounding_margin
-    # A transcript written before the margin was recorded reads it as NaN.
+    # Older layouts are refused, naming the line: a transcript written
+    # before the margin was recorded, and one state0 record per directed
+    # edge.
     lines = path.read_text().splitlines()
-    for idx, line in enumerate(lines):
-        msg = json.loads(line)
-        if msg.get("phase") == "topology":
-            del msg["payload"]["rounding_margin"]
-            lines[idx] = json.dumps(msg)
-    path.write_text("\n".join(lines) + "\n")
-    old_rounds = Transcript.from_jsonl(str(path)).rounds
-    assert all(math.isnan(r.rounding_margin) for r in old_rounds)
-    # Older transcripts carry one state0 record per directed edge.
-    per_edge = []
-    for line in lines:
-        msg = json.loads(line)
-        if msg.get("phase") == "state0":
-            per_edge += [json.dumps({**msg, "to": j}) for j in msg["to"]]
-        else:
-            per_edge.append(line)
-    assert len(per_edge) > len(lines)
-    path.write_text("\n".join(per_edge) + "\n")
-    loaded = Transcript.from_jsonl(str(path))
-    for orig, back in zip(result.transcript.rounds, loaded.rounds):
-        assert np.array_equal(back.initial_states, orig.initial_states)
-        assert np.array_equal(back.bundles, orig.bundles)
+    msgs = [json.loads(line) for line in lines]
+    no_margin = json.loads(lines[1])
+    del no_margin["payload"]["rounding_margin"]
+    k = next(k for k, msg in enumerate(msgs) if msg.get("phase") == "state0")
+    per_edge = [json.dumps({**msgs[k], "to": j}) for j in msgs[k]["to"]]
+    for edited, error in (
+        ([lines[0], json.dumps(no_margin), *lines[2:]],
+         "transcript line 2 is not a topology record in the writer's layout"),
+        ([*lines[:k], *per_edge, *lines[k + 1:]],
+         f"transcript line {k + 1} is not round 1's state0 record of learner 1 in the "
+         "writer's layout"),
+    ):
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ValueError, match=re.escape(error)):
+            Transcript.from_jsonl(str(path))
 
 
 def test_transcript_message_phases(tmp_path):
@@ -810,35 +804,37 @@ def test_share_table_transcript_roundtrip(tmp_path, p):
         (back,) = Transcript.from_jsonl(str(path)).rounds
         assert np.array_equal(back.bundles, table)
         assert np.array_equal(back.initial_states, record.initial_states)
-        # Per-pair records, in any order, fill the same table.
+        # Per-pair records, the layout before version 0.3.0, are refused.
         legacy = _per_pair_lines(lines)
         assert len(legacy) == len(lines) - n + len(senders)
-        body = legacy[1:]
-        gen.shuffle(body)
-        path.write_text("\n".join([legacy[0], *body]) + "\n")
-        (back,) = Transcript.from_jsonl(str(path)).rounds
-        assert np.array_equal(back.bundles, table)
+        path.write_text("\n".join(legacy) + "\n")
+        with pytest.raises(ValueError, match="transcript line 3 is not round 1's shares record "
+                                             "of learner 1"):
+            Transcript.from_jsonl(str(path))
 
 
 def _edited_edges(edges):
     """(edited edge list, error fragment or None if the transcript still
     reads) per malformed topology record a transcript may carry."""
     i, j = edges[0]
-    bad = "round 1 topology record: edges must be pairs of integer node ids"
+    bad = "transcript line 2 is not a topology record in the writer's layout"
     yield [[float(i), float(j)], *edges[1:]], bad
     yield [[str(i), str(j)], *edges[1:]], bad
     yield [[True, False]] * len(edges), bad
-    # A bool among integers reads as 0 or 1, as numpy converts it.
-    yield [[True, j], *edges[1:]], None
-    yield [[i, j], [False, j], *edges[1:]], f"round 1 topology record: edge (0,{j}) outside 1..5"
+    yield [[True, j], *edges[1:]], bad
+    yield [[i, j], [False, j], *edges[1:]], bad
     yield [[i], *edges[1:]], bad
     yield [[i]] * len(edges), bad
     yield [[i, j, j], *edges[1:]], bad
     yield [[i, j, j]] * len(edges), bad
     yield [[[i], [j]], *edges[1:]], bad
     yield [[[i], [j]]] * len(edges), bad
+    # Pairs of integers in the writer's layout are judged as a graph.
+    yield [[j, i], *edges[1:]], None
+    yield [[i, j], [0, j], *edges[1:]], f"round 1 topology record: edge (0,{j}) outside 1..5"
+    yield [[i, i], *edges[1:]], f"round 1 topology record: self-loop at node {i}"
     # An empty list is a graph without edges; the share bundles then leave it.
-    yield [], f"round 1 has share bundle 1->{j} between learners that are not neighbours"
+    yield [], "transcript line 3 is not round 1's shares record of learner 1"
 
 
 def test_transcript_topology_edges_are_judged_as_before(tmp_path):

@@ -1,220 +1,69 @@
 """The transcript reader against the per-line reader it replaced.
 
-Transcript.from_jsonl reads each round in the writer's layout and order as
-blocks of records, and takes any other line through json.loads. The oracle
-below is the reader it replaced, kept here as the reference: json.loads on
-every line, then np.array on each round's nested lists. On a corpus of written,
-re-serialised, legacy and damaged transcripts, both readers must return
-byte-identical rounds, or both refuse the transcript.
+Transcript.from_jsonl reads exactly what the writer writes: each round in
+the writer's order and layout, as blocks of records. The oracle below is the
+per-line reader it replaced, kept here as the reference: json.loads on every
+line, then np.array on each round's nested lists. Every transcript the
+writer writes must read the same rounds as the oracle, byte for byte; every
+other layout is refused with a ValueError that names a line, and the CLI
+exits 2 on it.
 """
 
+import contextlib
 import json
 import math
 import pathlib
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ppdfl.cli import main
 from ppdfl.protocol import ProtocolConfig, build_initial_state, execute_round, run_training
 from ppdfl.topology import RoundTopology, generate_topology, share_pairs
-from ppdfl.transcript import RoundRecord, Transcript, _int_text, _list_layout, _Reader
+from ppdfl.transcript import RoundRecord, Transcript, _int_text, _list_layout
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-# The reference reader, as it was before the bulk parse.
-
-
-def _oracle_collect(per_round: dict[int, dict], msg: dict) -> None:
-    """File one transcript message under its round; KeyError on a missing
-    field, ValueError on a record that repeats another."""
-    t = msg["round"]
-    slot = per_round.setdefault(
-        t,
-        {"senders": [], "receivers": [], "rows": [], "state0": {},
-         "result": {}, "audit": {}, "models": {}, "topology": None,
-         "k_used": 0, "lambda2": 0.0, "rounding_margin": float("nan")},
-    )
-    phase = msg["phase"]
-    if phase == "topology":
-        if slot["topology"] is not None:
-            raise ValueError(f"transcript round {t} repeats its topology record")
-        try:
-            slot["topology"] = RoundTopology(
-                msg["payload"]["n_nodes"], msg["payload"]["edges"]
-            )
-        except ValueError as exc:
-            raise ValueError(f"transcript round {t} topology record: {exc}") from None
-        slot["k_used"] = msg["payload"]["k_used"]
-        slot["lambda2"] = msg["payload"].get("lambda2", 0.0)
-        slot["rounding_margin"] = msg["payload"].get("rounding_margin", float("nan"))
-    elif phase == "shares":
-        # A sender's block lists its receivers and one bundle per receiver;
-        # a per-pair record of an older transcript, whose "to" is one id, is
-        # a one-row block.
-        sender, to, rows = msg["from"], msg["to"], msg["payload"]
-        if isinstance(to, int):
-            to, rows = [to], [rows]
-        if len(to) != len(rows):
-            raise ValueError(
-                f"transcript round {t} shares record of learner {sender} lists "
-                f"{len(to)} receivers but carries {len(rows)} bundles"
-            )
-        slot["senders"] += [sender] * len(to)
-        slot["receivers"] += to
-        slot["rows"] += rows
-    elif phase in ("state0", "result", "audit"):
-        sender, payload = msg["from"], msg["payload"]
-        if sender in slot[phase]:
-            # Older transcripts repeat a learner's state0 broadcast once per
-            # edge, each record naming one receiver.
-            legacy = phase == "state0" and isinstance(msg.get("to"), int)
-            if legacy and slot[phase][sender] == payload:
-                return
-            raise ValueError(
-                f"transcript round {t} repeats the {phase} record of learner {sender}"
-            )
-        if phase == "audit":
-            slot["models"][sender] = payload["model"]
-            payload = payload["secret"]
-        slot[phase][sender] = payload
-
-
-def _oracle_ids(t: int, values: list) -> np.ndarray:
-    """Senders or receivers of round t's bundles as int64; ValueError unless
-    every one is an integer."""
-    try:
-        ids = np.array(values, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        ids = None
-    if ids is None or ids.ndim != 1 or ids.tolist() != values:
-        raise ValueError(
-            f"transcript round {t} has a share bundle whose sender or receiver "
-            "is not an integer"
-        )
-    return ids
-
-
-def _oracle_share_table(t: int, g: RoundTopology, slot: dict, width: int) -> np.ndarray:
-    """The share table of round t from its shares records; ValueError names
-    the first bundle that is repeated, missing, of the wrong length, or
-    between learners that are not neighbours.
-
-    Each bundle is keyed sender*(N+1) + receiver, which is unique for ids in
-    1..N and increasing in share_pairs order.
-    """
-    n = g.n_nodes
-    senders = _oracle_ids(t, slot["senders"])
-    receivers = _oracle_ids(t, slot["receivers"])
-    rows = slot["rows"]
-    inside = (senders >= 1) & (senders <= n) & (receivers >= 1) & (receivers <= n)
-    # An id outside 1..N gets a key of its own, so it can only be a stray.
-    key = np.where(inside, senders * (n + 1) + receivers, -1 - np.arange(len(rows)))
-    order = np.argsort(key, kind="stable")
-    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
-    if repeats.size:
-        e = repeats.min()  # the first record to repeat an earlier one
-        raise ValueError(
-            f"transcript round {t} repeats share bundle {senders[e]}->{receivers[e]}"
-        )
-    want_s, want_r = share_pairs(g)
-    wanted = want_s * (n + 1) + want_r
-    slot_of = np.minimum(np.searchsorted(wanted, key), len(wanted) - 1)
-    found = wanted[slot_of] == key
-    source = np.full(len(wanted), -1)  # row of each wanted bundle, -1 if absent
-    source[slot_of[found]] = np.flatnonzero(found)
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    present = source >= 0
-    bad = ~present
-    bad[present] = lengths[source[present]] != width
-    if bad.any():
-        e = int(np.argmax(bad))
-        i, j = want_s[e], want_r[e]
-        if not present[e]:
-            raise ValueError(f"transcript round {t} lacks share bundle {i}->{j}")
-        raise ValueError(
-            f"transcript round {t} share bundle {i}->{j} carries "
-            f"{lengths[source[e]]} values, expected {width}"
-        )
-    if not found.all():
-        stray = np.flatnonzero(~found)
-        e = stray[np.lexsort((receivers[stray], senders[stray]))[0]]
-        raise ValueError(
-            f"transcript round {t} has share bundle {senders[e]}->{receivers[e]} "
-            "between learners that are not neighbours"
-        )
-    return np.array(rows, dtype=np.int64)[source]
-
-
 def oracle_read(path: str) -> Transcript:
     """The per-line reader: json.loads on every line, then np.array on the
-    nested lists of each round."""
-    meta: dict | None = None
-    per_round: dict[int, dict] = {}
+    nested lists of each round; consensus records are not read. Assumes the
+    writer's records, one per learner in order."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            msg = json.loads(line)
-            if "meta" in msg and "round" not in msg:
-                meta = msg["meta"]
-                continue
-            try:
-                _oracle_collect(per_round, msg)
-            except KeyError as exc:
-                raise ValueError(
-                    f"transcript line {lineno} lacks field {exc}"
-                ) from None
-    if meta is None:
-        raise ValueError("transcript lacks its meta record")
-    missing = [key for key in ("n_learners", "prime", "sigma") if key not in meta]
-    if missing:
-        raise ValueError(f"transcript meta record lacks {missing}")
+        first, *msgs = [json.loads(line) for line in fh]
+    meta = first["meta"]
+    per_round: dict[int, dict[str, list]] = {}
+    for msg in msgs:
+        per_round.setdefault(msg["round"], {}).setdefault(msg["phase"], []).append(msg)
     rounds = []
     for t in sorted(per_round):
         slot = per_round[t]
-        g = slot["topology"]
-        if g is None:
-            raise ValueError(f"transcript round {t} lacks a topology record")
-        n = g.n_nodes
-        if n != meta["n_learners"]:
-            raise ValueError(
-                f"transcript round {t} topology has {n} nodes but the meta "
-                f"record has n_learners={meta['n_learners']!r}"
-            )
-        for phase in ("state0", "result", "audit"):
-            missing = sorted(set(range(1, n + 1)) - slot[phase].keys())
-            if missing:
-                raise ValueError(
-                    f"transcript round {t} lacks {phase} records of "
-                    f"learners {', '.join(map(str, missing))}"
-                )
-        learners = range(1, n + 1)
-        s0 = np.array([slot["state0"][i] for i in learners], dtype=np.int64)
-        secrets = np.array([slot["audit"][i] for i in learners], dtype=np.int64)
-        models = np.array([slot["models"][i] for i in learners], dtype=float)
-        decoded = np.array([slot["result"][i] for i in learners], dtype=float)
-        shapes = {arr.shape for arr in (s0, secrets, models, decoded)}
-        if s0.ndim != 2 or len(shapes) > 1:
-            raise ValueError(f"transcript round {t} has records of unequal length")
-        bundles = _oracle_share_table(t, g, slot, s0.shape[1])
-        p = int(meta["prime"])
-        scale = 10 ** int(meta["sigma"])
-        rounded = np.round(decoded * scale).astype(np.int64) % p
+        (topology,) = slot["topology"]
+        payload = topology["payload"]
+        g = RoundTopology(payload["n_nodes"], payload["edges"])
+        learners = list(range(1, g.n_nodes + 1))
+        for phase in ("shares", "state0", "result", "audit"):
+            assert [m["from"] for m in slot[phase]] == learners
+        senders, receivers = share_pairs(g)
+        assert [j for m in slot["shares"] for j in m["to"]] == receivers.tolist()
+        audits = [m["payload"] for m in slot["audit"]]
+        decoded = np.array([m["payload"] for m in slot["result"]], dtype=float)
         rounds.append(
             RoundRecord(
                 round_index=t,
                 topology=g,
-                k_used=slot["k_used"],
-                lambda2=slot["lambda2"],
-                bundles=bundles,
-                initial_states=s0,
-                encoded_secrets=secrets,
-                local_models=models,
-                rounded=rounded,
+                k_used=payload["k_used"],
+                lambda2=payload["lambda2"],
+                bundles=np.array([row for m in slot["shares"] for row in m["payload"]],
+                                 dtype=np.int64).reshape(len(senders), -1),
+                initial_states=np.array([m["payload"] for m in slot["state0"]], dtype=np.int64),
+                encoded_secrets=np.array([a["secret"] for a in audits], dtype=np.int64),
+                local_models=np.array([a["model"] for a in audits], dtype=float),
+                rounded=np.round(decoded * 10 ** meta["sigma"]).astype(np.int64) % meta["prime"],
                 decoded=decoded,
-                rounding_margin=slot["rounding_margin"],
+                rounding_margin=payload["rounding_margin"],
             )
         )
     return Transcript(meta=meta, rounds=rounds)
@@ -309,35 +158,29 @@ def _extra_empty_record(msgs):
 
 
 def _variants(lines, gen):
-    """(name, lines, whether the oracle reads them) per corpus member."""
+    """(name, lines) per corpus member the writer does not write."""
     msgs = _messages(lines)
-    yield "as_written", lines, True
-    yield "compact", _dumped(msgs, separators=(",", ":")), True
-    yield "indented", [line.replace("\n", " ") for line in _dumped(msgs, indent=1)], True
-    yield "reordered_keys", _dumped(map(_reversed_keys, msgs)), True
-    yield "per_pair_shuffled", _dumped(_per_pair(msgs, gen)), True
-    yield "per_edge_state0", _dumped(_per_edge_state0(msgs)), True
-    yield "extra_empty_shares_record", _extra_empty_record(msgs), True
-    yield "ragged_bundle", _edited(msgs, "shares", lambda m: m["payload"][1].pop()), False
-    yield "ragged_state0", _edited(msgs, "state0", lambda m: m["payload"].pop()), False
-    yield "ragged_secret", _edited(msgs, "audit", lambda m: m["payload"]["secret"].append(1)), False
+    yield "compact", _dumped(msgs, separators=(",", ":"))
+    yield "indented", [line.replace("\n", " ") for line in _dumped(msgs, indent=1)]
+    yield "reordered_keys", _dumped(map(_reversed_keys, msgs))
+    yield "per_pair_shuffled", _dumped(_per_pair(msgs, gen))
+    yield "per_edge_state0", _dumped(_per_edge_state0(msgs))
+    yield "extra_empty_shares_record", _extra_empty_record(msgs)
+    yield "ragged_bundle", _edited(msgs, "shares", lambda m: m["payload"][1].pop())
+    yield "ragged_state0", _edited(msgs, "state0", lambda m: m["payload"].pop())
+    yield "ragged_secret", _edited(msgs, "audit", lambda m: m["payload"]["secret"].append(1))
     yield "nested_bundle_value", _edited(
-        msgs, "shares", lambda m: m["payload"][0].__setitem__(1, [m["payload"][0][1]])), False
+        msgs, "shares", lambda m: m["payload"][0].__setitem__(1, [m["payload"][0][1]]))
     yield "nested_state0_value", _edited(
-        msgs, "state0", lambda m: m["payload"].__setitem__(0, [m["payload"][0]])), False
-    yield "empty_to", _edited(msgs, "shares", lambda m: m.update(to=[], payload=[])), False
-    yield "unequal_to_and_payload", _edited(msgs, "shares", lambda m: m["payload"].pop()), False
-    yield "trailing_comma_in_payload", _trailing_comma(lines, "shares", "]]}", "],]}"), False
-    yield "trailing_comma_in_to", _trailing_comma(lines, "shares", '], "payload"', ',], "payload"'), False
-    yield "trailing_comma_in_state0", _trailing_comma(lines, "state0", "]}", ",]}"), False
-    yield "trailing_comma_in_edges", _trailing_comma(lines, "topology", ']], "k_used"', '],], "k_used"'), False
-
-
-def _read_or_none(reader, path):
-    try:
-        return reader(str(path))
-    except (ValueError, TypeError, OverflowError):
-        return None
+        msgs, "state0", lambda m: m["payload"].__setitem__(0, [m["payload"][0]]))
+    yield "empty_to", _edited(msgs, "shares", lambda m: m.update(to=[], payload=[]))
+    yield "unequal_to_and_payload", _edited(msgs, "shares", lambda m: m["payload"].pop())
+    yield "trailing_comma_in_payload", _trailing_comma(lines, "shares", "]]}", "],]}")
+    yield "trailing_comma_in_to", _trailing_comma(lines, "shares", '], "payload"', ',], "payload"')
+    yield "trailing_comma_in_state0", _trailing_comma(lines, "state0", "]}", ",]}")
+    yield "trailing_comma_in_edges", _trailing_comma(lines, "topology", ']], "k_used"', '],], "k_used"')
+    yield "blank_line", [*lines[:5], "", *lines[5:]]
+    yield "swapped_records", [*lines[:3], lines[4], lines[3], *lines[5:]]
 
 
 def assert_same_rounds(a, b):
@@ -357,40 +200,49 @@ def assert_same_rounds(a, b):
             assert u.dtype == v.dtype and np.array_equal(u, v)
 
 
+def assert_refused(path, message=r"\bline \d+\b"):
+    """The reader refuses the transcript at path with a ValueError whose
+    message matches, and the CLI exits 2 on it."""
+    with pytest.raises(ValueError, match=message):
+        Transcript.from_jsonl(str(path))
+    assert main(["privacy", "--transcript", str(path), "--adversary", "1"]) == 2
+
+
+def _read_as_oracle(path):
+    assert_same_rounds(Transcript.from_jsonl(str(path)), oracle_read(str(path)))
+
+
 @pytest.mark.parametrize("p", [11, 2**31 - 1])
-def test_reader_matches_per_line_reader_on_corpus(tmp_path, p):
+def test_written_corpus_reads_as_the_oracle_reads_it(tmp_path, p):
+    path = tmp_path / "written.jsonl"
+    _written_lines(p, tmp_path)
+    _read_as_oracle(path)
+
+
+@pytest.mark.parametrize("p", [11, 2**31 - 1])
+def test_every_other_layout_is_refused_naming_a_line(tmp_path, p):
     gen = np.random.default_rng(p + 1)
     path = tmp_path / "variant.jsonl"
     names = []
-    for name, lines, readable in _variants(_written_lines(p, tmp_path), gen):
+    for name, lines in _variants(_written_lines(p, tmp_path), gen):
         path.write_text("\n".join(lines) + "\n")
-        expected = _read_or_none(oracle_read, path)
-        assert (expected is not None) == readable, name
-        if expected is None:
-            with pytest.raises(ValueError):
-                Transcript.from_jsonl(str(path))
-        else:
-            assert_same_rounds(Transcript.from_jsonl(str(path)), expected)
+        assert_refused(path)
         names.append(name)
-    assert len(names) == len(set(names)) == 18
+    assert len(names) == len(set(names)) == 19
 
 
-def _compare_with_per_pair(tmp_path, transcript):
+def _read_back_as_oracle(tmp_path, transcript):
     path = tmp_path / "written.jsonl"
     transcript.to_jsonl(str(path))
-    lines = path.read_text().splitlines()
-    gen = np.random.default_rng(5)
-    for lines in (lines, _dumped(_per_pair(_messages(lines), gen))):
-        path.write_text("\n".join(lines) + "\n")
-        assert_same_rounds(Transcript.from_jsonl(str(path)), oracle_read(str(path)))
+    _read_as_oracle(path)
 
 
-def test_reader_matches_per_line_reader_on_large_random(tmp_path):
+def test_large_random_reads_as_the_oracle_reads_it(tmp_path):
     cfg = ProtocolConfig.from_json_file(str(ROOT / "configs" / "large_random.json"))
-    _compare_with_per_pair(tmp_path, run_training(cfg).transcript)
+    _read_back_as_oracle(tmp_path, run_training(cfg).transcript)
 
 
-def test_reader_matches_per_line_reader_on_1000_learners(tmp_path):
+def test_1000_learners_read_as_the_oracle_reads_them(tmp_path):
     raw = {"n_learners": 1000, "model_dim": 16, "sigma": 2, "prime": 2**31 - 1,
            "rounds": 1, "k_policy": "auto", "weights": "uniform", "theta_max": 50.0,
            "seed": 7, "schedule": {"kind": "random_connected", "avg_degree": 4.0,
@@ -399,29 +251,125 @@ def test_reader_matches_per_line_reader_on_1000_learners(tmp_path):
     models = np.random.default_rng(7).uniform(-25.0, 25.0, (1000, 16))
     rec = execute_round(models, cfg.schedule.round_graph(1), cfg)
     meta = {key: raw[key] for key in ("n_learners", "model_dim", "sigma", "prime", "seed")}
-    _compare_with_per_pair(tmp_path, Transcript(meta, [rec]))
+    _read_back_as_oracle(tmp_path, Transcript(meta, [rec]))
 
 
-def _kernel_reference(texts, counts, width):
-    """_int_text's answer by json.loads: the values of texts when each is
-    json.dumps' layout of a list of counts[k] integers (width None) or of
-    counts[k] lists of width integers, every one in [0, 10**18)."""
+def _zero_width_transcript(tmp_path):
+    g = generate_topology("line", 4)
+    rows = len(share_pairs(g)[0])
+    empty = np.zeros((4, 0), dtype=np.int64)
+    record = RoundRecord(round_index=1, topology=g, k_used=3, lambda2=0.5,
+                         bundles=np.zeros((rows, 0), dtype=np.int64), initial_states=empty,
+                         encoded_secrets=empty, local_models=np.zeros((4, 0)), rounded=empty,
+                         decoded=np.zeros((4, 0)), rounding_margin=0.1)
+    path = tmp_path / "written.jsonl"
+    Transcript({"n_learners": 4, "prime": 11, "sigma": 0}, [record]).to_jsonl(str(path))
+    return path
+
+
+def test_zero_width_bundles_read_as_blocks(tmp_path):
+    # Bundles, states and models of no values still form blocks of the
+    # writer's layout, and read back as the oracle reads them.
+    _read_as_oracle(_zero_width_transcript(tmp_path))
+
+
+def test_zero_width_transcript_has_no_coordinate_to_audit(tmp_path, capsys):
+    path = _zero_width_transcript(tmp_path)
+    assert main(["privacy", "--transcript", str(path), "--adversary", "1"]) == 2
+    assert "coordinate 0 is outside the model width 0" in capsys.readouterr().err
+
+
+def test_transcript_without_a_round_is_refused(tmp_path, capsys):
+    # A meta record alone is no run: no round's secrecy was shown.
+    lines = _written_lines(2**31 - 1, tmp_path)
+    path = tmp_path / "meta_only.jsonl"
+    path.write_text(lines[0] + "\n")
+    assert_refused(path, "transcript holds no round")
+    assert "transcript holds no round" in capsys.readouterr().err
+
+
+def _where(lines, t, phase, i):
+    """The 1-based number of round t's phase record of learner i."""
+    head = '{"round": %d, "phase": "%s", "from": %d,' % (t, phase, i)
+    return next(k for k, line in enumerate(lines, start=1) if line.startswith(head))
+
+
+def test_refusal_names_the_line_and_the_record_the_writer_writes_there(tmp_path):
+    lines = _written_lines(2**31 - 1, tmp_path)
+    path = tmp_path / "variant.jsonl"
+
+    def refused(edited, message):
+        path.write_text("\n".join(edited) + "\n")
+        assert_refused(path, "^" + re.escape(message) + "$")
+
+    def at(k, line):
+        return [*lines[:k - 1], line, *lines[k:]]
+
+    k = _where(lines, 2, "shares", 4)
+    compact = json.dumps(json.loads(lines[k - 1]), separators=(",", ":"))
+    refused(at(k, compact), f"transcript line {k} is not round 2's shares record of learner 4 "
+                            "in the writer's layout")
+    k, j = _where(lines, 2, "state0", 3), _where(lines, 2, "state0", 6)
+    swapped = at(k, lines[j - 1])
+    swapped[j - 1] = lines[k - 1]
+    refused(swapped, f"transcript line {k} is not round 2's state0 record of learner 3 "
+                     "in the writer's layout")
+    k = _where(lines, 3, "result", 9)
+    reordered = json.dumps(_reversed_keys(json.loads(lines[k - 1])))
+    refused(at(k, reordered), f"transcript line {k} is not round 3's result record of learner 9 "
+                              "in the writer's layout")
+    k = _where(lines, 1, "audit", 1)
+    extra = lines[k - 1][:-1] + ', "extra": 1}'
+    refused(at(k, extra), f"transcript line {k} is not round 1's audit record of learner 1 "
+                          "in the writer's layout")
+    k = _where(lines, 1, "result", 1)
+    refused(at(k, lines[k - 1].replace('"from": 1,', '"from": true,')),
+            f"transcript line {k} is not round 1's result record of learner 1 "
+            "in the writer's layout")
+    k = _where(lines, 1, "result", 2)
+    deep = lines[k - 1].replace("[", "[" * 10**5, 1).replace("]", "]" * 10**5, 1)
+    refused(at(k, deep), f"transcript line {k} is not round 1's result record of learner 2 "
+                         "in the writer's layout")
+    k = _where(lines, 1, "audit", 9)
+    refused([*lines[:k], "", *lines[k:]],
+            f"transcript line {k + 1} is not a topology record in the writer's layout")
+    k = _where(lines, 3, "audit", 5)
+    refused(lines[:k], f"transcript ends after line {k}, before round 3's audit record "
+                       "of learner 6")
+    refused([lines[1], lines[0], *lines[2:]], "transcript lacks its meta record on line 1")
+    k = _where(lines, 2, "audit", 4)
+    ragged = json.loads(lines[k - 1])
+    ragged["payload"]["model"].append(0.5)
+    refused(at(k, json.dumps(ragged)),
+            f"transcript round 2 has records of unequal length: the audit record of learner 4 "
+            f"on line {k} holds 4 values, its shares 3")
+
+
+def test_a_graph_larger_than_the_file_is_refused_before_it_is_built(tmp_path):
+    # Two lines of 200 bytes must not make the reader build a graph of a
+    # million nodes.
+    n = 10**6
+    path = tmp_path / "huge.jsonl"
+    meta = json.dumps({"meta": {"n_learners": n, "prime": 2**31 - 1, "sigma": 2}})
+    topology = ('{"round": 1, "phase": "topology", "payload": {"n_nodes": %d, "edges": [[1, 2]], '
+                '"k_used": 1, "lambda2": 0.5, "rounding_margin": 0.1}}' % n)
+    path.write_text(meta + "\n" + topology + "\n")
+    tracemalloc.start()
     try:
-        lists = [json.loads(text) for text in texts]
-    except ValueError:
-        return None
-    if any(json.dumps(value) != text for value, text in zip(lists, texts)):
-        return None
-    values = []
-    for value, count in zip(lists, counts):
-        rows = value if width is not None else [value]
-        if len(value) != count or any(
-                type(row) is not list or len(row) != (width or count) for row in rows):
-            return None
-        values += [v for row in rows for v in row]
-    if not all(type(v) is int and 0 <= v < 10**18 for v in values):
-        return None
-    return values
+        with pytest.raises(ValueError, match="^transcript ends after line 2, before the records "
+                                             "of round 1's 1000000 learners$"):
+            Transcript.from_jsonl(str(path))
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_repeated_round_is_refused(tmp_path):
+    lines = _written_lines(11, tmp_path)
+    round1 = lines[1:_where(lines, 2, "shares", 1) - 1]
+    path = tmp_path / "variant.jsonl"
+    path.write_text("\n".join([*lines, *round1]) + "\n")
+    assert_refused(path, "transcript round 1 repeats its topology record")
 
 
 @pytest.mark.parametrize("width", [None, 1, 3])
@@ -456,6 +404,28 @@ def test_bulk_integer_parse_matches_json(width):
     assert accepted > 300 and refused > 300
 
 
+def _kernel_reference(texts, counts, width):
+    """_int_text's answer by json.loads: the values of texts when each is
+    json.dumps' layout of a list of counts[k] integers (width None) or of
+    counts[k] lists of width integers, every one in [0, 10**18)."""
+    try:
+        lists = [json.loads(text) for text in texts]
+    except ValueError:
+        return None
+    if any(json.dumps(value) != text for value, text in zip(lists, texts)):
+        return None
+    values = []
+    for value, count in zip(lists, counts):
+        rows = value if width is not None else [value]
+        if len(value) != count or any(
+                type(row) is not list or len(row) != (width or count) for row in rows):
+            return None
+        values += [v for row in rows for v in row]
+    if not all(type(v) is int and 0 <= v < 10**18 for v in values):
+        return None
+    return values
+
+
 def _counting_json_loads(monkeypatch):
     """Count json.loads calls from here on; returns the running count."""
     calls = [0]
@@ -470,9 +440,10 @@ def _counting_json_loads(monkeypatch):
 
 
 def test_consensus_records_are_skipped_without_json(tmp_path, monkeypatch):
-    # A --trajectories transcript reads back as the same transcript without
-    # its consensus lines, with no json.loads call spent on them; states
-    # include every float layout json.dumps writes.
+    # A --trajectories transcript reads back as the oracle reads it, and as
+    # the same transcript without its consensus lines, with no json.loads
+    # call spent on them; states include every float layout json.dumps
+    # writes.
     cfg = ProtocolConfig.from_json_file(str(ROOT / "configs" / "demo.json"))
     transcript = run_training(cfg, record_trajectory=True).transcript
     traj = transcript.rounds[0].state_trajectory
@@ -482,6 +453,7 @@ def test_consensus_records_are_skipped_without_json(tmp_path, monkeypatch):
     transcript.to_jsonl(str(with_path))
     transcript.to_jsonl(str(without_path), include_consensus=False)
     assert with_path.read_text().count('"phase": "consensus"') > 0
+    _read_as_oracle(with_path)
     calls = _counting_json_loads(monkeypatch)
     without = Transcript.from_jsonl(str(without_path))
     bare = calls[0]
@@ -489,10 +461,16 @@ def test_consensus_records_are_skipped_without_json(tmp_path, monkeypatch):
     assert calls[0] == 2 * bare
 
 
-def test_consensus_records_in_other_layouts_meet_json(tmp_path):
-    # Only a consensus line in the writer's layout is skipped unparsed: any
-    # other goes through json.loads and meets the same refusals, and either
-    # opens its round's slot, as the per-line reader does.
+def _with_consensus(lines, record):
+    """(lines with record after round 1's state0 block, the record's line
+    number)."""
+    k = _where(lines, 1, "state0", 9)
+    return [*lines[:k], record, *lines[k:]], k + 1
+
+
+def test_consensus_records_in_other_layouts_are_refused(tmp_path):
+    # Only a consensus line of its round in the writer's layout is skipped:
+    # any other stands where the round's first result record belongs.
     lines = _written_lines(11, tmp_path)
     record = {"round": 1, "phase": "consensus", "k": 1, "from": 2, "to": [1, 3],
               "payload": [0.5, -1e-05, float("nan")]}
@@ -500,8 +478,9 @@ def test_consensus_records_in_other_layouts_meet_json(tmp_path):
     path = tmp_path / "variant.jsonl"
     variants = {
         "as_written": (written, True),
-        "compact": (json.dumps(record, separators=(",", ":")), True),
-        "reordered_keys": (json.dumps(_reversed_keys(record)), True),
+        "compact": (json.dumps(record, separators=(",", ":")), False),
+        "reordered_keys": (json.dumps(_reversed_keys(record)), False),
+        "other_round": (written.replace('"round": 1', '"round": 2'), False),
         "own_round": (written.replace('"round": 1', '"round": 4'), False),
         "malformed_number": (written.replace("0.5", "0.5.5"), False),
         "leading_zero": (written.replace("0.5", "05"), False),
@@ -509,21 +488,19 @@ def test_consensus_records_in_other_layouts_meet_json(tmp_path):
         "not_json": (written[:-1], False),
     }
     for name, (line, readable) in variants.items():
-        path.write_text("\n".join([*lines, line]) + "\n")
-        expected = _read_or_none(oracle_read, path)
-        assert (expected is not None) == readable, name
-        if expected is None:
-            with pytest.raises(ValueError):
-                Transcript.from_jsonl(str(path))
+        edited, k = _with_consensus(lines, line)
+        path.write_text("\n".join(edited) + "\n")
+        if readable:
+            _read_as_oracle(path)
         else:
-            assert_same_rounds(Transcript.from_jsonl(str(path)), expected)
+            assert_refused(path, f"^transcript line {k} is not round 1's result record of "
+                                 "learner 1 in the writer's layout$")
 
 
 def test_consensus_to_lists_meet_the_strict_pattern(tmp_path):
     # A consensus to list is captured loosely and checked once per distinct
-    # text. A list json.dumps would not write goes through json.loads and
-    # meets its refusals, also after a valid list of the same learner was
-    # admitted.
+    # text. A list json.dumps would not write is refused, also after a
+    # valid list of the same learner was admitted.
     lines = _written_lines(11, tmp_path)
     record = {"round": 1, "phase": "consensus", "k": 1, "from": 2, "to": [1, 3],
               "payload": [0.5, -1e-05]}
@@ -531,144 +508,55 @@ def test_consensus_to_lists_meet_the_strict_pattern(tmp_path):
     path = tmp_path / "variant.jsonl"
     variants = {
         "as_written": ("[1, 3]", True),
+        "empty": ("[]", True),
         "leading_zero": ("[01, 3]", False),
         "trailing_comma": ("[1, 3, ]", False),
         "empty_id": ("[1, , 3]", False),
         "unclosed": ("[1, 3", False),
-        "compact": ("[1,3]", True),
-        "spaced": ("[ 1, 3 ]", True),
-        "negative_id": ("[-1, 3]", True),
-        "nested": ("[[1], 3]", True),
-        "empty": ("[]", True),
+        "compact": ("[1,3]", False),
+        "spaced": ("[ 1, 3 ]", False),
+        "negative_id": ("[-1, 3]", False),
+        "nested": ("[[1], 3]", False),
     }
     for name, (to, readable) in variants.items():
-        line = written.replace("[1, 3]", to)
-        path.write_text("\n".join([*lines, written, line, written]) + "\n")
-        expected = _read_or_none(oracle_read, path)
-        assert (expected is not None) == readable, name
-        if expected is None:
-            with pytest.raises(ValueError):
-                Transcript.from_jsonl(str(path))
+        edited, k = _with_consensus(lines, "\n".join([written, written.replace("[1, 3]", to),
+                                                      written]))
+        path.write_text("\n".join(edited) + "\n")
+        if readable:
+            _read_as_oracle(path)
         else:
-            assert_same_rounds(Transcript.from_jsonl(str(path)), expected)
+            assert_refused(path, f"^transcript line {k + 1} is not round 1's result record of "
+                                 "learner 1 in the writer's layout$")
 
 
-def test_writer_layout_takes_one_json_loads_per_result_and_audit_block(tmp_path, monkeypatch):
-    # A round in the writer's layout is read as blocks: json.loads reads the
-    # meta line, each round's topology scalars and its result and audit
-    # blocks whole, and no shares or state0 line.
-    _written_lines(2**31 - 1, tmp_path)
-    texts = []
+def test_no_shares_or_state0_line_meets_json_loads(tmp_path, monkeypatch):
+    # json.loads reads the meta line and, per round, the topology scalars
+    # and the result and audit blocks whole: no shares or state0 line, also
+    # when one is refused.
+    lines = _written_lines(2**31 - 1, tmp_path)
+    seen = []
     loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda s, *a, **k: texts.append(s) or loads(s, *a, **k))
-    Transcript.from_jsonl(str(tmp_path / "written.jsonl"))
-    texts = [s.decode() if isinstance(s, bytes) else s for s in texts]
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: seen.append(s) or loads(s, *a, **k))
+
+    def read(path):
+        seen.clear()
+        with contextlib.suppress(ValueError):
+            Transcript.from_jsonl(str(path))
+        return [s.decode() if isinstance(s, bytes) else s for s in seen]
+
+    texts = read(tmp_path / "written.jsonl")
     kinds = []
     for text in texts:
-        assert '"phase": "shares"' not in text and '"phase": "state0"' not in text
         blocks = [phase for phase in ("result", "audit") if text.count(f'"phase": "{phase}"') == 9]
         kinds += blocks or ["meta" if text.startswith('{"meta"') else "scalars"]
     assert kinds == ["meta"] + ["scalars", "result", "audit"] * 3
-    assert all(text.startswith('{"n_nodes": 9, "k_used": ')
-               for text, kind in zip(texts, kinds) if kind == "scalars")
-
-
-def _two_rounds(p, tmp_path):
-    """Rounds 1 and 2 of the written corpus transcript; in round 2 two state0
-    lines are swapped and one shares line is compact, so only round 2 leaves
-    the writer's layout and order."""
-    lines = [line for line in _written_lines(p, tmp_path) if '"round": 3,' not in line]
-    state0 = [k for k, line in enumerate(lines)
-              if line.startswith('{"round": 2, "phase": "state0"')]
-    lines[state0[2]], lines[state0[5]] = lines[state0[5]], lines[state0[2]]
-    k = next(k for k, line in enumerate(lines)
-             if line.startswith('{"round": 2, "phase": "shares", "from": 4,'))
-    lines[k] = json.dumps(json.loads(lines[k]), separators=(",", ":"))
-    return lines
-
-
-def _routes(path):
-    """Whether each round of the transcript at path was read as blocks."""
-    reader = _Reader(path.read_bytes())
-    reader.read()
-    return {t: slot["block"] is not None for t, slot in reader.per_round.items()}
-
-
-@pytest.mark.parametrize("p", [11, 2**31 - 1])
-def test_reader_matches_per_line_reader_when_one_round_leaves_the_layout(tmp_path, p):
-    lines = _two_rounds(p, tmp_path)
+    assert all(text.startswith('{"k_used": ') for text, kind in zip(texts, kinds)
+               if kind == "scalars")
     path = tmp_path / "variant.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    assert _routes(path) == {1: True, 2: False}
-    assert_same_rounds(Transcript.from_jsonl(str(path)), oracle_read(str(path)))
-    # A later line that files a record into round 1 turns its blocks back
-    # into lines, and the round meets the refusals the oracle's lines meet.
-    state0 = next(line for line in lines if line.startswith('{"round": 1, "phase": "state0", "from": 4,'))
-    empty = json.dumps({"round": 1, "phase": "shares", "from": 3, "to": [], "payload": []})
-    path.write_text("\n".join([*lines, empty]) + "\n")
-    assert_same_rounds(Transcript.from_jsonl(str(path)), oracle_read(str(path)))
-    path.write_text("\n".join([*lines, state0]) + "\n")
-    for reader in (oracle_read, Transcript.from_jsonl):
-        with pytest.raises(ValueError, match="round 1 repeats the state0 record of learner 4"):
-            reader(str(path))
-    # The digit of state0 is checked as an integer of the layout's own: a
-    # record of another phase leaves round 1 without learner 4's state0.
-    for phase in ("state1", "state00"):
-        edited = [line.replace('"state0"', f'"{phase}"') if line == state0 else line
-                  for line in lines]
-        path.write_text("\n".join(edited) + "\n")
-        assert _routes(path)[1] is False
-        for reader in (oracle_read, Transcript.from_jsonl):
-            with pytest.raises(ValueError, match="round 1 lacks state0 records of learners 4"):
-                reader(str(path))
-
-
-def test_zero_width_bundles_read_as_blocks(tmp_path):
-    # Bundles, states and models of no values still form blocks of the
-    # writer's layout, and read back as the oracle reads them.
-    g = generate_topology("line", 4)
-    rows = len(share_pairs(g)[0])
-    empty = np.zeros((4, 0), dtype=np.int64)
-    record = RoundRecord(round_index=1, topology=g, k_used=3, lambda2=0.5,
-                         bundles=np.zeros((rows, 0), dtype=np.int64), initial_states=empty,
-                         encoded_secrets=empty, local_models=np.zeros((4, 0)), rounded=empty,
-                         decoded=np.zeros((4, 0)), rounding_margin=0.1)
-    path = tmp_path / "written.jsonl"
-    Transcript({"n_learners": 4, "prime": 11, "sigma": 0}, [record]).to_jsonl(str(path))
-    assert _routes(path) == {1: True}
-    assert_same_rounds(Transcript.from_jsonl(str(path)), oracle_read(str(path)))
-
-
-def test_compact_transcript_parses_each_line_once(tmp_path, monkeypatch):
-    # Lines read alone are parsed once, by json.loads, and filed as values:
-    # nothing is dumped back to text or parsed again.
-    msgs = _messages(_written_lines(2**31 - 1, tmp_path))
-    lines = _dumped(msgs, separators=(",", ":"))
-    path = tmp_path / "compact.jsonl"
-    path.write_text("\n".join([*lines[:4], "", *lines[4:]]) + "\n")
-    assert _routes(path) == {1: False, 2: False, 3: False}
-    expected = oracle_read(str(path))
-    loads = _counting_json_loads(monkeypatch)
-    dumps = []
-    monkeypatch.setattr(json, "dumps", lambda *a, **k: dumps.append(a))
-    assert_same_rounds(Transcript.from_jsonl(str(path)), expected)
-    assert (loads[0], len(dumps)) == (len(lines), 0)
-
-
-def test_per_edge_state0_repeat_must_be_spelled_alike(tmp_path):
-    # A per-edge state0 record may repeat its learner's payload only as
-    # written: 1 spelled 1.0 or true is another payload.
-    msgs = _per_edge_state0(_messages(_written_lines(11, tmp_path)))
-    fours = [k for k, m in enumerate(msgs)
-             if (m.get("round"), m.get("phase"), m.get("from")) == (1, "state0", 4)]
-    for k in fours:
-        msgs[k]["payload"][0] = 1
-    path = tmp_path / "variant.jsonl"
-    path.write_text("\n".join(_dumped(msgs)) + "\n")
-    assert_same_rounds(Transcript.from_jsonl(str(path)), oracle_read(str(path)))
-    k = fours[1]
-    for value in (1.0, True):
-        edited = [*msgs[:k], {**msgs[k], "payload": [value, *msgs[k]["payload"][1:]]}, *msgs[k + 1:]]
-        path.write_text("\n".join(_dumped(edited)) + "\n")
-        with pytest.raises(ValueError, match="round 1 repeats the state0 record of learner 4"):
+    for phase in ("shares", "state0"):
+        k = _where(lines, 2, phase, 4)
+        compact = json.dumps(json.loads(lines[k - 1]), separators=(",", ":"))
+        path.write_text("\n".join([*lines[:k - 1], compact, *lines[k:]]) + "\n")
+        with pytest.raises(ValueError, match=f"line {k} is not round 2's {phase} record"):
             Transcript.from_jsonl(str(path))
+        assert not any(re.search(r'"phase": ?"(shares|state0)"', text) for text in read(path))
