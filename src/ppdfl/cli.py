@@ -209,6 +209,9 @@ def _parse_topology_flag(spec: str, n: int, seed: int):
 def _cmd_spectral(args) -> int:
     from .topology import mh_weights, second_largest_eigenvalue
 
+    if args.kmax < 0:
+        print(f"error: --kmax must be non-negative, got {args.kmax}", file=sys.stderr)
+        return EXIT_CONFIG
     g = _parse_topology_flag(args.topology, args.n, args.seed)
     lam2 = second_largest_eigenvalue(mh_weights(g))
     print(f"lambda2,{lam2!r}")

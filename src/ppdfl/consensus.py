@@ -17,9 +17,9 @@ slot k covers a prefix of the learners, and each run of slots over the
 same prefix is summed by one or a few numpy calls, slot after slot.
 
 A dense graph, one with 2|E| >= _DENSE_FILL * N^2 arcs, runs on the N x N
-off-diagonal matrix instead: one broadcast multiply and one reduction over
-the senders per step, O(N^2 n). Its zero entries add exact zeros, so the
-floats are those of the edge list.
+off-diagonal matrix instead: one product per entry (np.einsum) and one
+reduction over the senders per step, O(N^2 n). Its zero entries add exact
+zeros, so the floats are those of the edge list.
 
 K is a closed form in lambda2, N and p alone (min_iterations); the round
 driver's one eigensolve gives lambda2. The steps run in floats; their
@@ -47,10 +47,12 @@ EIG_SLACK = 8
 _BLOCK_ENTRIES = 2**16
 # Fill, arcs per N^2, from which a graph averages on the dense plan. The
 # dense step does N^2 products a column where the slot step does
-# N + 2|E|, but without a gather or a call per distinct degree. At n=3 it
-# breaks even with the slot step near fill 0.5-0.6 for N=24 to 300, and is
-# 30% faster at fill 0.87, N=100; at n=16 it breaks even near fill 0.9 at
-# N=100 and 0.6 at N=300, and loses at N <= 40 (numpy 2.4).
+# N + 2|E|, but without a gather or a call per distinct degree. At n <= 3
+# it is faster than the slot step from fill 0.4-0.5 for N=24 to 300, and
+# 40% faster at fill 0.86, N=100; at n=16 it breaks even near fill 0.7 at
+# N=100 and 0.5 at N=300, and loses by 1.6-2x at N <= 40 at every fill
+# (numpy 2.4). Below 0.7, graphs of N=100 at n=16 would average on the
+# losing plan.
 _DENSE_FILL = 0.75
 # Entries per slot below which a run of slots is summed by np.add.accumulate
 # rather than np.add.reduce: the reduction pays a fixed cost per slot, the
@@ -172,13 +174,14 @@ def consensus_final(
     arcs. That is the order of a gather, an np.bincount scatter-add and an
     added own term, so the floats are the same as that step's.
 
-    On op's dense plan a step is one broadcast multiply of every sender's
-    state by its column of weights, one reduction over the senders in id
-    order, which starts at +0.0 and adds exact zeros for non-neighbours,
-    and the own terms. On the slot plan it is one gather of every term's
-    sender, one multiply by the weights, one sum over the first run of
-    slots, which every learner has, and one to three calls per further
-    run, one run per distinct degree, however large the largest degree.
+    On op's dense plan a step is one np.einsum that multiplies every
+    sender's state by its column of weights, one reduction over the
+    senders in id order, which starts at +0.0 and adds exact zeros for
+    non-neighbours, and the own terms. On the slot plan it is one gather
+    of every term's sender, one multiply by the weights, one sum over the
+    first run of slots, which every learner has, and one to three calls
+    per further run, one run per distinct degree, however large the
+    largest degree.
 
     All K steps run: the intermediate states are the protocol's messages.
     If frames, a (K+1, N, n) array, is given, s(k) is written to frames[k]
@@ -232,11 +235,11 @@ def _dense_steps(
     nxt = np.empty_like(cur)
     own = np.empty_like(cur)
     prod = np.empty((cur.shape[0], *op.off.shape))
-    off = op.off[None]
     for k in range(1, iterations + 1):
-        # prod[c, j, i] = a_ij s_j; reducing over j, an outer axis, adds
+        # prod[c, j, i] = a_ij s_j, the products a broadcast multiply forms,
+        # in less time from N=40 up; reducing over j, an outer axis, adds
         # whole rows of senders in id order.
-        np.multiply(off, cur[:, :, None], out=prod)
+        np.einsum("ji,cj->cji", op.off, cur, out=prod)
         np.add.reduce(prod, axis=1, out=nxt, initial=0.0)
         np.multiply(op.diag, cur, out=own)
         nxt += own

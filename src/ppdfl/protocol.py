@@ -381,7 +381,9 @@ def execute_round(
         )
     encoded = scaled % p
     key = derive_rng(cfg.seed, "shares", round_index).bit_generator.random_raw(2)
+    t1 = time.perf_counter()
     drawn = _share_streams(key, np.diff(g.indptr), cfg.model_dim, p)
+    timings["draw"] = time.perf_counter() - t1  # a part of the share phase
     bundles = _generate_share_values(encoded, drawn, g.indptr, g.pair_rows[1], p)
     del drawn  # not held through averaging
     timings["shares"] = time.perf_counter() - t0

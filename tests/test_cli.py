@@ -39,6 +39,11 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert (out / "transcript.jsonl").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["max_deviation"] == 0.0
+    # Each round's share phase times the draw of its shares within it.
+    for row in summary["rounds"]:
+        timings = row["timings"]
+        assert set(timings) == {"weights", "draw", "shares", "masking", "averaging", "readback"}
+        assert 0.0 <= timings["draw"] <= timings["shares"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 11
     assert len(manifest["schedule_digest"]) == 64
@@ -196,6 +201,16 @@ def test_spectral_random_topology_flag(capsys):
                      "--seed", seed, "--kmax", "2"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("lambda2,")
+
+
+def test_spectral_refuses_negative_kmax(capsys):
+    assert main(["spectral", "--topology", "line", "--n", "10", "--kmax", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no table
+    assert "--kmax" in captured.err
+    # Depth 0 is a table of one row, k = 0.
+    assert main(["spectral", "--topology", "line", "--n", "10", "--kmax", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["k,averaging_error_norm", "0,10.0"]
 
 
 def test_bounds_pass_and_fail(tmp_path, capsys):

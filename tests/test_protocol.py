@@ -503,18 +503,33 @@ def test_share_phase_determinism():
 # must stay byte-identical within a version; a change to the share values
 # or to the seeded graphs has to bump __version__ and this pin together.
 DEMO_BUNDLES_SHA256 = "854e25f938863111357687f9aa99f941d27825bde32f3fd42943368832011e64"
+# The same digest over all six rounds of configs/large_random.json (N=100,
+# average degree 87), as version 0.7.0 produces them. Its learners' needs
+# are near-uniform, so every round draws its shares on the block plan of
+# sharing._share_streams; demo.json's round 1 runs the chunked loop and its
+# round 2 the block plan.
+LARGE_RANDOM_BUNDLES_SHA256 = "1577d003d78d2ba633c0446b23d62ddca5f8be86d5365c534ae39e58574a7e19"
 
 
-def test_demo_share_stream_is_pinned():
-    config = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.json"
-    cfg = ProtocolConfig.from_json_file(str(config))
-    cfg.rounds = 2
+def bundles_digest(config: str, rounds: int) -> str:
+    """sha256 over the share bundles of the config's first rounds."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / config
+    cfg = ProtocolConfig.from_json_file(str(path))
+    cfg.rounds = rounds
     digest = hashlib.sha256()
     for rec in run_training(cfg).transcript.rounds:
         for i, j, values in zip(*share_pairs(rec.topology), rec.bundles.tolist()):
             line = f"{i},{j}:{','.join(map(str, values))}\n"
             digest.update(line.encode())
-    assert digest.hexdigest() == DEMO_BUNDLES_SHA256
+    return digest.hexdigest()
+
+
+def test_demo_share_stream_is_pinned():
+    assert bundles_digest("demo.json", 2) == DEMO_BUNDLES_SHA256
+
+
+def test_large_random_share_tables_are_pinned():
+    assert bundles_digest("large_random.json", 6) == LARGE_RANDOM_BUNDLES_SHA256
 
 
 # sha256 of Transcript.to_jsonl's bytes for round 1 of configs/demo.json,

@@ -275,24 +275,68 @@ def reference_stream(key, g, sets, count, p):
     return out[:count]
 
 
+def expected_rows(taus, n, p):
+    """The rows _share_streams expects each set of a batch to read."""
+    accept = p / 2 ** max(1, (p - 1).bit_length())
+    return sharing._stream_blocks(n * np.asarray(taus, dtype=np.int64), accept)
+
+
+def block_plan(taus, n, p):
+    """Whether _share_streams draws the batch's first rows as one block:
+    its rule, restated."""
+    rows = expected_rows(taus, n, p)
+    span = int(rows.max(initial=0))
+    return (0 < 8 * span * len(taus) <= sharing._BLOCK_ENTRIES
+            and span * len(taus) <= sharing._UNIFORM * rows.sum())
+
+
+def plan_inputs(n, p):
+    """Batches on each side of the block plan's rule on the sets' needs, as
+    (taus, block): ten sets with equal share counts, and one set with more
+    shares than nine others, by the most that keeps the batch on the block
+    plan and by one share more, which puts it on the chunked loop."""
+    base = [12] * 9
+    more = 12
+    while block_plan([more + 1] + base, n, p):
+        more += 1
+    return [([12] * 10, True), ([more] + base, True), ([more + 1] + base, False)]
+
+
+def fill_edge(n, p):
+    """Two batches of equal sets, whose first rows take exactly
+    _BLOCK_ENTRIES candidates (block) and one set's rows more (loop)."""
+    tau = 1
+    while expected_rows([tau], n, p)[0] not in (16, 32, 64):
+        tau += 1
+    sets = sharing._BLOCK_ENTRIES // (8 * int(expected_rows([tau], n, p)[0]))
+    return [[tau] * sets, [tau] * (sets + 1)]
+
+
+def assert_reference_stream(got, taus, n, p):
+    """got holds each set's first n * tau kept values of its lane."""
+    assert got.dtype == np.int64 and got.shape == (sum(taus), n)
+    start = 0
+    for g, tau in enumerate(taus, start=1):
+        want = reference_stream(KEY, g, len(taus), n * tau, p)
+        assert got[start : start + tau].ravel().tolist() == want
+        start += tau
+
+
 @pytest.mark.parametrize("p", [2, 17, 1020431, 2**31 - 1, 4294967291])
 def test_share_streams_follow_the_counter_layout(p, monkeypatch):
     # Block b of the stream is the b-th block of a fresh np.random.Philox.
     assert np.random.Philox(key=KEY).random_raw(8).tolist() == (
         philox_block(KEY, [1, 0, 0, 0]) + philox_block(KEY, [2, 0, 0, 0]))
     n = 4
-    # As drawn, and with lane windows (see _share_streams) taken
-    # whatever the number of lanes they skip.
+    # On the chunked loop and on the block plan, and with lane windows (see
+    # _share_streams) taken whatever the number of lanes they skip.
+    inputs = [([3, 0, 7, 1, 12], False), ([12] + [1] * 30, False),
+              ([1] * 30 + [12], False), ([0, 9, 1, 1, 0, 8], False), *plan_inputs(n, p)]
     for skip in (sharing._SKIP_BLOCKS, 1):
         monkeypatch.setattr(sharing, "_SKIP_BLOCKS", skip)
-        for taus in ([3, 0, 7, 1, 12], [12] + [1] * 30, [1] * 30 + [12], [0, 9, 1, 1, 0, 8]):
-            got = _share_streams(KEY, taus, n, p)
-            assert got.dtype == np.int64 and got.shape == (sum(taus), n)
-            start = 0
-            for g, tau in enumerate(taus, start=1):
-                want = reference_stream(KEY, g, len(taus), n * tau, p)
-                assert got[start : start + tau].ravel().tolist() == want
-                start += tau
+        for taus, block in inputs:
+            assert block_plan(taus, n, p) == block
+            assert_reference_stream(_share_streams(KEY, taus, n, p), taus, n, p)
 
 
 @pytest.mark.parametrize("p", [17, 2**31 - 1])
@@ -306,14 +350,24 @@ def test_share_streams_do_not_depend_on_chunk_rows(p, monkeypatch):
     # of lanes skipped.
     monkeypatch.setattr(sharing, "_SKIP_BLOCKS", 1)
     n = 5
-    for taus in ([3, 0, 7, 1, 12, 2], [12] + [1] * 30, [1] * 30 + [12], [1] * 9 + [6, 0, 7] + [1] * 9):
+    edge = fill_edge(n, p)
+    inputs = [[3, 0, 7, 1, 12, 2], [12] + [1] * 30, [1] * 30 + [12],
+              [1] * 9 + [6, 0, 7] + [1] * 9, *edge, *(taus for taus, _ in plan_inputs(n, p))]
+    assert [block_plan(taus, n, p) for taus in edge] == [True, False]
+    for taus in inputs:
         want = _share_streams(KEY, taus, n, p)
+        assert_reference_stream(want, taus, n, p)
         with monkeypatch.context() as m:
             m.setattr(sharing, "_BLOCK_ENTRIES", 1)
             assert np.array_equal(_share_streams(KEY, taus, n, p), want)
-        with monkeypatch.context() as m:
-            m.setattr(sharing, "_stream_blocks", lambda need, accept: np.ones_like(need))
-            assert np.array_equal(_share_streams(KEY, taus, n, p), want)
+        # Sets expecting a row too few, or one row each, fall short of their
+        # values in the block; they read on in the chunked loop.
+        stream_blocks = sharing._stream_blocks
+        for short in (lambda need, accept: np.maximum(stream_blocks(need, accept) - 1, 1),
+                      lambda need, accept: np.ones_like(need)):
+            with monkeypatch.context() as m:
+                m.setattr(sharing, "_stream_blocks", short)
+                assert np.array_equal(_share_streams(KEY, taus, n, p), want)
 
 
 def test_share_streams_depend_on_own_set_only():
