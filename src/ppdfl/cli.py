@@ -207,13 +207,14 @@ def _parse_topology_flag(spec: str, n: int, seed: int):
 
 
 def _cmd_spectral(args) -> int:
-    from .topology import mh_weights, second_largest_eigenvalue
+    from .protocol import mh_lambda2
 
     if args.kmax < 0:
         print(f"error: --kmax must be non-negative, got {args.kmax}", file=sys.stderr)
         return EXIT_CONFIG
     g = _parse_topology_flag(args.topology, args.n, args.seed)
-    lam2 = second_largest_eigenvalue(mh_weights(g))
+    # No prime, so no K: only the plan's eigensolve.
+    lam2 = mh_lambda2(g)
     print(f"lambda2,{lam2!r}")
     print("k,averaging_error_norm")
     for k in range(args.kmax + 1):
@@ -224,10 +225,8 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .consensus import min_iterations
     from .fixedpoint import check_p_bound
-    from .protocol import ProtocolConfig
-    from .topology import mh_weights, second_largest_eigenvalue
+    from .protocol import BoundViolation, ProtocolConfig, plan_round
 
     # The config loads only if its modulus meets the bound (else exit 3).
     cfg = ProtocolConfig.from_json_file(args.config)
@@ -237,16 +236,13 @@ def _cmd_bounds(args) -> int:
     print("round,lambda2,min_iterations")
     all_ok = True
     for t in range(1, cfg.rounds + 1):
-        g = cfg.schedule.round_graph(t)
-        lam2 = second_largest_eigenvalue(mh_weights(g))
-        k = min_iterations(lam2, cfg.n_learners, cfg.prime)
-        print(f"{t},{lam2!r},{k}")
-        if cfg.k_policy != "auto" and k > int(cfg.k_policy):
+        plan = plan_round(cfg.schedule.round_graph(t), cfg, t)
+        print(f"{t},{plan.lambda2!r},{plan.k_needed}")
+        try:
+            plan.check()
+        except BoundViolation as exc:
             all_ok = False
-            print(
-                f"round {t}: configured K={cfg.k_policy} below required {k}",
-                file=sys.stderr,
-            )
+            print(exc, file=sys.stderr)
     return EXIT_OK if all_ok else EXIT_BOUNDS
 
 
@@ -380,11 +376,12 @@ def bench_iteration_sweep(k_values, n_nodes=40, avg_degree=8.0, dim=8,
     """Wall time of the averaging loop as the iteration count grows."""
     from .consensus import AveragingOperator, consensus_final
     from .seeding import derive_rng
-    from .topology import generate_topology
+    from .topology import generate_topology, mh_edge_weights
 
+    # Generated connected, so the graph needs no plan's check.
     g = generate_topology("random_connected", n_nodes, seed=seed,
                           avg_degree=avg_degree)
-    op = AveragingOperator.from_graph(g)
+    op = AveragingOperator(*mh_edge_weights(g))
     gen = derive_rng(seed, "bench-k")
     states = gen.uniform(0.0, 1.0, (n_nodes, dim))
     runs = [functools.partial(consensus_final, states, op, k) for k in k_values]

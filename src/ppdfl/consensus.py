@@ -22,9 +22,9 @@ reduction over the senders per step, O(N^2 n). Its zero entries add exact
 zeros, so the floats are those of the edge list.
 
 K is a closed form in lambda2, N and p alone (min_iterations); the round
-driver's one eigensolve gives lambda2. The steps run in floats; their
-rounding error is not budgeted into K but measured at run time by the
-round driver.
+plan (protocol.plan_round) makes the round's one eigensolve for lambda2
+and takes K from it. The steps run in floats; their rounding error is
+not budgeted into K but measured at run time by the round driver.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .field import DimensionMismatch
-from .topology import DisconnectedGraph, RoundTopology, is_connected, mh_edge_weights
 
 # Eigensolver error slack on lambda, EIG_SLACK * N * UNIT_ROUNDOFF; see
 # min_iterations.
@@ -139,12 +138,6 @@ class AveragingOperator:
         first = np.concatenate([[0], levels[:-1]])
         ranges = zip(start[first].tolist(), (levels - first).tolist(), c[first].tolist())
         object.__setattr__(self, "ranges", tuple(ranges))
-
-    @classmethod
-    def from_graph(cls, g: RoundTopology) -> "AveragingOperator":
-        if not is_connected(g):
-            raise DisconnectedGraph("averaging weights need a connected graph")
-        return cls(*mh_edge_weights(g))
 
     @property
     def n_nodes(self) -> int:
@@ -329,35 +322,30 @@ def averaging_error_norm(a: np.ndarray, k: int) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
-def termination_inputs(lambda2: float, n: int, p: int) -> tuple[float, float]:
-    """(inflated radius, threshold) that K is chosen against; see min_iterations."""
-    lam_hat = abs(lambda2) + EIG_SLACK * n * UNIT_ROUNDOFF
-    return lam_hat, 1.0 / (2.0 * p * math.sqrt(n))
-
-
-def min_iterations(lambda2: float, n: int, p: int) -> int:
-    """Smallest K >= 1 with N lam_hat^K < 1 / (2 p sqrt(N)), in closed form.
+def min_iterations(lambda2: float, n: int, p: int) -> tuple[int, float, float]:
+    """(K, lam_hat, threshold): the smallest K >= 1 with N lam_hat^K <
+    threshold = 1 / (2 p sqrt(N)), in closed form, and what it was chosen against.
 
     For symmetric doubly stochastic A, ||N A^k - 11^T|| = N lambda^k exactly,
     where lambda = |lambda2| is the second-largest eigenvalue magnitude of A
     (Xiao and Boyd, "Fast linear iterations for distributed averaging",
     2004). Below the threshold, |N s_i(K) - sum_j s_j(0)| < 0.5 for any
     initial states in [0, p), so rounding N s(K) recovers the exact integer
-    sum. The rule reads only lambda2, N and p: the caller's one eigensolve
+    sum. The rule reads only lambda2, N and p: the round plan's one eigensolve
     gives lambda2, and topology.mh_weights builds A doubly stochastic.
 
     The solver's eigenvalues are exact for a matrix within p(N) u ||A|| of A
     (LAPACK Users' Guide, section 4.7), so by Weyl's inequality lambda is
     off by at most that much; ||A|| = 1 here. K is chosen for
     lam_hat = lambda + c N u with c = EIG_SLACK = 8 and u = 2^-53, i.e.
-    taking p(N) = 8N (8.9e-13 at N=1000); termination_inputs states lam_hat
-    and the threshold. lam_hat >= 1 raises NoFiniteK.
+    taking p(N) = 8N (8.9e-13 at N=1000). lam_hat >= 1 raises NoFiniteK.
 
     The K float averaging steps add rounding error of their own that this
     bound does not budget for; the round driver measures the rounding
     margin at run time and raises if it reaches 0.5.
     """
-    lam_hat, threshold = termination_inputs(lambda2, n, p)
+    lam_hat = abs(lambda2) + EIG_SLACK * n * UNIT_ROUNDOFF
+    threshold = 1.0 / (2.0 * p * math.sqrt(n))
     if lam_hat >= 1.0:
         raise NoFiniteK(f"inflated contraction radius {lam_hat} >= 1")
     # The logarithms seed K; the loops settle it against the rule itself.
@@ -366,4 +354,4 @@ def min_iterations(lambda2: float, n: int, p: int) -> int:
         k += 1
     while k > 1 and n * lam_hat ** (k - 1) < threshold:
         k -= 1
-    return k
+    return k, lam_hat, threshold

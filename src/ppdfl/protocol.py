@@ -39,35 +39,15 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .consensus import (
-    AveragingOperator,
-    consensus_final,
-    min_iterations,
-    termination_inputs,
-)
+from .consensus import AveragingOperator, consensus_final, min_iterations
 from .field import PrimeModulus
-from .fixedpoint import (
-    Precision,
-    check_p_bound,
-    decode_residues,
-    scaled_trunc,
-    scaled_trunc_array,
-)
+from .fixedpoint import Precision, check_p_bound, decode_residues, scaled_trunc, scaled_trunc_array
 from .seeding import derive_rng
 from .sharing import _generate_share_values, _share_streams
 from .sharing import interpolation_weights  # noqa: F401 -- the benchmark's tracer wraps it here
-from .topology import (
-    BadParameters,
-    DisconnectedGraph,
-    RoundTopology,
-    TopologySchedule,
-    check_generator,
-    is_connected,
-    mh_edge_weights,
-    mh_weights,
-    receiver_order,
-    second_largest_eigenvalue,
-)
+from .topology import (BadParameters, DisconnectedGraph, RoundTopology, TopologySchedule,
+                       check_generator, is_connected, mh_edge_weights, mh_weights,
+                       receiver_order, second_largest_eigenvalue)
 from .transcript import RoundRecord, Transcript
 
 
@@ -96,9 +76,9 @@ class ProtocolConfig:
 
     Learner ids are 1..n_learners and double as share evaluation points.
     k_policy is either "auto" (derive the iteration count per round from
-    the round's second eigenvalue) or a fixed positive integer that is checked
-    against the termination bound every round and rejected loudly when it
-    falls short.
+    the round's second eigenvalue) or a fixed positive integer; run_training
+    checks it against every round's plan before round 1 and rejects it
+    loudly when it falls short of any round's need.
     """
 
     n_learners: int
@@ -301,18 +281,54 @@ def build_initial_state(bundles: np.ndarray, g: RoundTopology, p: int) -> np.nda
     return s0
 
 
-def _resolve_iterations(cfg: ProtocolConfig, lambda2: float) -> int:
-    k_min = min_iterations(lambda2, cfg.n_learners, cfg.prime)
-    if cfg.k_policy == "auto":
-        return k_min
-    k = int(cfg.k_policy)
-    # N lam_hat^k falls with k, so k meets the bound exactly when k >= k_min.
-    if k < k_min:
-        raise BoundViolation(
-            f"fixed iteration count K={k} does not meet the termination bound "
-            f"for this round's topology; rounding could miss the exact sum"
-        )
-    return k
+@dataclass(frozen=True, eq=False)
+class RoundPlan:
+    """What a round fixes from its graph before any message is sent: the
+    Metropolis-Hastings edge_weights the round builds its operator from
+    (no dense matrix, no operator), their lambda2, and k_needed with the
+    lambda_hat and k_threshold it was chosen against (min_iterations).
+    k_used is k_needed under k_policy "auto", else the fixed K; seconds is
+    the plan's build time."""
+
+    round_index: int
+    graph: RoundTopology
+    edge_weights: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    lambda2: float
+    lambda_hat: float
+    k_threshold: float
+    k_needed: int
+    k_used: int
+    seconds: float
+
+    def check(self) -> None:
+        """BoundViolation if the round would run fewer steps than it needs."""
+        # N lam_hat^k falls with k, so k meets the bound exactly when k >= k_needed.
+        if self.k_used < self.k_needed:
+            raise BoundViolation(f"round {self.round_index}: configured "
+                                 f"K={self.k_used} below required {self.k_needed}")
+
+
+def mh_lambda2(g: RoundTopology, edge_weights: tuple | None = None) -> float:
+    """lambda2 of g's Metropolis-Hastings matrix: one symmetric eigensolve
+    of the dense matrix, which is dropped on return. mh_weights makes the
+    one connectivity check; DisconnectedGraph for a disconnected g."""
+    return second_largest_eigenvalue(mh_weights(g, edge_weights))
+
+
+def plan_round(g: RoundTopology, cfg: ProtocolConfig, round_index: int = 1) -> RoundPlan:
+    """The plan of round round_index over g: its connectivity check, its
+    one eigensolve and its K. A fixed K below the round's need is planned
+    as given; RoundPlan.check refuses it."""
+    t0 = time.perf_counter()
+    edge_weights = mh_edge_weights(g)
+    try:
+        lam2 = mh_lambda2(g, edge_weights)
+    except DisconnectedGraph:
+        raise DisconnectedGraph(f"round {round_index} graph is disconnected") from None
+    k_needed, lam_hat, threshold = min_iterations(lam2, cfg.n_learners, cfg.prime)
+    k_used = k_needed if cfg.k_policy == "auto" else cfg.k_policy
+    return RoundPlan(round_index, g, edge_weights, lam2, lam_hat, threshold,
+                     k_needed, k_used, time.perf_counter() - t0)
 
 
 def execute_round(
@@ -321,6 +337,7 @@ def execute_round(
     cfg: ProtocolConfig,
     round_index: int = 1,
     record_trajectory: bool = False,
+    plan: RoundPlan | None = None,
 ) -> RoundRecord:
     """Run one full aggregation round over graph g.
 
@@ -328,7 +345,8 @@ def execute_round(
     record's decoded rows are identical across learners and equal the
     sigma-digit quantized weighted aggregate exactly. With
     record_trajectory, the record also holds every averaging step's states,
-    a (K+1, N, n) float array.
+    a (K+1, N, n) float array. plan, plan_round(g, cfg, round_index), is
+    built here unless given; the weights phase times it either way.
     """
     p = cfg.prime
     prec = cfg.precision
@@ -348,19 +366,15 @@ def execute_round(
             f"theta_max={cfg.theta_max}; aborting round {round_index}"
         )
 
+    if plan is None:
+        plan = plan_round(g, cfg, round_index)
+    elif plan.graph is not g or plan.round_index != round_index:
+        raise ValueError(f"plan of round {plan.round_index} given for round {round_index}")
+    plan.check()
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    edge_weights = mh_edge_weights(g)
-    # The round's one eigensolve; mh_weights makes the round's one
-    # connectivity check.
-    try:
-        a = mh_weights(g, edge_weights)
-    except DisconnectedGraph:
-        raise DisconnectedGraph(f"round {round_index} graph is disconnected") from None
-    lam2 = second_largest_eigenvalue(a)
-    k_used = _resolve_iterations(cfg, lam2)
-    op = AveragingOperator(*edge_weights)
-    timings["weights"] = time.perf_counter() - t0
+    op = AveragingOperator(*plan.edge_weights)
+    timings["weights"] = plan.seconds + time.perf_counter() - t0
 
     # Share phase, for the whole round at once: per coordinate, learner i
     # hands each neighbour, in id order, a uniform residue from lane i of
@@ -397,8 +411,8 @@ def execute_round(
     t0 = time.perf_counter()
     trajectory = None
     if record_trajectory:
-        trajectory = np.empty((k_used + 1, *s0.shape))
-    final = consensus_final(s0, op, k_used, trajectory)
+        trajectory = np.empty((plan.k_used + 1, *s0.shape))
+    final = consensus_final(s0, op, plan.k_used, trajectory)
     timings["averaging"] = time.perf_counter() - t0
 
     # Readback phase.
@@ -419,8 +433,8 @@ def execute_round(
     return RoundRecord(
         round_index=round_index,
         topology=g,
-        k_used=k_used,
-        lambda2=lam2,
+        k_used=plan.k_used,
+        lambda2=plan.lambda2,
         bundles=bundles,
         initial_states=s0,
         encoded_secrets=encoded,
@@ -468,10 +482,11 @@ def run_training(
 ) -> TrainingResult:
     """Run T rounds; each round's output seeds the next round's training.
 
-    The summary reports, per round, the iteration count, the contraction
-    factor, the inputs K was chosen from (inflated factor and threshold),
-    the rounding margin, and the deviation from the directly computed
-    quantized aggregate (always 0 when the bounds hold).
+    Every round is planned first: a fixed K short of any round's need
+    raises before round 1. The summary reports, per round, the plan (K,
+    the contraction factor, the inflated factor and threshold K was chosen
+    against), the rounding margin, and the deviation from the directly
+    computed quantized aggregate (always 0 when the bounds hold).
     """
     if trainer is None:
         trainer = synthetic_trainer(cfg.theta_max)
@@ -485,6 +500,10 @@ def run_training(
         current = np.asarray(initial_models, dtype=float).copy()
         if current.shape != (n, dim):
             raise ValueError(f"initial models shape {current.shape} != ({n}, {dim})")
+    plans = []
+    for t in range(1, cfg.rounds + 1):
+        plans.append(plan_round(cfg.schedule.round_graph(t), cfg, t))
+        plans[-1].check()
 
     transcript = Transcript(
         meta={
@@ -498,31 +517,26 @@ def run_training(
     )
     per_round = []
     decoded_rows = np.empty((cfg.rounds, dim))
-    for t in range(1, cfg.rounds + 1):
+    for t, plan in enumerate(plans, start=1):
         local = np.empty((n, dim))
         for i in range(1, n + 1):
             gen = derive_rng(cfg.seed, "train", t, i)
             local[i - 1] = trainer(i, t, current[i - 1], gen)
-        g = cfg.schedule.round_graph(t)
-        record = execute_round(
-            local, g, cfg, round_index=t, record_trajectory=record_trajectory
-        )
+        record = execute_round(local, plan.graph, cfg, round_index=t,
+                               record_trajectory=record_trajectory, plan=plan)
         oracle, _ = quantized_aggregate(local, cfg.weights, cfg.precision)
         deviation = float(np.max(np.abs(record.decoded - oracle[None, :])))
         transcript.rounds.append(record)
-        lam_hat, k_threshold = termination_inputs(record.lambda2, n, cfg.prime)
-        per_round.append(
-            {
-                "round": t,
-                "k_used": record.k_used,
-                "lambda2": record.lambda2,
-                "lambda_hat": lam_hat,
-                "k_threshold": k_threshold,
-                "max_deviation": deviation,
-                "rounding_margin": record.rounding_margin,
-                "timings": record.timings,
-            }
-        )
+        per_round.append({
+            "round": t,
+            "k_used": plan.k_used,
+            "lambda2": plan.lambda2,
+            "lambda_hat": plan.lambda_hat,
+            "k_threshold": plan.k_threshold,
+            "max_deviation": deviation,
+            "rounding_margin": record.rounding_margin,
+            "timings": record.timings,
+        })
         decoded_rows[t - 1] = record.decoded[0]
         current = np.repeat(record.decoded[:1], n, axis=0)
 

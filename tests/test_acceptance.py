@@ -174,7 +174,7 @@ def test_criterion_5_iteration_bound_tightness():
             avg_degree=rng.uniform(2, min(6, n - 1)),
         )
         a = mh_weights(g)
-        k = min_iterations(second_largest_eigenvalue(a), n, p)
+        k = min_iterations(second_largest_eigenvalue(a), n, p)[0]
         threshold = 1.0 / (2 * p * math.sqrt(n))
         ones = np.ones((n, n))
         norm_k = np.linalg.norm(n * np.linalg.matrix_power(a, k) - ones, 2)

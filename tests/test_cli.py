@@ -231,20 +231,52 @@ def test_bounds_reports_admissible_theta(tmp_path, capsys):
     assert out.splitlines()[2].endswith(",1")  # complete graph needs K=1
 
 
-@pytest.mark.parametrize("config", ["large_random", "random_200"])
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("config", ["demo", "large_random", "random_200", "sparse_1k"])
 def test_bounds_rows_are_the_run_rounds(tmp_path, capsys, config):
-    # bounds and the round each reach (lambda2, K) on their own: every row
-    # bounds prints must be what that round of the run used.
-    if config == "large_random":
-        path = str(pathlib.Path(__file__).resolve().parents[1] / "configs" / "large_random.json")
-    else:
+    # bounds prints the plans the run makes: every row must be what that
+    # round of the run used.
+    if config in ("demo", "large_random"):
+        path = str(CONFIGS / f"{config}.json")
+    elif config == "random_200":
         path = write_config(tmp_path, n_learners=200, prime=2**31 - 1, rounds=3,
                             schedule={"kind": "random_connected", "avg_degree": 4.0})
+    else:  # the shape of the benchmark's sparse_1k workload
+        path = write_config(tmp_path, n_learners=1000, model_dim=16, prime=2**31 - 1,
+                            rounds=4, theta_max=50.0,
+                            schedule={"kind": "random_connected", "avg_degree": 4.0,
+                                      "seed": 11})
     assert main(["bounds", "--config", path]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = lines[lines.index("round,lambda2,min_iterations") + 1:]
     records = run_training(ProtocolConfig.from_json_file(path)).transcript.rounds
     assert rows == [f"{r.round_index},{r.lambda2!r},{r.k_used}" for r in records]
+
+
+def test_simulate_refuses_short_fixed_k_before_round_1(tmp_path, capsys, monkeypatch):
+    # large_random's round 6 needs K=12, rounds 1-5 need 11. The plans
+    # are made before round 1, so no round runs and nothing is written.
+    from ppdfl import protocol
+
+    raw = json.loads((CONFIGS / "large_random.json").read_text())
+    path = tmp_path / "k11.json"
+    path.write_text(json.dumps({**raw, "k_policy": 11}))
+    entered = []
+    monkeypatch.setattr(protocol, "execute_round", lambda *a, **k: entered.append(a))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    assert entered == []
+    assert "round 6: configured K=11 below required 12" in capsys.readouterr().err
+    assert not (out / "transcript.jsonl").exists()
+    assert not list(out.glob("*.csv"))
+    # bounds prints every plan and names the same round.
+    assert main(["bounds", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "round 6: configured K=11 below required 12\n"
+    rows = captured.out.splitlines()[2:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["11"] * 5 + ["12"]  # what each round needs
 
 
 def test_privacy_ring_single_adversary_ok(tmp_path, capsys):

@@ -12,9 +12,11 @@ from ppdfl.consensus import (
     min_iterations,
 )
 from ppdfl.field import DimensionMismatch
+from ppdfl.protocol import ProtocolConfig, plan_round
 from ppdfl.topology import (
     DisconnectedGraph,
     RoundTopology,
+    TopologySchedule,
     generate_topology,
     mh_edge_weights,
     mh_weights,
@@ -23,8 +25,13 @@ from ppdfl.topology import (
 
 
 def k_of(a, p):
-    # the round driver's K: the rule on the matrix's eigensolved lambda2
-    return min_iterations(second_largest_eigenvalue(a), a.shape[0], p)
+    # the round plan's K: the rule on the matrix's eigensolved lambda2
+    return min_iterations(second_largest_eigenvalue(a), a.shape[0], p)[0]
+
+
+def operator_of(g):
+    # A connected graph's averaging operator, built as the round builds it.
+    return AveragingOperator(*mh_edge_weights(g))
 
 
 def direct_error_norm(a, k):
@@ -35,7 +42,7 @@ def direct_error_norm(a, k):
 
 
 def step(states, g):
-    return consensus_final(states, AveragingOperator.from_graph(g), 1)
+    return consensus_final(states, operator_of(g), 1)
 
 
 def differential_graphs():
@@ -50,7 +57,7 @@ def test_operator_matches_dense_matrix_over_50_steps():
     rng = np.random.default_rng(5)
     for g in differential_graphs():
         a = mh_weights(g)
-        op = AveragingOperator.from_graph(g)
+        op = operator_of(g)
         expected = rng.uniform(0, 2**31, (g.n_nodes, 3))
         sums = expected.sum(axis=0)
         frames = np.empty((51, g.n_nodes, 3))
@@ -117,7 +124,7 @@ def uses_dense_plan(g):
 
 def test_operator_picks_its_plan_from_the_fill():
     for g in bit_exact_graphs():
-        op = AveragingOperator.from_graph(g)
+        op = operator_of(g)
         dense = uses_dense_plan(g)
         assert (op.off is not None) == dense, (g.n_nodes, len(g.src))
         slot_plan = (op.perm, op.slot_cols, op.slot_weights, op.ranges)
@@ -143,7 +150,7 @@ def test_both_plans_match_bincount_steps_bit_for_bit(monkeypatch):
     # same floats.
     rng = np.random.default_rng(8)
     for g in bit_exact_graphs():
-        op = AveragingOperator.from_graph(g)
+        op = operator_of(g)
         per_column = g.n_nodes**2 if op.off is not None else max(1, op.rows.size)
         for dim in (1, 3, 16, 37):
             init = rng.uniform(0, 1, (g.n_nodes, dim)) * 10.0 ** rng.integers(-8, 8, (g.n_nodes, dim))
@@ -163,7 +170,7 @@ def test_signed_states_match_bincount_steps_bit_for_bit():
     rng = np.random.default_rng(10)
     for g in (generate_topology("complete", 30), filled_graph(40, 1200, seed=3),
               hub_and_line(12, 20)):
-        op = AveragingOperator.from_graph(g)
+        op = operator_of(g)
         init = rng.uniform(-1, 1, (g.n_nodes, 4)) * 10.0 ** rng.integers(-8, 8, (g.n_nodes, 4))
         init[:, 1] = -0.0
         init[::2, 2] = 0.0
@@ -192,7 +199,7 @@ def test_initial_states_are_never_written(monkeypatch):
     # neither may serve as a step buffer, on either plan or block layout.
     rng = np.random.default_rng(11)
     for g in (generate_topology("complete", 20), hub_and_line(12, 20)):
-        op = AveragingOperator.from_graph(g)
+        op = operator_of(g)
         for shape in ((g.n_nodes,), (g.n_nodes, 1), (g.n_nodes, 5)):
             for block in (2**62, 1):
                 monkeypatch.setattr(consensus, "_BLOCK_ENTRIES", block)
@@ -207,7 +214,7 @@ def test_initial_states_are_never_written(monkeypatch):
 
 
 def test_lone_learner_keeps_its_state():
-    op = AveragingOperator.from_graph(RoundTopology(1, []))
+    op = operator_of(RoundTopology(1, []))
     init = np.array([[2.5, -1.0]])
     frames = np.empty((4, 1, 2))
     assert np.array_equal(consensus_final(init, op, 3, frames), init)
@@ -274,7 +281,7 @@ def test_dense_plan_is_built_once_and_read_only(monkeypatch):
 def test_operator_holds_the_dense_matrix_floats():
     for g in differential_graphs():
         a = mh_weights(g)
-        op = AveragingOperator.from_graph(g)
+        op = operator_of(g)
         rebuilt = np.zeros_like(a)
         rebuilt[op.rows, op.cols] = op.weights
         np.fill_diagonal(rebuilt, op.diag)
@@ -283,8 +290,12 @@ def test_operator_holds_the_dense_matrix_floats():
 
 
 def test_operator_needs_connected_graph():
-    with pytest.raises(DisconnectedGraph):
-        AveragingOperator.from_graph(RoundTopology(3, frozenset({(1, 2)})))
+    # The round's plan makes the connectivity check before any operator
+    # is built from its weights.
+    cfg = ProtocolConfig(3, 1, 0, 103, 1, "auto", "uniform", 1.0, 0,
+                         TopologySchedule.generated("line", 3))
+    with pytest.raises(DisconnectedGraph, match="round 2 graph is disconnected"):
+        plan_round(RoundTopology(3, frozenset({(1, 2)})), cfg, 2)
 
 
 def test_step_fixed_point_of_consensus():
@@ -308,7 +319,7 @@ def test_step_preserves_column_sums():
 
 
 def test_step_dimension_checks():
-    op = AveragingOperator.from_graph(generate_topology("line", 2))
+    op = operator_of(generate_topology("line", 2))
     with pytest.raises(DimensionMismatch):
         consensus_final(np.zeros((3, 1)), op, 1)
     with pytest.raises(DimensionMismatch):
@@ -320,7 +331,7 @@ def test_step_dimension_checks():
 
 
 def test_run_consensus_zero_iterations():
-    op = AveragingOperator.from_graph(generate_topology("line", 2))
+    op = operator_of(generate_topology("line", 2))
     frames = np.empty((1, 2, 1))
     final = consensus_final(np.array([[1.0], [2.0]]), op, 0, frames)
     assert np.allclose(final, [[1.0], [2.0]])
@@ -329,14 +340,14 @@ def test_run_consensus_zero_iterations():
 
 def test_run_consensus_complete_graph_one_step():
     n = 7
-    op = AveragingOperator.from_graph(generate_topology("complete", n))
+    op = operator_of(generate_topology("complete", n))
     init = np.arange(n, dtype=float)[:, None]
     final = consensus_final(init, op, 1)
     assert np.allclose(final, np.full((n, 1), init.mean()), atol=1e-12)
 
 
 def test_run_consensus_path_converges_to_mean():
-    op = AveragingOperator.from_graph(generate_topology("line", 3))
+    op = operator_of(generate_topology("line", 3))
     init = np.array([[9.0], [0.0], [3.0]])
     frames = np.empty((401, 3, 1))
     final = consensus_final(init, op, 400, frames)
@@ -407,14 +418,14 @@ def test_rounding_margin_with_residue_initials():
         )
         k = k_of(mh_weights(g), p)
         init = np.array([[rng.randrange(p)] for _ in range(n)], dtype=float)
-        final = consensus_final(init, AveragingOperator.from_graph(g), k)
+        final = consensus_final(init, operator_of(g), k)
         assert np.max(np.abs(n * final - init.sum())) < 0.5
 
 
 def test_trajectory_properties():
     # K + 1 frames: the initial state, then the state after every step.
     g = generate_topology("star", 5)
-    op = AveragingOperator.from_graph(g)
+    op = operator_of(g)
     init = np.arange(10, dtype=float).reshape(5, 2)
     frames = np.empty((5, 5, 2))
     final = consensus_final(init, op, 4, frames)

@@ -8,11 +8,12 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from test_consensus import operator_of
 from test_topology import hub_and_path
 
 from ppdfl import protocol as protocol_module
 from ppdfl import sharing, topology
-from ppdfl.consensus import AveragingOperator, consensus_final
+from ppdfl.consensus import consensus_final
 from ppdfl.field import next_prime
 from ppdfl.fixedpoint import Precision, scaled_trunc
 from ppdfl.seeding import derive_rng
@@ -25,6 +26,7 @@ from ppdfl.protocol import (
     Transcript,
     build_initial_state,
     execute_round,
+    plan_round,
     quantized_aggregate,
     read_back,
     run_training,
@@ -41,7 +43,7 @@ from ppdfl.topology import (
 
 def replay_round(record, cfg):
     """Re-derive the decoded output from a recorded round; determinism audit."""
-    op = AveragingOperator.from_graph(record.topology)
+    op = operator_of(record.topology)
     final = consensus_final(record.initial_states, op, record.k_used)
     return read_back(final, cfg)[1]
 
@@ -390,7 +392,7 @@ def test_large_random_round1_frames_are_pinned():
     raw["rounds"] = 1
     cfg = ProtocolConfig.from_dict(raw, str(path.parent))
     record = run_training(cfg, record_trajectory=True).transcript.rounds[0]
-    op = AveragingOperator.from_graph(record.topology)
+    op = operator_of(record.topology)
     assert op.off is not None
     frames = record.state_trajectory
     assert frames.shape == (record.k_used + 1, 100, 3) and frames.dtype == np.float64
@@ -702,6 +704,28 @@ def test_run_training_chains_rounds_and_matches_oracle():
         inputs = result.transcript.rounds[t].local_models
         gen_bound = 0.25  # synthetic trainer step
         assert np.max(np.abs(inputs - prev[None, :])) <= gen_bound + 1e-12
+
+
+def test_summary_reports_the_round_plans():
+    cfg = make_cfg(9, 2, 2, 5.0, rounds=4, seed=5)
+    result = run_training(cfg)
+    for t, (row, rec) in enumerate(zip(result.summary["rounds"], result.transcript.rounds), 1):
+        plan = plan_round(cfg.schedule.round_graph(t), cfg, t)
+        assert (row["lambda2"], row["lambda_hat"], row["k_threshold"], row["k_used"]) == (
+            plan.lambda2, plan.lambda_hat, plan.k_threshold, plan.k_used)
+        assert (rec.lambda2, rec.k_used) == (plan.lambda2, plan.k_needed)
+
+
+def test_round_runs_a_given_plan_and_times_it():
+    g = generate_topology("random_connected", 12, seed=3, avg_degree=3.0)
+    cfg = make_cfg(12, 2, 2, 4.0, schedule=TopologySchedule.from_graphs([g]))
+    models = np.random.default_rng(2).uniform(-4, 4, (12, 2))
+    plan = plan_round(g, cfg, 1)
+    rec = execute_round(models, g, cfg, plan=plan)
+    assert rec.timings["weights"] >= plan.seconds
+    assert np.array_equal(rec.decoded, execute_round(models, g, cfg).decoded)
+    with pytest.raises(ValueError, match="plan of round 1 given for round 2"):
+        execute_round(models, g, cfg, round_index=2, plan=plan)
 
 
 def test_run_training_rejects_short_schedule():
